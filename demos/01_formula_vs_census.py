@@ -1,9 +1,10 @@
 """Reconstructing every coset distribution of a code from d-2 numbers.
 
 The [6,3,4]_5 code built on the conic columns has 125 cosets.  A full
-census (one pass over all 5^6 vectors) sorts them into four classes.
-Feeding each class's low-weight counts B_0..B_2 into the single-sum
-relation reproduces the entire distribution, tail included.
+census (exact counts of all 5^6 vectors by syndrome and weight) sorts
+them into four classes.  Feeding each class's low-weight counts
+B_0..B_2 into the single-sum relation reproduces the entire
+distribution, tail included.
 """
 
 from mdscosets import (LowWeightPrefix, bonneau_original, bonneau_transformed,

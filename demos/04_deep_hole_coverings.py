@@ -5,7 +5,7 @@ sees exactly B_R codewords there, so the census at weight R certifies
 multiple-covering quality exactly: mu, almost perfect (all weight-R
 cosets agree), perfect (additionally d >= 2R), and the exact rational
 mu-density.  The classification works even when q^n is astronomically
-large, by enumerating only the low-weight vectors.
+large, by counting only the low-weight vectors.
 """
 
 from mdscosets import (build_code, count_deep_hole_cosets, field_of_order,

@@ -1,14 +1,14 @@
 """Exact coset weight distributions of MDS codes.
 
 Closed-form coset distributions (the single-sum Bonneau relation and its
-per-weight specializations), brute-force censuses over GF(q) that every
+per-weight specializations), exact coset censuses over GF(q) that every
 formula is checked against, the bisecant geometry of conics and
 hyperovals in PG(2, q), and covering classification of deep holes.
 """
 
-from .codes import (BudgetExceededError, CosetCensus, CosetClass, LinearCode,
-                    Matrix, WeightDistribution, brute_weight_distribution,
-                    code_from_parity, coset_census, low_weight_census)
+from .codes import (BudgetExceededError, CosetCensus, CosetClass,
+                    InvariantError, LinearCode, Matrix, WeightDistribution,
+                    coset_census, low_weight_census)
 from .combinat import binom, omega
 from .covering import (DeepHoleMismatchError, DeepHoleReport, McfReport,
                        count_deep_hole_cosets, mcf_classify,
@@ -28,12 +28,11 @@ from .mds import (MdsConstruction, build_code, gdrs_parity, gtrs_parity,
 __all__ = [
     "Arc", "BudgetExceededError", "CosetCensus", "CosetClass",
     "DeepHoleMismatchError", "DeepHoleReport", "GF",
-    "InconsistentPrefixError", "LinearCode",
+    "InconsistentPrefixError", "InvariantError", "LinearCode",
     "LowWeightPrefix", "Matrix", "McfReport", "MdsConstruction",
     "PointCensus", "SymmetryReport", "WeightDistribution", "binom",
     "bisecant_census", "bonneau_original", "bonneau_transformed",
-    "brute_weight_distribution", "build_code", "code_from_parity",
-    "conic_points", "coset_census", "count_deep_hole_cosets",
+    "build_code", "conic_points", "coset_census", "count_deep_hole_cosets",
     "dist_weight1", "dist_weight2", "dist_weight_d1", "dist_weight_d2",
     "dist_weight_mid", "field_of_order", "gdrs_parity",
     "geometry_code_bridge", "gtrs_parity", "hyperoval_points",

@@ -6,7 +6,7 @@ never JSON numbers: they routinely exceed 2^53 and must survive any
 consumer.  Rationals print as "a/b".
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 enumeration-budget refusal.
+3 budget refusal (work over --budget, or counts past 2^63).
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "json", "csv"), default="table")
     common.add_argument("--out", help="write the output to a file")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max exhaustive-enumeration visits")
+                        help="max syndrome-trellis steps n(q-1)*wmax*q^(n-k) per count")
 
     parser = argparse.ArgumentParser(
         prog="mdscosets",

@@ -1,34 +1,44 @@
-"""Linear codes over GF(q) given by parity-check matrices, plus the
-brute-force oracles everything else is checked against.
+"""Linear codes over GF(q) given by parity-check matrices, and the one
+exact counting kernel every census, distance and covering radius comes
+from.
 
-The full coset census walks the whole ambient space F_q^n exactly once
-in odometer order (vectorized in blocks), bucketing vector weights by
-syndrome, then groups syndromes with identical weight distributions.
-The low-weight census enumerates every vector of weight <= wmax instead;
-it is exact as far as it looks and is the tool of choice when q^n is
-over budget but only small coset weights matter.
+The kernel is Wolf's syndrome trellis (J. K. Wolf, IEEE Trans. IT 24(1),
+1978): a dense table T[s, w] of how many vectors of weight w <= wmax have
+syndrome s, grown one coordinate (one parity-check column) at a time.
+Truncated at wmax = n it is the full coset census; at smaller wmax it is
+the low-weight census, and at wmax = n - k it settles the minimum
+distance and the covering radius.  Its work is n*(q-1)*wmax*q^(n-k)
+table updates, not q^n vector visits.
 
-Enumeration budgets are explicit; anything over budget is refused with
-the budget named, never silently sampled.
+Every count is exact.  The work is checked against an explicit budget
+and every count against the int64 range before any table is allocated;
+anything out of range is refused with the limit named, never sampled.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from .combinat import binom
 from .gf import GF
 
 DEFAULT_BUDGET = 200_000_000
-DEFAULT_BLOCK = 6_000_000
-_SUBSET_BUDGET = 2_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration would exceed its configured budget."""
+    """A count would exceed its work budget or the int64 range."""
+
+
+class InvariantError(RuntimeError):
+    """A computed result breaks an identity that every correct result satisfies."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise InvariantError(what)
 
 
 @dataclass(frozen=True)
@@ -167,7 +177,7 @@ class LinearCode:
 
     @property
     def generator_matrix(self) -> Matrix:
-        """A generator matrix derived from H by elimination; H G^T = 0 is asserted."""
+        """A generator matrix derived from H by elimination; H G^T = 0 is checked."""
         if self._G is None:
             reduced, pivots = _rref(self.field, self.H.rows)
             pivot_set = set(pivots)
@@ -181,109 +191,81 @@ class LinearCode:
                 rows.append(g)
             G = Matrix(self.field, rows, ncols=self.n)
             zero = (0,) * self.r
-            for g in rows:
-                assert self.syndrome(g) == zero
+            _require(all(self.syndrome(g) == zero for g in rows),
+                     "a generator row has a nonzero syndrome")
             self._G = G
         return self._G
 
-    @property
-    def is_mds(self) -> bool:
-        return self.min_distance() == self.n - self.k + 1
-
     def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
+        """Smallest positive codeword weight, from a weight-(n-k) census of
+        the zero syndrome; none below n-k+1 means d = n-k+1 (Singleton)."""
         if self._d is None:
             if self.k == 0:
                 raise ValueError("minimum distance is undefined for the zero code")
-            if self.field.q ** self.k <= budget:
-                dist = brute_weight_distribution(self, budget)
-                self._d = dist.min_positive_weight()
-            else:
-                self._d = self._min_distance_by_columns()
+            zero_row = _syndrome_trellis(self, self.r, budget)[0]
+            self._d = next((w for w in range(1, self.r + 1) if zero_row[w]), self.r + 1)
         return self._d
 
-    def _min_distance_by_columns(self) -> int:
-        # d equals the smallest number of linearly dependent parity-check columns
-        checked = 0
-        for delta in range(1, self.r + 1):
-            for combo in itertools.combinations(range(self.n), delta):
-                checked += 1
-                if checked > _SUBSET_BUDGET:
-                    raise BudgetExceededError(
-                        f"column-subset distance search over {_SUBSET_BUDGET} subsets")
-                sub = Matrix(self.field, [[self.H.rows[t][c] for c in combo]
-                                          for t in range(self.r)], ncols=delta)
-                if sub.rank() < delta:
-                    return delta
-        return self.r + 1
-
     def covering_radius(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Max coset weight; ambient census when affordable, else a low-weight
-        census grown until every syndrome is reached."""
+        """Max coset weight, from a weight-(n-k) census: H has rank n-k, so
+        every syndrome is a combination of at most n-k columns."""
         if self._R is None:
-            if self.field.q ** self.n <= budget:
-                census = coset_census(self, budget)
-                self._R = max(cls.weight for cls in census.classes)
-            else:
-                for wmax in range(1, self.r + 1):
-                    lw = low_weight_census(self, wmax, budget)
-                    if lw.fully_covered:
-                        self._R = int(lw.weights.max())
-                        break
-                else:
-                    raise AssertionError("syndromes uncovered at weight n-k")
+            lw = low_weight_census(self, self.r, budget)
+            _require(lw.fully_covered, "a syndrome is unreached at weight n-k")
+            self._R = int(lw.weights.max())
         return self._R
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
 
 
-def code_from_parity(H: Matrix) -> LinearCode:
-    return LinearCode(H)
-
-
-# --- packed-syndrome helpers -------------------------------------------------
-#
-# A syndrome vector s in F_q^r is packed as sum(s[t] * q^t).  Packed values
-# add componentwise in the field: XOR for characteristic 2, otherwise via the
-# (q, q) addition table applied digit by digit.
+# A syndrome vector s in F_q^r is stored at row sum(s[t] * q^t) of every
+# census table.
 
 def syndrome_index(q: int, svec) -> int:
     return sum(int(s) * q**t for t, s in enumerate(svec))
 
 
-def _contrib_digits(code: LinearCode) -> list[np.ndarray]:
-    """contrib[j][c] = syndrome digit vector of c * (column j), shape (q, r)."""
-    f, H, r = code.field, code.H, code.r
-    out = []
-    for j in range(code.n):
-        col = H.column(j)
-        out.append(np.array([[f.mul(c, col[t]) for t in range(r)]
-                             for c in range(f.q)], dtype=np.uint16))
-    return out
+def _syndrome_trellis(code: LinearCode, wmax: int, budget: int) -> np.ndarray:
+    """T[s, w]: how many vectors of weight w <= wmax have syndrome row s.
 
+    Starting from the empty word (T[0, 0] = 1), coordinate j is admitted by
 
-def _pack(digits: np.ndarray, q: int) -> np.ndarray:
-    """Pack a (..., r) digit array into base-q integers."""
-    r = digits.shape[-1]
-    acc = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for t in range(r):
-        acc += digits[..., t].astype(np.int64) * q**t
-    return acc
+        T_j[s, w] = T_{j-1}[s, w] + sum_{c != 0} T_{j-1}[s - c*h_j, w - 1],
 
+    where h_j is column j of H.  The rows s - c*h_j are built digit by
+    digit from the field's addition table (XOR in characteristic 2), one
+    translation at a time.  Both refusals fire before any table exists.
+    """
+    f = code.field
+    q, n, r = f.q, code.n, code.r
+    if not 0 <= wmax <= n:
+        raise ValueError(f"wmax={wmax} outside [0, {n}]")
+    states = q ** r
+    work = n * (q - 1) * wmax * states
+    if work > budget:
+        raise BudgetExceededError(
+            f"syndrome trellis needs {work} steps n(q-1)*wmax*q^(n-k), "
+            f"over the budget of {budget}")
+    vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
+    if vectors >= 2**63:
+        raise BudgetExceededError(
+            f"{vectors} vectors of weight <= {wmax} overflow the int64 counts "
+            f"(limit 2^63)")
 
-def _group_add_outer(field: GF, r: int, packed: np.ndarray,
-                     other: np.ndarray) -> np.ndarray:
-    """All pairwise field sums of two packed-syndrome arrays, flattened."""
-    if field.p == 2:
-        return (packed[:, None] ^ other[None, :]).reshape(-1)
-    q = field.q
-    add_t = field.add_table()
-    out = np.zeros((packed.size, other.size), dtype=np.int64)
-    for t in range(r):
-        da = (packed // q**t) % q
-        db = (other // q**t) % q
-        out += add_t[da[:, None], db[None, :]].astype(np.int64) * q**t
-    return out.reshape(-1)
+    add_t = f.add_table().astype(np.int64)
+    table = np.zeros((wmax + 1, states), dtype=np.int64)  # weight-major while growing
+    table[0, 0] = 1
+    for col in code.H.columns():
+        step = table.copy()
+        for c in range(1, q):
+            shift = [f.mul(f.neg(c), h) for h in col]
+            src = np.zeros(1, dtype=np.int64)
+            for t in reversed(range(r)):  # most significant digit first
+                src = (src[:, None] + add_t[:, shift[t]] * q**t).reshape(-1)
+            step[1:] += np.take(table[:-1], src, axis=1)
+        table = step
+    return np.ascontiguousarray(table.T)
 
 
 @dataclass(frozen=True)
@@ -311,10 +293,14 @@ class CosetCensus:
             dist = WeightDistribution(tuple(int(x) for x in row[1:]))
             classes.append(CosetClass(int(row[0]), dist, int(cnt)))
         self.classes = classes  # np.unique sorts by (weight, distribution)
-        assert sum(c.count for c in self.classes) == self.total_cosets
-        assert sum(c.count * c.distribution.total() for c in self.classes) == q**n
-        zero_classes = [c for c in self.classes if c.weight == 0]
-        assert len(zero_classes) == 1 and zero_classes[0].count == 1
+        _require(sum(c.count for c in classes) == self.total_cosets,
+                 "census classes do not hold q^(n-k) cosets")
+        _require(int(table.sum()) == q**n, "census table does not hold q^n vectors")
+        _require(bool(np.all(table.sum(axis=1) == q**k)),
+                 "a census row does not hold q^k vectors")
+        zero_classes = [c for c in classes if c.weight == 0]
+        _require(len(zero_classes) == 1 and zero_classes[0].count == 1,
+                 "census needs exactly one weight-0 coset")
 
     def classes_of_weight(self, W: int) -> list[CosetClass]:
         return [c for c in self.classes if c.weight == W]
@@ -346,71 +332,9 @@ class CosetCensus:
         return True
 
 
-def coset_census(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                 block_cap: int = DEFAULT_BLOCK) -> CosetCensus:
-    """Exact weight distribution of every coset, by one pass over F_q^n.
-
-    Vectors are visited in odometer order (rightmost coordinate fastest);
-    the trailing coordinates are expanded into arrays of at most block_cap
-    entries and the leading ones are walked one prefix at a time, with the
-    running prefix weight and syndrome folded in.
-    """
-    f = code.field
-    q, n, r = f.q, code.n, code.r
-    ambient = q ** n
-    if ambient > budget:
-        raise BudgetExceededError(
-            f"coset census needs {ambient} vector visits, over the budget of {budget}")
-
-    contribs = _contrib_digits(code)
-    nsuffix = 0
-    size = 1
-    while nsuffix < n and size * q <= max(block_cap, q):
-        size *= q
-        nsuffix += 1
-    suffix_cols = list(range(n - nsuffix, n))
-    wbit = (np.arange(q) != 0).astype(np.uint8)
-
-    char2 = f.p == 2
-    if char2:
-        P = np.zeros(1, dtype=np.int64)
-        Wt = np.zeros(1, dtype=np.uint8)
-        for col in suffix_cols:
-            packs = _pack(contribs[col].astype(np.int64), q)
-            P = (P[:, None] ^ packs[None, :]).reshape(-1)
-            Wt = (Wt[:, None] + wbit[None, :]).reshape(-1)
-    else:
-        add_t = f.add_table()
-        D = np.zeros((1, r), dtype=np.uint8)
-        Wt = np.zeros(1, dtype=np.uint8)
-        for col in suffix_cols:
-            cd = contribs[col].astype(np.uint8)
-            D = add_t[D[:, None, :], cd[None, :, :]].reshape(-1, r)
-            Wt = (Wt[:, None] + wbit[None, :]).reshape(-1)
-
-    hist = np.zeros(q**r * (n + 1), dtype=np.int64)
-    qpow = [q**t for t in range(r)]
-    for prefix in itertools.product(range(q), repeat=n - nsuffix):
-        pw = sum(1 for c in prefix if c)
-        ps = [0] * r
-        for i, c in enumerate(prefix):
-            if c:
-                for t in range(r):
-                    ps[t] = f.add(ps[t], int(contribs[i][c, t]))
-        if char2:
-            ps_packed = sum(ps[t] * qpow[t] for t in range(r))
-            bucket = (P ^ ps_packed) * (n + 1) + (Wt.astype(np.int64) + pw)
-        else:
-            acc = np.zeros(len(D), dtype=np.int64)
-            for t in range(r):
-                acc += add_t[ps[t], D[:, t]].astype(np.int64) * qpow[t]
-            bucket = acc * (n + 1) + (Wt.astype(np.int64) + pw)
-        hist += np.bincount(bucket, minlength=hist.size)
-
-    table = hist.reshape(q**r, n + 1)
-    assert int(table.sum()) == ambient
-    assert np.all(table.sum(axis=1) == q**code.k)
-    return CosetCensus(code, table)
+def coset_census(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CosetCensus:
+    """Exact weight distribution of every coset: the trellis at wmax = n."""
+    return CosetCensus(code, _syndrome_trellis(code, code.n, budget))
 
 
 class LowWeightCensus:
@@ -439,83 +363,8 @@ class LowWeightCensus:
         vals, counts = np.unique(self.table[idxs, W], return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
-    def prefix_of_index(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.table[idx])
-
 
 def low_weight_census(code: LinearCode, wmax: int,
                       budget: int = DEFAULT_BUDGET) -> LowWeightCensus:
-    """Syndrome census of every vector of weight <= wmax (exact enumeration)."""
-    f = code.field
-    q, n, r = f.q, code.n, code.r
-    if not 0 <= wmax <= n:
-        raise ValueError(f"wmax={wmax} outside [0, {n}]")
-    from .combinat import binom
-    total = sum(binom(n, w) * (q - 1)**w for w in range(wmax + 1))
-    if total > budget:
-        raise BudgetExceededError(
-            f"low-weight census needs {total} vector visits, over the budget of {budget}")
-
-    contribs = _contrib_digits(code)
-    packed_nz = [_pack(contribs[j][1:].astype(np.int64), q) for j in range(n)]
-    hist = np.zeros((q**r, wmax + 1), dtype=np.int64)
-    hist[0, 0] = 1
-    for w in range(1, wmax + 1):
-        parts = []
-        for combo in itertools.combinations(range(n), w):
-            arr = np.zeros(1, dtype=np.int64)
-            for col in combo:
-                arr = _group_add_outer(f, r, arr, packed_nz[col])
-            parts.append(arr)
-        allv = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        hist[:, w] += np.bincount(allv, minlength=q**r)
-    return LowWeightCensus(code, wmax, hist)
-
-
-def brute_weight_distribution(code: LinearCode,
-                              budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exact codeword weight counts by enumerating all q^k codewords."""
-    f = code.field
-    q, n, k = f.q, code.n, code.k
-    total = q ** k
-    if total > budget:
-        raise BudgetExceededError(
-            f"codeword enumeration needs {total} visits, over the budget of {budget}")
-    counts = [0] * (n + 1)
-    if k == 0:
-        counts[0] = 1
-        return WeightDistribution(tuple(counts))
-    G = code.generator_matrix
-    char2 = f.p == 2
-    add_t = None if char2 else f.add_table()
-    scaled = [np.array([[f.mul(c, G.rows[i][j]) for j in range(n)] for c in range(q)],
-                       dtype=np.uint8) for i in range(k)]
-
-    # expand trailing message coordinates into one array block, walk the rest
-    ksuf = 0
-    size = 1
-    while ksuf < k and size * q * n <= 8 * DEFAULT_BLOCK:
-        size *= q
-        ksuf += 1
-    M = np.zeros((1, n), dtype=np.uint8)
-    for i in range(k - ksuf, k):
-        tab = scaled[i]
-        if char2:
-            M = (M[:, None, :] ^ tab[None, :, :]).reshape(-1, n)
-        else:
-            M = add_t[M[:, None, :], tab[None, :, :]].reshape(-1, n)
-
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for prefix in itertools.product(range(q), repeat=k - ksuf):
-        base = np.zeros(n, dtype=np.uint8)
-        for i, c in enumerate(prefix):
-            if c:
-                if char2:
-                    base ^= scaled[i][c]
-                else:
-                    base = add_t[base, scaled[i][c]]
-        rows = (M ^ base[None, :]) if char2 else add_t[M, base[None, :]]
-        hist += np.bincount((rows != 0).sum(axis=1), minlength=n + 1)
-    dist = WeightDistribution(tuple(int(c) for c in hist))
-    assert dist.total() == total
-    return dist
+    """Syndrome census of every vector of weight <= wmax: the trellis at wmax."""
+    return LowWeightCensus(code, wmax, _syndrome_trellis(code, wmax, budget))

@@ -11,9 +11,10 @@ additionally d >= 2R, and the mu-density is the exact rational
 
     gamma_mu = sum(B_R over weight-R cosets) / (mu * #weight-R cosets).
 
-When the ambient space is over budget the classification falls back to
-the low-weight census grown until every syndrome is reached, which is
-exact because the covering radius of an MDS code never exceeds d - 1.
+The per-syndrome counts come from the low-weight census at weight n-k,
+which reaches every syndrome; for the deep-hole counts of an MDS code a
+census at weight d-2 suffices, since its covering radius never exceeds
+d - 1.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import (DEFAULT_BUDGET, LinearCode, coset_census,
-                    low_weight_census)
+from .codes import DEFAULT_BUDGET, LinearCode, low_weight_census
 from .combinat import binom
 from .mds import MdsConstruction, parent_code
 
@@ -53,22 +53,10 @@ class McfReport:
 
 
 def _farthest_profile(code: LinearCode, budget: int) -> tuple[int, dict[int, int]]:
-    """(R, {B_R value: number of weight-R cosets}) via the affordable census."""
-    q = code.field.q
-    if q ** code.n <= budget:
-        census = coset_census(code, budget)
-        R = census.max_weight()
-        profile: dict[int, int] = {}
-        for cls in census.classes_of_weight(R):
-            b = cls.distribution.counts[R]
-            profile[b] = profile.get(b, 0) + cls.count
-        return R, profile
-    for wmax in range(1, code.r + 1):
-        lw = low_weight_census(code, wmax, budget)
-        if lw.fully_covered:
-            R = int(lw.weights.max())
-            return R, lw.profile_at(R)
-    raise AssertionError("syndromes uncovered at weight n-k")
+    """(R, {B_R value: number of weight-R cosets})."""
+    lw = low_weight_census(code, code.r, budget)
+    R = int(lw.weights.max())
+    return R, lw.profile_at(R)
 
 
 def mcf_classify(code: LinearCode, budget: int = DEFAULT_BUDGET) -> McfReport:
@@ -108,21 +96,14 @@ class DeepHoleReport:
 
 
 def _weight_top_coset_count(code: LinearCode, d: int, budget: int) -> int:
-    """Number of weight-(d-1) cosets, exactly.  Over budget, syndromes not
-    reached by weight <= d-2 are precisely the weight-(d-1) cosets since
-    an MDS code has R <= d-1."""
-    q = code.field.q
-    if q ** code.n <= budget:
-        return coset_census(code, budget).count_of_weight(d - 1)
+    """Number of weight-(d-1) cosets, exactly: an MDS code has R <= d-1, so
+    these are the syndromes no vector of weight <= d-2 reaches."""
     return low_weight_census(code, d - 2, budget).uncovered_count
 
 
 def covering_radius_capped(code: LinearCode, d: int, budget: int = DEFAULT_BUDGET) -> int:
     """Covering radius of an MDS code of distance d, using R <= d-1 so a
-    weight-(d-2) census settles it even when q^n is out of budget."""
-    q = code.field.q
-    if q ** code.n <= budget:
-        return code.covering_radius(budget)
+    weight-(d-2) census settles it."""
     lw = low_weight_census(code, d - 2, budget)
     if lw.fully_covered:
         return int(lw.weights.max())

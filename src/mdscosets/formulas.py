@@ -12,7 +12,7 @@ everywhere, which the test suite enforces.  The per-weight functions
 (weight 1, mid-range weights, weight d-2, weight d-1, weight 2)
 implement the specialized formulas directly rather than delegating to
 the general relation, so each specialization is checked twice: against
-the general formula and against brute-force censuses.
+the general formula and against exact censuses.
 
 All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,

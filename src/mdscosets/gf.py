@@ -227,9 +227,6 @@ class GF:
             raise ZeroDivisionError(f"zero has no inverse in GF({self.q})")
         return self._alog[(self.q - 1 - self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def power(self, a: int, e: int) -> int:
         a = self.check(a)
         if a == 0:

@@ -1,11 +1,11 @@
 """Desk-corpus verification: every theorem-level claim the library makes,
-checked against brute force over a fixed family of constructed codes.
+checked against exact censuses of a fixed family of constructed codes.
 
 The corpus holds every code the constructors produce for
 q in {4, 5, 7, 8, 9, 11}, d in {3, 4, 5, 6}, d <= n <= q+1 (plus the
-triply-extended length q+2 for even q at d = 4), subject to the ambient
-enumeration budget q^n <= 2*10^8.  Censuses are cached so each code is
-walked once per run.
+triply-extended length q+2 for even q at d = 4), subject to the fixed
+size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached so
+each code is counted once per run.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -37,6 +37,7 @@ from .mds import MdsConstruction, build_code, truncated_gdrs
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
 DESK_DS = (3, 4, 5, 6)
+DESK_AMBIENT_LIMIT = 2 * 10**8  # corpus membership, q^n; independent of the census budget
 
 
 @dataclass
@@ -63,11 +64,11 @@ def desk_corpus(budget: int = DEFAULT_BUDGET,
             if d > q + 1:
                 continue
             for n in range(d, q + 2):
-                if q ** n > budget:
+                if q ** n > DESK_AMBIENT_LIMIT:
                     continue
                 code, cons = truncated_gdrs(fld, d, n, budget)
                 entries.append(CorpusEntry(q, d, n, "gdrs", cons.delta, code, cons))
-            if d == 4 and q % 2 == 0 and q ** (q + 2) <= budget:
+            if d == 4 and q % 2 == 0 and q ** (q + 2) <= DESK_AMBIENT_LIMIT:
                 code, cons = build_code(fld, "gtrs", budget=budget)
                 entries.append(CorpusEntry(q, d, q + 2, "gtrs", 0, code, cons))
     return entries

@@ -114,6 +114,15 @@ def test_census_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_census_int64_overflow_refusal(capsys):
+    # the kernel's work, about 3.5*10^7, is inside the budget, but the
+    # 32^31 codewords of the [33,31,3]_32 code overflow int64 counts
+    code, _, err = run(capsys, "census", "code", "--family", "gdrs",
+                       "--q", "32", "--d", "3")
+    assert code == 3
+    assert "2^63" in err
+
+
 def test_census_geometry(capsys):
     code, out, _ = run(capsys, "census", "geometry", "--q", "5",
                        "--arc", "conic", "--format", "json")

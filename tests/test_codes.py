@@ -1,32 +1,34 @@
+import numpy as np
 import pytest
 
-from mdscosets.codes import (BudgetExceededError, LinearCode, Matrix,
-                             WeightDistribution, brute_weight_distribution,
-                             code_from_parity, coset_census, low_weight_census)
+from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
+                             LinearCode, Matrix, WeightDistribution,
+                             coset_census, low_weight_census, syndrome_index)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, gdrs_parity, truncated_gdrs
+from oracle import brute_codeword_weights, brute_table
 
 
 def test_code_from_parity_shapes():
     f5 = field_of_order(5)
-    code = code_from_parity(gdrs_parity(f5, 4))
+    code = LinearCode(gdrs_parity(f5, 4))
     assert (code.n, code.k) == (6, 3)
     f2 = field_of_order(2)
-    parity = code_from_parity(Matrix(f2, [[1] * 7]))
+    parity = LinearCode(Matrix(f2, [[1] * 7]))
     assert (parity.n, parity.k) == (7, 6)
 
 
 def test_rank_deficient_parity_rejected():
     f5 = field_of_order(5)
     with pytest.raises(ValueError, match="rank"):
-        code_from_parity(Matrix(f5, [[1, 2, 3], [0, 0, 0]]))
+        LinearCode(Matrix(f5, [[1, 2, 3], [0, 0, 0]]))
     with pytest.raises(ValueError, match="rank"):
-        code_from_parity(Matrix(f5, [[1, 2, 3], [2, 4, 1]]))
+        LinearCode(Matrix(f5, [[1, 2, 3], [2, 4, 1]]))
 
 
 def test_syndrome_linearity():
     f5 = field_of_order(5)
-    code = code_from_parity(gdrs_parity(f5, 4))
+    code = LinearCode(gdrs_parity(f5, 4))
     zero = (0,) * 3
     for g in code.generator_matrix.rows:
         assert code.syndrome(g) == zero
@@ -44,17 +46,19 @@ def test_syndrome_linearity():
 
 def test_brute_weight_distribution_examples():
     f5 = field_of_order(5)
-    code6, _ = truncated_gdrs(f5, 4, 6)
-    assert brute_weight_distribution(code6).counts == (1, 0, 0, 0, 60, 24, 40)
-    code5, _ = truncated_gdrs(f5, 4, 5)
-    assert brute_weight_distribution(code5).counts == (1, 0, 0, 0, 20, 4)
+    for n, want in [(6, (1, 0, 0, 0, 60, 24, 40)), (5, (1, 0, 0, 0, 20, 4))]:
+        code, _ = truncated_gdrs(f5, 4, n)
+        assert brute_codeword_weights(code) == want
+        assert tuple(brute_table(code)[(0, 0, 0)]) == want
+        assert coset_census(code).code_distribution().counts == want
 
 
 def test_brute_weight_distribution_zero_code():
     f3 = field_of_order(3)
-    code = code_from_parity(Matrix(f3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    code = LinearCode(Matrix(f3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert code.k == 0
-    assert brute_weight_distribution(code).counts == (1, 0, 0, 0)
+    assert brute_codeword_weights(code) == (1, 0, 0, 0)
+    assert coset_census(code).code_distribution().counts == (1, 0, 0, 0)
 
 
 def test_budget_refusals_name_the_budget():
@@ -63,7 +67,7 @@ def test_budget_refusals_name_the_budget():
     with pytest.raises(BudgetExceededError, match="budget of 100"):
         coset_census(code, budget=100)
     with pytest.raises(BudgetExceededError, match="budget of 10"):
-        brute_weight_distribution(code, budget=10)
+        LinearCode(code.H).min_distance(budget=10)
     with pytest.raises(BudgetExceededError):
         low_weight_census(code, 3, budget=10)
 
@@ -110,15 +114,45 @@ def test_min_distance_and_covering_radius_examples():
     f8 = field_of_order(8)
     gtrs, _ = build_code(f8, "gtrs")
     assert gtrs.min_distance() == 4
-    assert gtrs.covering_radius() == 2  # ambient 8^10 is over budget: low-weight path
+    assert gtrs.covering_radius() == 2
 
 
-def test_min_distance_column_search_agrees_with_brute():
+def test_min_distance_agrees_with_brute():
     f7 = field_of_order(7)
     code, _ = truncated_gdrs(f7, 5, 7)
-    brute_d = code.min_distance()
-    fresh = LinearCode(code.H)
-    assert fresh._min_distance_by_columns() == brute_d == 5
+    weights = brute_codeword_weights(code)
+    brute_d = next(w for w in range(1, code.n + 1) if weights[w])
+    assert LinearCode(code.H).min_distance() == brute_d == 5
+
+
+def test_kernel_matches_brute_oracle_on_small_desk_codes(desk):
+    small = [e for e in desk.entries if e.q ** e.n <= 10**5]
+    assert len(small) == 38
+    for entry in small:
+        code = LinearCode(entry.code.H)  # nothing cached from the corpus build
+        q, n = code.field.q, code.n
+        brute = brute_table(code)
+        assert len(brute) == q ** code.r, entry.label
+        want = np.zeros((q ** code.r, n + 1), dtype=np.int64)
+        for svec, row in brute.items():
+            want[syndrome_index(q, svec)] = row
+        assert np.array_equal(desk.census(entry).table, want), entry.label
+        for wmax in range(n + 1):
+            assert np.array_equal(low_weight_census(code, wmax).table,
+                                  want[:, :wmax + 1]), (entry.label, wmax)
+        zero = brute[(0,) * code.r]
+        assert code.min_distance() == next(w for w in range(1, n + 1) if zero[w])
+        radius = max(next(w for w, c in enumerate(row) if c) for row in brute.values())
+        assert code.covering_radius() == radius, entry.label
+
+
+def test_corrupted_census_table_raises_invariant_error():
+    f5 = field_of_order(5)
+    code, _ = truncated_gdrs(f5, 4, 6)
+    table = coset_census(code).table.copy()
+    table[7, 3] += 1
+    with pytest.raises(InvariantError, match="q\\^n"):
+        CosetCensus(code, table)
 
 
 def test_low_weight_census_matches_full_census():
