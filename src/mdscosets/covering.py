@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import DEFAULT_BUDGET, LinearCode, low_weight_census
+from .codes import DEFAULT_BUDGET, LinearCode, _require, low_weight_census
 from .combinat import binom
 from .mds import MdsConstruction, parent_code
 
@@ -67,7 +67,7 @@ def mcf_classify(code: LinearCode, budget: int = DEFAULT_BUDGET) -> McfReport:
     weighted = sum(b * c for b, c in profile.items())
     apmcf = len(profile) == 1
     density = Fraction(weighted, mu * total)
-    assert (density == 1) == apmcf
+    _require((density == 1) == apmcf, "mu-density is 1 exactly when the code is APMCF")
     return McfReport(
         n=code.n, k=code.k, q=code.field.q, d=d, R=R, mu=mu,
         is_apmcf=apmcf, is_pmcf=apmcf and d >= 2 * R,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .codes import WeightDistribution
+from .codes import WeightDistribution, _require
 from .combinat import binom, omega
 from .mds import mds_weight_distribution
 
@@ -58,7 +58,7 @@ class LowWeightPrefix:
 def _finalize(counts: list[int], q: int, n: int, d: int, strict: bool,
               what: str) -> WeightDistribution:
     dist = WeightDistribution(tuple(counts))
-    assert dist.total() == q ** (n - d + 1)
+    _require(dist.total() == q ** (n - d + 1), f"distribution from {what} does not total q^k")
     if strict and not dist.is_nonnegative():
         w = next(w for w, c in enumerate(counts) if c < 0)
         raise InconsistentPrefixError(
@@ -234,7 +234,7 @@ def symmetry_defect(dist_a: WeightDistribution, dist_b: WeightDistribution,
     matched = comparable
     for w in range(d - 1, n + 1):
         mirror = n + d - 2 - w
-        assert 0 <= mirror <= n
+        _require(0 <= mirror <= n, f"mirror weight {mirror} outside 0..{n}")
         da = sign * dist_a.counts[w] - dist_a.counts[mirror]
         db = sign * dist_b.counts[w] - dist_b.counts[mirror]
         pairs.append((w, da, db))
@@ -271,5 +271,6 @@ def weight2_identical_check(n: int, d: int, q: int) -> Weight2IdentityCondition:
     value = Fraction(binom(n - 2, d - 2), q - 1)
     holds = value.denominator == 1
     if n == q + 1 and math.gcd(q - 1, d - 2) == 1:
-        assert holds
+        _require(holds, "C(n-2,d-2)/(q-1) is not an integer though n = q+1 "
+                 "and gcd(q-1, d-2) = 1")
     return Weight2IdentityCondition(holds, value)

@@ -2,7 +2,10 @@
 
 Points are homogeneous coordinate triples normalized so the first
 nonzero coordinate is 1, making equality a plain tuple comparison.
-Lines are normalized dual triples; incidence is a dot product vanishing.
+Lines are normalized dual triples.  Bisecants are counted by walking
+them, not by testing points against lines: on an arc, the bisecant
+through a and b holds, besides a and b, exactly the q-1 points a + t*b
+(t != 0), none of them on the arc.
 
 The arcs of interest trace the parity-check columns of the distance-4
 codes: the conic {(1, t, t^2)} u {(0,0,1)}, for even q the regular
@@ -16,9 +19,9 @@ code side must match it coset class by coset class, which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .codes import LinearCode, Matrix, low_weight_census, syndrome_index, DEFAULT_BUDGET
+from .codes import (DEFAULT_BUDGET, LinearCode, Matrix, _require, low_weight_census,
+                    syndrome_index)
 from .gf import GF
 
 Point = tuple[int, int, int]
@@ -53,12 +56,6 @@ def line_through(field: GF, a: Point, b: Point) -> Point:
     return normalize_point(f, cross)
 
 
-def incident(field: GF, line: Point, point: Point) -> bool:
-    f = field
-    dot = reduce(f.add, (f.mul(u, v) for u, v in zip(line, point)), 0)
-    return dot == 0
-
-
 def plane_points(field: GF) -> list[Point]:
     """All q^2 + q + 1 points of PG(2, q), canonically normalized."""
     q = field.q
@@ -87,15 +84,6 @@ class Arc:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def bisecants(self) -> list[Point]:
-        """The C(n,2) lines through two arc points (pairwise distinct on an arc)."""
-        f = self.field
-        lines = [line_through(f, a, b)
-                 for i, a in enumerate(self.points)
-                 for b in self.points[i + 1:]]
-        assert len(set(lines)) == len(lines)
-        return lines
 
     def unisecants_through(self, point: Point) -> int:
         """Number of lines meeting the arc exactly at the given arc point."""
@@ -146,22 +134,35 @@ class PointCensus:
         return dict(self.classes)
 
 
-def bisecant_census(arc: Arc) -> PointCensus:
+def _bisecant_counts(arc: Arc) -> dict[Point, int]:
+    """{off-arc point: bisecants through it}, walking each bisecant's q-1
+    off-arc points a + t*b once; points on no bisecant are absent."""
     f = arc.field
-    q = f.q
-    lines = arc.bisecants()
-    on_arc = set(arc.points)
+    counts: dict[Point, int] = {}
+    for i, a in enumerate(arc.points):
+        for b in arc.points[i + 1:]:
+            for t in f.nonzero():
+                pt = normalize_point(f, [f.add(x, f.mul(t, y)) for x, y in zip(a, b)])
+                counts[pt] = counts.get(pt, 0) + 1
+    _require(set(arc.points).isdisjoint(counts), "a bisecant meets the arc a third time")
+    return counts
+
+
+def _point_census(arc: Arc, counts: dict[Point, int]) -> PointCensus:
+    """Class the off-arc points by bisecant count; those the walk never
+    reached lie on none."""
+    q = arc.field.q
+    off_arc = q * q + q + 1 - arc.n
     tally: dict[int, int] = {}
-    covered = 0
-    for pt in plane_points(f):
-        if pt in on_arc:
-            continue
-        covered += 1
-        b = sum(1 for ln in lines if incident(f, ln, pt))
+    for b in counts.values():
         tally[b] = tally.get(b, 0) + 1
-    assert covered == q * q + q + 1 - arc.n
-    classes = tuple(sorted(tally.items(), reverse=True))
-    return PointCensus(classes, covered)
+    if off_arc > len(counts):
+        tally[0] = off_arc - len(counts)
+    return PointCensus(tuple(sorted(tally.items(), reverse=True)), off_arc)
+
+
+def bisecant_census(arc: Arc) -> PointCensus:
+    return _point_census(arc, _bisecant_counts(arc))
 
 
 # Predicted censuses for the conic family, per parity of q.
@@ -231,9 +232,8 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
     H = Matrix(f, [[p[t] for p in arc.points] for t in range(3)])
     code = LinearCode(H)
     lw = low_weight_census(code, 3, budget)
-    lines = arc.bisecants()
+    counts = _bisecant_counts(arc)
     on_arc = set(arc.points)
-    tally: dict[int, int] = {}
     for pt in plane_points(f):
         row_checks = []
         for lam in range(1, q):
@@ -245,8 +245,7 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
                 if row[1] != 1:
                     raise ValueError(f"arc point {pt}: expected a weight-1 coset, got {row}")
             continue
-        b = sum(1 for ln in lines if incident(f, ln, pt))
-        tally[b] = tally.get(b, 0) + 1
+        b = counts.get(pt, 0)
         for row in row_checks:
             if b >= 1:
                 if row[1] != 0 or row[2] != b:
@@ -256,8 +255,7 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
                 if row[1] != 0 or row[2] != 0 or row[3] == 0:
                     raise ValueError(
                         f"bisecant-free class: point {pt} gives coset counts {row}")
-    census = PointCensus(tuple(sorted(tally.items(), reverse=True)),
-                         q * q + q + 1 - arc.n)
+    census = _point_census(arc, counts)
     entries = tuple(BridgeEntry(b, npts, 2 if b else 3, (q - 1) * npts)
                     for b, npts in census.classes)
     return BridgeReport(code, census, entries)

@@ -146,7 +146,8 @@ class GF:
             if ai:
                 for j, bj in enumerate(db):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-        assert self.poly is not None
+        if self.poly is None:
+            raise AssertionError(f"extension field GF({self.q}) has no modulus")
         for deg in range(2 * m - 2, m - 1, -1):
             c = prod[deg]
             if c:

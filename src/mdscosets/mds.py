@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import DEFAULT_BUDGET, LinearCode, Matrix, WeightDistribution
+from .codes import DEFAULT_BUDGET, LinearCode, Matrix, WeightDistribution, _require
 from .combinat import binom
 from .gf import GF, field_of_order
 
@@ -133,7 +133,7 @@ def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
             acc += -term if j % 2 else term
         counts[w] = binom(n, w) * acc
     dist = WeightDistribution(tuple(counts))
-    assert dist.total() == q ** (n - d + 1)
+    _require(dist.total() == q ** (n - d + 1), "MDS weight distribution does not total q^k")
     return dist
 
 

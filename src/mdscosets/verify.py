@@ -202,27 +202,19 @@ DOUBLE_SHORTENED_QS = (7, 8, 9, 11)
 def criterion_conic_censuses(cache: DeskCache) -> CriterionResult:
     bad = []
     checked = []
-    for q in CONIC_QS:
-        fld = field_of_order(q)
-        got = bisecant_census(conic_points(fld)).classes
-        want = conic_census_formulas(q)
-        checked.append(f"conic q={q}: {got}")
-        if got != want:
-            bad.append(f"conic q={q}: census {got} != formulas {want}")
-    for q in SHORTENED_QS:
-        fld = field_of_order(q)
-        got = bisecant_census(shortened_conic(fld, 1)).classes
-        want = shortened_conic_census_formulas(q)
-        checked.append(f"shortened conic q={q}: {got}")
-        if got != want:
-            bad.append(f"shortened conic q={q}: census {got} != formulas {want}")
-    for q in DOUBLE_SHORTENED_QS:
-        fld = field_of_order(q)
-        got = bisecant_census(shortened_conic(fld, 2)).classes
-        want = double_shortened_conic_census_formulas(q)
-        checked.append(f"double-shortened conic q={q}: {got}")
-        if got != want:
-            bad.append(f"double-shortened conic q={q}: census {got} != formulas {want}")
+    families = (("conic", CONIC_QS, conic_points, conic_census_formulas),
+                ("shortened conic", SHORTENED_QS,
+                 lambda fld: shortened_conic(fld, 1), shortened_conic_census_formulas),
+                ("double-shortened conic", DOUBLE_SHORTENED_QS,
+                 lambda fld: shortened_conic(fld, 2),
+                 double_shortened_conic_census_formulas))
+    for label, qs, build, formulas in families:
+        for q in qs:
+            got = bisecant_census(build(field_of_order(q))).classes
+            want = formulas(q)
+            checked.append(f"{label} q={q}: {got}")
+            if got != want:
+                bad.append(f"{label} q={q}: census {got} != formulas {want}")
     return CriterionResult(4, "conic bisecant censuses", not bad, checked + bad)
 
 
@@ -379,7 +371,9 @@ def criterion_structural(cache: DeskCache) -> CriterionResult:
 
 def weight2_identity_survey(cache: DeskCache, qs=None, ds=None) -> list[dict]:
     """Empirical survey: do all weight-2 cosets of the length-(q+1) codes
-    with gcd(q-1, d-2) = 1 share one distribution?  Reported, never asserted."""
+    with gcd(q-1, d-2) = 1 share one distribution?  Reported, never asserted.
+    The low-weight census suffices: B_0..B_{d-2} fix the whole distribution
+    (criterion 1)."""
     findings = []
     if qs is None:
         qs = cache.qs
@@ -398,22 +392,11 @@ def weight2_identity_survey(cache: DeskCache, qs=None, ds=None) -> list[dict]:
                 continue
             cond = weight2_identical_check(n, d, q)
             finding["b_low_if_identical"] = cond.b_low_if_identical
-            entry = next((e for e in cache.entries
-                          if e.q == q and e.d == d and e.n == n and e.family == "gdrs"),
-                         None)
-            if entry is not None:
-                census = cache.census(entry)
-                classes = census.classes_of_weight(2)
-                identical = len(classes) == 1
-                b_seen = {cls.distribution.counts[d - 2] for cls in classes}
-            else:
-                fld = field_of_order(q)
-                code, _ = build_code(fld, "gdrs", d, budget=cache.budget)
-                lw = low_weight_census(code, d - 2, cache.budget)
-                idxs = lw.syndromes_of_weight(2)
-                rows = np.unique(lw.table[idxs], axis=0)
-                identical = len(rows) == 1
-                b_seen = {int(r[d - 2]) for r in rows}
+            code, _ = build_code(field_of_order(q), "gdrs", d, budget=cache.budget)
+            lw = low_weight_census(code, d - 2, cache.budget)
+            rows = np.unique(lw.table[lw.syndromes_of_weight(2)], axis=0)
+            identical = len(rows) == 1
+            b_seen = {int(r[d - 2]) for r in rows}
             finding["status"] = "confirmed" if identical else "refuted"
             finding["b_values"] = sorted(b_seen)
             findings.append(finding)

@@ -1,5 +1,6 @@
 import pytest
 
+from mdscosets.codes import InvariantError
 from mdscosets.combinat import binom
 from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
                                 conic_points,
@@ -10,6 +11,7 @@ from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
                                 shortened_conic_census_formulas)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import gdrs_parity
+from oracle import brute_bisecant_classes
 
 
 def test_point_normalization():
@@ -60,7 +62,9 @@ def test_arc_line_counts():
     for q, remove in [(5, 0), (5, 1), (7, 2)]:
         f = field_of_order(q)
         arc = shortened_conic(f, remove) if remove else conic_points(f)
-        assert len(arc.bisecants()) == binom(arc.n, 2)
+        lines = {line_through(f, a, b)
+                 for i, a in enumerate(arc.points) for b in arc.points[i + 1:]}
+        assert len(lines) == binom(arc.n, 2)
         for p in arc.points:
             assert arc.unisecants_through(p) == q + 2 - arc.n
 
@@ -103,12 +107,32 @@ def test_census_totals():
         assert sum(b * npts for b, npts in census.classes) == binom(arc.n, 2) * (q - 1)
 
 
+@pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9))
+def test_bisecant_census_matches_brute_oracle(q):
+    f = field_of_order(q)
+    arcs = [conic_points(f), shortened_conic(f, 1), shortened_conic(f, 2),
+            Arc(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])]
+    if q % 2 == 0:
+        arcs.append(hyperoval_points(f))
+    for arc in arcs:
+        assert bisecant_census(arc).classes == brute_bisecant_classes(arc), arc.points
+
+
+def test_walk_rejects_a_third_point_on_a_bisecant():
+    f5 = field_of_order(5)
+    fake = Arc.__new__(Arc)  # skip the collinearity check on purpose
+    fake.field, fake.points = f5, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    with pytest.raises(InvariantError, match="bisecant"):
+        bisecant_census(fake)
+
+
 def test_line_through_is_incidence_symmetric():
     f5 = field_of_order(5)
     a, b = (1, 2, 3), (1, 0, 0)
     ln = line_through(f5, a, b)
-    from mdscosets.geometry import incident
-    assert incident(f5, ln, a) and incident(f5, ln, b)
+    for pt in (a, b):
+        dot = f5.add(f5.add(f5.mul(ln[0], pt[0]), f5.mul(ln[1], pt[1])), f5.mul(ln[2], pt[2]))
+        assert dot == 0
 
 
 def test_geometry_code_bridge_conic():
