@@ -6,9 +6,12 @@ The kernel is Wolf's syndrome trellis (J. K. Wolf, IEEE Trans. IT 24(1),
 1978): a dense table T[s, w] of how many vectors of weight w <= wmax have
 syndrome s, grown one coordinate (one parity-check column) at a time.
 Truncated at wmax = n it is the full coset census; at smaller wmax it is
-the low-weight census, and at wmax = n - k it settles the minimum
-distance and the covering radius.  Its work is n*(q-1)*wmax*q^(n-k)
-table updates, not q^n vector visits.
+the low-weight census.  At wmax = n - k it reaches every syndrome, and
+each LinearCode runs it there once: the minimum distance, the covering
+radius and the leader profile (how many cosets of each weight W have
+each number B_W of minimum-weight vectors) are all read from that one
+run.  Its work is n*(q-1)*wmax*q^(n-k) table updates, not q^n vector
+visits.
 
 Every count is exact.  The work is checked against an explicit budget
 and every count against the int64 range before any table is allocated;
@@ -145,7 +148,12 @@ def _rref(field: GF, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
 
 
 class LinearCode:
-    """A length-n linear code over GF(q) defined by a full-rank parity-check matrix."""
+    """A length-n linear code over GF(q) defined by a full-rank parity-check matrix.
+
+    The first of min_distance, covering_radius and leader_profile runs the
+    census at weight n-k under its budget; all three then read the small
+    memo it leaves, whatever budget later calls pass.
+    """
 
     def __init__(self, H: Matrix):
         rank = H.rank()
@@ -157,8 +165,7 @@ class LinearCode:
         self.n = H.ncols
         self.k = H.ncols - H.nrows
         self._G: Matrix | None = None
-        self._d: int | None = None
-        self._R: int | None = None
+        self._leaders: tuple[int, dict[int, dict[int, int]]] | None = None
 
     @property
     def r(self) -> int:
@@ -196,24 +203,35 @@ class LinearCode:
             self._G = G
         return self._G
 
-    def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Smallest positive codeword weight, from a weight-(n-k) census of
-        the zero syndrome; none below n-k+1 means d = n-k+1 (Singleton)."""
-        if self._d is None:
-            if self.k == 0:
-                raise ValueError("minimum distance is undefined for the zero code")
-            zero_row = _syndrome_trellis(self, self.r, budget)[0]
-            self._d = next((w for w in range(1, self.r + 1) if zero_row[w]), self.r + 1)
-        return self._d
-
-    def covering_radius(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Max coset weight, from a weight-(n-k) census: H has rank n-k, so
-        every syndrome is a combination of at most n-k columns."""
-        if self._R is None:
+    def _leader_memo(self, budget: int) -> tuple[int, dict[int, dict[int, int]]]:
+        """(d, leader profile), from the one weight-(n-k) census this code
+        ever runs.  Only these few numbers are kept, not the q^(n-k)-row
+        table, so a corpus of codes does not hold every table alive."""
+        if self._leaders is None:
             lw = low_weight_census(self, self.r, budget)
             _require(lw.fully_covered, "a syndrome is unreached at weight n-k")
-            self._R = int(lw.weights.max())
-        return self._R
+            d = next((w for w in range(1, self.r + 1) if lw.table[0, w]), self.r + 1)
+            R = int(lw.weights.max())
+            self._leaders = d, {W: lw.profile_at(W) for W in range(R + 1)}
+        return self._leaders
+
+    def leader_profile(self, budget: int = DEFAULT_BUDGET) -> dict[int, dict[int, int]]:
+        """{W: {B_W: number of weight-W cosets}} for every coset weight W,
+        where B_W counts the coset's minimum-weight vectors.  A census at
+        weight n-k reaches every syndrome, since H has rank n-k."""
+        return self._leader_memo(budget)[1]
+
+    def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
+        """Smallest positive codeword weight, read from the zero syndrome's
+        row of the leader census; none below n-k+1 means d = n-k+1
+        (Singleton)."""
+        if self.k == 0:
+            raise ValueError("minimum distance is undefined for the zero code")
+        return self._leader_memo(budget)[0]
+
+    def covering_radius(self, budget: int = DEFAULT_BUDGET) -> int:
+        """Max coset weight: the largest W of the leader profile."""
+        return max(self.leader_profile(budget))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
@@ -286,13 +304,16 @@ class CosetCensus:
         self.total_cosets = q ** code.r
         self.table = table  # (q^r, n+1) exact counts
         weights = (table > 0).argmax(axis=1)
-        keyed = np.concatenate([weights[:, None], table], axis=1)
-        uniq, counts = np.unique(keyed, axis=0, return_counts=True)
+        # sort by (weight, B_0, ..., B_n); lexsort's last key is the primary one
+        order = np.lexsort((*table.T[::-1], weights))
+        rows = table[order]
+        starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+        counts = np.diff(np.r_[starts, len(rows)])
         classes = []
-        for row, cnt in zip(uniq, counts):
-            dist = WeightDistribution(tuple(int(x) for x in row[1:]))
-            classes.append(CosetClass(int(row[0]), dist, int(cnt)))
-        self.classes = classes  # np.unique sorts by (weight, distribution)
+        for start, cnt in zip(starts, counts):
+            dist = WeightDistribution(tuple(int(x) for x in rows[start]))
+            classes.append(CosetClass(int(weights[order[start]]), dist, int(cnt)))
+        self.classes = classes
         _require(sum(c.count for c in classes) == self.total_cosets,
                  "census classes do not hold q^(n-k) cosets")
         _require(int(table.sum()) == q**n, "census table does not hold q^n vectors")
@@ -307,9 +328,6 @@ class CosetCensus:
 
     def count_of_weight(self, W: int) -> int:
         return sum(c.count for c in self.classes if c.weight == W)
-
-    def max_weight(self) -> int:
-        return max(c.weight for c in self.classes)
 
     def code_distribution(self) -> WeightDistribution:
         return next(c for c in self.classes if c.weight == 0).distribution
@@ -352,7 +370,6 @@ class LowWeightCensus:
         has = reached.any(axis=1)
         self.weights = np.where(has, reached.argmax(axis=1), -1)
         self.fully_covered = bool(has.all())
-        self.uncovered_count = int((~has).sum())
 
     def syndromes_of_weight(self, W: int) -> np.ndarray:
         return np.flatnonzero(self.weights == W)

@@ -11,10 +11,10 @@ additionally d >= 2R, and the mu-density is the exact rational
 
     gamma_mu = sum(B_R over weight-R cosets) / (mu * #weight-R cosets).
 
-The per-syndrome counts come from the low-weight census at weight n-k,
-which reaches every syndrome; for the deep-hole counts of an MDS code a
-census at weight d-2 suffices, since its covering radius never exceeds
-d - 1.
+All of it is read from the code's leader profile (LinearCode.leader_profile),
+the census at weight n-k that also certifies d: it reaches every syndrome,
+and the deep holes of an MDS code, whose covering radius never exceeds
+d - 1, are its weight-(d-1) cosets.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import DEFAULT_BUDGET, LinearCode, _require, low_weight_census
+from .codes import DEFAULT_BUDGET, LinearCode, _require
 from .combinat import binom
 from .mds import MdsConstruction, parent_code
 
@@ -52,15 +52,9 @@ class McfReport:
         return self.mu >= 1
 
 
-def _farthest_profile(code: LinearCode, budget: int) -> tuple[int, dict[int, int]]:
-    """(R, {B_R value: number of weight-R cosets})."""
-    lw = low_weight_census(code, code.r, budget)
-    R = int(lw.weights.max())
-    return R, lw.profile_at(R)
-
-
 def mcf_classify(code: LinearCode, budget: int = DEFAULT_BUDGET) -> McfReport:
-    R, profile = _farthest_profile(code, budget)
+    R = code.covering_radius(budget)
+    profile = code.leader_profile(budget)[R]
     d = code.min_distance(budget)
     mu = min(profile)
     total = sum(profile.values())
@@ -95,21 +89,6 @@ class DeepHoleReport:
     equality_required: bool
 
 
-def _weight_top_coset_count(code: LinearCode, d: int, budget: int) -> int:
-    """Number of weight-(d-1) cosets, exactly: an MDS code has R <= d-1, so
-    these are the syndromes no vector of weight <= d-2 reaches."""
-    return low_weight_census(code, d - 2, budget).uncovered_count
-
-
-def covering_radius_capped(code: LinearCode, d: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Covering radius of an MDS code of distance d, using R <= d-1 so a
-    weight-(d-2) census settles it."""
-    lw = low_weight_census(code, d - 2, budget)
-    if lw.fully_covered:
-        return int(lw.weights.max())
-    return d - 1
-
-
 def count_deep_hole_cosets(code: LinearCode, construction: MdsConstruction,
                            budget: int = DEFAULT_BUDGET,
                            parent_R: int | None = None) -> DeepHoleReport:
@@ -119,9 +98,9 @@ def count_deep_hole_cosets(code: LinearCode, construction: MdsConstruction,
     delta = construction.delta
     q = construction.q
     if parent_R is None:
-        parent, _ = parent_code(construction, code.field)
-        parent_R = covering_radius_capped(parent, d, budget)
-    count = _weight_top_coset_count(code, d, budget)
+        parent, _ = parent_code(construction, code.field, budget)
+        parent_R = parent.covering_radius(budget)
+    count = sum(code.leader_profile(budget).get(d - 1, {}).values())
     bound = (q - 1) * delta
     equality = parent_R == d - 2
     if equality and count != bound:

@@ -130,9 +130,6 @@ class PointCensus:
     classes: tuple[tuple[int, int], ...]  # (bisecant count, number of points)
     covered: int
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.classes)
-
 
 def _bisecant_counts(arc: Arc) -> dict[Point, int]:
     """{off-arc point: bisecants through it}, walking each bisecant's q-1

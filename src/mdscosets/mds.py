@@ -188,11 +188,11 @@ def truncated_gdrs(field: GF, d: int, n: int,
     return build_code(field, "gdrs", d, removed=removed, budget=budget)
 
 
-def parent_code(construction: MdsConstruction,
-                field: GF | None = None) -> tuple[LinearCode, MdsConstruction]:
+def parent_code(construction: MdsConstruction, field: GF | None = None,
+                budget: int = DEFAULT_BUDGET) -> tuple[LinearCode, MdsConstruction]:
     """The full-length family code a removal construction came from."""
     if field is None:
         field = field_of_order(construction.q)
     return build_code(field, construction.family, construction.d,
                       removed=(), vs=None if all(v == 1 for v in construction.vs)
-                      else construction.vs)
+                      else construction.vs, budget=budget)

@@ -24,8 +24,7 @@ import numpy as np
 from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, coset_census,
                     low_weight_census)
 from .combinat import binom
-from .covering import (covering_radius_capped, mcf_classify,
-                       mu_density_closed_form)
+from .covering import mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_transformed,
                        dist_weight1, dist_weight_d1, symmetry_defect,
                        weight2_aggregate, weight2_identical_check)
@@ -94,15 +93,8 @@ class DeskCache:
     def parent_R(self, q: int, d: int) -> int:
         key = (q, d)
         if key not in self._parent_R:
-            own = next((e for e in self.entries
-                        if e.q == q and e.d == d and e.n == q + 1
-                        and e.family == "gdrs"), None)
-            if own is not None:
-                self._parent_R[key] = self.census(own).max_weight()
-            else:
-                fld = field_of_order(q)
-                parent, _ = build_code(fld, "gdrs", d, budget=self.budget)
-                self._parent_R[key] = covering_radius_capped(parent, d, self.budget)
+            parent, _ = build_code(field_of_order(q), "gdrs", d, budget=self.budget)
+            self._parent_R[key] = parent.covering_radius(self.budget)
         return self._parent_R[key]
 
 

@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,12 @@ def test_kernel_matches_brute_oracle_on_small_desk_codes(desk):
         want = np.zeros((q ** code.r, n + 1), dtype=np.int64)
         for svec, row in brute.items():
             want[syndrome_index(q, svec)] = row
-        assert np.array_equal(desk.census(entry).table, want), entry.label
+        census = desk.census(entry)
+        assert np.array_equal(census.table, want), entry.label
+        rows = sorted((next(w for w, c in enumerate(row) if c), tuple(row))
+                      for row in brute.values())
+        assert [((c.weight, c.distribution.counts), c.count) for c in census.classes] \
+            == [(key, len(list(group))) for key, group in groupby(rows)], entry.label
         for wmax in range(n + 1):
             assert np.array_equal(low_weight_census(code, wmax).table,
                                   want[:, :wmax + 1]), (entry.label, wmax)

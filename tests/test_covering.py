@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from mdscosets.codes import coset_census
+from mdscosets import codes
+from mdscosets.codes import BudgetExceededError, LinearCode, coset_census
 from mdscosets.covering import (DeepHoleMismatchError, count_deep_hole_cosets,
-                                covering_radius_capped, mcf_classify,
-                                mu_density_closed_form, saturating_set_report)
+                                mcf_classify, mu_density_closed_form,
+                                saturating_set_report)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, truncated_gdrs
 
@@ -129,24 +130,50 @@ def test_deep_hole_formula_counterexample_is_a_hard_failure():
         count_deep_hole_cosets(code, cons)
 
 
-def test_covering_radius_capped_matches_census():
+def test_covering_radius_matches_census():
     f5 = field_of_order(5)
     for (d, n, want) in [(4, 6, 2), (4, 5, 3), (5, 6, 3)]:
         code, _ = truncated_gdrs(f5, d, n)
-        assert covering_radius_capped(code, d) == want
-    # forced onto the low-weight path by a small budget
+        assert code.covering_radius() == want
+        assert coset_census(code).classes_of_weight(want)
     code, _ = truncated_gdrs(f5, 4, 6)
-    assert covering_radius_capped(code, 4, budget=10_000) == 2
+    assert LinearCode(code.H).covering_radius(budget=10_000) == 2
 
 
 def test_even_q_conic_code_has_radius_3():
     # the nucleus keeps the even-q length-(q+1) code at R = d-1 = 3
     f8 = field_of_order(8)
     code, _ = build_code(f8, "gdrs", 4)
-    assert covering_radius_capped(code, 4, budget=10**6) == 3
+    assert LinearCode(code.H).covering_radius(budget=10**6) == 3
     f4 = field_of_order(4)
     code4, _ = build_code(f4, "gdrs", 4)
     assert code4.covering_radius() == 3
+
+
+def test_one_trellis_pass_per_code(monkeypatch):
+    runs = []
+    trellis = codes._syndrome_trellis
+
+    def counted(*args):
+        runs.append(args[1])
+        return trellis(*args)
+
+    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
+    code, cons = build_code(field_of_order(11), "gdrs", 5, removed=(0, 3))
+    rep = mcf_classify(code)
+    dh = count_deep_hole_cosets(code, cons, parent_R=3)
+    assert runs == [code.r]
+    assert dh.count == rep.deep_hole_coset_count  # R = d-1 here
+    assert code.leader_profile()[rep.R] == dict(rep.farthest_profile)
+
+
+def test_deep_hole_parent_is_built_within_the_budget():
+    # the [6,3,4]_5 parent needs 6*4*3*5^3 = 9000 kernel steps
+    f5 = field_of_order(5)
+    code, cons = truncated_gdrs(f5, 4, 5)
+    with pytest.raises(BudgetExceededError, match="budget of 8000"):
+        count_deep_hole_cosets(code, cons, budget=8000)
+    assert count_deep_hole_cosets(code, cons, budget=9000).parent_R == 2
 
 
 def test_saturating_set_statements():
