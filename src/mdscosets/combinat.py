@@ -22,7 +22,10 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
+OMEGA_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=OMEGA_CACHE_SIZE)
 def omega(n: int, d: int, w: int, v: int) -> int:
     """Signed coefficient of a known low-weight count B_v in the tail formula.
 

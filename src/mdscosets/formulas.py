@@ -6,13 +6,30 @@ the Bonneau relation gives, for w >= d-1,
 
     B_w = A_w - omega(n,d,w,0) + sum_{v=0}^{d-2} omega(n,d,w,v) * B_v .
 
-`bonneau_original` implements the classical double-sum form of the same
-relation; the two are implemented independently and must agree
-everywhere, which the test suite enforces.  The per-weight functions
-(weight 1, mid-range weights, weight d-2, weight d-1, weight 2)
-implement the specialized formulas directly rather than delegating to
-the general relation, so each specialization is checked twice: against
-the general formula and against exact censuses.
+Both forms are served from coefficient rows built once per (n, d, q):
+for w = d-1..n a prefix-free part K_w and, for each v in 0..d-2, the
+coefficient of B_v.  A query is then one multiply-add per weight and
+nonzero B_v.  Each form keeps its rows in its own bounded cache
+(ROW_CACHE_SIZE entries), so a long stream of parameters holds at most
+that many rows per form.
+
+`bonneau_transformed` builds its rows from the relation above:
+K_w = A_w - omega(n,d,w,0) with A_w from `mds_weight_distribution`, and
+the coefficients from `omega`.  `bonneau_original` builds its rows from
+the classical double-sum form of the same relation: its prefix-free
+part is C(n,w) T(w, w-d+1), where T(w, m) = sum_{j<=m} (-1)^j C(w,j)
+q^(m-j) runs along the recurrence T(w+1, m+1) = (q-1) T(w, m) +
+(-1)^(m+1) C(w, m+1), and its prefix coefficients are the double sums
+of `_bw_prefix_coeff`.  Neither form reads the other's rows, A_w or
+omega, so they stay two independent derivations that must agree
+everywhere, which the test suite enforces.
+
+The per-weight functions read the single-sum rows but keep the
+specialized terms the paper states for them (B_{d-1} = C(n-1, d-1) for
+weight 1, the coefficient (-1)^(w-d) C(n-d+2, n-w) of B_{d-2} for
+weights 2 and d-2, and the whole weight-(d-1) form), so each
+specialization is checked twice: against the general formula and against
+exact censuses.
 
 All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,
@@ -29,7 +46,13 @@ from functools import lru_cache
 
 from .codes import WeightDistribution, _require
 from .combinat import binom, omega
-from .mds import mds_weight_distribution
+from .mds import check_mds_params, mds_weight_distribution
+
+ROW_CACHE_SIZE = 64  # (n, d, q) row sets kept per form
+
+# (K_w for w = d-1..n, and for each v in 0..d-2 the column of B_v's
+# coefficients in B_{d-1}..B_n)
+Rows = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
 
 class InconsistentPrefixError(ValueError):
@@ -46,6 +69,7 @@ class LowWeightPrefix:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        check_mds_params(self.n, self.d, self.q)
         if len(self.counts) != self.d - 1:
             raise ValueError(
                 f"prefix must list B_0..B_{self.d - 2} ({self.d - 1} values), got {len(self.counts)}")
@@ -66,63 +90,82 @@ def _finalize(counts: list[int], q: int, n: int, d: int, strict: bool,
     return dist
 
 
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _single_sum_rows(n: int, d: int, q: int) -> Rows:
+    """K_w = A_w - omega(n,d,w,0) and the columns omega(n,d,w,v)."""
+    check_mds_params(n, d, q)
+    A = mds_weight_distribution(n, d, q).counts
+    ws = range(d - 1, n + 1)
+    known = tuple(A[w] - omega(n, d, w, 0) for w in ws)
+    cols = tuple(tuple(omega(n, d, w, v) for w in ws) for v in range(d - 1))
+    return known, cols
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _double_sum_rows(n: int, d: int, q: int) -> Rows:
+    """K_w = C(n,w) T(w, w-d+1) by the T recurrence, T(d-1, 0) = 1, and
+    the columns _bw_prefix_coeff(n,d,w,v)."""
+    check_mds_params(n, d, q)
+    ws = range(d - 1, n + 1)
+    known = []
+    t = 1  # T(w, w-d+1)
+    for w in ws:
+        m = w - d + 1
+        known.append(binom(n, w) * t)
+        t = (q - 1) * t - (-1 if m % 2 else 1) * binom(w, m + 1)
+    cols = tuple(tuple(_bw_prefix_coeff(n, d, w, v) for w in ws) for v in range(d - 1))
+    return tuple(known), cols
+
+
+def _bw_prefix_coeff(n: int, d: int, w: int, v: int) -> int:
+    """sum_{j=w-d+2}^{w-v} (-1)^j C(j+n-w, j) C(n-v, w-j-v); every binomial
+    is in range, so math.comb needs no zero convention here."""
+    acc = 0
+    for j in range(w - d + 2, w - v + 1):
+        term = math.comb(j + n - w, j) * math.comb(n - v, w - j - v)
+        acc += -term if j % 2 else term
+    return acc
+
+
+def _tail(rows: Rows, counts) -> list[int]:
+    """B_{d-1}..B_n: K_w plus sum_v B_v * (column v), over the nonzero B_v."""
+    known, cols = rows
+    tail = list(known)
+    for col, b in zip(cols, counts):
+        if b:
+            tail = [t + b * c for t, c in zip(tail, col)]
+    return tail
+
+
 def bonneau_transformed(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Full coset distribution from its low-weight prefix, single-sum form."""
     n, d, q = prefix.n, prefix.d, prefix.q
-    A = mds_weight_distribution(n, d, q).counts
-    B = list(prefix.counts) + [0] * (n - d + 2)
-    for w in range(d - 1, n + 1):
-        val = A[w] - omega(n, d, w, 0)
-        for v in range(d - 1):
-            if prefix.counts[v]:
-                val += omega(n, d, w, v) * prefix.counts[v]
-        B[w] = val
+    B = list(prefix.counts) + _tail(_single_sum_rows(n, d, q), prefix.counts)
     return _finalize(B, q, n, d, strict, "prefix")
 
 
 def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Same distribution through the classical double-sum form."""
     n, d, q = prefix.n, prefix.d, prefix.q
-    B = list(prefix.counts) + [0] * (n - d + 2)
-    for w in range(d - 1, n + 1):
-        B[w] = _bw_known_part(n, d, q, w) + _bw_prefix_part(prefix, w)
+    B = list(prefix.counts) + _tail(_double_sum_rows(n, d, q), prefix.counts)
     return _finalize(B, q, n, d, strict, "prefix")
 
 
-@lru_cache(maxsize=None)
-def _bw_known_part(n: int, d: int, q: int, w: int) -> int:
-    acc = 0
-    for j in range(w - d + 2):
-        term = binom(w, j) * q ** (w - d + 1 - j)
-        acc += -term if j % 2 else term
-    return binom(n, w) * acc
-
-
-@lru_cache(maxsize=None)
-def _bw_prefix_coeff(n: int, d: int, w: int, v: int) -> int:
-    acc = 0
-    for j in range(w - d + 2, w - v + 1):
-        term = binom(j + n - w, j) * binom(n - v, w - j - v)
-        acc += -term if j % 2 else term
-    return acc
-
-
-def _bw_prefix_part(prefix: LowWeightPrefix, w: int) -> int:
-    n, d = prefix.n, prefix.d
-    return sum(_bw_prefix_coeff(n, d, w, v) * prefix.counts[v]
-               for v in range(d - 1) if prefix.counts[v])
+def _b_low_terms(n: int, d: int, b_low: int) -> list[int]:
+    """(-1)^(w-d) C(n-d+2, n-w) * B_{d-2} for w = d-1..n."""
+    return [(-1 if (w - d) % 2 else 1) * binom(n - d + 2, n - w) * b_low
+            for w in range(d - 1, n + 1)]
 
 
 def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all n(q-1) weight-1 cosets."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    A = mds_weight_distribution(n, d, q).counts
+    known, cols = _single_sum_rows(n, d, q)
     B = [0] * (n + 1)
     B[1] = 1
     B[d - 1] = binom(n - 1, d - 1)
-    for w in range(d, n + 1):
-        B[w] = A[w] - omega(n, d, w, 0) + omega(n, d, w, 1)
+    B[d:] = [k + c for k, c in zip(known[1:], cols[1][1:])]
     return _finalize(B, q, n, d, strict=True, what="weight-1 coset parameters")
 
 
@@ -145,20 +188,11 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns) -> WeightDistributio
         raise ValueError(f"W={W} outside both mid-range branches for d={d}")
     if len(knowns) != W - 1:
         raise ValueError(f"need the {W - 1} values B_{d - W}..B_{d - 2}, got {len(knowns)}")
-    A = mds_weight_distribution(n, d, q).counts
-    B = [0] * (n + 1)
+    B = [0] * (d - 1)
     if low:
         B[W] = 1
-    for i, v in enumerate(range(d - W, d - 1)):
-        B[v] = knowns[i]
-    for w in range(d - 1, n + 1):
-        val = A[w] - omega(n, d, w, 0)
-        if low:
-            val += omega(n, d, w, W)
-        for v in range(d - W, d - 1):
-            if B[v]:
-                val += omega(n, d, w, v) * B[v]
-        B[w] = val
+    B[d - W:] = knowns
+    B += _tail(_single_sum_rows(n, d, q), B)
     return _finalize(B, q, n, d, strict=True, what="mid-weight knowns")
 
 
@@ -169,12 +203,10 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
         raise ValueError(f"need d >= 4, got {d}")
     if b_low < 1:
         raise ValueError("a weight-(d-2) coset has B_{d-2} >= 1")
-    A = mds_weight_distribution(n, d, q).counts
-    B = [0] * (n + 1)
+    known, _ = _single_sum_rows(n, d, q)
+    B = [0] * (d - 1)
     B[d - 2] = b_low
-    for w in range(d - 1, n + 1):
-        sign = -1 if (w - d) % 2 else 1
-        B[w] = A[w] - omega(n, d, w, 0) + sign * binom(n - d + 2, n - w) * b_low
+    B += [k + t for k, t in zip(known, _b_low_terms(n, d, b_low))]
     return _finalize(B, q, n, d, strict, "B_{d-2}")
 
 
@@ -198,14 +230,11 @@ def dist_weight2(n: int, d: int, q: int, b_low: int,
         raise ValueError(f"need d >= 5, got {d}")
     if b_low < 0:
         raise ValueError("B_{d-2} must be non-negative")
-    A = mds_weight_distribution(n, d, q).counts
-    B = [0] * (n + 1)
+    known, cols = _single_sum_rows(n, d, q)
+    B = [0] * (d - 1)
     B[2] = 1
     B[d - 2] = b_low
-    for w in range(d - 1, n + 1):
-        sign = -1 if (w - d) % 2 else 1
-        B[w] = (A[w] - omega(n, d, w, 0) + omega(n, d, w, 2)
-                + sign * binom(n - d + 2, n - w) * b_low)
+    B += [k + c + t for k, c, t in zip(known, cols[2], _b_low_terms(n, d, b_low))]
     return _finalize(B, q, n, d, strict, "B_{d-2}")
 
 

@@ -11,6 +11,13 @@ trace out in PG(2, q)).
 Column removals yield the shorter MDS codes whose coset structure the
 rest of the library classifies; the removal always re-verifies rank and
 MDS-ness instead of trusting the construction.
+
+`mds_weight_distribution` gives the codeword counts A_w of any
+[n, n-d+1, d]_q MDS code as one row per (n, d, q), built by a running
+recurrence in O(n) big-integer steps and kept in a bounded cache
+(WEIGHT_DIST_CACHE_SIZE rows).  `check_mds_params` is the one place
+that refuses parameters no MDS code has; the formula layer calls it
+before any work.
 """
 
 from __future__ import annotations
@@ -114,24 +121,43 @@ def remove_columns(matrix: Matrix, idxs) -> Matrix:
     return out
 
 
-@lru_cache(maxsize=None)
-def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
-    """Closed-form codeword weight counts A_w of an [n, n-d+1, d]_q MDS code:
+WEIGHT_DIST_CACHE_SIZE = 256
 
-        A_w = C(n,w) * sum_{j=0}^{w-d} (-1)^j C(w,j) (q^(w-d+1-j) - 1),  w >= d.
-    """
+
+def check_mds_params(n: int, d: int, q: int) -> None:
+    """Refuse (n, d, q) that no [n, n-d+1, d]_q MDS code can have, naming
+    the bad parameter, before any formula does work on them."""
+    if q < 2:
+        raise ValueError(f"need a field size q >= 2, got q={q}")
     if not 3 <= d <= n:
         raise ValueError(f"need 3 <= d <= n, got d={d}, n={n}")
     if n > q + 2:
         raise ValueError(f"no MDS parameters with n={n} > q+2={q + 2}")
+
+
+@lru_cache(maxsize=WEIGHT_DIST_CACHE_SIZE)
+def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
+    """Closed-form codeword weight counts A_w of an [n, n-d+1, d]_q MDS code
+    (MacWilliams and Sloane, ch. 11):
+
+        A_w = C(n,w) * sum_{j=0}^{w-d} (-1)^j C(w,j) (q^(w-d+1-j) - 1),  w >= d.
+
+    With T(w, m) = sum_{j<=m} (-1)^j C(w,j) q^(m-j) the sum is
+    q*T(w, w-d) - (-1)^(w-d) C(w-1, w-d), and Pascal's rule gives
+
+        T(w+1, m+1) = (q-1) T(w, m) + (-1)^(m+1) C(w, m+1),   T(d, 0) = 1,
+
+    so the row costs O(n) big-integer steps.
+    """
+    check_mds_params(n, d, q)
     counts = [0] * (n + 1)
     counts[0] = 1
+    t = 1  # T(w, w-d)
     for w in range(d, n + 1):
-        acc = 0
-        for j in range(w - d + 1):
-            term = binom(w, j) * (q ** (w - d + 1 - j) - 1)
-            acc += -term if j % 2 else term
-        counts[w] = binom(n, w) * acc
+        m = w - d
+        sign = -1 if m % 2 else 1
+        counts[w] = binom(n, w) * (q * t - sign * binom(w - 1, m))
+        t = (q - 1) * t - sign * binom(w, m + 1)
     dist = WeightDistribution(tuple(counts))
     _require(dist.total() == q ** (n - d + 1), "MDS weight distribution does not total q^k")
     return dist

@@ -4,8 +4,9 @@ checked against exact censuses of a fixed family of constructed codes.
 The corpus holds every code the constructors produce for
 q in {4, 5, 7, 8, 9, 11}, d in {3, 4, 5, 6}, d <= n <= q+1 (plus the
 triply-extended length q+2 for even q at d = 4), subject to the fixed
-size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached so
-each code is counted once per run.
+size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached,
+and the criteria take the corpus's own codes from the cache instead of
+rebuilding them, so no code is counted twice at one weight per run.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -74,15 +75,24 @@ def desk_corpus(budget: int = DEFAULT_BUDGET,
 
 
 class DeskCache:
-    """Corpus plus memoized censuses and parent covering radii."""
+    """Corpus plus memoized censuses and the codes the criteria read.
+
+    `code` hands out the corpus's own certified code when the corpus holds
+    it and builds (once) only the codes it does not, so each code's kernel
+    runs happen once per cache.
+    """
 
     def __init__(self, budget: int = DEFAULT_BUDGET, qs=DESK_QS, ds=DESK_DS):
         self.budget = budget
         self.qs = tuple(qs)
         self.ds = tuple(ds)
         self.entries = desk_corpus(budget, qs, ds)
+        self._by_params = {(e.q, e.d, e.n, e.family): e for e in self.entries}
         self._census: dict[int, CosetCensus] = {}
-        self._parent_R: dict[tuple[int, int], int] = {}
+        self._built: dict[tuple[int, int, int, str], LinearCode] = {}
+
+    def entry(self, q: int, d: int, n: int, family: str = "gdrs") -> CorpusEntry | None:
+        return self._by_params.get((q, d, n, family))
 
     def census(self, entry: CorpusEntry) -> CosetCensus:
         key = id(entry)
@@ -90,12 +100,26 @@ class DeskCache:
             self._census[key] = coset_census(entry.code, self.budget)
         return self._census[key]
 
+    def code(self, q: int, d: int, n: int | None = None,
+             family: str = "gdrs") -> LinearCode:
+        """The [n, n-d+1, d]_q family code, full length by default: the
+        corpus's own when it holds it, else built once."""
+        if n is None:
+            n = q + 2 if family == "gtrs" else q + 1
+        entry = self.entry(q, d, n, family)
+        if entry is not None:
+            return entry.code
+        key = (q, d, n, family)
+        if key not in self._built:
+            fld = field_of_order(q)
+            if family == "gtrs":
+                self._built[key], _ = build_code(fld, family, budget=self.budget)
+            else:
+                self._built[key], _ = truncated_gdrs(fld, d, n, self.budget)
+        return self._built[key]
+
     def parent_R(self, q: int, d: int) -> int:
-        key = (q, d)
-        if key not in self._parent_R:
-            parent, _ = build_code(field_of_order(q), "gdrs", d, budget=self.budget)
-            self._parent_R[key] = parent.covering_radius(self.budget)
-        return self._parent_R[key]
+        return self.code(q, d).covering_radius(self.budget)
 
 
 @dataclass
@@ -232,9 +256,9 @@ def criterion_symmetry(cache: DeskCache) -> CriterionResult:
                                    f"B={classes[i].distribution.counts} and "
                                    f"B={classes[j].distribution.counts}")
     # frozen instance: the two weight-2 classes of [5,2,4]_5 defect to -10 at w=5
-    fld5 = field_of_order(5)
-    code, _ = truncated_gdrs(fld5, 4, 5)
-    census = coset_census(code, cache.budget)
+    entry = cache.entry(5, 4, 5)
+    census = (cache.census(entry) if entry is not None
+              else coset_census(cache.code(5, 4, 5), cache.budget))
     two = census.classes_of_weight(2)
     inst_ok = len(two) == 2
     if inst_ok:
@@ -273,21 +297,18 @@ def covering_certificates(cache: DeskCache) -> tuple[list[str], list[str]]:
     lines = []
     budget = cache.budget
 
-    code525, _ = truncated_gdrs(field_of_order(5), 4, 5)
-    rep = mcf_classify(code525, budget)
+    rep = mcf_classify(cache.code(5, 4, 5), budget)
     lines.append(f"[5,2,4]_5: R={rep.R} mu={rep.mu} APMCF={rep.is_apmcf}")
     if not (rep.R == 3 and rep.mu == 10 and rep.is_apmcf and not rep.is_pmcf):
         bad.append(f"[5,2,4]_5: expected a (3,10)-APMCF certificate, got {rep}")
 
-    gtrs4, _ = build_code(field_of_order(4), "gtrs")
-    rep = mcf_classify(gtrs4, budget)
+    rep = mcf_classify(cache.code(4, 4, family="gtrs"), budget)
     lines.append(f"[6,3,4]_4 gtrs: R={rep.R} mu={rep.mu} PMCF={rep.is_pmcf}")
     if not (rep.R == 2 and rep.mu == 3 and rep.is_pmcf):
         bad.append(f"[6,3,4]_4 gtrs: expected a (2,3)-PMCF certificate, got {rep}")
 
     for q in (5, 7, 9, 11):
-        code, _ = build_code(field_of_order(q), "gdrs", 4, budget=budget)
-        rep = mcf_classify(code, budget)
+        rep = mcf_classify(cache.code(q, 4), budget)
         lines.append(f"[{q + 1},{q - 2},4]_{q}: gamma_mu = {rep.mu_density}")
         if rep.mu_density != 1 + Fraction(1, q):
             bad.append(f"[{q + 1},{q - 2},4]_{q}: gamma_mu {rep.mu_density} != 1+1/{q}")
@@ -384,8 +405,7 @@ def weight2_identity_survey(cache: DeskCache, qs=None, ds=None) -> list[dict]:
                 continue
             cond = weight2_identical_check(n, d, q)
             finding["b_low_if_identical"] = cond.b_low_if_identical
-            code, _ = build_code(field_of_order(q), "gdrs", d, budget=cache.budget)
-            lw = low_weight_census(code, d - 2, cache.budget)
+            lw = low_weight_census(cache.code(q, d), d - 2, cache.budget)
             rows = np.unique(lw.table[lw.syndromes_of_weight(2)], axis=0)
             identical = len(rows) == 1
             b_seen = {int(r[d - 2]) for r in rows}

@@ -11,8 +11,9 @@ weakening the claimed equality; see the failure message for the list of
 counterexamples.
 """
 
+from mdscosets import codes
 from mdscosets.verify import (CRITERIA, covering_certificates,
-                              deep_hole_equality)
+                              deep_hole_equality, run_acceptance)
 
 
 def _run(desk, number):
@@ -81,3 +82,20 @@ def test_criterion_8_structural(desk):
 def test_criterion_9_remark_survey(desk):
     result = _run(desk, 9)
     assert result.passed, "\n".join(result.lines)
+
+
+def test_run_acceptance_reuses_corpus_codes(monkeypatch):
+    # the criteria read the corpus's own certified codes instead of
+    # rebuilding them; rebuilding took 217 kernel runs for the 89 codes
+    runs = []
+    trellis = codes._syndrome_trellis
+
+    def counted(code, wmax, budget):
+        runs.append((code.field.q, tuple(map(tuple, code.H.rows)), wmax))
+        return trellis(code, wmax, budget)
+
+    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
+    results = run_acceptance()
+    assert [r.passed for r in results] == [True] * 6 + [False, True, True]
+    assert len(runs) < 217
+    assert len(set(runs)) == len(runs)  # no (code, wmax) pair runs twice

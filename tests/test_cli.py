@@ -75,6 +75,18 @@ def test_dist_usage_error_for_small_d(capsys):
     assert "d >= 3" in err
 
 
+@pytest.mark.parametrize("q", ["-3", "0", "1"])
+def test_dist_refuses_a_field_size_below_2(capsys, q):
+    code, _, err = run(capsys, "dist", "--closed-form", "w1",
+                       "--n", "5", "--d", "4", "--q", q)
+    assert code == 2
+    assert f"q >= 2, got q={q}" in err
+    code, _, err = run(capsys, "dist", "--bonneau", "--prefix", "0,0,1",
+                       "--n", "5", "--d", "4", "--q", q)
+    assert code == 2
+    assert f"q >= 2, got q={q}" in err
+
+
 def test_dist_inconsistent_prefix_loose(capsys):
     code, out, _ = run(capsys, "dist", "--bonneau", "--loose",
                        "--prefix", "0,0,50", "--n", "5", "--d", "4", "--q", "5",

@@ -1,0 +1,142 @@
+"""Coefficient rows of the two Bonneau forms: every entry against the
+defining sums, both forms against each other and every closed form on
+random parameters, and the bounds of the formula caches."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdscosets import combinat, formulas, mds
+from mdscosets.combinat import omega
+from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
+                                _double_sum_rows, _single_sum_rows,
+                                bonneau_original, bonneau_transformed,
+                                dist_weight1, dist_weight2, dist_weight_d1,
+                                dist_weight_d2, dist_weight_mid)
+from mdscosets.mds import mds_weight_distribution
+from reference_sums import bw_known_part, mds_weight_distribution_sum
+
+ROW_TUPLES = [(257, 10, 256), (200, 9, 199), (128, 7, 127), (66, 3, 64),
+              (18, 4, 16), (5, 5, 5), (3, 3, 2)]
+
+
+def _is_prime_power(q):
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+PRIME_POWERS = tuple(q for q in range(2, 257) if _is_prime_power(q))
+
+
+@pytest.mark.parametrize("n,d,q", ROW_TUPLES)
+def test_weight_distribution_recurrence_matches_defining_sum(n, d, q):
+    assert mds_weight_distribution(n, d, q).counts == mds_weight_distribution_sum(n, d, q)
+
+
+@pytest.mark.parametrize("n,d,q", ROW_TUPLES)
+def test_rows_match_defining_sums(n, d, q):
+    ws = range(d - 1, n + 1)
+    A = mds_weight_distribution_sum(n, d, q)
+    single_known, single_cols = _single_sum_rows(n, d, q)
+    double_known, double_cols = _double_sum_rows(n, d, q)
+    assert single_known == tuple(A[w] - omega(n, d, w, 0) for w in ws)
+    assert double_known == tuple(bw_known_part(n, d, q, w) for w in ws)
+    assert len(single_cols) == len(double_cols) == d - 1
+    for v, col in enumerate(single_cols):
+        assert col == tuple(omega(n, d, w, v) for w in ws)
+    # the two forms agree for every prefix, so their rows must be equal
+    assert single_known == double_known
+    assert single_cols == double_cols
+
+
+def _closed_forms(n, d, q, counts, W):
+    """(closed form, the prefix it describes) for each closed form defined
+    at (n, d); B_{d-2} and the mid-range knowns come from `counts`."""
+    zero = [0] * (d - 1)
+    w1 = zero.copy()
+    w1[1] = 1
+    forms = [(lambda: dist_weight1(n, d, q), w1),
+             (lambda: dist_weight_d1(n, d, q), zero)]
+    b = counts[d - 2]
+    if d >= 4:
+        p = zero.copy()
+        p[d - 2] = max(1, b)
+        forms.append((lambda: dist_weight_d2(n, d, q, max(1, b)), p))
+    if d >= 5:
+        p = zero.copy()
+        p[2], p[d - 2] = 1, b
+        forms.append((lambda: dist_weight2(n, d, q, b), p))
+    if W is not None:
+        knowns = counts[d - W:]
+        p = zero.copy()
+        p[d - W:] = knowns
+        if W <= (d - 1) // 2:
+            p[W] = 1
+        forms.append((lambda: dist_weight_mid(n, d, q, W, knowns), p))
+    return forms
+
+
+@st.composite
+def queries(draw):
+    q = draw(st.sampled_from(PRIME_POWERS))
+    d = draw(st.integers(3, min(10, q + 1)))
+    n = draw(st.integers(d, q + 1))
+    size = draw(st.sampled_from((3, 200, 10**6)))
+    counts = (draw(st.integers(0, 1)),) + tuple(
+        draw(st.integers(0, size)) for _ in range(d - 2))
+    mids = list(range(2, (d - 1) // 2 + 1)) + list(range((d + 1) // 2, d - 2))
+    W = draw(st.sampled_from(mids)) if mids else None
+    return n, d, q, counts, W
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(queries())
+def test_forms_and_closed_forms_agree_on_random_parameters(query):
+    n, d, q, counts, W = query
+    prefix = LowWeightPrefix(n, d, q, counts)
+    assert bonneau_original(prefix, strict=False) == \
+        bonneau_transformed(prefix, strict=False)
+    for form, ref_counts in _closed_forms(n, d, q, counts, W):
+        ref = bonneau_transformed(LowWeightPrefix(n, d, q, tuple(ref_counts)),
+                                  strict=False)
+        if ref.is_nonnegative():
+            assert form() == ref
+        else:
+            with pytest.raises(InconsistentPrefixError):
+                form()
+
+
+def _module_caches():
+    return [fn for mod in (combinat, mds, formulas)
+            for fn in vars(mod).values()
+            if hasattr(fn, "cache_info") and fn.__module__ == mod.__name__]
+
+
+def test_formula_caches_are_bounded():
+    caches = _module_caches()
+    names = {fn.__qualname__ for fn in caches}
+    assert {"omega", "mds_weight_distribution", "_single_sum_rows",
+            "_double_sum_rows"} <= names
+    for fn in caches:
+        assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
+    # the benchmark harness reads these two
+    combinat.omega.cache_info()
+    mds.mds_weight_distribution.cache_info()
+    rng = random.Random(500)
+    small_qs = [q for q in PRIME_POWERS if q <= 32]
+    for _ in range(500):
+        q = rng.choice(small_qs)
+        d = rng.randint(3, min(10, q + 1))
+        n = rng.randint(d, q + 1)
+        counts = (rng.randint(0, 1),) + tuple(rng.randint(0, 9) for _ in range(d - 2))
+        prefix = LowWeightPrefix(n, d, q, counts)
+        bonneau_original(prefix, strict=False)
+        bonneau_transformed(prefix, strict=False)
+    for fn in caches:
+        info = fn.cache_info()
+        assert info.currsize <= info.maxsize, fn.__qualname__
+        assert info.misses > info.maxsize, fn.__qualname__  # the stream overflowed it

@@ -6,18 +6,27 @@ import pytest
 from mdscosets.codes import coset_census
 from mdscosets.combinat import binom, omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
-                                _bw_known_part, bonneau_original,
+                                _double_sum_rows, bonneau_original,
                                 bonneau_transformed, dist_weight1,
                                 dist_weight2, dist_weight_d1, dist_weight_d2,
                                 dist_weight_mid, symmetry_defect,
                                 weight2_aggregate, weight2_identical_check)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import mds_weight_distribution, truncated_gdrs
+from reference_sums import bw_known_part
 
 
 def test_prefix_validation():
     with pytest.raises(ValueError):
         LowWeightPrefix(6, 4, 5, (0, 1))        # wrong length
+    with pytest.raises(ValueError, match="q >= 2, got q=1"):
+        LowWeightPrefix(5, 4, 1, (0, 0, 1))
+    with pytest.raises(ValueError, match="d <= n, got d=2"):
+        LowWeightPrefix(6, 2, 5, (0,))
+    with pytest.raises(ValueError, match="d <= n, got d=7, n=6"):
+        LowWeightPrefix(6, 7, 5, (0, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="n=8 > q\\+2=7"):
+        LowWeightPrefix(8, 4, 5, (0, 0, 1))
     with pytest.raises(ValueError):
         LowWeightPrefix(6, 4, 5, (2, 0, 0))     # B_0 must be 0 or 1
     with pytest.raises(ValueError):
@@ -53,9 +62,11 @@ def test_original_form_examples_and_term_check():
         prefix = LowWeightPrefix(n, 4, 5, counts)
         assert bonneau_original(prefix) == bonneau_transformed(prefix)
     # the prefix-free part at (n,d,q,w)=(6,4,5,4) is A_4 - omega = 60 - 45
-    assert _bw_known_part(6, 4, 5, 4) == 15
-    assert _bw_known_part(6, 4, 5, 4) == \
+    assert bw_known_part(6, 4, 5, 4) == 15
+    assert bw_known_part(6, 4, 5, 4) == \
         mds_weight_distribution(6, 4, 5).counts[4] - omega(6, 4, 4, 0)
+    known, _ = _double_sum_rows(6, 4, 5)
+    assert known[4 - 3] == 15  # rows start at w = d-1
 
 
 def test_forms_agree_on_random_prefixes():
