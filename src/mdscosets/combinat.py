@@ -22,7 +22,10 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-OMEGA_CACHE_SIZE = 4096
+# The single-sum rows, omega's one reader, ask for each entry once per
+# row build, so nothing is asked for again while its row is cached; the
+# one-entry cache is kept for its hit and miss counters.
+OMEGA_CACHE_SIZE = 1
 
 
 @lru_cache(maxsize=OMEGA_CACHE_SIZE)

@@ -9,9 +9,10 @@ the Bonneau relation gives, for w >= d-1,
 Both forms are served from coefficient rows built once per (n, d, q):
 for w = d-1..n a prefix-free part K_w and, for each v in 0..d-2, the
 coefficient of B_v.  A query is then one multiply-add per weight and
-nonzero B_v.  Each form keeps its rows in its own bounded cache
-(ROW_CACHE_SIZE entries), so a long stream of parameters holds at most
-that many rows per form.
+nonzero B_v.  Each form keeps the rows of the last (n, d, q) asked for
+(ROW_CACHE_SIZE = 1): callers ask for one (n, d, q) at a time, every
+prefix and closed form of it in a row, so a larger cache would only
+hold rows that are not read again.
 
 `bonneau_transformed` builds its rows from the relation above:
 K_w = A_w - omega(n,d,w,0) with A_w from `mds_weight_distribution`, and
@@ -48,7 +49,7 @@ from .codes import WeightDistribution, _require
 from .combinat import binom, omega
 from .mds import check_mds_params, mds_weight_distribution
 
-ROW_CACHE_SIZE = 64  # (n, d, q) row sets kept per form
+ROW_CACHE_SIZE = 1  # (n, d, q) row sets kept per form
 
 # (K_w for w = d-1..n, and for each v in 0..d-2 the column of B_v's
 # coefficients in B_{d-1}..B_n)
@@ -96,8 +97,8 @@ def _single_sum_rows(n: int, d: int, q: int) -> Rows:
     check_mds_params(n, d, q)
     A = mds_weight_distribution(n, d, q).counts
     ws = range(d - 1, n + 1)
-    known = tuple(A[w] - omega(n, d, w, 0) for w in ws)
     cols = tuple(tuple(omega(n, d, w, v) for w in ws) for v in range(d - 1))
+    known = tuple(a - c for a, c in zip(A[d - 1:], cols[0]))
     return known, cols
 
 

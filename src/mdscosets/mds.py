@@ -14,10 +14,11 @@ MDS-ness instead of trusting the construction.
 
 `mds_weight_distribution` gives the codeword counts A_w of any
 [n, n-d+1, d]_q MDS code as one row per (n, d, q), built by a running
-recurrence in O(n) big-integer steps and kept in a bounded cache
-(WEIGHT_DIST_CACHE_SIZE rows).  `check_mds_params` is the one place
-that refuses parameters no MDS code has; the formula layer calls it
-before any work.
+recurrence in O(n) big-integer steps.  The cache keeps the last row
+(WEIGHT_DIST_CACHE_SIZE = 1): its readers, the single-sum rows and
+`dist_weight_d1`, ask for the same (n, d, q) back to back.
+`check_mds_params` is the one place that refuses parameters no MDS code
+has; the formula layer calls it before any work.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def remove_columns(matrix: Matrix, idxs) -> Matrix:
     return out
 
 
-WEIGHT_DIST_CACHE_SIZE = 256
+WEIGHT_DIST_CACHE_SIZE = 1
 
 
 def check_mds_params(n: int, d: int, q: int) -> None:

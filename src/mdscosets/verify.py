@@ -78,8 +78,8 @@ class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
     `code` hands out the corpus's own certified code when the corpus holds
-    it and builds (once) only the codes it does not, so each code's kernel
-    runs happen once per cache.
+    it and builds (once) only the codes it does not, and `census` is keyed
+    by code, so each code's kernel runs happen once per cache.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET, qs=DESK_QS, ds=DESK_DS):
@@ -88,17 +88,17 @@ class DeskCache:
         self.ds = tuple(ds)
         self.entries = desk_corpus(budget, qs, ds)
         self._by_params = {(e.q, e.d, e.n, e.family): e for e in self.entries}
-        self._census: dict[int, CosetCensus] = {}
+        # id(code) -> (code, census); holding the code keeps its id unique
+        self._census: dict[int, tuple[LinearCode, CosetCensus]] = {}
         self._built: dict[tuple[int, int, int, str], LinearCode] = {}
 
-    def entry(self, q: int, d: int, n: int, family: str = "gdrs") -> CorpusEntry | None:
-        return self._by_params.get((q, d, n, family))
-
-    def census(self, entry: CorpusEntry) -> CosetCensus:
-        key = id(entry)
-        if key not in self._census:
-            self._census[key] = coset_census(entry.code, self.budget)
-        return self._census[key]
+    def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
+        """Coset census of a code (or of a corpus entry's code), counted once."""
+        if isinstance(code, CorpusEntry):
+            code = code.code
+        if id(code) not in self._census:
+            self._census[id(code)] = (code, coset_census(code, self.budget))
+        return self._census[id(code)][1]
 
     def code(self, q: int, d: int, n: int | None = None,
              family: str = "gdrs") -> LinearCode:
@@ -106,7 +106,7 @@ class DeskCache:
         corpus's own when it holds it, else built once."""
         if n is None:
             n = q + 2 if family == "gtrs" else q + 1
-        entry = self.entry(q, d, n, family)
+        entry = self._by_params.get((q, d, n, family))
         if entry is not None:
             return entry.code
         key = (q, d, n, family)
@@ -256,10 +256,7 @@ def criterion_symmetry(cache: DeskCache) -> CriterionResult:
                                    f"B={classes[i].distribution.counts} and "
                                    f"B={classes[j].distribution.counts}")
     # frozen instance: the two weight-2 classes of [5,2,4]_5 defect to -10 at w=5
-    entry = cache.entry(5, 4, 5)
-    census = (cache.census(entry) if entry is not None
-              else coset_census(cache.code(5, 4, 5), cache.budget))
-    two = census.classes_of_weight(2)
+    two = cache.census(cache.code(5, 4, 5)).classes_of_weight(2)
     inst_ok = len(two) == 2
     if inst_ok:
         rep = symmetry_defect(two[0].distribution, two[1].distribution, 5, 4)
