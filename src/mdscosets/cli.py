@@ -116,7 +116,7 @@ def cmd_census_code(args) -> int:
     code, construction = build_code(fld, args.family, args.d,
                                     removed=_csv_ints(args.remove) if args.remove else (),
                                     budget=args.budget)
-    census = coset_census(code, args.budget)
+    census = coset_census(code)
     classes = [{
         "class_index": i,
         "weight_W": cls.weight,
@@ -126,7 +126,7 @@ def cmd_census_code(args) -> int:
     payload = {
         "schema": SCHEMA,
         "command": "census-code",
-        "code": {"n": code.n, "k": code.k, "d": code.min_distance(args.budget),
+        "code": {"n": code.n, "k": code.k, "d": code.min_distance(),
                  "q": fld.q, "family": construction.family,
                  "removed": list(construction.removed)},
         "total_cosets": str(census.total_cosets),
@@ -180,7 +180,7 @@ def cmd_covering(args) -> int:
     removed = _csv_ints(args.remove) if args.remove else ()
     code, construction = build_code(fld, args.family, args.d,
                                     removed=removed, budget=args.budget)
-    report = mcf_classify(code, args.budget)
+    report = mcf_classify(code)
     sat = saturating_set_report(code, report)
     payload = {
         "schema": SCHEMA,
@@ -206,7 +206,7 @@ def cmd_covering(args) -> int:
         sat.get("statement", sat.get("reason", "")),
     ]
     if construction.delta >= 1:
-        dh = count_deep_hole_cosets(code, construction, args.budget)
+        dh = count_deep_hole_cosets(code, construction)
         payload["deep_hole_check"] = {
             "count": str(dh.count), "bound": str(dh.bound),
             "delta": dh.delta, "parent_R": dh.parent_R,

@@ -13,9 +13,10 @@ each number B_W of minimum-weight vectors) are all read from that one
 run.  Its work is n*(q-1)*wmax*q^(n-k) table updates, not q^n vector
 visits.
 
-Every count is exact.  The work is checked against an explicit budget
-and every count against the int64 range before any table is allocated;
-anything out of range is refused with the limit named, never sampled.
+Every count is exact.  The work is checked against the code's budget,
+fixed when the code is built, and every count against the int64 range
+before any table is allocated; anything out of range is refused with
+the limit named, never sampled.
 """
 
 from __future__ import annotations
@@ -150,17 +151,18 @@ def _rref(field: GF, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
 class LinearCode:
     """A length-n linear code over GF(q) defined by a full-rank parity-check matrix.
 
-    The first of min_distance, covering_radius and leader_profile runs the
-    census at weight n-k under its budget; all three then read the small
-    memo it leaves, whatever budget later calls pass.
+    `budget` caps the work of every census run on the code.  The first of
+    min_distance, covering_radius and leader_profile runs the census at
+    weight n-k; all three then read the small memo it leaves.
     """
 
-    def __init__(self, H: Matrix):
+    def __init__(self, H: Matrix, budget: int = DEFAULT_BUDGET):
         rank = H.rank()
         if rank != H.nrows:
             raise ValueError(
                 f"parity-check matrix is rank-deficient: rank {rank} < {H.nrows} rows")
         self.H = H
+        self.budget = budget
         self.field = H.field
         self.n = H.ncols
         self.k = H.ncols - H.nrows
@@ -203,35 +205,35 @@ class LinearCode:
             self._G = G
         return self._G
 
-    def _leader_memo(self, budget: int) -> tuple[int, dict[int, dict[int, int]]]:
+    def _leader_memo(self) -> tuple[int, dict[int, dict[int, int]]]:
         """(d, leader profile), from the one weight-(n-k) census this code
         ever runs.  Only these few numbers are kept, not the q^(n-k)-row
         table, so a corpus of codes does not hold every table alive."""
         if self._leaders is None:
-            lw = low_weight_census(self, self.r, budget)
+            lw = low_weight_census(self, self.r)
             _require(lw.fully_covered, "a syndrome is unreached at weight n-k")
             d = next((w for w in range(1, self.r + 1) if lw.table[0, w]), self.r + 1)
             R = int(lw.weights.max())
             self._leaders = d, {W: lw.profile_at(W) for W in range(R + 1)}
         return self._leaders
 
-    def leader_profile(self, budget: int = DEFAULT_BUDGET) -> dict[int, dict[int, int]]:
+    def leader_profile(self) -> dict[int, dict[int, int]]:
         """{W: {B_W: number of weight-W cosets}} for every coset weight W,
         where B_W counts the coset's minimum-weight vectors.  A census at
         weight n-k reaches every syndrome, since H has rank n-k."""
-        return self._leader_memo(budget)[1]
+        return self._leader_memo()[1]
 
-    def min_distance(self, budget: int = DEFAULT_BUDGET) -> int:
+    def min_distance(self) -> int:
         """Smallest positive codeword weight, read from the zero syndrome's
         row of the leader census; none below n-k+1 means d = n-k+1
         (Singleton)."""
         if self.k == 0:
             raise ValueError("minimum distance is undefined for the zero code")
-        return self._leader_memo(budget)[0]
+        return self._leader_memo()[0]
 
-    def covering_radius(self, budget: int = DEFAULT_BUDGET) -> int:
+    def covering_radius(self) -> int:
         """Max coset weight: the largest W of the leader profile."""
-        return max(self.leader_profile(budget))
+        return max(self.leader_profile())
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
@@ -244,7 +246,7 @@ def syndrome_index(q: int, svec) -> int:
     return sum(int(s) * q**t for t, s in enumerate(svec))
 
 
-def _syndrome_trellis(code: LinearCode, wmax: int, budget: int) -> np.ndarray:
+def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     """T[s, w]: how many vectors of weight w <= wmax have syndrome row s.
 
     Starting from the empty word (T[0, 0] = 1), coordinate j is admitted by
@@ -253,7 +255,8 @@ def _syndrome_trellis(code: LinearCode, wmax: int, budget: int) -> np.ndarray:
 
     where h_j is column j of H.  The rows s - c*h_j are built digit by
     digit from the field's addition table (XOR in characteristic 2), one
-    translation at a time.  Both refusals fire before any table exists.
+    translation at a time.  Both refusals, the code's budget and the int64
+    range, fire before any table exists.
     """
     f = code.field
     q, n, r = f.q, code.n, code.r
@@ -261,10 +264,10 @@ def _syndrome_trellis(code: LinearCode, wmax: int, budget: int) -> np.ndarray:
         raise ValueError(f"wmax={wmax} outside [0, {n}]")
     states = q ** r
     work = n * (q - 1) * wmax * states
-    if work > budget:
+    if work > code.budget:
         raise BudgetExceededError(
             f"syndrome trellis needs {work} steps n(q-1)*wmax*q^(n-k), "
-            f"over the budget of {budget}")
+            f"over the budget of {code.budget}")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
     if vectors >= 2**63:
         raise BudgetExceededError(
@@ -350,9 +353,9 @@ class CosetCensus:
         return True
 
 
-def coset_census(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CosetCensus:
+def coset_census(code: LinearCode) -> CosetCensus:
     """Exact weight distribution of every coset: the trellis at wmax = n."""
-    return CosetCensus(code, _syndrome_trellis(code, code.n, budget))
+    return CosetCensus(code, _syndrome_trellis(code, code.n))
 
 
 class LowWeightCensus:
@@ -381,7 +384,6 @@ class LowWeightCensus:
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
 
-def low_weight_census(code: LinearCode, wmax: int,
-                      budget: int = DEFAULT_BUDGET) -> LowWeightCensus:
+def low_weight_census(code: LinearCode, wmax: int) -> LowWeightCensus:
     """Syndrome census of every vector of weight <= wmax: the trellis at wmax."""
-    return LowWeightCensus(code, wmax, _syndrome_trellis(code, wmax, budget))
+    return LowWeightCensus(code, wmax, _syndrome_trellis(code, wmax))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import DEFAULT_BUDGET, LinearCode, _require
+from .codes import LinearCode, _require
 from .combinat import binom
 from .mds import MdsConstruction, parent_code
 
@@ -52,10 +52,10 @@ class McfReport:
         return self.mu >= 1
 
 
-def mcf_classify(code: LinearCode, budget: int = DEFAULT_BUDGET) -> McfReport:
-    R = code.covering_radius(budget)
-    profile = code.leader_profile(budget)[R]
-    d = code.min_distance(budget)
+def mcf_classify(code: LinearCode) -> McfReport:
+    R = code.covering_radius()
+    profile = code.leader_profile()[R]
+    d = code.min_distance()
     mu = min(profile)
     total = sum(profile.values())
     weighted = sum(b * c for b, c in profile.items())
@@ -88,28 +88,41 @@ class DeepHoleReport:
     parent_R: int
     equality_required: bool
 
+    @property
+    def holds(self) -> bool:
+        if self.equality_required:
+            return self.count == self.bound
+        return self.count >= self.bound
+
+
+def deep_hole_report(construction: MdsConstruction, count: int,
+                     parent_R: int) -> DeepHoleReport:
+    """The (q-1)*Delta rule for `count` weight-(d-1) cosets of a
+    column-removal code whose parent has covering radius `parent_R`."""
+    return DeepHoleReport(count, (construction.q - 1) * construction.delta,
+                          construction.delta, parent_R,
+                          parent_R == construction.d - 2)
+
 
 def count_deep_hole_cosets(code: LinearCode, construction: MdsConstruction,
-                           budget: int = DEFAULT_BUDGET,
                            parent_R: int | None = None) -> DeepHoleReport:
+    """Count the code's weight-(d-1) cosets and check the (q-1)*Delta
+    rule; the parent, when `parent_R` is not given, is built under the
+    code's own budget."""
     if construction.delta < 1:
         raise ValueError("the deep-hole count applies to column-removal codes")
-    d = construction.d
-    delta = construction.delta
-    q = construction.q
     if parent_R is None:
-        parent, _ = parent_code(construction, code.field, budget)
-        parent_R = parent.covering_radius(budget)
-    count = sum(code.leader_profile(budget).get(d - 1, {}).values())
-    bound = (q - 1) * delta
-    equality = parent_R == d - 2
-    if equality and count != bound:
+        parent, _ = parent_code(construction, code.field, code.budget)
+        parent_R = parent.covering_radius()
+    count = sum(code.leader_profile().get(construction.d - 1, {}).values())
+    report = deep_hole_report(construction, count, parent_R)
+    if not report.holds:
+        if report.equality_required:
+            raise DeepHoleMismatchError(
+                f"deep-hole census/formula mismatch: census {count}, formula {report.bound}")
         raise DeepHoleMismatchError(
-            f"deep-hole census/formula mismatch: census {count}, formula {bound}")
-    if count < bound:
-        raise DeepHoleMismatchError(
-            f"deep-hole census below the lower bound: census {count} < {bound}")
-    return DeepHoleReport(count, bound, delta, parent_R, equality)
+            f"deep-hole census below the lower bound: census {count} < {report.bound}")
+    return report
 
 
 def saturating_set_report(code: LinearCode, report: McfReport) -> dict:

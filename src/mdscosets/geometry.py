@@ -227,8 +227,8 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
     f = arc.field
     q = f.q
     H = Matrix(f, [[p[t] for p in arc.points] for t in range(3)])
-    code = LinearCode(H)
-    lw = low_weight_census(code, 3, budget)
+    code = LinearCode(H, budget)
+    lw = low_weight_census(code, 3)
     counts = _bisecant_counts(arc)
     on_arc = set(arc.points)
     for pt in plane_points(f):

@@ -2,9 +2,11 @@
 MDS weight distribution.
 
 The doubly-extended family puts, over GF(q), the q-1 Vandermonde columns
-v_i * (1, a_i, a_i^2, ..., a_i^(d-2)) next to the two extension columns
-v_q * (1, 0, ..., 0) and v_{q+1} * (0, ..., 0, 1), giving a
-(d-1) x (q+1) matrix.  For even q the triply-extended d = 4 family adds
+(1, a, a^2, ..., a^(d-2)), one per nonzero a in ascending label order,
+next to the two extension columns (1, 0, ..., 0) and (0, ..., 0, 1),
+giving a (d-1) x (q+1) matrix.  Scaling or reordering columns gives a
+monomially equivalent code with the same coset census, so no other
+column multipliers or evaluation orders are offered.  For even q the triply-extended d = 4 family adds
 the column (0, 1, 0) (the nucleus of the conic the first q+1 columns
 trace out in PG(2, q)).
 
@@ -33,14 +35,12 @@ from .gf import GF, field_of_order
 
 @dataclass(frozen=True)
 class MdsConstruction:
-    """Pinned recipe for one constructed code: family, field, multipliers,
-    and which columns of the full family matrix were removed."""
+    """Pinned recipe for one constructed code: family, field, design
+    distance, and which columns of the full family matrix were removed."""
 
     family: str  # "gdrs" or "gtrs"
     q: int
     d: int
-    alphas: tuple[int, ...]
-    vs: tuple[int, ...]
     removed: tuple[int, ...]
 
     @property
@@ -52,30 +52,18 @@ class MdsConstruction:
         return self.q + 2 if self.family == "gtrs" else self.q + 1
 
 
-def gdrs_parity(field: GF, d: int, alphas=None, vs=None) -> Matrix:
+def gdrs_parity(field: GF, d: int) -> Matrix:
     """The (d-1) x (q+1) doubly-extended parity-check matrix over GF(q)."""
     q = field.q
     if d < 3:
         raise ValueError(f"design distance must be >= 3, got {d}")
     if d > q + 1:
         raise ValueError(f"design distance {d} too large for a length-{q + 1} code over GF({q})")
-    if alphas is None:
-        alphas = tuple(range(1, q))
-    else:
-        alphas = tuple(field.check(a) for a in alphas)
-    if len(alphas) != q - 1 or len(set(alphas)) != q - 1 or 0 in alphas:
-        raise ValueError("alphas must be the q-1 distinct nonzero elements in some order")
-    if vs is None:
-        vs = (1,) * (q + 1)
-    else:
-        vs = tuple(field.check(v) for v in vs)
-    if len(vs) != q + 1 or 0 in vs:
-        raise ValueError(f"need {q + 1} nonzero column multipliers")
     rows = []
     for t in range(d - 1):
-        row = [field.mul(vs[i], field.power(alphas[i], t)) for i in range(q - 1)]
-        row.append(vs[q - 1] if t == 0 else 0)
-        row.append(vs[q] if t == d - 2 else 0)
+        row = [field.power(a, t) for a in range(1, q)]
+        row.append(1 if t == 0 else 0)
+        row.append(1 if t == d - 2 else 0)
         rows.append(row)
     M = Matrix(field, rows)
     if M.rank() != d - 1:
@@ -83,23 +71,12 @@ def gdrs_parity(field: GF, d: int, alphas=None, vs=None) -> Matrix:
     return M
 
 
-def gtrs_parity(field: GF, vs=None) -> Matrix:
+def gtrs_parity(field: GF) -> Matrix:
     """The 3 x (q+2) triply-extended parity-check matrix; q must be even."""
-    q = field.q
     if field.p != 2:
-        raise ValueError(f"triple extension requires even q, got q={q}")
-    if vs is None:
-        vs = (1,) * (q + 2)
-    else:
-        vs = tuple(field.check(v) for v in vs)
-    if len(vs) != q + 2 or 0 in vs:
-        raise ValueError(f"need {q + 2} nonzero column multipliers")
-    base = gdrs_parity(field, 4, vs=vs[: q + 1])
-    rows = [row[:] for row in base.rows]
-    extra = [0, vs[q + 1], 0]
-    for t in range(3):
-        rows[t].append(extra[t])
-    M = Matrix(field, rows)
+        raise ValueError(f"triple extension requires even q, got q={field.q}")
+    base = gdrs_parity(field, 4)
+    M = Matrix(field, [row + [nucleus] for row, nucleus in zip(base.rows, (0, 1, 0))])
     if M.rank() != 3:
         raise ValueError("constructed parity-check matrix is rank-deficient")
     return M
@@ -164,40 +141,37 @@ def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
     return dist
 
 
-def build_code(field: GF, family: str, d: int | None = None,
-               removed=(), vs=None,
+def build_code(field: GF, family: str, d: int | None = None, removed=(),
                budget: int = DEFAULT_BUDGET) -> tuple[LinearCode, MdsConstruction]:
     """Build a family code, apply removals, and certify MDS-ness by oracle.
 
     `removed` indexes columns of the full family matrix (0-based).  The
     "grs" family is the doubly-extended matrix with its last column
-    dropped, matching the singly-extended construction.
+    dropped, matching the singly-extended construction.  The code keeps
+    `budget` for its certification and every later census.
     """
     q = field.q
+    drop = set(int(i) for i in removed)
     if family == "gtrs":
         if d not in (None, 4):
             raise ValueError("the triply-extended family has d = 4")
         d = 4
-        H_full = gtrs_parity(field, vs=vs)
+        H_full = gtrs_parity(field)
         fam = "gtrs"
-        drop = tuple(sorted(set(int(i) for i in removed)))
     elif family in ("gdrs", "grs"):
         if d is None:
             raise ValueError("design distance required")
-        H_full = gdrs_parity(field, d, vs=vs)
+        H_full = gdrs_parity(field, d)
         fam = "gdrs"
-        drop = set(int(i) for i in removed)
         if family == "grs":
             drop.add(q)  # the trailing (0,...,0,1) column
-        drop = tuple(sorted(drop))
     else:
         raise ValueError(f"unknown family {family!r} (expected gdrs, grs, or gtrs)")
+    drop = tuple(sorted(drop))
     H = remove_columns(H_full, drop) if drop else H_full
-    code = LinearCode(H)
-    alphas = tuple(range(1, q))
-    vs_rec = tuple(vs) if vs is not None else (1,) * H_full.ncols
-    construction = MdsConstruction(fam, q, d, alphas, vs_rec, drop)
-    dist = code.min_distance(budget)
+    code = LinearCode(H, budget)
+    construction = MdsConstruction(fam, q, d, drop)
+    dist = code.min_distance()
     if dist != code.n - code.k + 1:
         raise ValueError(
             f"construction is not MDS: distance {dist} != {code.n - code.k + 1}")
@@ -220,6 +194,4 @@ def parent_code(construction: MdsConstruction, field: GF | None = None,
     """The full-length family code a removal construction came from."""
     if field is None:
         field = field_of_order(construction.q)
-    return build_code(field, construction.family, construction.d,
-                      removed=(), vs=None if all(v == 1 for v in construction.vs)
-                      else construction.vs, budget=budget)
+    return build_code(field, construction.family, construction.d, budget=budget)

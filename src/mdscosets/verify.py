@@ -25,7 +25,7 @@ import numpy as np
 from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, coset_census,
                     low_weight_census)
 from .combinat import binom
-from .covering import mcf_classify, mu_density_closed_form
+from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_transformed,
                        dist_weight1, dist_weight_d1, symmetry_defect,
                        weight2_aggregate, weight2_identical_check)
@@ -78,8 +78,9 @@ class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
     `code` hands out the corpus's own certified code when the corpus holds
-    it and builds (once) only the codes it does not, and `census` is keyed
-    by code, so each code's kernel runs happen once per cache.
+    it and builds (once, under the cache's budget) only the codes it does
+    not, and `census` is keyed by code, so each code's kernel runs happen
+    once per cache.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET, qs=DESK_QS, ds=DESK_DS):
@@ -88,38 +89,38 @@ class DeskCache:
         self.ds = tuple(ds)
         self.entries = desk_corpus(budget, qs, ds)
         self._by_params = {(e.q, e.d, e.n, e.family): e for e in self.entries}
-        # id(code) -> (code, census); holding the code keeps its id unique
-        self._census: dict[int, tuple[LinearCode, CosetCensus]] = {}
+        self._census: dict[LinearCode, CosetCensus] = {}
         self._built: dict[tuple[int, int, int, str], LinearCode] = {}
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""
         if isinstance(code, CorpusEntry):
             code = code.code
-        if id(code) not in self._census:
-            self._census[id(code)] = (code, coset_census(code, self.budget))
-        return self._census[id(code)][1]
+        if code not in self._census:
+            self._census[code] = coset_census(code)
+        return self._census[code]
 
     def code(self, q: int, d: int, n: int | None = None,
              family: str = "gdrs") -> LinearCode:
         """The [n, n-d+1, d]_q family code, full length by default: the
         corpus's own when it holds it, else built once."""
+        full_length = {"gtrs": q + 2, "grs": q}.get(family, q + 1)
         if n is None:
-            n = q + 2 if family == "gtrs" else q + 1
-        entry = self._by_params.get((q, d, n, family))
+            n = full_length
+        if n > full_length:
+            raise ValueError(f"the {family} family has length at most {full_length}, got n={n}")
+        key = (q, d, n, family)
+        entry = self._by_params.get(key)
         if entry is not None:
             return entry.code
-        key = (q, d, n, family)
         if key not in self._built:
-            fld = field_of_order(q)
-            if family == "gtrs":
-                self._built[key], _ = build_code(fld, family, budget=self.budget)
-            else:
-                self._built[key], _ = truncated_gdrs(fld, d, n, self.budget)
+            self._built[key], _ = build_code(field_of_order(q), family, d,
+                                             removed=range(n, full_length),
+                                             budget=self.budget)
         return self._built[key]
 
     def parent_R(self, q: int, d: int) -> int:
-        return self.code(q, d).covering_radius(self.budget)
+        return self.code(q, d).covering_radius()
 
 
 @dataclass
@@ -292,20 +293,19 @@ def criterion_aggregate(cache: DeskCache) -> CriterionResult:
 def covering_certificates(cache: DeskCache) -> tuple[list[str], list[str]]:
     bad = []
     lines = []
-    budget = cache.budget
 
-    rep = mcf_classify(cache.code(5, 4, 5), budget)
+    rep = mcf_classify(cache.code(5, 4, 5))
     lines.append(f"[5,2,4]_5: R={rep.R} mu={rep.mu} APMCF={rep.is_apmcf}")
     if not (rep.R == 3 and rep.mu == 10 and rep.is_apmcf and not rep.is_pmcf):
         bad.append(f"[5,2,4]_5: expected a (3,10)-APMCF certificate, got {rep}")
 
-    rep = mcf_classify(cache.code(4, 4, family="gtrs"), budget)
+    rep = mcf_classify(cache.code(4, 4, family="gtrs"))
     lines.append(f"[6,3,4]_4 gtrs: R={rep.R} mu={rep.mu} PMCF={rep.is_pmcf}")
     if not (rep.R == 2 and rep.mu == 3 and rep.is_pmcf):
         bad.append(f"[6,3,4]_4 gtrs: expected a (2,3)-PMCF certificate, got {rep}")
 
     for q in (5, 7, 9, 11):
-        rep = mcf_classify(cache.code(q, 4), budget)
+        rep = mcf_classify(cache.code(q, 4))
         lines.append(f"[{q + 1},{q - 2},4]_{q}: gamma_mu = {rep.mu_density}")
         if rep.mu_density != 1 + Fraction(1, q):
             bad.append(f"[{q + 1},{q - 2},4]_{q}: gamma_mu {rep.mu_density} != 1+1/{q}")
@@ -329,17 +329,16 @@ def deep_hole_equality(cache: DeskCache) -> tuple[list[str], list[str]]:
         if entry.delta < 1:
             continue
         removals += 1
-        census = cache.census(entry)
-        count = census.count_of_weight(entry.d - 1)
-        bound = (entry.q - 1) * entry.delta
-        parent_R = cache.parent_R(entry.q, entry.d)
-        if parent_R == entry.d - 2:
-            if count != bound:
-                bad.append(f"{entry.label} (Delta={entry.delta}, parent R={parent_R}): "
-                           f"census counts {count} weight-{entry.d - 1} cosets, "
-                           f"formula says {bound}")
-        elif count < bound:
-            bad.append(f"{entry.label}: deep-hole count {count} below bound {bound}")
+        count = cache.census(entry).count_of_weight(entry.d - 1)
+        rep = deep_hole_report(entry.construction, count, cache.parent_R(entry.q, entry.d))
+        if rep.holds:
+            continue
+        if rep.equality_required:
+            bad.append(f"{entry.label} (Delta={rep.delta}, parent R={rep.parent_R}): "
+                       f"census counts {count} weight-{entry.d - 1} cosets, "
+                       f"formula says {rep.bound}")
+        else:
+            bad.append(f"{entry.label}: deep-hole count {count} below bound {rep.bound}")
     lines = [f"{removals} column-removal codes checked against (q-1)*Delta"]
     return lines, bad
 
@@ -402,7 +401,7 @@ def weight2_identity_survey(cache: DeskCache, qs=None, ds=None) -> list[dict]:
                 continue
             cond = weight2_identical_check(n, d, q)
             finding["b_low_if_identical"] = cond.b_low_if_identical
-            lw = low_weight_census(cache.code(q, d), d - 2, cache.budget)
+            lw = low_weight_census(cache.code(q, d), d - 2)
             rows = np.unique(lw.table[lw.syndromes_of_weight(2)], axis=0)
             identical = len(rows) == 1
             b_seen = {int(r[d - 2]) for r in rows}

@@ -11,8 +11,10 @@ weakening the claimed equality; see the failure message for the list of
 counterexamples.
 """
 
+import pytest
+
 from mdscosets import codes
-from mdscosets.verify import (CRITERIA, covering_certificates,
+from mdscosets.verify import (CRITERIA, DeskCache, covering_certificates,
                               deep_hole_equality, run_acceptance)
 
 
@@ -91,12 +93,24 @@ def test_run_acceptance_reuses_corpus_codes(monkeypatch):
     runs = []
     trellis = codes._syndrome_trellis
 
-    def counted(code, wmax, budget):
+    def counted(code, wmax):
         runs.append((code.field.q, tuple(map(tuple, code.H.rows)), wmax))
-        return trellis(code, wmax, budget)
+        return trellis(code, wmax)
 
     monkeypatch.setattr(codes, "_syndrome_trellis", counted)
     results = run_acceptance(qs=(5,))
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
     assert len(runs) == 25
     assert len(set(runs)) == len(runs)  # no (code, wmax) pair runs twice
+
+
+def test_desk_cache_builds_the_code_it_is_asked_for():
+    cache = DeskCache(qs=(4,), ds=(4,))
+    with pytest.raises(ValueError, match="the triply-extended family has d = 4"):
+        cache.code(4, 5, family="gtrs")
+    short = cache.code(4, 4, n=5, family="gtrs")
+    assert (short.n, short.k, short.min_distance()) == (5, 2, 4)
+    assert cache.code(4, 4, family="gtrs") is cache.entries[-1].code
+    with pytest.raises(ValueError, match="n=7"):
+        cache.code(4, 4, n=7, family="gtrs")
+    assert cache.code(4, 3, family="grs").n == 4

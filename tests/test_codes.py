@@ -67,11 +67,20 @@ def test_budget_refusals_name_the_budget():
     f5 = field_of_order(5)
     code, _ = truncated_gdrs(f5, 4, 6)
     with pytest.raises(BudgetExceededError, match="budget of 100"):
-        coset_census(code, budget=100)
+        coset_census(LinearCode(code.H, budget=100))
     with pytest.raises(BudgetExceededError, match="budget of 10"):
-        LinearCode(code.H).min_distance(budget=10)
+        LinearCode(code.H, budget=10).min_distance()
     with pytest.raises(BudgetExceededError):
-        low_weight_census(code, 3, budget=10)
+        low_weight_census(LinearCode(code.H, budget=10), 3)
+
+
+def test_a_code_keeps_the_budget_it_was_built_with():
+    # certifying [6,3,4]_5 takes 6*4*3*5^3 = 9000 kernel steps, its full
+    # census twice that; the census runs under the code's own budget
+    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=9000)
+    with pytest.raises(BudgetExceededError, match="budget of 9000"):
+        coset_census(code)
+    assert code.budget == 9000
 
 
 def test_census_classes_of_conic_code():

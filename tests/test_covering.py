@@ -8,8 +8,8 @@ import pytest
 from mdscosets import codes
 from mdscosets.codes import BudgetExceededError, LinearCode, coset_census
 from mdscosets.covering import (DeepHoleMismatchError, count_deep_hole_cosets,
-                                mcf_classify, mu_density_closed_form,
-                                saturating_set_report)
+                                deep_hole_report, mcf_classify,
+                                mu_density_closed_form, saturating_set_report)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, truncated_gdrs
 
@@ -137,14 +137,14 @@ def test_covering_radius_matches_census():
         assert code.covering_radius() == want
         assert coset_census(code).classes_of_weight(want)
     code, _ = truncated_gdrs(f5, 4, 6)
-    assert LinearCode(code.H).covering_radius(budget=10_000) == 2
+    assert LinearCode(code.H, budget=10_000).covering_radius() == 2
 
 
 def test_even_q_conic_code_has_radius_3():
     # the nucleus keeps the even-q length-(q+1) code at R = d-1 = 3
     f8 = field_of_order(8)
     code, _ = build_code(f8, "gdrs", 4)
-    assert LinearCode(code.H).covering_radius(budget=10**6) == 3
+    assert LinearCode(code.H, budget=10**6).covering_radius() == 3
     f4 = field_of_order(4)
     code4, _ = build_code(f4, "gdrs", 4)
     assert code4.covering_radius() == 3
@@ -168,12 +168,26 @@ def test_one_trellis_pass_per_code(monkeypatch):
 
 
 def test_deep_hole_parent_is_built_within_the_budget():
-    # the [6,3,4]_5 parent needs 6*4*3*5^3 = 9000 kernel steps
+    # the [6,3,4]_5 parent needs 6*4*3*5^3 = 9000 kernel steps, the
+    # [5,2,4]_5 code itself 5*4*3*5^3 = 7500
     f5 = field_of_order(5)
-    code, cons = truncated_gdrs(f5, 4, 5)
+    code, cons = truncated_gdrs(f5, 4, 5, budget=8000)
     with pytest.raises(BudgetExceededError, match="budget of 8000"):
-        count_deep_hole_cosets(code, cons, budget=8000)
-    assert count_deep_hole_cosets(code, cons, budget=9000).parent_R == 2
+        count_deep_hole_cosets(code, cons)
+    code, cons = truncated_gdrs(f5, 4, 5, budget=9000)
+    assert count_deep_hole_cosets(code, cons).parent_R == 2
+
+
+def test_deep_hole_rule():
+    # (q-1)*Delta = 4 for [5,2,4]_5: equality when the parent's R is d-2,
+    # a lower bound otherwise
+    _, cons = truncated_gdrs(field_of_order(5), 4, 5)
+    assert deep_hole_report(cons, 4, parent_R=2).holds
+    assert not deep_hole_report(cons, 5, parent_R=2).holds
+    assert deep_hole_report(cons, 5, parent_R=3).holds
+    assert not deep_hole_report(cons, 3, parent_R=3).holds
+    rep = deep_hole_report(cons, 5, parent_R=2)
+    assert (rep.bound, rep.delta, rep.equality_required) == (4, 1, True)
 
 
 def test_saturating_set_statements():
