@@ -26,7 +26,7 @@ from .geometry import (bisecant_census, conic_points, hyperoval_points,
                        shortened_conic)
 from .gf import field_of_order
 from .mds import build_code
-from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, run_acceptance
+from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
 
 SCHEMA = "mdscosets.v1"
 
@@ -225,9 +225,9 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown theorem {args.theorem!r}; "
                              f"choices: {sorted(THEOREM_NAMES)}")
         numbers = [THEOREM_NAMES[args.theorem]]
-    results = run_acceptance(budget=args.budget, numbers=numbers,
-                             qs=(args.q,) if args.q else DESK_QS,
-                             ds=(args.d,) if args.d else DESK_DS)
+    cache = DeskCache(args.budget, qs=(args.q,) if args.q else DESK_QS,
+                      ds=(args.d,) if args.d else DESK_DS)
+    results = run_acceptance(cache, numbers)
     all_passed = all(r.passed for r in results)
     payload = {
         "schema": SCHEMA,

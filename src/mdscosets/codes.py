@@ -10,8 +10,11 @@ the low-weight census.  At wmax = n - k it reaches every syndrome, and
 each LinearCode runs it there once: the minimum distance, the covering
 radius and the leader profile (how many cosets of each weight W have
 each number B_W of minimum-weight vectors) are all read from that one
-run.  Its work is n*(q-1)*wmax*q^(n-k) table updates, not q^n vector
-visits.
+run.  Each column is admitted through the line sums of the table (see
+_syndrome_trellis), about three passes over its wmax*q^(n-k) entries
+whatever q is, so a census costs O(n*wmax*q^(n-k)), not q^n vector
+visits.  The budget still counts n*(q-1)*wmax*q^(n-k) steps, one per
+translated entry, which bounds that work from above.
 
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
@@ -246,6 +249,35 @@ def syndrome_index(q: int, svec) -> int:
     return sum(int(s) * q**t for t, s in enumerate(svec))
 
 
+def _line_order(f: GF, col: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The states of F_q^r in line order for the nonzero column h, and its inverse.
+
+    With h scaled so that its most significant nonzero digit p is 1, each
+    line u + F_q*h holds exactly one state u with digit p equal to 0, and
+    u + c*h has digit c there.  Entry c*q^(r-1) + i of the order is
+    u_i + c*h, so the q points of line i sit q^(r-1) apart and a sum over
+    the leading axis of the reshaped (q, q^(r-1)) gather is one sum per
+    line.  The order is built digit by digit from the addition table,
+    most significant digit first.
+    """
+    q, r = f.q, len(col)
+    p = max(t for t in range(r) if col[t])
+    scale = f.inv(col[p])
+    h = [f.mul(scale, x) for x in col]
+    add_t = f.add_table().astype(np.int64)
+    order = np.zeros((q, 1), dtype=np.int64)  # order[c, i] = u_i + c*h
+    for t in reversed(range(r)):
+        if t == p:
+            order = order + (np.arange(q, dtype=np.int64) * q**t)[:, None]
+        else:
+            ch = [f.mul(c, h[t]) for c in range(q)]
+            order = (order[:, :, None] + add_t[:, ch].T[:, None, :] * q**t).reshape(q, -1)
+    order = order.reshape(-1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size, dtype=np.int64)
+    return order, inverse
+
+
 def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     """T[s, w]: how many vectors of weight w <= wmax have syndrome row s.
 
@@ -253,10 +285,16 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
 
         T_j[s, w] = T_{j-1}[s, w] + sum_{c != 0} T_{j-1}[s - c*h_j, w - 1],
 
-    where h_j is column j of H.  The rows s - c*h_j are built digit by
-    digit from the field's addition table (XOR in characteristic 2), one
-    translation at a time.  Both refusals, the code's budget and the int64
-    range, fire before any table exists.
+    where h_j is column j of H.  For h_j != 0 the sum is the sum of
+    T_{j-1}[., w - 1] over the line s + F_q*h_j less T_{j-1}[s, w - 1], so
+    each weight row takes one gather into line order (_line_order), one
+    sum per line and one gather back: about three passes over the table
+    per column, not q - 1 translated gathers.  Rows are updated from
+    w = wmax down, so row w - 1 is still T_{j-1} when row w reads it.  A
+    zero column adds (q - 1) T_{j-1}[s, w - 1].  Both refusals, the
+    code's budget (counted in the n(q-1)*wmax*q^(n-k) translated entries,
+    an upper bound on the work) and the int64 range, fire before any
+    table exists.
     """
     f = code.field
     q, n, r = f.q, code.n, code.r
@@ -274,18 +312,23 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
             f"{vectors} vectors of weight <= {wmax} overflow the int64 counts "
             f"(limit 2^63)")
 
-    add_t = f.add_table().astype(np.int64)
     table = np.zeros((wmax + 1, states), dtype=np.int64)  # weight-major while growing
     table[0, 0] = 1
+    # two row buffers serve every update; take's default mode="raise"
+    # would buffer `out` again, and the indices are a permutation anyway
+    lines, back = np.empty(states, dtype=np.int64), np.empty(states, dtype=np.int64)
     for col in code.H.columns():
-        step = table.copy()
-        for c in range(1, q):
-            shift = [f.mul(f.neg(c), h) for h in col]
-            src = np.zeros(1, dtype=np.int64)
-            for t in reversed(range(r)):  # most significant digit first
-                src = (src[:, None] + add_t[:, shift[t]] * q**t).reshape(-1)
-            step[1:] += np.take(table[:-1], src, axis=1)
-        table = step
+        if not any(col):
+            for w in range(wmax, 0, -1):
+                table[w] += (q - 1) * table[w - 1]
+            continue
+        order, inverse = _line_order(f, col)
+        for w in range(wmax, 0, -1):
+            np.take(table[w - 1], order, out=lines, mode="clip")
+            g = lines.reshape(q, -1)
+            g -= g.sum(axis=0)  # T[s] - (sum of T over the line of s)
+            np.take(lines, inverse, out=back, mode="clip")
+            table[w] -= back
     return np.ascontiguousarray(table.T)
 
 

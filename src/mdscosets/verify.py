@@ -444,11 +444,12 @@ CRITERIA = {
 THEOREM_NAMES = {name: num for num, (name, _) in CRITERIA.items()}
 
 
-def run_acceptance(budget: int = DEFAULT_BUDGET, numbers=None,
-                   qs=DESK_QS, ds=DESK_DS,
-                   cache: DeskCache | None = None) -> list[CriterionResult]:
+def run_acceptance(cache: DeskCache | None = None,
+                   numbers=None) -> list[CriterionResult]:
+    """Run the criteria `numbers` (all by default) on the corpus `cache`
+    holds; the budget, q and d filters are the cache's own."""
     if cache is None:
-        cache = DeskCache(budget, qs, ds)
+        cache = DeskCache()
     if numbers is None:
         numbers = sorted(CRITERIA)
     return [CRITERIA[num][1](cache) for num in numbers]

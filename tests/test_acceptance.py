@@ -98,7 +98,7 @@ def test_run_acceptance_reuses_corpus_codes(monkeypatch):
         return trellis(code, wmax)
 
     monkeypatch.setattr(codes, "_syndrome_trellis", counted)
-    results = run_acceptance(qs=(5,))
+    results = run_acceptance(DeskCache(qs=(5,)))
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
     assert len(runs) == 25
     assert len(set(runs)) == len(runs)  # no (code, wmax) pair runs twice

@@ -10,7 +10,7 @@ from mdscosets import LinearCode
 
 CODE_CONSTRUCTORS = {"LinearCode", "build_code", "truncated_gdrs", "geometry_code_bridge"}
 # these build codes (a parent code, the desk corpus) and pass the budget on
-CORPUS_BUILDERS = {"parent_code", "desk_corpus", "DeskCache", "run_acceptance"}
+CORPUS_BUILDERS = {"parent_code", "desk_corpus", "DeskCache"}
 
 
 def _takes_budget(obj) -> bool:

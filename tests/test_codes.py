@@ -2,6 +2,8 @@ from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
                              LinearCode, Matrix, WeightDistribution,
@@ -83,6 +85,16 @@ def test_a_code_keeps_the_budget_it_was_built_with():
     assert code.budget == 9000
 
 
+def test_budget_unit_is_pinned():
+    # the unit is n(q-1)*wmax*q^(n-k): 6*4*3*5^3 = 9000 steps to certify [6,3,4]_5
+    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=9000)
+    assert code.min_distance() == 4
+    with pytest.raises(BudgetExceededError) as refusal:
+        truncated_gdrs(field_of_order(5), 4, 6, budget=8999)
+    assert str(refusal.value) == ("syndrome trellis needs 9000 steps "
+                                  "n(q-1)*wmax*q^(n-k), over the budget of 8999")
+
+
 def test_census_classes_of_conic_code():
     f5 = field_of_order(5)
     code, _ = truncated_gdrs(f5, 4, 6)
@@ -160,6 +172,43 @@ def test_kernel_matches_brute_oracle_on_small_desk_codes(desk):
         assert code.min_distance() == next(w for w in range(1, n + 1) if zero[w])
         radius = max(next(w for w, c in enumerate(row) if c) for row in brute.values())
         assert code.covering_radius() == radius, entry.label
+
+
+@st.composite
+def parity_checks(draw):
+    """A full-rank H over a small field whose columns may be zero, repeated
+    or parallel, small enough (q^n <= 2*10^4) for the pure-Python oracle."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    f = field_of_order(q)
+    nmax = max(n for n in range(1, 15) if q ** n <= 2 * 10**4)
+    r = draw(st.integers(1, min(3, nmax)))
+    n = draw(st.integers(r, nmax))
+    cols = []
+    for _ in range(n):
+        kinds = ("random", "random", "zero") + (("parallel",) if cols else ())
+        kind = draw(st.sampled_from(kinds))
+        if kind == "random":
+            cols.append(draw(st.lists(st.integers(0, q - 1), min_size=r, max_size=r)))
+        elif kind == "zero":
+            cols.append([0] * r)
+        else:
+            c = draw(st.integers(1, q - 1))
+            cols.append([f.mul(c, x) for x in draw(st.sampled_from(cols))])
+    H = Matrix(f, [[col[t] for col in cols] for t in range(r)])
+    assume(H.rank() == r)
+    return H
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(parity_checks())
+def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
+    code = LinearCode(H)
+    q, n = code.field.q, code.n
+    want = np.zeros((q ** code.r, n + 1), dtype=np.int64)
+    for svec, row in brute_table(code).items():
+        want[syndrome_index(q, svec)] = row
+    for wmax in range(n + 1):
+        assert np.array_equal(low_weight_census(code, wmax).table, want[:, :wmax + 1]), wmax
 
 
 def test_corrupted_census_table_raises_invariant_error():
