@@ -45,8 +45,6 @@ def _emit(payload: dict, args, table_lines: list[str], csv_lines: list[str] | No
     if fmt == "json":
         text = json.dumps(payload, indent=2)
     elif fmt == "csv":
-        if csv_lines is None:
-            raise ValueError("csv output is not defined for this command")
         text = "\n".join(csv_lines)
     else:
         text = "\n".join(table_lines)
@@ -245,18 +243,25 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    common.add_argument("--out", help="write the output to a file")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max syndrome-trellis steps n(q-1)*wmax*q^(n-k) per count")
+    def options(formats):
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--format", choices=formats, default="table")
+        common.add_argument("--out", help="write the output to a file")
+        return common
+
+    with_csv = options(("table", "json", "csv"))
+    without_csv = options(("table", "json"))
+    # only the commands that build codes read a budget
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="max syndrome-trellis steps n*wmax*q^(n-k) per count")
 
     parser = argparse.ArgumentParser(
         prog="mdscosets",
         description="exact coset weight distributions of MDS codes")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    dist = sub.add_parser("dist", parents=[common],
+    dist = sub.add_parser("dist", parents=[with_csv],
                           help="closed-form or Bonneau-computed coset distribution")
     mode = dist.add_mutually_exclusive_group(required=True)
     mode.add_argument("--closed-form", choices=("w1", "d1", "d2", "w2", "mid"))
@@ -276,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     census = sub.add_parser("census", help="coset or bisecant census")
     csub = census.add_subparsers(dest="what", required=True)
-    ccode = csub.add_parser("code", parents=[common])
+    ccode = csub.add_parser("code", parents=[with_csv, budget])
     ccode.add_argument("--family", choices=("gdrs", "grs", "gtrs"), required=True)
     ccode.add_argument("--q", type=int, required=True)
     ccode.add_argument("--d", type=int)
     ccode.add_argument("--remove", help="columns of the full family matrix to drop")
     ccode.add_argument("--poly", help="field modulus coefficients c_0,...,c_m")
     ccode.set_defaults(func=cmd_census_code)
-    cgeom = csub.add_parser("geometry", parents=[common])
+    cgeom = csub.add_parser("geometry", parents=[with_csv])
     cgeom.add_argument("--q", type=int, required=True)
     cgeom.add_argument("--arc", required=True,
                        help="conic | hyperoval | conic-minus:K")
@@ -292,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     covering = sub.add_parser("covering", help="covering classification")
     covsub = covering.add_subparsers(dest="what", required=True)
-    classify = covsub.add_parser("classify", parents=[common])
+    classify = covsub.add_parser("classify", parents=[without_csv, budget])
     classify.add_argument("--family", choices=("gdrs", "grs", "gtrs"), required=True)
     classify.add_argument("--q", type=int, required=True)
     classify.add_argument("--d", type=int)
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--poly")
     classify.set_defaults(func=cmd_covering)
 
-    verify = sub.add_parser("verify", parents=[common],
+    verify = sub.add_parser("verify", parents=[without_csv, budget],
                             help="run the desk-corpus verification")
     verify.add_argument("--corpus", choices=("default",), default="default")
     verify.add_argument("--theorem", help=f"one of {sorted(THEOREM_NAMES)}")

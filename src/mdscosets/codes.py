@@ -5,16 +5,18 @@ from.
 The kernel is Wolf's syndrome trellis (J. K. Wolf, IEEE Trans. IT 24(1),
 1978): a dense table T[s, w] of how many vectors of weight w <= wmax have
 syndrome s, grown one coordinate (one parity-check column) at a time.
-Truncated at wmax = n it is the full coset census; at smaller wmax it is
-the low-weight census.  At wmax = n - k it reaches every syndrome, and
-each LinearCode runs it there once: the minimum distance, the covering
-radius and the leader profile (how many cosets of each weight W have
-each number B_W of minimum-weight vectors) are all read from that one
-run.  Each column is admitted through the line sums of the table (see
-_syndrome_trellis), about three passes over its wmax*q^(n-k) entries
-whatever q is, so a census costs O(n*wmax*q^(n-k)), not q^n vector
-visits.  The budget still counts n*(q-1)*wmax*q^(n-k) steps, one per
-translated entry, which bounds that work from above.
+One type, CosetCensus, holds the table at any wmax: at wmax = n it is
+the full coset census, at smaller wmax the low-weight census, where a
+syndrome no vector of weight <= wmax reaches has weight -1.  At
+wmax = n - k it reaches every syndrome, and each LinearCode runs it
+there once: the minimum distance, the covering radius and the leader
+profile (how many cosets of each weight W have each number B_W of
+minimum-weight vectors) are all read from that one run.  Each column is
+admitted through the line sums of the table (see _syndrome_trellis),
+about three passes over its wmax*q^(n-k) entries whatever q is, so the
+budget counts n*wmax*q^(n-k) steps per census, not q^n vector visits,
+and a census that fits it holds at most budget/n + q^(n-k) table
+entries.
 
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
@@ -25,7 +27,7 @@ the limit named, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -213,11 +215,11 @@ class LinearCode:
         ever runs.  Only these few numbers are kept, not the q^(n-k)-row
         table, so a corpus of codes does not hold every table alive."""
         if self._leaders is None:
-            lw = low_weight_census(self, self.r)
-            _require(lw.fully_covered, "a syndrome is unreached at weight n-k")
-            d = next((w for w in range(1, self.r + 1) if lw.table[0, w]), self.r + 1)
-            R = int(lw.weights.max())
-            self._leaders = d, {W: lw.profile_at(W) for W in range(R + 1)}
+            census = low_weight_census(self, self.r)
+            _require(census.fully_covered, "a syndrome is unreached at weight n-k")
+            d = next((w for w in range(1, self.r + 1) if census.table[0, w]), self.r + 1)
+            R = int(census.weights.max())
+            self._leaders = d, {W: census.profile_at(W) for W in range(R + 1)}
         return self._leaders
 
     def leader_profile(self) -> dict[int, dict[int, int]]:
@@ -292,19 +294,19 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     per column, not q - 1 translated gathers.  Rows are updated from
     w = wmax down, so row w - 1 is still T_{j-1} when row w reads it.  A
     zero column adds (q - 1) T_{j-1}[s, w - 1].  Both refusals, the
-    code's budget (counted in the n(q-1)*wmax*q^(n-k) translated entries,
-    an upper bound on the work) and the int64 range, fire before any
-    table exists.
+    code's budget (counted in n*wmax*q^(n-k) steps, one per entry of
+    each weight row each column updates) and the int64 range, fire
+    before any table exists.
     """
     f = code.field
     q, n, r = f.q, code.n, code.r
     if not 0 <= wmax <= n:
         raise ValueError(f"wmax={wmax} outside [0, {n}]")
     states = q ** r
-    work = n * (q - 1) * wmax * states
+    work = n * wmax * states
     if work > code.budget:
         raise BudgetExceededError(
-            f"syndrome trellis needs {work} steps n(q-1)*wmax*q^(n-k), "
+            f"syndrome trellis needs {work} steps n*wmax*q^(n-k), "
             f"over the budget of {code.budget}")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
     if vectors >= 2**63:
@@ -334,7 +336,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CosetClass:
-    """All cosets sharing one weight distribution."""
+    """All cosets sharing one weight and one distribution B_0..B_wmax."""
 
     weight: int
     distribution: WeightDistribution
@@ -342,15 +344,39 @@ class CosetClass:
 
 
 class CosetCensus:
-    """Partition of all q^(n-k) syndromes by full coset weight distribution."""
+    """Per-syndrome counts of the vectors of weight <= wmax, from one trellis run.
+
+    At wmax = n the rows are the full coset weight distributions; at
+    smaller wmax they are exact as far as they reach.  A syndrome reached
+    by no vector of weight <= wmax has weight -1 here (meaning: bigger
+    than wmax), and its row is all zero.  Rows are grouped into `classes`
+    only when `classes` is first read.
+    """
 
     def __init__(self, code: LinearCode, table: np.ndarray):
         self.code = code
         q, n, k = code.field.q, code.n, code.k
         self.total_cosets = q ** code.r
-        self.table = table  # (q^r, n+1) exact counts
-        weights = (table > 0).argmax(axis=1)
-        # sort by (weight, B_0, ..., B_n); lexsort's last key is the primary one
+        self.table = table  # (q^r, wmax+1) exact counts
+        self.wmax = table.shape[1] - 1
+        reached = table > 0
+        has = reached.any(axis=1)
+        # -1..wmax in the smallest integer type: a census keeps this
+        # column as long as its table, and a corpus keeps many censuses
+        self.weights = np.where(has, reached.argmax(axis=1), -1).astype(
+            np.min_scalar_type(-1 - self.wmax))
+        self.fully_covered = bool(has.all())
+        if self.wmax == n:
+            _require(int(table.sum()) == q**n, "census table does not hold q^n vectors")
+            _require(bool(np.all(table.sum(axis=1) == q**k)),
+                     "a census row does not hold q^k vectors")
+        _require(self.count_of_weight(0) == 1, "census needs exactly one weight-0 coset")
+
+    @cached_property
+    def classes(self) -> list[CosetClass]:
+        """Syndromes sharing one (weight, B_0..B_wmax), sorted by that key."""
+        table, weights = self.table, self.weights
+        # sort by (weight, B_0, ..., B_wmax); lexsort's last key is the primary one
         order = np.lexsort((*table.T[::-1], weights))
         rows = table[order]
         starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
@@ -359,28 +385,27 @@ class CosetCensus:
         for start, cnt in zip(starts, counts):
             dist = WeightDistribution(tuple(int(x) for x in rows[start]))
             classes.append(CosetClass(int(weights[order[start]]), dist, int(cnt)))
-        self.classes = classes
         _require(sum(c.count for c in classes) == self.total_cosets,
                  "census classes do not hold q^(n-k) cosets")
-        _require(int(table.sum()) == q**n, "census table does not hold q^n vectors")
-        _require(bool(np.all(table.sum(axis=1) == q**k)),
-                 "a census row does not hold q^k vectors")
-        zero_classes = [c for c in classes if c.weight == 0]
-        _require(len(zero_classes) == 1 and zero_classes[0].count == 1,
-                 "census needs exactly one weight-0 coset")
+        return classes
 
     def classes_of_weight(self, W: int) -> list[CosetClass]:
         return [c for c in self.classes if c.weight == W]
 
     def count_of_weight(self, W: int) -> int:
-        return sum(c.count for c in self.classes if c.weight == W)
+        return int(np.count_nonzero(self.weights == W))
+
+    def profile_at(self, W: int) -> dict[int, int]:
+        """How many weight-W cosets have each value of B_W."""
+        vals, counts = np.unique(self.table[self.weights == W, W], return_counts=True)
+        return {int(v): int(c) for v, c in zip(vals, counts)}
 
     def code_distribution(self) -> WeightDistribution:
-        return next(c for c in self.classes if c.weight == 0).distribution
+        return self.distribution_of_syndrome((0,) * self.code.r)
 
     def distribution_of_syndrome(self, svec) -> WeightDistribution:
         idx = syndrome_index(self.code.field.q, svec)
-        return WeightDistribution(tuple(int(x) for x in self.table[idx]))
+        return WeightDistribution(tuple(self.table[idx].tolist()))
 
     def scalar_invariance_holds(self) -> bool:
         """Buckets of s and alpha*s agree for every syndrome and alpha != 0."""
@@ -401,32 +426,6 @@ def coset_census(code: LinearCode) -> CosetCensus:
     return CosetCensus(code, _syndrome_trellis(code, code.n))
 
 
-class LowWeightCensus:
-    """Per-syndrome counts of vectors of weight <= wmax.
-
-    Exact wherever it looks; a syndrome reached by no vector of weight
-    <= wmax has weight -1 here (meaning: bigger than wmax).
-    """
-
-    def __init__(self, code: LinearCode, wmax: int, table: np.ndarray):
-        self.code = code
-        self.wmax = wmax
-        self.table = table  # (q^r, wmax+1)
-        reached = table > 0
-        has = reached.any(axis=1)
-        self.weights = np.where(has, reached.argmax(axis=1), -1)
-        self.fully_covered = bool(has.all())
-
-    def syndromes_of_weight(self, W: int) -> np.ndarray:
-        return np.flatnonzero(self.weights == W)
-
-    def profile_at(self, W: int) -> dict[int, int]:
-        """How many weight-W cosets have each value of B_W."""
-        idxs = self.syndromes_of_weight(W)
-        vals, counts = np.unique(self.table[idxs, W], return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
-
-def low_weight_census(code: LinearCode, wmax: int) -> LowWeightCensus:
+def low_weight_census(code: LinearCode, wmax: int) -> CosetCensus:
     """Syndrome census of every vector of weight <= wmax: the trellis at wmax."""
-    return LowWeightCensus(code, wmax, _syndrome_trellis(code, wmax))
+    return CosetCensus(code, _syndrome_trellis(code, wmax))

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .codes import LinearCode, _require
 from .combinat import binom
-from .mds import MdsConstruction, parent_code
+from .mds import MdsConstruction, build_code
 
 
 class DeepHoleMismatchError(RuntimeError):
@@ -112,7 +112,8 @@ def count_deep_hole_cosets(code: LinearCode, construction: MdsConstruction,
     if construction.delta < 1:
         raise ValueError("the deep-hole count applies to column-removal codes")
     if parent_R is None:
-        parent, _ = parent_code(construction, code.field, code.budget)
+        parent, _ = build_code(code.field, construction.family, construction.d,
+                               budget=code.budget)
         parent_R = parent.covering_radius()
     count = sum(code.leader_profile().get(construction.d - 1, {}).values())
     report = deep_hole_report(construction, count, parent_R)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import (DEFAULT_BUDGET, LinearCode, Matrix, _require, low_weight_census,
-                    syndrome_index)
+from .codes import DEFAULT_BUDGET, LinearCode, Matrix, _require, low_weight_census
 from .gf import GF
 
 Point = tuple[int, int, int]
@@ -228,15 +227,12 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
     q = f.q
     H = Matrix(f, [[p[t] for p in arc.points] for t in range(3)])
     code = LinearCode(H, budget)
-    lw = low_weight_census(code, 3)
+    census = low_weight_census(code, 3)
     counts = _bisecant_counts(arc)
     on_arc = set(arc.points)
     for pt in plane_points(f):
-        row_checks = []
-        for lam in range(1, q):
-            svec = tuple(f.mul(lam, c) for c in pt)
-            row = lw.table[syndrome_index(q, svec)]
-            row_checks.append(tuple(int(x) for x in row))
+        row_checks = [census.distribution_of_syndrome([f.mul(lam, c) for c in pt]).counts
+                      for lam in range(1, q)]
         if pt in on_arc:
             for row in row_checks:
                 if row[1] != 1:

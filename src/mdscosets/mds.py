@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .codes import DEFAULT_BUDGET, LinearCode, Matrix, WeightDistribution, _require
 from .combinat import binom
-from .gf import GF, field_of_order
+from .gf import GF
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,3 @@ def truncated_gdrs(field: GF, d: int, n: int,
     removed = tuple(range(n, q + 1))
     return build_code(field, "gdrs", d, removed=removed, budget=budget)
 
-
-def parent_code(construction: MdsConstruction, field: GF | None = None,
-                budget: int = DEFAULT_BUDGET) -> tuple[LinearCode, MdsConstruction]:
-    """The full-length family code a removal construction came from."""
-    if field is None:
-        field = field_of_order(construction.q)
-    return build_code(field, construction.family, construction.d, budget=budget)

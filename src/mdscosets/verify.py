@@ -20,8 +20,6 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-import numpy as np
-
 from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, coset_census,
                     low_weight_census)
 from .combinat import binom
@@ -40,15 +38,18 @@ DESK_DS = (3, 4, 5, 6)
 DESK_AMBIENT_LIMIT = 2 * 10**8  # corpus membership, q^n; independent of the census budget
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusEntry:
-    q: int
-    d: int
-    n: int
-    family: str
-    delta: int
+    """A desk code and the recipe it was built from; q, d, family and
+    Delta are the recipe's, n is the code's."""
+
     code: LinearCode
     construction: MdsConstruction
+    q = property(lambda self: self.construction.q)
+    d = property(lambda self: self.construction.d)
+    n = property(lambda self: self.code.n)
+    family = property(lambda self: self.construction.family)
+    delta = property(lambda self: self.construction.delta)
 
     @property
     def label(self) -> str:
@@ -66,11 +67,9 @@ def desk_corpus(budget: int = DEFAULT_BUDGET,
             for n in range(d, q + 2):
                 if q ** n > DESK_AMBIENT_LIMIT:
                     continue
-                code, cons = truncated_gdrs(fld, d, n, budget)
-                entries.append(CorpusEntry(q, d, n, "gdrs", cons.delta, code, cons))
+                entries.append(CorpusEntry(*truncated_gdrs(fld, d, n, budget)))
             if d == 4 and q % 2 == 0 and q ** (q + 2) <= DESK_AMBIENT_LIMIT:
-                code, cons = build_code(fld, "gtrs", budget=budget)
-                entries.append(CorpusEntry(q, d, q + 2, "gtrs", 0, code, cons))
+                entries.append(CorpusEntry(*build_code(fld, "gtrs", budget=budget)))
     return entries
 
 
@@ -378,20 +377,16 @@ def criterion_structural(cache: DeskCache) -> CriterionResult:
                            [f"{len(cache.entries)} codes checked"] + bad)
 
 
-def weight2_identity_survey(cache: DeskCache, qs=None, ds=None) -> list[dict]:
+def weight2_identity_survey(cache: DeskCache) -> list[dict]:
     """Empirical survey: do all weight-2 cosets of the length-(q+1) codes
     with gcd(q-1, d-2) = 1 share one distribution?  Reported, never asserted.
     The low-weight census suffices: B_0..B_{d-2} fix the whole distribution
     (criterion 1)."""
     findings = []
-    if qs is None:
-        qs = cache.qs
-    if ds is None:
-        ds = tuple(d for d in cache.ds if d in (5, 6))
-    for q in qs:
-        for d in ds:
-            n = q + 1
-            if d > n:
+    for q in cache.qs:
+        n = q + 1
+        for d in cache.ds:
+            if d not in (5, 6) or d > n:
                 continue
             gcd = math.gcd(q - 1, d - 2)
             finding = {"q": q, "d": d, "n": n, "gcd": gcd}
@@ -401,12 +396,9 @@ def weight2_identity_survey(cache: DeskCache, qs=None, ds=None) -> list[dict]:
                 continue
             cond = weight2_identical_check(n, d, q)
             finding["b_low_if_identical"] = cond.b_low_if_identical
-            lw = low_weight_census(cache.code(q, d), d - 2)
-            rows = np.unique(lw.table[lw.syndromes_of_weight(2)], axis=0)
-            identical = len(rows) == 1
-            b_seen = {int(r[d - 2]) for r in rows}
-            finding["status"] = "confirmed" if identical else "refuted"
-            finding["b_values"] = sorted(b_seen)
+            classes = low_weight_census(cache.code(q, d), d - 2).classes_of_weight(2)
+            finding["status"] = "confirmed" if len(classes) == 1 else "refuted"
+            finding["b_values"] = sorted({c.distribution.counts[d - 2] for c in classes})
             findings.append(finding)
     return findings
 

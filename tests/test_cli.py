@@ -120,8 +120,10 @@ def test_census_code_csv_columns(capsys):
 
 
 def test_census_budget_refusal(capsys):
+    # certifying [14,8,7]_13 needs 14*6*13^6 = 4.1*10^8 kernel steps,
+    # over the default budget, while 13^14 stays below 2^63
     code, _, err = run(capsys, "census", "code", "--family", "gdrs",
-                       "--q", "13", "--d", "6")
+                       "--q", "13", "--d", "7")
     assert code == 3
     assert "budget" in err
 
@@ -215,3 +217,7 @@ def test_out_file(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["dist", "--closed-form", "w1"]) == 2  # missing required args
     assert main(["nonsense"]) == 2
+    # options a command does not read are not offered
+    assert main(["dist", "--closed-form", "w1", "--n", "6", "--d", "4", "--q", "5",
+                 "--budget", "5"]) == 2
+    assert main(["verify", "--format", "csv"]) == 2

@@ -77,22 +77,22 @@ def test_budget_refusals_name_the_budget():
 
 
 def test_a_code_keeps_the_budget_it_was_built_with():
-    # certifying [6,3,4]_5 takes 6*4*3*5^3 = 9000 kernel steps, its full
+    # certifying [6,3,4]_5 takes 6*3*5^3 = 2250 kernel steps, its full
     # census twice that; the census runs under the code's own budget
-    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=9000)
-    with pytest.raises(BudgetExceededError, match="budget of 9000"):
+    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=2250)
+    with pytest.raises(BudgetExceededError, match="budget of 2250"):
         coset_census(code)
-    assert code.budget == 9000
+    assert code.budget == 2250
 
 
 def test_budget_unit_is_pinned():
-    # the unit is n(q-1)*wmax*q^(n-k): 6*4*3*5^3 = 9000 steps to certify [6,3,4]_5
-    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=9000)
+    # the unit is n*wmax*q^(n-k): 6*3*5^3 = 2250 steps to certify [6,3,4]_5
+    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=2250)
     assert code.min_distance() == 4
     with pytest.raises(BudgetExceededError) as refusal:
-        truncated_gdrs(field_of_order(5), 4, 6, budget=8999)
-    assert str(refusal.value) == ("syndrome trellis needs 9000 steps "
-                                  "n(q-1)*wmax*q^(n-k), over the budget of 8999")
+        truncated_gdrs(field_of_order(5), 4, 6, budget=2249)
+    assert str(refusal.value) == ("syndrome trellis needs 2250 steps "
+                                  "n*wmax*q^(n-k), over the budget of 2249")
 
 
 def test_census_classes_of_conic_code():
@@ -225,9 +225,31 @@ def test_low_weight_census_matches_full_census():
     code, _ = truncated_gdrs(f5, 4, 6)
     full = coset_census(code)
     lw = low_weight_census(code, 3)
+    assert "classes" not in vars(lw)  # rows are grouped only when read
     assert lw.fully_covered  # R = 2 < 3
     assert (lw.table == full.table[:, :4]).all()
     assert lw.profile_at(2) == {2: 60, 3: 40}
+    assert np.array_equal(lw.weights, full.weights)
+
+    # below the covering radius R = 3 of [5,2,4]_5 some syndromes go unreached
+    code, _ = truncated_gdrs(f5, 4, 5)
+    full = coset_census(code)
+    R = code.covering_radius()
+    assert R == 3
+    for wmax in range(R):
+        cut = low_weight_census(code, wmax)
+        assert not cut.fully_covered
+        assert cut.wmax == wmax
+        assert np.array_equal(cut.weights, np.where(full.weights <= wmax, full.weights, -1))
+        assert cut.count_of_weight(-1) == full.total_cosets - sum(
+            full.count_of_weight(W) for W in range(wmax + 1))
+        # the full rows cut at wmax and regrouped, unreached rows as one weight -1 class
+        rows = sorted((w if w <= wmax else -1, tuple(int(x) for x in row[:wmax + 1]))
+                      for w, row in zip(full.weights, full.table))
+        assert [((c.weight, c.distribution.counts), c.count) for c in cut.classes] \
+            == [(key, len(list(group))) for key, group in groupby(rows)], wmax
+        for W in range(wmax + 1):
+            assert cut.profile_at(W) == code.leader_profile()[W], (wmax, W)
 
 
 def test_shortened_hamming_coset_structure():

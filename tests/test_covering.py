@@ -168,13 +168,13 @@ def test_one_trellis_pass_per_code(monkeypatch):
 
 
 def test_deep_hole_parent_is_built_within_the_budget():
-    # the [6,3,4]_5 parent needs 6*4*3*5^3 = 9000 kernel steps, the
-    # [5,2,4]_5 code itself 5*4*3*5^3 = 7500
+    # the [6,3,4]_5 parent needs 6*3*5^3 = 2250 kernel steps, the
+    # [5,2,4]_5 code itself 5*3*5^3 = 1875
     f5 = field_of_order(5)
-    code, cons = truncated_gdrs(f5, 4, 5, budget=8000)
-    with pytest.raises(BudgetExceededError, match="budget of 8000"):
+    code, cons = truncated_gdrs(f5, 4, 5, budget=2000)
+    with pytest.raises(BudgetExceededError, match="budget of 2000"):
         count_deep_hole_cosets(code, cons)
-    code, cons = truncated_gdrs(f5, 4, 5, budget=9000)
+    code, cons = truncated_gdrs(f5, 4, 5, budget=2250)
     assert count_deep_hole_cosets(code, cons).parent_R == 2
 
 
