@@ -22,9 +22,10 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-# The single-sum rows, omega's one reader, ask for each entry once per
-# row build, so nothing is asked for again while its row is cached; the
-# one-entry cache is kept for its hit and miss counters.
+# The single-sum rows, omega's one reader, ask only for the w = d-1 seed
+# of each column, once per row build, so nothing is asked for again while
+# its row is cached; the one-entry cache is kept for its hit and miss
+# counters.
 OMEGA_CACHE_SIZE = 1
 
 

@@ -16,21 +16,27 @@ hold rows that are not read again.
 
 `bonneau_transformed` builds its rows from the relation above:
 K_w = A_w - omega(n,d,w,0) with A_w from `mds_weight_distribution`, and
-the coefficients from `omega`.  `bonneau_original` builds its rows from
-the classical double-sum form of the same relation: its prefix-free
+each coefficient column seeded with omega(n,d,d-1,v) and run down by the
+exact ratio of neighbouring omegas.  `bonneau_original` builds its rows
+from the classical double-sum form of the same relation: its prefix-free
 part is C(n,w) T(w, w-d+1), where T(w, m) = sum_{j<=m} (-1)^j C(w,j)
 q^(m-j) runs along the recurrence T(w+1, m+1) = (q-1) T(w, m) +
-(-1)^(m+1) C(w, m+1), and its prefix coefficients are the double sums
-of `_bw_prefix_coeff`.  Neither form reads the other's rows, A_w or
-omega, so they stay two independent derivations that must agree
-everywhere, which the test suite enforces.
+(-1)^(m+1) C(w, m+1), and its prefix coefficients are the double sums,
+each factored into a binomial running down its column times a partial
+alternating sum read from one Pascal table.  Neither form reads the
+other's rows, A_w or omega, so they stay two independent derivations
+that must agree everywhere, which the test suite enforces.  Every entry
+of either form follows from its neighbour by one multiplication and one
+exact floor division by small integers, so a row set costs one such step
+per entry (plus the n(d-1) additions of the Pascal table) and at most d
+binomials for the seeds, not binomials per entry.
 
 The per-weight functions read the single-sum rows but keep the
 specialized terms the paper states for them (B_{d-1} = C(n-1, d-1) for
 weight 1, the coefficient (-1)^(w-d) C(n-d+2, n-w) of B_{d-2} for
 weights 2 and d-2, and the whole weight-(d-1) form), so each
 specialization is checked twice: against the general formula and against
-exact censuses.
+exact censuses.  Their binomial terms, too, run along exact ratios.
 
 All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,
@@ -93,39 +99,65 @@ def _finalize(counts: list[int], q: int, n: int, d: int, strict: bool,
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _single_sum_rows(n: int, d: int, q: int) -> Rows:
-    """K_w = A_w - omega(n,d,w,0) and the columns omega(n,d,w,v)."""
+    """K_w = A_w - omega(n,d,w,0) and the columns omega(n,d,w,v), each
+    seeded at w = d-1 and run down by the ratio of neighbouring omegas,
+
+        omega(w+1) = -omega(w) (n-w)(w-v) / ((w+1-v)(w-d+2)),
+
+    which is exact: it is C(n-v, w-v) C(w-1-v, d-2-v) stepped once in
+    each binomial."""
     check_mds_params(n, d, q)
     A = mds_weight_distribution(n, d, q).counts
-    ws = range(d - 1, n + 1)
-    cols = tuple(tuple(omega(n, d, w, v) for w in ws) for v in range(d - 1))
+    cols = []
+    for v in range(d - 1):
+        c = omega(n, d, d - 1, v)
+        col = [c]
+        for w in range(d - 1, n):
+            c = -c * (n - w) * (w - v) // ((w + 1 - v) * (w - d + 2))
+            col.append(c)
+        cols.append(tuple(col))
     known = tuple(a - c for a, c in zip(A[d - 1:], cols[0]))
-    return known, cols
+    return known, tuple(cols)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _double_sum_rows(n: int, d: int, q: int) -> Rows:
     """K_w = C(n,w) T(w, w-d+1) by the T recurrence, T(d-1, 0) = 1, and
-    the columns _bw_prefix_coeff(n,d,w,v)."""
+    the columns of the double sums
+
+        sum_{j=w-d+2}^{w-v} (-1)^j C(j+n-w, j) C(n-v, w-j-v).
+
+    Each term is C(n-v, m) C(m, i) with m = w-v and i = m-j, so the sum
+    is (-1)^m C(n-v, m) S(m, d-2-v), where S(m, l) = sum_{i<=l} (-1)^i
+    C(m, i) comes from the Pascal table S(m+1, l) = S(m, l) - S(m, l-1),
+    S(m, 0) = 1, and C(n-v, m) runs down the column."""
     check_mds_params(n, d, q)
-    ws = range(d - 1, n + 1)
     known = []
     t = 1  # T(w, w-d+1)
-    for w in ws:
+    c_nw = binom(n, d - 1)  # C(n, w)
+    c_wd = d - 1  # C(w, d-2) = C(w, w-d+2)
+    for w in range(d - 1, n + 1):
         m = w - d + 1
-        known.append(binom(n, w) * t)
-        t = (q - 1) * t - (-1 if m % 2 else 1) * binom(w, m + 1)
-    cols = tuple(tuple(_bw_prefix_coeff(n, d, w, v) for w in ws) for v in range(d - 1))
-    return tuple(known), cols
-
-
-def _bw_prefix_coeff(n: int, d: int, w: int, v: int) -> int:
-    """sum_{j=w-d+2}^{w-v} (-1)^j C(j+n-w, j) C(n-v, w-j-v); every binomial
-    is in range, so math.comb needs no zero convention here."""
-    acc = 0
-    for j in range(w - d + 2, w - v + 1):
-        term = math.comb(j + n - w, j) * math.comb(n - v, w - j - v)
-        acc += -term if j % 2 else term
-    return acc
+        known.append(c_nw * t)
+        t = (q - 1) * t - (-1 if m % 2 else 1) * c_wd
+        c_nw = c_nw * (n - w) // (w + 1)
+        c_wd = c_wd * (w + 1) // (m + 2)
+    # S[m][l] for m = 0..n and l = 0..d-2
+    S = [[1] * (d - 1)]
+    for _ in range(n):
+        prev = S[-1]
+        S.append([1] + [prev[l] - prev[l - 1] for l in range(1, d - 1)])
+    cols = []
+    for v in range(d - 1):
+        l = d - 2 - v
+        c = binom(n - v, d - 1 - v)  # C(n-v, m) at m = d-1-v
+        col = []
+        for m in range(d - 1 - v, n - v + 1):
+            s = c * S[m][l]
+            col.append(-s if m % 2 else s)
+            c = c * (n - v - m) // (m + 1)
+        cols.append(tuple(col))
+    return tuple(known), tuple(cols)
 
 
 def _tail(rows: Rows, counts) -> list[int]:
@@ -153,9 +185,14 @@ def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDist
 
 
 def _b_low_terms(n: int, d: int, b_low: int) -> list[int]:
-    """(-1)^(w-d) C(n-d+2, n-w) * B_{d-2} for w = d-1..n."""
-    return [(-1 if (w - d) % 2 else 1) * binom(n - d + 2, n - w) * b_low
-            for w in range(d - 1, n + 1)]
+    """(-1)^(w-d) C(n-d+2, n-w) * B_{d-2} for w = d-1..n, by the ratio
+    C(N, k-1) = C(N, k) k / (N-k+1) as n-w steps down from n-d+1."""
+    c = -(n - d + 2)  # the signed binomial at w = d-1
+    terms = []
+    for w in range(d - 1, n + 1):
+        terms.append(c * b_low)
+        c = -c * (n - w) // (w - d + 3)
+    return terms
 
 
 def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
@@ -218,9 +255,11 @@ def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
     A = mds_weight_distribution(n, d, q).counts
     B = [0] * (n + 1)
     B[d - 1] = binom(n, d - 1)
+    # (-1)^(w-d) C(n,w) C(w-1,d-2), from w = d on by the ratio of neighbours
+    c = B[d - 1] * (n - d + 1) * (d - 1) // d
     for w in range(d, n + 1):
-        sign = -1 if (w - d) % 2 else 1
-        B[w] = A[w] - sign * binom(n, w) * binom(w - 1, d - 2)
+        B[w] = A[w] - c
+        c = -c * (n - w) * w // ((w + 1) * (w - d + 2))
     return _finalize(B, q, n, d, strict=True, what="farthest-off parameters")
 
 

@@ -125,17 +125,23 @@ def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
 
         T(w+1, m+1) = (q-1) T(w, m) + (-1)^(m+1) C(w, m+1),   T(d, 0) = 1,
 
-    so the row costs O(n) big-integer steps.
+    so the row costs O(n) big-integer steps.  C(n, w) and C(w, m+1) =
+    C(w, d-1) run along exact ratios, and C(w-1, m) is the latter's value
+    one step back, so the row takes one binomial.
     """
     check_mds_params(n, d, q)
     counts = [0] * (n + 1)
     counts[0] = 1
     t = 1  # T(w, w-d)
+    c_nw = binom(n, d)  # C(n, w)
+    c_prev, c_next = 1, d  # C(w-1, m) and C(w, m+1)
     for w in range(d, n + 1):
         m = w - d
         sign = -1 if m % 2 else 1
-        counts[w] = binom(n, w) * (q * t - sign * binom(w - 1, m))
-        t = (q - 1) * t - sign * binom(w, m + 1)
+        counts[w] = c_nw * (q * t - sign * c_prev)
+        t = (q - 1) * t - sign * c_next
+        c_nw = c_nw * (n - w) // (w + 1)
+        c_prev, c_next = c_next, c_next * (w + 1) // (m + 2)
     dist = WeightDistribution(tuple(counts))
     _require(dist.total() == q ** (n - d + 1), "MDS weight distribution does not total q^k")
     return dist

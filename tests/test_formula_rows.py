@@ -1,8 +1,11 @@
 """Coefficient rows of the two Bonneau forms: every entry against the
 defining sums, both forms against each other and every closed form on
-random parameters, and the bounds of the formula caches."""
+random parameters, the work a row build does, and the bounds of the
+formula caches."""
 
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +16,18 @@ from mdscosets.combinat import omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 _double_sum_rows, _single_sum_rows,
                                 bonneau_original, bonneau_transformed,
-                                dist_weight1, dist_weight2, dist_weight_d1,
-                                dist_weight_d2, dist_weight_mid)
+                                _b_low_terms, dist_weight1, dist_weight2,
+                                dist_weight_d1, dist_weight_d2, dist_weight_mid)
 from mdscosets.mds import mds_weight_distribution
-from reference_sums import bw_known_part, mds_weight_distribution_sum
+from reference_sums import (b_low_term, bw_known_part, bw_prefix_coeff,
+                            farthest_off_term, mds_weight_distribution_sum,
+                            omega_coeff)
 
+# the stream's extremes, then the boundaries of the MDS range: n = q+2,
+# d = n and q = 2
 ROW_TUPLES = [(257, 10, 256), (200, 9, 199), (128, 7, 127), (66, 3, 64),
-              (18, 4, 16), (5, 5, 5), (3, 3, 2)]
+              (18, 4, 16), (5, 5, 5), (3, 3, 2), (18, 3, 16), (4, 4, 2),
+              (4, 3, 2), (33, 33, 32), (10, 10, 8)]
 
 
 def _is_prime_power(q):
@@ -48,9 +56,43 @@ def test_rows_match_defining_sums(n, d, q):
     assert len(single_cols) == len(double_cols) == d - 1
     for v, col in enumerate(single_cols):
         assert col == tuple(omega(n, d, w, v) for w in ws)
+    for v, col in enumerate(double_cols):
+        assert col == tuple(bw_prefix_coeff(n, d, w, v) for w in ws)
     # the two forms agree for every prefix, so their rows must be equal
     assert single_known == double_known
     assert single_cols == double_cols
+
+
+@st.composite
+def mds_params(draw):
+    q = draw(st.sampled_from(tuple(q for q in PRIME_POWERS if q <= 64)))
+    n = draw(st.integers(3, q + 2))
+    d = draw(st.integers(3, min(n, 16)))
+    return n, d, q
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(mds_params())
+def test_rows_and_closed_form_terms_match_reference_sums(params):
+    n, d, q = params
+    ws = range(d - 1, n + 1)
+    A = mds_weight_distribution_sum(n, d, q)
+    single_known, single_cols = _single_sum_rows(n, d, q)
+    double_known, double_cols = _double_sum_rows(n, d, q)
+    assert single_known == tuple(A[w] - omega_coeff(n, d, w, 0) for w in ws)
+    assert double_known == tuple(bw_known_part(n, d, q, w) for w in ws)
+    assert single_cols == tuple(tuple(omega_coeff(n, d, w, v) for w in ws)
+                                for v in range(d - 1))
+    assert double_cols == tuple(tuple(bw_prefix_coeff(n, d, w, v) for w in ws)
+                                for v in range(d - 1))
+    assert _b_low_terms(n, d, 7) == [7 * b_low_term(n, d, w) for w in ws]
+    B = [0] * (d - 1) + [math.comb(n, d - 1)] + \
+        [A[w] - farthest_off_term(n, d, w) for w in range(d, n + 1)]
+    if min(B) < 0:
+        with pytest.raises(InconsistentPrefixError):
+            dist_weight_d1(n, d, q)
+    else:
+        assert dist_weight_d1(n, d, q).counts == tuple(B)
 
 
 def _closed_forms(n, d, q, counts, W):
@@ -108,6 +150,40 @@ def test_forms_and_closed_forms_agree_on_random_parameters(query):
         else:
             with pytest.raises(InconsistentPrefixError):
                 form()
+
+
+def test_row_builds_take_no_per_entry_binomials(monkeypatch):
+    n, d, q = 257, 10, 256
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[module.__name__, name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("omega", "binom", "mds_weight_distribution"):
+        counting(formulas, name)
+    counting(mds, "binom")
+    formulas._double_sum_rows.__wrapped__(n, d, q)
+    # the double sums read neither omega nor A_w; they seed K_w and each
+    # of the d-1 columns with one binomial and step every other entry
+    assert calls["mdscosets.formulas", "omega"] == 0
+    assert calls["mdscosets.formulas", "mds_weight_distribution"] == 0
+    assert calls["mdscosets.formulas", "binom"] <= d
+    calls.clear()
+    formulas._single_sum_rows.__wrapped__(n, d, q)
+    # one omega per column, at w = d-1; the (n-d+2)(d-1) entries follow by ratios
+    assert calls["mdscosets.formulas", "omega"] == d - 1
+    assert calls["mdscosets.formulas", "binom"] == 0
+    calls.clear()
+    mds.mds_weight_distribution.__wrapped__(n, d, q)
+    assert calls["mdscosets.mds", "binom"] == 1
+    formulas._b_low_terms(n, d, 5)
+    formulas.dist_weight_d1(n, d, q)
+    assert calls["mdscosets.formulas", "binom"] == 1
 
 
 def _module_caches():
