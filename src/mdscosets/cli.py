@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[without_csv, budget],
                             help="run the desk-corpus verification")
-    verify.add_argument("--corpus", choices=("default",), default="default")
     verify.add_argument("--theorem", help=f"one of {sorted(THEOREM_NAMES)}")
     verify.add_argument("--q", type=int, help="restrict the corpus to one q")
     verify.add_argument("--d", type=int, help="restrict the corpus to one d")

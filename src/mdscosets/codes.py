@@ -27,7 +27,7 @@ the limit named, never sampled.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class WeightDistribution:
         return None
 
     def is_nonnegative(self) -> bool:
-        return all(c >= 0 for c in self.counts)
+        return min(self.counts) >= 0
 
 
 class Matrix:
@@ -171,44 +171,12 @@ class LinearCode:
         self.field = H.field
         self.n = H.ncols
         self.k = H.ncols - H.nrows
-        self._G: Matrix | None = None
         self._leaders: tuple[int, dict[int, dict[int, int]]] | None = None
 
     @property
     def r(self) -> int:
         """Redundancy n - k (number of parity checks)."""
         return self.n - self.k
-
-    def syndrome(self, x) -> tuple[int, ...]:
-        if len(x) != self.n:
-            raise ValueError(f"vector length {len(x)} != code length {self.n}")
-        f = self.field
-        for a in x:
-            f.check(a)
-        return tuple(
-            reduce(f.add, (f.mul(row[j], x[j]) for j in range(self.n)), 0)
-            for row in self.H.rows)
-
-    @property
-    def generator_matrix(self) -> Matrix:
-        """A generator matrix derived from H by elimination; H G^T = 0 is checked."""
-        if self._G is None:
-            reduced, pivots = _rref(self.field, self.H.rows)
-            pivot_set = set(pivots)
-            free = [c for c in range(self.n) if c not in pivot_set]
-            rows = []
-            for c in free:
-                g = [0] * self.n
-                g[c] = 1
-                for t, pc in enumerate(pivots):
-                    g[pc] = self.field.neg(reduced[t][c])
-                rows.append(g)
-            G = Matrix(self.field, rows, ncols=self.n)
-            zero = (0,) * self.r
-            _require(all(self.syndrome(g) == zero for g in rows),
-                     "a generator row has a nonzero syndrome")
-            self._G = G
-        return self._G
 
     def _leader_memo(self) -> tuple[int, dict[int, dict[int, int]]]:
         """(d, leader profile), from the one weight-(n-k) census this code
@@ -406,19 +374,6 @@ class CosetCensus:
     def distribution_of_syndrome(self, svec) -> WeightDistribution:
         idx = syndrome_index(self.code.field.q, svec)
         return WeightDistribution(tuple(self.table[idx].tolist()))
-
-    def scalar_invariance_holds(self) -> bool:
-        """Buckets of s and alpha*s agree for every syndrome and alpha != 0."""
-        f = self.code.field
-        q, r = f.q, self.code.r
-        idxs = np.arange(q**r)
-        digits = [((idxs // q**t) % q) for t in range(r)]
-        for alpha in range(2, q):
-            mul_row = np.array([f.mul(alpha, x) for x in range(q)], dtype=np.int64)
-            mapped = sum(mul_row[digits[t]] * q**t for t in range(r))
-            if not np.array_equal(self.table, self.table[mapped]):
-                return False
-        return True
 
 
 def coset_census(code: LinearCode) -> CosetCensus:

@@ -2,10 +2,9 @@
 
 Points are homogeneous coordinate triples normalized so the first
 nonzero coordinate is 1, making equality a plain tuple comparison.
-Lines are normalized dual triples.  Bisecants are counted by walking
-them, not by testing points against lines: on an arc, the bisecant
-through a and b holds, besides a and b, exactly the q-1 points a + t*b
-(t != 0), none of them on the arc.
+Bisecants are counted by walking them, not by testing points against
+lines: on an arc, the bisecant through a and b holds, besides a and b,
+exactly the q-1 points a + t*b (t != 0), none of them on the arc.
 
 The arcs of interest trace the parity-check columns of the distance-4
 codes: the conic {(1, t, t^2)} u {(0,0,1)}, for even q the regular
@@ -46,15 +45,6 @@ def det3(field: GF, a: Point, b: Point, c: Point) -> int:
     return f.sub(pos, neg)
 
 
-def line_through(field: GF, a: Point, b: Point) -> Point:
-    """Normalized dual coordinates of the line joining two distinct points."""
-    f = field
-    cross = (f.sub(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
-             f.sub(f.mul(a[2], b[0]), f.mul(a[0], b[2])),
-             f.sub(f.mul(a[0], b[1]), f.mul(a[1], b[0])))
-    return normalize_point(f, cross)
-
-
 def plane_points(field: GF) -> list[Point]:
     """All q^2 + q + 1 points of PG(2, q), canonically normalized."""
     q = field.q
@@ -83,16 +73,6 @@ class Arc:
     @property
     def n(self) -> int:
         return len(self.points)
-
-    def unisecants_through(self, point: Point) -> int:
-        """Number of lines meeting the arc exactly at the given arc point."""
-        if point not in self.points:
-            raise ValueError("not an arc point")
-        f = self.field
-        q = f.q
-        others = [p for p in self.points if p != point]
-        secants = {line_through(f, point, p) for p in others}
-        return (q + 1) - len(secants)
 
 
 def conic_points(field: GF) -> Arc:

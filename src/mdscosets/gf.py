@@ -239,9 +239,6 @@ class GF:
         e %= self.q - 1
         return self._alog[(self._log[a] * e) % (self.q - 1)]
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def nonzero(self) -> range:
         return range(1, self.q)
 

@@ -47,10 +47,6 @@ class MdsConstruction:
     def delta(self) -> int:
         return len(self.removed)
 
-    @property
-    def full_length(self) -> int:
-        return self.q + 2 if self.family == "gtrs" else self.q + 1
-
 
 def gdrs_parity(field: GF, d: int) -> Matrix:
     """The (d-1) x (q+1) doubly-extended parity-check matrix over GF(q)."""

@@ -56,23 +56,6 @@ class CorpusEntry:
         return f"[{self.n},{self.code.k},{self.d}]_{self.q} {self.family}"
 
 
-def desk_corpus(budget: int = DEFAULT_BUDGET,
-                qs=DESK_QS, ds=DESK_DS) -> list[CorpusEntry]:
-    entries = []
-    for q in qs:
-        fld = field_of_order(q)
-        for d in ds:
-            if d > q + 1:
-                continue
-            for n in range(d, q + 2):
-                if q ** n > DESK_AMBIENT_LIMIT:
-                    continue
-                entries.append(CorpusEntry(*truncated_gdrs(fld, d, n, budget)))
-            if d == 4 and q % 2 == 0 and q ** (q + 2) <= DESK_AMBIENT_LIMIT:
-                entries.append(CorpusEntry(*build_code(fld, "gtrs", budget=budget)))
-    return entries
-
-
 class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
@@ -86,7 +69,17 @@ class DeskCache:
         self.budget = budget
         self.qs = tuple(qs)
         self.ds = tuple(ds)
-        self.entries = desk_corpus(budget, qs, ds)
+        self.entries: list[CorpusEntry] = []
+        for q in self.qs:
+            fld = field_of_order(q)
+            for d in self.ds:
+                if d > q + 1:
+                    continue
+                for n in range(d, q + 2):
+                    if q ** n <= DESK_AMBIENT_LIMIT:
+                        self.entries.append(CorpusEntry(*truncated_gdrs(fld, d, n, budget)))
+                if d == 4 and q % 2 == 0 and q ** (q + 2) <= DESK_AMBIENT_LIMIT:
+                    self.entries.append(CorpusEntry(*build_code(fld, "gtrs", budget=budget)))
         self._by_params = {(e.q, e.d, e.n, e.family): e for e in self.entries}
         self._census: dict[LinearCode, CosetCensus] = {}
         self._built: dict[tuple[int, int, int, str], LinearCode] = {}
@@ -117,9 +110,6 @@ class DeskCache:
                                              removed=range(n, full_length),
                                              budget=self.budget)
         return self._built[key]
-
-    def parent_R(self, q: int, d: int) -> int:
-        return self.code(q, d).covering_radius()
 
 
 @dataclass
@@ -329,7 +319,8 @@ def deep_hole_equality(cache: DeskCache) -> tuple[list[str], list[str]]:
             continue
         removals += 1
         count = cache.census(entry).count_of_weight(entry.d - 1)
-        rep = deep_hole_report(entry.construction, count, cache.parent_R(entry.q, entry.d))
+        parent_R = cache.code(entry.q, entry.d).covering_radius()
+        rep = deep_hole_report(entry.construction, count, parent_R)
         if rep.holds:
             continue
         if rep.equality_required:

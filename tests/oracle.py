@@ -1,6 +1,59 @@
 """Pure-Python brute force the library is checked against; it uses
-neither numpy nor any MDS theory, only GF arithmetic, H, G, det3 and plane_points."""
-from mdscosets.geometry import det3, plane_points
+neither numpy nor any MDS theory, only GF arithmetic, H, elimination
+(`_rref`), det3, normalize_point and plane_points.
+
+It defines the syndrome H x^T of a vector, a generator matrix of a code
+by elimination on H, the line through two plane points and the number
+of unisecants through an arc point, and from these the brute counts:
+every vector's syndrome and weight, the codeword weights spanned by G,
+and the bisecant count of every off-arc point.
+"""
+from functools import reduce
+
+from mdscosets.codes import _rref
+from mdscosets.geometry import det3, normalize_point, plane_points
+
+
+def syndrome(code, x):
+    """H x^T as a tuple, one GF sum per parity check."""
+    if len(x) != code.n:
+        raise ValueError(f"vector length {len(x)} != code length {code.n}")
+    f = code.field
+    return tuple(reduce(f.add, (f.mul(h, a) for h, a in zip(row, x)), 0)
+                 for row in code.H.rows)
+
+
+def generator_matrix(code):
+    """The rows of a generator matrix: one per free column of the reduced
+    H, that column set to 1 and the pivot columns solved for."""
+    f = code.field
+    reduced, pivots = _rref(f, code.H.rows)
+    rows = []
+    for c in [c for c in range(code.n) if c not in pivots]:
+        g = [0] * code.n
+        g[c] = 1
+        for t, pc in enumerate(pivots):
+            g[pc] = f.neg(reduced[t][c])
+        rows.append(g)
+    return rows
+
+
+def line_through(field, a, b):
+    """Normalized dual coordinates a x b of the line joining two distinct points."""
+    f = field
+    cross = (f.sub(f.mul(a[1], b[2]), f.mul(a[2], b[1])),
+             f.sub(f.mul(a[2], b[0]), f.mul(a[0], b[2])),
+             f.sub(f.mul(a[0], b[1]), f.mul(a[1], b[0])))
+    return normalize_point(f, cross)
+
+
+def unisecants_through(arc, point):
+    """Lines of PG(2, q) meeting the arc only at `point`: the q+1 lines
+    through it less the secants to the other arc points."""
+    if point not in arc.points:
+        raise ValueError("not an arc point")
+    secants = {line_through(arc.field, point, p) for p in arc.points if p != point}
+    return arc.field.q + 1 - len(secants)
 
 
 def brute_table(code):
@@ -24,7 +77,7 @@ def brute_codeword_weights(code):
     """B_0..B_n of the code, walking the q^k codewords spanned by G."""
     f, words = code.field, [(0,) * code.n]
     add = [[f.add(a, b) for b in range(f.q)] for a in range(f.q)]
-    for g in code.generator_matrix.rows:
+    for g in generator_matrix(code):
         scaled = [[f.mul(c, y) for y in g] for c in range(f.q)]
         words = [tuple(add[x][y] for x, y in zip(w, s)) for w in words for s in scaled]
     weights = [code.n - w.count(0) for w in words]

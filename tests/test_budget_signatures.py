@@ -9,8 +9,8 @@ import mdscosets
 from mdscosets import LinearCode
 
 CODE_CONSTRUCTORS = {"LinearCode", "build_code", "truncated_gdrs", "geometry_code_bridge"}
-# these build the desk corpus and pass the budget on
-CORPUS_BUILDERS = {"desk_corpus", "DeskCache"}
+# this builds the desk corpus and passes the budget on
+CORPUS_BUILDERS = {"DeskCache"}
 
 
 def _takes_budget(obj) -> bool:

@@ -221,3 +221,4 @@ def test_usage_error_exit_code(capsys):
     assert main(["dist", "--closed-form", "w1", "--n", "6", "--d", "4", "--q", "5",
                  "--budget", "5"]) == 2
     assert main(["verify", "--format", "csv"]) == 2
+    assert main(["verify", "--corpus", "default"]) == 2  # refused before any corpus is built

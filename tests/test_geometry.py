@@ -6,12 +6,12 @@ from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
                                 conic_points,
                                 double_shortened_conic_census_formulas,
                                 geometry_code_bridge, hyperoval_census_formulas,
-                                hyperoval_points, line_through,
+                                hyperoval_points,
                                 normalize_point, plane_points, shortened_conic,
                                 shortened_conic_census_formulas)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import gdrs_parity
-from oracle import brute_bisecant_classes
+from oracle import brute_bisecant_classes, line_through, unisecants_through
 
 
 def test_point_normalization():
@@ -66,7 +66,7 @@ def test_arc_line_counts():
                  for i, a in enumerate(arc.points) for b in arc.points[i + 1:]}
         assert len(lines) == binom(arc.n, 2)
         for p in arc.points:
-            assert arc.unisecants_through(p) == q + 2 - arc.n
+            assert unisecants_through(arc, p) == q + 2 - arc.n
 
 
 def test_bisecant_census_conic_examples():

@@ -71,7 +71,7 @@ def test_element_validation_and_zero_inverse():
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_field_axioms_exhaustive(q):
     f = field_of_order(q)
-    elems = list(f.elements())
+    elems = list(range(f.q))
     for a in elems:
         assert f.add(a, 0) == a and f.mul(a, 1) == a
         assert f.add(a, f.neg(a)) == 0

@@ -130,4 +130,3 @@ def test_construction_records_removals():
     code, cons = truncated_gdrs(f7, 4, 6)
     assert cons.removed == (6, 7)
     assert cons.delta == 2
-    assert cons.full_length == 8
