@@ -1,10 +1,16 @@
 """Incidence computations in the projective plane PG(2, q).
 
 Points are homogeneous coordinate triples normalized so the first
-nonzero coordinate is 1, making equality a plain tuple comparison.
-Bisecants are counted by walking them, not by testing points against
-lines: on an arc, the bisecant through a and b holds, besides a and b,
-exactly the q-1 points a + t*b (t != 0), none of them on the arc.
+nonzero coordinate is 1, making equality a plain tuple comparison; the
+array code ranks them in plane order (see _plane_ranks).  Bisecants are
+counted by walking them, not by testing points against lines: on an
+arc, the bisecant through a and b holds, besides a and b, exactly the
+q-1 points a + t*b (t != 0), none of them on the arc (Hirschfeld,
+Projective Geometries over Finite Fields).  The walk runs on the field's
+array tables, one step per arc point a_i: the (n-i-1) x (q-1) points
+a_i + t*a_j are formed, normalized and ranked as arrays and tallied by
+one bincount.  The same walk validates an Arc: distinct points are an
+arc exactly when it meets none of them.
 
 The arcs of interest trace the parity-check columns of the distance-4
 codes: the conic {(1, t, t^2)} u {(0,0,1)}, for even q the regular
@@ -12,12 +18,15 @@ hyperoval (conic plus nucleus (0,1,0)), and the conic with its last one
 or two points removed.  A bisecant census sorts the points off an arc
 by how many of the arc's bisecants pass through them; the census on the
 code side must match it coset class by coset class, which
-`geometry_code_bridge` verifies.
+`geometry_code_bridge` verifies by gathering the census rows of all
+(q-1)(q^2+q+1) syndromes lam*pt at once and checking them as arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .codes import DEFAULT_BUDGET, LinearCode, Matrix, _require, low_weight_census
 from .gf import GF
@@ -34,41 +43,71 @@ def normalize_point(field: GF, coords) -> Point:
     return tuple(field.mul(scale, c) for c in coords)  # type: ignore[return-value]
 
 
-def det3(field: GF, a: Point, b: Point, c: Point) -> int:
-    f = field
-    pos = f.add(f.add(f.mul(a[0], f.mul(b[1], c[2])),
-                      f.mul(a[1], f.mul(b[2], c[0]))),
-                f.mul(a[2], f.mul(b[0], c[1])))
-    neg = f.add(f.add(f.mul(a[2], f.mul(b[1], c[0])),
-                      f.mul(a[0], f.mul(b[2], c[1]))),
-                f.mul(a[1], f.mul(b[0], c[2])))
-    return f.sub(pos, neg)
+# The q^2 + q + 1 points of PG(2, q) are ranked in plane order:
+# (1, y, z) -> y*q + z, then (0, 1, z) -> q^2 + z, then (0, 0, 1) -> q^2 + q.
 
-
-def plane_points(field: GF) -> list[Point]:
-    """All q^2 + q + 1 points of PG(2, q), canonically normalized."""
+def _plane_ranks(field: GF, x, y, z) -> np.ndarray:
+    """Plane rank of each point (x, y, z), scaled so its leading nonzero
+    coordinate is 1."""
     q = field.q
-    pts: list[Point] = [(1, y, z) for y in range(q) for z in range(q)]
-    pts += [(0, 1, z) for z in range(q)]
-    pts.append((0, 0, 1))
-    return pts
+    scale = field.inv_array(np.where(x != 0, x, np.where(y != 0, y, z)))
+    y1, z1 = field.mul_array(scale, y), field.mul_array(scale, z)
+    return np.where(x != 0, y1 * q + z1, np.where(y != 0, q * q + z1, q * q + q))
+
+
+def _plane_coords(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalized coordinates (x, y, z) of every point, in plane order."""
+    rank = np.arange(q * q + q + 1, dtype=np.int64)
+    affine, line = rank < q * q, rank < q * q + q
+    x = affine.astype(np.int64)
+    y = np.where(affine, rank // q, line.astype(np.int64))
+    z = np.where(affine, rank % q, np.where(line, rank - q * q, 1))
+    return x, y, z
+
+
+def _arc_arrays(arc: "Arc") -> tuple[np.ndarray, np.ndarray]:
+    """The arc's points as an (n, 3) array, and their plane ranks."""
+    coords = np.array(arc.points, dtype=np.int64).reshape(-1, 3)
+    return coords, _plane_ranks(arc.field, *coords.T)
+
+
+def _bisecant_walk(field: GF, coords: np.ndarray):
+    """For each arc point a_i in turn, yield the array whose entry
+    [j - i - 1, t - 1] is the plane rank of a_i + t*a_j, for each later arc
+    point a_j and t != 0.  On an arc these are the q-1 off-arc points of
+    the bisecant a_i a_j."""
+    add = field.add_table()
+    t = np.arange(1, field.q)
+    for i in range(len(coords) - 1):
+        a, later = coords[i], coords[i + 1:, :, None]
+        yield _plane_ranks(field, *(add[a[c], field.mul_array(t, later[:, c])]
+                                    for c in range(3)))
 
 
 class Arc:
-    """An ordered n-arc in PG(2, q): no three points collinear."""
+    """An ordered n-arc in PG(2, q): no three points collinear.
+
+    Distinct points form an arc exactly when the bisecant walk meets none
+    of them: the walk from a_i to a_j reaches every other point of their
+    line."""
 
     def __init__(self, field: GF, points):
         self.field = field
         self.points = [normalize_point(field, p) for p in points]
         if len(set(self.points)) != len(self.points):
             raise ValueError("repeated arc point")
-        n = len(self.points)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if det3(field, self.points[i], self.points[j], self.points[k]) == 0:
-                        raise ValueError(
-                            f"points {i},{j},{k} are collinear; not an arc")
+        coords, ranks = _arc_arrays(self)
+        index = np.full(field.q ** 2 + field.q + 1, -1, dtype=np.int64)
+        index[ranks] = np.arange(self.n)
+        for i, walked in enumerate(_bisecant_walk(field, coords)):
+            hit = index[walked]
+            js, ts = np.nonzero(hit >= 0)
+            if js.size:
+                # i is the least index on any collinear triple, so every
+                # hit k exceeds i; name the least triple, as (i, j, k)
+                j, k = min(sorted((int(j) + i + 1, int(k)))
+                           for j, k in zip(js, hit[js, ts]))
+                raise ValueError(f"points {i},{j},{k} are collinear; not an arc")
 
     @property
     def n(self) -> int:
@@ -110,30 +149,27 @@ class PointCensus:
     covered: int
 
 
-def _bisecant_counts(arc: Arc) -> dict[Point, int]:
-    """{off-arc point: bisecants through it}, walking each bisecant's q-1
-    off-arc points a + t*b once; points on no bisecant are absent."""
-    f = arc.field
-    counts: dict[Point, int] = {}
-    for i, a in enumerate(arc.points):
-        for b in arc.points[i + 1:]:
-            for t in f.nonzero():
-                pt = normalize_point(f, [f.add(x, f.mul(t, y)) for x, y in zip(a, b)])
-                counts[pt] = counts.get(pt, 0) + 1
-    _require(set(arc.points).isdisjoint(counts), "a bisecant meets the arc a third time")
+def _bisecant_counts(arc: Arc) -> np.ndarray:
+    """Bisecants through each point of PG(2, q), indexed by plane rank:
+    one bincount per step of the walk."""
+    q = arc.field.q
+    coords, ranks = _arc_arrays(arc)
+    counts = np.zeros(q * q + q + 1, dtype=np.int64)
+    for walked in _bisecant_walk(arc.field, coords):
+        counts += np.bincount(walked.ravel(), minlength=counts.size)
+    _require(not counts[ranks].any(), "a bisecant meets the arc a third time")
     return counts
 
 
-def _point_census(arc: Arc, counts: dict[Point, int]) -> PointCensus:
+def _point_census(arc: Arc, counts: np.ndarray) -> PointCensus:
     """Class the off-arc points by bisecant count; those the walk never
     reached lie on none."""
-    q = arc.field.q
-    off_arc = q * q + q + 1 - arc.n
-    tally: dict[int, int] = {}
-    for b in counts.values():
-        tally[b] = tally.get(b, 0) + 1
-    if off_arc > len(counts):
-        tally[0] = off_arc - len(counts)
+    off_arc = counts.size - arc.n
+    values, npts = np.unique(counts[counts > 0], return_counts=True)
+    tally = {int(b): int(c) for b, c in zip(values, npts)}
+    reached = int(npts.sum())
+    if off_arc > reached:
+        tally[0] = off_arc - reached
     return PointCensus(tuple(sorted(tally.items(), reverse=True)), off_arc)
 
 
@@ -209,25 +245,28 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
     code = LinearCode(H, budget)
     census = low_weight_census(code, 3)
     counts = _bisecant_counts(arc)
-    on_arc = set(arc.points)
-    for pt in plane_points(f):
-        row_checks = [census.distribution_of_syndrome([f.mul(lam, c) for c in pt]).counts
-                      for lam in range(1, q)]
-        if pt in on_arc:
-            for row in row_checks:
-                if row[1] != 1:
-                    raise ValueError(f"arc point {pt}: expected a weight-1 coset, got {row}")
-            continue
-        b = counts.get(pt, 0)
-        for row in row_checks:
-            if b >= 1:
-                if row[1] != 0 or row[2] != b:
-                    raise ValueError(
-                        f"class with {b} bisecants: point {pt} gives coset counts {row}")
-            else:
-                if row[1] != 0 or row[2] != 0 or row[3] == 0:
-                    raise ValueError(
-                        f"bisecant-free class: point {pt} gives coset counts {row}")
+    # rows[p, lam - 1] is the census row of the syndrome lam*pt, pt the
+    # point of plane rank p; a syndrome s sits at row s_0 + s_1 q + s_2 q^2
+    coords = _plane_coords(q)
+    lam = np.arange(1, q)
+    rows = census.table[sum(f.mul_array(lam, c[:, None]) * q**t
+                            for t, c in enumerate(coords))]
+    on_arc = np.zeros(counts.size, dtype=bool)
+    on_arc[_arc_arrays(arc)[1]] = True
+    b = counts[:, None]
+    B1, B2, B3 = rows[..., 1], rows[..., 2], rows[..., 3]
+    ok = np.where(on_arc[:, None], B1 == 1,
+                  (B1 == 0) & np.where(b >= 1, B2 == b, (B2 == 0) & (B3 != 0)))
+    if not ok.all():
+        p, lam_i = divmod(int(np.argmin(ok)), q - 1)  # first failure, plane order then lam
+        pt = tuple(int(c[p]) for c in coords)
+        row = tuple(rows[p, lam_i].tolist())
+        if on_arc[p]:
+            raise ValueError(f"arc point {pt}: expected a weight-1 coset, got {row}")
+        if counts[p]:
+            raise ValueError(
+                f"class with {counts[p]} bisecants: point {pt} gives coset counts {row}")
+        raise ValueError(f"bisecant-free class: point {pt} gives coset counts {row}")
     census = _point_census(arc, counts)
     entries = tuple(BridgeEntry(b, npts, 2 if b else 3, (q - 1) * npts)
                     for b, npts in census.classes)

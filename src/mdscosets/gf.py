@@ -6,6 +6,9 @@ base p, constant term in the least significant digit, so 0 and 1 are
 the additive and multiplicative identities of every field.  Prime
 fields use direct modular arithmetic; extension fields multiply through
 log/antilog tables over a generator of the multiplicative group.
+Arrays of labels are added through add_table() and multiplied and
+inverted through the same log/antilog tables (mul_array, inv_array),
+built once per field on first use, in integers only.
 
 Construction verifies its own tables: the stored generator has exact
 multiplicative order q - 1 and every nonzero element has an inverse.
@@ -124,6 +127,7 @@ class GF:
             self.poly = coeffs
         self._build_tables()
         self._add_table: np.ndarray | None = None
+        self._array_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- raw ops on packed coefficient vectors, used to build the tables --
 
@@ -243,7 +247,8 @@ class GF:
         return range(1, self.q)
 
     def add_table(self) -> np.ndarray:
-        """Cached (q, q) numpy addition table; backs the vectorized censuses."""
+        """Cached (q, q) numpy addition table; backs the vectorized censuses
+        and plane walks."""
         if self._add_table is None:
             dtype = np.uint8 if self.q <= 256 else np.uint16
             idx = np.arange(self.q, dtype=np.int64)
@@ -253,6 +258,31 @@ class GF:
                 tab += ((da[:, None] + db[None, :]) % self.p) * pp
             self._add_table = tab.astype(dtype)
         return self._add_table
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log, antilog, inverse) as int64 arrays, built once from _log/_alog.
+
+        log[0] is 2(q-1) and the antilog runs over two cycles of q-1 and
+        then zeros, so log[a] + log[b] indexes the product of any a, b, a
+        zero factor landing past the cycles, on 0.  inverse[0] is 0.
+        """
+        if self._array_tables is None:
+            q1 = self.q - 1
+            alog = np.array(self._alog, dtype=np.int64)
+            log = np.array([2 * q1] + self._log[1:], dtype=np.int64)
+            alog2 = np.concatenate([alog, alog, np.zeros(2 * q1 + 1, dtype=np.int64)])
+            inverse = np.concatenate([[0], alog[-log[1:] % q1]])
+            self._array_tables = log, alog2, inverse
+        return self._array_tables
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise products of two label arrays (broadcast), by table lookup."""
+        log, alog2, _ = self._arrays()
+        return alog2[log[a] + log[b]]
+
+    def inv_array(self, a) -> np.ndarray:
+        """Elementwise inverses of a label array; zero maps to zero."""
+        return self._arrays()[2][a]
 
     def __repr__(self) -> str:
         if self.m == 1:

@@ -1,17 +1,18 @@
 """Pure-Python brute force the library is checked against; it uses
 neither numpy nor any MDS theory, only GF arithmetic, H, elimination
-(`_rref`), det3, normalize_point and plane_points.
+(`_rref`) and normalize_point.
 
 It defines the syndrome H x^T of a vector, a generator matrix of a code
-by elimination on H, the line through two plane points and the number
-of unisecants through an arc point, and from these the brute counts:
+by elimination on H, the points of PG(2, q), the determinant of three
+plane points, the line through two of them and the number of unisecants
+through an arc point, and from these the brute counts:
 every vector's syndrome and weight, the codeword weights spanned by G,
 and the bisecant count of every off-arc point.
 """
 from functools import reduce
 
 from mdscosets.codes import _rref
-from mdscosets.geometry import det3, normalize_point, plane_points
+from mdscosets.geometry import normalize_point
 
 
 def syndrome(code, x):
@@ -36,6 +37,29 @@ def generator_matrix(code):
             g[pc] = f.neg(reduced[t][c])
         rows.append(g)
     return rows
+
+
+def plane_points(field):
+    """All q^2 + q + 1 points of PG(2, q), canonically normalized, in the
+    library's plane order."""
+    q = field.q
+    pts = [(1, y, z) for y in range(q) for z in range(q)]
+    pts += [(0, 1, z) for z in range(q)]
+    pts.append((0, 0, 1))
+    return pts
+
+
+def det3(field, a, b, c):
+    """The determinant of the 3x3 matrix with rows a, b, c; zero exactly
+    when the three points are collinear."""
+    f = field
+    pos = f.add(f.add(f.mul(a[0], f.mul(b[1], c[2])),
+                      f.mul(a[1], f.mul(b[2], c[0]))),
+                f.mul(a[2], f.mul(b[0], c[1])))
+    neg = f.add(f.add(f.mul(a[2], f.mul(b[1], c[0])),
+                      f.mul(a[0], f.mul(b[2], c[1]))),
+                f.mul(a[1], f.mul(b[0], c[2])))
+    return f.sub(pos, neg)
 
 
 def line_through(field, a, b):

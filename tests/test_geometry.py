@@ -1,17 +1,22 @@
+import itertools
+import random
+
 import pytest
 
-from mdscosets.codes import InvariantError
+from mdscosets import geometry
+from mdscosets.codes import CosetCensus, InvariantError, low_weight_census, syndrome_index
 from mdscosets.combinat import binom
 from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
                                 conic_points,
                                 double_shortened_conic_census_formulas,
                                 geometry_code_bridge, hyperoval_census_formulas,
                                 hyperoval_points,
-                                normalize_point, plane_points, shortened_conic,
+                                normalize_point, shortened_conic,
                                 shortened_conic_census_formulas)
-from mdscosets.gf import field_of_order
+from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import gdrs_parity
-from oracle import brute_bisecant_classes, line_through, unisecants_through
+from oracle import (brute_bisecant_classes, det3, line_through, plane_points,
+                    unisecants_through)
 
 
 def test_point_normalization():
@@ -107,15 +112,41 @@ def test_census_totals():
         assert sum(b * npts for b, npts in census.classes) == binom(arc.n, 2) * (q - 1)
 
 
-@pytest.mark.parametrize("q", (3, 4, 5, 7, 8, 9))
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13))
 def test_bisecant_census_matches_brute_oracle(q):
     f = field_of_order(q)
     arcs = [conic_points(f), shortened_conic(f, 1), shortened_conic(f, 2),
             Arc(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])]
     if q % 2 == 0:
         arcs.append(hyperoval_points(f))
+    # any subset of an arc is an arc: seeded random ones, in random order
+    rng = random.Random(q)
+    for full in arcs[:1] + arcs[4:]:
+        for _ in range(2):
+            size = rng.randint(min(3, full.n), full.n)
+            arcs.append(Arc(f, rng.sample(full.points, size)))
     for arc in arcs:
         assert bisecant_census(arc).classes == brute_bisecant_classes(arc), arc.points
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7))
+def test_arc_rejects_exactly_the_collinear_sets(q):
+    # the first collinear triple (i < j < k), if any, is the one named
+    f = field_of_order(q)
+    rng = random.Random(100 + q)
+    rejected = 0
+    for _ in range(40):
+        pts = rng.sample(plane_points(f), rng.randint(4, min(6, q * q + q + 1)))
+        triples = [t for t in itertools.combinations(range(len(pts)), 3)
+                   if det3(f, *(pts[i] for i in t)) == 0]
+        if not triples:
+            assert Arc(f, pts).n == len(pts)
+            continue
+        rejected += 1
+        i, j, k = triples[0]
+        with pytest.raises(ValueError, match=f"points {i},{j},{k} are collinear"):
+            Arc(f, pts)
+    assert rejected
 
 
 def test_walk_rejects_a_third_point_on_a_bisecant():
@@ -155,3 +186,77 @@ def test_geometry_code_bridge_nucleus():
     report = geometry_code_bridge(conic_points(f4))
     got = {(e.bisecants, e.points, e.coset_weight, e.cosets) for e in report.entries}
     assert (0, 1, 3, 3) in got  # the nucleus: q-1 weight-3 cosets
+
+
+def test_plane_walk_does_no_scalar_arithmetic_per_incidence(monkeypatch):
+    # the walk runs on field arrays; scalar GF work is a few calls per arc
+    # point (normalizing it), not one per walked point
+    f = field_of_order(31)
+    calls = 0
+    check = GF.check
+
+    def counting(self, a):
+        nonlocal calls
+        calls += 1
+        return check(self, a)
+    monkeypatch.setattr(GF, "check", counting)
+    arc = conic_points(f)
+    bisecant_census(arc)
+    assert calls <= 16 * arc.n
+
+
+def _bridge_with_altered_rows(monkeypatch, arc, alter):
+    """Run the bridge on a census whose rows `alter(table, index)` edits;
+    index(pt, lam) is the row of the syndrome lam*pt."""
+    f = arc.field
+
+    def index(pt, lam):
+        return syndrome_index(f.q, [f.mul(lam, c) for c in pt])
+
+    def altered(code, wmax):
+        table = low_weight_census(code, wmax).table.copy()
+        alter(table, index)
+        return CosetCensus(code, table)
+    monkeypatch.setattr(geometry, "low_weight_census", altered)
+    with pytest.raises(ValueError) as err:
+        geometry_code_bridge(arc)
+    return str(err.value)
+
+
+def test_bridge_names_the_first_failing_point(monkeypatch):
+    # each failure is planted at two points, the later one in plane order
+    # at a smaller lam, and the earlier one is named; on the q = 4 conic
+    # 15 points lie on 2 bisecants, and the two points dropped from the
+    # q = 7 conic lie on none
+    arc = conic_points(field_of_order(4))
+    assert (1, 0, 0) in arc.points and (0, 0, 1) in arc.points
+
+    def arc_point(table, index):
+        table[index((0, 0, 1), 1), 1] = 0
+        table[index((1, 0, 0), 3), 1] = 0
+    assert _bridge_with_altered_rows(monkeypatch, arc, arc_point) == \
+        "arc point (1, 0, 0): expected a weight-1 coset, got (0, 0, 0, 4)"
+
+    def bisecant_point(table, index):
+        table[index((1, 2, 0), 1), 2] += 1
+        table[index((1, 0, 2), 2), 2] += 1
+    assert _bridge_with_altered_rows(monkeypatch, arc, bisecant_point) == \
+        "class with 2 bisecants: point (1, 0, 2) gives coset counts (0, 0, 3, 4)"
+
+    def bisecant_free(table, index):
+        table[index((0, 0, 1), 1), 3] = 0
+        table[index((1, 0, 0), 6), 3] = 0
+    arc = shortened_conic(field_of_order(7), 2)
+    assert (1, 0, 0) not in arc.points and (0, 0, 1) not in arc.points
+    assert _bridge_with_altered_rows(monkeypatch, arc, bisecant_free) == \
+        "bisecant-free class: point (1, 0, 0) gives coset counts (0, 0, 0, 0)"
+
+
+def test_censuses_hold_python_ints():
+    # the CLI serializes these; numpy integers would not round-trip as JSON
+    arc = shortened_conic(field_of_order(5), 1)
+    report = geometry_code_bridge(arc)
+    assert report.census == bisecant_census(arc)
+    values = [report.census.covered, *(v for c in report.census.classes for v in c)]
+    values += [v for e in report.entries for v in vars(e).values()]
+    assert all(type(v) is int for v in values)

@@ -88,18 +88,32 @@ def test_field_axioms_exhaustive(q):
                     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
+@pytest.mark.parametrize("q", _prime_powers(2, 64))
+def test_array_ops_match_scalar_ops_and_field_axioms(q):
+    # every pair and triple, zero included, under the pinned default modulus
+    f = field_of_order(q)
+    a = np.arange(q)
+    add = f.add_table().astype(np.int64)
+    mul = f.mul_array(a[:, None], a[None, :])
+    inv = f.inv_array(a)
+    assert mul.dtype.kind == add.dtype.kind == inv.dtype.kind == "i"
+    assert add.tolist() == [[f.add(x, y) for y in range(q)] for x in range(q)]
+    assert mul.tolist() == [[f.mul(x, y) for y in range(q)] for x in range(q)]
+    assert inv.tolist() == [0] + [f.inv(x) for x in range(1, q)]
+    assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
+    assert np.array_equal(add[add], add[a[:, None, None], add])  # (a+b)+c = a+(b+c)
+    assert np.array_equal(mul[mul], mul[a[:, None, None], mul])
+    assert np.array_equal(mul[a[:, None, None], add], add[mul[:, :, None], mul[:, None, :]])
+    assert np.array_equal(mul[a, inv][1:], np.ones(q - 1, dtype=np.int64))
+    assert (mul[0] == 0).all() and (add[0] == a).all() and (mul[1] == a).all()
+
+
 @pytest.mark.parametrize("q", LARGE_ORDERS)
 def test_field_axioms_sampled(q):
     # 10^5 random triples per field, through the same tables the library uses
     f = field_of_order(q)
     add_t = f.add_table().astype(np.int64)
-    log = np.array([0] + [f._log[a] for a in range(1, q)], dtype=np.int64)
-    alog = np.array(f._alog, dtype=np.int64)
-
-    def mul(a, b):
-        out = alog[(log[a] + log[b]) % (q - 1)]
-        return np.where((a == 0) | (b == 0), 0, out)
-
+    mul = f.mul_array
     rng = np.random.default_rng(q)
     a, b, c = rng.integers(0, q, size=(3, 100_000))
     assert np.array_equal(add_t[add_t[a, b], c], add_t[a, add_t[b, c]])
