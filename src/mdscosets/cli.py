@@ -36,7 +36,7 @@ def _csv_ints(text: str) -> list[int]:
 
 
 def _field_from_args(args):
-    poly = tuple(_csv_ints(args.poly)) if getattr(args, "poly", None) else None
+    poly = tuple(_csv_ints(args.poly)) if args.poly else None
     return field_of_order(args.q, poly)
 
 
@@ -84,12 +84,10 @@ def cmd_dist(args) -> int:
             if args.b is None:
                 raise ValueError("--closed-form w2 needs --b B_(d-2)")
             dist = dist_weight2(n, d, q, args.b, strict=not args.loose)
-        elif form == "mid":
+        else:  # "mid", the last of the parser's choices
             if args.W is None or args.knowns is None:
                 raise ValueError("--closed-form mid needs --W and --knowns")
             dist = dist_weight_mid(n, d, q, args.W, _csv_ints(args.knowns))
-        else:
-            raise ValueError(f"unknown closed form {form!r}")
         consistent = dist.is_nonnegative()
     payload = {
         "schema": SCHEMA,

@@ -240,7 +240,7 @@ def _line_order(f: GF, col: list[int]) -> tuple[np.ndarray, np.ndarray]:
         if t == p:
             order = order + (np.arange(q, dtype=np.int64) * q**t)[:, None]
         else:
-            ch = [f.mul(c, h[t]) for c in range(q)]
+            ch = f.mul_array(np.arange(q), h[t])
             order = (order[:, :, None] + add_t[:, ch].T[:, None, :] * q**t).reshape(q, -1)
     order = order.reshape(-1)
     inverse = np.empty_like(order)

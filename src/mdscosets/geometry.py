@@ -9,8 +9,9 @@ q-1 points a + t*b (t != 0), none of them on the arc (Hirschfeld,
 Projective Geometries over Finite Fields).  The walk runs on the field's
 array tables, one step per arc point a_i: the (n-i-1) x (q-1) points
 a_i + t*a_j are formed, normalized and ranked as arrays and tallied by
-one bincount.  The same walk validates an Arc: distinct points are an
-arc exactly when it meets none of them.
+one bincount.  Building an Arc runs the walk once: distinct points are
+an arc exactly when it meets none of them, and the same steps tally the
+bisecants through every point, which the census and the bridge read.
 
 The arcs of interest trace the parity-check columns of the distance-4
 codes: the conic {(1, t, t^2)} u {(0,0,1)}, for even q the regular
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, LinearCode, Matrix, _require, low_weight_census
+from .codes import DEFAULT_BUDGET, LinearCode, Matrix, low_weight_census
 from .gf import GF
 
 Point = tuple[int, int, int]
@@ -65,12 +66,6 @@ def _plane_coords(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, z
 
 
-def _arc_arrays(arc: "Arc") -> tuple[np.ndarray, np.ndarray]:
-    """The arc's points as an (n, 3) array, and their plane ranks."""
-    coords = np.array(arc.points, dtype=np.int64).reshape(-1, 3)
-    return coords, _plane_ranks(arc.field, *coords.T)
-
-
 def _bisecant_walk(field: GF, coords: np.ndarray):
     """For each arc point a_i in turn, yield the array whose entry
     [j - i - 1, t - 1] is the plane rank of a_i + t*a_j, for each later arc
@@ -89,16 +84,20 @@ class Arc:
 
     Distinct points form an arc exactly when the bisecant walk meets none
     of them: the walk from a_i to a_j reaches every other point of their
-    line."""
+    line.  The one walk also tallies the bisecants through each point of
+    the plane, indexed by plane rank, for the census and the bridge."""
 
     def __init__(self, field: GF, points):
         self.field = field
         self.points = [normalize_point(field, p) for p in points]
         if len(set(self.points)) != len(self.points):
             raise ValueError("repeated arc point")
-        coords, ranks = _arc_arrays(self)
-        index = np.full(field.q ** 2 + field.q + 1, -1, dtype=np.int64)
-        index[ranks] = np.arange(self.n)
+        coords = np.array(self.points, dtype=np.int64).reshape(-1, 3)
+        self._ranks = _plane_ranks(field, *coords.T)
+        size = field.q ** 2 + field.q + 1
+        index = np.full(size, -1, dtype=np.int64)
+        index[self._ranks] = np.arange(self.n)
+        self._counts = np.zeros(size, dtype=np.int64)
         for i, walked in enumerate(_bisecant_walk(field, coords)):
             hit = index[walked]
             js, ts = np.nonzero(hit >= 0)
@@ -108,28 +107,32 @@ class Arc:
                 j, k = min(sorted((int(j) + i + 1, int(k)))
                            for j, k in zip(js, hit[js, ts]))
                 raise ValueError(f"points {i},{j},{k} are collinear; not an arc")
+            self._counts += np.bincount(walked.ravel(), minlength=size)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
 
+def _conic(field: GF) -> list[Point]:
+    """The points of conic_points, for the arcs built from the conic."""
+    pts = [(1, a, field.mul(a, a)) for a in range(1, field.q)]
+    pts.append((1, 0, 0))
+    pts.append((0, 0, 1))
+    return pts
+
+
 def conic_points(field: GF) -> Arc:
     """The (q+1)-point conic traced by the distance-4 parity-check columns:
     (1, a, a^2) for a = 0 and each nonzero a ascending, then (0, 0, 1)."""
-    q = field.q
-    pts = [(1, a, field.mul(a, a)) for a in range(1, q)]
-    pts.append((1, 0, 0))
-    pts.append((0, 0, 1))
-    return Arc(field, pts)
+    return Arc(field, _conic(field))
 
 
 def hyperoval_points(field: GF) -> Arc:
     """For even q, the regular hyperoval: the conic plus its nucleus (0,1,0)."""
     if field.p != 2:
         raise ValueError(f"hyperoval requires even q, got q={field.q}")
-    base = conic_points(field)
-    return Arc(field, base.points + [(0, 1, 0)])
+    return Arc(field, _conic(field) + [(0, 1, 0)])
 
 
 def shortened_conic(field: GF, remove: int = 1) -> Arc:
@@ -137,8 +140,7 @@ def shortened_conic(field: GF, remove: int = 1) -> Arc:
     choice; the censuses below do not depend on which points go)."""
     if remove not in (1, 2):
         raise ValueError("remove one or two conic points")
-    base = conic_points(field)
-    return Arc(field, base.points[:-remove])
+    return Arc(field, _conic(field)[:-remove])
 
 
 @dataclass(frozen=True)
@@ -149,21 +151,10 @@ class PointCensus:
     covered: int
 
 
-def _bisecant_counts(arc: Arc) -> np.ndarray:
-    """Bisecants through each point of PG(2, q), indexed by plane rank:
-    one bincount per step of the walk."""
-    q = arc.field.q
-    coords, ranks = _arc_arrays(arc)
-    counts = np.zeros(q * q + q + 1, dtype=np.int64)
-    for walked in _bisecant_walk(arc.field, coords):
-        counts += np.bincount(walked.ravel(), minlength=counts.size)
-    _require(not counts[ranks].any(), "a bisecant meets the arc a third time")
-    return counts
-
-
-def _point_census(arc: Arc, counts: np.ndarray) -> PointCensus:
-    """Class the off-arc points by bisecant count; those the walk never
-    reached lie on none."""
+def bisecant_census(arc: Arc) -> PointCensus:
+    """Class the off-arc points by the bisecant counts the arc's walk
+    tallied; those the walk never reached lie on none."""
+    counts = arc._counts
     off_arc = counts.size - arc.n
     values, npts = np.unique(counts[counts > 0], return_counts=True)
     tally = {int(b): int(c) for b, c in zip(values, npts)}
@@ -171,10 +162,6 @@ def _point_census(arc: Arc, counts: np.ndarray) -> PointCensus:
     if off_arc > reached:
         tally[0] = off_arc - reached
     return PointCensus(tuple(sorted(tally.items(), reverse=True)), off_arc)
-
-
-def bisecant_census(arc: Arc) -> PointCensus:
-    return _point_census(arc, _bisecant_counts(arc))
 
 
 # Predicted censuses for the conic family, per parity of q.
@@ -244,7 +231,7 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
     H = Matrix(f, [[p[t] for p in arc.points] for t in range(3)])
     code = LinearCode(H, budget)
     census = low_weight_census(code, 3)
-    counts = _bisecant_counts(arc)
+    counts = arc._counts
     # rows[p, lam - 1] is the census row of the syndrome lam*pt, pt the
     # point of plane rank p; a syndrome s sits at row s_0 + s_1 q + s_2 q^2
     coords = _plane_coords(q)
@@ -252,7 +239,7 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
     rows = census.table[sum(f.mul_array(lam, c[:, None]) * q**t
                             for t, c in enumerate(coords))]
     on_arc = np.zeros(counts.size, dtype=bool)
-    on_arc[_arc_arrays(arc)[1]] = True
+    on_arc[arc._ranks] = True
     b = counts[:, None]
     B1, B2, B3 = rows[..., 1], rows[..., 2], rows[..., 3]
     ok = np.where(on_arc[:, None], B1 == 1,
@@ -267,7 +254,7 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
             raise ValueError(
                 f"class with {counts[p]} bisecants: point {pt} gives coset counts {row}")
         raise ValueError(f"bisecant-free class: point {pt} gives coset counts {row}")
-    census = _point_census(arc, counts)
+    census = bisecant_census(arc)
     entries = tuple(BridgeEntry(b, npts, 2 if b else 3, (q - 1) * npts)
                     for b, npts in census.classes)
     return BridgeReport(code, census, entries)

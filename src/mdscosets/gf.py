@@ -3,9 +3,11 @@
 Field elements are canonical integers in [0, q).  For extension fields
 (m > 1) the integer packs the polynomial-basis coefficient vector in
 base p, constant term in the least significant digit, so 0 and 1 are
-the additive and multiplicative identities of every field.  Prime
-fields use direct modular arithmetic; extension fields multiply through
-log/antilog tables over a generator of the multiplicative group.
+the additive and multiplicative identities of every field.  A prime
+field is the case m = 1 of the same scheme: elements add digit by digit
+mod p and multiply through log/antilog tables over a generator of the
+multiplicative group, built once from direct products (modular for
+prime fields, reduced by the modulus otherwise).
 Arrays of labels are added through add_table() and multiplied and
 inverted through the same log/antilog tables (mul_array, inv_array),
 built once per field on first use, in integers only.
@@ -132,8 +134,6 @@ class GF:
     # -- raw ops on packed coefficient vectors, used to build the tables --
 
     def _raw_add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
         acc = 0
         for pp in self._ppow:
             acc += (((a // pp) + (b // pp)) % self.p) * pp
@@ -208,8 +208,6 @@ class GF:
 
     def neg(self, a: int) -> int:
         a = self.check(a)
-        if self.m == 1:
-            return (-a) % self.p
         acc = 0
         for pp in self._ppow:
             acc += ((-(a // pp)) % self.p) * pp
@@ -222,8 +220,6 @@ class GF:
         a, b = self.check(a), self.check(b)
         if a == 0 or b == 0:
             return 0
-        if self.m == 1:
-            return (a * b) % self.p
         return self._alog[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a: int) -> int:
@@ -242,9 +238,6 @@ class GF:
             return 0
         e %= self.q - 1
         return self._alog[(self._log[a] * e) % (self.q - 1)]
-
-    def nonzero(self) -> range:
-        return range(1, self.q)
 
     def add_table(self) -> np.ndarray:
         """Cached (q, q) numpy addition table; backs the vectorized censuses

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mdscosets import geometry
-from mdscosets.codes import CosetCensus, InvariantError, low_weight_census, syndrome_index
+from mdscosets.codes import CosetCensus, low_weight_census, syndrome_index
 from mdscosets.combinat import binom
 from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
                                 conic_points,
@@ -149,12 +149,28 @@ def test_arc_rejects_exactly_the_collinear_sets(q):
     assert rejected
 
 
-def test_walk_rejects_a_third_point_on_a_bisecant():
-    f5 = field_of_order(5)
-    fake = Arc.__new__(Arc)  # skip the collinearity check on purpose
-    fake.field, fake.points = f5, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
-    with pytest.raises(InvariantError, match="bisecant"):
-        bisecant_census(fake)
+@pytest.mark.parametrize("q", (4, 5, 8))
+def test_each_arc_walks_its_bisecants_once(monkeypatch, q):
+    # building the arc walks it; the census and the bridge read that walk
+    walks = 0
+    walk = geometry._bisecant_walk
+
+    def counting(field, coords):
+        nonlocal walks
+        walks += 1
+        return walk(field, coords)
+    monkeypatch.setattr(geometry, "_bisecant_walk", counting)
+    f = field_of_order(q)
+    builds = [conic_points, lambda f: shortened_conic(f, 2)]
+    if q % 2 == 0:
+        builds.append(hyperoval_points)
+    for build in builds:
+        walks = 0
+        bisecant_census(build(f))
+        assert walks == 1
+    walks = 0
+    geometry_code_bridge(conic_points(f))
+    assert walks == 1
 
 
 def test_line_through_is_incidence_symmetric():

@@ -1,5 +1,6 @@
 import pytest
 
+from mdscosets import codes
 from mdscosets.codes import LinearCode, Matrix, coset_census
 from mdscosets.gf import field_of_order
 from mdscosets.mds import (build_code, gdrs_parity, gtrs_parity,
@@ -65,6 +66,25 @@ def test_remove_columns_examples():
         remove_columns(H, [])
     with pytest.raises(ValueError):
         remove_columns(H, [9])
+
+
+@pytest.mark.parametrize("family, q, d, removed", [
+    ("gdrs", 7, 4, (0, 3)), ("grs", 5, 3, (1,)), ("gtrs", 8, None, ()),
+    ("gtrs", 4, None, (2,))])
+def test_build_code_checks_rank_once(monkeypatch, family, q, d, removed):
+    # LinearCode runs the one rank elimination; the constructions trust
+    # the MDS matrix, and the census certifies the distance
+    calls = 0
+    rref = codes._rref
+
+    def counting(field, rows):
+        nonlocal calls
+        calls += 1
+        return rref(field, rows)
+    monkeypatch.setattr(codes, "_rref", counting)
+    code, _ = build_code(field_of_order(q), family, d, removed=removed)
+    assert calls == 1
+    assert code.min_distance() == code.n - code.k + 1
 
 
 def test_mds_weight_distribution_examples():

@@ -9,6 +9,7 @@ import mdscosets
 SRC = Path(mdscosets.__file__).parent
 ROOT = SRC.parent.parent
 READERS = [SRC, ROOT / "demos", ROOT / "perfbench"]
+NUMPY_NAMES = {"np", "numpy"}
 
 
 def _parse_readers() -> dict[Path, ast.Module]:
@@ -40,11 +41,13 @@ def _definitions(trees):
 
 def _reads(trees):
     """{(name, via_attribute): [the definitions enclosing each read]};
-    imports and strings such as the `__all__` entries are not reads."""
+    imports, strings such as the `__all__` entries and attributes of numpy
+    itself (`np.nonzero` is no read of a `nonzero` method) are not reads."""
     reads: dict[tuple[str, bool], list[frozenset]] = {}
 
     def visit(node, enclosing):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and getattr(node.value, "id", None) not in NUMPY_NAMES):
             reads.setdefault((node.attr, True), []).append(enclosing)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.setdefault((node.id, False), []).append(enclosing)
