@@ -42,6 +42,12 @@ All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,
 reported as InconsistentPrefixError in strict mode and as a plain
 (negative) distribution otherwise, which keeps what-if queries possible.
+
+Because the tail is linear in the prefix, `bonneau_tails` evaluates any
+number of prefixes of one (n, d, q) through one form as the single
+product K + P @ C on object arrays, so every entry stays a Python int.
+The scalar forms keep their list path, which skips the zero B_v that
+make up most of a typical prefix.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .codes import WeightDistribution, _require
 from .combinat import binom, omega
@@ -77,12 +85,19 @@ class LowWeightPrefix:
 
     def __post_init__(self):
         check_mds_params(self.n, self.d, self.q)
-        if len(self.counts) != self.d - 1:
+        _check_prefixes(self.d, (self.counts,))
+
+
+def _check_prefixes(d: int, prefixes) -> None:
+    """Refuse any prefix that is not B_0..B_{d-2} with non-negative
+    counts and B_0 in {0, 1}."""
+    for counts in prefixes:
+        if len(counts) != d - 1:
             raise ValueError(
-                f"prefix must list B_0..B_{self.d - 2} ({self.d - 1} values), got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
+                f"prefix must list B_0..B_{d - 2} ({d - 1} values), got {len(counts)}")
+        if min(counts) < 0:
             raise ValueError("prefix counts must be non-negative")
-        if self.counts[0] not in (0, 1):
+        if counts[0] not in (0, 1):
             raise ValueError("B_0 must be 0 or 1")
 
 
@@ -182,6 +197,30 @@ def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDist
     n, d, q = prefix.n, prefix.d, prefix.q
     B = list(prefix.counts) + _tail(_double_sum_rows(n, d, q), prefix.counts)
     return _finalize(B, q, n, d, strict, "prefix")
+
+
+def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
+    """B_{d-1}..B_n for each prefix B_0..B_{d-2} in the matrix `prefixes`,
+    through the rows of one form ("original" or "transformed"): K + P @ C,
+    one row per prefix, as an object array of Python ints.  Prefixes are
+    refused as LowWeightPrefix refuses them; realizability is not
+    checked, as with strict=False."""
+    check_mds_params(n, d, q)
+    P = np.asarray(prefixes, dtype=object)
+    if P.shape[1:] != (d - 1,) or (P < 0).any() or (P[:, 0] > 1).any():
+        _check_prefixes(d, prefixes)  # names the rule a prefix breaks
+    P = P.reshape(-1, d - 1)  # an empty list arrives with shape (0,)
+    if form == "original":
+        known, cols = _double_sum_rows(n, d, q)
+    elif form == "transformed":
+        known, cols = _single_sum_rows(n, d, q)
+    else:
+        raise ValueError(f"unknown form {form!r} (expected original or transformed)")
+    tails = np.array(known, dtype=object) + P @ np.array(cols, dtype=object)
+    totals = P.sum(axis=1) + tails.sum(axis=1)
+    _require(bool((totals == q ** (n - d + 1)).all()),
+             "distribution from prefix does not total q^k")
+    return tails
 
 
 def _b_low_terms(n: int, d: int, b_low: int) -> list[int]:

@@ -11,9 +11,11 @@ weakening the claimed equality; see the failure message for the list of
 counterexamples.
 """
 
+import hashlib
+
 import pytest
 
-from mdscosets import codes
+from mdscosets import codes, formulas, verify
 from mdscosets.verify import (CRITERIA, DeskCache, covering_certificates,
                               deep_hole_equality, run_acceptance)
 
@@ -35,6 +37,46 @@ def test_criterion_1_oracle_equivalence(desk):
 def test_criterion_2_bonneau_equality(desk):
     result = _run(desk, 2)
     assert result.passed, "\n".join(result.lines)
+
+
+def test_criterion_2_reports_each_disagreeing_prefix(desk, monkeypatch):
+    # shift column v = 1 of the double-sum rows at (12, 6, 13) by +1 at
+    # w = d-1 and -1 at w = d: every total holds, so only the comparison
+    # sees it, on each synthetic prefix with B_1 != 0, in draw order
+    rows = formulas._double_sum_rows
+
+    def shifted(n, d, q):
+        known, cols = rows(n, d, q)
+        if (n, d, q) == (12, 6, 13):
+            col = (cols[1][0] + 1, cols[1][1] - 1) + cols[1][2:]
+            cols = cols[:1] + (col,) + cols[2:]
+        return known, cols
+    monkeypatch.setattr(formulas, "_double_sum_rows", shifted)
+    result = CRITERIA[2][1](desk)
+    assert not result.passed
+    assert len(result.lines) == 9894
+    assert result.lines[1] == "(n,d,q)=(12,6,13) prefix [1, 70, 42, 88, 7]: forms disagree"
+    digest = hashlib.sha256("\n".join(result.lines).encode()).hexdigest()
+    assert digest.startswith("c138c60d1ca7bf93")
+
+
+def test_criterion_2_runs_the_scalar_forms_only_on_census_prefixes(desk, monkeypatch):
+    # the synthetic prefixes go through the batch evaluator; the scalar
+    # forms see each census class once
+    calls = {"original": 0, "transformed": 0}
+
+    def counting(form, fn):
+        def wrapper(*args, **kwargs):
+            calls[form] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(verify, "bonneau_original",
+                        counting("original", verify.bonneau_original))
+    monkeypatch.setattr(verify, "bonneau_transformed",
+                        counting("transformed", verify.bonneau_transformed))
+    classes = sum(len(desk.census(entry).classes) for entry in desk.entries)
+    assert CRITERIA[2][1](desk).passed
+    assert calls == {"original": classes, "transformed": classes}
 
 
 def test_criterion_3_closed_forms(desk):

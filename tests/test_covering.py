@@ -105,6 +105,25 @@ def test_deep_hole_counts_where_the_formula_holds():
     assert count_deep_hole_cosets(code7, cons7).count == 12
 
 
+ODD_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31)
+
+
+@pytest.mark.parametrize("q", ODD_QS)
+def test_deep_hole_count_holds_below_half_the_odd_conic(q):
+    # for odd q an off-conic point lies on (q+1)/2 or (q-1)/2 bisecants
+    # with disjoint point pairs, so removing fewer than (q-1)/2 conic
+    # points strips no bisecant-covered point bare: the d = 4 count is
+    # exactly (q-1)*Delta for every such removal
+    f = field_of_order(q)
+    parent, _ = build_code(f, "gdrs", 4)
+    parent_R = parent.covering_radius()
+    assert parent_R == 2
+    rng = random.Random(q)
+    for delta in range(1, (q - 1) // 2):
+        code, cons = build_code(f, "gdrs", 4, removed=rng.sample(range(q + 1), delta))
+        assert count_deep_hole_cosets(code, cons, parent_R).count == (q - 1) * delta
+
+
 def test_deep_hole_inequality_branch_for_even_parent():
     # the even-q conic parent has R = 3 != d-2, so only the bound applies
     f4 = field_of_order(4)

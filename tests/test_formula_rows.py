@@ -1,7 +1,7 @@
 """Coefficient rows of the two Bonneau forms: every entry against the
 defining sums, both forms against each other and every closed form on
-random parameters, the work a row build does, and the bounds of the
-formula caches."""
+random parameters, the batch evaluator against both scalar forms, the
+work a row build does, and the bounds of the formula caches."""
 
 import math
 import random
@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdscosets import combinat, formulas, mds
+from mdscosets.codes import InvariantError
 from mdscosets.combinat import omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 _double_sum_rows, _single_sum_rows,
-                                bonneau_original, bonneau_transformed,
+                                bonneau_original, bonneau_tails,
+                                bonneau_transformed,
                                 _b_low_terms, dist_weight1, dist_weight2,
                                 dist_weight_d1, dist_weight_d2, dist_weight_mid)
 from mdscosets.mds import mds_weight_distribution
@@ -150,6 +152,70 @@ def test_forms_and_closed_forms_agree_on_random_parameters(query):
         else:
             with pytest.raises(InconsistentPrefixError):
                 form()
+
+
+SCALAR_FORMS = {"original": bonneau_original, "transformed": bonneau_transformed}
+
+
+def _assert_batch_matches_scalar_forms(n, d, q, prefixes):
+    for form, scalar in SCALAR_FORMS.items():
+        tails = bonneau_tails(n, d, q, prefixes, form)
+        assert tails.shape == (len(prefixes), n - d + 2)
+        for counts, tail in zip(prefixes, tails):
+            want = scalar(LowWeightPrefix(n, d, q, tuple(counts)), strict=False)
+            assert all(type(b) is int for b in tail)
+            assert tuple(tail) == want.counts[d - 1:]
+
+
+@pytest.mark.parametrize("n,d,q", ROW_TUPLES)
+def test_batch_matches_scalar_forms_on_row_tuples(n, d, q):
+    rng = random.Random(n * 1000 + d)
+    zero = [0] * (d - 1)
+    prefixes = [zero, [1] + zero[1:], [0] * (d - 2) + [10**6]]
+    for size in (3, 99, 10**6):
+        prefixes += [[rng.randint(0, 1)] + [rng.randint(0, size) for _ in range(d - 2)]
+                     for _ in range(4)]
+    _assert_batch_matches_scalar_forms(n, d, q, prefixes)
+    if (n, d, q) == (257, 10, 256):
+        # beyond int64: the object arrays keep every entry exact
+        assert max(abs(b) for b in bonneau_tails(n, d, q, prefixes, "original").flat) > 2**63
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mds_params(), st.data())
+def test_batch_matches_scalar_forms_on_random_parameters(params, data):
+    n, d, q = params
+    size = data.draw(st.sampled_from((3, 200, 10**6)))
+    row = st.tuples(st.integers(0, 1), *[st.integers(0, size)] * (d - 2))
+    prefixes = data.draw(st.lists(row, min_size=0, max_size=8))
+    _assert_batch_matches_scalar_forms(n, d, q, prefixes)
+
+
+@pytest.mark.parametrize("counts", [(0, 1), (0, 1, 0, 0), (0, -1, 0), (2, 0, 0)])
+def test_batch_refuses_what_the_prefix_refuses(counts):
+    with pytest.raises(ValueError) as scalar:
+        LowWeightPrefix(6, 4, 5, counts)
+    for form in SCALAR_FORMS:
+        with pytest.raises(ValueError) as batch:
+            bonneau_tails(6, 4, 5, [(1, 2, 3), counts], form)
+        assert str(batch.value) == str(scalar.value)
+    with pytest.raises(ValueError, match="n=8 > q\\+2=7"):
+        bonneau_tails(8, 4, 5, [(0, 0, 1)], "original")
+    with pytest.raises(ValueError, match="unknown form 'double'"):
+        bonneau_tails(6, 4, 5, [(0, 0, 1)], "double")
+
+
+@pytest.mark.parametrize("form,rows", [("original", "_double_sum_rows"),
+                                       ("transformed", "_single_sum_rows")])
+def test_batch_checks_every_total(monkeypatch, form, rows):
+    build = getattr(formulas, rows)
+
+    def off_by_one(n, d, q):
+        known, cols = build(n, d, q)
+        return (known[0] + 1,) + known[1:], cols
+    monkeypatch.setattr(formulas, rows, off_by_one)
+    with pytest.raises(InvariantError, match="does not total q\\^k"):
+        bonneau_tails(6, 4, 5, [(1, 0, 0), (0, 3, 7)], form)
 
 
 def test_row_builds_take_no_per_entry_binomials(monkeypatch):
