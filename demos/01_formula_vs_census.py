@@ -8,10 +8,10 @@ distribution, tail included.
 """
 
 from mdscosets import (LowWeightPrefix, bonneau_original, bonneau_transformed,
-                       coset_census, field_of_order, truncated_gdrs)
+                       build_code, coset_census, field_of_order)
 
 f5 = field_of_order(5)
-code, _ = truncated_gdrs(f5, 4, 6)
+code, _ = build_code(f5, "gdrs", 4, n=6)
 print(f"code: [{code.n},{code.k},{code.min_distance()}]_5, "
       f"covering radius {code.covering_radius()}")
 

@@ -6,10 +6,9 @@ Weight-(d-2) cosets may split into several distributions, but the
 reflection defects (-1)^(n+d) B_w - B_{n+d-2-w} coincide across them.
 """
 
-from mdscosets import (coset_census, dist_weight1, dist_weight_d1,
+from mdscosets import (build_code, coset_census, dist_weight1, dist_weight_d1,
                        dist_weight_d2, field_of_order, symmetry_defect,
-                       truncated_gdrs, weight2_aggregate,
-                       weight2_identical_check)
+                       weight2_aggregate, weight2_identical_check)
 
 f5 = field_of_order(5)
 
@@ -19,7 +18,7 @@ print(" ", dist_weight1(6, 4, 5).counts)
 print("\nuniversal farthest-off distribution of [5,2,4]_5 (R = 3):")
 print(" ", dist_weight_d1(5, 4, 5).counts)
 
-code, _ = truncated_gdrs(f5, 4, 5)
+code, _ = build_code(f5, "gdrs", 4, n=5)
 census = coset_census(code)
 two = census.classes_of_weight(2)
 print("\n[5,2,4]_5 has two weight-2 classes:")

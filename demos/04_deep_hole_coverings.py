@@ -9,10 +9,10 @@ large, by counting only the low-weight vectors.
 """
 
 from mdscosets import (build_code, count_deep_hole_cosets, field_of_order,
-                       mcf_classify, saturating_set_report, truncated_gdrs)
+                       mcf_classify, saturating_set_report)
 
 f5 = field_of_order(5)
-code, cons = truncated_gdrs(f5, 4, 5)
+code, cons = build_code(f5, "gdrs", 4, n=5)
 rep = mcf_classify(code)
 print(f"[5,2,4]_5: R={rep.R}, mu={rep.mu}, APMCF={rep.is_apmcf}, PMCF={rep.is_pmcf}")
 print(" ", saturating_set_report(code, rep)["statement"])
@@ -33,7 +33,7 @@ for q in (5, 7, 9, 11):
     print(f"  [{q + 1},{q - 2},4]_{q}: mu={r.mu}, gamma_mu = {r.mu_density}")
 
 print("\nwhere the (q-1)*Delta deep-hole count breaks (exhaustively refuted):")
-code55, cons55 = truncated_gdrs(f5, 5, 5)
+code55, cons55 = build_code(f5, "gdrs", 5, n=5)
 try:
     count_deep_hole_cosets(code55, cons55)
 except Exception as exc:

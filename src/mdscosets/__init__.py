@@ -23,7 +23,7 @@ from .geometry import (Arc, PointCensus, bisecant_census, conic_points,
                        shortened_conic)
 from .gf import GF, field_of_order
 from .mds import (MdsConstruction, build_code, gdrs_parity, gtrs_parity,
-                  mds_weight_distribution, remove_columns, truncated_gdrs)
+                  mds_weight_distribution, remove_columns)
 
 __all__ = [
     "Arc", "BudgetExceededError", "CosetCensus", "CosetClass",
@@ -39,5 +39,5 @@ __all__ = [
     "low_weight_census", "mcf_classify", "mds_weight_distribution",
     "mu_density_closed_form", "omega", "remove_columns",
     "saturating_set_report", "shortened_conic", "symmetry_defect",
-    "truncated_gdrs", "weight2_aggregate", "weight2_identical_check",
+    "weight2_aggregate", "weight2_identical_check",
 ]

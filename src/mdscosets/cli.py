@@ -25,7 +25,7 @@ from .formulas import (InconsistentPrefixError, LowWeightPrefix,
 from .geometry import (bisecant_census, conic_points, hyperoval_points,
                        shortened_conic)
 from .gf import field_of_order
-from .mds import build_code
+from .mds import FAMILIES, build_code
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
 
 SCHEMA = "mdscosets.v1"
@@ -38,6 +38,12 @@ def _csv_ints(text: str) -> list[int]:
 def _field_from_args(args):
     poly = tuple(_csv_ints(args.poly)) if args.poly else None
     return field_of_order(args.q, poly)
+
+
+def _code_from_args(args):
+    """The family code `census code` and `covering classify` name, and its recipe."""
+    return build_code(_field_from_args(args), args.family, args.d,
+                      removed=_csv_ints(args.remove or ""), budget=args.budget)
 
 
 def _emit(payload: dict, args, table_lines: list[str], csv_lines: list[str] | None = None):
@@ -108,10 +114,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_census_code(args) -> int:
-    fld = _field_from_args(args)
-    code, construction = build_code(fld, args.family, args.d,
-                                    removed=_csv_ints(args.remove) if args.remove else (),
-                                    budget=args.budget)
+    code, construction = _code_from_args(args)
+    q = code.field.q
     census = coset_census(code)
     classes = [{
         "class_index": i,
@@ -123,12 +127,12 @@ def cmd_census_code(args) -> int:
         "schema": SCHEMA,
         "command": "census-code",
         "code": {"n": code.n, "k": code.k, "d": code.min_distance(),
-                 "q": fld.q, "family": construction.family,
+                 "q": q, "family": construction.family,
                  "removed": list(construction.removed)},
         "total_cosets": str(census.total_cosets),
         "classes": classes,
     }
-    table = [f"coset census of [{code.n},{code.k}]_{fld.q} ({census.total_cosets} cosets)",
+    table = [f"coset census of [{code.n},{code.k}]_{q} ({census.total_cosets} cosets)",
              "  W  cosets  distribution"]
     table += [f"{cls.weight:>3}  {cls.count:>6}  {list(cls.distribution.counts)}"
               for cls in census.classes]
@@ -172,10 +176,7 @@ def cmd_census_geometry(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    fld = _field_from_args(args)
-    removed = _csv_ints(args.remove) if args.remove else ()
-    code, construction = build_code(fld, args.family, args.d,
-                                    removed=removed, budget=args.budget)
+    code, construction = _code_from_args(args)
     report = mcf_classify(code)
     sat = saturating_set_report(code, report)
     payload = {
@@ -253,6 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max syndrome-trellis steps n*wmax*q^(n-k) per count")
+    # the commands that build one family code
+    family_code = argparse.ArgumentParser(add_help=False)
+    family_code.add_argument("--family", choices=FAMILIES, required=True)
+    family_code.add_argument("--q", type=int, required=True)
+    family_code.add_argument("--d", type=int)
+    family_code.add_argument("--remove", help="columns of the full family matrix to drop")
+    family_code.add_argument("--poly", help="field modulus coefficients c_0,...,c_m")
 
     parser = argparse.ArgumentParser(
         prog="mdscosets",
@@ -279,12 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     census = sub.add_parser("census", help="coset or bisecant census")
     csub = census.add_subparsers(dest="what", required=True)
-    ccode = csub.add_parser("code", parents=[with_csv, budget])
-    ccode.add_argument("--family", choices=("gdrs", "grs", "gtrs"), required=True)
-    ccode.add_argument("--q", type=int, required=True)
-    ccode.add_argument("--d", type=int)
-    ccode.add_argument("--remove", help="columns of the full family matrix to drop")
-    ccode.add_argument("--poly", help="field modulus coefficients c_0,...,c_m")
+    ccode = csub.add_parser("code", parents=[with_csv, budget, family_code])
     ccode.set_defaults(func=cmd_census_code)
     cgeom = csub.add_parser("geometry", parents=[with_csv])
     cgeom.add_argument("--q", type=int, required=True)
@@ -295,12 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     covering = sub.add_parser("covering", help="covering classification")
     covsub = covering.add_subparsers(dest="what", required=True)
-    classify = covsub.add_parser("classify", parents=[without_csv, budget])
-    classify.add_argument("--family", choices=("gdrs", "grs", "gtrs"), required=True)
-    classify.add_argument("--q", type=int, required=True)
-    classify.add_argument("--d", type=int)
-    classify.add_argument("--remove")
-    classify.add_argument("--poly")
+    classify = covsub.add_parser("classify", parents=[without_csv, budget, family_code])
     classify.set_defaults(func=cmd_covering)
 
     verify = sub.add_parser("verify", parents=[without_csv, budget],

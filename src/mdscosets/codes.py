@@ -87,20 +87,14 @@ class WeightDistribution:
 class Matrix:
     """Dense matrix over GF(q); entries are canonical element labels."""
 
-    def __init__(self, field: GF, rows: list[list[int]], ncols: int | None = None):
+    def __init__(self, field: GF, rows: list[list[int]]):
         self.field = field
         self.rows = [list(r) for r in rows]
-        if self.rows:
-            ncols_seen = len(self.rows[0])
-            if any(len(r) != ncols_seen for r in self.rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != ncols_seen:
-                raise ValueError("ncols disagrees with row length")
-            self.ncols = ncols_seen
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.ncols = ncols
+        if not self.rows:
+            raise ValueError("a matrix needs at least one row")
+        self.ncols = len(self.rows[0])
+        if any(len(r) != self.ncols for r in self.rows):
+            raise ValueError("ragged rows")
         for r in self.rows:
             for a in r:
                 field.check(a)
@@ -118,7 +112,7 @@ class Matrix:
     def drop_columns(self, idxs) -> "Matrix":
         drop = set(idxs)
         keep = [j for j in range(self.ncols) if j not in drop]
-        return Matrix(self.field, [[r[j] for j in keep] for r in self.rows], ncols=len(keep))
+        return Matrix(self.field, [[r[j] for j in keep] for r in self.rows])
 
     def rank(self) -> int:
         reduced, pivots = _rref(self.field, self.rows)
@@ -215,8 +209,10 @@ class LinearCode:
 # A syndrome vector s in F_q^r is stored at row sum(s[t] * q^t) of every
 # census table.
 
-def syndrome_index(q: int, svec) -> int:
-    return sum(int(s) * q**t for t, s in enumerate(svec))
+def syndrome_index(q: int, svec):
+    """The row of the syndrome svec: an int for int entries, and for
+    label-array entries the array of rows, entry by entry."""
+    return sum(s * q**t for t, s in enumerate(svec))
 
 
 def _line_order(f: GF, col: list[int]) -> tuple[np.ndarray, np.ndarray]:

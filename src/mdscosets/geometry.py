@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, LinearCode, Matrix, low_weight_census
+from .codes import LinearCode, Matrix, low_weight_census, syndrome_index
 from .gf import GF
 
 Point = tuple[int, int, int]
@@ -221,7 +221,7 @@ class BridgeReport:
     entries: tuple[BridgeEntry, ...]
 
 
-def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport:
+def geometry_code_bridge(arc: Arc) -> BridgeReport:
     """Treat the arc points as parity-check columns and verify, class by
     class, that an off-arc point on b >= 1 bisecants yields q-1 cosets of
     weight 2 with B_2 = b, and a point on none yields q-1 weight-3 cosets.
@@ -229,15 +229,14 @@ def geometry_code_bridge(arc: Arc, budget: int = DEFAULT_BUDGET) -> BridgeReport
     f = arc.field
     q = f.q
     H = Matrix(f, [[p[t] for p in arc.points] for t in range(3)])
-    code = LinearCode(H, budget)
+    code = LinearCode(H)
     census = low_weight_census(code, 3)
     counts = arc._counts
     # rows[p, lam - 1] is the census row of the syndrome lam*pt, pt the
-    # point of plane rank p; a syndrome s sits at row s_0 + s_1 q + s_2 q^2
+    # point of plane rank p
     coords = _plane_coords(q)
     lam = np.arange(1, q)
-    rows = census.table[sum(f.mul_array(lam, c[:, None]) * q**t
-                            for t, c in enumerate(coords))]
+    rows = census.table[syndrome_index(q, [f.mul_array(lam, c[:, None]) for c in coords])]
     on_arc = np.zeros(counts.size, dtype=bool)
     on_arc[arc._ranks] = True
     b = counts[:, None]

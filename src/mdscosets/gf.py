@@ -214,7 +214,7 @@ class GF:
         return acc
 
     def sub(self, a: int, b: int) -> int:
-        return self._raw_add(self.check(a), self.neg(b))
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         a, b = self.check(a), self.check(b)

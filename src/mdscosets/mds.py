@@ -6,12 +6,15 @@ The doubly-extended family puts, over GF(q), the q-1 Vandermonde columns
 next to the two extension columns (1, 0, ..., 0) and (0, ..., 0, 1),
 giving a (d-1) x (q+1) matrix.  Scaling or reordering columns gives a
 monomially equivalent code with the same coset census, so no other
-column multipliers or evaluation orders are offered.  For even q the triply-extended d = 4 family adds
-the column (0, 1, 0) (the nucleus of the conic the first q+1 columns
-trace out in PG(2, q)).
+column multipliers or evaluation orders are offered.  The
+singly-extended family drops the last extension column, and for even q
+the triply-extended d = 4 family adds the column (0, 1, 0) (the nucleus
+of the conic the first q+1 columns trace out in PG(2, q)).
+`family_length` is the one statement of each family's length.
 
 Column removals yield the shorter MDS codes whose coset structure the
-rest of the library classifies.  The constructions check nothing
+rest of the library classifies; keeping a family code's first n columns
+is the pinned default removal.  The constructions check nothing
 themselves: any d-1 columns of the doubly-extended matrix are
 independent (MacWilliams and Sloane, ch. 11), so the full matrix and
 every removal that keeps d-1 columns have full rank.  `LinearCode`
@@ -42,7 +45,7 @@ class MdsConstruction:
     """Pinned recipe for one constructed code: family, field, design
     distance, and which columns of the full family matrix were removed."""
 
-    family: str  # "gdrs" or "gtrs"
+    family: str  # "gdrs" (for "grs" too) or "gtrs"
     q: int
     d: int
     removed: tuple[int, ...]
@@ -50,6 +53,19 @@ class MdsConstruction:
     @property
     def delta(self) -> int:
         return len(self.removed)
+
+
+# extension columns next to the q-1 Vandermonde ones, per family
+_EXTENSIONS = {"gdrs": 2, "grs": 1, "gtrs": 3}
+FAMILIES = tuple(_EXTENSIONS)
+
+
+def family_length(family: str, q: int) -> int:
+    """Length of the family's full code over GF(q): q+1 doubly extended,
+    q singly extended, q+2 triply extended."""
+    if family not in _EXTENSIONS:
+        raise ValueError(f"unknown family {family!r} (expected gdrs, grs, or gtrs)")
+    return q - 1 + _EXTENSIONS[family]
 
 
 def gdrs_parity(field: GF, d: int) -> Matrix:
@@ -139,50 +155,38 @@ def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
     return dist
 
 
-def build_code(field: GF, family: str, d: int | None = None, removed=(),
-               budget: int = DEFAULT_BUDGET) -> tuple[LinearCode, MdsConstruction]:
-    """Build a family code, apply removals, and certify MDS-ness by oracle.
+def build_code(field: GF, family: str, d: int | None = None, n: int | None = None,
+               removed=(), budget: int = DEFAULT_BUDGET) -> tuple[LinearCode, MdsConstruction]:
+    """Build a family code and certify MDS-ness by oracle.
 
-    `removed` indexes columns of the full family matrix (0-based).  The
-    "grs" family is the doubly-extended matrix with its last column
-    dropped, matching the singly-extended construction.  The code keeps
-    `budget` for its certification and every later census.
+    The code keeps the first `n` columns of the full family matrix (all
+    of them by default), less the columns `removed` indexes (0-based).
+    The "grs" family is the doubly-extended matrix with its last column
+    dropped, matching the singly-extended construction.  The code's
+    certification and every later census run under `budget`.
     """
     q = field.q
-    drop = set(int(i) for i in removed)
+    length = family_length(family, q)
     if family == "gtrs":
         if d not in (None, 4):
             raise ValueError("the triply-extended family has d = 4")
         d = 4
         H_full = gtrs_parity(field)
-        fam = "gtrs"
-    elif family in ("gdrs", "grs"):
+    else:
         if d is None:
             raise ValueError("design distance required")
         H_full = gdrs_parity(field, d)
-        fam = "gdrs"
-        if family == "grs":
-            drop.add(q)  # the trailing (0,...,0,1) column
-    else:
-        raise ValueError(f"unknown family {family!r} (expected gdrs, grs, or gtrs)")
-    drop = tuple(sorted(drop))
+    if n is None:
+        n = length
+    elif not d <= n <= length:
+        raise ValueError(
+            f"the {family} family over GF({q}) needs {d} <= n <= {length}, got n={n}")
+    drop = tuple(sorted({int(i) for i in removed} | set(range(n, H_full.ncols))))
     H = remove_columns(H_full, drop) if drop else H_full
     code = LinearCode(H, budget)
-    construction = MdsConstruction(fam, q, d, drop)
+    construction = MdsConstruction("gtrs" if family == "gtrs" else "gdrs", q, d, drop)
     dist = code.min_distance()
     if dist != code.n - code.k + 1:
         raise ValueError(
             f"construction is not MDS: distance {dist} != {code.n - code.k + 1}")
     return code, construction
-
-
-def truncated_gdrs(field: GF, d: int, n: int,
-                   budget: int = DEFAULT_BUDGET) -> tuple[LinearCode, MdsConstruction]:
-    """[n, n-d+1, d]_q code from the doubly-extended matrix minus its last
-    q+1-n columns (the pinned default removal choice)."""
-    q = field.q
-    if not d <= n <= q + 1:
-        raise ValueError(f"need d <= n <= q+1, got n={n}")
-    removed = tuple(range(n, q + 1))
-    return build_code(field, "gdrs", d, removed=removed, budget=budget)
-

@@ -34,7 +34,7 @@ from .gf import field_of_order
 from .geometry import (bisecant_census, conic_census_formulas, conic_points,
                        double_shortened_conic_census_formulas, shortened_conic,
                        shortened_conic_census_formulas)
-from .mds import MdsConstruction, build_code, truncated_gdrs
+from .mds import MdsConstruction, build_code, family_length
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
 DESK_DS = (3, 4, 5, 6)
@@ -75,17 +75,19 @@ class DeskCache:
         self.entries: list[CorpusEntry] = []
         for q in self.qs:
             fld = field_of_order(q)
+            length = family_length("gdrs", q)
             for d in self.ds:
-                if d > q + 1:
-                    continue
-                for n in range(d, q + 2):
+                if d > length:
+                    continue  # no gdrs code, so no triple extension either (q = 2, d = 4)
+                for n in range(d, length + 1):
                     if q ** n <= DESK_AMBIENT_LIMIT:
-                        self.entries.append(CorpusEntry(*truncated_gdrs(fld, d, n, budget)))
-                if d == 4 and q % 2 == 0 and q ** (q + 2) <= DESK_AMBIENT_LIMIT:
+                        self.entries.append(CorpusEntry(*build_code(fld, "gdrs", d, n=n,
+                                                                    budget=budget)))
+                if (d == 4 and q % 2 == 0
+                        and q ** family_length("gtrs", q) <= DESK_AMBIENT_LIMIT):
                     self.entries.append(CorpusEntry(*build_code(fld, "gtrs", budget=budget)))
-        self._by_params = {(e.q, e.d, e.n, e.family): e for e in self.entries}
+        self._codes = {(e.q, e.d, e.n, e.family): e.code for e in self.entries}
         self._census: dict[LinearCode, CosetCensus] = {}
-        self._built: dict[tuple[int, int, int, str], LinearCode] = {}
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""
@@ -99,20 +101,13 @@ class DeskCache:
              family: str = "gdrs") -> LinearCode:
         """The [n, n-d+1, d]_q family code, full length by default: the
         corpus's own when it holds it, else built once."""
-        full_length = {"gtrs": q + 2, "grs": q}.get(family, q + 1)
         if n is None:
-            n = full_length
-        if n > full_length:
-            raise ValueError(f"the {family} family has length at most {full_length}, got n={n}")
+            n = family_length(family, q)
         key = (q, d, n, family)
-        entry = self._by_params.get(key)
-        if entry is not None:
-            return entry.code
-        if key not in self._built:
-            self._built[key], _ = build_code(field_of_order(q), family, d,
-                                             removed=range(n, full_length),
+        if key not in self._codes:
+            self._codes[key], _ = build_code(field_of_order(q), family, d, n=n,
                                              budget=self.budget)
-        return self._built[key]
+        return self._codes[key]
 
 
 @dataclass
@@ -303,13 +298,14 @@ def covering_certificates(cache: DeskCache) -> tuple[list[str], list[str]]:
 
     for q in (5, 7, 9, 11):
         rep = mcf_classify(cache.code(q, 4))
-        lines.append(f"[{q + 1},{q - 2},4]_{q}: gamma_mu = {rep.mu_density}")
+        label = f"[{rep.n},{rep.k},4]_{q}"
+        lines.append(f"{label}: gamma_mu = {rep.mu_density}")
         if rep.mu_density != 1 + Fraction(1, q):
-            bad.append(f"[{q + 1},{q - 2},4]_{q}: gamma_mu {rep.mu_density} != 1+1/{q}")
+            bad.append(f"{label}: gamma_mu {rep.mu_density} != 1+1/{q}")
         if rep.R == 2 and rep.d > 3:
             closed = mu_density_closed_form(rep.n, rep.k, q, rep.mu)
             if closed != rep.mu_density:
-                bad.append(f"[{q + 1},{q - 2},4]_{q}: closed form {closed} != census {rep.mu_density}")
+                bad.append(f"{label}: closed form {closed} != census {rep.mu_density}")
     return lines, bad
 
 
@@ -383,7 +379,7 @@ def weight2_identity_survey(cache: DeskCache) -> list[dict]:
     (criterion 1)."""
     findings = []
     for q in cache.qs:
-        n = q + 1
+        n = family_length("gdrs", q)
         for d in cache.ds:
             if d not in (5, 6) or d > n:
                 continue

@@ -8,7 +8,7 @@ from pathlib import Path
 import mdscosets
 from mdscosets import LinearCode
 
-CODE_CONSTRUCTORS = {"LinearCode", "build_code", "truncated_gdrs", "geometry_code_bridge"}
+CODE_CONSTRUCTORS = {"LinearCode", "build_code"}
 # this builds the desk corpus and passes the budget on
 CORPUS_BUILDERS = {"DeskCache"}
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -198,6 +199,20 @@ def test_verify_theorem_subsets(capsys):
     code3, out3, _ = run(capsys, "verify", "--theorem", "remark-6-6", "--q", "5")
     assert code3 == 0
     assert "empirical, not asserted" in out3
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--q", "2"), "0e7131421d9480bc8d02f1fe415bd0ace66e6681fc6be82d41327efab960e3e1"),
+    (("--q", "3", "--d", "4"),
+     "d9cf6dd91b932121357b051fe0a07025efca994817877020d6c0191f64431ef0"),
+], ids=["q2", "q3-d4"])
+def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
+    # at q = 2 the corpus skips every d > q+1, the triply-extended d = 4
+    # included (gdrs_parity refuses its base); d = q+1 keeps one code
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert "    1 codes checked" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_unknown_theorem(capsys):

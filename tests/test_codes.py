@@ -9,7 +9,7 @@ from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
                              LinearCode, Matrix, WeightDistribution,
                              coset_census, low_weight_census, syndrome_index)
 from mdscosets.gf import field_of_order
-from mdscosets.mds import build_code, gdrs_parity, truncated_gdrs
+from mdscosets.mds import build_code, gdrs_parity
 from oracle import (brute_codeword_weights, brute_table, generator_matrix,
                     syndrome)
 
@@ -29,6 +29,22 @@ def test_rank_deficient_parity_rejected():
         LinearCode(Matrix(f5, [[1, 2, 3], [0, 0, 0]]))
     with pytest.raises(ValueError, match="rank"):
         LinearCode(Matrix(f5, [[1, 2, 3], [2, 4, 1]]))
+
+
+def test_matrix_needs_rows_of_one_length():
+    f5 = field_of_order(5)
+    with pytest.raises(ValueError, match="at least one row"):
+        Matrix(f5, [])
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix(f5, [[1, 2], [3]])
+    assert Matrix(f5, [[1, 2, 3]]).drop_columns([0, 2]).rows == [[2]]
+
+
+def test_syndrome_index_on_ints_and_label_arrays():
+    row = syndrome_index(5, (1, 2, 3))
+    assert row == 1 + 2 * 5 + 3 * 25 and type(row) is int
+    rows = syndrome_index(5, (np.array([1, 0]), np.array([2, 4]), np.array([3, 1])))
+    assert rows.tolist() == [row, 4 * 5 + 25]
 
 
 def test_syndrome_linearity():
@@ -52,7 +68,7 @@ def test_syndrome_linearity():
 def test_brute_weight_distribution_examples():
     f5 = field_of_order(5)
     for n, want in [(6, (1, 0, 0, 0, 60, 24, 40)), (5, (1, 0, 0, 0, 20, 4))]:
-        code, _ = truncated_gdrs(f5, 4, n)
+        code, _ = build_code(f5, "gdrs", 4, n=n)
         assert brute_codeword_weights(code) == want
         assert tuple(brute_table(code)[(0, 0, 0)]) == want
         assert coset_census(code).code_distribution().counts == want
@@ -68,7 +84,7 @@ def test_brute_weight_distribution_zero_code():
 
 def test_budget_refusals_name_the_budget():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 6)
+    code, _ = build_code(f5, "gdrs", 4, n=6)
     with pytest.raises(BudgetExceededError, match="budget of 100"):
         coset_census(LinearCode(code.H, budget=100))
     with pytest.raises(BudgetExceededError, match="budget of 10"):
@@ -80,7 +96,7 @@ def test_budget_refusals_name_the_budget():
 def test_a_code_keeps_the_budget_it_was_built_with():
     # certifying [6,3,4]_5 takes 6*3*5^3 = 2250 kernel steps, its full
     # census twice that; the census runs under the code's own budget
-    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=2250)
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6, budget=2250)
     with pytest.raises(BudgetExceededError, match="budget of 2250"):
         coset_census(code)
     assert code.budget == 2250
@@ -88,17 +104,17 @@ def test_a_code_keeps_the_budget_it_was_built_with():
 
 def test_budget_unit_is_pinned():
     # the unit is n*wmax*q^(n-k): 6*3*5^3 = 2250 steps to certify [6,3,4]_5
-    code, _ = truncated_gdrs(field_of_order(5), 4, 6, budget=2250)
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6, budget=2250)
     assert code.min_distance() == 4
     with pytest.raises(BudgetExceededError) as refusal:
-        truncated_gdrs(field_of_order(5), 4, 6, budget=2249)
+        build_code(field_of_order(5), "gdrs", 4, n=6, budget=2249)
     assert str(refusal.value) == ("syndrome trellis needs 2250 steps "
                                   "n*wmax*q^(n-k), over the budget of 2249")
 
 
 def test_census_classes_of_conic_code():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 6)
+    code, _ = build_code(f5, "gdrs", 4, n=6)
     census = coset_census(code)
     assert census.total_cosets == 125
     assert census.count_of_weight(1) == 24
@@ -111,7 +127,7 @@ def test_census_classes_of_conic_code():
 
 def test_census_weight3_class_of_shortened_code():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 5)
+    code, _ = build_code(f5, "gdrs", 4, n=5)
     census = coset_census(code)
     w3 = census.classes_of_weight(3)
     assert len(w3) == 1
@@ -121,7 +137,7 @@ def test_census_weight3_class_of_shortened_code():
 
 def test_census_is_deterministically_sorted():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 6)
+    code, _ = build_code(f5, "gdrs", 4, n=6)
     census = coset_census(code)
     keys = [(cls.weight, cls.distribution.counts) for cls in census.classes]
     assert keys == sorted(keys)
@@ -129,10 +145,10 @@ def test_census_is_deterministically_sorted():
 
 def test_min_distance_and_covering_radius_examples():
     f5 = field_of_order(5)
-    code6, _ = truncated_gdrs(f5, 4, 6)
+    code6, _ = build_code(f5, "gdrs", 4, n=6)
     assert code6.min_distance() == 4
     assert code6.covering_radius() == 2
-    code5, _ = truncated_gdrs(f5, 4, 5)
+    code5, _ = build_code(f5, "gdrs", 4, n=5)
     assert code5.covering_radius() == 3
     f8 = field_of_order(8)
     gtrs, _ = build_code(f8, "gtrs")
@@ -142,7 +158,7 @@ def test_min_distance_and_covering_radius_examples():
 
 def test_min_distance_agrees_with_brute():
     f7 = field_of_order(7)
-    code, _ = truncated_gdrs(f7, 5, 7)
+    code, _ = build_code(f7, "gdrs", 5, n=7)
     weights = brute_codeword_weights(code)
     brute_d = next(w for w in range(1, code.n + 1) if weights[w])
     assert LinearCode(code.H).min_distance() == brute_d == 5
@@ -213,7 +229,7 @@ def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
 
 def test_corrupted_census_table_raises_invariant_error():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 6)
+    code, _ = build_code(f5, "gdrs", 4, n=6)
     table = coset_census(code).table.copy()
     table[7, 3] += 1
     with pytest.raises(InvariantError, match="q\\^n"):
@@ -222,7 +238,7 @@ def test_corrupted_census_table_raises_invariant_error():
 
 def test_low_weight_census_matches_full_census():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 6)
+    code, _ = build_code(f5, "gdrs", 4, n=6)
     full = coset_census(code)
     lw = low_weight_census(code, 3)
     assert "classes" not in vars(lw)  # rows are grouped only when read
@@ -232,7 +248,7 @@ def test_low_weight_census_matches_full_census():
     assert np.array_equal(lw.weights, full.weights)
 
     # below the covering radius R = 3 of [5,2,4]_5 some syndromes go unreached
-    code, _ = truncated_gdrs(f5, 4, 5)
+    code, _ = build_code(f5, "gdrs", 4, n=5)
     full = coset_census(code)
     R = code.covering_radius()
     assert R == 3
@@ -256,7 +272,7 @@ def test_shortened_hamming_coset_structure():
     # [n, n-2, 3]_q with n < q+1: the q^2-1-n(q-1) weight-2 cosets share
     # one distribution with B_2 = C(n,2)
     f7 = field_of_order(7)
-    code, _ = truncated_gdrs(f7, 3, 5)
+    code, _ = build_code(f7, "gdrs", 3, n=5)
     census = coset_census(code)
     w2 = census.classes_of_weight(2)
     assert len(w2) == 1
@@ -266,7 +282,7 @@ def test_shortened_hamming_coset_structure():
 
 def test_unique_leader_region():
     f7 = field_of_order(7)
-    code, _ = truncated_gdrs(f7, 5, 7)  # t = 2
+    code, _ = build_code(f7, "gdrs", 5, n=7)  # t = 2
     census = coset_census(code)
     for W in (1, 2):
         for cls in census.classes_of_weight(W):

@@ -11,13 +11,13 @@ from mdscosets.covering import (DeepHoleMismatchError, count_deep_hole_cosets,
                                 deep_hole_report, mcf_classify,
                                 mu_density_closed_form, saturating_set_report)
 from mdscosets.gf import field_of_order
-from mdscosets.mds import build_code, truncated_gdrs
+from mdscosets.mds import build_code
 from oracle import generator_matrix, syndrome
 
 
 def test_apmcf_certificate_for_shortened_conic_code():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 5)
+    code, _ = build_code(f5, "gdrs", 4, n=5)
     rep = mcf_classify(code)
     assert (rep.R, rep.mu) == (3, 10)
     assert rep.is_mcf and rep.is_apmcf and not rep.is_pmcf
@@ -71,7 +71,7 @@ def test_distance_and_multiplicity_spot_check():
     # every vector of a weight-W coset sits at distance W from the code and
     # sees exactly B_W codewords at that distance
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 5)
+    code, _ = build_code(f5, "gdrs", 4, n=5)
     census = coset_census(code)
     G = generator_matrix(code)
     codewords = []
@@ -96,12 +96,12 @@ def test_distance_and_multiplicity_spot_check():
 
 def test_deep_hole_counts_where_the_formula_holds():
     f5 = field_of_order(5)
-    code, cons = truncated_gdrs(f5, 4, 5)
+    code, cons = build_code(f5, "gdrs", 4, n=5)
     rep = count_deep_hole_cosets(code, cons)
     assert rep.count == rep.bound == 4
     assert rep.equality_required and rep.parent_R == 2
     f7 = field_of_order(7)
-    code7, cons7 = truncated_gdrs(f7, 4, 6)
+    code7, cons7 = build_code(f7, "gdrs", 4, n=6)
     assert count_deep_hole_cosets(code7, cons7).count == 12
 
 
@@ -127,7 +127,7 @@ def test_deep_hole_count_holds_below_half_the_odd_conic(q):
 def test_deep_hole_inequality_branch_for_even_parent():
     # the even-q conic parent has R = 3 != d-2, so only the bound applies
     f4 = field_of_order(4)
-    code, cons = truncated_gdrs(f4, 4, 4)
+    code, cons = build_code(f4, "gdrs", 4, n=4)
     rep = count_deep_hole_cosets(code, cons)
     assert not rep.equality_required
     assert rep.parent_R == 3
@@ -145,7 +145,7 @@ def test_deep_hole_formula_counterexample_is_a_hard_failure():
     # exhaustive enumeration refutes the claimed equality for [5,1,5]_5:
     # the census finds 24 weight-4 cosets, the formula predicts (q-1)*Delta = 4
     f5 = field_of_order(5)
-    code, cons = truncated_gdrs(f5, 5, 5)
+    code, cons = build_code(f5, "gdrs", 5, n=5)
     with pytest.raises(DeepHoleMismatchError, match="census 24, formula 4"):
         count_deep_hole_cosets(code, cons)
 
@@ -153,10 +153,10 @@ def test_deep_hole_formula_counterexample_is_a_hard_failure():
 def test_covering_radius_matches_census():
     f5 = field_of_order(5)
     for (d, n, want) in [(4, 6, 2), (4, 5, 3), (5, 6, 3)]:
-        code, _ = truncated_gdrs(f5, d, n)
+        code, _ = build_code(f5, "gdrs", d, n=n)
         assert code.covering_radius() == want
         assert coset_census(code).classes_of_weight(want)
-    code, _ = truncated_gdrs(f5, 4, 6)
+    code, _ = build_code(f5, "gdrs", 4, n=6)
     assert LinearCode(code.H, budget=10_000).covering_radius() == 2
 
 
@@ -191,17 +191,17 @@ def test_deep_hole_parent_is_built_within_the_budget():
     # the [6,3,4]_5 parent needs 6*3*5^3 = 2250 kernel steps, the
     # [5,2,4]_5 code itself 5*3*5^3 = 1875
     f5 = field_of_order(5)
-    code, cons = truncated_gdrs(f5, 4, 5, budget=2000)
+    code, cons = build_code(f5, "gdrs", 4, n=5, budget=2000)
     with pytest.raises(BudgetExceededError, match="budget of 2000"):
         count_deep_hole_cosets(code, cons)
-    code, cons = truncated_gdrs(f5, 4, 5, budget=2250)
+    code, cons = build_code(f5, "gdrs", 4, n=5, budget=2250)
     assert count_deep_hole_cosets(code, cons).parent_R == 2
 
 
 def test_deep_hole_rule():
     # (q-1)*Delta = 4 for [5,2,4]_5: equality when the parent's R is d-2,
     # a lower bound otherwise
-    _, cons = truncated_gdrs(field_of_order(5), 4, 5)
+    _, cons = build_code(field_of_order(5), "gdrs", 4, n=5)
     assert deep_hole_report(cons, 4, parent_R=2).holds
     assert not deep_hole_report(cons, 5, parent_R=2).holds
     assert deep_hole_report(cons, 5, parent_R=3).holds
@@ -212,7 +212,7 @@ def test_deep_hole_rule():
 
 def test_saturating_set_statements():
     f5 = field_of_order(5)
-    code, _ = truncated_gdrs(f5, 4, 5)
+    code, _ = build_code(f5, "gdrs", 4, n=5)
     rep = mcf_classify(code)
     sat = saturating_set_report(code, rep)
     assert sat["certified"]

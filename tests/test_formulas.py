@@ -12,7 +12,7 @@ from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 dist_weight_mid, symmetry_defect,
                                 weight2_aggregate, weight2_identical_check)
 from mdscosets.gf import field_of_order
-from mdscosets.mds import mds_weight_distribution, truncated_gdrs
+from mdscosets.mds import build_code, mds_weight_distribution
 from reference_sums import bw_known_part
 
 
@@ -140,7 +140,7 @@ def test_dist_weight_mid_low_branch_matches_weight2():
 
 def test_dist_weight_mid_high_branch_matches_census():
     f7 = field_of_order(7)
-    code, _ = truncated_gdrs(f7, 6, 7)  # [7,2,6]_7
+    code, _ = build_code(f7, "gdrs", 6, n=7)  # [7,2,6]_7
     census = coset_census(code)
     checked = 0
     for cls in census.classes_of_weight(3):
@@ -152,7 +152,7 @@ def test_dist_weight_mid_high_branch_matches_census():
 
 def test_dist_weight_mid_low_branch_matches_census():
     f7 = field_of_order(7)
-    code, _ = truncated_gdrs(f7, 5, 7)  # [7,3,5]_7, t = 2
+    code, _ = build_code(f7, "gdrs", 5, n=7)  # [7,3,5]_7, t = 2
     census = coset_census(code)
     for cls in census.classes_of_weight(2):
         knowns = (cls.distribution.counts[3],)
@@ -207,7 +207,7 @@ def test_failed_integrality_forces_multiple_census_classes():
     # when C(n-2,d-2)/(q-1) is not an integer the census must show at least
     # two distinct weight-2 distributions
     f7 = field_of_order(7)
-    code, _ = truncated_gdrs(f7, 5, 7)
+    code, _ = build_code(f7, "gdrs", 5, n=7)
     census = coset_census(code)
     assert not weight2_identical_check(7, 5, 7).condition_holds
     assert len(census.classes_of_weight(2)) >= 2

@@ -3,9 +3,9 @@ import pytest
 from mdscosets import codes
 from mdscosets.codes import LinearCode, Matrix, coset_census
 from mdscosets.gf import field_of_order
-from mdscosets.mds import (build_code, gdrs_parity, gtrs_parity,
-                           mds_weight_distribution, remove_columns,
-                           truncated_gdrs)
+from mdscosets.mds import (FAMILIES, build_code, family_length, gdrs_parity,
+                           gtrs_parity, mds_weight_distribution,
+                           remove_columns)
 from oracle import brute_codeword_weights
 
 
@@ -102,7 +102,7 @@ def test_mds_weight_distribution_examples():
                                    (7, 5, 7), (4, 3, 5), (8, 4, 9)])
 def test_closed_form_matches_brute_enumeration(q, d, n):
     f = field_of_order(q)
-    code, _ = truncated_gdrs(f, d, n)
+    code, _ = build_code(f, "gdrs", d, n=n)
     want = mds_weight_distribution(n, d, q)
     assert want.counts == brute_codeword_weights(code)
     assert coset_census(code).code_distribution() == want
@@ -147,6 +147,53 @@ def test_column_multipliers_do_not_change_the_census():
 
 def test_construction_records_removals():
     f7 = field_of_order(7)
-    code, cons = truncated_gdrs(f7, 4, 6)
+    code, cons = build_code(f7, "gdrs", 4, n=6)
     assert cons.removed == (6, 7)
     assert cons.delta == 2
+
+
+def _family_lengths():
+    """(family, q, d, n) for every prime power q <= 9 and every (d, n) the
+    family has."""
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for family in FAMILIES:
+            if family == "gtrs":
+                ds = (4,) if q % 2 == 0 and q > 2 else ()
+            else:
+                ds = range(3, q + 2)
+            for d in ds:
+                for n in range(d, family_length(family, q) + 1):
+                    yield family, q, d, n
+
+
+def test_family_lengths():
+    assert [family_length(fam, 7) for fam in FAMILIES] == [8, 7, 9]
+    with pytest.raises(ValueError, match="unknown family 'rs'"):
+        family_length("rs", 7)
+    with pytest.raises(ValueError, match="unknown family 'rs'"):
+        build_code(field_of_order(7), "rs", 4)
+
+
+def test_length_keeps_the_first_columns_of_the_family_matrix(monkeypatch):
+    # n=n is the removal of the trailing columns, recipe included.  The
+    # matrices are the subject here, so the census that certifies each
+    # code (tested above, and over budget for the largest d) is skipped.
+    monkeypatch.setattr(LinearCode, "min_distance", lambda self: self.n - self.k + 1)
+    cases = list(_family_lengths())
+    assert len(cases) == 189
+    for family, q, d, n in cases:
+        f = field_of_order(q)
+        code, cons = build_code(f, family, d, n=n)
+        want, want_cons = build_code(f, family, d,
+                                     removed=range(n, family_length(family, q)))
+        assert code.H.rows == want.H.rows, (family, q, d, n)
+        assert cons == want_cons, (family, q, d, n)
+        assert code.n == n
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_length_outside_the_family_is_refused(family):
+    f4 = field_of_order(4)
+    for n in (3, family_length(family, 4) + 1):  # below d = 4, past the full length
+        with pytest.raises(ValueError, match=f"got n={n}$"):
+            build_code(f4, family, 4, n=n)
