@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     # only the commands that build codes read a budget
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max syndrome-trellis steps n*wmax*q^(n-k) per count")
+                        help="max syndrome-trellis steps n*wmax*(1+(q^(n-k)-1)/(q-1)) per count")
     # the commands that build one family code
     family_code = argparse.ArgumentParser(add_help=False)
     family_code.add_argument("--family", choices=FAMILIES, required=True)

@@ -5,6 +5,9 @@ from.
 The kernel is Wolf's syndrome trellis (J. K. Wolf, IEEE Trans. IT 24(1),
 1978): a dense table T[s, w] of how many vectors of weight w <= wmax have
 syndrome s, grown one coordinate (one parity-check column) at a time.
+Every nonzero multiple of a syndrome has the same counts, so the table
+runs on the quotient by scalars: one row for the zero syndrome and one
+for each point of PG(n-k-1, q), 1 + (q^(n-k)-1)/(q-1) rows in all.
 One type, CosetCensus, holds the table at any wmax: at wmax = n it is
 the full coset census, at smaller wmax the low-weight census, where a
 syndrome no vector of weight <= wmax reaches has weight -1.  At
@@ -12,11 +15,12 @@ wmax = n - k it reaches every syndrome, and each LinearCode runs it
 there once: the minimum distance, the covering radius and the leader
 profile (how many cosets of each weight W have each number B_W of
 minimum-weight vectors) are all read from that one run.  Each column is
-admitted through the line sums of the table (see _syndrome_trellis),
-about three passes over its wmax*q^(n-k) entries whatever q is, so the
-budget counts n*wmax*q^(n-k) steps per census, not q^n vector visits,
-and a census that fits it holds at most budget/n + q^(n-k) table
-entries.
+admitted through the sums over the lines through its point (see
+_syndrome_trellis), about three passes over the wmax*(1 + (q^(n-k)-1)/(q-1))
+entries whatever q is, so the budget counts
+n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, not q^n vector visits,
+and a census that fits it holds at most budget/n + 1 + (q^(n-k)-1)/(q-1)
+table entries.
 
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
@@ -174,7 +178,7 @@ class LinearCode:
 
     def _leader_memo(self) -> tuple[int, dict[int, dict[int, int]]]:
         """(d, leader profile), from the one weight-(n-k) census this code
-        ever runs.  Only these few numbers are kept, not the q^(n-k)-row
+        ever runs.  Only these few numbers are kept, not the census
         table, so a corpus of codes does not hold every table alive."""
         if self._leaders is None:
             census = low_weight_census(self, self.r)
@@ -206,71 +210,118 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
 
 
-# A syndrome vector s in F_q^r is stored at row sum(s[t] * q^t) of every
-# census table.
+# A census table has one row per syndrome up to scalars.  A vector and
+# its multiples have the same weight, and H(alpha x) = alpha Hx, so every
+# nonzero multiple of a syndrome s has the row of s.  Row 0 is the zero
+# syndrome.  Each other row is a point of PG(n-k-1, q), given by the
+# syndrome whose most significant nonzero digit s[t] is 1; its row is
+# 1 + (q^t - 1)/(q - 1) + sum_{i<t} s[i] q^i, so the rows of the points
+# with t = 0, 1, ... follow one another and no q^(n-k) table is needed.
 
-def syndrome_index(q: int, svec):
-    """The row of the syndrome svec: an int for int entries, and for
+def census_rows(q: int, r: int) -> int:
+    """Rows of a census table: the zero syndrome and the points of PG(r-1, q)."""
+    return 1 + (q**r - 1) // (q - 1)
+
+
+def syndrome_row(f: GF, svec):
+    """The census row of the syndrome svec: an int for int entries, and for
     label-array entries the array of rows, entry by entry."""
-    return sum(s * q**t for t, s in enumerate(svec))
+    q = f.q
+    digits = np.asarray(svec, dtype=np.int64)
+    nonzero = digits != 0
+    top = len(digits) - 1 - np.argmax(nonzero[::-1], axis=0)  # most significant nonzero digit
+    lead = np.take_along_axis(digits, top[None], axis=0)[0]
+    powers = q ** np.arange(len(digits), dtype=np.int64)
+    value = np.tensordot(powers, f.mul_array(digits, f.inv_array(lead)), axes=1)
+    qt = powers[top]
+    row = np.where(nonzero.any(axis=0), 1 + (qt - 1) // (q - 1) + value % qt, 0)
+    return int(row) if digits.ndim == 1 else row
 
 
-def _line_order(f: GF, col: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The states of F_q^r in line order for the nonzero column h, and its inverse.
+def _point_lines(f: GF, col: list[int], add: np.ndarray, mul: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The census rows in line order for the nonzero column h, and its
+    inverse; add and mul are the field's (q, q) tables as int64.
 
-    With h scaled so that its most significant nonzero digit p is 1, each
-    line u + F_q*h holds exactly one state u with digit p equal to 0, and
-    u + c*h has digit c there.  Entry c*q^(r-1) + i of the order is
-    u_i + c*h, so the q points of line i sit q^(r-1) apart and a sum over
-    the leading axis of the reshaped (q, q^(r-1)) gather is one sum per
-    line.  The order is built digit by digit from the addition table,
-    most significant digit first.
+    With h scaled so that its most significant nonzero digit p is 1, let H
+    be its point.  The L = (q^(r-1) - 1)/(q - 1) lines through H split the
+    other points into groups of q: entry c*L + i of the order is the c-th
+    point of line i, so a sum over the leading axis of the reshaped (q, L)
+    gather is one sum per line.  The last two entries are the rows of the
+    zero syndrome and of H.  Line i runs through one point u with digit p
+    equal to 0.  When u's leading digit s lies below p, the line is u and
+    the points a*u + h, a != 0, whose digit p is 1.  When it lies above
+    p, the points u + c*h, c in F_q, are already scaled, with digit c at
+    p.  Both kinds are built digit by digit from the tables, in integers:
+    no point is scaled.
     """
     q, r = f.q, len(col)
     p = max(t for t in range(r) if col[t])
-    scale = f.inv(col[p])
-    h = [f.mul(scale, x) for x in col]
-    add_t = f.add_table().astype(np.int64)
-    order = np.zeros((q, 1), dtype=np.int64)  # order[c, i] = u_i + c*h
-    for t in reversed(range(r)):
-        if t == p:
-            order = order + (np.arange(q, dtype=np.int64) * q**t)[:, None]
-        else:
-            ch = f.mul_array(np.arange(q), h[t])
-            order = (order[:, :, None] + add_t[:, ch].T[:, None, :] * q**t).reshape(q, -1)
-    order = order.reshape(-1)
+    h = mul[f.inv(col[p]), col].tolist()
+    first = [census_rows(q, t) for t in range(r + 1)]  # row of the unit vector e_t
+    order = np.empty(first[r], dtype=np.int64)
+    lines = order[:-2].reshape(q, (first[r] - 2) // q)
+    point = first[p] + sum(h[t] * q**t for t in range(p))
+    order[-2:] = 0, point
+
+    # u leading at s < p, in row order 1, 2, ...: a*u + h has digit
+    # add(a, h_s) at s and h_t above s; ahead[a - 1, z] is the part below
+    # s for u's digits z there
+    lines[0, :first[p] - 1] = np.arange(1, first[p])
+    rest, ahead = point, np.zeros((q - 1, 1), dtype=np.int64)
+    for s in range(p):
+        rest -= h[s] * q**s
+        lines[1:, first[s] - 1:first[s + 1] - 1] = rest + (add[1:, h[s]] * q**s)[:, None] + ahead
+        if s + 1 < p:
+            ahead = ((add[mul[1:], h[s]] * q**s)[:, :, None] + ahead[:, None, :]).reshape(q - 1, -1)
+
+    # u leading at t > p: row first[t] + (digits p+1..t-1) + c*q^p + low[c, z],
+    # low[c, z] the digits below p of u + c*h for u's digits z there
+    if p < r - 1:
+        low = np.zeros((q, 1), dtype=np.int64)
+        for t in reversed(range(p)):
+            low = (low[:, :, None] + (add[:, mul[:, h[t]]].T * q**t)[:, None, :]).reshape(q, -1)
+        low += (np.arange(q, dtype=np.int64) * q**p)[:, None]
+        high = np.concatenate([first[t] + q**(p + 1) * np.arange(q**(t - p - 1), dtype=np.int64)
+                               for t in range(p + 1, r)])
+        lines[:, first[p] - 1:] = (high[None, :, None] + low[:, None, :]).reshape(q, -1)
+
     inverse = np.empty_like(order)
     inverse[order] = np.arange(order.size, dtype=np.int64)
     return order, inverse
 
 
 def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
-    """T[s, w]: how many vectors of weight w <= wmax have syndrome row s.
+    """T[s, w]: how many vectors of weight w <= wmax have syndrome s, one
+    census row s per point (see census_rows).
 
     Starting from the empty word (T[0, 0] = 1), coordinate j is admitted by
 
         T_j[s, w] = T_{j-1}[s, w] + sum_{c != 0} T_{j-1}[s - c*h_j, w - 1],
 
-    where h_j is column j of H.  For h_j != 0 the sum is the sum of
-    T_{j-1}[., w - 1] over the line s + F_q*h_j less T_{j-1}[s, w - 1], so
-    each weight row takes one gather into line order (_line_order), one
-    sum per line and one gather back: about three passes over the table
-    per column, not q - 1 translated gathers.  Rows are updated from
-    w = wmax down, so row w - 1 is still T_{j-1} when row w reads it.  A
-    zero column adds (q - 1) T_{j-1}[s, w - 1].  Both refusals, the
-    code's budget (counted in n*wmax*q^(n-k) steps, one per entry of
-    each weight row each column updates) and the int64 range, fire
-    before any table exists.
+    where h_j is column j of H.  Let h_j != 0 have point H.  For a point
+    P != H the q - 1 syndromes s - c*h_j lie one on each point of the line
+    PH but H, P itself included, so the sum is S - T_{j-1}[P, w - 1], S the
+    sum of T_{j-1}[., w - 1] over the q points of that line but H.  For H
+    it is T_{j-1}[0, w - 1] + (q - 2) T_{j-1}[H, w - 1], and for the zero
+    syndrome (q - 1) T_{j-1}[H, w - 1].  So each weight row takes one
+    gather into line order (_point_lines), one sum per line and one gather
+    back.  Rows are updated from w = wmax down, so row w - 1 is still
+    T_{j-1} when row w reads it.  A zero column adds (q - 1) T_{j-1}[s, w - 1].
+    Both refusals, the code's budget (counted in
+    n*wmax*(1 + (q^(n-k) - 1)/(q - 1)) steps, one per entry of each weight
+    row each column updates) and the int64 range, fire before any table
+    exists.
     """
     f = code.field
     q, n, r = f.q, code.n, code.r
     if not 0 <= wmax <= n:
         raise ValueError(f"wmax={wmax} outside [0, {n}]")
-    states = q ** r
+    states = census_rows(q, r)
     work = n * wmax * states
     if work > code.budget:
         raise BudgetExceededError(
-            f"syndrome trellis needs {work} steps n*wmax*q^(n-k), "
+            f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1)), "
             f"over the budget of {code.budget}")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
     if vectors >= 2**63:
@@ -283,16 +334,20 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     # two row buffers serve every update; take's default mode="raise"
     # would buffer `out` again, and the indices are a permutation anyway
     lines, back = np.empty(states, dtype=np.int64), np.empty(states, dtype=np.int64)
+    grouped = lines[:-2].reshape(q, (states - 2) // q)  # [c, i]: point c of line i
+    add = f.add_table().astype(np.int64)
+    mul = f.mul_array(np.arange(q)[:, None], np.arange(q))
     for col in code.H.columns():
         if not any(col):
             for w in range(wmax, 0, -1):
                 table[w] += (q - 1) * table[w - 1]
             continue
-        order, inverse = _line_order(f, col)
+        order, inverse = _point_lines(f, col, add, mul)
         for w in range(wmax, 0, -1):
             np.take(table[w - 1], order, out=lines, mode="clip")
-            g = lines.reshape(q, -1)
-            g -= g.sum(axis=0)  # T[s] - (sum of T over the line of s)
+            zero, point = lines[-2:]
+            grouped -= grouped.sum(axis=0)  # T[P] - (sum of T over P's line less H)
+            lines[-2:] = -(q - 1) * point, -zero - (q - 2) * point
             np.take(lines, inverse, out=back, mode="clip")
             table[w] -= back
     return np.ascontiguousarray(table.T)
@@ -308,21 +363,27 @@ class CosetClass:
 
 
 class CosetCensus:
-    """Per-syndrome counts of the vectors of weight <= wmax, from one trellis run.
+    """Per-point counts of the vectors of weight <= wmax, from one trellis run.
 
-    At wmax = n the rows are the full coset weight distributions; at
-    smaller wmax they are exact as far as they reach.  A syndrome reached
-    by no vector of weight <= wmax has weight -1 here (meaning: bigger
-    than wmax), and its row is all zero.  Rows are grouped into `classes`
-    only when `classes` is first read.
+    The table has one row per census row (see census_rows): the zero
+    syndrome, then one row for the q - 1 syndromes of each point, and
+    every count of cosets counts a point's row q - 1 times.  At wmax = n
+    the rows are the full coset weight distributions; at smaller wmax they
+    are exact as far as they reach.  A syndrome reached by no vector of
+    weight <= wmax has weight -1 here (meaning: bigger than wmax), and its
+    row is all zero.  Rows are grouped into `classes` only when `classes`
+    is first read.
     """
 
     def __init__(self, code: LinearCode, table: np.ndarray):
         self.code = code
         q, n, k = code.field.q, code.n, code.k
         self.total_cosets = q ** code.r
-        self.table = table  # (q^r, wmax+1) exact counts
+        self.table = table  # (1 + (q^r-1)/(q-1), wmax+1) exact counts
         self.wmax = table.shape[1] - 1
+        # cosets per row: the zero syndrome once, each point's q - 1 times
+        self._cosets = np.full(len(table), q - 1, dtype=np.int64)
+        self._cosets[0] = 1
         reached = table > 0
         has = reached.any(axis=1)
         # -1..wmax in the smallest integer type: a census keeps this
@@ -331,7 +392,8 @@ class CosetCensus:
             np.min_scalar_type(-1 - self.wmax))
         self.fully_covered = bool(has.all())
         if self.wmax == n:
-            _require(int(table.sum()) == q**n, "census table does not hold q^n vectors")
+            _require(int(table[0].sum()) + (q - 1) * int(table[1:].sum()) == q**n,
+                     "census table does not hold q^n vectors")
             _require(bool(np.all(table.sum(axis=1) == q**k)),
                      "a census row does not hold q^k vectors")
         _require(self.count_of_weight(0) == 1, "census needs exactly one weight-0 coset")
@@ -344,7 +406,7 @@ class CosetCensus:
         order = np.lexsort((*table.T[::-1], weights))
         rows = table[order]
         starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
-        counts = np.diff(np.r_[starts, len(rows)])
+        counts = np.add.reduceat(self._cosets[order], starts)
         classes = []
         for start, cnt in zip(starts, counts):
             dist = WeightDistribution(tuple(int(x) for x in rows[start]))
@@ -357,19 +419,22 @@ class CosetCensus:
         return [c for c in self.classes if c.weight == W]
 
     def count_of_weight(self, W: int) -> int:
-        return int(np.count_nonzero(self.weights == W))
+        return int(self._cosets[self.weights == W].sum())
 
     def profile_at(self, W: int) -> dict[int, int]:
         """How many weight-W cosets have each value of B_W."""
-        vals, counts = np.unique(self.table[self.weights == W, W], return_counts=True)
+        at = self.weights == W
+        vals, where = np.unique(self.table[at, W], return_inverse=True)
+        counts = np.zeros(len(vals), dtype=np.int64)
+        np.add.at(counts, where, self._cosets[at])
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
     def code_distribution(self) -> WeightDistribution:
         return self.distribution_of_syndrome((0,) * self.code.r)
 
     def distribution_of_syndrome(self, svec) -> WeightDistribution:
-        idx = syndrome_index(self.code.field.q, svec)
-        return WeightDistribution(tuple(self.table[idx].tolist()))
+        row = syndrome_row(self.code.field, svec)
+        return WeightDistribution(tuple(self.table[row].tolist()))
 
 
 def coset_census(code: LinearCode) -> CosetCensus:

@@ -20,7 +20,8 @@ or two points removed.  A bisecant census sorts the points off an arc
 by how many of the arc's bisecants pass through them; the census on the
 code side must match it coset class by coset class, which
 `geometry_code_bridge` verifies by gathering the census rows of all
-(q-1)(q^2+q+1) syndromes lam*pt at once and checking them as arrays.
+q^2+q+1 points at once (one row stands for the q-1 syndromes lam*pt of
+a point) and checking them as arrays.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearCode, Matrix, low_weight_census, syndrome_index
+from .codes import LinearCode, Matrix, low_weight_census, syndrome_row
 from .gf import GF
 
 Point = tuple[int, int, int]
@@ -232,21 +233,19 @@ def geometry_code_bridge(arc: Arc) -> BridgeReport:
     code = LinearCode(H)
     census = low_weight_census(code, 3)
     counts = arc._counts
-    # rows[p, lam - 1] is the census row of the syndrome lam*pt, pt the
-    # point of plane rank p
+    # rows[p] is the census row of the q-1 syndromes lam*pt, pt the point
+    # of plane rank p
     coords = _plane_coords(q)
-    lam = np.arange(1, q)
-    rows = census.table[syndrome_index(q, [f.mul_array(lam, c[:, None]) for c in coords])]
+    rows = census.table[syndrome_row(f, coords)]
     on_arc = np.zeros(counts.size, dtype=bool)
     on_arc[arc._ranks] = True
-    b = counts[:, None]
-    B1, B2, B3 = rows[..., 1], rows[..., 2], rows[..., 3]
-    ok = np.where(on_arc[:, None], B1 == 1,
-                  (B1 == 0) & np.where(b >= 1, B2 == b, (B2 == 0) & (B3 != 0)))
+    B1, B2, B3 = rows[:, 1], rows[:, 2], rows[:, 3]
+    ok = np.where(on_arc, B1 == 1,
+                  (B1 == 0) & np.where(counts >= 1, B2 == counts, (B2 == 0) & (B3 != 0)))
     if not ok.all():
-        p, lam_i = divmod(int(np.argmin(ok)), q - 1)  # first failure, plane order then lam
+        p = int(np.argmin(ok))  # first failure in plane order
         pt = tuple(int(c[p]) for c in coords)
-        row = tuple(rows[p, lam_i].tolist())
+        row = tuple(rows[p].tolist())
         if on_arc[p]:
             raise ValueError(f"arc point {pt}: expected a weight-1 coset, got {row}")
         if counts[p]:

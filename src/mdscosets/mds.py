@@ -68,6 +68,23 @@ def family_length(family: str, q: int) -> int:
     return q - 1 + _EXTENSIONS[family]
 
 
+def has_triple_extension(q: int, d: int) -> bool:
+    """Whether the triply-extended family has a design-distance-d code
+    over GF(q): only at d = 4, and only for even q."""
+    return d == 4 and q % 2 == 0
+
+
+def _extended_rows(field: GF, d: int) -> list[list[int]]:
+    """The d-1 rows of the doubly-extended matrix, for any d >= 2."""
+    rows = []
+    for t in range(d - 1):
+        row = [field.power(a, t) for a in range(1, field.q)]
+        row.append(1 if t == 0 else 0)
+        row.append(1 if t == d - 2 else 0)
+        rows.append(row)
+    return rows
+
+
 def gdrs_parity(field: GF, d: int) -> Matrix:
     """The (d-1) x (q+1) doubly-extended parity-check matrix over GF(q)."""
     q = field.q
@@ -75,21 +92,17 @@ def gdrs_parity(field: GF, d: int) -> Matrix:
         raise ValueError(f"design distance must be >= 3, got {d}")
     if d > q + 1:
         raise ValueError(f"design distance {d} too large for a length-{q + 1} code over GF({q})")
-    rows = []
-    for t in range(d - 1):
-        row = [field.power(a, t) for a in range(1, q)]
-        row.append(1 if t == 0 else 0)
-        row.append(1 if t == d - 2 else 0)
-        rows.append(row)
-    return Matrix(field, rows)
+    return Matrix(field, _extended_rows(field, d))
 
 
 def gtrs_parity(field: GF) -> Matrix:
-    """The 3 x (q+2) triply-extended parity-check matrix; q must be even."""
-    if field.p != 2:
+    """The 3 x (q+2) triply-extended parity-check matrix; q must be even.
+    At q = 2 its doubly-extended part, three columns, has no code of
+    distance 4 of its own, but with the nucleus it is the [4,1,4]_2 code."""
+    if not has_triple_extension(field.q, 4):
         raise ValueError(f"triple extension requires even q, got q={field.q}")
-    base = gdrs_parity(field, 4)
-    return Matrix(field, [row + [nucleus] for row, nucleus in zip(base.rows, (0, 1, 0))])
+    return Matrix(field, [row + [nucleus]
+                          for row, nucleus in zip(_extended_rows(field, 4), (0, 1, 0))])
 
 
 def remove_columns(matrix: Matrix, idxs) -> Matrix:

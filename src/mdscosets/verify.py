@@ -34,7 +34,7 @@ from .gf import field_of_order
 from .geometry import (bisecant_census, conic_census_formulas, conic_points,
                        double_shortened_conic_census_formulas, shortened_conic,
                        shortened_conic_census_formulas)
-from .mds import MdsConstruction, build_code, family_length
+from .mds import MdsConstruction, build_code, family_length, has_triple_extension
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
 DESK_DS = (3, 4, 5, 6)
@@ -78,12 +78,12 @@ class DeskCache:
             length = family_length("gdrs", q)
             for d in self.ds:
                 if d > length:
-                    continue  # no gdrs code, so no triple extension either (q = 2, d = 4)
+                    continue  # no gdrs code; the corpus adds no triple extension without one
                 for n in range(d, length + 1):
                     if q ** n <= DESK_AMBIENT_LIMIT:
                         self.entries.append(CorpusEntry(*build_code(fld, "gdrs", d, n=n,
                                                                     budget=budget)))
-                if (d == 4 and q % 2 == 0
+                if (has_triple_extension(q, d)
                         and q ** family_length("gtrs", q) <= DESK_AMBIENT_LIMIT):
                     self.entries.append(CorpusEntry(*build_code(fld, "gtrs", budget=budget)))
         self._codes = {(e.q, e.d, e.n, e.family): e.code for e in self.entries}
@@ -357,7 +357,8 @@ def criterion_structural(cache: DeskCache) -> CriterionResult:
                 bad.append(f"{entry.label}: class total {cls.distribution.total()} != q^k")
                 break
         s = census.code_distribution().num_nonzero_weights()
-        if n <= q or (n == q + 1 and k != 2):
+        full = family_length("gdrs", q)
+        if n < full or (n == full and k != 2):
             if s != k:
                 bad.append(f"{entry.label}: s(C) = {s} != k = {k}")
         for W in range(0, (d - 1) // 2 + 1):

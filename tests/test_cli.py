@@ -121,10 +121,10 @@ def test_census_code_csv_columns(capsys):
 
 
 def test_census_budget_refusal(capsys):
-    # certifying [14,8,7]_13 needs 14*6*13^6 = 4.1*10^8 kernel steps,
-    # over the default budget, while 13^14 stays below 2^63
+    # certifying [14,7,8]_13 needs 14*7*(1 + (13^7-1)/12) = 5.1*10^8
+    # kernel steps, over the default budget, while 13^14 stays below 2^63
     code, _, err = run(capsys, "census", "code", "--family", "gdrs",
-                       "--q", "13", "--d", "7")
+                       "--q", "13", "--d", "8")
     assert code == 3
     assert "budget" in err
 
@@ -208,7 +208,8 @@ def test_verify_theorem_subsets(capsys):
 ], ids=["q2", "q3-d4"])
 def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
     # at q = 2 the corpus skips every d > q+1, the triply-extended d = 4
-    # included (gdrs_parity refuses its base); d = q+1 keeps one code
+    # included (the corpus adds it only next to a gdrs code of its d);
+    # d = q+1 keeps one code
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 0
     assert "    1 codes checked" in out.splitlines()

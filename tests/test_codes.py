@@ -1,4 +1,4 @@
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -6,10 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
-                             LinearCode, Matrix, WeightDistribution,
-                             coset_census, low_weight_census, syndrome_index)
+                             LinearCode, Matrix, WeightDistribution, census_rows,
+                             coset_census, low_weight_census, syndrome_row)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, gdrs_parity
+from dual_census import dual_table
 from oracle import (brute_codeword_weights, brute_table, generator_matrix,
                     syndrome)
 
@@ -40,11 +41,32 @@ def test_matrix_needs_rows_of_one_length():
     assert Matrix(f5, [[1, 2, 3]]).drop_columns([0, 2]).rows == [[2]]
 
 
-def test_syndrome_index_on_ints_and_label_arrays():
-    row = syndrome_index(5, (1, 2, 3))
-    assert row == 1 + 2 * 5 + 3 * 25 and type(row) is int
-    rows = syndrome_index(5, (np.array([1, 0]), np.array([2, 4]), np.array([3, 1])))
-    assert rows.tolist() == [row, 4 * 5 + 25]
+def test_syndrome_row_on_ints_and_label_arrays():
+    # (1, 2, 3) over GF(5) scales by 3^-1 = 2 to (2, 4, 1), whose leading
+    # digit sits at t = 2: row 1 + (5^2 - 1)/4 + 2 + 4*5
+    f5 = field_of_order(5)
+    row = syndrome_row(f5, (1, 2, 3))
+    assert row == 1 + 6 + 2 + 4 * 5 and type(row) is int
+    assert syndrome_row(f5, (0, 0, 0)) == 0 and syndrome_row(f5, (1, 0, 0)) == 1
+    # (2, 4, 1) is 2*(1, 2, 3); (0, 4, 0) scales to (0, 1, 0), row 1 + 1
+    rows = syndrome_row(f5, (np.array([1, 2, 0, 0]), np.array([2, 4, 4, 0]),
+                             np.array([3, 1, 0, 0])))
+    assert rows.tolist() == [row, row, 2, 0]
+
+
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 1), (4, 3), (5, 2), (7, 2), (9, 2)])
+def test_each_census_row_is_one_point(q, r):
+    # the rows of all q^r syndromes: 0 for the zero syndrome alone, and
+    # every other row 1..(q^r-1)/(q-1) for exactly the q-1 multiples of one
+    f = field_of_order(q)
+    svecs = list(product(range(q), repeat=r))
+    rows = syndrome_row(f, np.array(svecs).T)
+    assert [syndrome_row(f, s) for s in svecs] == rows.tolist()
+    assert census_rows(q, r) == 1 + (q**r - 1) // (q - 1)
+    assert np.bincount(rows).tolist() == [1] + [q - 1] * (census_rows(q, r) - 1)
+    for s, row in zip(svecs, rows):
+        for c in range(1, q):
+            assert syndrome_row(f, [f.mul(c, x) for x in s]) == row
 
 
 def test_syndrome_linearity():
@@ -94,22 +116,37 @@ def test_budget_refusals_name_the_budget():
 
 
 def test_a_code_keeps_the_budget_it_was_built_with():
-    # certifying [6,3,4]_5 takes 6*3*5^3 = 2250 kernel steps, its full
+    # certifying [6,3,4]_5 takes 6*3*32 = 576 kernel steps, its full
     # census twice that; the census runs under the code's own budget
-    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6, budget=2250)
-    with pytest.raises(BudgetExceededError, match="budget of 2250"):
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6, budget=576)
+    with pytest.raises(BudgetExceededError, match="budget of 576"):
         coset_census(code)
-    assert code.budget == 2250
+    assert code.budget == 576
 
 
 def test_budget_unit_is_pinned():
-    # the unit is n*wmax*q^(n-k): 6*3*5^3 = 2250 steps to certify [6,3,4]_5
-    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6, budget=2250)
+    # the unit is n*wmax*(1 + (q^(n-k)-1)/(q-1)), one step per entry of
+    # each updated weight row: 6*3*32 = 576 steps to certify [6,3,4]_5
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6, budget=576)
     assert code.min_distance() == 4
     with pytest.raises(BudgetExceededError) as refusal:
-        build_code(field_of_order(5), "gdrs", 4, n=6, budget=2249)
-    assert str(refusal.value) == ("syndrome trellis needs 2250 steps "
-                                  "n*wmax*q^(n-k), over the budget of 2249")
+        build_code(field_of_order(5), "gdrs", 4, n=6, budget=575)
+    assert str(refusal.value) == ("syndrome trellis needs 576 steps "
+                                  "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 575")
+
+
+def test_census_has_one_row_per_point():
+    # the zero syndrome and the 31 points of PG(2, 5); the 124 nonzero
+    # syndromes of [6,3,4]_5 are counted q-1 = 4 to a row
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
+    for census in (coset_census(code), low_weight_census(code, 2)):
+        assert census.table.shape[0] == 1 + (5**3 - 1) // 4 == 32
+        assert census.total_cosets == 125
+        assert sum(c.count for c in census.classes) == 125
+    for q, d, r in [(4, 3, 2), (7, 5, 4), (8, 4, 3)]:
+        code, _ = build_code(field_of_order(q), "gdrs", d, n=d + 1)
+        assert code.r == r
+        assert len(low_weight_census(code, 1).table) == 1 + (q**r - 1) // (q - 1)
 
 
 def test_census_classes_of_conic_code():
@@ -164,6 +201,15 @@ def test_min_distance_agrees_with_brute():
     assert LinearCode(code.H).min_distance() == brute_d == 5
 
 
+def _brute_rows(code, brute):
+    """The census row of each syndrome brute_table(code) counts, and its
+    counts, in one order: every syndrome's full row, each point's q-1
+    syndromes included."""
+    svecs = list(brute)
+    rows = syndrome_row(code.field, np.array(svecs).T)
+    return rows, np.array([brute[s] for s in svecs], dtype=np.int64)
+
+
 def test_kernel_matches_brute_oracle_on_small_desk_codes(desk):
     small = [e for e in desk.entries if e.q ** e.n <= 10**5]
     assert len(small) == 38
@@ -172,22 +218,39 @@ def test_kernel_matches_brute_oracle_on_small_desk_codes(desk):
         q, n = code.field.q, code.n
         brute = brute_table(code)
         assert len(brute) == q ** code.r, entry.label
-        want = np.zeros((q ** code.r, n + 1), dtype=np.int64)
-        for svec, row in brute.items():
-            want[syndrome_index(q, svec)] = row
+        at, want = _brute_rows(code, brute)
         census = desk.census(entry)
-        assert np.array_equal(census.table, want), entry.label
+        assert len(census.table) == census_rows(q, code.r), entry.label
+        assert np.array_equal(census.table[at], want), entry.label
         rows = sorted((next(w for w, c in enumerate(row) if c), tuple(row))
                       for row in brute.values())
         assert [((c.weight, c.distribution.counts), c.count) for c in census.classes] \
             == [(key, len(list(group))) for key, group in groupby(rows)], entry.label
         for wmax in range(n + 1):
-            assert np.array_equal(low_weight_census(code, wmax).table,
+            assert np.array_equal(low_weight_census(code, wmax).table[at],
                                   want[:, :wmax + 1]), (entry.label, wmax)
         zero = brute[(0,) * code.r]
         assert code.min_distance() == next(w for w in range(1, n + 1) if zero[w])
         radius = max(next(w for w, c in enumerate(row) if c) for row in brute.values())
         assert code.covering_radius() == radius, entry.label
+
+
+def test_kernel_matches_dual_census_on_desk_codes(desk):
+    # the MacWilliams census shares no code with the trellis: each of its
+    # rows (one syndrome per point, and the zero syndrome) is the
+    # kernel's row of that syndrome, at wmax = n and cut at every wmax
+    entries = [e for e in desk.entries if e.q ** e.code.r <= 2000]
+    assert len(entries) == 60
+    for entry in entries:
+        code = entry.code
+        dual = dual_table(code)
+        at = syndrome_row(code.field, np.array(list(dual)).T)
+        assert sorted(at.tolist()) == list(range(census_rows(entry.q, code.r))), entry.label
+        want = np.array(list(dual.values()), dtype=np.int64)
+        assert np.array_equal(desk.census(entry).table[at], want), entry.label
+        for wmax in range(code.n):
+            assert np.array_equal(low_weight_census(code, wmax).table[at],
+                                  want[:, :wmax + 1]), (entry.label, wmax)
 
 
 @st.composite
@@ -219,12 +282,14 @@ def parity_checks(draw):
 @given(parity_checks())
 def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
     code = LinearCode(H)
-    q, n = code.field.q, code.n
-    want = np.zeros((q ** code.r, n + 1), dtype=np.int64)
-    for svec, row in brute_table(code).items():
-        want[syndrome_index(q, svec)] = row
-    for wmax in range(n + 1):
-        assert np.array_equal(low_weight_census(code, wmax).table, want[:, :wmax + 1]), wmax
+    brute = brute_table(code)
+    at, want = _brute_rows(code, brute)
+    for svec, row in dual_table(code).items():  # the second oracle, zero and parallel columns too
+        assert brute[svec] == row, svec
+    for wmax in range(code.n + 1):
+        table = low_weight_census(code, wmax).table
+        assert len(table) == census_rows(code.field.q, code.r)
+        assert np.array_equal(table[at], want[:, :wmax + 1]), wmax
 
 
 def test_corrupted_census_table_raises_invariant_error():
@@ -250,6 +315,7 @@ def test_low_weight_census_matches_full_census():
     # below the covering radius R = 3 of [5,2,4]_5 some syndromes go unreached
     code, _ = build_code(f5, "gdrs", 4, n=5)
     full = coset_census(code)
+    every = syndrome_row(f5, np.array(list(product(range(5), repeat=3))).T)
     R = code.covering_radius()
     assert R == 3
     for wmax in range(R):
@@ -259,9 +325,10 @@ def test_low_weight_census_matches_full_census():
         assert np.array_equal(cut.weights, np.where(full.weights <= wmax, full.weights, -1))
         assert cut.count_of_weight(-1) == full.total_cosets - sum(
             full.count_of_weight(W) for W in range(wmax + 1))
-        # the full rows cut at wmax and regrouped, unreached rows as one weight -1 class
+        # every syndrome's full row cut at wmax and regrouped, unreached
+        # rows as one weight -1 class
         rows = sorted((w if w <= wmax else -1, tuple(int(x) for x in row[:wmax + 1]))
-                      for w, row in zip(full.weights, full.table))
+                      for w, row in ((full.weights[i], full.table[i]) for i in every))
         assert [((c.weight, c.distribution.counts), c.count) for c in cut.classes] \
             == [(key, len(list(group))) for key, group in groupby(rows)], wmax
         for W in range(wmax + 1):

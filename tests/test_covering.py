@@ -188,13 +188,13 @@ def test_one_trellis_pass_per_code(monkeypatch):
 
 
 def test_deep_hole_parent_is_built_within_the_budget():
-    # the [6,3,4]_5 parent needs 6*3*5^3 = 2250 kernel steps, the
-    # [5,2,4]_5 code itself 5*3*5^3 = 1875
+    # the [6,3,4]_5 parent needs 6*3*32 = 576 kernel steps, the
+    # [5,2,4]_5 code itself 5*3*32 = 480
     f5 = field_of_order(5)
-    code, cons = build_code(f5, "gdrs", 4, n=5, budget=2000)
-    with pytest.raises(BudgetExceededError, match="budget of 2000"):
+    code, cons = build_code(f5, "gdrs", 4, n=5, budget=500)
+    with pytest.raises(BudgetExceededError, match="budget of 500"):
         count_deep_hole_cosets(code, cons)
-    code, cons = build_code(f5, "gdrs", 4, n=5, budget=2250)
+    code, cons = build_code(f5, "gdrs", 4, n=5, budget=576)
     assert count_deep_hole_cosets(code, cons).parent_R == 2
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mdscosets import geometry
-from mdscosets.codes import CosetCensus, low_weight_census, syndrome_index
+from mdscosets.codes import CosetCensus, low_weight_census, syndrome_row
 from mdscosets.combinat import binom
 from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
                                 conic_points,
@@ -223,11 +223,11 @@ def test_plane_walk_does_no_scalar_arithmetic_per_incidence(monkeypatch):
 
 def _bridge_with_altered_rows(monkeypatch, arc, alter):
     """Run the bridge on a census whose rows `alter(table, index)` edits;
-    index(pt, lam) is the row of the syndrome lam*pt."""
+    index(pt, lam) is the row of the syndrome lam*pt, the row of pt's point."""
     f = arc.field
 
     def index(pt, lam):
-        return syndrome_index(f.q, [f.mul(lam, c) for c in pt])
+        return syndrome_row(f, [f.mul(lam, c) for c in pt])
 
     def altered(code, wmax):
         table = low_weight_census(code, wmax).table.copy()
@@ -240,8 +240,9 @@ def _bridge_with_altered_rows(monkeypatch, arc, alter):
 
 
 def test_bridge_names_the_first_failing_point(monkeypatch):
-    # each failure is planted at two points, the later one in plane order
-    # at a smaller lam, and the earlier one is named; on the q = 4 conic
+    # each failure is planted at two points, each through a multiple
+    # lam*pt of the point (the later one in plane order at a smaller lam),
+    # and the earlier one is named; on the q = 4 conic
     # 15 points lie on 2 bisecants, and the two points dropped from the
     # q = 7 conic lie on none
     arc = conic_points(field_of_order(4))

@@ -6,7 +6,7 @@ from mdscosets.gf import field_of_order
 from mdscosets.mds import (FAMILIES, build_code, family_length, gdrs_parity,
                            gtrs_parity, mds_weight_distribution,
                            remove_columns)
-from oracle import brute_codeword_weights
+from oracle import brute_codeword_weights, brute_table
 
 
 def test_gdrs_matrix_layout():
@@ -48,6 +48,19 @@ def test_gtrs_examples():
     assert code8.min_distance() == 4
     with pytest.raises(ValueError):
         gtrs_parity(field_of_order(5))
+
+
+def test_binary_triple_extension_is_the_length_4_repetition_code():
+    # the three doubly-extended columns over GF(2) carry no distance-4
+    # code of their own, but with the nucleus they give [4,1,4]_2
+    code, cons = build_code(field_of_order(2), "gtrs")
+    assert (code.n, code.k, code.min_distance()) == (4, 1, 4)
+    assert (cons.family, cons.d, cons.removed) == ("gtrs", 4, ())
+    census = coset_census(code)
+    brute = brute_table(code)
+    assert len(brute) == census.total_cosets == 8
+    for svec, row in brute.items():
+        assert census.distribution_of_syndrome(svec).counts == tuple(row), svec
 
 
 def test_remove_columns_examples():
@@ -158,7 +171,7 @@ def _family_lengths():
     for q in (2, 3, 4, 5, 7, 8, 9):
         for family in FAMILIES:
             if family == "gtrs":
-                ds = (4,) if q % 2 == 0 and q > 2 else ()
+                ds = (4,) if q % 2 == 0 else ()
             else:
                 ds = range(3, q + 2)
             for d in ds:
@@ -180,7 +193,7 @@ def test_length_keeps_the_first_columns_of_the_family_matrix(monkeypatch):
     # code (tested above, and over budget for the largest d) is skipped.
     monkeypatch.setattr(LinearCode, "min_distance", lambda self: self.n - self.k + 1)
     cases = list(_family_lengths())
-    assert len(cases) == 189
+    assert len(cases) == 190
     for family, q, d, n in cases:
         f = field_of_order(q)
         code, cons = build_code(f, family, d, n=n)
