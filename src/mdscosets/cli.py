@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -241,6 +242,7 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.cache  # one argparse tree per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     def options(formats):
         common = argparse.ArgumentParser(add_help=False)

@@ -45,9 +45,11 @@ reported as InconsistentPrefixError in strict mode and as a plain
 
 Because the tail is linear in the prefix, `bonneau_tails` evaluates any
 number of prefixes of one (n, d, q) through one form as the single
-product K + P @ C on object arrays, so every entry stays a Python int.
-The scalar forms keep their list path, which skips the zero B_v that
-make up most of a typical prefix.
+product K + P @ C.  It bounds every entry and row total exactly first:
+below 2^63 the product runs on int64, above it on object arrays, and
+either way the tails come back as Python ints.  The scalar forms keep
+their list path, which skips the zero B_v that make up most of a
+typical prefix.
 """
 
 from __future__ import annotations
@@ -203,10 +205,18 @@ def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
     """B_{d-1}..B_n for each prefix B_0..B_{d-2} in the matrix `prefixes`,
     through the rows of one form ("original" or "transformed"): K + P @ C,
     one row per prefix, as an object array of Python ints.  Prefixes are
-    refused as LowWeightPrefix refuses them; realizability is not
-    checked, as with strict=False."""
+    refused as LowWeightPrefix refuses them (an integer ndarray in its
+    own dtype); realizability is not checked, as with strict=False.
+
+    The product and the q^k check run in int64 when an exact bound,
+    taken in Python ints from the rows and the largest prefix entry of
+    each column, keeps every entry and every partial row total below
+    2^63, and on object arrays otherwise."""
     check_mds_params(n, d, q)
-    P = np.asarray(prefixes, dtype=object)
+    if isinstance(prefixes, np.ndarray) and prefixes.dtype.kind in "iu":
+        P = prefixes
+    else:
+        P = np.asarray(prefixes, dtype=object)
     if P.shape[1:] != (d - 1,) or (P < 0).any() or (P[:, 0] > 1).any():
         _check_prefixes(d, prefixes)  # names the rule a prefix breaks
     P = P.reshape(-1, d - 1)  # an empty list arrives with shape (0,)
@@ -216,11 +226,20 @@ def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
         known, cols = _single_sum_rows(n, d, q)
     else:
         raise ValueError(f"unknown form {form!r} (expected original or transformed)")
-    tails = np.array(known, dtype=object) + P @ np.array(cols, dtype=object)
+    total = q ** (n - d + 1)
+    peaks = P.max(axis=0).tolist() if len(P) else [0] * (d - 1)
+    # every entry of K, C and K + P @ C is at most `entry` in absolute
+    # value (each column counts at least once: all of C is converted), and
+    # every partial sum of a row total at most `bound`
+    entry = max(map(abs, known)) + sum(max(p, 1) * max(map(abs, col))
+                                       for p, col in zip(peaks, cols))
+    bound = (n - d + 2) * entry + sum(peaks)
+    dtype = np.int64 if max(bound, total) < 2**63 else object
+    P = P.astype(dtype, copy=False)
+    tails = np.array(known, dtype=dtype) + P @ np.array(cols, dtype=dtype)
     totals = P.sum(axis=1) + tails.sum(axis=1)
-    _require(bool((totals == q ** (n - d + 1)).all()),
-             "distribution from prefix does not total q^k")
-    return tails
+    _require(bool((totals == total).all()), "distribution from prefix does not total q^k")
+    return tails.astype(object)
 
 
 def _b_low_terms(n: int, d: int, b_low: int) -> list[int]:

@@ -16,7 +16,6 @@ command.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -160,14 +159,12 @@ def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
             prefix = _prefix_of(entry, cls.distribution.counts)
             if bonneau_original(prefix) != bonneau_transformed(prefix):
                 bad.append(f"{entry.label} W={cls.weight}: forms disagree")
-    rng = random.Random(20260810)
+    rng = np.random.default_rng(20260810)
     synthetic = 0
     for (n, d, q) in SYNTHETIC_TUPLES:
         for _ in range(SYNTHETIC_PER_TUPLE // SYNTHETIC_BLOCK):
-            # prefix by prefix: B_0 in {0, 1}, then B_1..B_{d-2} in 0..99
-            block = np.array([rng.randint(0, 99) if v else rng.randint(0, 1)
-                              for _ in range(SYNTHETIC_BLOCK) for v in range(d - 1)],
-                             dtype=object).reshape(SYNTHETIC_BLOCK, d - 1)
+            # one draw per block: B_0 in {0, 1}, then B_1..B_{d-2} in 0..99
+            block = rng.integers(0, [2] + [100] * (d - 2), size=(SYNTHETIC_BLOCK, d - 1))
             synthetic += SYNTHETIC_BLOCK
             differ = (bonneau_tails(n, d, q, block, "original")
                       != bonneau_tails(n, d, q, block, "transformed")).any(axis=1)

@@ -13,6 +13,7 @@ counterexamples.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from mdscosets import codes, formulas, verify
@@ -54,10 +55,21 @@ def test_criterion_2_reports_each_disagreeing_prefix(desk, monkeypatch):
     monkeypatch.setattr(formulas, "_double_sum_rows", shifted)
     result = CRITERIA[2][1](desk)
     assert not result.passed
-    assert len(result.lines) == 9894
-    assert result.lines[1] == "(n,d,q)=(12,6,13) prefix [1, 70, 42, 88, 7]: forms disagree"
+    # the documented draw: one seeded Generator, one block at a time,
+    # B_0 in {0, 1} and B_1..B_{d-2} in 0..99
+    rng = np.random.default_rng(20260810)
+    expected = []
+    for (n, d, q) in verify.SYNTHETIC_TUPLES:
+        for _ in range(verify.SYNTHETIC_PER_TUPLE // verify.SYNTHETIC_BLOCK):
+            block = rng.integers(0, [2] + [100] * (d - 2),
+                                 size=(verify.SYNTHETIC_BLOCK, d - 1))
+            if (n, d, q) == (12, 6, 13):
+                expected += [f"(n,d,q)=(12,6,13) prefix {row}: forms disagree"
+                             for row in block.tolist() if row[1]]
+    assert result.lines[1:] == expected
+    assert result.lines[1] == "(n,d,q)=(12,6,13) prefix [1, 96, 37, 24, 44]: forms disagree"
     digest = hashlib.sha256("\n".join(result.lines).encode()).hexdigest()
-    assert digest.startswith("c138c60d1ca7bf93")
+    assert digest.startswith("bc28a30e447c3f97")
 
 
 def test_criterion_2_runs_the_scalar_forms_only_on_census_prefixes(desk, monkeypatch):
@@ -77,6 +89,27 @@ def test_criterion_2_runs_the_scalar_forms_only_on_census_prefixes(desk, monkeyp
     classes = sum(len(desk.census(entry).classes) for entry in desk.entries)
     assert CRITERIA[2][1](desk).passed
     assert calls == {"original": classes, "transformed": classes}
+
+
+def test_criterion_2_draws_the_full_ranges(desk, monkeypatch):
+    # every tuple gets its rows, and each column covers its whole range,
+    # so a bound on the draw cannot quietly narrow the check
+    blocks = {}
+    tails = verify.bonneau_tails
+
+    def capturing(n, d, q, prefixes, form):
+        if form == "original":
+            blocks.setdefault((n, d, q), []).append(np.array(prefixes))
+        return tails(n, d, q, prefixes, form)
+    monkeypatch.setattr(verify, "bonneau_tails", capturing)
+    assert CRITERIA[2][1](desk).passed
+    assert list(blocks) == list(verify.SYNTHETIC_TUPLES)
+    for (n, d, q), parts in blocks.items():
+        drawn = np.concatenate(parts)
+        assert drawn.shape == (verify.SYNTHETIC_PER_TUPLE, d - 1)
+        assert set(drawn[:, 0].tolist()) == {0, 1}
+        for v in range(1, d - 1):
+            assert drawn[:, v].min() == 0 and drawn[:, v].max() == 99
 
 
 def test_criterion_3_closed_forms(desk):

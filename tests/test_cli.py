@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from mdscosets import cli
 from mdscosets.cli import main
 
 
@@ -238,3 +239,18 @@ def test_usage_error_exit_code(capsys):
                  "--budget", "5"]) == 2
     assert main(["verify", "--format", "csv"]) == 2
     assert main(["verify", "--corpus", "default"]) == 2  # refused before any corpus is built
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # the parser is built once per process; a usage error, --help and a
+    # good call through it print what a freshly built parser prints
+    assert cli.build_parser() is cli.build_parser()
+    calls = [("dist", "--closed-form", "w1"),
+             ("dist", "--help"),
+             ("dist", "--closed-form", "w1", "--n", "6", "--d", "4", "--q", "5")]
+    shared = [run(capsys, *argv) for argv in calls]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "required" in shared[0][2] and "usage:" in shared[1][1]

@@ -7,6 +7,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,6 +180,50 @@ def test_batch_matches_scalar_forms_on_row_tuples(n, d, q):
     if (n, d, q) == (257, 10, 256):
         # beyond int64: the object arrays keep every entry exact
         assert max(abs(b) for b in bonneau_tails(n, d, q, prefixes, "original").flat) > 2**63
+
+
+@pytest.mark.parametrize("n,d,q", [(5, 3, 4), (12, 6, 13)])
+def test_batch_is_exact_on_both_sides_of_the_int64_bound(n, d, q):
+    # the bound max|K_w| + sum_v max(P[:, v]) max|C_v|, times the n-d+2
+    # tail entries, plus the prefix sum; with B_0 = 1 each column's peak
+    # is at least 1, so B_{d-2} = b puts it just under 2^63 and b + 1 over
+    known, cols = _single_sum_rows(n, d, q)
+    top = [max(map(abs, col)) for col in cols]
+    fixed = max(map(abs, known)) + sum(top[:-1])
+
+    def bound(b):
+        return (n - d + 2) * (fixed + b * top[-1]) + d - 2 + b
+    b = (2**63 - 1 - bound(0)) // ((n - d + 2) * top[-1] + 1)
+    assert bound(b) < 2**63 <= bound(b + 1)
+    # and a B_{d-2} that takes one tail entry itself past 2^63
+    beyond = 2**64 // top[-1]
+    for big in (b, b + 1, beyond):
+        prefixes = [[1] * (d - 2) + [big], [0] * (d - 1), [1] * (d - 1)]
+        _assert_batch_matches_scalar_forms(n, d, q, prefixes)
+        for form in SCALAR_FORMS:
+            # an integer matrix gives the same Python ints as the list
+            tails = bonneau_tails(n, d, q, np.array(prefixes, dtype=np.uint64), form)
+            assert all(type(t) is int for t in tails.flat)
+            assert tails.tolist() == bonneau_tails(n, d, q, prefixes, form).tolist()
+            assert max(abs(t) for t in tails.flat) > 2**63 // (4 * (n - d + 2))
+    assert max(abs(t) for t in bonneau_tails(n, d, q, prefixes, "original").flat) > 2**63
+
+
+def test_batch_bounds_the_columns_no_prefix_reads(monkeypatch):
+    # every column is converted, so each counts in the bound at least
+    # once: here one that every prefix multiplies by 0 exceeds 2^63
+    build = formulas._single_sum_rows
+
+    def huge(n, d, q):
+        known, cols = build(n, d, q)
+        col = (cols[2][0] + 2**70, cols[2][1] - 2**70) + cols[2][2:]
+        return known, cols[:2] + (col,)
+    monkeypatch.setattr(formulas, "_single_sum_rows", huge)
+    prefixes = [(1, 2, 0), (0, 5, 0)]
+    tails = bonneau_tails(6, 4, 5, prefixes, "transformed")
+    assert tails.tolist() == [
+        list(bonneau_transformed(LowWeightPrefix(6, 4, 5, p), strict=False).counts[3:])
+        for p in prefixes]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

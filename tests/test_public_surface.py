@@ -10,6 +10,11 @@ SRC = Path(mdscosets.__file__).parent
 ROOT = SRC.parent.parent
 READERS = [SRC, ROOT / "demos", ROOT / "perfbench"]
 NUMPY_NAMES = {"np", "numpy"}
+BUILTIN_TYPES = (set, list, dict, str, tuple)
+BUILTIN_CONSTRUCTORS = {t.__name__ for t in BUILTIN_TYPES}
+BUILTIN_METHODS = {name for t in BUILTIN_TYPES for name in dir(t) if not name.startswith("_")}
+LITERALS = (ast.Set, ast.List, ast.Dict, ast.Tuple, ast.JoinedStr,
+            ast.ListComp, ast.SetComp, ast.DictComp)
 
 
 def _parse_readers() -> dict[Path, ast.Module]:
@@ -39,25 +44,62 @@ def _definitions(trees):
     return found
 
 
+def _is_builtin_value(node) -> bool:
+    """A literal of a set, list, dict, str or tuple, or a call of one of
+    those constructors."""
+    return (isinstance(node, LITERALS)
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str))
+            or (isinstance(node, ast.Call) and getattr(node.func, "id", None) in BUILTIN_CONSTRUCTORS))
+
+
+def _scope_nodes(scope):
+    """The nodes of a module or function body, nested functions and
+    classes left out."""
+    for child in ast.iter_child_nodes(scope):
+        if not isinstance(child, (ast.FunctionDef, ast.Lambda, ast.ClassDef)):
+            yield child
+            yield from _scope_nodes(child)
+
+
+def _builtin_locals(scope) -> set[str]:
+    """The names a module or function binds to a builtin value."""
+    names = set()
+    for node in _scope_nodes(scope):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_builtin_value(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
 def _reads(trees):
     """{(name, via_attribute): [the definitions enclosing each read]};
-    imports, strings such as the `__all__` entries and attributes of numpy
-    itself (`np.nonzero` is no read of a `nonzero` method) are not reads."""
+    imports, strings such as the `__all__` entries, attributes of numpy
+    itself (`np.nonzero` is no read of a `nonzero` method) and builtin
+    methods (`drop.add` after `drop = set()` is no read of an `add`
+    method) are not reads."""
     reads: dict[tuple[str, bool], list[frozenset]] = {}
 
-    def visit(node, enclosing):
+    def builtin_receiver(node, bound):
+        receiver = node.value
+        return (node.attr in BUILTIN_METHODS and
+                (_is_builtin_value(receiver) or getattr(receiver, "id", None) in bound))
+
+    def visit(node, enclosing, bound):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                and getattr(node.value, "id", None) not in NUMPY_NAMES):
+                and getattr(node.value, "id", None) not in NUMPY_NAMES
+                and not builtin_receiver(node, bound)):
             reads.setdefault((node.attr, True), []).append(enclosing)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.setdefault((node.id, False), []).append(enclosing)
         if isinstance(node, (ast.FunctionDef, ast.Assign)):
             enclosing = enclosing | {id(node)}
+        if isinstance(node, ast.FunctionDef):
+            bound = _builtin_locals(node)
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, enclosing, bound)
 
     for tree in trees.values():
-        visit(tree, frozenset())
+        visit(tree, frozenset(), _builtin_locals(tree))
     return reads
 
 
