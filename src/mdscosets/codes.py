@@ -88,62 +88,62 @@ class WeightDistribution:
         return min(self.counts) >= 0
 
 
+def _label_array(field: GF, values) -> np.ndarray:
+    """values as an int64 array of element labels of the field, refusing
+    the first entry that is not an integer in [0, q)."""
+    labels = np.asarray(values)
+    if labels.dtype.kind in "iu":
+        ok = (labels >= 0) & (labels < field.q)
+    else:  # the entries as given, to name the first one that is no label
+        labels = np.array(values, dtype=object)
+        ok = np.vectorize(lambda a: isinstance(a, (int, np.integer)) and 0 <= a < field.q,
+                          otypes=[bool])(labels)
+    if not ok.all():
+        bad = labels.ravel().tolist()[int(np.argmin(ok))]
+        raise ValueError(f"{bad!r} is not an element label of GF({field.q})")
+    return labels.astype(np.int64)
+
+
 class Matrix:
-    """Dense matrix over GF(q); entries are canonical element labels."""
+    """Dense matrix over GF(q): an (nrows, ncols) array of element labels."""
 
-    def __init__(self, field: GF, rows: list[list[int]]):
+    def __init__(self, field: GF, rows):
         self.field = field
-        self.rows = [list(r) for r in rows]
-        if not self.rows:
+        if not len(rows):
             raise ValueError("a matrix needs at least one row")
-        self.ncols = len(self.rows[0])
-        if any(len(r) != self.ncols for r in self.rows):
+        if len({len(r) for r in rows}) != 1:
             raise ValueError("ragged rows")
-        for r in self.rows:
-            for a in r:
-                field.check(a)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def column(self, j: int) -> list[int]:
-        return [r[j] for r in self.rows]
-
-    def columns(self) -> list[list[int]]:
-        return [self.column(j) for j in range(self.ncols)]
+        self.labels = _label_array(field, rows)
+        self.nrows, self.ncols = self.labels.shape
 
     def drop_columns(self, idxs) -> "Matrix":
-        drop = set(idxs)
-        keep = [j for j in range(self.ncols) if j not in drop]
-        return Matrix(self.field, [[r[j] for j in keep] for r in self.rows])
+        return Matrix(self.field, np.delete(self.labels, list(idxs), axis=1))
 
     def rank(self) -> int:
-        reduced, pivots = _rref(self.field, self.rows)
+        reduced, pivots = _rref(self.field, self.labels)
         return len(pivots)
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols} over GF({self.field.q}))"
 
 
-def _rref(field: GF, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+def _rref(field: GF, labels: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(q); returns (nonzero rows, pivot columns)."""
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
+    work = np.array(labels, dtype=np.int64)
+    nrows, ncols = work.shape
+    minus_one = field.p - 1  # the label of -1: constant digit p - 1
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-        if piv is None:
+        nonzero = np.flatnonzero(work[r:, c])
+        if not nonzero.size:
             continue
-        work[r], work[piv] = work[piv], work[r]
-        scale = field.inv(work[r][c])
-        work[r] = [field.mul(scale, x) for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[r])]
+        work[[r, r + nonzero[0]]] = work[[r + nonzero[0], r]]
+        work[r] = field.mul_array(field.inv_array(work[r, c]), work[r])
+        # row i less work[i, c] times the pivot row, for every row i but r
+        factors = field.mul_array(minus_one, work[:, c])
+        factors[r] = 0
+        work = field.add_array(work, field.mul_array(factors[:, None], work[r]))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -238,7 +238,7 @@ def syndrome_row(f: GF, svec):
     return int(row) if digits.ndim == 1 else row
 
 
-def _point_lines(f: GF, col: list[int], add: np.ndarray, mul: np.ndarray
+def _point_lines(f: GF, col: np.ndarray, add: np.ndarray, mul: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The census rows in line order for the nonzero column h, and its
     inverse; add and mul are the field's (q, q) tables as int64.
@@ -256,8 +256,8 @@ def _point_lines(f: GF, col: list[int], add: np.ndarray, mul: np.ndarray
     no point is scaled.
     """
     q, r = f.q, len(col)
-    p = max(t for t in range(r) if col[t])
-    h = mul[f.inv(col[p]), col].tolist()
+    p = int(np.flatnonzero(col)[-1])
+    h = mul[f.inv_array(col[p]), col].tolist()
     first = [census_rows(q, t) for t in range(r + 1)]  # row of the unit vector e_t
     order = np.empty(first[r], dtype=np.int64)
     lines = order[:-2].reshape(q, (first[r] - 2) // q)
@@ -337,8 +337,8 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     grouped = lines[:-2].reshape(q, (states - 2) // q)  # [c, i]: point c of line i
     add = f.add_table().astype(np.int64)
     mul = f.mul_array(np.arange(q)[:, None], np.arange(q))
-    for col in code.H.columns():
-        if not any(col):
+    for col in code.H.labels.T:
+        if not col.any():
             for w in range(wmax, 0, -1):
                 table[w] += (q - 1) * table[w - 1]
             continue

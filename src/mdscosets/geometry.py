@@ -2,7 +2,8 @@
 
 Points are homogeneous coordinate triples normalized so the first
 nonzero coordinate is 1, making equality a plain tuple comparison; the
-array code ranks them in plane order (see _plane_ranks).  Bisecants are
+array code ranks them in plane order (see _plane_ranks), and an Arc
+reads its normalized points back from their ranks.  Bisecants are
 counted by walking them, not by testing points against lines: on an
 arc, the bisecant through a and b holds, besides a and b, exactly the
 q-1 points a + t*b (t != 0), none of them on the arc (Hirschfeld,
@@ -30,19 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearCode, Matrix, low_weight_census, syndrome_row
+from .codes import LinearCode, Matrix, _label_array, low_weight_census, syndrome_row
 from .gf import GF
-
-Point = tuple[int, int, int]
-
-
-def normalize_point(field: GF, coords) -> Point:
-    coords = tuple(field.check(c) for c in coords)
-    if len(coords) != 3 or not any(coords):
-        raise ValueError(f"not a projective point: {coords}")
-    lead = next(c for c in coords if c)
-    scale = field.inv(lead)
-    return tuple(field.mul(scale, c) for c in coords)  # type: ignore[return-value]
 
 
 # The q^2 + q + 1 points of PG(2, q) are ranked in plane order:
@@ -57,9 +47,8 @@ def _plane_ranks(field: GF, x, y, z) -> np.ndarray:
     return np.where(x != 0, y1 * q + z1, np.where(y != 0, q * q + z1, q * q + q))
 
 
-def _plane_coords(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The normalized coordinates (x, y, z) of every point, in plane order."""
-    rank = np.arange(q * q + q + 1, dtype=np.int64)
+def _plane_coords(q: int, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalized coordinates (x, y, z) of the points of plane rank `rank`."""
     affine, line = rank < q * q, rank < q * q + q
     x = affine.astype(np.int64)
     y = np.where(affine, rank // q, line.astype(np.int64))
@@ -90,11 +79,18 @@ class Arc:
 
     def __init__(self, field: GF, points):
         self.field = field
-        self.points = [normalize_point(field, p) for p in points]
-        if len(set(self.points)) != len(self.points):
+        for p in points:
+            if len(p) != 3:
+                raise ValueError(f"not a projective point: {tuple(np.asarray(p).tolist())}")
+        given = _label_array(field, points).reshape(-1, 3)
+        zero = ~given.any(axis=1)
+        if zero.any():
+            raise ValueError(f"not a projective point: {tuple(given[np.argmax(zero)].tolist())}")
+        self._ranks = _plane_ranks(field, *given.T)
+        if np.unique(self._ranks).size != self._ranks.size:
             raise ValueError("repeated arc point")
-        coords = np.array(self.points, dtype=np.int64).reshape(-1, 3)
-        self._ranks = _plane_ranks(field, *coords.T)
+        coords = np.column_stack(_plane_coords(field.q, self._ranks))
+        self.points = [tuple(c) for c in coords.tolist()]
         size = field.q ** 2 + field.q + 1
         index = np.full(size, -1, dtype=np.int64)
         index[self._ranks] = np.arange(self.n)
@@ -115,12 +111,11 @@ class Arc:
         return len(self.points)
 
 
-def _conic(field: GF) -> list[Point]:
-    """The points of conic_points, for the arcs built from the conic."""
-    pts = [(1, a, field.mul(a, a)) for a in range(1, field.q)]
-    pts.append((1, 0, 0))
-    pts.append((0, 0, 1))
-    return pts
+def _conic(field: GF) -> np.ndarray:
+    """The points of conic_points, one per row, for the arcs built from the conic."""
+    a = np.arange(1, field.q)
+    return np.vstack([np.column_stack([np.ones_like(a), a, field.mul_array(a, a)]),
+                      [(1, 0, 0), (0, 0, 1)]])
 
 
 def conic_points(field: GF) -> Arc:
@@ -133,7 +128,7 @@ def hyperoval_points(field: GF) -> Arc:
     """For even q, the regular hyperoval: the conic plus its nucleus (0,1,0)."""
     if field.p != 2:
         raise ValueError(f"hyperoval requires even q, got q={field.q}")
-    return Arc(field, _conic(field) + [(0, 1, 0)])
+    return Arc(field, np.vstack([_conic(field), [(0, 1, 0)]]))
 
 
 def shortened_conic(field: GF, remove: int = 1) -> Arc:
@@ -229,13 +224,13 @@ def geometry_code_bridge(arc: Arc) -> BridgeReport:
     Arc points themselves must yield the weight-1 cosets."""
     f = arc.field
     q = f.q
-    H = Matrix(f, [[p[t] for p in arc.points] for t in range(3)])
+    H = Matrix(f, np.transpose(arc.points))
     code = LinearCode(H)
     census = low_weight_census(code, 3)
     counts = arc._counts
     # rows[p] is the census row of the q-1 syndromes lam*pt, pt the point
     # of plane rank p
-    coords = _plane_coords(q)
+    coords = _plane_coords(q, np.arange(counts.size))
     rows = census.table[syndrome_row(f, coords)]
     on_arc = np.zeros(counts.size, dtype=bool)
     on_arc[arc._ranks] = True

@@ -3,14 +3,15 @@
 Field elements are canonical integers in [0, q).  For extension fields
 (m > 1) the integer packs the polynomial-basis coefficient vector in
 base p, constant term in the least significant digit, so 0 and 1 are
-the additive and multiplicative identities of every field.  A prime
-field is the case m = 1 of the same scheme: elements add digit by digit
-mod p and multiply through log/antilog tables over a generator of the
-multiplicative group, built once from direct products (modular for
-prime fields, reduced by the modulus otherwise).
-Arrays of labels are added through add_table() and multiplied and
-inverted through the same log/antilog tables (mul_array, inv_array),
-built once per field on first use, in integers only.
+the additive and multiplicative identities of every field, and p - 1 is
+-1.  A prime field is the case m = 1 of the same scheme.
+
+There is one arithmetic path, on arrays of labels: add_array adds digit
+by digit mod p (add_table caches it for all pairs), and mul_array and
+inv_array look products and inverses up in log/antilog tables over a
+generator of the multiplicative group.  The tables are built once per
+field from direct products (modular for prime fields, reduced by the
+modulus otherwise), in integers only.
 
 Construction verifies its own tables: the stored generator has exact
 multiplicative order q - 1 and every nonzero element has an inverse.
@@ -129,15 +130,8 @@ class GF:
             self.poly = coeffs
         self._build_tables()
         self._add_table: np.ndarray | None = None
-        self._array_tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # -- raw ops on packed coefficient vectors, used to build the tables --
-
-    def _raw_add(self, a: int, b: int) -> int:
-        acc = 0
-        for pp in self._ppow:
-            acc += (((a // pp) + (b // pp)) % self.p) * pp
-        return acc
 
     def _raw_mul(self, a: int, b: int) -> int:
         if self.m == 1:
@@ -187,95 +181,43 @@ class GF:
             alog[i] = self._raw_mul(alog[i - 1], self.generator)
         if sorted(alog) != list(range(1, q)):
             raise AssertionError(f"generator {self.generator} does not have order {q - 1}")
-        log = [0] * q
-        for i, a in enumerate(alog):
-            log[a] = i
-        self._alog = alog
-        self._log = log
-        for a in range(1, q):
-            if self.mul(a, self.inv(a)) != 1:
-                raise AssertionError(f"element {a} of GF({q}) lacks an inverse")
+        # log[0] is 2(q-1) and the antilog runs over two cycles of q-1 and
+        # then zeros, so log[a] + log[b] indexes the product of any a, b, a
+        # zero factor landing past the cycles, on 0.  inverse[0] is 0.
+        q1 = q - 1
+        alog1 = np.array(alog, dtype=np.int64)
+        self._log = np.zeros(q, dtype=np.int64)
+        self._log[alog1] = np.arange(q1)
+        self._log[0] = 2 * q1
+        self._alog = np.concatenate([alog1, alog1, np.zeros(2 * q1 + 1, dtype=np.int64)])
+        self._inverse = np.concatenate([[0], alog1[-self._log[1:] % q1]])
+        units = np.arange(1, q)
+        lacking = units[self.mul_array(units, self.inv_array(units)) != 1]
+        if lacking.size:
+            raise AssertionError(f"element {lacking[0]} of GF({q}) lacks an inverse")
 
-    # -- public element operations --
-
-    def check(self, a: int) -> int:
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element label of GF({self.q})")
-        return int(a)
-
-    def add(self, a: int, b: int) -> int:
-        return self._raw_add(self.check(a), self.check(b))
-
-    def neg(self, a: int) -> int:
-        a = self.check(a)
-        acc = 0
-        for pp in self._ppow:
-            acc += ((-(a // pp)) % self.p) * pp
-        return acc
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        a, b = self.check(a), self.check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._alog[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def inv(self, a: int) -> int:
-        a = self.check(a)
-        if a == 0:
-            raise ZeroDivisionError(f"zero has no inverse in GF({self.q})")
-        return self._alog[(self.q - 1 - self._log[a]) % (self.q - 1)]
-
-    def power(self, a: int, e: int) -> int:
-        a = self.check(a)
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return 0
-        e %= self.q - 1
-        return self._alog[(self._log[a] * e) % (self.q - 1)]
+    def add_array(self, a, b) -> np.ndarray:
+        """Elementwise sums of two label arrays (broadcast), digit by digit
+        in base p."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return sum(((a // pp + b // pp) % self.p) * pp for pp in self._ppow)
 
     def add_table(self) -> np.ndarray:
-        """Cached (q, q) numpy addition table; backs the vectorized censuses
-        and plane walks."""
+        """Cached (q, q) addition table of add_array; backs the vectorized
+        censuses and plane walks."""
         if self._add_table is None:
+            idx = np.arange(self.q)
             dtype = np.uint8 if self.q <= 256 else np.uint16
-            idx = np.arange(self.q, dtype=np.int64)
-            tab = np.zeros((self.q, self.q), dtype=np.int64)
-            for pp in self._ppow:
-                da, db = (idx // pp) % self.p, (idx // pp) % self.p
-                tab += ((da[:, None] + db[None, :]) % self.p) * pp
-            self._add_table = tab.astype(dtype)
+            self._add_table = self.add_array(idx[:, None], idx).astype(dtype)
         return self._add_table
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(log, antilog, inverse) as int64 arrays, built once from _log/_alog.
-
-        log[0] is 2(q-1) and the antilog runs over two cycles of q-1 and
-        then zeros, so log[a] + log[b] indexes the product of any a, b, a
-        zero factor landing past the cycles, on 0.  inverse[0] is 0.
-        """
-        if self._array_tables is None:
-            q1 = self.q - 1
-            alog = np.array(self._alog, dtype=np.int64)
-            log = np.array([2 * q1] + self._log[1:], dtype=np.int64)
-            alog2 = np.concatenate([alog, alog, np.zeros(2 * q1 + 1, dtype=np.int64)])
-            inverse = np.concatenate([[0], alog[-log[1:] % q1]])
-            self._array_tables = log, alog2, inverse
-        return self._array_tables
 
     def mul_array(self, a, b) -> np.ndarray:
         """Elementwise products of two label arrays (broadcast), by table lookup."""
-        log, alog2, _ = self._arrays()
-        return alog2[log[a] + log[b]]
+        return self._alog[self._log[a] + self._log[b]]
 
     def inv_array(self, a) -> np.ndarray:
         """Elementwise inverses of a label array; zero maps to zero."""
-        return self._arrays()[2][a]
+        return self._inverse[a]
 
     def __repr__(self) -> str:
         if self.m == 1:

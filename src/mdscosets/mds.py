@@ -35,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .codes import DEFAULT_BUDGET, LinearCode, Matrix, WeightDistribution, _require
 from .combinat import binom
 from .gf import GF
@@ -74,14 +76,14 @@ def has_triple_extension(q: int, d: int) -> bool:
     return d == 4 and q % 2 == 0
 
 
-def _extended_rows(field: GF, d: int) -> list[list[int]]:
+def _extended_rows(field: GF, d: int) -> np.ndarray:
     """The d-1 rows of the doubly-extended matrix, for any d >= 2."""
-    rows = []
-    for t in range(d - 1):
-        row = [field.power(a, t) for a in range(1, field.q)]
-        row.append(1 if t == 0 else 0)
-        row.append(1 if t == d - 2 else 0)
-        rows.append(row)
+    alphas = np.arange(1, field.q)
+    rows = np.zeros((d - 1, field.q + 1), dtype=np.int64)
+    rows[0, :-2] = 1
+    for t in range(1, d - 1):
+        rows[t, :-2] = field.mul_array(rows[t - 1, :-2], alphas)
+    rows[0, -2] = rows[d - 2, -1] = 1
     return rows
 
 
@@ -101,8 +103,7 @@ def gtrs_parity(field: GF) -> Matrix:
     distance 4 of its own, but with the nucleus it is the [4,1,4]_2 code."""
     if not has_triple_extension(field.q, 4):
         raise ValueError(f"triple extension requires even q, got q={field.q}")
-    return Matrix(field, [row + [nucleus]
-                          for row, nucleus in zip(_extended_rows(field, 4), (0, 1, 0))])
+    return Matrix(field, np.column_stack([_extended_rows(field, 4), (0, 1, 0)]))
 
 
 def remove_columns(matrix: Matrix, idxs) -> Matrix:

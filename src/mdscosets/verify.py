@@ -153,8 +153,10 @@ def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
     seeded random synthetic prefixes (realizable or not), the latter
     evaluated a block at a time by `bonneau_tails`."""
     bad = []
+    classes = 0
     for entry in cache.entries:
         census = cache.census(entry)
+        classes += len(census.classes)
         for cls in census.classes:
             prefix = _prefix_of(entry, cls.distribution.counts)
             if bonneau_original(prefix) != bonneau_transformed(prefix):
@@ -171,7 +173,7 @@ def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
             for i in np.flatnonzero(differ):
                 bad.append(f"(n,d,q)=({n},{d},{q}) prefix {block[i].tolist()}: "
                            "forms disagree")
-    lines = [f"census prefixes plus {synthetic} synthetic prefixes compared"]
+    lines = [f"{classes} census prefixes plus {synthetic} synthetic prefixes compared"]
     lines += bad
     return CriterionResult(2, "double-sum vs single-sum equality", not bad, lines)
 

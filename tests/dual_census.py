@@ -1,8 +1,9 @@
 """A second census, over the dual code: every census row from the
-MacWilliams identity.  It reads only H and the field's scalar arithmetic
-(GF.add, GF.mul), shares no counting code with the syndrome trellis and
-uses no MDS theory (MacWilliams and Sloane, The Theory of
-Error-Correcting Codes, ch. 5; Delsarte, Inform. Control 23, 1973).
+MacWilliams identity.  It reads only H and does its field arithmetic in
+the oracle's own GF(p^m) (oracle.Field), so it shares no field
+arithmetic and no counting code with the library, and it uses no MDS
+theory (MacWilliams and Sloane, The Theory of Error-Correcting Codes,
+ch. 5; Delsarte, Inform. Control 23, 1973).
 
 With chi a nontrivial additive character of GF(q), the vectors of weight
 w with syndrome s number
@@ -24,6 +25,8 @@ from math import comb
 
 import numpy as np
 
+from oracle import field_of
+
 
 def points(q, r):
     """One vector per point of PG(r-1, q): those whose first nonzero entry is 1."""
@@ -38,12 +41,12 @@ def krawtchouk(n, q):
              for w in range(n + 1)] for j in range(n + 1)]
 
 
-def _products(field, X, Y):
-    """The field product X Y of label arrays X (a, r) and Y (r, b), one
-    entry of the inner sum at a time, through tables of GF.add and GF.mul."""
-    q = field.q
-    add = np.array([[field.add(a, b) for b in range(q)] for a in range(q)])
-    mul = np.array([[field.mul(a, b) for b in range(q)] for a in range(q)])
+def _products(F, X, Y):
+    """The product X Y over the oracle field F of label arrays X (a, r)
+    and Y (r, b), one entry of the inner sum at a time, through tables of
+    F's sums and products."""
+    add = np.array([[F.add(a, b) for b in range(F.q)] for a in range(F.q)])
+    mul = np.array([[F.mul(a, b) for b in range(F.q)] for a in range(F.q)])
     acc = np.zeros((X.shape[0], Y.shape[1]), dtype=np.int64)
     for t in range(X.shape[1]):
         acc = add[acc, mul[X[:, t, None], Y[t, None, :]]]
@@ -53,13 +56,13 @@ def _products(field, X, Y):
 def dual_table(code):
     """{syndrome: [vectors of weight 0..n]} for the zero syndrome and one
     syndrome per point of PG(r-1, q), those of `points`."""
-    f, n, r = code.field, code.n, code.r
-    q = f.q
+    F, n, r = field_of(code.field), code.n, code.r
+    q = F.q
     pts = np.array(points(q, r), dtype=np.int64).reshape(-1, r)
-    H = np.array(code.H.rows, dtype=np.int64)
-    weights = np.count_nonzero(_products(f, pts, H), axis=1)  # wt(PH)
+    H = np.array(code.H.labels, dtype=np.int64)
+    weights = np.count_nonzero(_products(F, pts, H), axis=1)  # wt(PH)
     syndromes = np.vstack([np.zeros((1, r), dtype=np.int64), pts])
-    coef = np.where(_products(f, syndromes, pts.T) == 0, q - 1, -1)
+    coef = np.where(_products(F, syndromes, pts.T) == 0, q - 1, -1)
     # by_weight[s, j]: sum of the coefficients of the points P with wt(PH) = j
     by_weight = coef @ (weights[:, None] == np.arange(n + 1)).astype(np.int64)
     K = np.array(krawtchouk(n, q), dtype=object)

@@ -67,9 +67,10 @@ def test_criterion_2_reports_each_disagreeing_prefix(desk, monkeypatch):
                 expected += [f"(n,d,q)=(12,6,13) prefix {row}: forms disagree"
                              for row in block.tolist() if row[1]]
     assert result.lines[1:] == expected
+    assert result.lines[0] == "557 census prefixes plus 80000 synthetic prefixes compared"
     assert result.lines[1] == "(n,d,q)=(12,6,13) prefix [1, 96, 37, 24, 44]: forms disagree"
     digest = hashlib.sha256("\n".join(result.lines).encode()).hexdigest()
-    assert digest.startswith("bc28a30e447c3f97")
+    assert digest.startswith("ad3ad2af2880a55a")
 
 
 def test_criterion_2_runs_the_scalar_forms_only_on_census_prefixes(desk, monkeypatch):
@@ -169,7 +170,7 @@ def test_run_acceptance_reuses_corpus_codes(monkeypatch):
     trellis = codes._syndrome_trellis
 
     def counted(code, wmax):
-        runs.append((code.field.q, tuple(map(tuple, code.H.rows)), wmax))
+        runs.append((code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax))
         return trellis(code, wmax)
 
     monkeypatch.setattr(codes, "_syndrome_trellis", counted)

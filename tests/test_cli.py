@@ -202,10 +202,18 @@ def test_verify_theorem_subsets(capsys):
     assert "empirical, not asserted" in out3
 
 
+def test_criterion_2_counts_the_census_prefixes_it_compares(capsys):
+    # one prefix per census class: a run on part of the corpus says so
+    _, full, _ = run(capsys, "verify", "--theorem", "bonneau-equality")
+    _, part, _ = run(capsys, "verify", "--theorem", "bonneau-equality", "--q", "7")
+    assert full.splitlines()[1] == "    557 census prefixes plus 80000 synthetic prefixes compared"
+    assert part.splitlines()[1] == "    113 census prefixes plus 80000 synthetic prefixes compared"
+
+
 @pytest.mark.parametrize("argv, digest", [
-    (("--q", "2"), "0e7131421d9480bc8d02f1fe415bd0ace66e6681fc6be82d41327efab960e3e1"),
+    (("--q", "2"), "9837cb3d9af8933c841c16442545713e67e5478761f8005981df966784328ff8"),
     (("--q", "3", "--d", "4"),
-     "d9cf6dd91b932121357b051fe0a07025efca994817877020d6c0191f64431ef0"),
+     "0a34d1d7453a7f96c125917b972f7aa8e201d35639b1e3c54e593d2877d7e8d5"),
 ], ids=["q2", "q3-d4"])
 def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
     # at q = 2 the corpus skips every d > q+1, the triply-extended d = 4

@@ -11,8 +11,8 @@ from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, gdrs_parity
 from dual_census import dual_table
-from oracle import (brute_codeword_weights, brute_table, generator_matrix,
-                    syndrome)
+from oracle import (brute_codeword_weights, brute_table, field_of,
+                    generator_matrix, syndrome)
 
 
 def test_code_from_parity_shapes():
@@ -38,7 +38,19 @@ def test_matrix_needs_rows_of_one_length():
         Matrix(f5, [])
     with pytest.raises(ValueError, match="ragged"):
         Matrix(f5, [[1, 2], [3]])
-    assert Matrix(f5, [[1, 2, 3]]).drop_columns([0, 2]).rows == [[2]]
+    assert Matrix(f5, [[1, 2, 3]]).drop_columns([0, 2]).labels.tolist() == [[2]]
+
+
+@pytest.mark.parametrize("entry, text", [
+    (5, "5 is not an element label of GF(5)"),
+    (-1, "-1 is not an element label of GF(5)"),
+    (2.0, "2.0 is not an element label of GF(5)"),
+], ids=["out-of-range", "negative", "float"])
+def test_matrix_refuses_a_non_label(entry, text):
+    # the first bad entry is named as given, after good ones
+    with pytest.raises(ValueError) as err:
+        Matrix(field_of_order(5), [[1, 2, 3], [4, entry, entry]])
+    assert str(err.value) == text
 
 
 def test_syndrome_row_on_ints_and_label_arrays():
@@ -64,9 +76,10 @@ def test_each_census_row_is_one_point(q, r):
     assert [syndrome_row(f, s) for s in svecs] == rows.tolist()
     assert census_rows(q, r) == 1 + (q**r - 1) // (q - 1)
     assert np.bincount(rows).tolist() == [1] + [q - 1] * (census_rows(q, r) - 1)
+    F = field_of(f)
     for s, row in zip(svecs, rows):
         for c in range(1, q):
-            assert syndrome_row(f, [f.mul(c, x) for x in s]) == row
+            assert syndrome_row(f, [F.mul(c, x) for x in s]) == row
 
 
 def test_syndrome_linearity():
@@ -78,11 +91,12 @@ def test_syndrome_linearity():
     for i in range(code.n):
         e = [0] * code.n
         e[i] = 1
-        assert list(syndrome(code, e)) == code.H.column(i)
+        assert list(syndrome(code, e)) == code.H.labels[:, i].tolist()
     x = [1, 2, 0, 4, 0, 3]
     y = [0, 1, 1, 0, 2, 0]
-    s = syndrome(code, [f5.add(a, b) for a, b in zip(x, y)])
-    assert s == tuple(f5.add(a, b) for a, b in zip(syndrome(code, x), syndrome(code, y)))
+    F5 = field_of(f5)
+    s = syndrome(code, [F5.add(a, b) for a, b in zip(x, y)])
+    assert s == tuple(F5.add(a, b) for a, b in zip(syndrome(code, x), syndrome(code, y)))
     with pytest.raises(ValueError):
         syndrome(code, [0, 1])
 
@@ -272,7 +286,7 @@ def parity_checks(draw):
             cols.append([0] * r)
         else:
             c = draw(st.integers(1, q - 1))
-            cols.append([f.mul(c, x) for x in draw(st.sampled_from(cols))])
+            cols.append([field_of(f).mul(c, x) for x in draw(st.sampled_from(cols))])
     H = Matrix(f, [[col[t] for col in cols] for t in range(r)])
     assume(H.rank() == r)
     return H

@@ -12,7 +12,7 @@ from mdscosets.covering import (DeepHoleMismatchError, count_deep_hole_cosets,
                                 mu_density_closed_form, saturating_set_report)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
-from oracle import generator_matrix, syndrome
+from oracle import field_of, generator_matrix, syndrome
 
 
 def test_apmcf_certificate_for_shortened_conic_code():
@@ -74,12 +74,13 @@ def test_distance_and_multiplicity_spot_check():
     code, _ = build_code(f5, "gdrs", 4, n=5)
     census = coset_census(code)
     G = generator_matrix(code)
+    F5 = field_of(f5)
     codewords = []
     for msg in itertools.product(range(5), repeat=code.k):
         w = [0] * code.n
         for m, row in zip(msg, G):
             if m:
-                w = [f5.add(a, f5.mul(m, b)) for a, b in zip(w, row)]
+                w = [F5.add(a, F5.mul(m, b)) for a, b in zip(w, row)]
         codewords.append(tuple(w))
     rng = random.Random(11)
     for _ in range(200):

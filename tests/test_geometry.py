@@ -10,21 +10,35 @@ from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
                                 conic_points,
                                 double_shortened_conic_census_formulas,
                                 geometry_code_bridge, hyperoval_census_formulas,
-                                hyperoval_points,
-                                normalize_point, shortened_conic,
+                                hyperoval_points, shortened_conic,
                                 shortened_conic_census_formulas)
-from mdscosets.gf import GF, field_of_order
+from mdscosets.gf import field_of_order
 from mdscosets.mds import gdrs_parity
-from oracle import (brute_bisecant_classes, det3, line_through, plane_points,
-                    unisecants_through)
+from oracle import (brute_bisecant_classes, det3, field_of, line_through,
+                    normalize, plane_points, unisecants_through)
 
 
 def test_point_normalization():
+    # an arc keeps each point scaled to a leading 1, as the oracle does
     f5 = field_of_order(5)
-    assert normalize_point(f5, (2, 4, 1)) == (1, 2, 3)
-    assert normalize_point(f5, (0, 3, 1)) == (0, 1, 2)
-    with pytest.raises(ValueError):
-        normalize_point(f5, (0, 0, 0))
+    assert Arc(f5, [(2, 4, 1), (0, 3, 1)]).points == [(1, 2, 3), (0, 1, 2)]
+    assert normalize(f5, (2, 4, 1)) == (1, 2, 3)
+    assert normalize(f5, (0, 3, 1)) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("points, text", [
+    ([(1, 0, 0), (1, 5, 0)], "5 is not an element label of GF(5)"),
+    ([(1, 0, 0), (1, -1, 0)], "-1 is not an element label of GF(5)"),
+    ([(1, 0, 0), (1, 2.0, 0)], "2.0 is not an element label of GF(5)"),
+    ([(1, 0, 0), (0, 0, 0)], "not a projective point: (0, 0, 0)"),
+    ([(1, 0, 0), (1, 2)], "not a projective point: (1, 2)"),
+    ([(1, 0, 0), (1, 2, 3, 4)], "not a projective point: (1, 2, 3, 4)"),
+    ([(1, 2, 3), (0, 1, 0), (2, 4, 1)], "repeated arc point"),
+], ids=["out-of-range", "negative", "float", "zero", "short", "long", "repeated"])
+def test_arc_refuses_a_bad_point(points, text):
+    with pytest.raises(ValueError) as err:
+        Arc(field_of_order(5), points)
+    assert str(err.value) == text
 
 
 def test_plane_has_expected_point_count():
@@ -40,7 +54,7 @@ def test_conic_is_an_arc_and_matches_parity_columns():
     arc = conic_points(f5)
     assert arc.n == 6
     H = gdrs_parity(f5, 4)
-    cols = [normalize_point(f5, H.column(j)) for j in range(H.ncols)]
+    cols = [normalize(f5, col) for col in H.labels.T.tolist()]
     assert cols == arc.points
 
 
@@ -177,8 +191,9 @@ def test_line_through_is_incidence_symmetric():
     f5 = field_of_order(5)
     a, b = (1, 2, 3), (1, 0, 0)
     ln = line_through(f5, a, b)
+    F5 = field_of(f5)
     for pt in (a, b):
-        dot = f5.add(f5.add(f5.mul(ln[0], pt[0]), f5.mul(ln[1], pt[1])), f5.mul(ln[2], pt[2]))
+        dot = F5.add(F5.add(F5.mul(ln[0], pt[0]), F5.mul(ln[1], pt[1])), F5.mul(ln[2], pt[2]))
         assert dot == 0
 
 
@@ -204,30 +219,13 @@ def test_geometry_code_bridge_nucleus():
     assert (0, 1, 3, 3) in got  # the nucleus: q-1 weight-3 cosets
 
 
-def test_plane_walk_does_no_scalar_arithmetic_per_incidence(monkeypatch):
-    # the walk runs on field arrays; scalar GF work is a few calls per arc
-    # point (normalizing it), not one per walked point
-    f = field_of_order(31)
-    calls = 0
-    check = GF.check
-
-    def counting(self, a):
-        nonlocal calls
-        calls += 1
-        return check(self, a)
-    monkeypatch.setattr(GF, "check", counting)
-    arc = conic_points(f)
-    bisecant_census(arc)
-    assert calls <= 16 * arc.n
-
-
 def _bridge_with_altered_rows(monkeypatch, arc, alter):
     """Run the bridge on a census whose rows `alter(table, index)` edits;
     index(pt, lam) is the row of the syndrome lam*pt, the row of pt's point."""
     f = arc.field
 
     def index(pt, lam):
-        return syndrome_row(f, [f.mul(lam, c) for c in pt])
+        return syndrome_row(f, [field_of(f).mul(lam, c) for c in pt])
 
     def altered(code, wmax):
         table = low_weight_census(code, wmax).table.copy()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mdscosets.gf import GF, default_irreducible, field_of_order, is_prime
+from oracle import Field, field_of
 
 def _prime_powers(lo, hi):
     out = []
@@ -20,22 +21,25 @@ LARGE_ORDERS = _prime_powers(17, 256)
 
 
 def test_prime_field_basics():
-    f5 = field_of_order(5)
-    assert f5.mul(3, 4) == 2
-    assert f5.add(3, 4) == 2
-    assert f5.inv(3) == 2
-    f7 = field_of_order(7)
-    assert f7.inv(3) == 5  # 3*5 = 15 = 1 mod 7
+    # the library's arrays and the oracle's field agree with arithmetic mod p
+    f5, f7 = field_of_order(5), field_of_order(7)
+    F5, F7 = field_of(f5), field_of(f7)
+    assert f5.mul_array(3, 4) == F5.mul(3, 4) == 2
+    assert f5.add_table()[3, 4] == F5.add(3, 4) == 2
+    assert f5.inv_array(3) == F5.inv(3) == 2
+    assert f7.inv_array(3) == F7.inv(3) == 5  # 3*5 = 15 = 1 mod 7
 
 
 def test_gf4_default_modulus_and_products():
     f4 = field_of_order(4)
+    F4 = field_of(f4)
     assert f4.poly == (1, 1, 1)  # x^2 + x + 1
     # x * x = x + 1 in the packed labels: 2 * 2 = 3
-    assert f4.mul(2, 2) == 3
-    assert f4.add(2, 3) == 1
-    for a in range(1, f4.q):
-        assert f4.mul(a, f4.inv(a)) == 1
+    assert f4.mul_array(2, 2) == F4.mul(2, 2) == 3
+    assert f4.add_table()[2, 3] == F4.add(2, 3) == 1
+    units = np.arange(1, 4)
+    assert (f4.mul_array(units, f4.inv_array(units)) == 1).all()
+    assert [F4.mul(a, F4.inv(a)) for a in range(1, 4)] == [1, 1, 1]
 
 
 def test_default_moduli_are_pinned():
@@ -58,19 +62,28 @@ def test_constructor_rejections():
 
 
 def test_element_validation_and_zero_inverse():
+    # the library checks labels where they enter, as arrays (Matrix and
+    # Arc), and its array inverse maps zero to zero
     f5 = field_of_order(5)
-    with pytest.raises(ValueError):
-        f5.add(3, 7)
+    assert f5.inv_array(0) == 0
+    F5 = field_of(f5)
+    with pytest.raises(KeyError):
+        F5.add(3, 7)
     with pytest.raises(ZeroDivisionError):
-        f5.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f5.power(0, -1)
-    assert f5.power(0, 0) == 1 and f5.power(0, 5) == 0
+        F5.inv(0)
+    assert F5.power(0, 0) == 1 and F5.power(0, 5) == 0
+
+
+def test_oracle_field_refuses_a_reducible_modulus():
+    # x^2 + 1 = (x + 1)^2 over GF(2): x + 1 has no inverse
+    with pytest.raises(ValueError, match="no field"):
+        Field(2, 2, (1, 0, 1))
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_field_axioms_exhaustive(q):
-    f = field_of_order(q)
+    # the oracle's own field, which the library's tables are checked against
+    f = field_of(field_of_order(q))
     elems = list(range(f.q))
     for a in elems:
         assert f.add(a, 0) == a and f.mul(a, 1) == a
@@ -90,16 +103,19 @@ def test_field_axioms_exhaustive(q):
 
 @pytest.mark.parametrize("q", _prime_powers(2, 64))
 def test_array_ops_match_scalar_ops_and_field_axioms(q):
-    # every pair and triple, zero included, under the pinned default modulus
+    # every pair and triple, zero included, under the pinned default
+    # modulus; the scalar ops are the oracle's own field, which shares no
+    # table with the library
     f = field_of_order(q)
+    F = field_of(f)
     a = np.arange(q)
     add = f.add_table().astype(np.int64)
     mul = f.mul_array(a[:, None], a[None, :])
     inv = f.inv_array(a)
     assert mul.dtype.kind == add.dtype.kind == inv.dtype.kind == "i"
-    assert add.tolist() == [[f.add(x, y) for y in range(q)] for x in range(q)]
-    assert mul.tolist() == [[f.mul(x, y) for y in range(q)] for x in range(q)]
-    assert inv.tolist() == [0] + [f.inv(x) for x in range(1, q)]
+    assert add.tolist() == [[F.add(x, y) for y in range(q)] for x in range(q)]
+    assert mul.tolist() == [[F.mul(x, y) for y in range(q)] for x in range(q)]
+    assert inv.tolist() == [0] + [F.inv(x) for x in range(1, q)]
     assert np.array_equal(add, add.T) and np.array_equal(mul, mul.T)
     assert np.array_equal(add[add], add[a[:, None, None], add])  # (a+b)+c = a+(b+c)
     assert np.array_equal(mul[mul], mul[a[:, None, None], mul])
@@ -124,11 +140,12 @@ def test_field_axioms_sampled(q):
 @pytest.mark.parametrize("q", SMALL_ORDERS + (27, 32, 49))
 def test_generator_has_exact_order(q):
     f = field_of_order(q)
+    F = field_of(f)
     seen = set()
     x = 1
     for _ in range(q - 1):
         seen.add(x)
-        x = f.mul(x, f.generator)
+        x = F.mul(x, f.generator)
     assert x == 1
     assert seen == set(range(1, f.q))
 
