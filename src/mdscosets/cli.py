@@ -16,7 +16,7 @@ import functools
 import json
 import sys
 
-from .codes import DEFAULT_BUDGET, BudgetExceededError, coset_census
+from .codes import DEFAULT_BUDGET, BudgetExceededError, census_refusal, coset_census
 from .covering import (DeepHoleMismatchError, count_deep_hole_cosets,
                        mcf_classify, saturating_set_report)
 from .formulas import (InconsistentPrefixError, LowWeightPrefix,
@@ -26,7 +26,7 @@ from .formulas import (InconsistentPrefixError, LowWeightPrefix,
 from .geometry import (bisecant_census, conic_points, hyperoval_points,
                        shortened_conic)
 from .gf import field_of_order
-from .mds import FAMILIES, build_code
+from .mds import FAMILIES, _certify, _family_code
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
 
 SCHEMA = "mdscosets.v1"
@@ -42,9 +42,10 @@ def _field_from_args(args):
 
 
 def _code_from_args(args):
-    """The family code `census code` and `covering classify` name, and its recipe."""
-    return build_code(_field_from_args(args), args.family, args.d,
-                      removed=_csv_ints(args.remove or ""), budget=args.budget)
+    """The family code `census code` and `covering classify` name, and its
+    recipe; each command certifies it MDS itself."""
+    return _family_code(_field_from_args(args), args.family, args.d, None,
+                        _csv_ints(args.remove or ""), args.budget)
 
 
 def _emit(payload: dict, args, table_lines: list[str], csv_lines: list[str] | None = None):
@@ -116,8 +117,14 @@ def cmd_dist(args) -> int:
 
 def cmd_census_code(args) -> int:
     code, construction = _code_from_args(args)
-    q = code.field.q
+    # refuse as the certification at n-k, then the full census, would;
+    # else the full census alone, which also certifies the code
+    refusal = census_refusal(code, code.r) or census_refusal(code, code.n)
+    if refusal is not None:
+        raise refusal
     census = coset_census(code)
+    _certify(code)
+    q = code.field.q
     classes = [{
         "class_index": i,
         "weight_W": cls.weight,
@@ -178,6 +185,7 @@ def cmd_census_geometry(args) -> int:
 
 def cmd_covering(args) -> int:
     code, construction = _code_from_args(args)
+    _certify(code)
     report = mcf_classify(code)
     sat = saturating_set_report(code, report)
     payload = {

@@ -11,10 +11,13 @@ for each point of PG(n-k-1, q), 1 + (q^(n-k)-1)/(q-1) rows in all.
 One type, CosetCensus, holds the table at any wmax: at wmax = n it is
 the full coset census, at smaller wmax the low-weight census, where a
 syndrome no vector of weight <= wmax reaches has weight -1.  At
-wmax = n - k it reaches every syndrome, and each LinearCode runs it
-there once: the minimum distance, the covering radius and the leader
-profile (how many cosets of each weight W have each number B_W of
-minimum-weight vectors) are all read from that one run.  Each column is
+wmax >= n - k it reaches every syndrome, and the first such census of a
+LinearCode leaves it a small memo: the minimum distance, the covering
+radius and the leader profile (how many cosets of each weight W have
+each number B_W of minimum-weight vectors).  A code asked for these
+before any census reached n - k runs one at n - k, so each code runs
+the kernel once for them, at n - k or, when its full census comes
+first, at n.  Each column is
 admitted through the sums over the lines through its point (see
 _syndrome_trellis), about three passes over the wmax*(1 + (q^(n-k)-1)/(q-1))
 entries whatever q is, so the budget counts
@@ -154,9 +157,10 @@ def _rref(field: GF, labels: np.ndarray) -> tuple[np.ndarray, list[int]]:
 class LinearCode:
     """A length-n linear code over GF(q) defined by a full-rank parity-check matrix.
 
-    `budget` caps the work of every census run on the code.  The first of
-    min_distance, covering_radius and leader_profile runs the census at
-    weight n-k; all three then read the small memo it leaves.
+    `budget` caps the work of every census run on the code.  The first
+    census of the code at weight n-k or more leaves a small memo that
+    min_distance, covering_radius and leader_profile read; asked before
+    any such census, they run one at n-k.
     """
 
     def __init__(self, H: Matrix, budget: int = DEFAULT_BUDGET):
@@ -177,15 +181,10 @@ class LinearCode:
         return self.n - self.k
 
     def _leader_memo(self) -> tuple[int, dict[int, dict[int, int]]]:
-        """(d, leader profile), from the one weight-(n-k) census this code
-        ever runs.  Only these few numbers are kept, not the census
-        table, so a corpus of codes does not hold every table alive."""
+        """(d, leader profile), from the first census of this code that
+        reached weight n-k (see _census), or from one run at n-k now."""
         if self._leaders is None:
-            census = low_weight_census(self, self.r)
-            _require(census.fully_covered, "a syndrome is unreached at weight n-k")
-            d = next((w for w in range(1, self.r + 1) if census.table[0, w]), self.r + 1)
-            R = int(census.weights.max())
-            self._leaders = d, {W: census.profile_at(W) for W in range(R + 1)}
+            low_weight_census(self, self.r)
         return self._leaders
 
     def leader_profile(self) -> dict[int, dict[int, int]]:
@@ -291,6 +290,25 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray, mul: np.ndarray
     return order, inverse
 
 
+def census_refusal(code: LinearCode, wmax: int) -> BudgetExceededError | None:
+    """The refusal a census of the code at wmax meets, or None when it may
+    run: its work over the code's budget, counted in
+    n*wmax*(1 + (q^(n-k) - 1)/(q - 1)) steps (one per entry of each weight
+    row each column updates), or counts that could pass the int64 range."""
+    q, n = code.field.q, code.n
+    work = n * wmax * census_rows(q, code.r)
+    if work > code.budget:
+        return BudgetExceededError(
+            f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1)), "
+            f"over the budget of {code.budget}")
+    vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
+    if vectors >= 2**63:
+        return BudgetExceededError(
+            f"{vectors} vectors of weight <= {wmax} overflow the int64 counts "
+            f"(limit 2^63)")
+    return None
+
+
 def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     """T[s, w]: how many vectors of weight w <= wmax have syndrome s, one
     census row s per point (see census_rows).
@@ -308,26 +326,16 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     gather into line order (_point_lines), one sum per line and one gather
     back.  Rows are updated from w = wmax down, so row w - 1 is still
     T_{j-1} when row w reads it.  A zero column adds (q - 1) T_{j-1}[s, w - 1].
-    Both refusals, the code's budget (counted in
-    n*wmax*(1 + (q^(n-k) - 1)/(q - 1)) steps, one per entry of each weight
-    row each column updates) and the int64 range, fire before any table
-    exists.
+    Both refusals (see census_refusal) fire before any table exists.
     """
     f = code.field
-    q, n, r = f.q, code.n, code.r
+    q, n = f.q, code.n
     if not 0 <= wmax <= n:
         raise ValueError(f"wmax={wmax} outside [0, {n}]")
-    states = census_rows(q, r)
-    work = n * wmax * states
-    if work > code.budget:
-        raise BudgetExceededError(
-            f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1)), "
-            f"over the budget of {code.budget}")
-    vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
-    if vectors >= 2**63:
-        raise BudgetExceededError(
-            f"{vectors} vectors of weight <= {wmax} overflow the int64 counts "
-            f"(limit 2^63)")
+    refusal = census_refusal(code, wmax)
+    if refusal is not None:
+        raise refusal
+    states = census_rows(q, code.r)
 
     table = np.zeros((wmax + 1, states), dtype=np.int64)  # weight-major while growing
     table[0, 0] = 1
@@ -437,11 +445,27 @@ class CosetCensus:
         return WeightDistribution(tuple(self.table[row].tolist()))
 
 
+def _census(code: LinearCode, wmax: int) -> CosetCensus:
+    """The trellis at wmax as a census.  The first census of the code that
+    reaches weight n-k leaves the code its memo: d, read from the zero
+    syndrome's row up to n-k (none there means d = n-k+1, Singleton), and
+    the leader profile.  Only these few numbers are kept, not the table,
+    so a corpus of codes does not hold every table alive."""
+    census = CosetCensus(code, _syndrome_trellis(code, wmax))
+    r = code.r
+    if code._leaders is None and wmax >= r:
+        _require(census.fully_covered, "a syndrome is unreached at weight n-k")
+        d = next((w for w in range(1, r + 1) if census.table[0, w]), r + 1)
+        R = int(census.weights.max())
+        code._leaders = d, {W: census.profile_at(W) for W in range(R + 1)}
+    return census
+
+
 def coset_census(code: LinearCode) -> CosetCensus:
     """Exact weight distribution of every coset: the trellis at wmax = n."""
-    return CosetCensus(code, _syndrome_trellis(code, code.n))
+    return _census(code, code.n)
 
 
 def low_weight_census(code: LinearCode, wmax: int) -> CosetCensus:
     """Syndrome census of every vector of weight <= wmax: the trellis at wmax."""
-    return CosetCensus(code, _syndrome_trellis(code, wmax))
+    return _census(code, wmax)

@@ -179,6 +179,14 @@ def build_code(field: GF, family: str, d: int | None = None, n: int | None = Non
     dropped, matching the singly-extended construction.  The code's
     certification and every later census run under `budget`.
     """
+    code, construction = _family_code(field, family, d, n, removed, budget)
+    _certify(code)
+    return code, construction
+
+
+def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
+                 budget: int) -> tuple[LinearCode, MdsConstruction]:
+    """build_code's code and recipe, not yet certified."""
     q = field.q
     length = family_length(family, q)
     if family == "gtrs":
@@ -197,10 +205,14 @@ def build_code(field: GF, family: str, d: int | None = None, n: int | None = Non
             f"the {family} family over GF({q}) needs {d} <= n <= {length}, got n={n}")
     drop = tuple(sorted({int(i) for i in removed} | set(range(n, H_full.ncols))))
     H = remove_columns(H_full, drop) if drop else H_full
-    code = LinearCode(H, budget)
     construction = MdsConstruction("gtrs" if family == "gtrs" else "gdrs", q, d, drop)
+    return LinearCode(H, budget), construction
+
+
+def _certify(code: LinearCode) -> None:
+    """Refuse a code whose minimum distance, read from its census memo (a
+    census at n-k runs for it when none has), is not n-k+1."""
     dist = code.min_distance()
     if dist != code.n - code.k + 1:
         raise ValueError(
             f"construction is not MDS: distance {dist} != {code.n - code.k + 1}")
-    return code, construction

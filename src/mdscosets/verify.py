@@ -5,8 +5,10 @@ The corpus holds every code the constructors produce for
 q in {4, 5, 7, 8, 9, 11}, d in {3, 4, 5, 6}, d <= n <= q+1 (plus the
 triply-extended length q+2 for even q at d = 4), subject to the fixed
 size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached,
-and the criteria take the corpus's own codes from the cache instead of
-rebuilding them, so no code is counted twice at one weight per run.
+each corpus code is certified from its full census when that fits the
+budget, and the criteria take the corpus's own codes from the cache
+instead of rebuilding them, so no code is counted twice at one weight
+per run.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -21,8 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, coset_census,
-                    low_weight_census)
+from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, census_refusal,
+                    coset_census, low_weight_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_tails,
@@ -33,7 +35,8 @@ from .gf import field_of_order
 from .geometry import (bisecant_census, conic_census_formulas, conic_points,
                        double_shortened_conic_census_formulas, shortened_conic,
                        shortened_conic_census_formulas)
-from .mds import MdsConstruction, build_code, family_length, has_triple_extension
+from .mds import (MdsConstruction, _certify, _family_code, build_code, family_length,
+                  has_triple_extension)
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
 DESK_DS = (3, 4, 5, 6)
@@ -61,9 +64,14 @@ class CorpusEntry:
 class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
-    `code` hands out the corpus's own certified code when the corpus holds
-    it and builds (once, under the cache's budget) only the codes it does
-    not, and `census` is keyed by code, so each code's kernel runs happen
+    Each corpus code whose full census fits the budget runs that census
+    first, when the corpus is built, and is certified from the memo it
+    leaves (see codes._census): one kernel run per such code.  Any other
+    corpus code is certified at n-k, as `build_code` does, so a small
+    budget refuses the same code with the same step count.  `code` hands
+    out the corpus's own certified code when the corpus holds it and
+    builds (once, under the cache's budget) only the codes it does not,
+    and `census` is keyed by code, so each code's kernel runs happen
     once per cache.
     """
 
@@ -72,6 +80,7 @@ class DeskCache:
         self.qs = tuple(qs)
         self.ds = tuple(ds)
         self.entries: list[CorpusEntry] = []
+        self._census: dict[LinearCode, CosetCensus] = {}
         for q in self.qs:
             fld = field_of_order(q)
             length = family_length("gdrs", q)
@@ -80,13 +89,18 @@ class DeskCache:
                     continue  # no gdrs code; the corpus adds no triple extension without one
                 for n in range(d, length + 1):
                     if q ** n <= DESK_AMBIENT_LIMIT:
-                        self.entries.append(CorpusEntry(*build_code(fld, "gdrs", d, n=n,
-                                                                    budget=budget)))
+                        self._add_entry(fld, "gdrs", d, n)
                 if (has_triple_extension(q, d)
                         and q ** family_length("gtrs", q) <= DESK_AMBIENT_LIMIT):
-                    self.entries.append(CorpusEntry(*build_code(fld, "gtrs", budget=budget)))
+                    self._add_entry(fld, "gtrs", d, None)
         self._codes = {(e.q, e.d, e.n, e.family): e.code for e in self.entries}
-        self._census: dict[LinearCode, CosetCensus] = {}
+
+    def _add_entry(self, fld, family: str, d: int, n: int | None) -> None:
+        code, construction = _family_code(fld, family, d, n, (), self.budget)
+        if census_refusal(code, code.n) is None:
+            self._census[code] = coset_census(code)
+        _certify(code)
+        self.entries.append(CorpusEntry(code, construction))
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""

@@ -165,7 +165,9 @@ def test_criterion_9_remark_survey(desk):
 def test_run_acceptance_reuses_corpus_codes(monkeypatch):
     # the criteria read the corpus's own certified codes instead of
     # rebuilding them; on the q = 5 corpus rebuilding took 33 kernel runs,
-    # 8 of them repeats
+    # 8 of them repeats, and certifying each corpus code apart from its
+    # full census took 25.  The 10 corpus codes run once each, the survey
+    # once, and the 4 criterion-7 codes outside the corpus once each
     runs = []
     trellis = codes._syndrome_trellis
 
@@ -176,8 +178,37 @@ def test_run_acceptance_reuses_corpus_codes(monkeypatch):
     monkeypatch.setattr(codes, "_syndrome_trellis", counted)
     results = run_acceptance(DeskCache(qs=(5,)))
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
-    assert len(runs) == 25
+    assert len(runs) == 15
     assert len(set(runs)) == len(runs)  # no (code, wmax) pair runs twice
+
+
+def test_desk_cache_runs_the_kernel_once_per_corpus_code(monkeypatch):
+    # every desk code's full census fits the default budget, so building
+    # the corpus runs it and certifies from it, and reading every census
+    # runs nothing more: one trellis run per code, at wmax = n, and one
+    # line order per nonzero column
+    runs, orders = [], []
+    trellis, point_lines = codes._syndrome_trellis, codes._point_lines
+
+    def counted_trellis(code, wmax):
+        runs.append((code, wmax))
+        return trellis(code, wmax)
+
+    def counted_point_lines(f, col, add, mul):
+        orders.append(col.tolist())
+        return point_lines(f, col, add, mul)
+
+    monkeypatch.setattr(codes, "_syndrome_trellis", counted_trellis)
+    monkeypatch.setattr(codes, "_point_lines", counted_point_lines)
+    cache = DeskCache()
+    for entry in cache.entries:
+        cache.census(entry)
+    assert len(cache.entries) == 89
+    assert runs == [(e.code, e.n) for e in cache.entries]
+    assert orders == [col.tolist() for e in cache.entries
+                      for col in e.code.H.labels.T if col.any()]
+    assert all(e.code.min_distance() == e.d for e in cache.entries)
+    assert len(runs) == 89
 
 
 def test_desk_cache_builds_the_code_it_is_asked_for():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from mdscosets import cli
+from mdscosets import cli, codes
 from mdscosets.cli import main
 
 
@@ -130,6 +130,32 @@ def test_census_budget_refusal(capsys):
     assert "budget" in err
 
 
+def test_census_code_refuses_before_any_kernel_run(capsys, monkeypatch):
+    # certifying [6,3,4]_5 takes 576 steps and its full census 1152: under
+    # 1151 the full census is refused before the certification runs, and
+    # at 1152 the one full census also certifies the code
+    runs = []
+    trellis = codes._syndrome_trellis
+
+    def counted(code, wmax):
+        runs.append(wmax)
+        return trellis(code, wmax)
+    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
+    argv = ("census", "code", "--family", "gdrs", "--q", "5", "--d", "4")
+    code, out, err = run(capsys, *argv, "--budget", "1151")
+    assert (code, out, runs) == (3, "", [])
+    assert err == ("budget refusal: syndrome trellis needs 1152 steps "
+                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 1151\n")
+    code, _, err = run(capsys, *argv, "--budget", "575")
+    assert code == 3 and "needs 576 steps" in err and runs == []
+    code, out, _ = run(capsys, *argv, "--budget", "1152", "--format", "json")
+    assert code == 0 and runs == [6]
+    assert json.loads(out)["code"]["d"] == 4
+    # a usage error still comes before a budget refusal
+    code, _, err = run(capsys, *argv, "--remove", "9", "--budget", "1")
+    assert code == 2 and "out of range" in err and runs == [6]
+
+
 def test_census_int64_overflow_refusal(capsys):
     # the kernel's work, about 3.5*10^7, is inside the budget, but the
     # 32^31 codewords of the [33,31,3]_32 code overflow int64 counts
@@ -223,6 +249,16 @@ def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
     assert code == 0
     assert "    1 codes checked" in out.splitlines()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_refuses_the_first_certification_over_the_budget(capsys):
+    # [5,2,4]_4's full census (550 steps) is over a budget of 400, so it is
+    # certified at n-k, which fits; [5,1,5]_4's certification (1720 steps)
+    # is the first the budget refuses
+    code, out, err = run(capsys, "verify", "--q", "4", "--budget", "400")
+    assert (code, out) == (3, "")
+    assert err == ("budget refusal: syndrome trellis needs 1720 steps "
+                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 400\n")
 
 
 def test_verify_unknown_theorem(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mdscosets import codes
 from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
                              LinearCode, Matrix, WeightDistribution, census_rows,
                              coset_census, low_weight_census, syndrome_row)
@@ -304,6 +305,48 @@ def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
         table = low_weight_census(code, wmax).table
         assert len(table) == census_rows(code.field.q, code.r)
         assert np.array_equal(table[at], want[:, :wmax + 1]), wmax
+
+
+class _KernelRan(Exception):
+    pass
+
+
+def _no_kernel(code, wmax):
+    raise _KernelRan
+
+
+def _memo(code):
+    """(d, covering radius, leader profile); the zero code has no d."""
+    return (code.min_distance() if code.k else None, code.covering_radius(),
+            code.leader_profile())
+
+
+def _check_memo_from_each_census(H):
+    """A census of a fresh code at any wmax in [n-k, n] leaves the memo a
+    fresh code's run at n-k leaves, read with the kernel switched off; a
+    census below n-k leaves none."""
+    want = _memo(LinearCode(H))
+    for wmax in range(H.ncols + 1):
+        code = LinearCode(H)
+        low_weight_census(code, wmax)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes, "_syndrome_trellis", _no_kernel)
+            if wmax >= H.nrows:
+                assert _memo(code) == want, wmax
+            else:
+                with pytest.raises(_KernelRan):
+                    _memo(code)
+
+
+def test_each_census_from_n_minus_k_up_certifies_desk_codes(desk):
+    for entry in desk.entries:
+        _check_memo_from_each_census(entry.code.H)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(parity_checks())
+def test_each_census_from_n_minus_k_up_certifies_random_parity_checks(H):
+    _check_memo_from_each_census(H)
 
 
 def test_corrupted_census_table_raises_invariant_error():
