@@ -6,7 +6,8 @@ never JSON numbers: they routinely exceed 2^53 and must survive any
 consumer.  Rationals print as "a/b".
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 budget refusal (work over --budget, or counts past 2^63).
+3 budget refusal (work over --budget, or counts past 2^63; a
+`census geometry` walk over the default budget).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .formulas import (InconsistentPrefixError, LowWeightPrefix,
                        bonneau_original, bonneau_transformed, dist_weight1,
                        dist_weight2, dist_weight_d1, dist_weight_d2,
                        dist_weight_mid)
-from .geometry import (bisecant_census, conic_points, hyperoval_points,
-                       shortened_conic)
+from .geometry import (bisecant_census, bisecant_walk_refusal, conic_points,
+                       hyperoval_points, shortened_conic)
 from .gf import field_of_order
 from .mds import FAMILIES, _certify, _family_code
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
@@ -153,9 +154,17 @@ def cmd_census_code(args) -> int:
     return 0
 
 
+# the size of each arc `census geometry` builds in PG(2, q), less q
+ARC_SIZES = {"conic": 1, "hyperoval": 2, "conic-minus:1": 0, "conic-minus:2": -1}
+
+
 def cmd_census_geometry(args) -> int:
-    fld = _field_from_args(args)
     name = args.arc
+    if name in ARC_SIZES and args.q >= 2:  # refuse a walk over the budget before any field
+        refusal = bisecant_walk_refusal(args.q, args.q + ARC_SIZES[name])
+        if refusal is not None:
+            raise refusal
+    fld = _field_from_args(args)
     if name == "conic":
         arc = conic_points(fld)
     elif name == "hyperoval":

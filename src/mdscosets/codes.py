@@ -15,15 +15,19 @@ wmax >= n - k it reaches every syndrome, and the first such census of a
 LinearCode leaves it a small memo: the minimum distance, the covering
 radius and the leader profile (how many cosets of each weight W have
 each number B_W of minimum-weight vectors).  A code asked for these
-before any census reached n - k runs one at n - k, so each code runs
-the kernel once for them, at n - k or, when its full census comes
-first, at n.  Each column is
-admitted through the sums over the lines through its point (see
-_syndrome_trellis), about three passes over the wmax*(1 + (q^(n-k)-1)/(q-1))
-entries whatever q is, so the budget counts
-n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, not q^n vector visits,
-and a census that fits it holds at most budget/n + 1 + (q^(n-k)-1)/(q-1)
-table entries.
+before any census reached n - k runs one at n - k, so no code runs
+the kernel twice for them: a census that comes first, from the code's
+own run or from a prefix of a longer code's run, fills the memo.  Each
+column is admitted through the sums over the lines through its point (see
+_syndrome_trellis), about three passes over each weight row it updates
+whatever q is.  A vector on j coordinates weighs at most j, so column j
+updates only the rows of weight 1 to min(wmax, j).  The budget counts
+n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, an upper bound on the
+row entries updated, not q^n vector visits, and a census that fits it
+holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  One run
+can also hand back its table after each of several column prefixes:
+the censuses of the codes on those first coordinates, so a chain of
+nested codes is counted in one run (_prefix_censuses).
 
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
@@ -33,6 +37,7 @@ the limit named, never sampled.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -293,8 +298,9 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray, mul: np.ndarray
 def census_refusal(code: LinearCode, wmax: int) -> BudgetExceededError | None:
     """The refusal a census of the code at wmax meets, or None when it may
     run: its work over the code's budget, counted in
-    n*wmax*(1 + (q^(n-k) - 1)/(q - 1)) steps (one per entry of each weight
-    row each column updates), or counts that could pass the int64 range."""
+    n*wmax*(1 + (q^(n-k) - 1)/(q - 1)) steps, or counts that could pass
+    the int64 range.  The steps bound the entries of the weight rows the
+    columns update: column j updates min(wmax, j) rows, at most wmax."""
     q, n = code.field.q, code.n
     work = n * wmax * census_rows(q, code.r)
     if work > code.budget:
@@ -309,7 +315,8 @@ def census_refusal(code: LinearCode, wmax: int) -> BudgetExceededError | None:
     return None
 
 
-def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
+def _syndrome_trellis(code: LinearCode, wmax: int, prefixes: Iterable[int] | None = None
+                      ) -> np.ndarray | list[np.ndarray]:
     """T[s, w]: how many vectors of weight w <= wmax have syndrome s, one
     census row s per point (see census_rows).
 
@@ -324,14 +331,24 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
     it is T_{j-1}[0, w - 1] + (q - 2) T_{j-1}[H, w - 1], and for the zero
     syndrome (q - 1) T_{j-1}[H, w - 1].  So each weight row takes one
     gather into line order (_point_lines), one sum per line and one gather
-    back.  Rows are updated from w = wmax down, so row w - 1 is still
-    T_{j-1} when row w reads it.  A zero column adds (q - 1) T_{j-1}[s, w - 1].
-    Both refusals (see census_refusal) fire before any table exists.
+    back.  A vector on the first j coordinates weighs at most j, so column
+    j updates only the rows w <= min(wmax, j).  It updates them from the
+    top down, so row w - 1 is still T_{j-1} when row w reads it.  A zero
+    column adds (q - 1) T_{j-1}[s, w - 1].
+
+    Returns the table after all n columns, or, given `prefixes`, a list
+    of the tables after each of those prefix lengths, in ascending order:
+    the one after j columns is the table of the code on the first j
+    coordinates at weight min(wmax, j).  Both refusals (see
+    census_refusal) fire before any table exists.
     """
     f = code.field
     q, n = f.q, code.n
     if not 0 <= wmax <= n:
         raise ValueError(f"wmax={wmax} outside [0, {n}]")
+    lengths = [n] if prefixes is None else sorted(set(prefixes))
+    if not lengths or not 0 <= lengths[0] <= lengths[-1] <= n:
+        raise ValueError(f"prefix lengths {lengths} not a nonempty set in [0, {n}]")
     refusal = census_refusal(code, wmax)
     if refusal is not None:
         raise refusal
@@ -339,26 +356,31 @@ def _syndrome_trellis(code: LinearCode, wmax: int) -> np.ndarray:
 
     table = np.zeros((wmax + 1, states), dtype=np.int64)  # weight-major while growing
     table[0, 0] = 1
+    # the table after j columns, in the census layout: row per point
+    snapshots = [np.ascontiguousarray(table[:1].T)] if lengths[0] == 0 else []
     # two row buffers serve every update; take's default mode="raise"
     # would buffer `out` again, and the indices are a permutation anyway
     lines, back = np.empty(states, dtype=np.int64), np.empty(states, dtype=np.int64)
     grouped = lines[:-2].reshape(q, (states - 2) // q)  # [c, i]: point c of line i
     add = f.add_table().astype(np.int64)
     mul = f.mul_array(np.arange(q)[:, None], np.arange(q))
-    for col in code.H.labels.T:
+    for j, col in enumerate(code.H.labels.T[:lengths[-1]], 1):
+        top = min(wmax, j)
         if not col.any():
-            for w in range(wmax, 0, -1):
+            for w in range(top, 0, -1):
                 table[w] += (q - 1) * table[w - 1]
-            continue
-        order, inverse = _point_lines(f, col, add, mul)
-        for w in range(wmax, 0, -1):
-            np.take(table[w - 1], order, out=lines, mode="clip")
-            zero, point = lines[-2:]
-            grouped -= grouped.sum(axis=0)  # T[P] - (sum of T over P's line less H)
-            lines[-2:] = -(q - 1) * point, -zero - (q - 2) * point
-            np.take(lines, inverse, out=back, mode="clip")
-            table[w] -= back
-    return np.ascontiguousarray(table.T)
+        else:
+            order, inverse = _point_lines(f, col, add, mul)
+            for w in range(top, 0, -1):
+                np.take(table[w - 1], order, out=lines, mode="clip")
+                zero, point = lines[-2:]
+                grouped -= grouped.sum(axis=0)  # T[P] - (sum of T over P's line less H)
+                lines[-2:] = -(q - 1) * point, -zero - (q - 2) * point
+                np.take(lines, inverse, out=back, mode="clip")
+                table[w] -= back
+        if j in lengths:
+            snapshots.append(np.ascontiguousarray(table[:top + 1].T))
+    return snapshots[0] if prefixes is None else snapshots
 
 
 @dataclass(frozen=True)
@@ -446,19 +468,38 @@ class CosetCensus:
 
 
 def _census(code: LinearCode, wmax: int) -> CosetCensus:
-    """The trellis at wmax as a census.  The first census of the code that
-    reaches weight n-k leaves the code its memo: d, read from the zero
-    syndrome's row up to n-k (none there means d = n-k+1, Singleton), and
-    the leader profile.  Only these few numbers are kept, not the table,
-    so a corpus of codes does not hold every table alive."""
-    census = CosetCensus(code, _syndrome_trellis(code, wmax))
+    """The trellis at wmax as a census (see _census_from_table)."""
+    return _census_from_table(code, _syndrome_trellis(code, wmax))
+
+
+def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
+    """The census of a trellis table of the code.  The first census of the
+    code that reaches weight n-k leaves the code its memo: d, read from
+    the zero syndrome's row up to n-k (none there means d = n-k+1,
+    Singleton), and the leader profile.  Only these few numbers are kept,
+    not the table, so a corpus of codes does not hold every table alive."""
+    census = CosetCensus(code, table)
     r = code.r
-    if code._leaders is None and wmax >= r:
+    if code._leaders is None and census.wmax >= r:
         _require(census.fully_covered, "a syndrome is unreached at weight n-k")
         d = next((w for w in range(1, r + 1) if census.table[0, w]), r + 1)
         R = int(census.weights.max())
         code._leaders = d, {W: census.profile_at(W) for W in range(R + 1)}
     return census
+
+
+def _prefix_censuses(chain: list[LinearCode]) -> list[CosetCensus]:
+    """The full census of each code of `chain`, ascending in n, where each
+    code's H is the first n columns of the last one's: one trellis run on
+    the last code, its table taken after each of their lengths."""
+    longest = chain[-1]
+    tables = _syndrome_trellis(longest, longest.n, [code.n for code in chain])
+    censuses = []
+    for code, table in zip(chain, tables):
+        _require(np.array_equal(code.H.labels, longest.H.labels[:, :code.n]),
+                 f"{code} is not a prefix of {longest}")
+        censuses.append(_census_from_table(code, table))
+    return censuses
 
 
 def coset_census(code: LinearCode) -> CosetCensus:

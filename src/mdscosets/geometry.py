@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LinearCode, Matrix, _label_array, low_weight_census, syndrome_row
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, Matrix,
+                    _label_array, low_weight_census, syndrome_row)
+from .combinat import binom
 from .gf import GF
 
 
@@ -67,6 +69,19 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
         a, later = coords[i], coords[i + 1:, :, None]
         yield _plane_ranks(field, *(add[a[c], field.mul_array(t, later[:, c])]
                                     for c in range(3)))
+
+
+def bisecant_walk_refusal(q: int, n: int) -> BudgetExceededError | None:
+    """The refusal the bisecant walk of an n-arc in PG(2, q) meets, or None
+    when it may run: its C(n,2)*(q-1) point normalizations over
+    DEFAULT_BUDGET.  It needs only q and n, so it can fire before the
+    field or any plane-sized array is built."""
+    work = binom(n, 2) * (q - 1)
+    if work > DEFAULT_BUDGET:
+        return BudgetExceededError(
+            f"bisecant walk needs {work} point normalizations C(n,2)*(q-1), "
+            f"over the budget of {DEFAULT_BUDGET}")
+    return None
 
 
 class Arc:

@@ -4,11 +4,12 @@ checked against exact censuses of a fixed family of constructed codes.
 The corpus holds every code the constructors produce for
 q in {4, 5, 7, 8, 9, 11}, d in {3, 4, 5, 6}, d <= n <= q+1 (plus the
 triply-extended length q+2 for even q at d = 4), subject to the fixed
-size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached,
-each corpus code is certified from its full census when that fits the
-budget, and the criteria take the corpus's own codes from the cache
-instead of rebuilding them, so no code is counted twice at one weight
-per run.
+size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached.
+The codes of one (q, d) are prefixes of one another, so one kernel run
+per such chain counts the full census of every code in it that fits the
+budget, and each of these codes is certified from its census.  The
+criteria take the corpus's own codes from the cache instead of
+rebuilding them, so no code is counted twice at one weight per run.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -23,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, census_refusal,
-                    coset_census, low_weight_census)
+from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, _prefix_censuses,
+                    census_refusal, coset_census, low_weight_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_tails,
@@ -64,15 +65,19 @@ class CorpusEntry:
 class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
-    Each corpus code whose full census fits the budget runs that census
-    first, when the corpus is built, and is certified from the memo it
-    leaves (see codes._census): one kernel run per such code.  Any other
-    corpus code is certified at n-k, as `build_code` does, so a small
-    budget refuses the same code with the same step count.  `code` hands
-    out the corpus's own certified code when the corpus holds it and
-    builds (once, under the cache's budget) only the codes it does not,
-    and `census` is keyed by code, so each code's kernel runs happen
-    once per cache.
+    The gdrs codes of one (q, d) form a chain: each keeps the first n
+    columns of the same matrix, so each is a prefix of the longest.  Full
+    censuses fit the budget for a leading run of each chain (the work
+    grows with n), and one kernel run on the longest of those counts them
+    all, handing back its table after each of their lengths; each such
+    code is certified from the memo its census leaves (see
+    codes._prefix_censuses).  Any other corpus code is certified at
+    n-k, as `build_code` does, in corpus order, so a small budget refuses
+    the same code with the same step count.  The triply-extended code is
+    a chain of its own.  `code` hands out the corpus's own certified code
+    when the corpus holds it and builds (once, under the cache's budget)
+    only the codes it does not, and `census` is keyed by code, so each
+    code's kernel runs happen once per cache.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET, qs=DESK_QS, ds=DESK_DS):
@@ -87,20 +92,24 @@ class DeskCache:
             for d in self.ds:
                 if d > length:
                     continue  # no gdrs code; the corpus adds no triple extension without one
-                for n in range(d, length + 1):
-                    if q ** n <= DESK_AMBIENT_LIMIT:
-                        self._add_entry(fld, "gdrs", d, n)
+                self._add_chain(fld, "gdrs", d, [n for n in range(d, length + 1)
+                                                 if q ** n <= DESK_AMBIENT_LIMIT])
                 if (has_triple_extension(q, d)
                         and q ** family_length("gtrs", q) <= DESK_AMBIENT_LIMIT):
-                    self._add_entry(fld, "gtrs", d, None)
+                    self._add_chain(fld, "gtrs", d, [None])
         self._codes = {(e.q, e.d, e.n, e.family): e.code for e in self.entries}
 
-    def _add_entry(self, fld, family: str, d: int, n: int | None) -> None:
-        code, construction = _family_code(fld, family, d, n, (), self.budget)
-        if census_refusal(code, code.n) is None:
-            self._census[code] = coset_census(code)
-        _certify(code)
-        self.entries.append(CorpusEntry(code, construction))
+    def _add_chain(self, fld, family: str, d: int, lengths: list[int | None]) -> None:
+        """Add the family's codes of the given lengths, ascending: one
+        kernel run censuses those whose full census fits, then each code
+        is certified in turn."""
+        built = [_family_code(fld, family, d, n, (), self.budget) for n in lengths]
+        fits = [code for code, _ in built if census_refusal(code, code.n) is None]
+        if fits:
+            self._census.update(zip(fits, _prefix_censuses(fits)))
+        for code, construction in built:
+            _certify(code)
+            self.entries.append(CorpusEntry(code, construction))
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""

@@ -193,22 +193,40 @@ def unisecants_through(arc, point):
     return field_of(arc.field).q + 1 - len(secants)
 
 
-def brute_table(code):
-    """{syndrome: [vectors of weight 0..n]}, walking all of F_q^n one
-    coordinate at a time: each vector's syndrome is its prefix's plus
-    x_j*h_j, read from per-column tables built with the oracle's field."""
-    F, n = field_of(code.field), code.n
+def _brute_levels(code):
+    """For j = 0..n, the (syndrome, weight) of every vector on the first j
+    coordinates, walking F_q^n one coordinate at a time: each vector's
+    syndrome is its prefix's plus x_j*h_j, read from per-column tables
+    built with the oracle's field."""
+    F = field_of(code.field)
     add = [[F.add(a, b) for b in range(F.q)] for a in range(F.q)]
     cols = [[tuple(F.mul(c, h) for h in col) for c in range(F.q)]
             for col in zip(*_rows(code))]
     level = [((0,) * code.r, 0)]  # (syndrome, weight) of every prefix x_0..x_{j-1}
+    yield level
     for col in cols:
         level = [(tuple(add[s][t] for s, t in zip(syn, col[c])), w + (c > 0))
                  for syn, w in level for c in range(F.q)]
+        yield level
+
+
+def _tabulate(level, n):
     table = {}
     for syn, w in level:
         table.setdefault(syn, [0] * (n + 1))[w] += 1
     return table
+
+
+def brute_table(code):
+    """{syndrome: [vectors of weight 0..n]}, over all of F_q^n."""
+    *_, level = _brute_levels(code)
+    return _tabulate(level, code.n)
+
+
+def brute_prefix_tables(code):
+    """For j = 0..n, brute_table of the code on its first j coordinates,
+    {syndrome: [vectors of weight 0..j]}, from one walk."""
+    return [_tabulate(level, j) for j, level in enumerate(_brute_levels(code))]
 
 
 def brute_codeword_weights(code):

@@ -165,34 +165,45 @@ def test_criterion_9_remark_survey(desk):
 def test_run_acceptance_reuses_corpus_codes(monkeypatch):
     # the criteria read the corpus's own certified codes instead of
     # rebuilding them; on the q = 5 corpus rebuilding took 33 kernel runs,
-    # 8 of them repeats, and certifying each corpus code apart from its
-    # full census took 25.  The 10 corpus codes run once each, the survey
-    # once, and the 4 criterion-7 codes outside the corpus once each
+    # 8 of them repeats, certifying each corpus code apart from its full
+    # census took 25, and one run per corpus code 15.  The 10 corpus
+    # codes form 4 chains, one run each, then the survey runs once and
+    # the 4 criterion-7 codes outside the corpus once each
     runs = []
     trellis = codes._syndrome_trellis
 
-    def counted(code, wmax):
+    def counted(code, wmax, prefixes=None):
         runs.append((code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax))
-        return trellis(code, wmax)
+        return trellis(code, wmax, prefixes)
 
     monkeypatch.setattr(codes, "_syndrome_trellis", counted)
     results = run_acceptance(DeskCache(qs=(5,)))
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
-    assert len(runs) == 15
+    assert len(runs) == 9
     assert len(set(runs)) == len(runs)  # no (code, wmax) pair runs twice
 
 
-def test_desk_cache_runs_the_kernel_once_per_corpus_code(monkeypatch):
+def _chains(entries):
+    """The corpus entries grouped by chain, (q, d, family), in corpus order."""
+    chains = {}
+    for e in entries:
+        chains.setdefault((e.q, e.d, e.family), []).append(e)
+    return list(chains.values())
+
+
+def test_desk_cache_runs_the_kernel_once_per_chain(monkeypatch):
     # every desk code's full census fits the default budget, so building
-    # the corpus runs it and certifies from it, and reading every census
-    # runs nothing more: one trellis run per code, at wmax = n, and one
-    # line order per nonzero column
+    # the corpus runs the kernel once per chain, on its longest code at
+    # wmax = n, and takes every code's census from that run, each code
+    # certified from its own; reading every census runs nothing more.
+    # That is one line order per nonzero column of each longest code:
+    # 24 runs and 173 orders, where one run per code took 89 and 526
     runs, orders = [], []
     trellis, point_lines = codes._syndrome_trellis, codes._point_lines
 
-    def counted_trellis(code, wmax):
-        runs.append((code, wmax))
-        return trellis(code, wmax)
+    def counted_trellis(code, wmax, prefixes=None):
+        runs.append((code, wmax, prefixes))
+        return trellis(code, wmax, prefixes)
 
     def counted_point_lines(f, col, add, mul):
         orders.append(col.tolist())
@@ -203,12 +214,22 @@ def test_desk_cache_runs_the_kernel_once_per_corpus_code(monkeypatch):
     cache = DeskCache()
     for entry in cache.entries:
         cache.census(entry)
+    chains = _chains(cache.entries)
     assert len(cache.entries) == 89
-    assert runs == [(e.code, e.n) for e in cache.entries]
-    assert orders == [col.tolist() for e in cache.entries
-                      for col in e.code.H.labels.T if col.any()]
+    assert runs == [(c[-1].code, c[-1].n, [e.n for e in c]) for c in chains]
+    assert orders == [col.tolist() for c in chains
+                      for col in c[-1].code.H.labels.T if col.any()]
     assert all(e.code.min_distance() == e.d for e in cache.entries)
-    assert len(runs) == 89
+    assert (len(runs), len(orders)) == (24, 173)
+
+
+def test_each_chain_snapshot_is_its_prefix_codes_own_run(desk):
+    # each corpus code's census is a snapshot of its chain's one run; it
+    # is the table a run of the code alone gives, entry for entry
+    for entry in desk.entries:
+        alone = codes._syndrome_trellis(codes.LinearCode(entry.code.H), entry.n)
+        table = desk.census(entry).table
+        assert table.shape == alone.shape and np.array_equal(table, alone), entry.label
 
 
 def test_desk_cache_builds_the_code_it_is_asked_for():

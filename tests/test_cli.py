@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -180,6 +181,43 @@ def test_census_geometry(capsys):
     assert code3 == 2 and "unknown arc" in err
 
 
+def test_census_geometry_refuses_a_walk_over_the_budget_before_any_field(capsys, monkeypatch):
+    # the conic of PG(2, 4096) has C(4097, 2)*4095 walk steps; no field
+    # table, plane array or walk step comes before the refusal
+    def no_field(*args):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(cli, "field_of_order", no_field)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "census", "geometry", "--q", "4096", "--arc", "conic")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("budget refusal: bisecant walk needs 34359736320 point normalizations "
+                   "C(n,2)*(q-1), over the budget of 200000000\n")
+    for arc in ("hyperoval", "conic-minus:1", "conic-minus:2"):
+        code, _, err = run(capsys, "census", "geometry", "--q", "1024", "--arc", arc)
+        assert code == 3 and "bisecant walk needs" in err
+
+
+def _prime_powers(top):
+    return [q for q in range(2, top + 1)
+            if len({p for p in range(2, q + 1) if q % p == 0 and all(p % f for f in range(2, p))}) == 1]
+
+
+def test_census_geometry_outputs_up_to_q_64_are_pinned(capsys):
+    # every arc, in every format, for each of the 27 planes q <= 64, as
+    # before the walk had a size guard (the digest of the outputs then)
+    digest = hashlib.sha256()
+    for q in _prime_powers(64):
+        for arc in ("conic", "hyperoval", "conic-minus:1", "conic-minus:2"):
+            for fmt in ("table", "json", "csv"):
+                code, out, err = run(capsys, "census", "geometry", "--q", str(q),
+                                     "--arc", arc, "--format", fmt)
+                digest.update(f"{q} {arc} {fmt} {code}\n{out}{err}".encode())
+    assert digest.hexdigest() == \
+        "c108216591999e3f20d1212ce4c9356a6f9ac2fc4b0d8e9fe045f0ca99407085"
+
+
 def test_census_field_poly_override(capsys):
     code, out, _ = run(capsys, "census", "code", "--family", "gdrs",
                        "--q", "8", "--d", "3", "--poly", "1,0,1,1",
@@ -259,6 +297,28 @@ def test_verify_refuses_the_first_certification_over_the_budget(capsys):
     assert (code, out) == (3, "")
     assert err == ("budget refusal: syndrome trellis needs 1720 steps "
                    "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 400\n")
+
+
+def test_verify_refusal_where_the_budget_cuts_a_chain(capsys, monkeypatch):
+    # under 5000 steps the q = 5, d = 5 chain is cut: [5,1,5]_5's full
+    # census (3925 steps) runs alone, [6,2,5]_5's (5652) does not, so that
+    # code is certified at n-k (3768); the d = 3 and d = 4 chains run once
+    # each, and [6,1,6]_5's certification (23460 steps) is called and
+    # refused before it builds a table
+    runs = []
+    trellis = codes._syndrome_trellis
+
+    def counted(code, wmax, prefixes=None):
+        runs.append((code.n, wmax, prefixes))
+        return trellis(code, wmax, prefixes)
+
+    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
+    code, out, err = run(capsys, "verify", "--q", "5", "--budget", "5000")
+    assert (code, out) == (3, "")
+    assert err == ("budget refusal: syndrome trellis needs 23460 steps "
+                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 5000\n")
+    assert runs == [(6, 6, [3, 4, 5, 6]), (6, 6, [4, 5, 6]), (5, 5, [5]), (6, 4, None),
+                    (6, 5, None)]
 
 
 def test_verify_unknown_theorem(capsys):

@@ -1,4 +1,5 @@
 from itertools import groupby, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, gdrs_parity
 from dual_census import dual_table
-from oracle import (brute_codeword_weights, brute_table, field_of,
-                    generator_matrix, syndrome)
+from oracle import (brute_codeword_weights, brute_prefix_tables, brute_table,
+                    field_of, generator_matrix, syndrome)
 
 
 def test_code_from_parity_shapes():
@@ -305,6 +306,47 @@ def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
         table = low_weight_census(code, wmax).table
         assert len(table) == census_rows(code.field.q, code.r)
         assert np.array_equal(table[at], want[:, :wmax + 1]), wmax
+
+
+def _prefix(code, j):
+    """The code's first j coordinates, as the kernel reads a code: its H
+    may be rank-deficient, so it is no LinearCode."""
+    return SimpleNamespace(field=code.field, n=j, r=code.r, budget=code.budget,
+                           H=SimpleNamespace(labels=code.H.labels[:, :j]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(parity_checks())
+def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
+    # at every wmax, the table after each prefix of j columns is a run on
+    # those j columns alone at min(wmax, j), and the brute count of them
+    # (every drawn code has q^n <= 2*10^4)
+    code = LinearCode(H)
+    q, n = code.field.q, code.n
+    brute = [_brute_rows(code, table) for table in brute_prefix_tables(code)]
+    alone = {}  # (j, top): the run on the first j columns alone at top
+    for wmax in range(n + 1):
+        tables = codes._syndrome_trellis(code, wmax, range(n + 1))
+        assert len(tables) == n + 1
+        for j, table in enumerate(tables):
+            top = min(wmax, j)
+            if (j, top) not in alone:
+                alone[j, top] = codes._syndrome_trellis(_prefix(code, j), top)
+            assert table.shape == (census_rows(q, code.r), top + 1), (wmax, j)
+            assert np.array_equal(table, alone[j, top]), (wmax, j)
+            at, want = brute[j]
+            assert np.array_equal(table[at], want[:, :top + 1]), (wmax, j)
+            unreached = np.ones(len(table), dtype=bool)
+            unreached[at] = False
+            assert not table[unreached].any(), (wmax, j)
+        assert np.array_equal(tables[-1], codes._syndrome_trellis(code, wmax)), wmax
+
+
+def test_kernel_refuses_prefix_lengths_outside_the_code():
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
+    for prefixes in ([], [7], [-1, 3]):
+        with pytest.raises(ValueError, match="prefix lengths"):
+            codes._syndrome_trellis(code, 3, prefixes)
 
 
 class _KernelRan(Exception):

@@ -6,8 +6,8 @@ import pytest
 from mdscosets import geometry
 from mdscosets.codes import CosetCensus, low_weight_census, syndrome_row
 from mdscosets.combinat import binom
-from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas,
-                                conic_points,
+from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
+                                conic_census_formulas, conic_points,
                                 double_shortened_conic_census_formulas,
                                 geometry_code_bridge, hyperoval_census_formulas,
                                 hyperoval_points, shortened_conic,
@@ -275,3 +275,9 @@ def test_censuses_hold_python_ints():
     values = [report.census.covered, *(v for c in report.census.classes for v in c)]
     values += [v for e in report.entries for v in vars(e).values()]
     assert all(type(v) is int for v in values)
+
+
+def test_bisecant_walk_budget_boundary():
+    # the conic walk fits up to q = 733 (196842852 steps) and not at 739
+    assert bisecant_walk_refusal(733, 734) is None
+    assert "201791340 point normalizations" in str(bisecant_walk_refusal(739, 740))
