@@ -49,14 +49,17 @@ def _code_from_args(args):
                         _csv_ints(args.remove or ""), args.budget)
 
 
-def _emit(payload: dict, args, table_lines: list[str], csv_lines: list[str] | None = None):
+def _emit(args, payload, table_lines, csv_lines=None):
+    """Print, or write to --out, the output in args.format.  The three
+    arguments build the JSON payload, the table lines and the CSV lines;
+    only the one args.format names is called."""
     fmt = args.format
     if fmt == "json":
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload(), indent=2)
     elif fmt == "csv":
-        text = "\n".join(csv_lines)
+        text = "\n".join(csv_lines())
     else:
-        text = "\n".join(table_lines)
+        text = "\n".join(table_lines())
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -98,21 +101,26 @@ def cmd_dist(args) -> int:
                 raise ValueError("--closed-form mid needs --W and --knowns")
             dist = dist_weight_mid(n, d, q, args.W, _csv_ints(args.knowns))
         consistent = dist.is_nonnegative()
-    payload = {
-        "schema": SCHEMA,
-        "command": "dist",
-        "form": form,
-        "params": {"n": n, "d": d, "q": q},
-        "counts": _strs(dist.counts),
-        "total": str(dist.total()),
-        "consistent": consistent,
-    }
-    table = [f"coset distribution ({form}, n={n}, d={d}, q={q})",
-             "  w  B_w"]
-    table += [f"{w:>3}  {c}" for w, c in enumerate(dist.counts)]
-    table.append(f"total {dist.total()}" + ("" if consistent else "  (inconsistent)"))
-    csv_lines = ["w,B_w"] + [f"{w},{c}" for w, c in enumerate(dist.counts)]
-    _emit(payload, args, table, csv_lines)
+
+    def payload():
+        return {
+            "schema": SCHEMA,
+            "command": "dist",
+            "form": form,
+            "params": {"n": n, "d": d, "q": q},
+            "counts": _strs(dist.counts),
+            "total": str(dist.total()),
+            "consistent": consistent,
+        }
+
+    def table():
+        return ([f"coset distribution ({form}, n={n}, d={d}, q={q})", "  w  B_w"]
+                + [f"{w:>3}  {c}" for w, c in enumerate(dist.counts)]
+                + [f"total {dist.total()}" + ("" if consistent else "  (inconsistent)")])
+
+    def csv_lines():
+        return ["w,B_w"] + [f"{w},{c}" for w, c in enumerate(dist.counts)]
+    _emit(args, payload, table, csv_lines)
     return 0
 
 
@@ -126,31 +134,36 @@ def cmd_census_code(args) -> int:
     census = coset_census(code)
     _certify(code)
     q = code.field.q
-    classes = [{
-        "class_index": i,
-        "weight_W": cls.weight,
-        "coset_count": str(cls.count),
-        "counts": _strs(cls.distribution.counts),
-    } for i, cls in enumerate(census.classes)]
-    payload = {
-        "schema": SCHEMA,
-        "command": "census-code",
-        "code": {"n": code.n, "k": code.k, "d": code.min_distance(),
-                 "q": q, "family": construction.family,
-                 "removed": list(construction.removed)},
-        "total_cosets": str(census.total_cosets),
-        "classes": classes,
-    }
-    table = [f"coset census of [{code.n},{code.k}]_{q} ({census.total_cosets} cosets)",
-             "  W  cosets  distribution"]
-    table += [f"{cls.weight:>3}  {cls.count:>6}  {list(cls.distribution.counts)}"
-              for cls in census.classes]
-    header = "class_index,weight_W,coset_count," + ",".join(
-        f"B_{w}" for w in range(code.n + 1))
-    csv_lines = [header] + [
-        f"{i},{cls.weight},{cls.count}," + ",".join(_strs(cls.distribution.counts))
-        for i, cls in enumerate(census.classes)]
-    _emit(payload, args, table, csv_lines)
+
+    def payload():
+        return {
+            "schema": SCHEMA,
+            "command": "census-code",
+            "code": {"n": code.n, "k": code.k, "d": code.min_distance(),
+                     "q": q, "family": construction.family,
+                     "removed": list(construction.removed)},
+            "total_cosets": str(census.total_cosets),
+            "classes": [{
+                "class_index": i,
+                "weight_W": cls.weight,
+                "coset_count": str(cls.count),
+                "counts": _strs(cls.distribution.counts),
+            } for i, cls in enumerate(census.classes)],
+        }
+
+    def table():
+        return ([f"coset census of [{code.n},{code.k}]_{q} ({census.total_cosets} cosets)",
+                 "  W  cosets  distribution"]
+                + [f"{cls.weight:>3}  {cls.count:>6}  {list(cls.distribution.counts)}"
+                   for cls in census.classes])
+
+    def csv_lines():
+        header = "class_index,weight_W,coset_count," + ",".join(
+            f"B_{w}" for w in range(code.n + 1))
+        return [header] + [
+            f"{i},{cls.weight},{cls.count}," + ",".join(_strs(cls.distribution.counts))
+            for i, cls in enumerate(census.classes)]
+    _emit(args, payload, table, csv_lines)
     return 0
 
 
@@ -174,21 +187,27 @@ def cmd_census_geometry(args) -> int:
     else:
         raise ValueError(f"unknown arc {name!r} (conic, hyperoval, conic-minus:K)")
     census = bisecant_census(arc)
-    payload = {
-        "schema": SCHEMA,
-        "command": "census-geometry",
-        "arc": name,
-        "q": fld.q,
-        "arc_size": arc.n,
-        "off_arc_points": str(census.covered),
-        "classes": [{"bisecants": b, "points": str(npts)}
-                    for b, npts in census.classes],
-    }
-    table = [f"bisecant census of {name} ({arc.n} points) in PG(2,{fld.q})",
-             "  bisecants  points"]
-    table += [f"{b:>10}  {npts}" for b, npts in census.classes]
-    csv_lines = ["bisecants,points"] + [f"{b},{npts}" for b, npts in census.classes]
-    _emit(payload, args, table, csv_lines)
+
+    def payload():
+        return {
+            "schema": SCHEMA,
+            "command": "census-geometry",
+            "arc": name,
+            "q": fld.q,
+            "arc_size": arc.n,
+            "off_arc_points": str(census.covered),
+            "classes": [{"bisecants": b, "points": str(npts)}
+                        for b, npts in census.classes],
+        }
+
+    def table():
+        return ([f"bisecant census of {name} ({arc.n} points) in PG(2,{fld.q})",
+                 "  bisecants  points"]
+                + [f"{b:>10}  {npts}" for b, npts in census.classes])
+
+    def csv_lines():
+        return ["bisecants,points"] + [f"{b},{npts}" for b, npts in census.classes]
+    _emit(args, payload, table, csv_lines)
     return 0
 
 
@@ -229,7 +248,7 @@ def cmd_covering(args) -> int:
         }
         table.append(f"deep-hole count {dh.count} vs (q-1)*Delta = {dh.bound} "
                      f"(parent R = {dh.parent_R})")
-    _emit(payload, args, table)
+    _emit(args, lambda: payload, lambda: table)
     return 0
 
 
@@ -255,7 +274,7 @@ def cmd_verify(args) -> int:
     for r in results:
         table.append(r.summary())
         table += [f"    {line}" for line in r.lines]
-    _emit(payload, args, table)
+    _emit(args, lambda: payload, lambda: table)
     return 0 if all_passed else 1
 
 

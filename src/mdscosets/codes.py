@@ -13,11 +13,13 @@ the full coset census, at smaller wmax the low-weight census, where a
 syndrome no vector of weight <= wmax reaches has weight -1.  At
 wmax >= n - k it reaches every syndrome, and the first such census of a
 LinearCode leaves it a small memo: the minimum distance, the covering
-radius and the leader profile (how many cosets of each weight W have
-each number B_W of minimum-weight vectors).  A code asked for these
-before any census reached n - k runs one at n - k, so no code runs
-the kernel twice for them: a census that comes first, from the code's
-own run or from a prefix of a longer code's run, fills the memo.  Each
+radius, the leader profile (how many cosets of each weight W have each
+number B_W of minimum-weight vectors, tallied from one sort of the
+(W, B_W) pairs) and the distinct prefixes B_0..B_{n-k-1} of its weight-2
+cosets.  A code asked for these before any census reached n - k runs
+one at n - k, so no code runs the kernel twice for them: a census that
+comes first, from the code's own run or from a prefix of a longer
+code's run, fills the memo.  Each
 column is admitted through the sums over the lines through its point (see
 _syndrome_trellis), about three passes over each weight row it updates
 whatever q is.  A vector on j coordinates weighs at most j, so column j
@@ -26,8 +28,11 @@ n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, an upper bound on the
 row entries updated, not q^n vector visits, and a census that fits it
 holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  One run
 can also hand back its table after each of several column prefixes:
-the censuses of the codes on those first coordinates, so a chain of
-nested codes is counted in one run (_prefix_censuses).
+the censuses of the codes on those first coordinates at the run's wmax,
+so a chain of nested codes is counted in one run (_prefix_censuses).  A
+prefix no longer than wmax gets its full census, and a longer one the
+low-weight census at wmax, which certifies it once wmax reaches its
+n - k.
 
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
@@ -164,8 +169,8 @@ class LinearCode:
 
     `budget` caps the work of every census run on the code.  The first
     census of the code at weight n-k or more leaves a small memo that
-    min_distance, covering_radius and leader_profile read; asked before
-    any such census, they run one at n-k.
+    min_distance, covering_radius, leader_profile and weight2_prefixes
+    read; asked before any such census, they run one at n-k.
     """
 
     def __init__(self, H: Matrix, budget: int = DEFAULT_BUDGET):
@@ -178,16 +183,20 @@ class LinearCode:
         self.field = H.field
         self.n = H.ncols
         self.k = H.ncols - H.nrows
-        self._leaders: tuple[int, dict[int, dict[int, int]]] | None = None
+        # (d, leader profile, weight-2 prefixes), see _census_from_table
+        self._leaders: tuple[int, dict[int, dict[int, int]],
+                             tuple[tuple[int, ...], ...]] | None = None
 
     @property
     def r(self) -> int:
         """Redundancy n - k (number of parity checks)."""
         return self.n - self.k
 
-    def _leader_memo(self) -> tuple[int, dict[int, dict[int, int]]]:
-        """(d, leader profile), from the first census of this code that
-        reached weight n-k (see _census), or from one run at n-k now."""
+    def _leader_memo(self) -> tuple[int, dict[int, dict[int, int]],
+                                    tuple[tuple[int, ...], ...]]:
+        """(d, leader profile, weight-2 prefixes), from the first census of
+        this code that reached weight n-k (see _census_from_table), or from
+        one run at n-k now."""
         if self._leaders is None:
             low_weight_census(self, self.r)
         return self._leaders
@@ -209,6 +218,12 @@ class LinearCode:
     def covering_radius(self) -> int:
         """Max coset weight: the largest W of the leader profile."""
         return max(self.leader_profile())
+
+    def weight2_prefixes(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct counts B_0..B_{n-k-1} of the weight-2 cosets,
+        ascending: for an MDS code, the low-weight prefixes B_0..B_{d-2}
+        that fix each weight-2 coset's whole distribution."""
+        return self._leader_memo()[2]
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
@@ -414,12 +429,11 @@ class CosetCensus:
         # cosets per row: the zero syndrome once, each point's q - 1 times
         self._cosets = np.full(len(table), q - 1, dtype=np.int64)
         self._cosets[0] = 1
-        reached = table > 0
-        has = reached.any(axis=1)
+        first = (table > 0).argmax(axis=1)  # 0 on an all-zero row too
+        has = table[np.arange(len(table)), first] > 0
         # -1..wmax in the smallest integer type: a census keeps this
         # column as long as its table, and a corpus keeps many censuses
-        self.weights = np.where(has, reached.argmax(axis=1), -1).astype(
-            np.min_scalar_type(-1 - self.wmax))
+        self.weights = np.where(has, first, -1).astype(np.min_scalar_type(-1 - self.wmax))
         self.fully_covered = bool(has.all())
         if self.wmax == n:
             _require(int(table[0].sum()) + (q - 1) * int(table[1:].sum()) == q**n,
@@ -435,12 +449,11 @@ class CosetCensus:
         # sort by (weight, B_0, ..., B_wmax); lexsort's last key is the primary one
         order = np.lexsort((*table.T[::-1], weights))
         rows = table[order]
-        starts = np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)])
+        starts = _run_starts(*rows.T)
         counts = np.add.reduceat(self._cosets[order], starts)
-        classes = []
-        for start, cnt in zip(starts, counts):
-            dist = WeightDistribution(tuple(int(x) for x in rows[start]))
-            classes.append(CosetClass(int(weights[order[start]]), dist, int(cnt)))
+        classes = [CosetClass(w, WeightDistribution(tuple(row)), cnt)
+                   for w, row, cnt in zip(weights[order[starts]].tolist(),
+                                          rows[starts].tolist(), counts.tolist())]
         _require(sum(c.count for c in classes) == self.total_cosets,
                  "census classes do not hold q^(n-k) cosets")
         return classes
@@ -450,14 +463,6 @@ class CosetCensus:
 
     def count_of_weight(self, W: int) -> int:
         return int(self._cosets[self.weights == W].sum())
-
-    def profile_at(self, W: int) -> dict[int, int]:
-        """How many weight-W cosets have each value of B_W."""
-        at = self.weights == W
-        vals, where = np.unique(self.table[at, W], return_inverse=True)
-        counts = np.zeros(len(vals), dtype=np.int64)
-        np.add.at(counts, where, self._cosets[at])
-        return {int(v): int(c) for v, c in zip(vals, counts)}
 
     def code_distribution(self) -> WeightDistribution:
         return self.distribution_of_syndrome((0,) * self.code.r)
@@ -476,24 +481,58 @@ def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
     """The census of a trellis table of the code.  The first census of the
     code that reaches weight n-k leaves the code its memo: d, read from
     the zero syndrome's row up to n-k (none there means d = n-k+1,
-    Singleton), and the leader profile.  Only these few numbers are kept,
-    not the table, so a corpus of codes does not hold every table alive."""
+    Singleton), the leader profile and the weight-2 prefixes.  Only these
+    few numbers are kept, not the table, so a corpus of codes does not
+    hold every table alive."""
     census = CosetCensus(code, table)
     r = code.r
     if code._leaders is None and census.wmax >= r:
         _require(census.fully_covered, "a syndrome is unreached at weight n-k")
         d = next((w for w in range(1, r + 1) if census.table[0, w]), r + 1)
-        R = int(census.weights.max())
-        code._leaders = d, {W: census.profile_at(W) for W in range(R + 1)}
+        code._leaders = d, _leader_profile(census), _weight2_prefixes(census, r)
     return census
 
 
-def _prefix_censuses(chain: list[LinearCode]) -> list[CosetCensus]:
-    """The full census of each code of `chain`, ascending in n, where each
-    code's H is the first n columns of the last one's: one trellis run on
-    the last code, its table taken after each of their lengths."""
+def _leader_profile(census: CosetCensus) -> dict[int, dict[int, int]]:
+    """{W: {B_W: cosets}} over every row of a census that reaches every
+    syndrome: one sort of the rows' (W, B_W) pairs, one sum per run."""
+    weights = census.weights
+    leaders = census.table[np.arange(len(weights)), weights]
+    order = np.lexsort((leaders, weights))
+    w, b = weights[order], leaders[order]
+    starts = _run_starts(w, b)
+    cosets = np.add.reduceat(census._cosets[order], starts)
+    profile: dict[int, dict[int, int]] = {}
+    for W, B, c in zip(w[starts].tolist(), b[starts].tolist(), cosets.tolist()):
+        profile.setdefault(W, {})[B] = c
+    return profile
+
+
+def _weight2_prefixes(census: CosetCensus, r: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct B_0..B_{r-1} of the census's weight-2 rows, ascending."""
+    rows = census.table[census.weights == 2, :r]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return tuple(map(tuple, rows[_run_starts(*rows.T)].tolist()))
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal key tuples starts, for keys sorted together
+    (one 1-D array per key, of one length)."""
+    starts = np.zeros(len(keys[0]), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        starts[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(starts)
+
+
+def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:
+    """The census at weight min(wmax, n) of each code of `chain`,
+    ascending in n, where each code's H is the first n columns of the last
+    one's: one trellis run on the last code at wmax, its table taken after
+    each of their lengths.  A code longer than wmax gets the low-weight
+    census at wmax, which fills its memo once wmax reaches its n-k."""
     longest = chain[-1]
-    tables = _syndrome_trellis(longest, longest.n, [code.n for code in chain])
+    tables = _syndrome_trellis(longest, wmax, [code.n for code in chain])
     censuses = []
     for code, table in zip(chain, tables):
         _require(np.array_equal(code.H.labels, longest.H.labels[:, :code.n]),

@@ -46,9 +46,10 @@ reported as InconsistentPrefixError in strict mode and as a plain
 Because the tail is linear in the prefix, `bonneau_tails` evaluates any
 number of prefixes of one (n, d, q) through one form as the single
 product K + P @ C.  It bounds every entry and row total exactly first:
-below 2^63 the product runs on int64, above it on object arrays, and
-either way the tails come back as Python ints.  The scalar forms keep
-their list path, which skips the zero B_v that make up most of a
+below 2^63 the product runs on int64, above it on object arrays of
+Python ints, and the tails come back in the dtype the bound chose, so
+two forms' tails compare as arrays with no conversion.  The scalar forms
+keep their list path, which skips the zero B_v that make up most of a
 typical prefix.
 """
 
@@ -204,14 +205,14 @@ def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDist
 def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
     """B_{d-1}..B_n for each prefix B_0..B_{d-2} in the matrix `prefixes`,
     through the rows of one form ("original" or "transformed"): K + P @ C,
-    one row per prefix, as an object array of Python ints.  Prefixes are
-    refused as LowWeightPrefix refuses them (an integer ndarray in its
-    own dtype); realizability is not checked, as with strict=False.
+    one row per prefix.  Prefixes are refused as LowWeightPrefix refuses
+    them (an integer ndarray in its own dtype); realizability is not
+    checked, as with strict=False.
 
-    The product and the q^k check run in int64 when an exact bound,
-    taken in Python ints from the rows and the largest prefix entry of
-    each column, keeps every entry and every partial row total below
-    2^63, and on object arrays otherwise."""
+    The product, the q^k check and the result are int64 when an exact
+    bound, taken in Python ints from the rows and the largest prefix
+    entry of each column, keeps every entry and every partial row total
+    below 2^63, and object arrays of Python ints otherwise."""
     check_mds_params(n, d, q)
     if isinstance(prefixes, np.ndarray) and prefixes.dtype.kind in "iu":
         P = prefixes
@@ -227,7 +228,8 @@ def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown form {form!r} (expected original or transformed)")
     total = q ** (n - d + 1)
-    peaks = P.max(axis=0).tolist() if len(P) else [0] * (d - 1)
+    PT = P.T  # one row per B_v: every pass below runs along the prefixes
+    peaks = PT.max(axis=1).tolist() if len(P) else [0] * (d - 1)
     # every entry of K, C and K + P @ C is at most `entry` in absolute
     # value (each column counts at least once: all of C is converted), and
     # every partial sum of a row total at most `bound`
@@ -235,11 +237,11 @@ def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
                                        for p, col in zip(peaks, cols))
     bound = (n - d + 2) * entry + sum(peaks)
     dtype = np.int64 if max(bound, total) < 2**63 else object
-    P = P.astype(dtype, copy=False)
-    tails = np.array(known, dtype=dtype) + P @ np.array(cols, dtype=dtype)
-    totals = P.sum(axis=1) + tails.sum(axis=1)
+    PT = np.ascontiguousarray(PT, dtype=dtype)
+    tails = np.array(known, dtype=dtype)[:, None] + np.array(cols, dtype=dtype).T @ PT
+    totals = PT.sum(axis=0) + tails.sum(axis=0)
     _require(bool((totals == total).all()), "distribution from prefix does not total q^k")
-    return tails.astype(object)
+    return tails.T
 
 
 def _b_low_terms(n: int, d: int, b_low: int) -> list[int]:

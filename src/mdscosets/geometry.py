@@ -8,11 +8,15 @@ counted by walking them, not by testing points against lines: on an
 arc, the bisecant through a and b holds, besides a and b, exactly the
 q-1 points a + t*b (t != 0), none of them on the arc (Hirschfeld,
 Projective Geometries over Finite Fields).  The walk runs on the field's
-array tables, one step per arc point a_i: the (n-i-1) x (q-1) points
+array tables over the pairs i < j in order, in blocks of consecutive
+pairs holding at most WALK_BLOCK_POINTS points: each block's points
 a_i + t*a_j are formed, normalized and ranked as arrays and tallied by
-one bincount.  Building an Arc runs the walk once: distinct points are
-an arc exactly when it meets none of them, and the same steps tally the
-bisecants through every point, which the census and the bridge read.
+one bincount, so a walk's temporaries stay a few MiB at any q the budget
+admits.  The walk refuses, before its first block, any arc whose
+C(n,2)*(q-1) normalizations exceed the default budget.  Building an Arc
+runs the walk once: distinct points are an arc exactly when it meets
+none of them, and the same blocks tally the bisecants through every
+point, which the census and the bridge read.
 
 The arcs of interest trace the parity-check columns of the distance-4
 codes: the conic {(1, t, t^2)} u {(0,0,1)}, for even q the regular
@@ -58,17 +62,32 @@ def _plane_coords(q: int, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return x, y, z
 
 
+WALK_BLOCK_POINTS = 1 << 16  # points a_i + t*a_j per block of the walk
+
+
 def _bisecant_walk(field: GF, coords: np.ndarray):
-    """For each arc point a_i in turn, yield the array whose entry
-    [j - i - 1, t - 1] is the plane rank of a_i + t*a_j, for each later arc
-    point a_j and t != 0.  On an arc these are the q-1 off-arc points of
-    the bisecant a_i a_j."""
-    add = field.add_table()
-    t = np.arange(1, field.q)
-    for i in range(len(coords) - 1):
-        a, later = coords[i], coords[i + 1:, :, None]
-        yield _plane_ranks(field, *(add[a[c], field.mul_array(t, later[:, c])]
-                                    for c in range(3)))
+    """Yield (i, j, ranks) for blocks of consecutive arc point pairs i < j,
+    in order: i and j index the block's pairs, and ranks[m, t - 1] is the
+    plane rank of a_i + t*a_j for pair m and t != 0.  On an arc these are
+    the q-1 off-arc points of the bisecant a_i a_j.  A block holds at most
+    WALK_BLOCK_POINTS points, or one pair when q - 1 exceeds the cap.  The
+    walk's budget (bisecant_walk_refusal) is checked before any block."""
+    q, n = field.q, len(coords)
+    refusal = bisecant_walk_refusal(q, n)
+    if refusal is not None:
+        raise refusal
+    add = field.add_table().ravel()  # add(x, y) at x*q + y: one flat gather per block
+    t = np.arange(1, q)
+    # the pairs (i, j) in order, numbered from 0: those of i from first[i]
+    first = np.cumsum([0] + list(range(n - 1, 0, -1)))
+    total, per_block = int(first[-1]), max(1, WALK_BLOCK_POINTS // (q - 1))
+    for start in range(0, total, per_block):
+        pairs = np.arange(start, min(start + per_block, total))
+        i = np.searchsorted(first, pairs, side="right") - 1
+        j = pairs - first[i] + i + 1
+        a, b = coords[i][:, :, None], coords[j][:, :, None]
+        yield i, j, _plane_ranks(field, *(add[a[:, c] * q + field.mul_array(t, b[:, c])]
+                                          for c in range(3)))
 
 
 def bisecant_walk_refusal(q: int, n: int) -> BudgetExceededError | None:
@@ -102,23 +121,25 @@ class Arc:
         if zero.any():
             raise ValueError(f"not a projective point: {tuple(given[np.argmax(zero)].tolist())}")
         self._ranks = _plane_ranks(field, *given.T)
-        if np.unique(self._ranks).size != self._ranks.size:
-            raise ValueError("repeated arc point")
-        coords = np.column_stack(_plane_coords(field.q, self._ranks))
-        self.points = [tuple(c) for c in coords.tolist()]
         size = field.q ** 2 + field.q + 1
         index = np.full(size, -1, dtype=np.int64)
-        index[self._ranks] = np.arange(self.n)
+        index[self._ranks] = np.arange(len(self._ranks))
+        if (index[self._ranks] != np.arange(len(self._ranks))).any():
+            raise ValueError("repeated arc point")  # a later point took its rank
+        coords = np.column_stack(_plane_coords(field.q, self._ranks))
+        self.points = [tuple(c) for c in coords.tolist()]
         self._counts = np.zeros(size, dtype=np.int64)
-        for i, walked in enumerate(_bisecant_walk(field, coords)):
+        for i, j, walked in _bisecant_walk(field, coords):
             hit = index[walked]
-            js, ts = np.nonzero(hit >= 0)
-            if js.size:
-                # i is the least index on any collinear triple, so every
-                # hit k exceeds i; name the least triple, as (i, j, k)
-                j, k = min(sorted((int(j) + i + 1, int(k)))
-                           for j, k in zip(js, hit[js, ts]))
-                raise ValueError(f"points {i},{j},{k} are collinear; not an arc")
+            ms, ts = np.nonzero(hit >= 0)
+            if ms.size:
+                # the first point i with a hit is the least on any
+                # collinear triple, so every point its pairs hit lies past
+                # it; name the least such triple in ascending order
+                least = int(i[ms].min())
+                second, third = min(sorted((int(j[m]), int(hit[m, t])))
+                                    for m, t in zip(ms, ts) if i[m] == least)
+                raise ValueError(f"points {least},{second},{third} are collinear; not an arc")
             self._counts += np.bincount(walked.ravel(), minlength=size)
 
     @property

@@ -7,9 +7,13 @@ triply-extended length q+2 for even q at d = 4), subject to the fixed
 size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached.
 The codes of one (q, d) are prefixes of one another, so one kernel run
 per such chain counts the full census of every code in it that fits the
-budget, and each of these codes is certified from its census.  The
-criteria take the corpus's own codes from the cache instead of
-rebuilding them, so no code is counted twice at one weight per run.
+budget, and each of these codes is certified from its census.  Where
+the limit cuts a gdrs chain short of length q+1 (q = 9 and 11), the run
+goes on to q+1 when that fits the budget, and its table there, a
+low-weight census at the chain's wmax, certifies the length-(q+1)
+parent that criteria 7 and 9 read.  The criteria take these codes from
+the cache and read them through the memos their censuses left, so a
+full default-budget run counts each chain once: 24 kernel runs.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -25,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, _prefix_censuses,
-                    census_refusal, coset_census, low_weight_census)
+                    census_refusal, coset_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_tails,
@@ -68,15 +72,19 @@ class DeskCache:
     The gdrs codes of one (q, d) form a chain: each keeps the first n
     columns of the same matrix, so each is a prefix of the longest.  Full
     censuses fit the budget for a leading run of each chain (the work
-    grows with n), and one kernel run on the longest of those counts them
-    all, handing back its table after each of their lengths; each such
-    code is certified from the memo its census leaves (see
-    codes._prefix_censuses).  Any other corpus code is certified at
-    n-k, as `build_code` does, in corpus order, so a small budget refuses
-    the same code with the same step count.  The triply-extended code is
-    a chain of its own.  `code` hands out the corpus's own certified code
-    when the corpus holds it and builds (once, under the cache's budget)
-    only the codes it does not, and `census` is keyed by code, so each
+    grows with n), and one kernel run at the longest of their lengths
+    counts them all, handing back its table after each of those lengths;
+    each such code is certified from the memo its census leaves (see
+    codes._prefix_censuses).  A chain cut short of its family length runs
+    on to the full-length parent when the run fits the budget there too;
+    the parent's low-weight census certifies it, and only its memo is
+    kept.  A parent that does not fit is built when first asked for, so
+    no budget refuses where it did not.  Any other corpus code is
+    certified at n-k, as `build_code` does, in corpus order, so a small
+    budget refuses the same code with the same step count.  The
+    triply-extended code is a chain of its own.  `code` hands out the
+    cache's own certified codes and builds (once, under the cache's
+    budget) only the others, and `census` is keyed by code, so each
     code's kernel runs happen once per cache.
     """
 
@@ -86,6 +94,7 @@ class DeskCache:
         self.ds = tuple(ds)
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
+        self._codes: dict[tuple[int, int, int, str], LinearCode] = {}
         for q in self.qs:
             fld = field_of_order(q)
             length = family_length("gdrs", q)
@@ -97,19 +106,28 @@ class DeskCache:
                 if (has_triple_extension(q, d)
                         and q ** family_length("gtrs", q) <= DESK_AMBIENT_LIMIT):
                     self._add_chain(fld, "gtrs", d, [None])
-        self._codes = {(e.q, e.d, e.n, e.family): e.code for e in self.entries}
 
     def _add_chain(self, fld, family: str, d: int, lengths: list[int | None]) -> None:
         """Add the family's codes of the given lengths, ascending: one
-        kernel run censuses those whose full census fits, then each code
-        is certified in turn."""
+        kernel run censuses those whose full census fits, and the parent
+        when the run fits on it too, then each code is certified in turn."""
         built = [_family_code(fld, family, d, n, (), self.budget) for n in lengths]
         fits = [code for code, _ in built if census_refusal(code, code.n) is None]
+        riders = list(fits)
+        if fits and built[-1][0].n < family_length(family, fld.q):
+            parent, _ = _family_code(fld, family, d, None, (), self.budget)
+            if census_refusal(parent, fits[-1].n) is None:
+                riders.append(parent)
         if fits:
-            self._census.update(zip(fits, _prefix_censuses(fits)))
+            # zip stops at the corpus codes: a parent's table is dropped
+            self._census.update(zip(fits, _prefix_censuses(riders, fits[-1].n)))
         for code, construction in built:
             _certify(code)
             self.entries.append(CorpusEntry(code, construction))
+            self._codes[fld.q, d, code.n, construction.family] = code
+        for parent in riders[len(fits):]:
+            _certify(parent)  # from the memo its snapshot left
+            self._codes[fld.q, d, parent.n, family] = parent
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""
@@ -168,13 +186,14 @@ def criterion_oracle_equivalence(cache: DeskCache) -> CriterionResult:
 SYNTHETIC_TUPLES = ((5, 4, 5), (6, 4, 5), (6, 5, 5), (8, 5, 7),
                     (9, 6, 8), (10, 4, 9), (12, 5, 11), (12, 6, 13))
 SYNTHETIC_PER_TUPLE = 10_000
-SYNTHETIC_BLOCK = 1000  # prefixes per batch; whole tuples grow the peak by ~8 MiB
+SYNTHETIC_BLOCK = 1000  # prefixes per seeded draw
 
 
 def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
     """Double-sum and single-sum forms agree on every census prefix and on
-    seeded random synthetic prefixes (realizable or not), the latter
-    evaluated a block at a time by `bonneau_tails`."""
+    seeded random synthetic prefixes (realizable or not), the latter drawn
+    a block at a time and evaluated a tuple at a time by `bonneau_tails`,
+    which compares them in int64 wherever its exact bound allows."""
     bad = []
     classes = 0
     for entry in cache.entries:
@@ -187,15 +206,16 @@ def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
     rng = np.random.default_rng(20260810)
     synthetic = 0
     for (n, d, q) in SYNTHETIC_TUPLES:
-        for _ in range(SYNTHETIC_PER_TUPLE // SYNTHETIC_BLOCK):
-            # one draw per block: B_0 in {0, 1}, then B_1..B_{d-2} in 0..99
-            block = rng.integers(0, [2] + [100] * (d - 2), size=(SYNTHETIC_BLOCK, d - 1))
-            synthetic += SYNTHETIC_BLOCK
-            differ = (bonneau_tails(n, d, q, block, "original")
-                      != bonneau_tails(n, d, q, block, "transformed")).any(axis=1)
-            for i in np.flatnonzero(differ):
-                bad.append(f"(n,d,q)=({n},{d},{q}) prefix {block[i].tolist()}: "
-                           "forms disagree")
+        # one draw per block: B_0 in {0, 1}, then B_1..B_{d-2} in 0..99
+        prefixes = np.concatenate([
+            rng.integers(0, [2] + [100] * (d - 2), size=(SYNTHETIC_BLOCK, d - 1))
+            for _ in range(SYNTHETIC_PER_TUPLE // SYNTHETIC_BLOCK)])
+        synthetic += len(prefixes)
+        differ = (bonneau_tails(n, d, q, prefixes, "original")
+                  != bonneau_tails(n, d, q, prefixes, "transformed")).any(axis=1)
+        for i in np.flatnonzero(differ):
+            bad.append(f"(n,d,q)=({n},{d},{q}) prefix {prefixes[i].tolist()}: "
+                       "forms disagree")
     lines = [f"{classes} census prefixes plus {synthetic} synthetic prefixes compared"]
     lines += bad
     return CriterionResult(2, "double-sum vs single-sum equality", not bad, lines)
@@ -398,8 +418,10 @@ def criterion_structural(cache: DeskCache) -> CriterionResult:
 def weight2_identity_survey(cache: DeskCache) -> list[dict]:
     """Empirical survey: do all weight-2 cosets of the length-(q+1) codes
     with gcd(q-1, d-2) = 1 share one distribution?  Reported, never asserted.
-    The low-weight census suffices: B_0..B_{d-2} fix the whole distribution
-    (criterion 1)."""
+    The prefixes B_0..B_{d-2} suffice, since they fix the whole
+    distribution (criterion 1), and the memo of each code's certifying
+    census keeps those of its weight-2 cosets, so the survey runs no
+    kernel of its own at any budget."""
     findings = []
     for q in cache.qs:
         n = family_length("gdrs", q)
@@ -414,9 +436,9 @@ def weight2_identity_survey(cache: DeskCache) -> list[dict]:
                 continue
             cond = weight2_identical_check(n, d, q)
             finding["b_low_if_identical"] = cond.b_low_if_identical
-            classes = low_weight_census(cache.code(q, d), d - 2).classes_of_weight(2)
-            finding["status"] = "confirmed" if len(classes) == 1 else "refuted"
-            finding["b_values"] = sorted({c.distribution.counts[d - 2] for c in classes})
+            prefixes = cache.code(q, d).weight2_prefixes()
+            finding["status"] = "confirmed" if len(prefixes) == 1 else "refuted"
+            finding["b_values"] = sorted({p[d - 2] for p in prefixes})
             findings.append(finding)
     return findings
 

@@ -197,6 +197,12 @@ def test_census_geometry_refuses_a_walk_over_the_budget_before_any_field(capsys,
     for arc in ("hyperoval", "conic-minus:1", "conic-minus:2"):
         code, _, err = run(capsys, "census", "geometry", "--q", "1024", "--arc", arc)
         assert code == 3 and "bisecant walk needs" in err
+    # the smallest conic over the budget, which the library's walk would
+    # also refuse, is refused here before its field is built
+    code, out, err = run(capsys, "census", "geometry", "--q", "739", "--arc", "conic")
+    assert (code, out) == (3, "")
+    assert err == ("budget refusal: bisecant walk needs 201791340 point normalizations "
+                   "C(n,2)*(q-1), over the budget of 200000000\n")
 
 
 def _prime_powers(top):
@@ -358,3 +364,28 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0]
     assert "required" in shared[0][2] and "usage:" in shared[1][1]
+
+
+def test_only_the_format_asked_for_is_built(capsys, monkeypatch):
+    # a table or CSV run builds no JSON payload, and a JSON run converts
+    # each count to decimal once, for the payload alone
+    calls = [("dist", "--bonneau", "--n", "12", "--d", "6", "--q", "11",
+              "--prefix", "0,0,1,4,7"),
+             ("census", "code", "--family", "gdrs", "--q", "5", "--d", "4"),
+             ("census", "geometry", "--q", "7", "--arc", "conic")]
+    for argv in calls:
+        for fmt in ("table", "csv"):
+            want = run(capsys, *argv, "--format", fmt)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.json, "dumps", lambda *a, **k: pytest.fail("JSON built"))
+                assert run(capsys, *argv, "--format", fmt) == want
+    converted = []
+    strs = cli._strs
+
+    def counting(counts):
+        converted.append(len(counts))
+        return strs(counts)
+    monkeypatch.setattr(cli, "_strs", counting)
+    code, out, _ = run(capsys, *calls[0], "--format", "json")
+    assert code == 0 and converted == [13]
+    assert json.loads(out)["counts"][:5] == ["0", "0", "1", "4", "7"]

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import groupby, product
 from types import SimpleNamespace
 
@@ -358,9 +359,42 @@ def _no_kernel(code, wmax):
 
 
 def _memo(code):
-    """(d, covering radius, leader profile); the zero code has no d."""
+    """(d, covering radius, leader profile, weight-2 prefixes); the zero
+    code has no d."""
     return (code.min_distance() if code.k else None, code.covering_radius(),
-            code.leader_profile())
+            code.leader_profile(), code.weight2_prefixes())
+
+
+def _tallies(census):
+    """{W: {B_W: cosets}} over the census's rows of weight W >= 0, counted
+    row by row: the zero syndrome once, each point q-1 times."""
+    q = census.code.field.q
+    tally = {}
+    for row, (w, counts) in enumerate(zip(census.weights.tolist(), census.table.tolist())):
+        if w >= 0:
+            tally.setdefault(w, Counter())[counts[w]] += 1 if row == 0 else q - 1
+    return {w: dict(tally[w]) for w in sorted(tally)}
+
+
+def _check_memo_against_tallies(H, table):
+    """For each wmax >= n-k, a fresh code's memo from the trellis table
+    cut at wmax holds per-W tallies of that census, and the distinct
+    B_0..B_{n-k-1} of its weight-2 rows: from n-k = 3 on, the weight-2
+    classes of the census cut at n-k-1."""
+    r = H.nrows
+    for wmax in range(r, H.ncols + 1):
+        code = LinearCode(H)
+        census = codes._census_from_table(code, table[:, :wmax + 1])
+        rows = zip(census.weights.tolist(), census.table.tolist())
+        prefixes = tuple(sorted({tuple(row[:r]) for w, row in rows if w == 2}))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(codes, "_syndrome_trellis", _no_kernel)
+            assert code.leader_profile() == _tallies(census)
+            assert code.weight2_prefixes() == prefixes, wmax
+            if r >= 3:
+                below = CosetCensus(code, table[:, :r])  # the census at n-k-1
+                assert prefixes == tuple(
+                    cls.distribution.counts for cls in below.classes_of_weight(2)), wmax
 
 
 def _check_memo_from_each_census(H):
@@ -383,6 +417,17 @@ def _check_memo_from_each_census(H):
 def test_each_census_from_n_minus_k_up_certifies_desk_codes(desk):
     for entry in desk.entries:
         _check_memo_from_each_census(entry.code.H)
+
+
+def test_one_sort_memo_matches_tallies_on_desk_censuses(desk):
+    for entry in desk.entries:
+        _check_memo_against_tallies(entry.code.H, desk.census(entry).table)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(parity_checks())
+def test_one_sort_memo_matches_tallies_on_random_parity_checks(H):
+    _check_memo_against_tallies(H, codes._syndrome_trellis(LinearCode(H), H.ncols))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -408,7 +453,7 @@ def test_low_weight_census_matches_full_census():
     assert "classes" not in vars(lw)  # rows are grouped only when read
     assert lw.fully_covered  # R = 2 < 3
     assert (lw.table == full.table[:, :4]).all()
-    assert lw.profile_at(2) == {2: 60, 3: 40}
+    assert _tallies(lw)[2] == {2: 60, 3: 40}
     assert np.array_equal(lw.weights, full.weights)
 
     # below the covering radius R = 3 of [5,2,4]_5 some syndromes go unreached
@@ -431,7 +476,7 @@ def test_low_weight_census_matches_full_census():
         assert [((c.weight, c.distribution.counts), c.count) for c in cut.classes] \
             == [(key, len(list(group))) for key, group in groupby(rows)], wmax
         for W in range(wmax + 1):
-            assert cut.profile_at(W) == code.leader_profile()[W], (wmax, W)
+            assert _tallies(cut)[W] == code.leader_profile()[W], (wmax, W)
 
 
 def test_shortened_hamming_coset_structure():

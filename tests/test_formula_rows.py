@@ -162,10 +162,11 @@ def _assert_batch_matches_scalar_forms(n, d, q, prefixes):
     for form, scalar in SCALAR_FORMS.items():
         tails = bonneau_tails(n, d, q, prefixes, form)
         assert tails.shape == (len(prefixes), n - d + 2)
+        # int64 under the exact bound, Python ints past it
+        assert tails.dtype == np.int64 or all(type(b) is int for b in tails.flat)
         for counts, tail in zip(prefixes, tails):
             want = scalar(LowWeightPrefix(n, d, q, tuple(counts)), strict=False)
-            assert all(type(b) is int for b in tail)
-            assert tuple(tail) == want.counts[d - 1:]
+            assert tuple(tail.tolist()) == want.counts[d - 1:]
 
 
 @pytest.mark.parametrize("n,d,q", ROW_TUPLES)
@@ -201,10 +202,14 @@ def test_batch_is_exact_on_both_sides_of_the_int64_bound(n, d, q):
         prefixes = [[1] * (d - 2) + [big], [0] * (d - 1), [1] * (d - 1)]
         _assert_batch_matches_scalar_forms(n, d, q, prefixes)
         for form in SCALAR_FORMS:
-            # an integer matrix gives the same Python ints as the list
+            # the bound picks the dtype: int64 at b, Python ints from b + 1
+            # on; an integer matrix gives the same tails as the list
             tails = bonneau_tails(n, d, q, np.array(prefixes, dtype=np.uint64), form)
-            assert all(type(t) is int for t in tails.flat)
-            assert tails.tolist() == bonneau_tails(n, d, q, prefixes, form).tolist()
+            listed = bonneau_tails(n, d, q, prefixes, form)
+            assert tails.dtype == listed.dtype == (np.int64 if big == b else object)
+            if big != b:
+                assert all(type(t) is int for t in tails.flat)
+            assert tails.tolist() == listed.tolist()
             assert max(abs(t) for t in tails.flat) > 2**63 // (4 * (n - d + 2))
     assert max(abs(t) for t in bonneau_tails(n, d, q, prefixes, "original").flat) > 2**63
 

@@ -1,10 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mdscosets import geometry
-from mdscosets.codes import CosetCensus, low_weight_census, syndrome_row
+from mdscosets.codes import BudgetExceededError, CosetCensus, low_weight_census, syndrome_row
 from mdscosets.combinat import binom
 from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
                                 conic_census_formulas, conic_points,
@@ -281,3 +287,91 @@ def test_bisecant_walk_budget_boundary():
     # the conic walk fits up to q = 733 (196842852 steps) and not at 739
     assert bisecant_walk_refusal(733, 734) is None
     assert "201791340 point normalizations" in str(bisecant_walk_refusal(739, 740))
+
+
+def test_the_library_refuses_a_walk_over_the_budget_before_any_block(monkeypatch):
+    # the conic of PG(2, 739) needs 201791340 normalizations: the arc
+    # refuses as `census geometry` does, before the walk forms a block
+    f = field_of_order(739)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        conic_points(f)
+    assert time.perf_counter() - start < 0.5
+    assert str(err.value) == str(bisecant_walk_refusal(739, 740))
+    monkeypatch.setattr(f, "add_table", lambda: pytest.fail("the walk read the field's tables"))
+    for build in (conic_points, lambda f: shortened_conic(f, 1)):
+        with pytest.raises(BudgetExceededError, match="bisecant walk needs"):
+            build(f)
+
+
+def _per_step_walk(f, points):
+    """The bisecant tally of the plane, walked one arc point a_i at a time
+    over all later a_j, or the text naming the first collinear triple."""
+    q = f.q
+    ranks = np.array([geometry._plane_ranks(f, *map(np.int64, normalize(f, p))) for p in points])
+    coords = np.column_stack(geometry._plane_coords(q, ranks))
+    index = np.full(q * q + q + 1, -1)
+    index[ranks] = np.arange(len(points))
+    counts = np.zeros(q * q + q + 1, dtype=np.int64)
+    add, t = f.add_table(), np.arange(1, q)
+    for i in range(len(points) - 1):
+        a, later = coords[i], coords[i + 1:, :, None]
+        walked = geometry._plane_ranks(f, *(add[a[c], f.mul_array(t, later[:, c])]
+                                            for c in range(3)))
+        hit = index[walked]
+        js, ts = np.nonzero(hit >= 0)
+        if js.size:
+            j, k = min(sorted((int(j) + i + 1, int(k))) for j, k in zip(js, hit[js, ts]))
+            return f"points {i},{j},{k} are collinear; not an arc"
+        counts += np.bincount(walked.ravel(), minlength=counts.size)
+    return counts
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_block_walk_matches_the_per_step_walk(monkeypatch, q):
+    # blocks cut anywhere, down to one pair, tally the same bisecants and
+    # name the same collinear triple as a walk one arc point at a time:
+    # on shuffled arcs and on arcs with a point or two of the plane added
+    f = field_of_order(q)
+    rng = random.Random(700 + q)
+    plane = plane_points(f)
+    full = (hyperoval_points(f) if q % 2 == 0 else conic_points(f)).points
+    sets = []
+    for _ in range(12):
+        pts = rng.sample(full, rng.randint(min(3, len(full)), len(full)))
+        for _ in range(rng.randint(0, 2)):
+            extra = rng.choice([p for p in plane if p not in pts])
+            pts.insert(rng.randint(0, len(pts)), extra)
+        sets.append(pts)
+    named = tallied = 0
+    for cap in (1, q - 1, 2 * q - 1, 5 * q, geometry.WALK_BLOCK_POINTS):
+        monkeypatch.setattr(geometry, "WALK_BLOCK_POINTS", cap)
+        for pts in sets:
+            want = _per_step_walk(f, pts)
+            if isinstance(want, str):
+                named += 1
+                with pytest.raises(ValueError) as err:
+                    Arc(f, pts)
+                assert str(err.value) == want, (cap, pts)
+            else:
+                tallied += 1
+                assert np.array_equal(Arc(f, pts)._counts, want), (cap, pts)
+    assert tallied and (named or q == 2)
+
+
+def test_verify_and_a_conic_census_leave_numpy_ma_unimported():
+    # numpy.ma costs its import time and memory inside the first call
+    # that pulls it in; nothing verify or the arc walk calls does
+    root = Path(__file__).resolve().parent.parent
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script = ("import sys\n"
+              "from mdscosets import bisecant_census, conic_points, field_of_order\n"
+              "from mdscosets.verify import run_acceptance\n"
+              "run_acceptance()\n"
+              "bisecant_census(conic_points(field_of_order(31)))\n"
+              "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
