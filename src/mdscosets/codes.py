@@ -26,13 +26,14 @@ whatever q is.  A vector on j coordinates weighs at most j, so column j
 updates only the rows of weight 1 to min(wmax, j).  The budget counts
 n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, an upper bound on the
 row entries updated, not q^n vector visits, and a census that fits it
-holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  One run
-can also hand back its table after each of several column prefixes:
-the censuses of the codes on those first coordinates at the run's wmax,
-so a chain of nested codes is counted in one run (_prefix_censuses).  A
-prefix no longer than wmax gets its full census, and a longer one the
-low-weight census at wmax, which certifies it once wmax reaches its
-n - k.
+holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  Every
+census takes one path, _prefix_censuses: one run on the longest code of
+a chain of nested codes hands back its table after each of their
+lengths, the censuses of the codes on those first coordinates at the
+run's wmax.  coset_census and low_weight_census are that path on a
+chain of one code.  A prefix no longer than wmax gets its full census,
+and a longer one the low-weight census at wmax, which certifies it once
+wmax reaches its n - k.
 
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
@@ -330,10 +331,11 @@ def census_refusal(code: LinearCode, wmax: int) -> BudgetExceededError | None:
     return None
 
 
-def _syndrome_trellis(code: LinearCode, wmax: int, prefixes: Iterable[int] | None = None
-                      ) -> np.ndarray | list[np.ndarray]:
+def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
+                      ) -> list[np.ndarray]:
     """T[s, w]: how many vectors of weight w <= wmax have syndrome s, one
-    census row s per point (see census_rows).
+    census row s per point (see census_rows), after each of the prefix
+    lengths.
 
     Starting from the empty word (T[0, 0] = 1), coordinate j is admitted by
 
@@ -351,9 +353,8 @@ def _syndrome_trellis(code: LinearCode, wmax: int, prefixes: Iterable[int] | Non
     top down, so row w - 1 is still T_{j-1} when row w reads it.  A zero
     column adds (q - 1) T_{j-1}[s, w - 1].
 
-    Returns the table after all n columns, or, given `prefixes`, a list
-    of the tables after each of those prefix lengths, in ascending order:
-    the one after j columns is the table of the code on the first j
+    Returns the tables after each of the lengths, in ascending order: the
+    one after j columns is the table of the code on the first j
     coordinates at weight min(wmax, j).  Both refusals (see
     census_refusal) fire before any table exists.
     """
@@ -361,7 +362,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, prefixes: Iterable[int] | Non
     q, n = f.q, code.n
     if not 0 <= wmax <= n:
         raise ValueError(f"wmax={wmax} outside [0, {n}]")
-    lengths = [n] if prefixes is None else sorted(set(prefixes))
+    lengths = sorted(set(lengths))
     if not lengths or not 0 <= lengths[0] <= lengths[-1] <= n:
         raise ValueError(f"prefix lengths {lengths} not a nonempty set in [0, {n}]")
     refusal = census_refusal(code, wmax)
@@ -395,7 +396,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, prefixes: Iterable[int] | Non
                 table[w] -= back
         if j in lengths:
             snapshots.append(np.ascontiguousarray(table[:top + 1].T))
-    return snapshots[0] if prefixes is None else snapshots
+    return snapshots
 
 
 @dataclass(frozen=True)
@@ -472,11 +473,6 @@ class CosetCensus:
         return WeightDistribution(tuple(self.table[row].tolist()))
 
 
-def _census(code: LinearCode, wmax: int) -> CosetCensus:
-    """The trellis at wmax as a census (see _census_from_table)."""
-    return _census_from_table(code, _syndrome_trellis(code, wmax))
-
-
 def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
     """The census of a trellis table of the code.  The first census of the
     code that reaches weight n-k leaves the code its memo: d, read from
@@ -543,9 +539,9 @@ def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:
 
 def coset_census(code: LinearCode) -> CosetCensus:
     """Exact weight distribution of every coset: the trellis at wmax = n."""
-    return _census(code, code.n)
+    return _prefix_censuses([code], code.n)[0]
 
 
 def low_weight_census(code: LinearCode, wmax: int) -> CosetCensus:
     """Syndrome census of every vector of weight <= wmax: the trellis at wmax."""
-    return _census(code, wmax)
+    return _prefix_censuses([code], wmax)[0]

@@ -10,9 +10,11 @@ Both forms are served from coefficient rows built once per (n, d, q):
 for w = d-1..n a prefix-free part K_w and, for each v in 0..d-2, the
 coefficient of B_v.  A query is then one multiply-add per weight and
 nonzero B_v.  Each form keeps the rows of the last (n, d, q) asked for
-(ROW_CACHE_SIZE = 1): callers ask for one (n, d, q) at a time, every
-prefix and closed form of it in a row, so a larger cache would only
-hold rows that are not read again.
+(ROW_CACHE_SIZE = 1).  A stream of `dist` queries asks for one (n, d, q)
+at a time, every prefix and closed form of it in a row.  `verify` does
+not: criteria 1-3 each walk the corpus, so one full run misses the
+single-sum rows 275 times over its 97 tuples (89 desk codes, three
+misses each, and 8 synthetic tuples) and the double-sum rows 97 times.
 
 `bonneau_transformed` builds its rows from the relation above:
 K_w = A_w - omega(n,d,w,0) with A_w from `mds_weight_distribution`, and

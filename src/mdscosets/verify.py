@@ -186,14 +186,13 @@ def criterion_oracle_equivalence(cache: DeskCache) -> CriterionResult:
 SYNTHETIC_TUPLES = ((5, 4, 5), (6, 4, 5), (6, 5, 5), (8, 5, 7),
                     (9, 6, 8), (10, 4, 9), (12, 5, 11), (12, 6, 13))
 SYNTHETIC_PER_TUPLE = 10_000
-SYNTHETIC_BLOCK = 1000  # prefixes per seeded draw
 
 
 def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
     """Double-sum and single-sum forms agree on every census prefix and on
     seeded random synthetic prefixes (realizable or not), the latter drawn
-    a block at a time and evaluated a tuple at a time by `bonneau_tails`,
-    which compares them in int64 wherever its exact bound allows."""
+    and evaluated a tuple at a time by `bonneau_tails`, which compares
+    them in int64 wherever its exact bound allows."""
     bad = []
     classes = 0
     for entry in cache.entries:
@@ -206,10 +205,8 @@ def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
     rng = np.random.default_rng(20260810)
     synthetic = 0
     for (n, d, q) in SYNTHETIC_TUPLES:
-        # one draw per block: B_0 in {0, 1}, then B_1..B_{d-2} in 0..99
-        prefixes = np.concatenate([
-            rng.integers(0, [2] + [100] * (d - 2), size=(SYNTHETIC_BLOCK, d - 1))
-            for _ in range(SYNTHETIC_PER_TUPLE // SYNTHETIC_BLOCK)])
+        # one draw per tuple: B_0 in {0, 1}, then B_1..B_{d-2} in 0..99
+        prefixes = rng.integers(0, [2] + [100] * (d - 2), size=(SYNTHETIC_PER_TUPLE, d - 1))
         synthetic += len(prefixes)
         differ = (bonneau_tails(n, d, q, prefixes, "original")
                   != bonneau_tails(n, d, q, prefixes, "transformed")).any(axis=1)

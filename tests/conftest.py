@@ -1,5 +1,6 @@
 import pytest
 
+from mdscosets import codes
 from mdscosets.verify import DeskCache
 
 
@@ -7,3 +8,17 @@ from mdscosets.verify import DeskCache
 def desk():
     """Shared corpus with memoized censuses; built once per test session."""
     return DeskCache()
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """Every census kernel run of the test, as (code, wmax, lengths), in
+    call order."""
+    runs = []
+    trellis = codes._syndrome_trellis
+
+    def recorded(code, wmax, lengths):
+        runs.append((code, wmax, lengths))
+        return trellis(code, wmax, lengths)
+    monkeypatch.setattr(codes, "_syndrome_trellis", recorded)
+    return runs

@@ -57,17 +57,15 @@ def test_criterion_2_reports_each_disagreeing_prefix(desk, monkeypatch):
     monkeypatch.setattr(formulas, "_double_sum_rows", shifted)
     result = CRITERIA[2][1](desk)
     assert not result.passed
-    # the documented draw: one seeded Generator, one block at a time,
+    # the documented draw: one seeded Generator, one draw per tuple,
     # B_0 in {0, 1} and B_1..B_{d-2} in 0..99
     rng = np.random.default_rng(20260810)
     expected = []
     for (n, d, q) in verify.SYNTHETIC_TUPLES:
-        for _ in range(verify.SYNTHETIC_PER_TUPLE // verify.SYNTHETIC_BLOCK):
-            block = rng.integers(0, [2] + [100] * (d - 2),
-                                 size=(verify.SYNTHETIC_BLOCK, d - 1))
-            if (n, d, q) == (12, 6, 13):
-                expected += [f"(n,d,q)=(12,6,13) prefix {row}: forms disagree"
-                             for row in block.tolist() if row[1]]
+        drawn = rng.integers(0, [2] + [100] * (d - 2), size=(verify.SYNTHETIC_PER_TUPLE, d - 1))
+        if (n, d, q) == (12, 6, 13):
+            expected += [f"(n,d,q)=(12,6,13) prefix {row}: forms disagree"
+                         for row in drawn.tolist() if row[1]]
     assert result.lines[1:] == expected
     assert result.lines[0] == "557 census prefixes plus 80000 synthetic prefixes compared"
     assert result.lines[1] == "(n,d,q)=(12,6,13) prefix [1, 96, 37, 24, 44]: forms disagree"
@@ -168,7 +166,7 @@ def test_criterion_9_remark_survey(desk):
     assert result.passed, "\n".join(result.lines)
 
 
-def test_run_acceptance_reuses_corpus_codes(monkeypatch):
+def test_run_acceptance_reuses_corpus_codes(kernel_runs):
     # the criteria read the corpus's own certified codes instead of
     # rebuilding them; on the q = 5 corpus rebuilding took 33 kernel runs,
     # 8 of them repeats, certifying each corpus code apart from its full
@@ -176,15 +174,9 @@ def test_run_acceptance_reuses_corpus_codes(monkeypatch):
     # The 10 corpus codes form 4 chains, one run each, the survey reads
     # [6,2,5]_5's memo, and the 4 criterion-7 codes outside the corpus
     # run once each
-    runs = []
-    trellis = codes._syndrome_trellis
-
-    def counted(code, wmax, prefixes=None):
-        runs.append((code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax))
-        return trellis(code, wmax, prefixes)
-
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
     results = run_acceptance(DeskCache(qs=(5,)))
+    runs = [(code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax)
+            for code, wmax, _ in kernel_runs]
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
     assert len(runs) == 8
     assert len(set(runs)) == len(runs)  # no (code, wmax) pair runs twice
@@ -198,7 +190,7 @@ def _chains(entries):
     return list(chains.values())
 
 
-def test_desk_cache_runs_the_kernel_once_per_chain(monkeypatch):
+def test_desk_cache_runs_the_kernel_once_per_chain(kernel_runs, monkeypatch):
     # every desk code's full census fits the default budget, so building
     # the corpus runs the kernel once per chain, at wmax = n of its
     # longest code, and takes every code's census from that run, each
@@ -208,18 +200,13 @@ def test_desk_cache_runs_the_kernel_once_per_chain(monkeypatch):
     # it.  That is one line order per nonzero column of each run's code:
     # 24 runs and 201 orders, where one run per code took 89 and 526, and
     # stopping at the corpus 24 and 173 with 8 more runs for the parents
-    runs, orders = [], []
-    trellis, point_lines = codes._syndrome_trellis, codes._point_lines
-
-    def counted_trellis(code, wmax, prefixes=None):
-        runs.append((code, wmax, prefixes))
-        return trellis(code, wmax, prefixes)
+    orders = []
+    point_lines = codes._point_lines
 
     def counted_point_lines(f, col, add, mul):
         orders.append(col.tolist())
         return point_lines(f, col, add, mul)
 
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted_trellis)
     monkeypatch.setattr(codes, "_point_lines", counted_point_lines)
     cache = DeskCache()
     for entry in cache.entries:
@@ -227,31 +214,26 @@ def test_desk_cache_runs_the_kernel_once_per_chain(monkeypatch):
     chains = _chains(cache.entries)
     ridden = [cache.code(c[-1].q, c[-1].d, family=c[-1].family) for c in chains]
     assert len(cache.entries) == 89
-    assert runs == [(code, c[-1].n, [e.n for e in c] + ([code.n] if c[-1].n < code.n else []))
-                    for code, c in zip(ridden, chains)]
+    assert kernel_runs == [
+        (code, c[-1].n, [e.n for e in c] + ([code.n] if c[-1].n < code.n else []))
+        for code, c in zip(ridden, chains)]
     assert orders == [col.tolist() for code in ridden
                       for col in code.H.labels.T if col.any()]
     assert all(e.code.min_distance() == e.d for e in cache.entries)
     assert [code.n for code in ridden if code.n > 9] == [10] * 4 + [12] * 4
     assert all(code.min_distance() == code.r + 1 for code in ridden)
-    assert (len(runs), len(orders)) == (24, 201)
+    assert (len(kernel_runs), len(orders)) == (24, 201)
 
 
-def test_full_verify_runs_the_kernel_once_per_chain(monkeypatch):
+def test_full_verify_runs_the_kernel_once_per_chain(kernel_runs):
     # criterion 7 reads the q = 9 and 11 parents from the memos their
     # chain runs left, and the survey reads every code's weight-2 rows
     # from its memo: a full default-budget verify runs the kernel 24
     # times, where certifying the parents apart took 8 more runs and the
     # survey 5 more
-    runs = []
-    trellis = codes._syndrome_trellis
-
-    def counted(code, wmax, prefixes=None):
-        runs.append((code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax))
-        return trellis(code, wmax, prefixes)
-
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
     results = run_acceptance()
+    runs = [(code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax)
+            for code, wmax, _ in kernel_runs]
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
     assert len(runs) == len(set(runs)) == 24
 
@@ -270,7 +252,7 @@ def test_parent_snapshots_certify_the_parents_and_are_dropped():
         assert parent.weight2_prefixes() == apart.weight2_prefixes()
 
 
-def test_survey_reads_one_way_at_every_budget(monkeypatch):
+def test_survey_reads_one_way_at_every_budget(kernel_runs):
     # at 100000 steps the q = 11, d = 5 chain's full census (71785) fits
     # but its run on to [12,8,5]_11 (123060) does not, so the parent is
     # certified at n-k (70320 steps) when first asked for, and the survey
@@ -278,137 +260,23 @@ def test_survey_reads_one_way_at_every_budget(monkeypatch):
     # rode the chain run and the survey reads that memo; the findings
     # agree, and the survey itself runs no kernel
     findings = {}
-    trellis = codes._syndrome_trellis
     for budget, certification in ((100_000, [(12, 4)]), (codes.DEFAULT_BUDGET, [])):
         cache = DeskCache(budget, qs=(11,), ds=(5,))
-        runs = []
-
-        def counted(code, wmax, prefixes=None):
-            runs.append((code.n, wmax))
-            return trellis(code, wmax, prefixes)
-        monkeypatch.setattr(codes, "_syndrome_trellis", counted)
+        kernel_runs.clear()
         assert cache.code(11, 5).min_distance() == 5
-        assert runs == certification
+        assert [(code.n, wmax) for code, wmax, _ in kernel_runs] == certification
         findings[budget] = verify.weight2_identity_survey(cache)
-        assert runs == certification
-        monkeypatch.undo()
+        assert [(code.n, wmax) for code, wmax, _ in kernel_runs] == certification
     assert findings[100_000] == findings[codes.DEFAULT_BUDGET] == [
         {"q": 11, "d": 5, "n": 12, "gcd": 1, "b_low_if_identical": 12,
          "status": "confirmed", "b_values": [12]}]
-
-
-def _chains(entries):
-    """The corpus entries grouped by chain, (q, d, family), in corpus order."""
-    chains = {}
-    for e in entries:
-        chains.setdefault((e.q, e.d, e.family), []).append(e)
-    return list(chains.values())
-
-
-def test_desk_cache_runs_the_kernel_once_per_chain(monkeypatch):
-    # every desk code's full census fits the default budget, so building
-    # the corpus runs the kernel once per chain, at wmax = n of its
-    # longest code, and takes every code's census from that run, each
-    # code certified from its own; reading every census runs nothing
-    # more.  The q = 9 and 11 chains stop short of length q+1, and each
-    # run goes on to the length-(q+1) parent, whose snapshot certifies
-    # it.  That is one line order per nonzero column of each run's code:
-    # 24 runs and 201 orders, where one run per code took 89 and 526, and
-    # stopping at the corpus 24 and 173 with 8 more runs for the parents
-    runs, orders = [], []
-    trellis, point_lines = codes._syndrome_trellis, codes._point_lines
-
-    def counted_trellis(code, wmax, prefixes=None):
-        runs.append((code, wmax, prefixes))
-        return trellis(code, wmax, prefixes)
-
-    def counted_point_lines(f, col, add, mul):
-        orders.append(col.tolist())
-        return point_lines(f, col, add, mul)
-
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted_trellis)
-    monkeypatch.setattr(codes, "_point_lines", counted_point_lines)
-    cache = DeskCache()
-    for entry in cache.entries:
-        cache.census(entry)
-    chains = _chains(cache.entries)
-    ridden = [cache.code(c[-1].q, c[-1].d, family=c[-1].family) for c in chains]
-    assert len(cache.entries) == 89
-    assert runs == [(code, c[-1].n, [e.n for e in c] + ([code.n] if c[-1].n < code.n else []))
-                    for code, c in zip(ridden, chains)]
-    assert orders == [col.tolist() for code in ridden
-                      for col in code.H.labels.T if col.any()]
-    assert all(e.code.min_distance() == e.d for e in cache.entries)
-    assert [code.n for code in ridden if code.n > 9] == [10] * 4 + [12] * 4
-    assert all(code.min_distance() == code.r + 1 for code in ridden)
-    assert (len(runs), len(orders)) == (24, 201)
-
-
-def test_full_verify_runs_the_kernel_once_per_chain(monkeypatch):
-    # criterion 7 reads the q = 9 and 11 parents from the memos their
-    # chain runs left, and the survey reads every code's weight-2 rows
-    # from its memo: a full default-budget verify runs the kernel 24
-    # times, where certifying the parents apart took 8 more runs and the
-    # survey 5 more
-    runs = []
-    trellis = codes._syndrome_trellis
-
-    def counted(code, wmax, prefixes=None):
-        runs.append((code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax))
-        return trellis(code, wmax, prefixes)
-
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
-    results = run_acceptance()
-    assert [r.passed for r in results] == [True] * 6 + [False, True, True]
-    assert len(runs) == len(set(runs)) == 24
-
-
-def test_parent_snapshots_certify_the_parents_and_are_dropped():
-    # the q = 9 chains' run hands back each parent's census at the
-    # chain's wmax; its memo equals that of a parent built apart, and the
-    # cache holds the corpus censuses only
-    cache = DeskCache(qs=(9,))
-    assert set(cache._census) == {e.code for e in cache.entries}
-    for d in DESK_DS:
-        parent = cache.code(9, d)
-        apart, _ = build_code(field_of_order(9), "gdrs", d)
-        assert parent.n == 10 and parent not in cache._census
-        assert parent._leaders == apart._leaders
-        assert parent.weight2_prefixes() == apart.weight2_prefixes()
-
-
-def test_survey_reads_one_way_at_every_budget(monkeypatch):
-    # at 100000 steps the q = 11, d = 5 chain's full census (71785) fits
-    # but its run on to [12,8,5]_11 (123060) does not, so the parent is
-    # certified at n-k (70320) when criterion 9 asks for it, and the
-    # survey reads the memo that run left; at the default budget it reads
-    # the memo of the chain run; the findings agree, and neither survey
-    # runs the kernel
-    findings = {}
-    for budget in (100_000, codes.DEFAULT_BUDGET):
-        cache = DeskCache(budget, qs=(11,), ds=(5,))
-        cache.code(11, 5)
-        runs = []
-        trellis = codes._syndrome_trellis
-
-        def counted(code, wmax, prefixes=None):
-            runs.append(code.n)
-            return trellis(code, wmax, prefixes)
-        monkeypatch.setattr(codes, "_syndrome_trellis", counted)
-        findings[budget] = verify.weight2_identity_survey(cache)
-        monkeypatch.undo()
-        assert runs == []
-    assert findings[100_000] == findings[codes.DEFAULT_BUDGET] == [
-        {"q": 11, "d": 5, "n": 12, "gcd": 1, "b_low_if_identical": findings[100_000][0][
-            "b_low_if_identical"], "status": "confirmed", "b_values": [findings[100_000][0][
-                "b_values"][0]]}]
 
 
 def test_each_chain_snapshot_is_its_prefix_codes_own_run(desk):
     # each corpus code's census is a snapshot of its chain's one run; it
     # is the table a run of the code alone gives, entry for entry
     for entry in desk.entries:
-        alone = codes._syndrome_trellis(codes.LinearCode(entry.code.H), entry.n)
+        alone = codes._syndrome_trellis(codes.LinearCode(entry.code.H), entry.n, [entry.n])[0]
         table = desk.census(entry).table
         assert table.shape == alone.shape and np.array_equal(table, alone), entry.label
 

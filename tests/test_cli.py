@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from mdscosets import cli, codes
+from mdscosets import cli
 from mdscosets.cli import main
 
 
@@ -131,30 +131,24 @@ def test_census_budget_refusal(capsys):
     assert "budget" in err
 
 
-def test_census_code_refuses_before_any_kernel_run(capsys, monkeypatch):
+def test_census_code_refuses_before_any_kernel_run(capsys, kernel_runs):
     # certifying [6,3,4]_5 takes 576 steps and its full census 1152: under
     # 1151 the full census is refused before the certification runs, and
     # at 1152 the one full census also certifies the code
-    runs = []
-    trellis = codes._syndrome_trellis
-
-    def counted(code, wmax):
-        runs.append(wmax)
-        return trellis(code, wmax)
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
     argv = ("census", "code", "--family", "gdrs", "--q", "5", "--d", "4")
     code, out, err = run(capsys, *argv, "--budget", "1151")
-    assert (code, out, runs) == (3, "", [])
+    assert (code, out, kernel_runs) == (3, "", [])
     assert err == ("budget refusal: syndrome trellis needs 1152 steps "
                    "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 1151\n")
     code, _, err = run(capsys, *argv, "--budget", "575")
-    assert code == 3 and "needs 576 steps" in err and runs == []
+    assert code == 3 and "needs 576 steps" in err and kernel_runs == []
     code, out, _ = run(capsys, *argv, "--budget", "1152", "--format", "json")
-    assert code == 0 and runs == [6]
+    assert code == 0 and [wmax for _, wmax, _ in kernel_runs] == [6]
     assert json.loads(out)["code"]["d"] == 4
     # a usage error still comes before a budget refusal
     code, _, err = run(capsys, *argv, "--remove", "9", "--budget", "1")
-    assert code == 2 and "out of range" in err and runs == [6]
+    assert code == 2 and "out of range" in err
+    assert [wmax for _, wmax, _ in kernel_runs] == [6]
 
 
 def test_census_int64_overflow_refusal(capsys):
@@ -305,26 +299,18 @@ def test_verify_refuses_the_first_certification_over_the_budget(capsys):
                    "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 400\n")
 
 
-def test_verify_refusal_where_the_budget_cuts_a_chain(capsys, monkeypatch):
+def test_verify_refusal_where_the_budget_cuts_a_chain(capsys, kernel_runs):
     # under 5000 steps the q = 5, d = 5 chain is cut: [5,1,5]_5's full
     # census (3925 steps) runs alone, [6,2,5]_5's (5652) does not, so that
     # code is certified at n-k (3768); the d = 3 and d = 4 chains run once
     # each, and [6,1,6]_5's certification (23460 steps) is called and
     # refused before it builds a table
-    runs = []
-    trellis = codes._syndrome_trellis
-
-    def counted(code, wmax, prefixes=None):
-        runs.append((code.n, wmax, prefixes))
-        return trellis(code, wmax, prefixes)
-
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
     code, out, err = run(capsys, "verify", "--q", "5", "--budget", "5000")
     assert (code, out) == (3, "")
     assert err == ("budget refusal: syndrome trellis needs 23460 steps "
                    "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 5000\n")
-    assert runs == [(6, 6, [3, 4, 5, 6]), (6, 6, [4, 5, 6]), (5, 5, [5]), (6, 4, None),
-                    (6, 5, None)]
+    assert [(code.n, wmax, lengths) for code, wmax, lengths in kernel_runs] == [
+        (6, 6, [3, 4, 5, 6]), (6, 6, [4, 5, 6]), (5, 5, [5]), (6, 4, [6]), (6, 5, [6])]
 
 
 def test_verify_unknown_theorem(capsys):

@@ -332,7 +332,7 @@ def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
         for j, table in enumerate(tables):
             top = min(wmax, j)
             if (j, top) not in alone:
-                alone[j, top] = codes._syndrome_trellis(_prefix(code, j), top)
+                alone[j, top] = codes._syndrome_trellis(_prefix(code, j), top, [j])[0]
             assert table.shape == (census_rows(q, code.r), top + 1), (wmax, j)
             assert np.array_equal(table, alone[j, top]), (wmax, j)
             at, want = brute[j]
@@ -340,21 +340,21 @@ def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
             unreached = np.ones(len(table), dtype=bool)
             unreached[at] = False
             assert not table[unreached].any(), (wmax, j)
-        assert np.array_equal(tables[-1], codes._syndrome_trellis(code, wmax)), wmax
+        assert np.array_equal(tables[-1], codes._syndrome_trellis(code, wmax, [n])[0]), wmax
 
 
 def test_kernel_refuses_prefix_lengths_outside_the_code():
     code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
-    for prefixes in ([], [7], [-1, 3]):
+    for lengths in ([], [7], [-1, 3]):
         with pytest.raises(ValueError, match="prefix lengths"):
-            codes._syndrome_trellis(code, 3, prefixes)
+            codes._syndrome_trellis(code, 3, lengths)
 
 
 class _KernelRan(Exception):
     pass
 
 
-def _no_kernel(code, wmax):
+def _no_kernel(code, wmax, lengths):
     raise _KernelRan
 
 
@@ -427,7 +427,7 @@ def test_one_sort_memo_matches_tallies_on_desk_censuses(desk):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(parity_checks())
 def test_one_sort_memo_matches_tallies_on_random_parity_checks(H):
-    _check_memo_against_tallies(H, codes._syndrome_trellis(LinearCode(H), H.ncols))
+    _check_memo_against_tallies(H, codes._syndrome_trellis(LinearCode(H), H.ncols, [H.ncols])[0])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

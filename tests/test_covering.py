@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from mdscosets import codes
 from mdscosets.codes import BudgetExceededError, LinearCode, coset_census
 from mdscosets.covering import (DeepHoleMismatchError, count_deep_hole_cosets,
                                 deep_hole_report, mcf_classify,
@@ -171,19 +170,11 @@ def test_even_q_conic_code_has_radius_3():
     assert code4.covering_radius() == 3
 
 
-def test_one_trellis_pass_per_code(monkeypatch):
-    runs = []
-    trellis = codes._syndrome_trellis
-
-    def counted(*args):
-        runs.append(args[1])
-        return trellis(*args)
-
-    monkeypatch.setattr(codes, "_syndrome_trellis", counted)
+def test_one_trellis_pass_per_code(kernel_runs):
     code, cons = build_code(field_of_order(11), "gdrs", 5, removed=(0, 3))
     rep = mcf_classify(code)
     dh = count_deep_hole_cosets(code, cons, parent_R=3)
-    assert runs == [code.r]
+    assert [wmax for _, wmax, _ in kernel_runs] == [code.r]
     assert dh.count == rep.deep_hole_coset_count  # R = d-1 here
     assert code.leader_profile()[rep.R] == dict(rep.farthest_profile)
 
