@@ -17,7 +17,7 @@ import functools
 import json
 import sys
 
-from .codes import DEFAULT_BUDGET, BudgetExceededError, census_refusal, coset_census
+from .codes import DEFAULT_BUDGET, BudgetExceededError, _census_refusal, coset_census
 from .covering import (DeepHoleMismatchError, count_deep_hole_cosets,
                        mcf_classify, saturating_set_report)
 from .formulas import (InconsistentPrefixError, LowWeightPrefix,
@@ -26,8 +26,8 @@ from .formulas import (InconsistentPrefixError, LowWeightPrefix,
                        dist_weight_mid)
 from .geometry import (bisecant_census, bisecant_walk_refusal, conic_points,
                        hyperoval_points, shortened_conic)
-from .gf import field_of_order
-from .mds import FAMILIES, _certify, _family_code
+from .gf import check_field_order, field_of_order
+from .mds import FAMILIES, _certify, _family_code, _family_layout
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
 
 SCHEMA = "mdscosets.v1"
@@ -37,16 +37,38 @@ def _csv_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
+def _poly_from_args(args):
+    return tuple(_csv_ints(args.poly)) if args.poly else None
+
+
 def _field_from_args(args):
-    poly = tuple(_csv_ints(args.poly)) if args.poly else None
-    return field_of_order(args.q, poly)
+    return field_of_order(args.q, _poly_from_args(args))
 
 
-def _code_from_args(args):
-    """The family code `census code` and `covering classify` name, and its
-    recipe; each command certifies it MDS itself."""
-    return _family_code(_field_from_args(args), args.family, args.d, None,
-                        _csv_ints(args.remove or ""), args.budget)
+def _code_from_args(args, full: bool):
+    """The family code `census code` (full) and `covering classify` name,
+    and its recipe; each command certifies it MDS itself.  Before the field
+    is built, every argument is checked as building would check it, and
+    the censuses the command runs are checked against the budget from
+    (q, n, n-k, wmax) alone: the certification at n-k, then the full
+    census (full) or the parent's certification (a removal code, whose
+    deep-hole check builds the parent)."""
+    poly = _poly_from_args(args)
+    check_field_order(args.q, poly)
+    removed = _csv_ints(args.remove or "")
+    d, width, drop = _family_layout(args.q, args.family, args.d, None, removed)
+    n, r = width - len(drop), d - 1
+    runs = [(n, r)]  # the certification at n-k
+    if full:
+        runs.append((n, n))
+    elif drop:
+        runs.append((width, r))  # the parent the deep-hole check builds
+    for length, wmax in runs:
+        refusal = _census_refusal(args.q, length, r, wmax, args.budget)
+        if refusal is not None:
+            raise refusal
+    return _family_code(field_of_order(args.q, poly), args.family, args.d, None,
+                        removed, args.budget)
 
 
 def _emit(args, payload, table_lines, csv_lines=None):
@@ -125,13 +147,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_census_code(args) -> int:
-    code, construction = _code_from_args(args)
-    # refuse as the certification at n-k, then the full census, would;
-    # else the full census alone, which also certifies the code
-    refusal = census_refusal(code, code.r) or census_refusal(code, code.n)
-    if refusal is not None:
-        raise refusal
-    census = coset_census(code)
+    code, construction = _code_from_args(args, full=True)
+    census = coset_census(code)  # which also certifies the code
     _certify(code)
     q = code.field.q
 
@@ -212,7 +229,7 @@ def cmd_census_geometry(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    code, construction = _code_from_args(args)
+    code, construction = _code_from_args(args, full=False)
     _certify(code)
     report = mcf_classify(code)
     sat = saturating_set_report(code, report)

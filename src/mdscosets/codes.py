@@ -258,10 +258,12 @@ def syndrome_row(f: GF, svec):
     return int(row) if digits.ndim == 1 else row
 
 
-def _point_lines(f: GF, col: np.ndarray, add: np.ndarray, mul: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,
+                 mul: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The census rows in line order for the nonzero column h, and its
-    inverse; add and mul are the field's (q, q) tables as int64.
+    inverse; add and mul are the field's (q, q) tables as int64, or None
+    at r = 2, where the few sums and products come from add_array and
+    mul_array.
 
     With h scaled so that its most significant nonzero digit p is 1, let H
     be its point.  The L = (q^(r-1) - 1)/(q - 1) lines through H split the
@@ -272,12 +274,13 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray, mul: np.ndarray
     equal to 0.  When u's leading digit s lies below p, the line is u and
     the points a*u + h, a != 0, whose digit p is 1.  When it lies above
     p, the points u + c*h, c in F_q, are already scaled, with digit c at
-    p.  Both kinds are built digit by digit from the tables, in integers:
-    no point is scaled.
+    p.  Both kinds are built digit by digit, in integers: no point is
+    scaled.
     """
     q, r = f.q, len(col)
     p = int(np.flatnonzero(col)[-1])
-    h = mul[f.inv_array(col[p]), col].tolist()
+    inv = f.inv_array(col[p])
+    h = (mul[inv, col] if mul is not None else f.mul_array(inv, col)).tolist()
     first = [census_rows(q, t) for t in range(r + 1)]  # row of the unit vector e_t
     order = np.empty(first[r], dtype=np.int64)
     lines = order[:-2].reshape(q, (first[r] - 2) // q)
@@ -291,7 +294,8 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray, mul: np.ndarray
     rest, ahead = point, np.zeros((q - 1, 1), dtype=np.int64)
     for s in range(p):
         rest -= h[s] * q**s
-        lines[1:, first[s] - 1:first[s + 1] - 1] = rest + (add[1:, h[s]] * q**s)[:, None] + ahead
+        digit = add[1:, h[s]] if add is not None else f.add_array(np.arange(1, q), h[s])
+        lines[1:, first[s] - 1:first[s + 1] - 1] = rest + (digit * q**s)[:, None] + ahead
         if s + 1 < p:
             ahead = ((add[mul[1:], h[s]] * q**s)[:, :, None] + ahead[:, None, :]).reshape(q - 1, -1)
 
@@ -317,12 +321,18 @@ def census_refusal(code: LinearCode, wmax: int) -> BudgetExceededError | None:
     n*wmax*(1 + (q^(n-k) - 1)/(q - 1)) steps, or counts that could pass
     the int64 range.  The steps bound the entries of the weight rows the
     columns update: column j updates min(wmax, j) rows, at most wmax."""
-    q, n = code.field.q, code.n
-    work = n * wmax * census_rows(q, code.r)
-    if work > code.budget:
+    return _census_refusal(code.field.q, code.n, code.r, wmax, code.budget)
+
+
+def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
+                    ) -> BudgetExceededError | None:
+    """census_refusal from the numbers alone, for a length-n code over
+    GF(q) with r parity checks, before either is built."""
+    work = n * wmax * census_rows(q, r)
+    if work > budget:
         return BudgetExceededError(
             f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1)), "
-            f"over the budget of {code.budget}")
+            f"over the budget of {budget}")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
     if vectors >= 2**63:
         return BudgetExceededError(
@@ -378,8 +388,12 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     # would buffer `out` again, and the indices are a permutation anyway
     lines, back = np.empty(states, dtype=np.int64), np.empty(states, dtype=np.int64)
     grouped = lines[:-2].reshape(q, (states - 2) // q)  # [c, i]: point c of line i
-    add = f.add_table().astype(np.int64)
-    mul = f.mul_array(np.arange(q)[:, None], np.arange(q))
+    # (q, q) tables only at r >= 3, where a line order is about q^2 long
+    # anyway; at r = 2 _point_lines reads none
+    add = mul = None
+    if code.r >= 3:
+        add = f.add_table().astype(np.int64)
+        mul = f.mul_array(np.arange(q)[:, None], np.arange(q))
     for j, col in enumerate(code.H.labels.T[:lengths[-1]], 1):
         top = min(wmax, j)
         if not col.any():
@@ -526,15 +540,14 @@ def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:
     ascending in n, where each code's H is the first n columns of the last
     one's: one trellis run on the last code at wmax, its table taken after
     each of their lengths.  A code longer than wmax gets the low-weight
-    census at wmax, which fills its memo once wmax reaches its n-k."""
+    census at wmax, which fills its memo once wmax reaches its n-k.  A
+    chain that is not nested is refused before the kernel runs."""
     longest = chain[-1]
-    tables = _syndrome_trellis(longest, wmax, [code.n for code in chain])
-    censuses = []
-    for code, table in zip(chain, tables):
+    for code in chain:
         _require(np.array_equal(code.H.labels, longest.H.labels[:, :code.n]),
                  f"{code} is not a prefix of {longest}")
-        censuses.append(_census_from_table(code, table))
-    return censuses
+    tables = _syndrome_trellis(longest, wmax, [code.n for code in chain])
+    return [_census_from_table(code, table) for code, table in zip(chain, tables)]
 
 
 def coset_census(code: LinearCode) -> CosetCensus:

@@ -9,12 +9,7 @@ the Bonneau relation gives, for w >= d-1,
 Both forms are served from coefficient rows built once per (n, d, q):
 for w = d-1..n a prefix-free part K_w and, for each v in 0..d-2, the
 coefficient of B_v.  A query is then one multiply-add per weight and
-nonzero B_v.  Each form keeps the rows of the last (n, d, q) asked for
-(ROW_CACHE_SIZE = 1).  A stream of `dist` queries asks for one (n, d, q)
-at a time, every prefix and closed form of it in a row.  `verify` does
-not: criteria 1-3 each walk the corpus, so one full run misses the
-single-sum rows 275 times over its 97 tuples (89 desk codes, three
-misses each, and 8 synthetic tuples) and the double-sum rows 97 times.
+nonzero B_v, an add alone where B_v = 1.
 
 `bonneau_transformed` builds its rows from the relation above:
 K_w = A_w - omega(n,d,w,0) with A_w from `mds_weight_distribution`, and
@@ -24,21 +19,41 @@ from the classical double-sum form of the same relation: its prefix-free
 part is C(n,w) T(w, w-d+1), where T(w, m) = sum_{j<=m} (-1)^j C(w,j)
 q^(m-j) runs along the recurrence T(w+1, m+1) = (q-1) T(w, m) +
 (-1)^(m+1) C(w, m+1), and its prefix coefficients are the double sums,
-each factored into a binomial running down its column times a partial
-alternating sum read from one Pascal table.  Neither form reads the
-other's rows, A_w or omega, so they stay two independent derivations
+each factored into a signed binomial running down its column times a
+partial alternating sum read from one Pascal table.  Neither form reads
+the other's rows, A_w or omega, so they stay two independent derivations
 that must agree everywhere, which the test suite enforces.  Every entry
-of either form follows from its neighbour by one multiplication and one
-exact floor division by small integers, so a row set costs one such step
-per entry (plus the n(d-1) additions of the Pascal table) and at most d
-binomials for the seeds, not binomials per entry.
+of either form follows from its neighbour in two big-integer steps: one
+multiplication by the product of the small factors and one exact floor
+division by the product of the others, the sign of the ratio carried in
+the divisor.  A row set costs that per entry (plus a multiplication by
+the Pascal entry in the double sums, and the n(d-1) C-level differences
+of the Pascal table) and at most d binomials for the seeds, not
+binomials per entry.
 
 The per-weight functions read the single-sum rows but keep the
 specialized terms the paper states for them (B_{d-1} = C(n-1, d-1) for
-weight 1, the coefficient (-1)^(w-d) C(n-d+2, n-w) of B_{d-2} for
-weights 2 and d-2, and the whole weight-(d-1) form), so each
-specialization is checked twice: against the general formula and against
-exact censuses.  Their binomial terms, too, run along exact ratios.
+weight 1, the column (-1)^(w-d) C(n-d+2, n-w) of B_{d-2} for weights 2
+and d-2, and the whole weight-(d-1) form), so each specialization is
+checked twice: against the general formula and against exact censuses.
+Their binomial terms, too, run along exact ratios, and the B_{d-2}
+column is built once per (n, d) and multiplied by B_{d-2} in the one
+pass that adds K_w.
+
+Every coset of weight 1, and every one of weight d-1, has one
+distribution, a function of (n, d, q) alone, so `dist_weight1` and
+`dist_weight_d1` are memoized like the rows.  Each of these caches, the
+rows of either form, the two distributions and the B_{d-2} column, keeps
+the entry of the last (n, d, q) (or (n, d)) asked for (ROW_CACHE_SIZE =
+1).  A stream of `dist` queries asks for one (n, d, q) at a time, every
+prefix and closed form of it in a row: with four prefixes per (n, d, q),
+3 of 4 weight-1 and weight-(d-1) calls and, at d >= 5, 7 of 8 B_{d-2}
+column calls hit.  `verify` does not: criteria 1-3 each walk the
+corpus, so one full run misses the single-sum rows 275 times over its
+97 tuples (89 desk codes, three misses each, and 8 synthetic tuples) and
+the double-sum rows 97 times, and criterion 3 asks for each desk
+(n, d, q)'s two distributions once, so their caches neither help nor
+cost it.
 
 All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,
@@ -61,6 +76,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 import numpy as np
 
@@ -122,10 +138,11 @@ def _single_sum_rows(n: int, d: int, q: int) -> Rows:
     """K_w = A_w - omega(n,d,w,0) and the columns omega(n,d,w,v), each
     seeded at w = d-1 and run down by the ratio of neighbouring omegas,
 
-        omega(w+1) = -omega(w) (n-w)(w-v) / ((w+1-v)(w-d+2)),
+        omega(w+1) = omega(w) (n-w)(w-v) / -((w+1-v)(w-d+2)),
 
     which is exact: it is C(n-v, w-v) C(w-1-v, d-2-v) stepped once in
-    each binomial."""
+    each binomial.  The small factors are multiplied first and the sign
+    rides in the divisor, so an entry costs two big-integer steps."""
     check_mds_params(n, d, q)
     A = mds_weight_distribution(n, d, q).counts
     cols = []
@@ -133,11 +150,10 @@ def _single_sum_rows(n: int, d: int, q: int) -> Rows:
         c = omega(n, d, d - 1, v)
         col = [c]
         for w in range(d - 1, n):
-            c = -c * (n - w) * (w - v) // ((w + 1 - v) * (w - d + 2))
+            c = c * ((n - w) * (w - v)) // -((w + 1 - v) * (w - d + 2))
             col.append(c)
         cols.append(tuple(col))
-    known = tuple(a - c for a, c in zip(A[d - 1:], cols[0]))
-    return known, tuple(cols)
+    return tuple(map(sub, A[d - 1:], cols[0])), tuple(cols)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -150,42 +166,47 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
     Each term is C(n-v, m) C(m, i) with m = w-v and i = m-j, so the sum
     is (-1)^m C(n-v, m) S(m, d-2-v), where S(m, l) = sum_{i<=l} (-1)^i
     C(m, i) comes from the Pascal table S(m+1, l) = S(m, l) - S(m, l-1),
-    S(m, 0) = 1, and C(n-v, m) runs down the column."""
+    S(m, 0) = 1, and (-1)^m C(n-v, m) runs down the column, its sign
+    carried in the divisor -(m+1)."""
     check_mds_params(n, d, q)
     known = []
     t = 1  # T(w, w-d+1)
     c_nw = binom(n, d - 1)  # C(n, w)
-    c_wd = d - 1  # C(w, d-2) = C(w, w-d+2)
+    e = 1 - d  # (-1)^(m+1) C(w, m+1)
     for w in range(d - 1, n + 1):
         m = w - d + 1
         known.append(c_nw * t)
-        t = (q - 1) * t - (-1 if m % 2 else 1) * c_wd
+        t = (q - 1) * t + e
         c_nw = c_nw * (n - w) // (w + 1)
-        c_wd = c_wd * (w + 1) // (m + 2)
+        e = e * (w + 1) // -(m + 2)
     # S[m][l] for m = 0..n and l = 0..d-2
     S = [[1] * (d - 1)]
     for _ in range(n):
         prev = S[-1]
-        S.append([1] + [prev[l] - prev[l - 1] for l in range(1, d - 1)])
+        S.append([1, *map(sub, prev[1:], prev)])
     cols = []
     for v in range(d - 1):
         l = d - 2 - v
-        c = binom(n - v, d - 1 - v)  # C(n-v, m) at m = d-1-v
+        m0 = d - 1 - v
+        c = (-1) ** m0 * binom(n - v, m0)  # (-1)^m C(n-v, m)
         col = []
-        for m in range(d - 1 - v, n - v + 1):
-            s = c * S[m][l]
-            col.append(-s if m % 2 else s)
-            c = c * (n - v - m) // (m + 1)
+        for m in range(m0, n - v + 1):
+            col.append(c * S[m][l])
+            c = c * (n - v - m) // -(m + 1)
         cols.append(tuple(col))
     return tuple(known), tuple(cols)
 
 
 def _tail(rows: Rows, counts) -> list[int]:
-    """B_{d-1}..B_n: K_w plus sum_v B_v * (column v), over the nonzero B_v."""
+    """B_{d-1}..B_n: K_w plus sum_v B_v * (column v), over the nonzero B_v.
+    A B_v of 1, as B_0 or a unique leader's count often is, adds its
+    column without a multiplication."""
     known, cols = rows
     tail = list(known)
     for col, b in zip(cols, counts):
-        if b:
+        if b == 1:
+            tail = list(map(add, tail, col))
+        elif b:
             tail = [t + b * c for t, c in zip(tail, col)]
     return tail
 
@@ -246,17 +267,21 @@ def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
     return tails.T
 
 
-def _b_low_terms(n: int, d: int, b_low: int) -> list[int]:
-    """(-1)^(w-d) C(n-d+2, n-w) * B_{d-2} for w = d-1..n, by the ratio
-    C(N, k-1) = C(N, k) k / (N-k+1) as n-w steps down from n-d+1."""
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _b_low_column(n: int, d: int) -> tuple[int, ...]:
+    """(-1)^(w-d) C(n-d+2, n-w), the coefficient of B_{d-2} in B_w of the
+    weight-2 and weight-(d-2) forms, for w = d-1..n, by the ratio
+    C(N, k-1) = C(N, k) k / (N-k+1) as n-w steps down from n-d+1, the
+    sign carried in the divisor."""
     c = -(n - d + 2)  # the signed binomial at w = d-1
-    terms = []
-    for w in range(d - 1, n + 1):
-        terms.append(c * b_low)
-        c = -c * (n - w) // (w - d + 3)
-    return terms
+    col = [c]
+    for w in range(d - 1, n):
+        c = c * (n - w) // -(w - d + 3)
+        col.append(c)
+    return tuple(col)
 
 
+@lru_cache(maxsize=ROW_CACHE_SIZE)
 def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all n(q-1) weight-1 cosets."""
     if d < 3:
@@ -265,7 +290,7 @@ def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
     B = [0] * (n + 1)
     B[1] = 1
     B[d - 1] = binom(n - 1, d - 1)
-    B[d:] = [k + c for k, c in zip(known[1:], cols[1][1:])]
+    B[d:] = map(add, known[1:], cols[1][1:])
     return _finalize(B, q, n, d, strict=True, what="weight-1 coset parameters")
 
 
@@ -306,10 +331,11 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
     known, _ = _single_sum_rows(n, d, q)
     B = [0] * (d - 1)
     B[d - 2] = b_low
-    B += [k + t for k, t in zip(known, _b_low_terms(n, d, b_low))]
+    B += [k + b_low * t for k, t in zip(known, _b_low_column(n, d))]
     return _finalize(B, q, n, d, strict, "B_{d-2}")
 
 
+@lru_cache(maxsize=ROW_CACHE_SIZE)
 def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all weight-(d-1) (farthest-off) cosets."""
     if d < 3:
@@ -321,7 +347,7 @@ def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
     c = B[d - 1] * (n - d + 1) * (d - 1) // d
     for w in range(d, n + 1):
         B[w] = A[w] - c
-        c = -c * (n - w) * w // ((w + 1) * (w - d + 2))
+        c = c * ((n - w) * w) // -((w + 1) * (w - d + 2))
     return _finalize(B, q, n, d, strict=True, what="farthest-off parameters")
 
 
@@ -336,7 +362,7 @@ def dist_weight2(n: int, d: int, q: int, b_low: int,
     B = [0] * (d - 1)
     B[2] = 1
     B[d - 2] = b_low
-    B += [k + c + t for k, c, t in zip(known, cols[2], _b_low_terms(n, d, b_low))]
+    B += [k + c + b_low * t for k, c, t in zip(known, cols[2], _b_low_column(n, d))]
     return _finalize(B, q, n, d, strict, "B_{d-2}")
 
 

@@ -100,34 +100,39 @@ def default_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
+def _modulus(p: int, m: int, poly: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    """The modulus of GF(p^m), None for a prime field, after every check
+    GF makes before it builds a table."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if m < 1:
+        raise ValueError(f"extension degree must be >= 1, got {m}")
+    q = p ** m
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {q} exceeds the configured maximum {MAX_FIELD_ORDER}")
+    if m == 1:
+        if poly is not None:
+            raise ValueError("a modulus polynomial only applies to extension fields")
+        return None
+    coeffs = tuple(poly) if poly is not None else default_irreducible(p, m)
+    if len(coeffs) != m + 1 or coeffs[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {m}, got {coeffs}")
+    if any(not 0 <= c < p for c in coeffs):
+        raise ValueError(f"modulus coefficients must lie in [0, {p})")
+    if not _is_irreducible(list(coeffs), p):
+        raise ValueError(f"modulus {coeffs} is reducible over GF({p})")
+    return coeffs
+
+
 class GF:
     """The finite field GF(p^m) operating on canonical integer labels."""
 
     def __init__(self, p: int, m: int = 1, poly: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if m < 1:
-            raise ValueError(f"extension degree must be >= 1, got {m}")
-        q = p ** m
-        if q > MAX_FIELD_ORDER:
-            raise ValueError(f"field order {q} exceeds the configured maximum {MAX_FIELD_ORDER}")
+        self.poly = _modulus(p, m, poly)
         self.p = p
         self.m = m
-        self.q = q
+        self.q = p ** m
         self._ppow = [p ** i for i in range(m)]
-        if m == 1:
-            if poly is not None:
-                raise ValueError("a modulus polynomial only applies to extension fields")
-            self.poly: tuple[int, ...] | None = None
-        else:
-            coeffs = tuple(poly) if poly is not None else default_irreducible(p, m)
-            if len(coeffs) != m + 1 or coeffs[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}, got {coeffs}")
-            if any(not 0 <= c < p for c in coeffs):
-                raise ValueError(f"modulus coefficients must lie in [0, {p})")
-            if not _is_irreducible(list(coeffs), p):
-                raise ValueError(f"modulus {coeffs} is reducible over GF({p})")
-            self.poly = coeffs
         self._build_tables()
         self._add_table: np.ndarray | None = None
 
@@ -225,11 +230,22 @@ class GF:
         return f"GF({self.q}={self.p}^{self.m}, poly={self.poly})"
 
 
-@lru_cache(maxsize=None)
-def field_of_order(q: int, poly: tuple[int, ...] | None = None) -> GF:
-    """GF(q) for a prime power q, shared per (q, modulus)."""
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m, refusing any q that is no prime power."""
     fac = _factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")
     (p, m), = fac.items()
-    return GF(p, m, poly)
+    return p, m
+
+
+def check_field_order(q: int, poly: tuple[int, ...] | None = None) -> None:
+    """Refuse, as field_of_order would, a q or modulus it refuses, without
+    building the field's tables."""
+    _modulus(*_prime_power(q), poly)
+
+
+@lru_cache(maxsize=None)
+def field_of_order(q: int, poly: tuple[int, ...] | None = None) -> GF:
+    """GF(q) for a prime power q, shared per (q, modulus)."""
+    return GF(*_prime_power(q), poly)

@@ -87,13 +87,35 @@ def _extended_rows(field: GF, d: int) -> np.ndarray:
     return rows
 
 
-def gdrs_parity(field: GF, d: int) -> Matrix:
-    """The (d-1) x (q+1) doubly-extended parity-check matrix over GF(q)."""
-    q = field.q
+def _check_gdrs_distance(q: int, d: int) -> None:
     if d < 3:
         raise ValueError(f"design distance must be >= 3, got {d}")
     if d > q + 1:
         raise ValueError(f"design distance {d} too large for a length-{q + 1} code over GF({q})")
+
+
+def _check_triple_extension(q: int) -> None:
+    if not has_triple_extension(q, 4):
+        raise ValueError(f"triple extension requires even q, got q={q}")
+
+
+def _removals(ncols: int, design_d: int, idxs) -> list[int]:
+    """The columns idxs of a matrix of ncols columns, sorted, refusing a
+    removal that leaves fewer than design_d."""
+    idxs = sorted(set(int(i) for i in idxs))
+    if not idxs:
+        raise ValueError("no columns to remove")
+    if idxs[0] < 0 or idxs[-1] >= ncols:
+        raise ValueError(f"column index out of range 0..{ncols - 1}")
+    if ncols - len(idxs) < design_d:
+        raise ValueError(
+            f"too many removals: {ncols - len(idxs)} columns cannot carry distance {design_d}")
+    return idxs
+
+
+def gdrs_parity(field: GF, d: int) -> Matrix:
+    """The (d-1) x (q+1) doubly-extended parity-check matrix over GF(q)."""
+    _check_gdrs_distance(field.q, d)
     return Matrix(field, _extended_rows(field, d))
 
 
@@ -101,24 +123,14 @@ def gtrs_parity(field: GF) -> Matrix:
     """The 3 x (q+2) triply-extended parity-check matrix; q must be even.
     At q = 2 its doubly-extended part, three columns, has no code of
     distance 4 of its own, but with the nucleus it is the [4,1,4]_2 code."""
-    if not has_triple_extension(field.q, 4):
-        raise ValueError(f"triple extension requires even q, got q={field.q}")
+    _check_triple_extension(field.q)
     return Matrix(field, np.column_stack([_extended_rows(field, 4), (0, 1, 0)]))
 
 
 def remove_columns(matrix: Matrix, idxs) -> Matrix:
     """Drop parity-check columns, keeping at least as many as the design
     distance needs."""
-    idxs = sorted(set(int(i) for i in idxs))
-    if not idxs:
-        raise ValueError("no columns to remove")
-    if idxs[0] < 0 or idxs[-1] >= matrix.ncols:
-        raise ValueError(f"column index out of range 0..{matrix.ncols - 1}")
-    design_d = matrix.nrows + 1
-    if matrix.ncols - len(idxs) < design_d:
-        raise ValueError(
-            f"too many removals: {matrix.ncols - len(idxs)} columns cannot carry distance {design_d}")
-    return matrix.drop_columns(idxs)
+    return matrix.drop_columns(_removals(matrix.ncols, matrix.nrows + 1, idxs))
 
 
 WEIGHT_DIST_CACHE_SIZE = 1
@@ -147,23 +159,22 @@ def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
 
         T(w+1, m+1) = (q-1) T(w, m) + (-1)^(m+1) C(w, m+1),   T(d, 0) = 1,
 
-    so the row costs O(n) big-integer steps.  C(n, w) and C(w, m+1) =
-    C(w, d-1) run along exact ratios, and C(w-1, m) is the latter's value
-    one step back, so the row takes one binomial.
+    so the row costs O(n) big-integer steps.  C(n, w) and the signed
+    (-1)^(m+1) C(w, m+1) run along exact ratios, the sign carried in the
+    divisor, and (-1)^m C(w-1, m) is the latter's value one step back, so
+    the row takes one binomial.
     """
     check_mds_params(n, d, q)
     counts = [0] * (n + 1)
     counts[0] = 1
     t = 1  # T(w, w-d)
     c_nw = binom(n, d)  # C(n, w)
-    c_prev, c_next = 1, d  # C(w-1, m) and C(w, m+1)
+    prev, e = 1, -d  # (-1)^m C(w-1, m) and (-1)^(m+1) C(w, m+1)
     for w in range(d, n + 1):
-        m = w - d
-        sign = -1 if m % 2 else 1
-        counts[w] = c_nw * (q * t - sign * c_prev)
-        t = (q - 1) * t - sign * c_next
+        counts[w] = c_nw * (q * t - prev)
+        t = (q - 1) * t + e
         c_nw = c_nw * (n - w) // (w + 1)
-        c_prev, c_next = c_next, c_next * (w + 1) // (m + 2)
+        prev, e = e, e * (w + 1) // (d - w - 2)
     dist = WeightDistribution(tuple(counts))
     _require(dist.total() == q ** (n - d + 1), "MDS weight distribution does not total q^k")
     return dist
@@ -184,28 +195,40 @@ def build_code(field: GF, family: str, d: int | None = None, n: int | None = Non
     return code, construction
 
 
-def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
-                 budget: int) -> tuple[LinearCode, MdsConstruction]:
-    """build_code's code and recipe, not yet certified."""
-    q = field.q
+def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
+                   ) -> tuple[int, int, tuple[int, ...]]:
+    """(d, columns of the full family matrix, dropped columns) of the code
+    _family_code builds, with each of its refusals, in its order, from the
+    numbers alone: no field is needed."""
     length = family_length(family, q)
     if family == "gtrs":
         if d not in (None, 4):
             raise ValueError("the triply-extended family has d = 4")
         d = 4
-        H_full = gtrs_parity(field)
+        _check_triple_extension(q)
+        width = length
     else:
         if d is None:
             raise ValueError("design distance required")
-        H_full = gdrs_parity(field, d)
+        _check_gdrs_distance(q, d)
+        width = family_length("gdrs", q)
     if n is None:
         n = length
     elif not d <= n <= length:
         raise ValueError(
             f"the {family} family over GF({q}) needs {d} <= n <= {length}, got n={n}")
-    drop = tuple(sorted({int(i) for i in removed} | set(range(n, H_full.ncols))))
-    H = remove_columns(H_full, drop) if drop else H_full
-    construction = MdsConstruction("gtrs" if family == "gtrs" else "gdrs", q, d, drop)
+    drop = {int(i) for i in removed} | set(range(n, width))
+    return d, width, tuple(_removals(width, d, drop) if drop else ())
+
+
+def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
+                 budget: int) -> tuple[LinearCode, MdsConstruction]:
+    """build_code's code and recipe, not yet certified."""
+    d, _, drop = _family_layout(field.q, family, d, n, removed)
+    H = gtrs_parity(field) if family == "gtrs" else gdrs_parity(field, d)
+    if drop:
+        H = remove_columns(H, drop)
+    construction = MdsConstruction("gtrs" if family == "gtrs" else "gdrs", field.q, d, drop)
     return LinearCode(H, budget), construction
 
 

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from mdscosets import cli
+from mdscosets import cli, codes
 from mdscosets.cli import main
+from mdscosets.gf import GF
 
 
 def run(capsys, *argv):
@@ -149,6 +150,41 @@ def test_census_code_refuses_before_any_kernel_run(capsys, kernel_runs):
     code, _, err = run(capsys, *argv, "--remove", "9", "--budget", "1")
     assert code == 2 and "out of range" in err
     assert [wmax for _, wmax, _ in kernel_runs] == [6]
+
+
+def _refusal(steps, budget=200_000_000):
+    return (f"budget refusal: syndrome trellis needs {steps} steps "
+            f"n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of {budget}\n")
+
+
+def test_budget_refusals_come_before_the_field_is_built(capsys, monkeypatch):
+    # (q, n, n-k, wmax) alone fix each refusal, so neither the field's
+    # tables nor the kernel are built for it
+    def no_work(*args):
+        raise AssertionError("work before the refusal")
+    monkeypatch.setattr(GF, "_build_tables", no_work)
+    monkeypatch.setattr(codes, "_syndrome_trellis", no_work)
+    gdrs = ("--family", "gdrs", "--d", "3")
+    cases = [
+        # the certification at n-k = 2 of [65537,65535,3]_65536
+        (("census", "code", "--q", "65536", *gdrs), _refusal(65537 * 2 * 65538)),
+        (("covering", "classify", "--q", "65536", *gdrs), _refusal(65537 * 2 * 65538)),
+        # the full census of [4097,4095,3]_4096, whose certification fits
+        (("census", "code", "--q", "4096", *gdrs), _refusal(4097 * 4097 * 4098)),
+        (("covering", "classify", "--q", "4096", *gdrs, "--budget", "1000"),
+         _refusal(4097 * 2 * 4098, 1000)),
+        # [13,10,4]_13 certifies in 7176 steps, its parent [14,11,4]_13 in 7728
+        (("covering", "classify", "--family", "gdrs", "--q", "13", "--d", "4",
+          "--remove", "1", "--budget", "7500"), _refusal(7728, 7500)),
+    ]
+    for argv, refusal in cases:
+        assert run(capsys, *argv) == (3, "", refusal), argv
+    # the field's own refusals still come first, with their texts
+    for q, poly, text in [("6", None, "6 is not a prime power"),
+                          ("131072", None, "field order 131072 exceeds the configured maximum 65536"),
+                          ("65536", "1,1", "modulus must be monic of degree 16, got (1, 1)")]:
+        argv = ("census", "code", "--q", q, *gdrs) + (("--poly", poly) if poly else ())
+        assert run(capsys, *argv) == (2, "", f"error: {text}\n"), argv
 
 
 def test_census_int64_overflow_refusal(capsys):

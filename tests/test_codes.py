@@ -11,7 +11,7 @@ from mdscosets import codes
 from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
                              LinearCode, Matrix, WeightDistribution, census_rows,
                              coset_census, low_weight_census, syndrome_row)
-from mdscosets.gf import field_of_order
+from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import build_code, gdrs_parity
 from dual_census import dual_table
 from oracle import (brute_codeword_weights, brute_prefix_tables, brute_table,
@@ -348,6 +348,34 @@ def test_kernel_refuses_prefix_lengths_outside_the_code():
     for lengths in ([], [7], [-1, 3]):
         with pytest.raises(ValueError, match="prefix lengths"):
             codes._syndrome_trellis(code, 3, lengths)
+
+
+def test_a_census_at_two_parity_checks_builds_no_field_table(monkeypatch):
+    # at r = 2 a line order has q + 2 entries, and the kernel reads no
+    # (q, q) table for them
+    def no_table(self):
+        raise AssertionError("a (q, q) table was built")
+    monkeypatch.setattr(GF, "add_table", no_table)
+    for q in (8, 9):
+        # two Vandermonde columns and both extension columns, so points
+        # with their leading digit at 0 and at 1
+        code, _ = build_code(field_of_order(q), "gdrs", 3, removed=range(2, q - 1))
+        assert sorted(map(tuple, code.H.labels.T)) == [(0, 1), (1, 0), (1, 1), (1, 2)]
+        at, want = _brute_rows(code, brute_table(code))
+        assert np.array_equal(coset_census(code).table[at], want), q
+    with pytest.raises(AssertionError, match="table was built"):  # r = 3 keeps its tables
+        build_code(field_of_order(5), "gdrs", 4)
+
+
+def test_a_chain_that_is_not_nested_is_refused_before_the_kernel(kernel_runs):
+    f = field_of_order(7)
+    short, _ = build_code(f, "gdrs", 4, n=5)
+    shifted, _ = build_code(f, "gdrs", 4, n=8, removed=[0])  # [7,4]_7 without column 0
+    kernel_runs.clear()  # the certifications of the two codes
+    with pytest.raises(InvariantError) as refused:
+        codes._prefix_censuses([short, shifted], 5)
+    assert str(refused.value) == f"{short} is not a prefix of {shifted}"
+    assert kernel_runs == []
 
 
 class _KernelRan(Exception):

@@ -19,7 +19,7 @@ from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 _double_sum_rows, _single_sum_rows,
                                 bonneau_original, bonneau_tails,
                                 bonneau_transformed,
-                                _b_low_terms, dist_weight1, dist_weight2,
+                                _b_low_column, dist_weight1, dist_weight2,
                                 dist_weight_d1, dist_weight_d2, dist_weight_mid)
 from mdscosets.mds import mds_weight_distribution
 from reference_sums import (b_low_term, bw_known_part, bw_prefix_coeff,
@@ -88,7 +88,10 @@ def test_rows_and_closed_form_terms_match_reference_sums(params):
                                 for v in range(d - 1))
     assert double_cols == tuple(tuple(bw_prefix_coeff(n, d, w, v) for w in ws)
                                 for v in range(d - 1))
-    assert _b_low_terms(n, d, 7) == [7 * b_low_term(n, d, w) for w in ws]
+    assert _b_low_column(n, d) == tuple(b_low_term(n, d, w) for w in ws)
+    if d >= 4:  # the column times B_{d-2} = 7, taken in the pass that adds K_w
+        assert dist_weight_d2(n, d, q, 7, strict=False).counts[d - 1:] == tuple(
+            A[w] - omega_coeff(n, d, w, 0) + 7 * b_low_term(n, d, w) for w in ws)
     B = [0] * (d - 1) + [math.comb(n, d - 1)] + \
         [A[w] - farthest_off_term(n, d, w) for w in range(d, n + 1)]
     if min(B) < 0:
@@ -297,9 +300,20 @@ def test_row_builds_take_no_per_entry_binomials(monkeypatch):
     calls.clear()
     mds.mds_weight_distribution.__wrapped__(n, d, q)
     assert calls["mdscosets.mds", "binom"] == 1
-    formulas._b_low_terms(n, d, 5)
-    formulas.dist_weight_d1(n, d, q)
+    # the B_{d-2} column takes none, the weight-(d-1) form one
+    formulas._b_low_column.__wrapped__(n, d)
+    formulas.dist_weight_d1.__wrapped__(n, d, q)
     assert calls["mdscosets.formulas", "binom"] == 1
+
+
+def _ask_closed_forms(n, d, q, counts):
+    """Every closed form defined at (n, d), its refusal of an unrealizable
+    prefix included."""
+    for form, _ in _closed_forms(n, d, q, counts, None):
+        try:
+            form()
+        except InconsistentPrefixError:
+            pass
 
 
 def _module_caches():
@@ -312,7 +326,8 @@ def test_formula_caches_are_bounded():
     caches = _module_caches()
     names = {fn.__qualname__ for fn in caches}
     assert {"omega", "mds_weight_distribution", "_single_sum_rows",
-            "_double_sum_rows"} <= names
+            "_double_sum_rows", "_b_low_column", "dist_weight1",
+            "dist_weight_d1"} <= names
     for fn in caches:
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
     # the benchmark harness reads these two
@@ -328,7 +343,39 @@ def test_formula_caches_are_bounded():
         prefix = LowWeightPrefix(n, d, q, counts)
         bonneau_original(prefix, strict=False)
         bonneau_transformed(prefix, strict=False)
+        _ask_closed_forms(n, d, q, counts)
     for fn in caches:
         info = fn.cache_info()
         assert info.currsize <= info.maxsize, fn.__qualname__
         assert info.misses > info.maxsize, fn.__qualname__  # the stream overflowed it
+
+
+# distinct (n, d) back to back, each with consistent weight-1 and
+# weight-(d-1) forms, which a refusal would leave uncached
+MEMO_TUPLES = [(257, 10, 256), (18, 5, 16), (200, 9, 199), (33, 6, 32),
+               (128, 7, 127), (18, 4, 16), (66, 3, 64)]
+
+
+def test_stream_builds_rows_and_closed_forms_once_per_tuple():
+    memos = [formulas._single_sum_rows, formulas._double_sum_rows,
+             dist_weight1, dist_weight_d1, formulas._b_low_column]
+    for fn in memos:
+        fn.cache_clear()
+    rng = random.Random(24)
+    for n, d, q in MEMO_TUPLES:
+        for _ in range(4):  # prefixes per (n, d, q), as the benchmark stream asks
+            counts = (rng.randint(0, 1),) + tuple(rng.randint(0, 99) for _ in range(d - 2))
+            prefix = LowWeightPrefix(n, d, q, counts)
+            assert bonneau_original(prefix, strict=False) == \
+                bonneau_transformed(prefix, strict=False)
+            _ask_closed_forms(n, d, q, counts)
+        # each memo serves what a fresh build gives
+        assert _single_sum_rows(n, d, q) == _single_sum_rows.__wrapped__(n, d, q)
+        assert _double_sum_rows(n, d, q) == _double_sum_rows.__wrapped__(n, d, q)
+        assert dist_weight1(n, d, q) == dist_weight1.__wrapped__(n, d, q)
+        assert dist_weight_d1(n, d, q) == dist_weight_d1.__wrapped__(n, d, q)
+        assert _b_low_column(n, d) == _b_low_column.__wrapped__(n, d)
+    for fn in memos:
+        info = fn.cache_info()
+        assert info.misses == len(MEMO_TUPLES), fn.__qualname__
+        assert info.currsize == 1, fn.__qualname__
