@@ -190,7 +190,8 @@ ARC_SIZES = {"conic": 1, "hyperoval": 2, "conic-minus:1": 0, "conic-minus:2": -1
 
 def cmd_census_geometry(args) -> int:
     name = args.arc
-    if name in ARC_SIZES and args.q >= 2:  # refuse a walk over the budget before any field
+    check_field_order(args.q, _poly_from_args(args))
+    if name in ARC_SIZES:  # refuse a walk over the budget before any field
         refusal = bisecant_walk_refusal(args.q, args.q + ARC_SIZES[name])
         if refusal is not None:
             raise refusal

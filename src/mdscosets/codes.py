@@ -12,14 +12,15 @@ One type, CosetCensus, holds the table at any wmax: at wmax = n it is
 the full coset census, at smaller wmax the low-weight census, where a
 syndrome no vector of weight <= wmax reaches has weight -1.  At
 wmax >= n - k it reaches every syndrome, and the first such census of a
-LinearCode leaves it a small memo: the minimum distance, the covering
-radius, the leader profile (how many cosets of each weight W have each
-number B_W of minimum-weight vectors, tallied from one sort of the
-(W, B_W) pairs) and the distinct prefixes B_0..B_{n-k-1} of its weight-2
-cosets.  A code asked for these before any census reached n - k runs
-one at n - k, so no code runs the kernel twice for them: a census that
-comes first, from the code's own run or from a prefix of a longer
-code's run, fills the memo.  Each
+LinearCode leaves it its coset classes as a memo: the cosets grouped by
+(W, B_0..B_wmax) from one sort of the rows, from which the minimum
+distance, the covering radius, the leader profile (how many cosets of
+each weight W have each number B_W of minimum-weight vectors) and the
+distinct prefixes B_0..B_{n-k-1} of the weight-2 cosets are read.  A
+code asked for these before any census reached n - k runs one at n - k,
+so no code runs the kernel twice for them: a census that comes first,
+from the code's own run or from a prefix of a longer code's run, fills
+the memo.  Each
 column is admitted through the sums over the lines through its point (see
 _syndrome_trellis), about three passes over each weight row it updates
 whatever q is.  A vector on j coordinates weighs at most j, so column j
@@ -169,9 +170,10 @@ class LinearCode:
     """A length-n linear code over GF(q) defined by a full-rank parity-check matrix.
 
     `budget` caps the work of every census run on the code.  The first
-    census of the code at weight n-k or more leaves a small memo that
-    min_distance, covering_radius, leader_profile and weight2_prefixes
-    read; asked before any such census, they run one at n-k.
+    census of the code at weight n-k or more leaves it its coset classes,
+    which min_distance, covering_radius, leader_profile and
+    weight2_prefixes read; asked before any such census, they run one at
+    n-k.
     """
 
     def __init__(self, H: Matrix, budget: int = DEFAULT_BUDGET):
@@ -184,47 +186,49 @@ class LinearCode:
         self.field = H.field
         self.n = H.ncols
         self.k = H.ncols - H.nrows
-        # (d, leader profile, weight-2 prefixes), see _census_from_table
-        self._leaders: tuple[int, dict[int, dict[int, int]],
-                             tuple[tuple[int, ...], ...]] | None = None
+        self._classes: list[CosetClass] | None = None  # see _census_from_table
 
     @property
     def r(self) -> int:
         """Redundancy n - k (number of parity checks)."""
         return self.n - self.k
 
-    def _leader_memo(self) -> tuple[int, dict[int, dict[int, int]],
-                                    tuple[tuple[int, ...], ...]]:
-        """(d, leader profile, weight-2 prefixes), from the first census of
-        this code that reached weight n-k (see _census_from_table), or from
-        one run at n-k now."""
-        if self._leaders is None:
+    def _census_classes(self) -> list[CosetClass]:
+        """The classes of the first census of this code that reached
+        weight n-k, or of one run at n-k now.  A census at weight n-k
+        reaches every syndrome, since H has rank n-k."""
+        if self._classes is None:
             low_weight_census(self, self.r)
-        return self._leaders
+        return self._classes
 
     def leader_profile(self) -> dict[int, dict[int, int]]:
         """{W: {B_W: number of weight-W cosets}} for every coset weight W,
-        where B_W counts the coset's minimum-weight vectors.  A census at
-        weight n-k reaches every syndrome, since H has rank n-k."""
-        return self._leader_memo()[1]
+        where B_W counts the coset's minimum-weight vectors."""
+        profile: dict[int, dict[int, int]] = {}
+        for c in self._census_classes():
+            tally = profile.setdefault(c.weight, {})
+            B = c.distribution.counts[c.weight]
+            tally[B] = tally.get(B, 0) + c.count
+        return profile
 
     def min_distance(self) -> int:
         """Smallest positive codeword weight, read from the zero syndrome's
-        row of the leader census; none below n-k+1 means d = n-k+1
-        (Singleton)."""
+        class up to n-k; none there means d = n-k+1 (Singleton)."""
         if self.k == 0:
             raise ValueError("minimum distance is undefined for the zero code")
-        return self._leader_memo()[0]
+        zero = self._census_classes()[0].distribution.counts
+        return next((w for w in range(1, self.r + 1) if zero[w]), self.r + 1)
 
     def covering_radius(self) -> int:
-        """Max coset weight: the largest W of the leader profile."""
-        return max(self.leader_profile())
+        """Max coset weight: the weight of the last class."""
+        return self._census_classes()[-1].weight
 
     def weight2_prefixes(self) -> tuple[tuple[int, ...], ...]:
         """The distinct counts B_0..B_{n-k-1} of the weight-2 cosets,
         ascending: for an MDS code, the low-weight prefixes B_0..B_{d-2}
         that fix each weight-2 coset's whole distribution."""
-        return self._leader_memo()[2]
+        return tuple(dict.fromkeys(c.distribution.counts[:self.r]
+                                   for c in self._census_classes() if c.weight == 2))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}] over GF({self.field.q}))"
@@ -463,8 +467,13 @@ class CosetCensus:
         table, weights = self.table, self.weights
         # sort by (weight, B_0, ..., B_wmax); lexsort's last key is the primary one
         order = np.lexsort((*table.T[::-1], weights))
-        rows = table[order]
-        starts = _run_starts(*rows.T)
+        rows = np.take(table, order, axis=0)
+        # a class starts where some B_w changes: the weight is a function of the row
+        starts = np.zeros(len(rows), dtype=bool)
+        starts[0] = True
+        for column in rows.T:
+            starts[1:] |= column[1:] != column[:-1]
+        starts = np.flatnonzero(starts)
         counts = np.add.reduceat(self._cosets[order], starts)
         classes = [CosetClass(w, WeightDistribution(tuple(row)), cnt)
                    for w, row, cnt in zip(weights[order[starts]].tolist(),
@@ -489,50 +498,14 @@ class CosetCensus:
 
 def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
     """The census of a trellis table of the code.  The first census of the
-    code that reaches weight n-k leaves the code its memo: d, read from
-    the zero syndrome's row up to n-k (none there means d = n-k+1,
-    Singleton), the leader profile and the weight-2 prefixes.  Only these
-    few numbers are kept, not the table, so a corpus of codes does not
-    hold every table alive."""
+    code that reaches weight n-k leaves the code its classes as the memo;
+    only they are kept, not the table, so a corpus of codes does not hold
+    every table alive."""
     census = CosetCensus(code, table)
-    r = code.r
-    if code._leaders is None and census.wmax >= r:
+    if code._classes is None and census.wmax >= code.r:
         _require(census.fully_covered, "a syndrome is unreached at weight n-k")
-        d = next((w for w in range(1, r + 1) if census.table[0, w]), r + 1)
-        code._leaders = d, _leader_profile(census), _weight2_prefixes(census, r)
+        code._classes = census.classes
     return census
-
-
-def _leader_profile(census: CosetCensus) -> dict[int, dict[int, int]]:
-    """{W: {B_W: cosets}} over every row of a census that reaches every
-    syndrome: one sort of the rows' (W, B_W) pairs, one sum per run."""
-    weights = census.weights
-    leaders = census.table[np.arange(len(weights)), weights]
-    order = np.lexsort((leaders, weights))
-    w, b = weights[order], leaders[order]
-    starts = _run_starts(w, b)
-    cosets = np.add.reduceat(census._cosets[order], starts)
-    profile: dict[int, dict[int, int]] = {}
-    for W, B, c in zip(w[starts].tolist(), b[starts].tolist(), cosets.tolist()):
-        profile.setdefault(W, {})[B] = c
-    return profile
-
-
-def _weight2_prefixes(census: CosetCensus, r: int) -> tuple[tuple[int, ...], ...]:
-    """The distinct B_0..B_{r-1} of the census's weight-2 rows, ascending."""
-    rows = census.table[census.weights == 2, :r]
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return tuple(map(tuple, rows[_run_starts(*rows.T)].tolist()))
-
-
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Where each run of equal key tuples starts, for keys sorted together
-    (one 1-D array per key, of one length)."""
-    starts = np.zeros(len(keys[0]), dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        starts[1:] |= key[1:] != key[:-1]
-    return np.flatnonzero(starts)
 
 
 def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:

@@ -12,9 +12,10 @@ additionally d >= 2R, and the mu-density is the exact rational
     gamma_mu = sum(B_R over weight-R cosets) / (mu * #weight-R cosets).
 
 All of it is read from the code's leader profile (LinearCode.leader_profile),
-the census at weight n-k that also certifies d: it reaches every syndrome,
-and the deep holes of an MDS code, whose covering radius never exceeds
-d - 1, are its weight-(d-1) cosets.
+a tally of the classes of the census at weight n-k or more that also
+certifies d: it reaches every syndrome, and the deep holes of an MDS
+code, whose covering radius never exceeds d - 1, are its weight-(d-1)
+cosets.
 """
 
 from __future__ import annotations

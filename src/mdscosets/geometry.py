@@ -10,13 +10,13 @@ q-1 points a + t*b (t != 0), none of them on the arc (Hirschfeld,
 Projective Geometries over Finite Fields).  The walk runs on the field's
 array tables over the pairs i < j in order, in blocks of consecutive
 pairs holding at most WALK_BLOCK_POINTS points: each block's points
-a_i + t*a_j are formed, normalized and ranked as arrays and tallied by
-one bincount, so a walk's temporaries stay a few MiB at any q the budget
-admits.  The walk refuses, before its first block, any arc whose
-C(n,2)*(q-1) normalizations exceed the default budget.  Building an Arc
-runs the walk once: distinct points are an arc exactly when it meets
-none of them, and the same blocks tally the bisecants through every
-point, which the census and the bridge read.
+a_i + t*a_j are formed, normalized and ranked as arrays and tallied in
+place by one np.add.at, so a walk's temporaries stay a few MiB at any q
+the budget admits.  The walk refuses, before its first block, any arc
+whose C(n,2)*(q-1) normalizations exceed the default budget.  Building
+an Arc runs the walk once: distinct points are an arc exactly when it
+meets none of them, and the same blocks tally the bisecants through
+every point, which the census and the bridge read.
 
 The arcs of interest trace the parity-check columns of the distance-4
 codes: the conic {(1, t, t^2)} u {(0,0,1)}, for even q the regular
@@ -140,7 +140,7 @@ class Arc:
                 second, third = min(sorted((int(j[m]), int(hit[m, t])))
                                     for m, t in zip(ms, ts) if i[m] == least)
                 raise ValueError(f"points {least},{second},{third} are collinear; not an arc")
-            self._counts += np.bincount(walked.ravel(), minlength=size)
+            np.add.at(self._counts, walked.ravel(), 1)
 
     @property
     def n(self) -> int:

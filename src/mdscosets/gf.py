@@ -231,7 +231,10 @@ class GF:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m, refusing any q that is no prime power."""
+    """(p, m) with q = p^m, refusing any q that is no prime power; a q over
+    MAX_FIELD_ORDER is refused first, in constant time, not factorized."""
+    if q > MAX_FIELD_ORDER:
+        raise ValueError(f"field order {q} exceeds the configured maximum {MAX_FIELD_ORDER}")
     fac = _factorize(q)
     if len(fac) != 1:
         raise ValueError(f"{q} is not a prime power")

@@ -233,7 +233,7 @@ def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
 
 
 def _certify(code: LinearCode) -> None:
-    """Refuse a code whose minimum distance, read from its census memo (a
+    """Refuse a code whose minimum distance, read from its census classes (a
     census at n-k runs for it when none has), is not n-k+1."""
     dist = code.min_distance()
     if dist != code.n - code.k + 1:

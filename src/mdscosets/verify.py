@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, _prefix_censuses,
+from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, Matrix, _prefix_censuses,
                     census_refusal, coset_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
@@ -40,7 +40,7 @@ from .gf import field_of_order
 from .geometry import (bisecant_census, conic_census_formulas, conic_points,
                        double_shortened_conic_census_formulas, shortened_conic,
                        shortened_conic_census_formulas)
-from .mds import (MdsConstruction, _certify, _family_code, build_code, family_length,
+from .mds import (MdsConstruction, _certify, _family_code, _family_layout, family_length,
                   has_triple_extension)
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
@@ -70,22 +70,23 @@ class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
     The gdrs codes of one (q, d) form a chain: each keeps the first n
-    columns of the same matrix, so each is a prefix of the longest.  Full
-    censuses fit the budget for a leading run of each chain (the work
-    grows with n), and one kernel run at the longest of their lengths
-    counts them all, handing back its table after each of those lengths;
-    each such code is certified from the memo its census leaves (see
-    codes._prefix_censuses).  A chain cut short of its family length runs
-    on to the full-length parent when the run fits the budget there too;
-    the parent's low-weight census certifies it, and only its memo is
-    kept.  A parent that does not fit is built when first asked for, so
-    no budget refuses where it did not.  Any other corpus code is
-    certified at n-k, as `build_code` does, in corpus order, so a small
-    budget refuses the same code with the same step count.  The
-    triply-extended code is a chain of its own.  `code` hands out the
-    cache's own certified codes and builds (once, under the cache's
-    budget) only the others, and `census` is keyed by code, so each
-    code's kernel runs happen once per cache.
+    columns of the full-length code's matrix, built once per chain, so
+    each is a prefix of the longest.  Full censuses fit the budget for a
+    leading run of each chain (the work grows with n), and one kernel run
+    at the longest of their lengths counts them all, handing back its
+    table after each of those lengths; each such code is certified from
+    the memo its census leaves (see codes._prefix_censuses).  A chain cut
+    short of its family length runs on to the full-length parent when the
+    run fits the budget there too; the parent's low-weight census leaves
+    its memo, and only that is kept.  Any other corpus code is certified
+    at n-k, as `build_code` does, in corpus order, so a small budget
+    refuses the same code with the same step count.  The triply-extended
+    code is a chain of its own.  `code` hands out the cache's own codes
+    and builds (once, under the cache's budget) only the others,
+    certifying each when first asked for: a parent from the memo its ride
+    left, or at n-k when it did not ride, so no budget refuses where it
+    did not.  `census` is keyed by code, so each code's kernel runs happen
+    once per cache.
     """
 
     def __init__(self, budget: int = DEFAULT_BUDGET, qs=DESK_QS, ds=DESK_DS):
@@ -105,19 +106,23 @@ class DeskCache:
                                                  if q ** n <= DESK_AMBIENT_LIMIT])
                 if (has_triple_extension(q, d)
                         and q ** family_length("gtrs", q) <= DESK_AMBIENT_LIMIT):
-                    self._add_chain(fld, "gtrs", d, [None])
+                    self._add_chain(fld, "gtrs", d, [family_length("gtrs", q)])
 
-    def _add_chain(self, fld, family: str, d: int, lengths: list[int | None]) -> None:
-        """Add the family's codes of the given lengths, ascending: one
-        kernel run censuses those whose full census fits, and the parent
+    def _add_chain(self, fld, family: str, d: int, lengths: list[int]) -> None:
+        """Add the family's codes of the given lengths, ascending, each the
+        first n columns of the full-length code's matrix: one kernel run
+        censuses those whose full census fits, and the full-length parent
         when the run fits on it too, then each code is certified in turn."""
-        built = [_family_code(fld, family, d, n, (), self.budget) for n in lengths]
+        full, recipe = _family_code(fld, family, d, None, (), self.budget)
+        built = [(full, recipe) if n == full.n else
+                 (LinearCode(Matrix(fld, full.H.labels[:, :n]), self.budget),
+                  MdsConstruction(recipe.family, fld.q, d,
+                                  _family_layout(fld.q, family, d, n, ())[2]))
+                 for n in lengths]
         fits = [code for code, _ in built if census_refusal(code, code.n) is None]
         riders = list(fits)
-        if fits and built[-1][0].n < family_length(family, fld.q):
-            parent, _ = _family_code(fld, family, d, None, (), self.budget)
-            if census_refusal(parent, fits[-1].n) is None:
-                riders.append(parent)
+        if fits and built[-1][0] is not full and census_refusal(full, fits[-1].n) is None:
+            riders.append(full)
         if fits:
             # zip stops at the corpus codes: a parent's table is dropped
             self._census.update(zip(fits, _prefix_censuses(riders, fits[-1].n)))
@@ -125,9 +130,7 @@ class DeskCache:
             _certify(code)
             self.entries.append(CorpusEntry(code, construction))
             self._codes[fld.q, d, code.n, construction.family] = code
-        for parent in riders[len(fits):]:
-            _certify(parent)  # from the memo its snapshot left
-            self._codes[fld.q, d, parent.n, family] = parent
+        self._codes[fld.q, d, full.n, family] = full  # certified by `code`
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""
@@ -140,13 +143,14 @@ class DeskCache:
     def code(self, q: int, d: int, n: int | None = None,
              family: str = "gdrs") -> LinearCode:
         """The [n, n-d+1, d]_q family code, full length by default: the
-        corpus's own when it holds it, else built once."""
+        cache's own when it holds it, else built once, certified either way."""
         if n is None:
             n = family_length(family, q)
         key = (q, d, n, family)
         if key not in self._codes:
-            self._codes[key], _ = build_code(field_of_order(q), family, d, n=n,
-                                             budget=self.budget)
+            self._codes[key], _ = _family_code(field_of_order(q), family, d, n, (),
+                                               self.budget)
+        _certify(self._codes[key])
         return self._codes[key]
 
 
@@ -416,9 +420,9 @@ def weight2_identity_survey(cache: DeskCache) -> list[dict]:
     """Empirical survey: do all weight-2 cosets of the length-(q+1) codes
     with gcd(q-1, d-2) = 1 share one distribution?  Reported, never asserted.
     The prefixes B_0..B_{d-2} suffice, since they fix the whole
-    distribution (criterion 1), and the memo of each code's certifying
-    census keeps those of its weight-2 cosets, so the survey runs no
-    kernel of its own at any budget."""
+    distribution (criterion 1), and the classes of each code's
+    certifying census, its memo, hold those of its weight-2 cosets, so
+    the survey runs no kernel of its own at any budget."""
     findings = []
     for q in cache.qs:
         n = family_length("gdrs", q)

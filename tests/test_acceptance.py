@@ -12,11 +12,15 @@ counterexamples.
 """
 
 import hashlib
+import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mdscosets import codes, formulas, verify
+from mdscosets import codes, formulas, mds, verify
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
 from mdscosets.verify import (CRITERIA, DESK_DS, DeskCache, covering_certificates,
@@ -156,6 +160,27 @@ def test_criterion_7_deep_hole_counts(desk):
         + "\n".join(bad))
 
 
+# the desk outcome the benchmark is checked against: a digest of each
+# census's classes and each refuted (q-1)*Delta count
+DESK_PINS = Path(__file__).resolve().parents[1] / "perfbench" / "desk_pins.json"
+REFUTATION = re.compile(r"(?P<label>.+) \(Delta=\d+, parent R=\d+\): census counts "
+                        r"(?P<census>\d+) weight-\d+ cosets, formula says (?P<formula>\d+)")
+
+
+def test_desk_reproduces_the_pinned_digests_and_refutations(desk):
+    pins = json.loads(DESK_PINS.read_text())
+    digests = {}
+    for entry in desk.entries:
+        text = ";".join(f"{c.weight}:{c.count}:{','.join(map(str, c.distribution.counts))}"
+                        for c in desk.census(entry).classes)
+        digests[entry.label] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digests == pins["census"] and len(digests) == 89
+    matches = [REFUTATION.fullmatch(line) for line in deep_hole_equality(desk)[1]]
+    assert None not in matches
+    assert sorted([m["label"], int(m["census"]), int(m["formula"])] for m in matches) \
+        == pins["criterion_7_refutations"] and len(matches) == 27
+
+
 def test_criterion_8_structural(desk):
     result = _run(desk, 8)
     assert result.passed, "\n".join(result.lines)
@@ -248,8 +273,48 @@ def test_parent_snapshots_certify_the_parents_and_are_dropped():
         parent = cache.code(9, d)
         apart, _ = build_code(field_of_order(9), "gdrs", d)
         assert parent.n == 10 and parent not in cache._census
-        assert parent._leaders == apart._leaders
-        assert parent.weight2_prefixes() == apart.weight2_prefixes()
+        memo, apart_memo = ((c.min_distance(), c.covering_radius(), c.leader_profile(),
+                             c.weight2_prefixes()) for c in (parent, apart))
+        assert memo == apart_memo and memo[0] == d
+
+
+def test_one_sort_per_census(monkeypatch):
+    # a code's memo is the classes of its certifying census, so a
+    # certification sorts the census rows once (twice more when the memo
+    # sorted for its leader profile and weight-2 prefixes), and the
+    # corpus with every census's classes read sorts once per census: 89
+    # corpus codes and 8 parents
+    sorts = []
+    lexsort = np.lexsort
+
+    def counted(keys, *args, **kwargs):
+        sorts.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counted)
+    build_code(field_of_order(11), "gdrs", 5)
+    assert len(sorts) == 1
+    sorts.clear()
+    cache = DeskCache()
+    for entry in cache.entries:
+        cache.census(entry).classes
+    assert (len(cache.entries), len(sorts)) == (89, 97)
+
+
+def test_desk_chains_build_one_family_matrix_each(monkeypatch):
+    # each chain builds its full-length code once and takes every shorter
+    # code's matrix as its first n columns: 24 family codes and 23 gdrs
+    # matrices (the gtrs chain builds its own), where building each code
+    # apart took 97 and 96; each of the 97 codes still checks its rank
+    calls = Counter()
+    for module, name in ((verify, "_family_code"), (mds, "gdrs_parity"), (codes, "_rref")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    cache = DeskCache()
+    assert len(cache.entries) == 89
+    assert calls == {"_family_code": 24, "gdrs_parity": 23, "_rref": 97}
 
 
 def test_survey_reads_one_way_at_every_budget(kernel_runs):

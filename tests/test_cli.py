@@ -235,6 +235,21 @@ def test_census_geometry_refuses_a_walk_over_the_budget_before_any_field(capsys,
                    "C(n,2)*(q-1), over the budget of 200000000\n")
 
 
+def test_field_order_usage_errors_come_first_in_constant_time(capsys):
+    # both commands refuse q itself before any budget check, and a q over
+    # the maximum before it is factorized, which at 10^18+3 would take
+    # about 10^9 trial divisions
+    huge = 10**18 + 3
+    for q, text in [(10000, "10000 is not a prime power"),
+                    (65537, "field order 65537 exceeds the configured maximum 65536"),
+                    (huge, f"field order {huge} exceeds the configured maximum 65536")]:
+        for argv in (("census", "geometry", "--arc", "conic"),
+                     ("census", "code", "--family", "gdrs", "--d", "3")):
+            start = time.perf_counter()
+            assert run(capsys, *argv, "--q", str(q)) == (2, "", f"error: {text}\n"), argv
+            assert time.perf_counter() - start < 1, (q, argv)
+
+
 def _prime_powers(top):
     return [q for q in range(2, top + 1)
             if len({p for p in range(2, q + 1) if q % p == 0 and all(p % f for f in range(2, p))}) == 1]
