@@ -22,14 +22,14 @@ q^(m-j) runs along the recurrence T(w+1, m+1) = (q-1) T(w, m) +
 each factored into a signed binomial running down its column times a
 partial alternating sum read from one Pascal table.  Neither form reads
 the other's rows, A_w or omega, so they stay two independent derivations
-that must agree everywhere, which the test suite enforces.  Every entry
-of either form follows from its neighbour in two big-integer steps: one
-multiplication by the product of the small factors and one exact floor
-division by the product of the others, the sign of the ratio carried in
-the divisor.  A row set costs that per entry (plus a multiplication by
-the Pascal entry in the double sums, and the n(d-1) C-level differences
-of the Pascal table) and at most d binomials for the seeds, not
-binomials per entry.
+whose rows must be equal, which `verify`'s criterion 2 checks.  Every
+entry of either form follows from its neighbour in two big-integer
+steps: one multiplication by the product of the small factors and one
+exact floor division by the product of the others, the sign of the
+ratio carried in the divisor.  A row set costs that per entry (plus a
+multiplication by the Pascal entry in the double sums, and the n(d-1)
+C-level differences of the Pascal table) and at most d binomials for
+the seeds, not binomials per entry.
 
 The per-weight functions read the single-sum rows but keep the
 specialized terms the paper states for them (B_{d-1} = C(n-1, d-1) for
@@ -48,26 +48,17 @@ the entry of the last (n, d, q) (or (n, d)) asked for (ROW_CACHE_SIZE =
 1).  A stream of `dist` queries asks for one (n, d, q) at a time, every
 prefix and closed form of it in a row: with four prefixes per (n, d, q),
 3 of 4 weight-1 and weight-(d-1) calls and, at d >= 5, 7 of 8 B_{d-2}
-column calls hit.  `verify` does not: criteria 1-3 each walk the
-corpus, so one full run misses the single-sum rows 275 times over its
-97 tuples (89 desk codes, three misses each, and 8 synthetic tuples) and
-the double-sum rows 97 times, and criterion 3 asks for each desk
-(n, d, q)'s two distributions once, so their caches neither help nor
-cost it.
+column calls hit.  `verify` does not: criteria 1 and 3 each walk the
+corpus and criterion 2 builds both forms once for each of its 436
+tuples, so one full run misses the single-sum rows 614 times (the 436
+tuples, then the 89 desk codes twice) and the double-sum rows 436
+times, and criterion 3 asks for each desk (n, d, q)'s two distributions
+at most once, so their caches neither help nor cost it.
 
 All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,
 reported as InconsistentPrefixError in strict mode and as a plain
 (negative) distribution otherwise, which keeps what-if queries possible.
-
-Because the tail is linear in the prefix, `bonneau_tails` evaluates any
-number of prefixes of one (n, d, q) through one form as the single
-product K + P @ C.  It bounds every entry and row total exactly first:
-below 2^63 the product runs on int64, above it on object arrays of
-Python ints, and the tails come back in the dtype the bound chose, so
-two forms' tails compare as arrays with no conversion.  The scalar forms
-keep their list path, which skips the zero B_v that make up most of a
-typical prefix.
 """
 
 from __future__ import annotations
@@ -77,8 +68,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
-
-import numpy as np
 
 from .codes import WeightDistribution, _require
 from .combinat import binom, omega
@@ -106,19 +95,12 @@ class LowWeightPrefix:
 
     def __post_init__(self):
         check_mds_params(self.n, self.d, self.q)
-        _check_prefixes(self.d, (self.counts,))
-
-
-def _check_prefixes(d: int, prefixes) -> None:
-    """Refuse any prefix that is not B_0..B_{d-2} with non-negative
-    counts and B_0 in {0, 1}."""
-    for counts in prefixes:
-        if len(counts) != d - 1:
-            raise ValueError(
-                f"prefix must list B_0..B_{d - 2} ({d - 1} values), got {len(counts)}")
-        if min(counts) < 0:
+        if len(self.counts) != self.d - 1:
+            raise ValueError(f"prefix must list B_0..B_{self.d - 2} ({self.d - 1} values), "
+                             f"got {len(self.counts)}")
+        if min(self.counts) < 0:
             raise ValueError("prefix counts must be non-negative")
-        if counts[0] not in (0, 1):
+        if self.counts[0] not in (0, 1):
             raise ValueError("B_0 must be 0 or 1")
 
 
@@ -223,48 +205,6 @@ def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDist
     n, d, q = prefix.n, prefix.d, prefix.q
     B = list(prefix.counts) + _tail(_double_sum_rows(n, d, q), prefix.counts)
     return _finalize(B, q, n, d, strict, "prefix")
-
-
-def bonneau_tails(n: int, d: int, q: int, prefixes, form: str) -> np.ndarray:
-    """B_{d-1}..B_n for each prefix B_0..B_{d-2} in the matrix `prefixes`,
-    through the rows of one form ("original" or "transformed"): K + P @ C,
-    one row per prefix.  Prefixes are refused as LowWeightPrefix refuses
-    them (an integer ndarray in its own dtype); realizability is not
-    checked, as with strict=False.
-
-    The product, the q^k check and the result are int64 when an exact
-    bound, taken in Python ints from the rows and the largest prefix
-    entry of each column, keeps every entry and every partial row total
-    below 2^63, and object arrays of Python ints otherwise."""
-    check_mds_params(n, d, q)
-    if isinstance(prefixes, np.ndarray) and prefixes.dtype.kind in "iu":
-        P = prefixes
-    else:
-        P = np.asarray(prefixes, dtype=object)
-    if P.shape[1:] != (d - 1,) or (P < 0).any() or (P[:, 0] > 1).any():
-        _check_prefixes(d, prefixes)  # names the rule a prefix breaks
-    P = P.reshape(-1, d - 1)  # an empty list arrives with shape (0,)
-    if form == "original":
-        known, cols = _double_sum_rows(n, d, q)
-    elif form == "transformed":
-        known, cols = _single_sum_rows(n, d, q)
-    else:
-        raise ValueError(f"unknown form {form!r} (expected original or transformed)")
-    total = q ** (n - d + 1)
-    PT = P.T  # one row per B_v: every pass below runs along the prefixes
-    peaks = PT.max(axis=1).tolist() if len(P) else [0] * (d - 1)
-    # every entry of K, C and K + P @ C is at most `entry` in absolute
-    # value (each column counts at least once: all of C is converted), and
-    # every partial sum of a row total at most `bound`
-    entry = max(map(abs, known)) + sum(max(p, 1) * max(map(abs, col))
-                                       for p, col in zip(peaks, cols))
-    bound = (n - d + 2) * entry + sum(peaks)
-    dtype = np.int64 if max(bound, total) < 2**63 else object
-    PT = np.ascontiguousarray(PT, dtype=dtype)
-    tails = np.array(known, dtype=dtype)[:, None] + np.array(cols, dtype=dtype).T @ PT
-    totals = PT.sum(axis=0) + tails.sum(axis=0)
-    _require(bool((totals == total).all()), "distribution from prefix does not total q^k")
-    return tails.T
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)

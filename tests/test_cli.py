@@ -318,17 +318,18 @@ def test_verify_theorem_subsets(capsys):
 
 
 def test_criterion_2_counts_the_census_prefixes_it_compares(capsys):
-    # one prefix per census class: a run on part of the corpus says so
-    _, full, _ = run(capsys, "verify", "--theorem", "bonneau-equality")
-    _, part, _ = run(capsys, "verify", "--theorem", "bonneau-equality", "--q", "7")
-    assert full.splitlines()[1] == "    557 census prefixes plus 80000 synthetic prefixes compared"
-    assert part.splitlines()[1] == "    113 census prefixes plus 80000 synthetic prefixes compared"
+    # the 436 MDS tuples with q <= 16 hold every tuple of the default and
+    # the q = 7 corpus; the q = 17 corpus adds its 10 own tuples
+    for argv, tuples in (((), 436), (("--q", "7"), 436), (("--q", "17"), 446)):
+        _, out, _ = run(capsys, "verify", "--theorem", "bonneau-equality", *argv)
+        assert out.splitlines()[1] == (f"    {tuples} (n, d, q) tuples: "
+                                       "double-sum rows equal single-sum rows")
 
 
 @pytest.mark.parametrize("argv, digest", [
-    (("--q", "2"), "9837cb3d9af8933c841c16442545713e67e5478761f8005981df966784328ff8"),
+    (("--q", "2"), "162e44611342674d26e10c548ab57c3bc9047b4765f2cb205a12b9e0a375b526"),
     (("--q", "3", "--d", "4"),
-     "0a34d1d7453a7f96c125917b972f7aa8e201d35639b1e3c54e593d2877d7e8d5"),
+     "8c4d0e36fa7c18e0f1a242d37b4c9e31f1a776baa695b357b21515191b006e79"),
 ], ids=["q2", "q3-d4"])
 def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
     # at q = 2 the corpus skips every d > q+1, the triply-extended d = 4

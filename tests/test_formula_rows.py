@@ -1,13 +1,12 @@
 """Coefficient rows of the two Bonneau forms: every entry against the
 defining sums, both forms against each other and every closed form on
-random parameters, the batch evaluator against both scalar forms, the
-work a row build does, and the bounds of the formula caches."""
+random parameters, the q^k check of both forms, the work a row build
+does, and the bounds of the formula caches."""
 
 import math
 import random
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +16,7 @@ from mdscosets.codes import InvariantError
 from mdscosets.combinat import omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 _double_sum_rows, _single_sum_rows,
-                                bonneau_original, bonneau_tails,
-                                bonneau_transformed,
+                                bonneau_original, bonneau_transformed,
                                 _b_low_column, dist_weight1, dist_weight2,
                                 dist_weight_d1, dist_weight_d2, dist_weight_mid)
 from mdscosets.mds import mds_weight_distribution
@@ -158,117 +156,19 @@ def test_forms_and_closed_forms_agree_on_random_parameters(query):
                 form()
 
 
-SCALAR_FORMS = {"original": bonneau_original, "transformed": bonneau_transformed}
-
-
-def _assert_batch_matches_scalar_forms(n, d, q, prefixes):
-    for form, scalar in SCALAR_FORMS.items():
-        tails = bonneau_tails(n, d, q, prefixes, form)
-        assert tails.shape == (len(prefixes), n - d + 2)
-        # int64 under the exact bound, Python ints past it
-        assert tails.dtype == np.int64 or all(type(b) is int for b in tails.flat)
-        for counts, tail in zip(prefixes, tails):
-            want = scalar(LowWeightPrefix(n, d, q, tuple(counts)), strict=False)
-            assert tuple(tail.tolist()) == want.counts[d - 1:]
-
-
-@pytest.mark.parametrize("n,d,q", ROW_TUPLES)
-def test_batch_matches_scalar_forms_on_row_tuples(n, d, q):
-    rng = random.Random(n * 1000 + d)
-    zero = [0] * (d - 1)
-    prefixes = [zero, [1] + zero[1:], [0] * (d - 2) + [10**6]]
-    for size in (3, 99, 10**6):
-        prefixes += [[rng.randint(0, 1)] + [rng.randint(0, size) for _ in range(d - 2)]
-                     for _ in range(4)]
-    _assert_batch_matches_scalar_forms(n, d, q, prefixes)
-    if (n, d, q) == (257, 10, 256):
-        # beyond int64: the object arrays keep every entry exact
-        assert max(abs(b) for b in bonneau_tails(n, d, q, prefixes, "original").flat) > 2**63
-
-
-@pytest.mark.parametrize("n,d,q", [(5, 3, 4), (12, 6, 13)])
-def test_batch_is_exact_on_both_sides_of_the_int64_bound(n, d, q):
-    # the bound max|K_w| + sum_v max(P[:, v]) max|C_v|, times the n-d+2
-    # tail entries, plus the prefix sum; with B_0 = 1 each column's peak
-    # is at least 1, so B_{d-2} = b puts it just under 2^63 and b + 1 over
-    known, cols = _single_sum_rows(n, d, q)
-    top = [max(map(abs, col)) for col in cols]
-    fixed = max(map(abs, known)) + sum(top[:-1])
-
-    def bound(b):
-        return (n - d + 2) * (fixed + b * top[-1]) + d - 2 + b
-    b = (2**63 - 1 - bound(0)) // ((n - d + 2) * top[-1] + 1)
-    assert bound(b) < 2**63 <= bound(b + 1)
-    # and a B_{d-2} that takes one tail entry itself past 2^63
-    beyond = 2**64 // top[-1]
-    for big in (b, b + 1, beyond):
-        prefixes = [[1] * (d - 2) + [big], [0] * (d - 1), [1] * (d - 1)]
-        _assert_batch_matches_scalar_forms(n, d, q, prefixes)
-        for form in SCALAR_FORMS:
-            # the bound picks the dtype: int64 at b, Python ints from b + 1
-            # on; an integer matrix gives the same tails as the list
-            tails = bonneau_tails(n, d, q, np.array(prefixes, dtype=np.uint64), form)
-            listed = bonneau_tails(n, d, q, prefixes, form)
-            assert tails.dtype == listed.dtype == (np.int64 if big == b else object)
-            if big != b:
-                assert all(type(t) is int for t in tails.flat)
-            assert tails.tolist() == listed.tolist()
-            assert max(abs(t) for t in tails.flat) > 2**63 // (4 * (n - d + 2))
-    assert max(abs(t) for t in bonneau_tails(n, d, q, prefixes, "original").flat) > 2**63
-
-
-def test_batch_bounds_the_columns_no_prefix_reads(monkeypatch):
-    # every column is converted, so each counts in the bound at least
-    # once: here one that every prefix multiplies by 0 exceeds 2^63
-    build = formulas._single_sum_rows
-
-    def huge(n, d, q):
-        known, cols = build(n, d, q)
-        col = (cols[2][0] + 2**70, cols[2][1] - 2**70) + cols[2][2:]
-        return known, cols[:2] + (col,)
-    monkeypatch.setattr(formulas, "_single_sum_rows", huge)
-    prefixes = [(1, 2, 0), (0, 5, 0)]
-    tails = bonneau_tails(6, 4, 5, prefixes, "transformed")
-    assert tails.tolist() == [
-        list(bonneau_transformed(LowWeightPrefix(6, 4, 5, p), strict=False).counts[3:])
-        for p in prefixes]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(mds_params(), st.data())
-def test_batch_matches_scalar_forms_on_random_parameters(params, data):
-    n, d, q = params
-    size = data.draw(st.sampled_from((3, 200, 10**6)))
-    row = st.tuples(st.integers(0, 1), *[st.integers(0, size)] * (d - 2))
-    prefixes = data.draw(st.lists(row, min_size=0, max_size=8))
-    _assert_batch_matches_scalar_forms(n, d, q, prefixes)
-
-
-@pytest.mark.parametrize("counts", [(0, 1), (0, 1, 0, 0), (0, -1, 0), (2, 0, 0)])
-def test_batch_refuses_what_the_prefix_refuses(counts):
-    with pytest.raises(ValueError) as scalar:
-        LowWeightPrefix(6, 4, 5, counts)
-    for form in SCALAR_FORMS:
-        with pytest.raises(ValueError) as batch:
-            bonneau_tails(6, 4, 5, [(1, 2, 3), counts], form)
-        assert str(batch.value) == str(scalar.value)
-    with pytest.raises(ValueError, match="n=8 > q\\+2=7"):
-        bonneau_tails(8, 4, 5, [(0, 0, 1)], "original")
-    with pytest.raises(ValueError, match="unknown form 'double'"):
-        bonneau_tails(6, 4, 5, [(0, 0, 1)], "double")
-
-
-@pytest.mark.parametrize("form,rows", [("original", "_double_sum_rows"),
-                                       ("transformed", "_single_sum_rows")])
-def test_batch_checks_every_total(monkeypatch, form, rows):
+@pytest.mark.parametrize("form,rows", [(bonneau_original, "_double_sum_rows"),
+                                       (bonneau_transformed, "_single_sum_rows")],
+                         ids=["original", "transformed"])
+def test_forms_check_every_total(monkeypatch, form, rows):
     build = getattr(formulas, rows)
 
     def off_by_one(n, d, q):
         known, cols = build(n, d, q)
         return (known[0] + 1,) + known[1:], cols
     monkeypatch.setattr(formulas, rows, off_by_one)
-    with pytest.raises(InvariantError, match="does not total q\\^k"):
-        bonneau_tails(6, 4, 5, [(1, 0, 0), (0, 3, 7)], form)
+    for counts in ((1, 0, 0), (0, 3, 7)):
+        with pytest.raises(InvariantError, match="does not total q\\^k"):
+            form(LowWeightPrefix(6, 4, 5, counts), strict=False)
 
 
 def test_row_builds_take_no_per_entry_binomials(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,20 +18,24 @@ from reference_sums import bw_known_part
 
 
 def test_prefix_validation():
-    with pytest.raises(ValueError):
-        LowWeightPrefix(6, 4, 5, (0, 1))        # wrong length
     with pytest.raises(ValueError, match="q >= 2, got q=1"):
         LowWeightPrefix(5, 4, 1, (0, 0, 1))
     with pytest.raises(ValueError, match="d <= n, got d=2"):
         LowWeightPrefix(6, 2, 5, (0,))
     with pytest.raises(ValueError, match="d <= n, got d=7, n=6"):
         LowWeightPrefix(6, 7, 5, (0, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError, match="n=8 > q\\+2=7"):
-        LowWeightPrefix(8, 4, 5, (0, 0, 1))
-    with pytest.raises(ValueError):
-        LowWeightPrefix(6, 4, 5, (2, 0, 0))     # B_0 must be 0 or 1
-    with pytest.raises(ValueError):
-        LowWeightPrefix(6, 4, 5, (0, -1, 0))
+
+
+@pytest.mark.parametrize("n,counts,message", [
+    (6, (0, 1), "prefix must list B_0..B_2 (3 values), got 2"),
+    (6, (0, 1, 0, 0), "prefix must list B_0..B_2 (3 values), got 4"),
+    (6, (0, -1, 0), "prefix counts must be non-negative"),
+    (6, (2, 0, 0), "B_0 must be 0 or 1"),
+    (8, (0, 0, 1), "no MDS parameters with n=8 > q+2=7"),
+], ids=["short", "long", "negative", "b0", "n-over-q+2"])
+def test_prefix_refuses_each_rule(n, counts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LowWeightPrefix(n, 4, 5, counts)
 
 
 def test_bonneau_transformed_examples():
