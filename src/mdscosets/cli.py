@@ -110,14 +110,11 @@ def cmd_dist(args) -> int:
             dist = dist_weight1(n, d, q)
         elif form == "d1":
             dist = dist_weight_d1(n, d, q)
-        elif form == "d2":
+        elif form in ("d2", "w2"):
             if args.b is None:
-                raise ValueError("--closed-form d2 needs --b B_(d-2)")
-            dist = dist_weight_d2(n, d, q, args.b, strict=not args.loose)
-        elif form == "w2":
-            if args.b is None:
-                raise ValueError("--closed-form w2 needs --b B_(d-2)")
-            dist = dist_weight2(n, d, q, args.b, strict=not args.loose)
+                raise ValueError(f"--closed-form {form} needs --b B_(d-2)")
+            fn = dist_weight_d2 if form == "d2" else dist_weight2
+            dist = fn(n, d, q, args.b, strict=not args.loose)
         else:  # "mid", the last of the parser's choices
             if args.W is None or args.knowns is None:
                 raise ValueError("--closed-form mid needs --W and --knowns")

@@ -39,7 +39,8 @@ wmax reaches its n - k.
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
 before any table is allocated; anything out of range is refused with
-the limit named, never sampled.
+the limit named, never sampled.  The kernel counts in int64, and a census
+keeps its table narrowed (see _narrowed): a reader promotes before arithmetic.
 """
 
 from __future__ import annotations
@@ -345,6 +346,13 @@ def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
     return None
 
 
+def _narrowed(rows: np.ndarray) -> np.ndarray:
+    """Weight-major int64 rows as a census table of the narrowest signed type."""
+    narrow = rows.T.astype(np.min_scalar_type(-1 - int(rows.max())), order="C")
+    _require(np.array_equal(narrow, rows.T), f"census counts do not fit {narrow.dtype}")
+    return narrow
+
+
 def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
                       ) -> list[np.ndarray]:
     """T[s, w]: how many vectors of weight w <= wmax have syndrome s, one
@@ -369,8 +377,8 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
 
     Returns the tables after each of the lengths, in ascending order: the
     one after j columns is the table of the code on the first j
-    coordinates at weight min(wmax, j).  Both refusals (see
-    census_refusal) fire before any table exists.
+    coordinates at weight min(wmax, j), narrowed (see _narrowed).  Both
+    refusals (see census_refusal) fire before any table exists.
     """
     f = code.field
     q, n = f.q, code.n
@@ -386,8 +394,8 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
 
     table = np.zeros((wmax + 1, states), dtype=np.int64)  # weight-major while growing
     table[0, 0] = 1
-    # the table after j columns, in the census layout: row per point
-    snapshots = [np.ascontiguousarray(table[:1].T)] if lengths[0] == 0 else []
+    # the table after j columns, in the census layout: row per point, narrowed
+    snapshots = [_narrowed(table[:1])] if lengths[0] == 0 else []
     # two row buffers serve every update; take's default mode="raise"
     # would buffer `out` again, and the indices are a permutation anyway
     lines, back = np.empty(states, dtype=np.int64), np.empty(states, dtype=np.int64)
@@ -413,7 +421,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
                 np.take(lines, inverse, out=back, mode="clip")
                 table[w] -= back
         if j in lengths:
-            snapshots.append(np.ascontiguousarray(table[:top + 1].T))
+            snapshots.append(_narrowed(table[:top + 1]))
     return snapshots
 
 
@@ -436,7 +444,7 @@ class CosetCensus:
     are exact as far as they reach.  A syndrome reached by no vector of
     weight <= wmax has weight -1 here (meaning: bigger than wmax), and its
     row is all zero.  Rows are grouped into `classes` only when `classes`
-    is first read.
+    is first read.  The kernel's table comes narrowed (see _narrowed).
     """
 
     def __init__(self, code: LinearCode, table: np.ndarray):
@@ -445,16 +453,13 @@ class CosetCensus:
         self.total_cosets = q ** code.r
         self.table = table  # (1 + (q^r-1)/(q-1), wmax+1) exact counts
         self.wmax = table.shape[1] - 1
-        # cosets per row: the zero syndrome once, each point's q - 1 times
-        self._cosets = np.full(len(table), q - 1, dtype=np.int64)
-        self._cosets[0] = 1
         first = (table > 0).argmax(axis=1)  # 0 on an all-zero row too
         has = table[np.arange(len(table)), first] > 0
-        # -1..wmax in the smallest integer type: a census keeps this
-        # column as long as its table, and a corpus keeps many censuses
+        # -1..wmax in the smallest integer type, as the table is kept
         self.weights = np.where(has, first, -1).astype(np.min_scalar_type(-1 - self.wmax))
         self.fully_covered = bool(has.all())
         if self.wmax == n:
+            # sum accumulates a narrow integer type in the platform integer
             _require(int(table[0].sum()) + (q - 1) * int(table[1:].sum()) == q**n,
                      "census table does not hold q^n vectors")
             _require(bool(np.all(table.sum(axis=1) == q**k)),
@@ -474,7 +479,7 @@ class CosetCensus:
         for column in rows.T:
             starts[1:] |= column[1:] != column[:-1]
         starts = np.flatnonzero(starts)
-        counts = np.add.reduceat(self._cosets[order], starts)
+        counts = np.add.reduceat(np.where(order == 0, 1, self.code.field.q - 1), starts)
         classes = [CosetClass(w, WeightDistribution(tuple(row)), cnt)
                    for w, row, cnt in zip(weights[order[starts]].tolist(),
                                           rows[starts].tolist(), counts.tolist())]
@@ -486,7 +491,8 @@ class CosetCensus:
         return [c for c in self.classes if c.weight == W]
 
     def count_of_weight(self, W: int) -> int:
-        return int(self._cosets[self.weights == W].sum())
+        q = self.code.field.q
+        return int(self.weights[0] == W) + (q - 1) * int(np.count_nonzero(self.weights[1:] == W))
 
     def code_distribution(self) -> WeightDistribution:
         return self.distribution_of_syndrome((0,) * self.code.r)

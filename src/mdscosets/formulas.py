@@ -242,13 +242,10 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns) -> WeightDistributio
     (floor((d+1)/2) <= W <= d-3, d >= 6): B_W is among the knowns.
     `knowns` lists B_{d-W}..B_{d-2}, so W-1 values.
     """
+    check_mds_params(n, d, q)
     knowns = tuple(int(b) for b in knowns)
     low = 2 <= W <= (d - 1) // 2
     high = (d + 1) // 2 <= W <= d - 3
-    if low and d < 5:
-        raise ValueError("low branch needs d >= 5")
-    if high and d < 6:
-        raise ValueError("high branch needs d >= 6")
     if not (low or high):
         raise ValueError(f"W={W} outside both mid-range branches for d={d}")
     if len(knowns) != W - 1:

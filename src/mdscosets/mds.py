@@ -32,6 +32,7 @@ has; the formula layer calls it before any work.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,6 +146,8 @@ def check_mds_params(n: int, d: int, q: int) -> None:
         raise ValueError(f"need 3 <= d <= n, got d={d}, n={n}")
     if n > q + 2:
         raise ValueError(f"no MDS parameters with n={n} > q+2={q + 2}")
+    if n >= sys.maxsize:  # a row holds B_0..B_n, and d <= n
+        raise ValueError(f"n={n} is too large to index a row (limit n < {sys.maxsize})")
 
 
 @lru_cache(maxsize=WEIGHT_DIST_CACHE_SIZE)

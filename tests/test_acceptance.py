@@ -11,20 +11,24 @@ weakening the claimed equality; see the failure message for the list of
 counterexamples.
 """
 
+import copy
+import dataclasses
 import hashlib
 import json
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdscosets import codes, mds, verify
+from mdscosets.codes import WeightDistribution
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
-from mdscosets.verify import (CRITERIA, DESK_DS, DeskCache, covering_certificates,
-                              deep_hole_equality, run_acceptance)
+from mdscosets.verify import (CRITERIA, DESK_DS, CorpusEntry, DeskCache,
+                              covering_certificates, deep_hole_equality, run_acceptance)
 
 
 def _run(desk, number):
@@ -39,6 +43,58 @@ def _run(desk, number):
 def test_criterion_1_oracle_equivalence(desk):
     result = _run(desk, 1)
     assert result.passed, "\n".join(result.lines)
+
+
+def _doctor_censuses(monkeypatch, changes):
+    """DeskCache.census with the census of each corpus code whose label
+    `changes` names handed out as a shallow copy that its change edits;
+    every other census as counted."""
+    census = DeskCache.census
+
+    def doctored(self, code):
+        real = census(self, code)
+        if not isinstance(code, CorpusEntry) or code.label not in changes:
+            return real
+        edited = copy.copy(real)
+        edited.classes = list(real.classes)  # over the cached property
+        changes[code.label](edited)
+        return edited
+    monkeypatch.setattr(DeskCache, "census", doctored)
+
+
+def _changed_for(monkeypatch, name, at, change):
+    """verify.<name> with its result at the arguments `at` passed through
+    `change`, at every other argument as computed."""
+    fn = getattr(verify, name)
+
+    def changed(*args):
+        return change(fn(*args)) if args == at else fn(*args)
+    monkeypatch.setattr(verify, name, changed)
+
+
+def _raised(dist, w, by=1):
+    """dist with B_w raised by `by`."""
+    counts = list(dist.counts)
+    counts[w] += by
+    return WeightDistribution(tuple(counts))
+
+
+def test_criterion_1_names_each_class_its_prefix_does_not_rebuild(desk, monkeypatch):
+    # the single-sum form, fed the prefix of [5,2,4]_5's weight-1 class,
+    # moves one vector from weight 4 to weight 5
+    fn = verify.bonneau_transformed
+
+    def moved(prefix):
+        dist = fn(prefix)
+        if (prefix.n, prefix.d, prefix.q, prefix.counts) == (5, 4, 5, (0, 1, 0)):
+            dist = _raised(_raised(dist, 4, -1), 5)
+        return dist
+    monkeypatch.setattr(verify, "bonneau_transformed", moved)
+    result = CRITERIA[1][1](desk)
+    assert not result.passed
+    assert result.lines == [
+        "89 codes, 557 census classes reconstructed",
+        "[5,2,4]_5 gdrs W=1: (0, 1, 0, 4, 12, 8) != census (0, 1, 0, 4, 13, 7)"]
 
 
 def test_criterion_2_bonneau_equality(desk):
@@ -94,9 +150,45 @@ def test_criterion_3_closed_forms(desk):
     assert result.passed, "\n".join(result.lines)
 
 
+def test_criterion_3_names_each_closed_form_the_census_refutes(desk, monkeypatch):
+    # [4,1,4]_5 loses its weight-1 class; [5,2,4]_5 counts 19 weight-1
+    # cosets, not 20, and its weight-3 class twice; the weight-1 form of
+    # (5, 4, 5) and the weight-(d-1) form of (5, 3, 5) gain a vector
+    def no_weight_1(census):
+        census.classes = [c for c in census.classes if c.weight != 1]
+
+    def miscounted(census):
+        census.classes = [dataclasses.replace(c, count=19) if c.weight == 1 else c
+                          for c in census.classes] + census.classes_of_weight(3)
+    _doctor_censuses(monkeypatch, {"[4,1,4]_5 gdrs": no_weight_1,
+                                   "[5,2,4]_5 gdrs": miscounted})
+    _changed_for(monkeypatch, "dist_weight1", (5, 4, 5), lambda dist: _raised(dist, 5))
+    _changed_for(monkeypatch, "dist_weight_d1", (5, 3, 5), lambda dist: _raised(dist, 5))
+    result = CRITERIA[3][1](desk)
+    assert not result.passed
+    assert result.lines == [
+        "89 codes checked",
+        "[5,3,3]_5 gdrs: weight-(d-1) distribution mismatch",
+        "[4,1,4]_5 gdrs: 0 weight-1 classes",
+        "[5,2,4]_5 gdrs: weight-1 class count 19 != 20",
+        "[5,2,4]_5 gdrs: weight-1 distribution mismatch",
+        "[5,2,4]_5 gdrs: 2 distinct weight-(d-1) classes"]
+
+
 def test_criterion_4_conic_censuses(desk):
     result = _run(desk, 4)
     assert result.passed, "\n".join(result.lines)
+
+
+def test_criterion_4_names_each_census_the_formulas_miss(desk, monkeypatch):
+    # the conic formulas at q = 7 put one more point on 3 bisecants
+    _changed_for(monkeypatch, "conic_census_formulas", (7,),
+                 lambda classes: classes[:-1] + ((classes[-1][0], classes[-1][1] + 1),))
+    result = CRITERIA[4][1](desk)
+    assert not result.passed
+    assert result.lines[1] == "conic q=7: ((4, 21), (3, 28))"
+    assert result.lines[-1] == "conic q=7: census ((4, 21), (3, 28)) != formulas ((4, 21), (3, 29))"
+    assert len(result.lines) == 13  # 12 arcs checked, one refuted
 
 
 def test_criterion_5_symmetry(desk):
@@ -104,9 +196,38 @@ def test_criterion_5_symmetry(desk):
     assert result.passed, "\n".join(result.lines)
 
 
+def test_criterion_5_names_each_pair_whose_defects_differ(desk, monkeypatch):
+    # the defects of [5,2,4]_5's two weight-2 classes, the one pair of a
+    # q = 5 code of length 5 and the frozen instance, reported unmatched
+    fn = verify.symmetry_defect
+
+    def unmatched(dist_a, dist_b, n, d):
+        rep = fn(dist_a, dist_b, n, d)
+        if (n, d, dist_a.total()) == (5, 4, 25):
+            rep = dataclasses.replace(rep, matched=False)
+        return rep
+    monkeypatch.setattr(verify, "symmetry_defect", unmatched)
+    result = CRITERIA[5][1](desk)
+    assert not result.passed
+    assert result.lines == [
+        "285 class pairs compared",
+        "[5,2,4]_5 gdrs: defect mismatch between B=(0, 0, 1, 7, 8, 9) and B=(0, 0, 2, 4, 11, 8)",
+        "[5,2,4]_5 weight-2 pair: expected matched defect -10 at w=5"]
+
+
 def test_criterion_6_aggregate(desk):
     result = _run(desk, 6)
     assert result.passed, "\n".join(result.lines)
+
+
+def test_criterion_6_names_each_aggregate_off_its_formula(desk, monkeypatch):
+    _changed_for(monkeypatch, "weight2_aggregate", (6, 5, 5), lambda total: total + 1)
+    result = CRITERIA[6][1](desk)
+    assert not result.passed
+    assert result.lines == [
+        "32 codes with d >= 5 checked; (6,5,5) -> 241",
+        "[6,2,5]_5 gdrs: aggregate 240 != 241",
+        "(6,5,5) aggregate formula gave 241, expected 240"]
 
 
 def test_criterion_7_covering_certificates(desk):
@@ -115,6 +236,35 @@ def test_criterion_7_covering_certificates(desk):
     for line in lines + bad:
         print("   ", line)
     assert not bad, "\n".join(bad)
+
+
+def test_criterion_7_names_each_certificate_the_census_breaks(desk, monkeypatch):
+    # every classification reads one more minimum multiplicity mu and a
+    # mu-density one higher
+    fn = verify.mcf_classify
+
+    def shifted(code):
+        rep = fn(code)
+        return dataclasses.replace(rep, mu=rep.mu + 1, mu_density=rep.mu_density + 1)
+    monkeypatch.setattr(verify, "mcf_classify", shifted)
+    lines, bad = covering_certificates(desk)
+    assert lines[:2] == ["[5,2,4]_5: R=3 mu=11 APMCF=True", "[6,3,4]_4 gtrs: R=2 mu=4 PMCF=True"]
+    assert bad[:2] == [
+        "[5,2,4]_5: expected a (3,10)-APMCF certificate, got McfReport(n=5, k=2, q=5, "
+        "d=4, R=3, mu=11, is_apmcf=True, is_pmcf=False, mu_density=Fraction(2, 1), "
+        "deep_hole_coset_count=4, farthest_profile=((10, 4),))",
+        "[6,3,4]_4 gtrs: expected a (2,3)-PMCF certificate, got McfReport(n=6, k=3, q=4, "
+        "d=4, R=2, mu=4, is_apmcf=True, is_pmcf=True, mu_density=Fraction(2, 1), "
+        "deep_hole_coset_count=45, farthest_profile=((3, 45),))"]
+    # gamma_mu is 1+1/q on each [q+1,q-2,4]_q, with mu = 2 at q = 5: the
+    # closed form C(6,2)(q-1)^2 / (mu (q^3-1-6(q-1))) = 240/(100 mu) reads
+    # 4/5 at mu = 3
+    assert lines[2:] == [f"[{q + 1},{q - 2},4]_{q}: gamma_mu = {2 + Fraction(1, q)}"
+                         for q in (5, 7, 9, 11)]
+    assert bad[2:] == [line for q in (5, 7, 9, 11) for line in (
+        f"[{q + 1},{q - 2},4]_{q}: gamma_mu {2 + Fraction(1, q)} != 1+1/{q}",
+        f"[{q + 1},{q - 2},4]_{q}: closed form {Fraction(q - 1, q)} "
+        f"!= census {2 + Fraction(1, q)}")]
 
 
 def test_criterion_7_deep_hole_counts(desk):
@@ -152,6 +302,27 @@ def test_desk_reproduces_the_pinned_digests_and_refutations(desk):
 def test_criterion_8_structural(desk):
     result = _run(desk, 8)
     assert result.passed, "\n".join(result.lines)
+
+
+def test_criterion_8_names_each_broken_invariant(desk, monkeypatch):
+    # [5,2,4]_5's zero coset counts two weight-0 vectors, its code one
+    # fewer weight-5 codeword, and one weight-1 row is read as weight 2
+    def broken(census):
+        zero = census.classes[0]
+        census.classes[0] = dataclasses.replace(zero, distribution=_raised(zero.distribution, 0))
+        census.table = census.table.astype(np.int64)
+        census.table[0, 5] = 0
+        census.weights = census.weights.copy()
+        census.weights[1] = 2
+    _doctor_censuses(monkeypatch, {"[5,2,4]_5 gdrs": broken})
+    result = CRITERIA[8][1](desk)
+    assert not result.passed
+    assert result.lines == [
+        "89 codes checked",
+        "[5,2,4]_5 gdrs: class total 26 != q^k",
+        "[5,2,4]_5 gdrs: s(C) = 1 != k = 2",
+        "[5,2,4]_5 gdrs: weight-0 coset leader not unique",
+        "[5,2,4]_5 gdrs: 16 weight-1 cosets, expected 20"]
 
 
 def test_criterion_9_remark_survey(desk):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -58,9 +59,36 @@ def test_dist_closed_form_w2_and_d2(capsys):
                          "--n", "6", "--d", "4", "--q", "5", "--format", "json")
     assert code2 == 0
     assert json.loads(out2)["counts"] == ["0", "0", "3", "8", "33", "48", "33"]
-    code3, _, err = run(capsys, "dist", "--closed-form", "d2",
-                        "--n", "6", "--d", "4", "--q", "5")
-    assert code3 == 2 and "--b" in err
+
+
+@pytest.mark.parametrize("mode, message", [
+    (("--bonneau",), "--bonneau needs --prefix B_0,...,B_(d-2)"),
+    (("--closed-form", "w2"), "--closed-form w2 needs --b B_(d-2)"),
+    (("--closed-form", "d2"), "--closed-form d2 needs --b B_(d-2)"),
+    (("--closed-form", "mid", "--W", "2"), "--closed-form mid needs --W and --knowns"),
+    (("--closed-form", "mid", "--knowns", "1"), "--closed-form mid needs --W and --knowns"),
+], ids=["bonneau", "w2", "d2", "mid-without-knowns", "mid-without-W"])
+def test_dist_refuses_a_form_without_its_inputs(capsys, mode, message):
+    code, out, err = run(capsys, "dist", *mode, "--n", "6", "--d", "5", "--q", "5")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--closed-form", "w1", "--n", str(sys.maxsize + 1), "--d", "3", "--q", str(2**64)),
+     f"n={sys.maxsize + 1} is too large to index a row (limit n < {sys.maxsize})"),
+    (("--closed-form", "d1", "--n", str(sys.maxsize), "--d", "3", "--q", str(2**64)),
+     f"n={sys.maxsize} is too large to index a row (limit n < {sys.maxsize})"),
+    (("--closed-form", "mid", "--W", "2", "--knowns", "1",
+      "--n", "6", "--d", str(sys.maxsize + 1), "--q", "5"),
+     f"need 3 <= d <= n, got d={sys.maxsize + 1}, n=6"),
+], ids=["w1", "d1", "mid"])
+def test_dist_refuses_parameters_past_a_row_index(capsys, argv, message):
+    # the first two overflowed the index range and the third asked for a
+    # row of sys.maxsize entries, each with a traceback and exit 1, the
+    # code of a refuted claim; each is a usage error now, before any row
+    # is built
+    code, out, err = run(capsys, "dist", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_verify_json_payload(capsys):

@@ -270,6 +270,37 @@ def test_kernel_matches_dual_census_on_desk_codes(desk):
                                   want[:, :wmax + 1]), (entry.label, wmax)
 
 
+def _narrowest_signed(top):
+    """The narrowest signed integer type that holds 0..top."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
+
+
+def _check_narrow_table_reads_as_int64(census):
+    """The census keeps its table in the narrowest signed type of its
+    largest count, and reads as the census of the table's int64 copy:
+    the same classes, code distribution and cosets of each weight, the
+    latter also tallied row by row, the zero syndrome once and each
+    point q - 1 times."""
+    table, q = census.table, census.code.field.q
+    assert table.dtype == _narrowest_signed(int(table.max()))
+    wide = CosetCensus(census.code, table.astype(np.int64))
+    assert census.classes == wide.classes
+    assert census.code_distribution() == wide.code_distribution()
+    for W in range(-1, census.wmax + 1):
+        tally = sum(1 if row == 0 else q - 1
+                    for row, w in enumerate(census.weights.tolist()) if w == W)
+        assert census.count_of_weight(W) == wide.count_of_weight(W) == tally, W
+
+
+def test_each_desk_table_is_narrowed_and_reads_as_its_int64_copy(desk):
+    # most desk counts fit in 8 or 16 bits; the 6 int32 tables are the
+    # censuses with a count past 32767
+    for entry in desk.entries:
+        _check_narrow_table_reads_as_int64(desk.census(entry))
+    dtypes = Counter(desk.census(entry).table.dtype.name for entry in desk.entries)
+    assert dtypes == {"int8": 48, "int16": 35, "int32": 6}
+
+
 @st.composite
 def parity_checks(draw):
     """A full-rank H over a small field whose columns may be zero, repeated
@@ -304,9 +335,10 @@ def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
     for svec, row in dual_table(code).items():  # the second oracle, zero and parallel columns too
         assert brute[svec] == row, svec
     for wmax in range(code.n + 1):
-        table = low_weight_census(code, wmax).table
-        assert len(table) == census_rows(code.field.q, code.r)
-        assert np.array_equal(table[at], want[:, :wmax + 1]), wmax
+        census = low_weight_census(code, wmax)
+        assert len(census.table) == census_rows(code.field.q, code.r)
+        assert np.array_equal(census.table[at], want[:, :wmax + 1]), wmax
+        _check_narrow_table_reads_as_int64(census)
 
 
 def _prefix(code, j):
@@ -467,7 +499,7 @@ def test_each_census_from_n_minus_k_up_certifies_random_parity_checks(H):
 def test_corrupted_census_table_raises_invariant_error():
     f5 = field_of_order(5)
     code, _ = build_code(f5, "gdrs", 4, n=6)
-    table = coset_census(code).table.copy()
+    table = coset_census(code).table.astype(np.int64)
     table[7, 3] += 1
     with pytest.raises(InvariantError, match="q\\^n"):
         CosetCensus(code, table)

@@ -234,7 +234,7 @@ def _bridge_with_altered_rows(monkeypatch, arc, alter):
         return syndrome_row(f, [field_of(f).mul(lam, c) for c in pt])
 
     def altered(code, wmax):
-        table = low_weight_census(code, wmax).table.copy()
+        table = low_weight_census(code, wmax).table.astype(np.int64)
         alter(table, index)
         return CosetCensus(code, table)
     monkeypatch.setattr(geometry, "low_weight_census", altered)
@@ -271,6 +271,29 @@ def test_bridge_names_the_first_failing_point(monkeypatch):
     assert (1, 0, 0) not in arc.points and (0, 0, 1) not in arc.points
     assert _bridge_with_altered_rows(monkeypatch, arc, bisecant_free) == \
         "bisecant-free class: point (1, 0, 0) gives coset counts (0, 0, 0, 0)"
+
+
+def test_bridge_reads_a_narrowed_table_as_its_int64_copy(monkeypatch):
+    # the bridge compares the census rows of the plane's points with the
+    # arc's int64 bisecant counts: on each narrowed table and on its int64
+    # copy every comparison holds and the reports agree
+    arcs = [conic_points(field_of_order(q)) for q in (4, 5, 7, 8, 9, 11, 13)]
+    arcs += [hyperoval_points(field_of_order(8)), shortened_conic(field_of_order(11), 2)]
+    censuses = []
+
+    def kept(code, wmax):
+        censuses.append(low_weight_census(code, wmax))
+        return censuses[-1]
+
+    def widened(code, wmax):
+        return CosetCensus(code, low_weight_census(code, wmax).table.astype(np.int64))
+    for arc in arcs:
+        monkeypatch.setattr(geometry, "low_weight_census", kept)
+        narrow = geometry_code_bridge(arc)
+        monkeypatch.setattr(geometry, "low_weight_census", widened)
+        wide = geometry_code_bridge(arc)
+        assert (narrow.census, narrow.entries) == (wide.census, wide.entries), arc.n
+    assert {c.table.dtype.name for c in censuses} == {"int8", "int16"}
 
 
 def test_censuses_hold_python_ints():
