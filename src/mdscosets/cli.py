@@ -3,11 +3,12 @@
 Every run is fully determined by its arguments (no randomness anywhere),
 so outputs are byte-reproducible.  Counts serialize as decimal strings,
 never JSON numbers: they routinely exceed 2^53 and must survive any
-consumer.  Rationals print as "a/b".
+consumer, and they print in full past Python's int-to-str digit limit.
+Rationals print as "a/b".
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 budget refusal (work over --budget, or counts past 2^63; a
-`census geometry` walk over the default budget).
+`census geometry` walk or `dist` formula rows over the default budget).
 """
 
 from __future__ import annotations
@@ -76,12 +77,18 @@ def _emit(args, payload, table_lines, csv_lines=None):
     arguments build the JSON payload, the table lines and the CSV lines;
     only the one args.format names is called."""
     fmt = args.format
-    if fmt == "json":
-        text = json.dumps(payload(), indent=2)
-    elif fmt == "csv":
-        text = "\n".join(csv_lines())
-    else:
-        text = "\n".join(table_lines())
+    # exact counts print at any size; the digit limit holds again for input
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            text = json.dumps(payload(), indent=2)
+        elif fmt == "csv":
+            text = "\n".join(csv_lines())
+        else:
+            text = "\n".join(table_lines())
+    finally:
+        sys.set_int_max_str_digits(limit)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

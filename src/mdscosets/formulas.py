@@ -20,41 +20,42 @@ part is C(n,w) T(w, w-d+1), where T(w, m) = sum_{j<=m} (-1)^j C(w,j)
 q^(m-j) runs along the recurrence T(w+1, m+1) = (q-1) T(w, m) +
 (-1)^(m+1) C(w, m+1), and its prefix coefficients are the double sums,
 each factored into a signed binomial running down its column times a
-partial alternating sum read from one Pascal table.  Neither form reads
-the other's rows, A_w or omega, so they stay two independent derivations
-whose rows must be equal, which `verify`'s criterion 2 checks.  Every
+partial alternating sum read from one Pascal table, built one column
+per l.  Neither form reads the other's rows, A_w or omega, so they stay
+two independent derivations whose rows must be equal, which `verify`'s
+criterion 2 checks.  Every
 entry of either form follows from its neighbour in two big-integer
 steps: one multiplication by the product of the small factors and one
 exact floor division by the product of the others, the sign of the
 ratio carried in the divisor.  A row set costs that per entry (plus a
-multiplication by the Pascal entry in the double sums, and the n(d-1)
-C-level differences of the Pascal table) and at most d binomials for
+multiplication by the Pascal entry in the double sums, and the n(d-2)
+C-level differences of the Pascal columns) and at most d binomials for
 the seeds, not binomials per entry.
 
-The per-weight functions read the single-sum rows but keep the
-specialized terms the paper states for them (B_{d-1} = C(n-1, d-1) for
-weight 1, the column (-1)^(w-d) C(n-d+2, n-w) of B_{d-2} for weights 2
-and d-2, and the whole weight-(d-1) form), so each specialization is
-checked twice: against the general formula and against exact censuses.
-Their binomial terms, too, run along exact ratios, and the B_{d-2}
-column is built once per (n, d) and multiplied by B_{d-2} in the one
-pass that adds K_w.
+Each closed form for weights 1, d-1, 2, d-2 and the mid range is the
+single-sum tail at the prefix its theorem fixes (B_1 = 1; all zero;
+B_2 = 1 and B_{d-2}; B_{d-2}; the unique leader's B_W = 1 and the
+knowns), so it is `bonneau_transformed` at that prefix by construction.
+The tests check each one against the paper's terms, evaluated as
+independent sums, and criterion 3 checks the weight-1 and weight-(d-1)
+forms against exact censuses.
 
 Every coset of weight 1, and every one of weight d-1, has one
 distribution, a function of (n, d, q) alone, so `dist_weight1` and
-`dist_weight_d1` are memoized like the rows.  Each of these caches, the
-rows of either form, the two distributions and the B_{d-2} column, keeps
-the entry of the last (n, d, q) (or (n, d)) asked for (ROW_CACHE_SIZE =
-1).  A stream of `dist` queries asks for one (n, d, q) at a time, every
-prefix and closed form of it in a row: with four prefixes per (n, d, q),
-3 of 4 weight-1 and weight-(d-1) calls and, at d >= 5, 7 of 8 B_{d-2}
-column calls hit.  `verify` does not: criteria 1 and 3 each walk the
-corpus and criterion 2 builds both forms once for each of its 436
+`dist_weight_d1` are memoized like the rows.  Each of the four caches,
+the rows of either form and the two distributions, keeps the entry of
+the last (n, d, q) asked for (ROW_CACHE_SIZE = 1).  A stream of `dist`
+queries asks for one (n, d, q) at a time, every prefix and closed form
+of it in a row: with four prefixes per (n, d, q), 3 of 4 weight-1 and
+weight-(d-1) calls hit.  `verify` does not: criteria 1 and 3 each walk
+the corpus and criterion 2 builds both forms once for each of its 436
 tuples, so one full run misses the single-sum rows 614 times (the 436
 tuples, then the 89 desk codes twice) and the double-sum rows 436
 times, and criterion 3 asks for each desk (n, d, q)'s two distributions
 at most once, so their caches neither help nor cost it.
 
+`check_mds_params` refuses, before any row is built, parameters no MDS
+code has and rows that would hold more bits than the default budget.
 All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,
 reported as InconsistentPrefixError in strict mode and as a plain
@@ -67,6 +68,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, sub
 
 from .codes import WeightDistribution, _require
@@ -161,11 +163,10 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
         t = (q - 1) * t + e
         c_nw = c_nw * (n - w) // (w + 1)
         e = e * (w + 1) // -(m + 2)
-    # S[m][l] for m = 0..n and l = 0..d-2
-    S = [[1] * (d - 1)]
-    for _ in range(n):
-        prev = S[-1]
-        S.append([1, *map(sub, prev[1:], prev)])
+    # S[l][m] for l = 0..d-2 and m = 0..n, one column of the table per l
+    S = [[1] * (n + 1)]
+    for _ in range(d - 2):
+        S.append(list(accumulate(S[-1][:-1], sub, initial=1)))
     cols = []
     for v in range(d - 1):
         l = d - 2 - v
@@ -173,7 +174,7 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
         c = (-1) ** m0 * binom(n - v, m0)  # (-1)^m C(n-v, m)
         col = []
         for m in range(m0, n - v + 1):
-            col.append(c * S[m][l])
+            col.append(c * S[l][m])
             c = c * (n - v - m) // -(m + 1)
         cols.append(tuple(col))
     return tuple(known), tuple(cols)
@@ -193,11 +194,17 @@ def _tail(rows: Rows, counts) -> list[int]:
     return tail
 
 
+def _from_prefix(n: int, d: int, q: int, prefix, strict: bool,
+                 what: str) -> WeightDistribution:
+    """B_0..B_n of a coset from its prefix B_0..B_{d-2}: the prefix, then
+    the single-sum tail at it."""
+    B = list(prefix) + _tail(_single_sum_rows(n, d, q), prefix)
+    return _finalize(B, q, n, d, strict, what)
+
+
 def bonneau_transformed(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Full coset distribution from its low-weight prefix, single-sum form."""
-    n, d, q = prefix.n, prefix.d, prefix.q
-    B = list(prefix.counts) + _tail(_single_sum_rows(n, d, q), prefix.counts)
-    return _finalize(B, q, n, d, strict, "prefix")
+    return _from_prefix(prefix.n, prefix.d, prefix.q, prefix.counts, strict, "prefix")
 
 
 def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
@@ -208,30 +215,14 @@ def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDist
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _b_low_column(n: int, d: int) -> tuple[int, ...]:
-    """(-1)^(w-d) C(n-d+2, n-w), the coefficient of B_{d-2} in B_w of the
-    weight-2 and weight-(d-2) forms, for w = d-1..n, by the ratio
-    C(N, k-1) = C(N, k) k / (N-k+1) as n-w steps down from n-d+1, the
-    sign carried in the divisor."""
-    c = -(n - d + 2)  # the signed binomial at w = d-1
-    col = [c]
-    for w in range(d - 1, n):
-        c = c * (n - w) // -(w - d + 3)
-        col.append(c)
-    return tuple(col)
-
-
-@lru_cache(maxsize=ROW_CACHE_SIZE)
 def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
-    """The one distribution shared by all n(q-1) weight-1 cosets."""
+    """The one distribution shared by all n(q-1) weight-1 cosets: B_1 = 1."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    known, cols = _single_sum_rows(n, d, q)
-    B = [0] * (n + 1)
+    check_mds_params(n, d, q)
+    B = [0] * (d - 1)
     B[1] = 1
-    B[d - 1] = binom(n - 1, d - 1)
-    B[d:] = map(add, known[1:], cols[1][1:])
-    return _finalize(B, q, n, d, strict=True, what="weight-1 coset parameters")
+    return _from_prefix(n, d, q, B, True, "weight-1 coset parameters")
 
 
 def dist_weight_mid(n: int, d: int, q: int, W: int, knowns) -> WeightDistribution:
@@ -254,8 +245,7 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns) -> WeightDistributio
     if low:
         B[W] = 1
     B[d - W:] = knowns
-    B += _tail(_single_sum_rows(n, d, q), B)
-    return _finalize(B, q, n, d, strict=True, what="mid-weight knowns")
+    return _from_prefix(n, d, q, B, True, "mid-weight knowns")
 
 
 def dist_weight_d2(n: int, d: int, q: int, b_low: int,
@@ -265,27 +255,20 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
         raise ValueError(f"need d >= 4, got {d}")
     if b_low < 1:
         raise ValueError("a weight-(d-2) coset has B_{d-2} >= 1")
-    known, _ = _single_sum_rows(n, d, q)
+    check_mds_params(n, d, q)
     B = [0] * (d - 1)
     B[d - 2] = b_low
-    B += [k + b_low * t for k, t in zip(known, _b_low_column(n, d))]
-    return _finalize(B, q, n, d, strict, "B_{d-2}")
+    return _from_prefix(n, d, q, B, strict, "B_{d-2}")
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
-    """The one distribution shared by all weight-(d-1) (farthest-off) cosets."""
+    """The one distribution shared by all weight-(d-1) (farthest-off)
+    cosets: B_0..B_{d-2} are all 0."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    A = mds_weight_distribution(n, d, q).counts
-    B = [0] * (n + 1)
-    B[d - 1] = binom(n, d - 1)
-    # (-1)^(w-d) C(n,w) C(w-1,d-2), from w = d on by the ratio of neighbours
-    c = B[d - 1] * (n - d + 1) * (d - 1) // d
-    for w in range(d, n + 1):
-        B[w] = A[w] - c
-        c = c * ((n - w) * w) // -((w + 1) * (w - d + 2))
-    return _finalize(B, q, n, d, strict=True, what="farthest-off parameters")
+    check_mds_params(n, d, q)
+    return _from_prefix(n, d, q, [0] * (d - 1), True, "farthest-off parameters")
 
 
 def dist_weight2(n: int, d: int, q: int, b_low: int,
@@ -295,12 +278,11 @@ def dist_weight2(n: int, d: int, q: int, b_low: int,
         raise ValueError(f"need d >= 5, got {d}")
     if b_low < 0:
         raise ValueError("B_{d-2} must be non-negative")
-    known, cols = _single_sum_rows(n, d, q)
+    check_mds_params(n, d, q)
     B = [0] * (d - 1)
     B[2] = 1
     B[d - 2] = b_low
-    B += [k + c + b_low * t for k, c, t in zip(known, cols[2], _b_low_column(n, d))]
-    return _finalize(B, q, n, d, strict, "B_{d-2}")
+    return _from_prefix(n, d, q, B, strict, "B_{d-2}")
 
 
 @dataclass(frozen=True)

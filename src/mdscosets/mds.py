@@ -24,10 +24,10 @@ code's census instead of trusting the construction.
 `mds_weight_distribution` gives the codeword counts A_w of any
 [n, n-d+1, d]_q MDS code as one row per (n, d, q), built by a running
 recurrence in O(n) big-integer steps.  The cache keeps the last row
-(WEIGHT_DIST_CACHE_SIZE = 1): its readers, the single-sum rows and
-`dist_weight_d1`, ask for the same (n, d, q) back to back.
-`check_mds_params` is the one place that refuses parameters no MDS code
-has; the formula layer calls it before any work.
+(WEIGHT_DIST_CACHE_SIZE = 1); the single-sum formula rows are its only
+reader in the library.  `check_mds_params` is the one place that refuses
+parameters no MDS code has, and formula rows over the default budget;
+the formula layer calls it before any work.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, LinearCode, Matrix, WeightDistribution, _require
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, Matrix,
+                    WeightDistribution, _require)
 from .combinat import binom
 from .gf import GF
 
@@ -139,7 +140,9 @@ WEIGHT_DIST_CACHE_SIZE = 1
 
 def check_mds_params(n: int, d: int, q: int) -> None:
     """Refuse (n, d, q) that no [n, n-d+1, d]_q MDS code can have, naming
-    the bad parameter, before any formula does work on them."""
+    the bad parameter, before any formula does work on them; then refuse
+    formula rows over DEFAULT_BUDGET bits: (n-d+2)*d entries (K_w and
+    d-1 columns for w = d-1..n) of up to about n*bit_length(q) bits each."""
     if q < 2:
         raise ValueError(f"need a field size q >= 2, got q={q}")
     if not 3 <= d <= n:
@@ -148,6 +151,11 @@ def check_mds_params(n: int, d: int, q: int) -> None:
         raise ValueError(f"no MDS parameters with n={n} > q+2={q + 2}")
     if n >= sys.maxsize:  # a row holds B_0..B_n, and d <= n
         raise ValueError(f"n={n} is too large to index a row (limit n < {sys.maxsize})")
+    bits = (n - d + 2) * d * n * q.bit_length()
+    if bits > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"formula rows need {bits} bits (n-d+2)*d*n*bit_length(q), "
+            f"over the budget of {DEFAULT_BUDGET}")
 
 
 @lru_cache(maxsize=WEIGHT_DIST_CACHE_SIZE)

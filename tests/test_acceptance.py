@@ -112,7 +112,7 @@ def _break_double_sum_rows(monkeypatch, change):
     monkeypatch.setattr(verify, "_double_sum_rows", broken)
 
 
-def test_criterion_2_reports_each_disagreeing_prefix(desk, monkeypatch):
+def test_criterion_2_names_the_first_differing_row_entry(desk, monkeypatch):
     # shift column v = 1 by +1 at w = d-1 and -1 at w = d: every total
     # holds, so only the row comparison sees it, at its first entry
     def shifted(known, cols):

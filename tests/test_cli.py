@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdscosets import cli, codes
 from mdscosets.cli import main
 from mdscosets.gf import GF
+from mdscosets.mds import FAMILIES
+from mdscosets.verify import THEOREM_NAMES
 
 
 def run(capsys, *argv):
@@ -89,6 +95,132 @@ def test_dist_refuses_parameters_past_a_row_index(capsys, argv, message):
     # is built
     code, out, err = run(capsys, "dist", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (("--closed-form", "d1", "--n", str(sys.maxsize - 1), "--d", "3", "--q", str(2**64)),
+     (sys.maxsize - 2) * 3 * (sys.maxsize - 1) * 65),
+    (("--closed-form", "w1", "--n", "2000", "--d", "1000", "--q", "2003"), 22044000000),
+    (("--bonneau", "--prefix", "0", "--n", "2000", "--d", "1000", "--q", "2003"),
+     22044000000),
+], ids=["d1-below-the-index-limit", "w1", "bonneau"])
+def test_dist_refuses_formula_rows_over_the_budget(capsys, argv, bits):
+    # the first ended in a MemoryError traceback (exit 1) and the second
+    # took seconds; both are refused from (n, d, q) before any row is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dist", *argv)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == (f"budget refusal: formula rows need {bits} bits "
+                   f"(n-d+2)*d*n*bit_length(q), over the budget of {codes.DEFAULT_BUDGET}\n")
+
+
+# a weight-1 distribution whose largest count has 4341 digits, past
+# Python's default int-to-str limit of 4300
+BIG_DIST = ("dist", "--closed-form", "w1", "--n", "105", "--d", "3", "--q", str(2**140))
+
+
+def _exact_int(text):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_dist_prints_counts_of_any_size(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, *BIG_DIST, "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert max(map(len, payload["counts"])) > limit
+    counts = [_exact_int(c) for c in payload["counts"]]
+    assert sum(counts) == _exact_int(payload["total"]) == (2**140) ** 103
+    code, out, err = run(capsys, *BIG_DIST, "--format", "table")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[2:] == [f"{w:>3}  {c}" for w, c in enumerate(payload["counts"])] \
+        + [f"total {payload['total']}"]
+    code, out, err = run(capsys, *BIG_DIST, "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"{w},{c}" for w, c in enumerate(payload["counts"])]
+    # the limit holds again once the output is rendered, so an input of
+    # that many digits is still refused
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run(capsys, "dist", "--closed-form", "d2", "--n", "6", "--d", "4",
+                         "--q", "5", "--b", "9" * (limit + 1))
+    assert (code, out) == (2, "")
+    assert "invalid int value" in err
+
+
+EXTREME = st.sampled_from((sys.maxsize - 1, sys.maxsize, 2**64, 10**30))
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv for one of the five commands, its integers small or, one time
+    in six, extreme.  Extremes go only where they are refused before any
+    work: a code or a walk gets a field of at most 9 elements, and
+    `verify` a small q and a small budget."""
+    def num(small=st.integers(-1, 9)):
+        return str(draw(EXTREME if draw(st.integers(0, 5)) == 0 else small))
+
+    def csv(size=5):  # non-negative, so that argparse reads no value as an option
+        return ",".join(num(st.integers(0, 9)) for _ in range(draw(st.integers(0, size))))
+
+    def maybe(flag, value):
+        return [flag, value] if draw(st.booleans()) else []
+
+    budget = st.integers(-1, 10**4).map(str)
+    formats = ("table", "json", "csv")
+    command = draw(st.sampled_from(
+        ("dist", "census code", "census geometry", "covering classify", "verify")))
+    argv = command.split()
+    if command == "dist":
+        form = draw(st.sampled_from(("w1", "d1", "d2", "w2", "mid", "bonneau", "original")))
+        argv += (["--closed-form", form] if form not in ("bonneau", "original")
+                 else ["--bonneau"] + (["--original"] if form == "original" else []))
+        # (n, d, q) near the MDS range: d <= n <= q+2 holds about half the time
+        d = draw(st.integers(-1, 9))
+        n = d + draw(st.integers(-1, 3))
+        q = n + draw(st.integers(-3, 1))
+        argv += ["--n", num(st.just(n)), "--d", num(st.just(d)), "--q", num(st.just(q)),
+                 "--b", num(), "--W", num(), "--knowns", csv(), "--prefix", csv()]
+        argv += draw(st.sampled_from(([], ["--loose"])))
+    elif command == "census geometry":
+        argv += ["--q", num(), "--arc", draw(st.sampled_from(
+            ("conic", "hyperoval", "conic-minus:1", "conic-minus:2", "conic-minus:7", "line")))]
+    elif command == "verify":
+        argv += ["--q", num(st.sampled_from((-1, 2, 3, 4, 5, 6)))]
+        argv += maybe("--d", num()) + maybe("--budget", draw(budget))
+        argv += maybe("--theorem", draw(st.sampled_from(sorted(THEOREM_NAMES) + ["none"])))
+        formats = formats[:2]
+    else:  # census code, covering classify: a code over at most GF(5)
+        argv += ["--family", draw(st.sampled_from(FAMILIES)),
+                 "--q", num(st.sampled_from((-1, 2, 3, 4, 5, 6))), "--d", num(st.integers(2, 7))]
+        argv += maybe("--remove", csv(2))
+        argv += maybe("--budget", draw(budget))
+        if command == "covering classify":
+            formats = formats[:2]
+    return argv + ["--format", draw(st.sampled_from(formats))]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@example(list(BIG_DIST))
+@given(cli_argvs())
+def test_every_call_ends_in_a_documented_exit_code(argv):
+    limit = sys.get_int_max_str_digits()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an exception escaping main fails the test
+    assert code in (0, 1, 2, 3)
+    if argv == list(BIG_DIST):
+        assert code == 0
+    if code == 1:  # a refuted claim: verify, or the deep-hole check of a removal code
+        assert argv[0] == "verify" or (
+            argv[:2] == ["covering", "classify"]
+            and err.getvalue().startswith("verification mismatch: "))
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_json_payload(capsys):
@@ -345,7 +477,7 @@ def test_verify_theorem_subsets(capsys):
     assert "empirical, not asserted" in out3
 
 
-def test_criterion_2_counts_the_census_prefixes_it_compares(capsys):
+def test_criterion_2_counts_the_tuples_it_compares(capsys):
     # the 436 MDS tuples with q <= 16 hold every tuple of the default and
     # the q = 7 corpus; the q = 17 corpus adds its 10 own tuples
     for argv, tuples in (((), 436), (("--q", "7"), 436), (("--q", "17"), 446)):

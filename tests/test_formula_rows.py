@@ -17,8 +17,8 @@ from mdscosets.combinat import omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 _double_sum_rows, _single_sum_rows,
                                 bonneau_original, bonneau_transformed,
-                                _b_low_column, dist_weight1, dist_weight2,
-                                dist_weight_d1, dist_weight_d2, dist_weight_mid)
+                                dist_weight1, dist_weight2, dist_weight_d1,
+                                dist_weight_d2, dist_weight_mid)
 from mdscosets.mds import mds_weight_distribution
 from reference_sums import (b_low_term, bw_known_part, bw_prefix_coeff,
                             farthest_off_term, mds_weight_distribution_sum,
@@ -86,17 +86,35 @@ def test_rows_and_closed_form_terms_match_reference_sums(params):
                                 for v in range(d - 1))
     assert double_cols == tuple(tuple(bw_prefix_coeff(n, d, w, v) for w in ws)
                                 for v in range(d - 1))
-    assert _b_low_column(n, d) == tuple(b_low_term(n, d, w) for w in ws)
-    if d >= 4:  # the column times B_{d-2} = 7, taken in the pass that adds K_w
+    # the paper's terms of the closed forms, each against its own sum: the
+    # B_{d-2} column (-1)^(w-d) C(n-d+2, n-w) of weights 2 and d-2, and
+    # B_{d-1} = C(n-1, d-1) of weight 1
+    assert single_cols[d - 2] == tuple(b_low_term(n, d, w) for w in ws)
+    B = (0, 1) + (0,) * (d - 3) + tuple(
+        A[w] - omega_coeff(n, d, w, 0) + omega_coeff(n, d, w, 1) for w in ws)
+    assert B[d - 1] == math.comb(n - 1, d - 1)
+    _assert_strict_form(lambda: dist_weight1(n, d, q), B)
+    if d >= 4:  # B_{d-2} = 7 times its column
         assert dist_weight_d2(n, d, q, 7, strict=False).counts[d - 1:] == tuple(
             A[w] - omega_coeff(n, d, w, 0) + 7 * b_low_term(n, d, w) for w in ws)
-    B = [0] * (d - 1) + [math.comb(n, d - 1)] + \
-        [A[w] - farthest_off_term(n, d, w) for w in range(d, n + 1)]
-    if min(B) < 0:
+    if d >= 5:  # B_2 = 1 and B_{d-2} = 7
+        assert dist_weight2(n, d, q, 7, strict=False).counts == \
+            (0, 0, 1) + (0,) * (d - 5) + (7,) + tuple(
+                A[w] - omega_coeff(n, d, w, 0) + omega_coeff(n, d, w, 2)
+                + 7 * b_low_term(n, d, w) for w in ws)
+    B = (0,) * (d - 1) + (math.comb(n, d - 1),) + \
+        tuple(A[w] - farthest_off_term(n, d, w) for w in range(d, n + 1))
+    _assert_strict_form(lambda: dist_weight_d1(n, d, q), B)
+
+
+def _assert_strict_form(form, counts):
+    """A strict closed form gives `counts`, or refuses them when one is
+    negative."""
+    if min(counts) < 0:
         with pytest.raises(InconsistentPrefixError):
-            dist_weight_d1(n, d, q)
+            form()
     else:
-        assert dist_weight_d1(n, d, q).counts == tuple(B)
+        assert form().counts == counts
 
 
 def _closed_forms(n, d, q, counts, W):
@@ -200,10 +218,11 @@ def test_row_builds_take_no_per_entry_binomials(monkeypatch):
     calls.clear()
     mds.mds_weight_distribution.__wrapped__(n, d, q)
     assert calls["mdscosets.mds", "binom"] == 1
-    # the B_{d-2} column takes none, the weight-(d-1) form one
-    formulas._b_low_column.__wrapped__(n, d)
+    # the closed forms take none: each is the tail of the rows at its prefix
+    formulas.dist_weight1.__wrapped__(n, d, q)
     formulas.dist_weight_d1.__wrapped__(n, d, q)
-    assert calls["mdscosets.formulas", "binom"] == 1
+    formulas.dist_weight2(n, d, q, 7, strict=False)
+    assert calls["mdscosets.formulas", "binom"] == 0
 
 
 def _ask_closed_forms(n, d, q, counts):
@@ -226,8 +245,7 @@ def test_formula_caches_are_bounded():
     caches = _module_caches()
     names = {fn.__qualname__ for fn in caches}
     assert {"omega", "mds_weight_distribution", "_single_sum_rows",
-            "_double_sum_rows", "_b_low_column", "dist_weight1",
-            "dist_weight_d1"} <= names
+            "_double_sum_rows", "dist_weight1", "dist_weight_d1"} <= names
     for fn in caches:
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
     # the benchmark harness reads these two
@@ -258,7 +276,7 @@ MEMO_TUPLES = [(257, 10, 256), (18, 5, 16), (200, 9, 199), (33, 6, 32),
 
 def test_stream_builds_rows_and_closed_forms_once_per_tuple():
     memos = [formulas._single_sum_rows, formulas._double_sum_rows,
-             dist_weight1, dist_weight_d1, formulas._b_low_column]
+             dist_weight1, dist_weight_d1]
     for fn in memos:
         fn.cache_clear()
     rng = random.Random(24)
@@ -274,7 +292,6 @@ def test_stream_builds_rows_and_closed_forms_once_per_tuple():
         assert _double_sum_rows(n, d, q) == _double_sum_rows.__wrapped__(n, d, q)
         assert dist_weight1(n, d, q) == dist_weight1.__wrapped__(n, d, q)
         assert dist_weight_d1(n, d, q) == dist_weight_d1.__wrapped__(n, d, q)
-        assert _b_low_column(n, d) == _b_low_column.__wrapped__(n, d)
     for fn in memos:
         info = fn.cache_info()
         assert info.misses == len(MEMO_TUPLES), fn.__qualname__
