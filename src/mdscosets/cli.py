@@ -281,8 +281,8 @@ def cmd_verify(args) -> int:
             raise ValueError(f"unknown theorem {args.theorem!r}; "
                              f"choices: {sorted(THEOREM_NAMES)}")
         numbers = [THEOREM_NAMES[args.theorem]]
-    cache = DeskCache(args.budget, qs=(args.q,) if args.q else DESK_QS,
-                      ds=(args.d,) if args.d else DESK_DS)
+    cache = DeskCache(qs=DESK_QS if args.q is None else (args.q,),
+                      ds=DESK_DS if args.d is None else (args.d,))
     results = run_acceptance(cache, numbers)
     all_passed = all(r.passed for r in results)
     payload = {
@@ -310,12 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     with_csv = options(("table", "json", "csv"))
     without_csv = options(("table", "json"))
-    # only the commands that build codes read a budget
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="max syndrome-trellis steps n*wmax*(1+(q^(n-k)-1)/(q-1)) per count")
-    # the commands that build one family code
+    # the commands that build one family code, the only ones that read a
+    # budget (the desk corpus of `verify` fits the default)
     family_code = argparse.ArgumentParser(add_help=False)
+    family_code.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                             help="max syndrome-trellis steps n*wmax*(1+(q^(n-k)-1)/(q-1)) "
+                                  "per count")
     family_code.add_argument("--family", choices=FAMILIES, required=True)
     family_code.add_argument("--q", type=int, required=True)
     family_code.add_argument("--d", type=int)
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     census = sub.add_parser("census", help="coset or bisecant census")
     csub = census.add_subparsers(dest="what", required=True)
-    ccode = csub.add_parser("code", parents=[with_csv, budget, family_code])
+    ccode = csub.add_parser("code", parents=[with_csv, family_code])
     ccode.set_defaults(func=cmd_census_code)
     cgeom = csub.add_parser("geometry", parents=[with_csv])
     cgeom.add_argument("--q", type=int, required=True)
@@ -358,10 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     covering = sub.add_parser("covering", help="covering classification")
     covsub = covering.add_subparsers(dest="what", required=True)
-    classify = covsub.add_parser("classify", parents=[without_csv, budget, family_code])
+    classify = covsub.add_parser("classify", parents=[without_csv, family_code])
     classify.set_defaults(func=cmd_covering)
 
-    verify = sub.add_parser("verify", parents=[without_csv, budget],
+    verify = sub.add_parser("verify", parents=[without_csv],
                             help="run the desk-corpus verification")
     verify.add_argument("--theorem", help=f"one of {sorted(THEOREM_NAMES)}")
     verify.add_argument("--q", type=int, help="restrict the corpus to one q")

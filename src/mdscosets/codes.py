@@ -320,19 +320,15 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,
     return order, inverse
 
 
-def census_refusal(code: LinearCode, wmax: int) -> BudgetExceededError | None:
-    """The refusal a census of the code at wmax meets, or None when it may
-    run: its work over the code's budget, counted in
-    n*wmax*(1 + (q^(n-k) - 1)/(q - 1)) steps, or counts that could pass
-    the int64 range.  The steps bound the entries of the weight rows the
-    columns update: column j updates min(wmax, j) rows, at most wmax."""
-    return _census_refusal(code.field.q, code.n, code.r, wmax, code.budget)
-
-
 def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
                     ) -> BudgetExceededError | None:
-    """census_refusal from the numbers alone, for a length-n code over
-    GF(q) with r parity checks, before either is built."""
+    """The refusal a census at wmax of a length-n code over GF(q) with r
+    parity checks meets, or None when it may run: its work over the
+    budget, counted in n*wmax*(1 + (q^r - 1)/(q - 1)) steps, or counts
+    that could pass the int64 range.  The steps bound the entries of the
+    weight rows the columns update: column j updates min(wmax, j) rows,
+    at most wmax.  It needs only the numbers, so it can fire before the
+    code is built."""
     work = n * wmax * census_rows(q, r)
     if work > budget:
         return BudgetExceededError(
@@ -378,7 +374,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     Returns the tables after each of the lengths, in ascending order: the
     one after j columns is the table of the code on the first j
     coordinates at weight min(wmax, j), narrowed (see _narrowed).  Both
-    refusals (see census_refusal) fire before any table exists.
+    refusals (see _census_refusal) fire before any table exists.
     """
     f = code.field
     q, n = f.q, code.n
@@ -387,7 +383,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     lengths = sorted(set(lengths))
     if not lengths or not 0 <= lengths[0] <= lengths[-1] <= n:
         raise ValueError(f"prefix lengths {lengths} not a nonempty set in [0, {n}]")
-    refusal = census_refusal(code, wmax)
+    refusal = _census_refusal(q, n, code.r, wmax, code.budget)
     if refusal is not None:
         raise refusal
     states = census_rows(q, code.r)

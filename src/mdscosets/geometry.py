@@ -70,12 +70,9 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
     in order: i and j index the block's pairs, and ranks[m, t - 1] is the
     plane rank of a_i + t*a_j for pair m and t != 0.  On an arc these are
     the q-1 off-arc points of the bisecant a_i a_j.  A block holds at most
-    WALK_BLOCK_POINTS points, or one pair when q - 1 exceeds the cap.  The
-    walk's budget (bisecant_walk_refusal) is checked before any block."""
+    WALK_BLOCK_POINTS points, or one pair when q - 1 exceeds the cap.  Its
+    budget (bisecant_walk_refusal) is Arc's to check, before the walk."""
     q, n = field.q, len(coords)
-    refusal = bisecant_walk_refusal(q, n)
-    if refusal is not None:
-        raise refusal
     add = field.add_table().ravel()  # add(x, y) at x*q + y: one flat gather per block
     t = np.arange(1, q)
     # the pairs (i, j) in order, numbered from 0: those of i from first[i]
@@ -120,6 +117,9 @@ class Arc:
         zero = ~given.any(axis=1)
         if zero.any():
             raise ValueError(f"not a projective point: {tuple(given[np.argmax(zero)].tolist())}")
+        refusal = bisecant_walk_refusal(field.q, len(given))  # before any plane-sized array
+        if refusal is not None:
+            raise refusal
         self._ranks = _plane_ranks(field, *given.T)
         size = field.q ** 2 + field.q + 1
         index = np.full(size, -1, dtype=np.int64)

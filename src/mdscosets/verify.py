@@ -6,14 +6,15 @@ q in {4, 5, 7, 8, 9, 11}, d in {3, 4, 5, 6}, d <= n <= q+1 (plus the
 triply-extended length q+2 for even q at d = 4), subject to the fixed
 size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached.
 The codes of one (q, d) are prefixes of one another, so one kernel run
-per such chain counts the full census of every code in it that fits the
-budget, and each of these codes is certified from its census.  Where
-the limit cuts a gdrs chain short of length q+1 (q = 9 and 11), the run
-goes on to q+1 when that fits the budget, and its table there, a
-low-weight census at the chain's wmax, certifies the length-(q+1)
-parent that criteria 7 and 9 read.  The criteria take these codes from
+per such chain counts the full census of every code in it, and each of
+these codes is certified from its census.  Where the limit cuts a gdrs
+chain short of length q+1 (q = 9 and 11), the run goes on to q+1, and
+its table there, a low-weight census at the chain's wmax, certifies the
+length-(q+1) parent that criteria 7 and 9 read.  Every chain and every
+such run fits the default budget, under any q and d filter, so the
+corpus is built at that budget.  The criteria take these codes from
 the cache and read them through the memos their censuses left, so a
-full default-budget run counts each chain once: 24 kernel runs.
+full run counts each chain once: 24 kernel runs.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, Matrix, _prefix_censuses,
-                    census_refusal, coset_census)
+                    coset_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
@@ -69,26 +70,20 @@ class DeskCache:
 
     The gdrs codes of one (q, d) form a chain: each keeps the first n
     columns of the full-length code's matrix, built once per chain, so
-    each is a prefix of the longest.  Full censuses fit the budget for a
-    leading run of each chain (the work grows with n), and one kernel run
-    at the longest of their lengths counts them all, handing back its
-    table after each of those lengths; each such code is certified from
-    the memo its census leaves (see codes._prefix_censuses).  A chain cut
-    short of its family length runs on to the full-length parent when the
-    run fits the budget there too; the parent's low-weight census leaves
-    its memo, and only that is kept.  Any other corpus code is certified
-    at n-k, as `build_code` does, in corpus order, so a small budget
-    refuses the same code with the same step count.  The triply-extended
-    code is a chain of its own.  `code` hands out the cache's own codes
-    and builds (once, under the cache's budget) only the others,
+    each is a prefix of the longest.  One kernel run at the longest
+    corpus length counts the full census of each of them, handing back
+    its table after each of their lengths, and each code is certified
+    from the memo its census leaves (see codes._prefix_censuses).  A
+    chain cut short of its family length runs on to the full-length
+    parent; the parent's low-weight census leaves its memo, and only that
+    is kept.  The triply-extended code is a chain of its own.  `code`
+    hands out the cache's own codes and builds (once) only the others,
     certifying each when first asked for: a parent from the memo its ride
-    left, or at n-k when it did not ride, so no budget refuses where it
-    did not.  `census` is keyed by code, so each code's kernel runs happen
+    left.  `census` is keyed by code, so each code's kernel runs happen
     once per cache.
     """
 
-    def __init__(self, budget: int = DEFAULT_BUDGET, qs=DESK_QS, ds=DESK_DS):
-        self.budget = budget
+    def __init__(self, qs=DESK_QS, ds=DESK_DS):
         self.qs = tuple(qs)
         self.ds = tuple(ds)
         self.entries: list[CorpusEntry] = []
@@ -97,33 +92,32 @@ class DeskCache:
         for q in self.qs:
             fld = field_of_order(q)
             length = family_length("gdrs", q)
+            longest = 0  # the longest n with q^n <= DESK_AMBIENT_LIMIT
+            while q ** (longest + 1) <= DESK_AMBIENT_LIMIT:
+                longest += 1
+            top = min(length, longest)  # the longest gdrs corpus code
             for d in self.ds:
-                if d > length:
-                    continue  # no gdrs code; the corpus adds no triple extension without one
-                self._add_chain(fld, "gdrs", d, [n for n in range(d, length + 1)
-                                                 if q ** n <= DESK_AMBIENT_LIMIT])
-                if (has_triple_extension(q, d)
-                        and q ** family_length("gtrs", q) <= DESK_AMBIENT_LIMIT):
+                if d > top and d >= 3:
+                    continue  # no corpus code; a d below 3 goes on to its refusal
+                self._add_chain(fld, "gdrs", d, list(range(d, top + 1)))
+                if has_triple_extension(q, d) and family_length("gtrs", q) <= longest:
                     self._add_chain(fld, "gtrs", d, [family_length("gtrs", q)])
 
     def _add_chain(self, fld, family: str, d: int, lengths: list[int]) -> None:
         """Add the family's codes of the given lengths, ascending, each the
         first n columns of the full-length code's matrix: one kernel run
-        censuses those whose full census fits, and the full-length parent
-        when the run fits on it too, then each code is certified in turn."""
-        full, recipe = _family_code(fld, family, d, None, (), self.budget)
+        censuses them and, when the chain stops short, the full-length
+        parent, then each code is certified in turn."""
+        full, recipe = _family_code(fld, family, d, None, (), DEFAULT_BUDGET)
         built = [(full, recipe) if n == full.n else
-                 (LinearCode(Matrix(fld, full.H.labels[:, :n]), self.budget),
+                 (LinearCode(Matrix(fld, full.H.labels[:, :n])),
                   MdsConstruction(recipe.family, fld.q, d,
                                   _family_layout(fld.q, family, d, n, ())[2]))
                  for n in lengths]
-        fits = [code for code, _ in built if census_refusal(code, code.n) is None]
-        riders = list(fits)
-        if fits and built[-1][0] is not full and census_refusal(full, fits[-1].n) is None:
-            riders.append(full)
-        if fits:
-            # zip stops at the corpus codes: a parent's table is dropped
-            self._census.update(zip(fits, _prefix_censuses(riders, fits[-1].n)))
+        chain = [code for code, _ in built]
+        riders = chain if chain[-1] is full else chain + [full]
+        # zip stops at the corpus codes: a parent's table is dropped
+        self._census.update(zip(chain, _prefix_censuses(riders, chain[-1].n)))
         for code, construction in built:
             _certify(code)
             self.entries.append(CorpusEntry(code, construction))
@@ -147,7 +141,7 @@ class DeskCache:
         key = (q, d, n, family)
         if key not in self._codes:
             self._codes[key], _ = _family_code(field_of_order(q), family, d, n, (),
-                                               self.budget)
+                                               DEFAULT_BUDGET)
         _certify(self._codes[key])
         return self._codes[key]
 
@@ -424,7 +418,7 @@ def weight2_identity_survey(cache: DeskCache) -> list[dict]:
     The prefixes B_0..B_{d-2} suffice, since they fix the whole
     distribution (criterion 1), and the classes of each code's
     certifying census, its memo, hold those of its weight-2 cosets, so
-    the survey runs no kernel of its own at any budget."""
+    the survey runs no kernel of its own."""
     findings = []
     for q in cache.qs:
         n = family_length("gdrs", q)
@@ -482,7 +476,7 @@ THEOREM_NAMES = {name: num for num, (name, _) in CRITERIA.items()}
 def run_acceptance(cache: DeskCache | None = None,
                    numbers=None) -> list[CriterionResult]:
     """Run the criteria `numbers` (all by default) on the corpus `cache`
-    holds; the budget, q and d filters are the cache's own."""
+    holds; the q and d filters are the cache's own."""
     if cache is None:
         cache = DeskCache()
     if numbers is None:

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdscosets import codes, mds, verify
+from mdscosets import codes, gf, mds, verify
 from mdscosets.codes import WeightDistribution
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
@@ -278,6 +279,25 @@ def test_criterion_7_deep_hole_counts(desk):
         + "\n".join(bad))
 
 
+def test_criterion_7_reports_a_count_below_the_lower_bound():
+    # the even-q conic parent [5,2,4]_4 has R = 3 != d-2, so [4,1,4]_4's
+    # 6 weight-3 cosets need only reach (q-1)*Delta; read as a
+    # three-column removal, they miss its bound of 9
+    cache = DeskCache(qs=(4,), ds=(4,))
+    i = next(i for i, e in enumerate(cache.entries) if e.delta == 1)
+    entry = cache.entries[i]
+    cache.entries[i] = dataclasses.replace(
+        entry, construction=dataclasses.replace(entry.construction, removed=(0, 1, 2)))
+    assert deep_hole_equality(cache)[1] == ["[4,1,4]_4 gdrs: deep-hole count 6 below bound 9"]
+
+
+def test_criterion_2_names_row_sets_that_differ_only_in_shape():
+    double = ([1, 2], [[0, 1]])
+    assert verify._first_difference(3, double, ([1, 2, 3], [[0, 1]])) == "row shapes differ"
+    assert verify._first_difference(3, double, ([1, 5], [[0, 1]])) == (
+        "K at w=3: double sum 2, single sum 5")
+
+
 # the desk outcome the benchmark is checked against: a digest of each
 # census's classes and each refuted (q-1)*Delta count
 DESK_PINS = Path(__file__).resolve().parents[1] / "perfbench" / "desk_pins.json"
@@ -392,7 +412,7 @@ def test_desk_cache_runs_the_kernel_once_per_chain(kernel_runs, monkeypatch):
 def test_full_verify_runs_the_kernel_once_per_chain(kernel_runs):
     # criterion 7 reads the q = 9 and 11 parents from the memos their
     # chain runs left, and the survey reads every code's weight-2 rows
-    # from its memo: a full default-budget verify runs the kernel 24
+    # from its memo: a full verify runs the kernel 24
     # times, where certifying the parents apart took 8 more runs and the
     # survey 5 more
     results = run_acceptance()
@@ -456,24 +476,61 @@ def test_desk_chains_build_one_family_matrix_each(monkeypatch):
     assert calls == {"_family_code": 24, "gdrs_parity": 23, "_rref": 97}
 
 
-def test_survey_reads_one_way_at_every_budget(kernel_runs):
-    # at 100000 steps the q = 11, d = 5 chain's full census (71785) fits
-    # but its run on to [12,8,5]_11 (123060) does not, so the parent is
-    # certified at n-k (70320 steps) when first asked for, and the survey
-    # reads the memo that run left; at the default budget the parent
-    # rode the chain run and the survey reads that memo; the findings
-    # agree, and the survey itself runs no kernel
-    findings = {}
-    for budget, certification in ((100_000, [(12, 4)]), (codes.DEFAULT_BUDGET, [])):
-        cache = DeskCache(budget, qs=(11,), ds=(5,))
-        kernel_runs.clear()
-        assert cache.code(11, 5).min_distance() == 5
-        assert [(code.n, wmax) for code, wmax, _ in kernel_runs] == certification
-        findings[budget] = verify.weight2_identity_survey(cache)
-        assert [(code.n, wmax) for code, wmax, _ in kernel_runs] == certification
-    assert findings[100_000] == findings[codes.DEFAULT_BUDGET] == [
+def test_survey_reads_the_memo_the_parent_ride_left(kernel_runs):
+    # the q = 11, d = 5 chain stops at [11,7,5]_11 and its run goes on to
+    # [12,8,5]_11, so the parent is certified from the memo that run left;
+    # the survey reads the same memo and runs no kernel itself
+    cache = DeskCache(qs=(11,), ds=(5,))
+    kernel_runs.clear()
+    assert cache.code(11, 5).min_distance() == 5
+    assert verify.weight2_identity_survey(cache) == [
         {"q": 11, "d": 5, "n": 12, "gcd": 1, "b_low_if_identical": 12,
          "status": "confirmed", "b_values": [12]}]
+    assert kernel_runs == []
+
+
+def test_the_corpus_fits_the_default_budget_under_any_filter(monkeypatch):
+    # the chains the corpus forms for every prime power q < 600 and every
+    # d: each corpus code's full census fits the default budget, and so
+    # does the run on to the full-length parent where the size limit cuts
+    # a chain short, so no --q or --d filter meets a refusal; past
+    # q = 584, q^3 > 2*10^8 and the corpus is empty
+    chains = []
+    monkeypatch.setattr(DeskCache, "_add_chain", lambda self, fld, family, d, lengths:
+                        chains.append((fld.q, family, d, lengths)))
+    for q in range(2, 600):
+        if len(gf._factorize(q)) == 1:
+            DeskCache(qs=(q,), ds=range(3, q + 2))
+    rides = 0
+    for q, family, d, lengths in chains:
+        for n in lengths:
+            assert codes._census_refusal(q, n, d - 1, n, codes.DEFAULT_BUDGET) is None
+        full = mds.family_length(family, q)
+        if lengths[-1] < full:
+            rides += 1
+            assert codes._census_refusal(q, full, d - 1, lengths[-1],
+                                         codes.DEFAULT_BUDGET) is None
+    assert (len(chains), rides, max(q for q, *_ in chains)) == (205, 181, 577)
+
+
+def test_a_corpus_filter_past_the_size_limit_builds_nothing(monkeypatch):
+    # 4096^3 > 2*10^8: the corpus at q = 4096 is empty, and the cache
+    # sees that from the powers of q up to the limit, building no code
+    monkeypatch.setattr(verify, "_family_code", lambda *args: pytest.fail("built a code"))
+    start = time.perf_counter()
+    cache = DeskCache(qs=(4096,))
+    assert time.perf_counter() - start < 1
+    assert cache.entries == []
+
+
+def test_a_design_distance_below_3_is_refused_where_no_d_has_a_corpus_code(monkeypatch):
+    # under a limit of 10, 5^2 already passes it, so no d has a corpus
+    # code at q = 5; d = 2 is still refused, not read as an empty filter
+    monkeypatch.setattr(verify, "DESK_AMBIENT_LIMIT", 10)
+    assert DeskCache(qs=(5,), ds=(3,)).entries == []
+    with pytest.raises(ValueError) as err:
+        DeskCache(qs=(5,), ds=(2,))
+    assert str(err.value) == "design distance must be >= 3, got 2"
 
 
 def test_each_chain_snapshot_is_its_prefix_codes_own_run(desk):

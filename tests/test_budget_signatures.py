@@ -9,8 +9,6 @@ import mdscosets
 from mdscosets import LinearCode
 
 CODE_CONSTRUCTORS = {"LinearCode", "build_code"}
-# this builds the desk corpus and passes the budget on
-CORPUS_BUILDERS = {"DeskCache"}
 
 
 def _takes_budget(obj) -> bool:
@@ -34,7 +32,6 @@ def test_only_code_constructors_take_a_budget():
 
 
 def test_no_module_function_takes_a_budget_it_could_read_from_a_code():
-    allowed = CODE_CONSTRUCTORS | CORPUS_BUILDERS
     found = []
     for path in sorted(Path(mdscosets.__file__).parent.glob("*.py")):
         module = importlib.import_module(f"mdscosets.{path.stem}")
@@ -48,5 +45,5 @@ def test_no_module_function_takes_a_budget_it_could_read_from_a_code():
             else:
                 continue
             found += [f"{module.__name__}.{n}" for n, fn in candidates
-                      if n not in allowed and _takes_budget(fn)]
+                      if n not in CODE_CONSTRUCTORS and _takes_budget(fn)]
     assert not found, f"budget belongs to the code, not to {found}"

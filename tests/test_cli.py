@@ -161,7 +161,7 @@ def cli_argvs(draw):
     """argv for one of the five commands, its integers small or, one time
     in six, extreme.  Extremes go only where they are refused before any
     work: a code or a walk gets a field of at most 9 elements, and
-    `verify` a small q and a small budget."""
+    `verify` a small q."""
     def num(small=st.integers(-1, 9)):
         return str(draw(EXTREME if draw(st.integers(0, 5)) == 0 else small))
 
@@ -192,7 +192,7 @@ def cli_argvs(draw):
             ("conic", "hyperoval", "conic-minus:1", "conic-minus:2", "conic-minus:7", "line")))]
     elif command == "verify":
         argv += ["--q", num(st.sampled_from((-1, 2, 3, 4, 5, 6)))]
-        argv += maybe("--d", num()) + maybe("--budget", draw(budget))
+        argv += maybe("--d", num())
         argv += maybe("--theorem", draw(st.sampled_from(sorted(THEOREM_NAMES) + ["none"])))
         formats = formats[:2]
     else:  # census code, covering classify: a code over at most GF(5)
@@ -501,33 +501,18 @@ def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_verify_refuses_the_first_certification_over_the_budget(capsys):
-    # [5,2,4]_4's full census (550 steps) is over a budget of 400, so it is
-    # certified at n-k, which fits; [5,1,5]_4's certification (1720 steps)
-    # is the first the budget refuses
-    code, out, err = run(capsys, "verify", "--q", "4", "--budget", "400")
-    assert (code, out) == (3, "")
-    assert err == ("budget refusal: syndrome trellis needs 1720 steps "
-                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 400\n")
-
-
-def test_verify_refusal_where_the_budget_cuts_a_chain(capsys, kernel_runs):
-    # under 5000 steps the q = 5, d = 5 chain is cut: [5,1,5]_5's full
-    # census (3925 steps) runs alone, [6,2,5]_5's (5652) does not, so that
-    # code is certified at n-k (3768); the d = 3 and d = 4 chains run once
-    # each, and [6,1,6]_5's certification (23460 steps) is called and
-    # refused before it builds a table
-    code, out, err = run(capsys, "verify", "--q", "5", "--budget", "5000")
-    assert (code, out) == (3, "")
-    assert err == ("budget refusal: syndrome trellis needs 23460 steps "
-                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 5000\n")
-    assert [(code.n, wmax, lengths) for code, wmax, lengths in kernel_runs] == [
-        (6, 6, [3, 4, 5, 6]), (6, 6, [4, 5, 6]), (5, 5, [5]), (6, 4, [6]), (6, 5, [6])]
-
-
 def test_verify_unknown_theorem(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "nonsense")
     assert code == 2 and "unknown theorem" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--q", "0"), "error: 0 is not a prime power\n"),
+    (("--d", "0"), "error: design distance must be >= 3, got 0\n"),
+], ids=["q0", "d0"])
+def test_verify_refuses_a_zero_filter(capsys, argv, message):
+    # a zero --q or --d is a filter like any other, not an absent one
+    assert run(capsys, "verify", *argv) == (2, "", message)
 
 
 def test_out_file(tmp_path, capsys):
@@ -547,6 +532,7 @@ def test_usage_error_exit_code(capsys):
                  "--budget", "5"]) == 2
     assert main(["verify", "--format", "csv"]) == 2
     assert main(["verify", "--corpus", "default"]) == 2  # refused before any corpus is built
+    assert main(["verify", "--budget", "400"]) == 2  # the corpus fits the default budget
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):

@@ -567,3 +567,19 @@ def test_weight_distribution_type():
     assert wd.min_positive_weight() == 3
     with pytest.raises(ValueError):
         WeightDistribution(())
+
+
+def test_the_zero_code_has_no_minimum_distance():
+    zero = LinearCode(Matrix(field_of_order(3), np.eye(2, dtype=np.int64)))
+    assert zero.k == 0
+    with pytest.raises(ValueError) as err:
+        zero.min_distance()
+    assert str(err.value) == "minimum distance is undefined for the zero code"
+
+
+def test_the_kernel_refuses_a_wmax_outside_the_length():
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=5)
+    for wmax in (-1, 6):
+        with pytest.raises(ValueError) as err:
+            codes._syndrome_trellis(code, wmax, [5])
+        assert str(err.value) == f"wmax={wmax} outside [0, 5]"

@@ -150,6 +150,15 @@ def test_deep_hole_formula_counterexample_is_a_hard_failure():
         count_deep_hole_cosets(code, cons)
 
 
+def test_deep_hole_count_below_the_lower_bound_is_a_hard_failure():
+    # [5,2,4]_5 has 4 weight-3 cosets; read as a three-column removal
+    # under a parent of R = 3 != d-2, the bound (q-1)*Delta = 12 is missed
+    code, cons = build_code(field_of_order(5), "gdrs", 4, n=5)
+    with pytest.raises(DeepHoleMismatchError) as err:
+        count_deep_hole_cosets(code, replace(cons, removed=(0, 1, 2)), parent_R=3)
+    assert str(err.value) == "deep-hole census below the lower bound: census 4 < 12"
+
+
 def test_covering_radius_matches_census():
     f5 = field_of_order(5)
     for (d, n, want) in [(4, 6, 2), (4, 5, 3), (5, 6, 3)]:

@@ -188,6 +188,23 @@ def test_symmetry_defect_instance():
     assert not rep3.comparable and not rep3.matched
 
 
+def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range():
+    refusals = [
+        (lambda: dist_weight_d2(6, 3, 5, 1), "need d >= 4, got 3"),
+        (lambda: dist_weight_d2(6, 4, 5, 0), "a weight-(d-2) coset has B_{d-2} >= 1"),
+        (lambda: dist_weight_d1(6, 2, 5), "need d >= 3, got 2"),
+        (lambda: dist_weight2(6, 4, 5, 1), "need d >= 5, got 4"),
+        (lambda: dist_weight2(6, 5, 5, -1), "B_{d-2} must be non-negative"),
+        (lambda: weight2_identical_check(6, 4, 5), "need d >= 5, got 4"),
+        (lambda: symmetry_defect(dist_weight_d2(5, 4, 5, 1), dist_weight_d2(5, 4, 5, 2), 6, 4),
+         "distribution lengths disagree with n"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_weight2_aggregate_values():
     assert weight2_aggregate(6, 5, 5) == 240
     assert weight2_aggregate(7, 5, 7) == 1260

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -306,6 +307,19 @@ def test_censuses_hold_python_ints():
     assert all(type(v) is int for v in values)
 
 
+def test_census_formulas_refuse_a_q_without_the_arc():
+    refusals = [
+        (lambda: shortened_conic_census_formulas(4), "shortened-conic census formulas need q >= 5"),
+        (lambda: double_shortened_conic_census_formulas(5),
+         "double-shortened-conic census formulas need q >= 7"),
+        (lambda: hyperoval_census_formulas(5), "hyperovals need even q"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_bisecant_walk_budget_boundary():
     # the conic walk fits up to q = 733 (196842852 steps) and not at 739
     assert bisecant_walk_refusal(733, 734) is None
@@ -325,6 +339,20 @@ def test_the_library_refuses_a_walk_over_the_budget_before_any_block(monkeypatch
     for build in (conic_points, lambda f: shortened_conic(f, 1)):
         with pytest.raises(BudgetExceededError, match="bisecant walk needs"):
             build(f)
+
+
+def test_an_arc_over_the_walk_budget_is_refused_before_any_plane_array():
+    # the conic of PG(2, 4096) would take two arrays of q^2+q+1 = 16.8M
+    # int64 entries (134 MB each); the refusal comes first
+    f = field_of_order(4096)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="bisecant walk needs"):
+            conic_points(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _per_step_walk(f, points):

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from mdscosets import codes
+from mdscosets import codes, mds
 from mdscosets.codes import LinearCode, Matrix, coset_census
 from mdscosets.gf import field_of_order
 from mdscosets.mds import (FAMILIES, build_code, family_length, gdrs_parity,
@@ -213,3 +214,11 @@ def test_length_outside_the_family_is_refused(family):
     for n in (3, family_length(family, 4) + 1):  # below d = 4, past the full length
         with pytest.raises(ValueError, match=f"got n={n}$"):
             build_code(f4, family, 4, n=n)
+
+
+def test_certification_refuses_a_code_that_is_not_mds():
+    # a repeated column gives a weight-2 codeword where n-k+1 = 3
+    code = LinearCode(Matrix(field_of_order(5), np.array([[1, 1, 0, 1], [0, 0, 1, 1]])))
+    with pytest.raises(ValueError) as err:
+        mds._certify(code)
+    assert str(err.value) == "construction is not MDS: distance 2 != 3"
