@@ -112,9 +112,20 @@ def _finalize(counts: list[int], q: int, n: int, d: int, strict: bool,
     _require(dist.total() == q ** (n - d + 1), f"distribution from {what} does not total q^k")
     if strict and not dist.is_nonnegative():
         w = next(w for w, c in enumerate(counts) if c < 0)
-        raise InconsistentPrefixError(
-            f"inconsistent {what}: computed B_{w} = {counts[w]} < 0")
+        try:
+            value = f"{counts[w]}"
+        except ValueError:  # past Python's int-to-str digit limit: its size instead
+            value = f"-(a {_digit_count(counts[w])}-digit number)"
+        raise InconsistentPrefixError(f"inconsistent {what}: computed B_{w} = {value} < 0")
     return dist
+
+
+def _digit_count(x: int) -> int:
+    """Decimal digits of x != 0, without converting it to a string: with
+    t = floor(log10(2) * bit_length), |x| has t digits or t + 1."""
+    x = abs(x)
+    t = int(x.bit_length() * math.log10(2))
+    return t + (x >= 10**t)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)

@@ -18,7 +18,9 @@ full run counts each chain once: 24 kernel runs.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
-command.
+command.  Criteria 1, 3, 5, 6 and 8 each map one theorem's check over
+the corpus: a function of one MDS code's CosetCensus that returns how
+many things it checked and a failure text for each that fails.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import combinations
 
-from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, Matrix, _prefix_censuses,
-                    coset_census)
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode, Matrix,
+                    _census_refusal, _prefix_censuses, coset_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
@@ -80,7 +83,9 @@ class DeskCache:
     hands out the cache's own codes and builds (once) only the others,
     certifying each when first asked for: a parent from the memo its ride
     left.  `census` is keyed by code, so each code's kernel runs happen
-    once per cache.
+    once per cache.  `survey_parents` holds the length-(q+1) gdrs parents
+    at d = 5 and 6 that criterion 9 reads, each with the refusal its
+    certification would meet, or None, decided from the numbers alone.
     """
 
     def __init__(self, qs=DESK_QS, ds=DESK_DS):
@@ -89,9 +94,13 @@ class DeskCache:
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
         self._codes: dict[tuple[int, int, int, str], LinearCode] = {}
+        self.survey_parents: dict[tuple[int, int], BudgetExceededError | None] = {}
         for q in self.qs:
             fld = field_of_order(q)
             length = family_length("gdrs", q)
+            self.survey_parents.update(
+                ((q, d), _census_refusal(q, length, d - 1, d - 1, DEFAULT_BUDGET))
+                for d in self.ds if d in (5, 6) and d <= length)
             longest = 0  # the longest n with q^n <= DESK_AMBIENT_LIMIT
             while q ** (longest + 1) <= DESK_AMBIENT_LIMIT:
                 longest += 1
@@ -157,26 +166,39 @@ class CriterionResult:
         return f"criterion {self.number} [{self.name}]: {'PASS' if self.passed else 'FAIL'}"
 
 
-def _prefix_of(entry: CorpusEntry, counts: tuple[int, ...]) -> LowWeightPrefix:
-    return LowWeightPrefix(entry.n, entry.d, entry.q, counts[: entry.d - 1])
+def _ndqk(census: CosetCensus) -> tuple[int, int, int, int]:
+    """n, d = n-k+1, q and k of the MDS code a census counts."""
+    code = census.code
+    return code.n, code.r + 1, code.field.q, code.k
+
+
+def _over_corpus(cache: DeskCache, check) -> tuple[int, list[str]]:
+    """A per-census check mapped over the corpus: the total it checked and
+    its failure texts, each behind its code's label."""
+    checked, bad = 0, []
+    for entry in cache.entries:
+        count, failures = check(cache.census(entry))
+        checked += count
+        bad += [entry.label + text for text in failures]
+    return checked, bad
+
+
+def rebuild_failures(census: CosetCensus) -> tuple[int, list[str]]:
+    """Feeding each class's low-weight prefix B_0..B_{d-2} into the
+    single-sum relation reproduces the class's full distribution exactly."""
+    n, d, q, _ = _ndqk(census)
+    bad = []
+    for cls in census.classes:
+        rebuilt = bonneau_transformed(LowWeightPrefix(n, d, q, cls.distribution.counts[:d - 1]))
+        if rebuilt != cls.distribution:
+            bad.append(f" W={cls.weight}: {rebuilt.counts} != census {cls.distribution.counts}")
+    return len(census.classes), bad
 
 
 def criterion_oracle_equivalence(cache: DeskCache) -> CriterionResult:
-    """Feeding each census class's low-weight prefix into the single-sum
-    relation must reproduce the class's full distribution exactly."""
-    bad = []
-    classes = 0
-    for entry in cache.entries:
-        census = cache.census(entry)
-        for cls in census.classes:
-            classes += 1
-            rebuilt = bonneau_transformed(_prefix_of(entry, cls.distribution.counts))
-            if rebuilt != cls.distribution:
-                bad.append(f"{entry.label} W={cls.weight}: {rebuilt.counts} "
-                           f"!= census {cls.distribution.counts}")
-    lines = [f"{len(cache.entries)} codes, {classes} census classes reconstructed"]
-    lines += bad
-    return CriterionResult(1, "oracle equivalence", not bad, lines)
+    classes, bad = _over_corpus(cache, rebuild_failures)
+    return CriterionResult(1, "oracle equivalence", not bad, [
+        f"{len(cache.entries)} codes, {classes} census classes reconstructed"] + bad)
 
 
 IDENTITY_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)  # every prime power up to 16
@@ -218,28 +240,30 @@ def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
     return CriterionResult(2, "double-sum vs single-sum equality", not bad, lines)
 
 
-def criterion_closed_forms(cache: DeskCache) -> CriterionResult:
-    """Weight-1 and weight-(d-1) closed forms match their census classes;
-    the weight-1 class counts n(q-1) cosets."""
+def closed_form_failures(census: CosetCensus) -> tuple[int, list[str]]:
+    """One weight-1 class, of n(q-1) cosets, matching its closed form, and
+    at most one weight-(d-1) class, matching its own."""
+    n, d, q, _ = _ndqk(census)
+    w1 = census.classes_of_weight(1)
+    if len(w1) != 1:
+        return 1, [f": {len(w1)} weight-1 classes"]
     bad = []
-    for entry in cache.entries:
-        census = cache.census(entry)
-        n, d, q = entry.n, entry.d, entry.q
-        w1 = census.classes_of_weight(1)
-        if len(w1) != 1:
-            bad.append(f"{entry.label}: {len(w1)} weight-1 classes")
-            continue
-        if w1[0].count != n * (q - 1):
-            bad.append(f"{entry.label}: weight-1 class count {w1[0].count} != {n * (q - 1)}")
-        if w1[0].distribution != dist_weight1(n, d, q):
-            bad.append(f"{entry.label}: weight-1 distribution mismatch")
-        top = census.classes_of_weight(d - 1)
-        if len(top) > 1:
-            bad.append(f"{entry.label}: {len(top)} distinct weight-(d-1) classes")
-        elif top and top[0].distribution != dist_weight_d1(n, d, q):
-            bad.append(f"{entry.label}: weight-(d-1) distribution mismatch")
+    if w1[0].count != n * (q - 1):
+        bad.append(f": weight-1 class count {w1[0].count} != {n * (q - 1)}")
+    if w1[0].distribution != dist_weight1(n, d, q):
+        bad.append(": weight-1 distribution mismatch")
+    top = census.classes_of_weight(d - 1)
+    if len(top) > 1:
+        bad.append(f": {len(top)} distinct weight-(d-1) classes")
+    elif top and top[0].distribution != dist_weight_d1(n, d, q):
+        bad.append(": weight-(d-1) distribution mismatch")
+    return 1, bad
+
+
+def criterion_closed_forms(cache: DeskCache) -> CriterionResult:
+    checked, bad = _over_corpus(cache, closed_form_failures)
     return CriterionResult(3, "weight-1 / weight-(d-1) closed forms", not bad,
-                           [f"{len(cache.entries)} codes checked"] + bad)
+                           [f"{checked} codes checked"] + bad)
 
 
 CONIC_QS = (5, 7, 8)
@@ -266,27 +290,19 @@ def criterion_conic_censuses(cache: DeskCache) -> CriterionResult:
     return CriterionResult(4, "conic bisecant censuses", not bad, checked + bad)
 
 
-def criterion_symmetry(cache: DeskCache) -> CriterionResult:
+def symmetry_failures(census: CosetCensus) -> tuple[int, list[str]]:
     """Reflection defects agree across every pair of weight-(d-2) classes,
     and of weight-2 classes when d >= 5."""
-    bad = []
-    pairs = 0
-    for entry in cache.entries:
-        census = cache.census(entry)
-        n, d = entry.n, entry.d
-        groups = [census.classes_of_weight(d - 2)]
-        if d >= 5:
-            groups.append(census.classes_of_weight(2))
-        for classes in groups:
-            for i in range(len(classes)):
-                for j in range(i + 1, len(classes)):
-                    pairs += 1
-                    rep = symmetry_defect(classes[i].distribution,
-                                          classes[j].distribution, n, d)
-                    if not rep.matched:
-                        bad.append(f"{entry.label}: defect mismatch between "
-                                   f"B={classes[i].distribution.counts} and "
-                                   f"B={classes[j].distribution.counts}")
+    n, d, _, _ = _ndqk(census)
+    pairs = [pair for W in ((d - 2, 2) if d >= 5 else (d - 2,))
+             for pair in combinations(census.classes_of_weight(W), 2)]
+    return len(pairs), [f": defect mismatch between B={a.distribution.counts} and "
+                        f"B={b.distribution.counts}" for a, b in pairs
+                        if not symmetry_defect(a.distribution, b.distribution, n, d).matched]
+
+
+def criterion_symmetry(cache: DeskCache) -> CriterionResult:
+    pairs, bad = _over_corpus(cache, symmetry_failures)
     # frozen instance: the two weight-2 classes of [5,2,4]_5 defect to -10 at w=5
     two = cache.census(cache.code(5, 4, 5)).classes_of_weight(2)
     inst_ok = len(two) == 2
@@ -300,20 +316,20 @@ def criterion_symmetry(cache: DeskCache) -> CriterionResult:
                            [f"{pairs} class pairs compared"] + bad)
 
 
+def aggregate_failures(census: CosetCensus) -> tuple[int, list[str]]:
+    """At d >= 5, the sum of B_{d-2} over all weight-2 cosets equals
+    (q-1) C(n,2) C(n-2,d-2); below, nothing is checked."""
+    n, d, q, _ = _ndqk(census)
+    if d < 5:
+        return 0, []
+    total = sum(cls.count * cls.distribution.counts[d - 2]
+                for cls in census.classes_of_weight(2))
+    want = weight2_aggregate(n, d, q)
+    return 1, [f": aggregate {total} != {want}"] if total != want else []
+
+
 def criterion_aggregate(cache: DeskCache) -> CriterionResult:
-    """Sum of B_{d-2} over all weight-2 cosets equals (q-1) C(n,2) C(n-2,d-2)."""
-    bad = []
-    checked = 0
-    for entry in cache.entries:
-        if entry.d < 5:
-            continue
-        checked += 1
-        census = cache.census(entry)
-        total = sum(cls.count * cls.distribution.counts[entry.d - 2]
-                    for cls in census.classes_of_weight(2))
-        want = weight2_aggregate(entry.n, entry.d, entry.q)
-        if total != want:
-            bad.append(f"{entry.label}: aggregate {total} != {want}")
+    checked, bad = _over_corpus(cache, aggregate_failures)
     inst = weight2_aggregate(6, 5, 5)
     if inst != 240:
         bad.append(f"(6,5,5) aggregate formula gave {inst}, expected 240")
@@ -384,32 +400,33 @@ def criterion_covering(cache: DeskCache) -> CriterionResult:
                            cert_lines + dh_lines + bad)
 
 
-def criterion_structural(cache: DeskCache) -> CriterionResult:
+def structural_failures(census: CosetCensus) -> tuple[int, list[str]]:
     """Totals q^k everywhere; s(C) = k where the nonzero-weight count is
-    pinned; the number of weight-W cosets for W <= floor((d-1)/2)."""
+    pinned; C(n,W)(q-1)^W weight-W cosets, each with one leader, for
+    W <= floor((d-1)/2)."""
+    n, d, q, k = _ndqk(census)
     bad = []
-    for entry in cache.entries:
-        census = cache.census(entry)
-        n, d, q, k = entry.n, entry.d, entry.q, entry.code.k
-        for cls in census.classes:
-            if cls.distribution.total() != q ** k:
-                bad.append(f"{entry.label}: class total {cls.distribution.total()} != q^k")
-                break
-        s = census.code_distribution().num_nonzero_weights()
-        full = family_length("gdrs", q)
-        if n < full or (n == full and k != 2):
-            if s != k:
-                bad.append(f"{entry.label}: s(C) = {s} != k = {k}")
-        for W in range(0, (d - 1) // 2 + 1):
-            want = binom(n, W) * (q - 1) ** W
-            got = census.count_of_weight(W)
-            if got != want:
-                bad.append(f"{entry.label}: {got} weight-{W} cosets, expected {want}")
-            for cls in census.classes_of_weight(W):
-                if cls.distribution.counts[W] != 1:
-                    bad.append(f"{entry.label}: weight-{W} coset leader not unique")
-    return CriterionResult(8, "structural invariants", not bad,
-                           [f"{len(cache.entries)} codes checked"] + bad)
+    for cls in census.classes:
+        if cls.distribution.total() != q ** k:
+            bad.append(f": class total {cls.distribution.total()} != q^k")
+            break
+    s = census.code_distribution().num_nonzero_weights()
+    full = family_length("gdrs", q)
+    if (n < full or (n == full and k != 2)) and s != k:
+        bad.append(f": s(C) = {s} != k = {k}")
+    for W in range(0, (d - 1) // 2 + 1):
+        want = binom(n, W) * (q - 1) ** W
+        got = census.count_of_weight(W)
+        if got != want:
+            bad.append(f": {got} weight-{W} cosets, expected {want}")
+        bad += [f": weight-{W} coset leader not unique"
+                for cls in census.classes_of_weight(W) if cls.distribution.counts[W] != 1]
+    return 1, bad
+
+
+def criterion_structural(cache: DeskCache) -> CriterionResult:
+    checked, bad = _over_corpus(cache, structural_failures)
+    return CriterionResult(8, "structural invariants", not bad, [f"{checked} codes checked"] + bad)
 
 
 def weight2_identity_survey(cache: DeskCache) -> list[dict]:
@@ -418,25 +435,24 @@ def weight2_identity_survey(cache: DeskCache) -> list[dict]:
     The prefixes B_0..B_{d-2} suffice, since they fix the whole
     distribution (criterion 1), and the classes of each code's
     certifying census, its memo, hold those of its weight-2 cosets, so
-    the survey runs no kernel of its own."""
+    the survey runs no kernel of its own.  A code whose certification is
+    over the budget is not surveyed, and never built."""
     findings = []
-    for q in cache.qs:
+    for (q, d), refusal in cache.survey_parents.items():
         n = family_length("gdrs", q)
-        for d in cache.ds:
-            if d not in (5, 6) or d > n:
-                continue
-            gcd = math.gcd(q - 1, d - 2)
-            finding = {"q": q, "d": d, "n": n, "gcd": gcd}
-            if gcd != 1:
-                finding["status"] = "not applicable"
-                findings.append(finding)
-                continue
+        gcd = math.gcd(q - 1, d - 2)
+        finding = {"q": q, "d": d, "n": n, "gcd": gcd}
+        findings.append(finding)
+        if gcd != 1:
+            finding["status"] = "not applicable"
+        elif refusal is not None:
+            finding["status"] = f"not surveyed: {refusal}"
+        else:
             cond = weight2_identical_check(n, d, q)
             finding["b_low_if_identical"] = cond.b_low_if_identical
             prefixes = cache.code(q, d).weight2_prefixes()
             finding["status"] = "confirmed" if len(prefixes) == 1 else "refuted"
             finding["b_values"] = sorted({p[d - 2] for p in prefixes})
-            findings.append(finding)
     return findings
 
 
@@ -447,6 +463,8 @@ def criterion_remark_empirical(cache: DeskCache) -> CriterionResult:
         if f["status"] == "not applicable":
             lines.append(f"q={f['q']} d={f['d']}: gcd(q-1,d-2)={f['gcd']} != 1; "
                          "empirical, not asserted")
+        elif f["status"].startswith("not surveyed"):
+            lines.append(f"q={f['q']} d={f['d']}: {f['status']}; empirical, not asserted")
         else:
             lines.append(f"q={f['q']} d={f['d']}: {f['status']} "
                          f"(B_(d-2) values {f['b_values']}, "

@@ -28,8 +28,10 @@ from mdscosets import codes, gf, mds, verify
 from mdscosets.codes import WeightDistribution
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
-from mdscosets.verify import (CRITERIA, DESK_DS, CorpusEntry, DeskCache,
-                              covering_certificates, deep_hole_equality, run_acceptance)
+from mdscosets.verify import (CRITERIA, DESK_DS, CorpusEntry, DeskCache, aggregate_failures,
+                              closed_form_failures, covering_certificates, deep_hole_equality,
+                              rebuild_failures, run_acceptance, structural_failures,
+                              symmetry_failures)
 
 
 def _run(desk, number):
@@ -487,6 +489,38 @@ def test_survey_reads_the_memo_the_parent_ride_left(kernel_runs):
         {"q": 11, "d": 5, "n": 12, "gcd": 1, "b_low_if_identical": 12,
          "status": "confirmed", "b_values": [12]}]
     assert kernel_runs == []
+
+
+def test_a_survey_parent_over_the_budget_is_reported_and_never_built(kernel_runs):
+    # gcd(63, 4) = 1, so [65,60,6]_64 would be surveyed, but certifying
+    # it needs 65*5*(1+(64^5-1)/63) steps: the cache decides that from
+    # the numbers, and the survey reports it without building the code
+    cache = DeskCache(qs=(64,), ds=(6,))
+    assert verify.weight2_identity_survey(cache) == [
+        {"q": 64, "d": 6, "n": 65, "gcd": 1,
+         "status": "not surveyed: syndrome trellis needs 5539144650 steps "
+                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 200000000"}]
+    assert kernel_runs == [] and cache.entries == []
+
+
+# codes past the desk's size limit, each checked on its full census by
+# the functions criteria 1, 3, 5, 6 and 8 map over the corpus: the
+# length-14 codes at q = 13, and at q = 16 the length 15, the longest
+# whose 16^n vectors fit the int64 counts
+@pytest.mark.parametrize("q, d, n, checked", [
+    (13, 4, 14, (4, 1, 1, 0, 1)),
+    (13, 5, 14, (6, 1, 2, 1, 1)),
+    (13, 6, 14, (23, 1, 13, 1, 1)),
+    (16, 4, 15, (5, 1, 1, 0, 1)),
+    (16, 5, 15, (15, 1, 39, 1, 1)),
+], ids=["14-11-4_13", "14-10-5_13", "14-9-6_13", "15-12-4_16", "15-11-5_16"])
+def test_the_theorem_checks_hold_past_the_desk(q, d, n, checked):
+    code, _ = build_code(field_of_order(q), "gdrs", d, n)
+    census = codes.coset_census(code)
+    results = [check(census) for check in (rebuild_failures, closed_form_failures,
+                                           symmetry_failures, aggregate_failures,
+                                           structural_failures)]
+    assert results == [(count, []) for count in checked]
 
 
 def test_the_corpus_fits_the_default_budget_under_any_filter(monkeypatch):

@@ -263,6 +263,18 @@ def test_dist_inconsistent_prefix_loose(capsys):
     assert "inconsistent" in err
 
 
+def test_an_inconsistent_count_past_the_digit_limit_is_named_by_its_size(capsys):
+    # B_4 comes out negative with 4303 digits, past Python's int-to-str
+    # limit of 4300, so the error names its sign and digit count instead;
+    # a count within the limit is printed as it is
+    code, out, err = run(capsys, "dist", "--closed-form", "d2", "--n", "1500", "--d", "5",
+                         "--q", "1499", "--b", "9" * 4299)
+    assert (code, out) == (2, "")
+    assert err == "error: inconsistent B_{d-2}: computed B_4 = -(a 4303-digit number) < 0\n"
+    assert run(capsys, "dist", "--bonneau", "--prefix", "0,0,50", "--n", "5", "--d", "4",
+               "--q", "5") == (2, "", "error: inconsistent prefix: computed B_3 = -140 < 0\n")
+
+
 def test_census_code_classes(capsys):
     code, out, _ = run(capsys, "census", "code", "--family", "gdrs",
                        "--q", "5", "--d", "4", "--format", "json")
@@ -499,6 +511,29 @@ def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
     assert code == 0
     assert "    1 codes checked" in out.splitlines()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("table", "0908face3701d1e1e1c67607eda6ac77518fa58d1cf2789f33c4c8305122f38c"),
+    ("json", "67a9390f10e367e56901e59471fc0fc50606515e481eec4160b7e7a857560f9f"),
+])
+def test_default_verify_output_is_pinned(capsys, fmt, digest):
+    # the whole desk run, byte for byte; criterion 7's refutations make it exit 1
+    code, out, _ = run(capsys, "verify", "--format", fmt)
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_reports_a_survey_parent_over_the_budget(capsys, kernel_runs):
+    # criterion 9 would certify [65,60,6]_64, over the budget: it reports
+    # that instead, and the exit code is that of criteria 1-8
+    code, out, err = run(capsys, "verify", "--q", "64")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == (
+        "    q=64 d=6: not surveyed: syndrome trellis needs 5539144650 steps "
+        "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 200000000; "
+        "empirical, not asserted")
+    assert kernel_runs and all(ran.r < 5 for ran, _, _ in kernel_runs)  # no d = 6 code
 
 
 def test_verify_unknown_theorem(capsys):
