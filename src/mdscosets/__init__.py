@@ -22,8 +22,7 @@ from .geometry import (Arc, PointCensus, bisecant_census, conic_points,
                        geometry_code_bridge, hyperoval_points,
                        shortened_conic)
 from .gf import GF, field_of_order
-from .mds import (MdsConstruction, build_code, gdrs_parity, gtrs_parity,
-                  mds_weight_distribution, remove_columns)
+from .mds import MdsConstruction, build_code, mds_weight_distribution
 
 __all__ = [
     "Arc", "BudgetExceededError", "CosetCensus", "CosetClass",
@@ -34,10 +33,9 @@ __all__ = [
     "bisecant_census", "bonneau_original", "bonneau_transformed",
     "build_code", "conic_points", "coset_census", "count_deep_hole_cosets",
     "dist_weight1", "dist_weight2", "dist_weight_d1", "dist_weight_d2",
-    "dist_weight_mid", "field_of_order", "gdrs_parity",
-    "geometry_code_bridge", "gtrs_parity", "hyperoval_points",
-    "low_weight_census", "mcf_classify", "mds_weight_distribution",
-    "mu_density_closed_form", "omega", "remove_columns",
+    "dist_weight_mid", "field_of_order", "geometry_code_bridge",
+    "hyperoval_points", "low_weight_census", "mcf_classify",
+    "mds_weight_distribution", "mu_density_closed_form", "omega",
     "saturating_set_report", "shortened_conic", "symmetry_defect",
     "weight2_aggregate", "weight2_identical_check",
 ]

@@ -4,10 +4,13 @@ Every run is fully determined by its arguments (no randomness anywhere),
 so outputs are byte-reproducible.  Counts serialize as decimal strings,
 never JSON numbers: they routinely exceed 2^53 and must survive any
 consumer, and they print in full past Python's int-to-str digit limit.
-Rationals print as "a/b".
+Rationals print as "a/b".  Each field is built on its pinned modulus,
+and `census code` and `covering classify` name a code by its family,
+gdrs or gtrs, and the columns removed from it (the singly-extended code
+is `--family gdrs --remove q`).
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 budget refusal (work over --budget, or counts past 2^63; a
+3 budget refusal (work over --budget, or counts that could pass 2^63; a
 `census geometry` walk or `dist` formula rows over the default budget).
 """
 
@@ -38,14 +41,6 @@ def _csv_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok != ""]
 
 
-def _poly_from_args(args):
-    return tuple(_csv_ints(args.poly)) if args.poly else None
-
-
-def _field_from_args(args):
-    return field_of_order(args.q, _poly_from_args(args))
-
-
 def _code_from_args(args, full: bool):
     """The family code `census code` (full) and `covering classify` name,
     and its recipe; each command certifies it MDS itself.  Before the field
@@ -54,8 +49,7 @@ def _code_from_args(args, full: bool):
     (q, n, n-k, wmax) alone: the certification at n-k, then the full
     census (full) or the parent's certification (a removal code, whose
     deep-hole check builds the parent)."""
-    poly = _poly_from_args(args)
-    check_field_order(args.q, poly)
+    check_field_order(args.q)
     removed = _csv_ints(args.remove or "")
     d, width, drop = _family_layout(args.q, args.family, args.d, None, removed)
     n, r = width - len(drop), d - 1
@@ -68,7 +62,7 @@ def _code_from_args(args, full: bool):
         refusal = _census_refusal(args.q, length, r, wmax, args.budget)
         if refusal is not None:
             raise refusal
-    return _family_code(field_of_order(args.q, poly), args.family, args.d, None,
+    return _family_code(field_of_order(args.q), args.family, args.d, None,
                         removed, args.budget)
 
 
@@ -125,7 +119,8 @@ def cmd_dist(args) -> int:
         else:  # "mid", the last of the parser's choices
             if args.W is None or args.knowns is None:
                 raise ValueError("--closed-form mid needs --W and --knowns")
-            dist = dist_weight_mid(n, d, q, args.W, _csv_ints(args.knowns))
+            dist = dist_weight_mid(n, d, q, args.W, _csv_ints(args.knowns),
+                                   strict=not args.loose)
         consistent = dist.is_nonnegative()
 
     def payload():
@@ -194,12 +189,12 @@ ARC_SIZES = {"conic": 1, "hyperoval": 2, "conic-minus:1": 0, "conic-minus:2": -1
 
 def cmd_census_geometry(args) -> int:
     name = args.arc
-    check_field_order(args.q, _poly_from_args(args))
+    check_field_order(args.q)
     if name in ARC_SIZES:  # refuse a walk over the budget before any field
         refusal = bisecant_walk_refusal(args.q, args.q + ARC_SIZES[name])
         if refusal is not None:
             raise refusal
-    fld = _field_from_args(args)
+    fld = field_of_order(args.q)
     if name == "conic":
         arc = conic_points(fld)
     elif name == "hyperoval":
@@ -320,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     family_code.add_argument("--q", type=int, required=True)
     family_code.add_argument("--d", type=int)
     family_code.add_argument("--remove", help="columns of the full family matrix to drop")
-    family_code.add_argument("--poly", help="field modulus coefficients c_0,...,c_m")
 
     parser = argparse.ArgumentParser(
         prog="mdscosets",
@@ -353,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     cgeom.add_argument("--q", type=int, required=True)
     cgeom.add_argument("--arc", required=True,
                        help="conic | hyperoval | conic-minus:K")
-    cgeom.add_argument("--poly")
     cgeom.set_defaults(func=cmd_census_geometry)
 
     covering = sub.add_parser("covering", help="covering classification")

@@ -132,9 +132,6 @@ class Matrix:
         self.labels = _label_array(field, rows)
         self.nrows, self.ncols = self.labels.shape
 
-    def drop_columns(self, idxs) -> "Matrix":
-        return Matrix(self.field, np.delete(self.labels, list(idxs), axis=1))
-
     def rank(self) -> int:
         reduced, pivots = _rref(self.field, self.labels)
         return len(pivots)
@@ -327,18 +324,23 @@ def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
     budget, counted in n*wmax*(1 + (q^r - 1)/(q - 1)) steps, or counts
     that could pass the int64 range.  The steps bound the entries of the
     weight rows the columns update: column j updates min(wmax, j) rows,
-    at most wmax.  It needs only the numbers, so it can fire before the
-    code is built."""
+    at most wmax.  No count exceeds the vectors of weight <= wmax, nor
+    q^k: an entry after j columns counts vectors with one syndrome, at
+    most q^(j - rank H_j), and rank H_j >= r - (n - j).  A line sum adds
+    q entries, so q^(k+1) bounds every count the kernel forms, and the
+    smaller of the two bounds is checked.  It needs only the numbers, so
+    it can fire before the code is built."""
     work = n * wmax * census_rows(q, r)
     if work > budget:
         return BudgetExceededError(
             f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1)), "
             f"over the budget of {budget}")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
-    if vectors >= 2**63:
-        return BudgetExceededError(
-            f"{vectors} vectors of weight <= {wmax} overflow the int64 counts "
-            f"(limit 2^63)")
+    lines = q ** (n - r + 1)
+    if min(vectors, lines) >= 2**63:
+        what = (f"{vectors} vectors of weight <= {wmax}" if vectors < lines
+                else f"line sums up to q^(k+1) = {lines}")
+        return BudgetExceededError(f"{what} overflow the int64 counts (limit 2^63)")
     return None
 
 
@@ -455,11 +457,14 @@ class CosetCensus:
         self.weights = np.where(has, first, -1).astype(np.min_scalar_type(-1 - self.wmax))
         self.fully_covered = bool(has.all())
         if self.wmax == n:
-            # sum accumulates a narrow integer type in the platform integer
-            _require(int(table[0].sum()) + (q - 1) * int(table[1:].sum()) == q**n,
+            # sum accumulates a narrow integer type in the platform integer,
+            # where a row's q^k vectors fit (see _census_refusal); q^n may
+            # not, so the row sums are totalled exactly in 32-bit halves
+            sums = table.sum(axis=1)
+            high, low = np.divmod(sums[1:], 1 << 32)
+            _require(int(sums[0]) + (q - 1) * ((int(high.sum()) << 32) + int(low.sum())) == q**n,
                      "census table does not hold q^n vectors")
-            _require(bool(np.all(table.sum(axis=1) == q**k)),
-                     "a census row does not hold q^k vectors")
+            _require(bool(np.all(sums == q**k)), "a census row does not hold q^k vectors")
         _require(self.count_of_weight(0) == 1, "census needs exactly one weight-0 coset")
 
     @cached_property

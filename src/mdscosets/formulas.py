@@ -236,7 +236,8 @@ def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
     return _from_prefix(n, d, q, B, True, "weight-1 coset parameters")
 
 
-def dist_weight_mid(n: int, d: int, q: int, W: int, knowns) -> WeightDistribution:
+def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
+                    strict: bool = True) -> WeightDistribution:
     """Coset distribution for mid-range coset weights W.
 
     Low branch (2 <= W <= floor((d-1)/2), d >= 5): the coset has a unique
@@ -256,7 +257,7 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns) -> WeightDistributio
     if low:
         B[W] = 1
     B[d - W:] = knowns
-    return _from_prefix(n, d, q, B, True, "mid-weight knowns")
+    return _from_prefix(n, d, q, B, strict, "mid-weight knowns")
 
 
 def dist_weight_d2(n: int, d: int, q: int, b_low: int,

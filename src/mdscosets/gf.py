@@ -13,6 +13,11 @@ generator of the multiplicative group.  The tables are built once per
 field from direct products (modular for prime fields, reduced by the
 modulus otherwise), in integers only.
 
+Each order has one field: an extension field always takes the pinned
+modulus default_irreducible(p, m).  The fields of one order are
+isomorphic, so no weight count depends on the modulus, and none is
+offered in its place.
+
 Construction verifies its own tables: the stored generator has exact
 multiplicative order q - 1 and every nonzero element has an inverse.
 """
@@ -75,10 +80,9 @@ def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
-    """Monic polynomial irreducible over GF(p)? Trial division up to half degree."""
+    """Monic polynomial of degree >= 1 irreducible over GF(p)? Trial
+    division up to half degree."""
     m = len(coeffs) - 1
-    if m < 1 or coeffs[-1] != 1:
-        return False
     if coeffs[0] == 0:
         return m == 1
     for t in range(1, m // 2 + 1):
@@ -100,9 +104,9 @@ def default_irreducible(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-def _modulus(p: int, m: int, poly: tuple[int, ...] | None) -> tuple[int, ...] | None:
-    """The modulus of GF(p^m), None for a prime field, after every check
-    GF makes before it builds a table."""
+def _modulus(p: int, m: int) -> tuple[int, ...] | None:
+    """The pinned modulus of GF(p^m), None for a prime field, after every
+    check GF makes before it builds a table."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:
@@ -110,25 +114,14 @@ def _modulus(p: int, m: int, poly: tuple[int, ...] | None) -> tuple[int, ...] | 
     q = p ** m
     if q > MAX_FIELD_ORDER:
         raise ValueError(f"field order {q} exceeds the configured maximum {MAX_FIELD_ORDER}")
-    if m == 1:
-        if poly is not None:
-            raise ValueError("a modulus polynomial only applies to extension fields")
-        return None
-    coeffs = tuple(poly) if poly is not None else default_irreducible(p, m)
-    if len(coeffs) != m + 1 or coeffs[-1] != 1:
-        raise ValueError(f"modulus must be monic of degree {m}, got {coeffs}")
-    if any(not 0 <= c < p for c in coeffs):
-        raise ValueError(f"modulus coefficients must lie in [0, {p})")
-    if not _is_irreducible(list(coeffs), p):
-        raise ValueError(f"modulus {coeffs} is reducible over GF({p})")
-    return coeffs
+    return None if m == 1 else default_irreducible(p, m)
 
 
 class GF:
     """The finite field GF(p^m) operating on canonical integer labels."""
 
-    def __init__(self, p: int, m: int = 1, poly: tuple[int, ...] | None = None):
-        self.poly = _modulus(p, m, poly)
+    def __init__(self, p: int, m: int = 1):
+        self.poly = _modulus(p, m)
         self.p = p
         self.m = m
         self.q = p ** m
@@ -149,8 +142,6 @@ class GF:
             if ai:
                 for j, bj in enumerate(db):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-        if self.poly is None:
-            raise AssertionError(f"extension field GF({self.q}) has no modulus")
         for deg in range(2 * m - 2, m - 1, -1):
             c = prod[deg]
             if c:
@@ -242,13 +233,13 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, m
 
 
-def check_field_order(q: int, poly: tuple[int, ...] | None = None) -> None:
-    """Refuse, as field_of_order would, a q or modulus it refuses, without
-    building the field's tables."""
-    _modulus(*_prime_power(q), poly)
+def check_field_order(q: int) -> None:
+    """Refuse, as field_of_order would, a q it refuses, without building
+    the field's tables."""
+    _modulus(*_prime_power(q))
 
 
 @lru_cache(maxsize=None)
-def field_of_order(q: int, poly: tuple[int, ...] | None = None) -> GF:
-    """GF(q) for a prime power q, shared per (q, modulus)."""
-    return GF(*_prime_power(q), poly)
+def field_of_order(q: int) -> GF:
+    """GF(q) for a prime power q, shared per q."""
+    return GF(*_prime_power(q))

@@ -6,20 +6,23 @@ The doubly-extended family puts, over GF(q), the q-1 Vandermonde columns
 next to the two extension columns (1, 0, ..., 0) and (0, ..., 0, 1),
 giving a (d-1) x (q+1) matrix.  Scaling or reordering columns gives a
 monomially equivalent code with the same coset census, so no other
-column multipliers or evaluation orders are offered.  The
-singly-extended family drops the last extension column, and for even q
-the triply-extended d = 4 family adds the column (0, 1, 0) (the nucleus
-of the conic the first q+1 columns trace out in PG(2, q)).
-`family_length` is the one statement of each family's length.
+column multipliers or evaluation orders are offered.  For even q the
+triply-extended d = 4 family ("gtrs") adds the column (0, 1, 0) (the
+nucleus of the conic the first q+1 columns trace out in PG(2, q)) to
+the doubly-extended one ("gdrs").  `family_length` is the one statement
+of each family's length.
 
 Column removals yield the shorter MDS codes whose coset structure the
-rest of the library classifies; keeping a family code's first n columns
-is the pinned default removal.  The constructions check nothing
-themselves: any d-1 columns of the doubly-extended matrix are
-independent (MacWilliams and Sloane, ch. 11), so the full matrix and
-every removal that keeps d-1 columns have full rank.  `LinearCode`
-checks the rank once, and `build_code` certifies MDS-ness from the
-code's census instead of trusting the construction.
+rest of the library classifies: the singly-extended code, for one, is
+the gdrs code less column q.  Keeping a family code's first n columns
+is the pinned default removal.  One function, `_family_code`, builds
+every family matrix, and `_family_layout` makes every refusal of its
+recipe, from the numbers alone.  The matrix itself is not checked: any
+d-1 columns of the doubly-extended matrix are independent (MacWilliams
+and Sloane, ch. 11), so the full matrix and every removal that keeps
+d-1 columns have full rank.  `LinearCode` checks the rank once, and
+`build_code` certifies MDS-ness from the code's census instead of
+trusting the construction.
 
 `mds_weight_distribution` gives the codeword counts A_w of any
 [n, n-d+1, d]_q MDS code as one row per (n, d, q), built by a running
@@ -49,7 +52,7 @@ class MdsConstruction:
     """Pinned recipe for one constructed code: family, field, design
     distance, and which columns of the full family matrix were removed."""
 
-    family: str  # "gdrs" (for "grs" too) or "gtrs"
+    family: str  # "gdrs" or "gtrs"
     q: int
     d: int
     removed: tuple[int, ...]
@@ -60,15 +63,15 @@ class MdsConstruction:
 
 
 # extension columns next to the q-1 Vandermonde ones, per family
-_EXTENSIONS = {"gdrs": 2, "grs": 1, "gtrs": 3}
+_EXTENSIONS = {"gdrs": 2, "gtrs": 3}
 FAMILIES = tuple(_EXTENSIONS)
 
 
 def family_length(family: str, q: int) -> int:
     """Length of the family's full code over GF(q): q+1 doubly extended,
-    q singly extended, q+2 triply extended."""
+    q+2 triply extended."""
     if family not in _EXTENSIONS:
-        raise ValueError(f"unknown family {family!r} (expected gdrs, grs, or gtrs)")
+        raise ValueError(f"unknown family {family!r} (expected gdrs or gtrs)")
     return q - 1 + _EXTENSIONS[family]
 
 
@@ -87,52 +90,6 @@ def _extended_rows(field: GF, d: int) -> np.ndarray:
         rows[t, :-2] = field.mul_array(rows[t - 1, :-2], alphas)
     rows[0, -2] = rows[d - 2, -1] = 1
     return rows
-
-
-def _check_gdrs_distance(q: int, d: int) -> None:
-    if d < 3:
-        raise ValueError(f"design distance must be >= 3, got {d}")
-    if d > q + 1:
-        raise ValueError(f"design distance {d} too large for a length-{q + 1} code over GF({q})")
-
-
-def _check_triple_extension(q: int) -> None:
-    if not has_triple_extension(q, 4):
-        raise ValueError(f"triple extension requires even q, got q={q}")
-
-
-def _removals(ncols: int, design_d: int, idxs) -> list[int]:
-    """The columns idxs of a matrix of ncols columns, sorted, refusing a
-    removal that leaves fewer than design_d."""
-    idxs = sorted(set(int(i) for i in idxs))
-    if not idxs:
-        raise ValueError("no columns to remove")
-    if idxs[0] < 0 or idxs[-1] >= ncols:
-        raise ValueError(f"column index out of range 0..{ncols - 1}")
-    if ncols - len(idxs) < design_d:
-        raise ValueError(
-            f"too many removals: {ncols - len(idxs)} columns cannot carry distance {design_d}")
-    return idxs
-
-
-def gdrs_parity(field: GF, d: int) -> Matrix:
-    """The (d-1) x (q+1) doubly-extended parity-check matrix over GF(q)."""
-    _check_gdrs_distance(field.q, d)
-    return Matrix(field, _extended_rows(field, d))
-
-
-def gtrs_parity(field: GF) -> Matrix:
-    """The 3 x (q+2) triply-extended parity-check matrix; q must be even.
-    At q = 2 its doubly-extended part, three columns, has no code of
-    distance 4 of its own, but with the nucleus it is the [4,1,4]_2 code."""
-    _check_triple_extension(field.q)
-    return Matrix(field, np.column_stack([_extended_rows(field, 4), (0, 1, 0)]))
-
-
-def remove_columns(matrix: Matrix, idxs) -> Matrix:
-    """Drop parity-check columns, keeping at least as many as the design
-    distance needs."""
-    return matrix.drop_columns(_removals(matrix.ncols, matrix.nrows + 1, idxs))
 
 
 WEIGHT_DIST_CACHE_SIZE = 1
@@ -197,9 +154,7 @@ def build_code(field: GF, family: str, d: int | None = None, n: int | None = Non
 
     The code keeps the first `n` columns of the full family matrix (all
     of them by default), less the columns `removed` indexes (0-based).
-    The "grs" family is the doubly-extended matrix with its last column
-    dropped, matching the singly-extended construction.  The code's
-    certification and every later census run under `budget`.
+    The code's certification and every later census run under `budget`.
     """
     code, construction = _family_code(field, family, d, n, removed, budget)
     _certify(code)
@@ -211,36 +166,45 @@ def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
     """(d, columns of the full family matrix, dropped columns) of the code
     _family_code builds, with each of its refusals, in its order, from the
     numbers alone: no field is needed."""
-    length = family_length(family, q)
+    width = family_length(family, q)
     if family == "gtrs":
         if d not in (None, 4):
             raise ValueError("the triply-extended family has d = 4")
         d = 4
-        _check_triple_extension(q)
-        width = length
-    else:
-        if d is None:
-            raise ValueError("design distance required")
-        _check_gdrs_distance(q, d)
-        width = family_length("gdrs", q)
+        if not has_triple_extension(q, d):
+            raise ValueError(f"triple extension requires even q, got q={q}")
+    elif d is None:
+        raise ValueError("design distance required")
+    elif d < 3:
+        raise ValueError(f"design distance must be >= 3, got {d}")
+    elif d > width:
+        raise ValueError(f"design distance {d} too large for a length-{width} code over GF({q})")
     if n is None:
-        n = length
-    elif not d <= n <= length:
+        n = width
+    elif not d <= n <= width:
         raise ValueError(
-            f"the {family} family over GF({q}) needs {d} <= n <= {length}, got n={n}")
-    drop = {int(i) for i in removed} | set(range(n, width))
-    return d, width, tuple(_removals(width, d, drop) if drop else ())
+            f"the {family} family over GF({q}) needs {d} <= n <= {width}, got n={n}")
+    drop = sorted({int(i) for i in removed} | set(range(n, width)))
+    if drop and not 0 <= drop[0] <= drop[-1] < width:
+        raise ValueError(f"column index out of range 0..{width - 1}")
+    if width - len(drop) < d:
+        raise ValueError(
+            f"too many removals: {width - len(drop)} columns cannot carry distance {d}")
+    return d, width, tuple(drop)
 
 
 def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
                  budget: int) -> tuple[LinearCode, MdsConstruction]:
-    """build_code's code and recipe, not yet certified."""
+    """build_code's code and recipe, not yet certified: the doubly-extended
+    rows, with the nucleus column for gtrs, less the dropped columns.  At
+    q = 2 the three doubly-extended columns carry no code of distance 4 of
+    their own, but with the nucleus they give the [4,1,4]_2 code."""
     d, _, drop = _family_layout(field.q, family, d, n, removed)
-    H = gtrs_parity(field) if family == "gtrs" else gdrs_parity(field, d)
-    if drop:
-        H = remove_columns(H, drop)
-    construction = MdsConstruction("gtrs" if family == "gtrs" else "gdrs", field.q, d, drop)
-    return LinearCode(H, budget), construction
+    H = _extended_rows(field, d)
+    if family == "gtrs":
+        H = np.column_stack([H, (0, 1, 0)])
+    return (LinearCode(Matrix(field, np.delete(H, drop, axis=1)), budget),
+            MdsConstruction(family, field.q, d, drop))
 
 
 def _certify(code: LinearCode) -> None:

@@ -25,13 +25,14 @@ import numpy as np
 import pytest
 
 from mdscosets import codes, gf, mds, verify
-from mdscosets.codes import WeightDistribution
+from mdscosets.codes import WeightDistribution, census_rows
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
 from mdscosets.verify import (CRITERIA, DESK_DS, CorpusEntry, DeskCache, aggregate_failures,
                               closed_form_failures, covering_certificates, deep_hole_equality,
                               rebuild_failures, run_acceptance, structural_failures,
                               symmetry_failures)
+from dual_census import dual_table
 
 
 def _run(desk, number):
@@ -464,18 +465,19 @@ def test_one_sort_per_census(monkeypatch):
 
 def test_desk_chains_build_one_family_matrix_each(monkeypatch):
     # each chain builds its full-length code once and takes every shorter
-    # code's matrix as its first n columns: 24 family codes and 23 gdrs
-    # matrices (the gtrs chain builds its own), where building each code
-    # apart took 97 and 96; each of the 97 codes still checks its rank
+    # code's matrix as its first n columns: 24 family codes, each from one
+    # set of doubly-extended rows (the gtrs code adds its nucleus), where
+    # building each code apart took 97; each of the 97 codes still checks
+    # its rank
     calls = Counter()
-    for module, name in ((verify, "_family_code"), (mds, "gdrs_parity"), (codes, "_rref")):
+    for module, name in ((verify, "_family_code"), (mds, "_extended_rows"), (codes, "_rref")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     cache = DeskCache()
     assert len(cache.entries) == 89
-    assert calls == {"_family_code": 24, "gdrs_parity": 23, "_rref": 97}
+    assert calls == {"_family_code": 24, "_extended_rows": 24, "_rref": 97}
 
 
 def test_survey_reads_the_memo_the_parent_ride_left(kernel_runs):
@@ -505,15 +507,23 @@ def test_a_survey_parent_over_the_budget_is_reported_and_never_built(kernel_runs
 
 # codes past the desk's size limit, each checked on its full census by
 # the functions criteria 1, 3, 5, 6 and 8 map over the corpus: the
-# length-14 codes at q = 13, and at q = 16 the length 15, the longest
-# whose 16^n vectors fit the int64 counts
+# length-14 codes at q = 13, at q = 16 the length 15, the longest whose
+# 16^n vectors fit int64, and the full-length codes at q = 16 and 17
+# whose counts and line sums fit int64 (q^(k+1) < 2^63), though their
+# q^n vectors do not
 @pytest.mark.parametrize("q, d, n, checked", [
     (13, 4, 14, (4, 1, 1, 0, 1)),
     (13, 5, 14, (6, 1, 2, 1, 1)),
     (13, 6, 14, (23, 1, 13, 1, 1)),
     (16, 4, 15, (5, 1, 1, 0, 1)),
     (16, 5, 15, (15, 1, 39, 1, 1)),
-], ids=["14-11-4_13", "14-10-5_13", "14-9-6_13", "15-12-4_16", "15-11-5_16"])
+    (16, 4, 17, (4, 1, 0, 0, 1)),
+    (16, 5, 17, (6, 1, 2, 1, 1)),
+    (16, 6, 17, (14, 1, 3, 1, 1)),
+    (17, 5, 18, (6, 1, 3, 1, 1)),
+    (17, 6, 18, (29, 1, 9, 1, 1)),
+], ids=["14-11-4_13", "14-10-5_13", "14-9-6_13", "15-12-4_16", "15-11-5_16",
+        "17-14-4_16", "17-13-5_16", "17-12-6_16", "18-14-5_17", "18-13-6_17"])
 def test_the_theorem_checks_hold_past_the_desk(q, d, n, checked):
     code, _ = build_code(field_of_order(q), "gdrs", d, n)
     census = codes.coset_census(code)
@@ -521,6 +531,18 @@ def test_the_theorem_checks_hold_past_the_desk(q, d, n, checked):
                                            symmetry_failures, aggregate_failures,
                                            structural_failures)]
     assert results == [(count, []) for count in checked]
+
+
+def test_a_census_past_int64_vectors_is_the_dual_census():
+    # [17,14,4]_16 has 16^17 vectors, past int64, and entries up to about
+    # 2^55: each of its 4096 cosets' rows is the MacWilliams census's
+    code, _ = build_code(field_of_order(16), "gdrs", 4)
+    census = codes.coset_census(code)
+    dual = dual_table(code)
+    assert len(dual) == census_rows(16, 3) == 274
+    for svec, row in dual.items():
+        assert census.distribution_of_syndrome(svec).counts == tuple(row), svec
+    assert max(max(row) for row in dual.values()) > 2**54
 
 
 def test_the_corpus_fits_the_default_budget_under_any_filter(monkeypatch):
@@ -585,4 +607,6 @@ def test_desk_cache_builds_the_code_it_is_asked_for():
     assert cache.code(4, 4, family="gtrs") is cache.entries[-1].code
     with pytest.raises(ValueError, match="n=7"):
         cache.code(4, 4, n=7, family="gtrs")
-    assert cache.code(4, 3, family="grs").n == 4
+    assert cache.code(4, 3, n=4).n == 4
+    with pytest.raises(ValueError, match="unknown family 'grs'"):
+        cache.code(4, 3, family="grs")

@@ -263,6 +263,20 @@ def test_dist_inconsistent_prefix_loose(capsys):
     assert "inconsistent" in err
 
 
+def test_dist_mid_honors_loose(capsys):
+    # B_6 of this prefix comes out negative: refused, or printed under --loose
+    argv = ("dist", "--closed-form", "mid", "--n", "10", "--d", "7", "--q", "9",
+            "--W", "2", "--knowns", "99999")
+    assert run(capsys, *argv) == (
+        2, "", "error: inconsistent mid-weight knowns: computed B_6 = -499855 < 0\n")
+    code, out, err = run(capsys, *argv, "--loose")
+    assert (code, err) == (0, "")
+    assert " -499855" in out and out.endswith("  (inconsistent)\n")
+    code, out, _ = run(capsys, *argv, "--loose", "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["consistent"] is False and "-499855" in payload["counts"]
+
+
 def test_an_inconsistent_count_past_the_digit_limit_is_named_by_its_size(capsys):
     # B_4 comes out negative with 4303 digits, past Python's int-to-str
     # limit of 4300, so the error names its sign and digit count instead;
@@ -352,20 +366,26 @@ def test_budget_refusals_come_before_the_field_is_built(capsys, monkeypatch):
     for argv, refusal in cases:
         assert run(capsys, *argv) == (3, "", refusal), argv
     # the field's own refusals still come first, with their texts
-    for q, poly, text in [("6", None, "6 is not a prime power"),
-                          ("131072", None, "field order 131072 exceeds the configured maximum 65536"),
-                          ("65536", "1,1", "modulus must be monic of degree 16, got (1, 1)")]:
-        argv = ("census", "code", "--q", q, *gdrs) + (("--poly", poly) if poly else ())
+    for q, text in [("6", "6 is not a prime power"),
+                    ("131072", "field order 131072 exceeds the configured maximum 65536")]:
+        argv = ("census", "code", "--q", q, *gdrs)
         assert run(capsys, *argv) == (2, "", f"error: {text}\n"), argv
 
 
 def test_census_int64_overflow_refusal(capsys):
-    # the kernel's work, about 3.5*10^7, is inside the budget, but the
-    # 32^31 codewords of the [33,31,3]_32 code overflow int64 counts
-    code, _, err = run(capsys, "census", "code", "--family", "gdrs",
-                       "--q", "32", "--d", "3")
-    assert code == 3
-    assert "2^63" in err
+    # the kernel's work, about 3.5*10^7, is inside the budget, but a line
+    # sum of the [33,31,3]_32 census may reach q^(k+1) = 32^32, past int64;
+    # so may one of the gtrs [18,15,4]_16 census, at 16^16 = 2^64
+    for argv, bound in ((("--family", "gdrs", "--q", "32", "--d", "3"), 32**32),
+                        (("--family", "gtrs", "--q", "16"), 16**16)):
+        assert run(capsys, "census", "code", *argv) == (
+            3, "", f"budget refusal: line sums up to q^(k+1) = {bound} overflow the int64 "
+                   "counts (limit 2^63)\n")
+    # [17,14,4]_16 holds 16^17 vectors, past int64, but no line sum of
+    # its census passes 16^15
+    code, out, err = run(capsys, "census", "code", "--family", "gdrs", "--q", "16", "--d", "4")
+    assert (code, err) == (0, "")
+    assert out.startswith("coset census of [17,14]_16 (4096 cosets)\n")
 
 
 def test_census_geometry(capsys):
@@ -441,12 +461,40 @@ def test_census_geometry_outputs_up_to_q_64_are_pinned(capsys):
         "c108216591999e3f20d1212ce4c9356a6f9ac2fc4b0d8e9fe045f0ca99407085"
 
 
-def test_census_field_poly_override(capsys):
-    code, out, _ = run(capsys, "census", "code", "--family", "gdrs",
-                       "--q", "8", "--d", "3", "--poly", "1,0,1,1",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["total_cosets"] == "64"
+@pytest.mark.parametrize("argv, text", [
+    (("census", "code", "--family", "gdrs", "--q", "8", "--d", "3", "--poly", "1,0,1,1"),
+     "unrecognized arguments: --poly 1,0,1,1"),
+    (("census", "geometry", "--q", "8", "--arc", "hyperoval", "--poly", "1,0,1,1"),
+     "unrecognized arguments: --poly 1,0,1,1"),
+    (("covering", "classify", "--family", "gdrs", "--q", "8", "--d", "4", "--poly", "1,0,1,1"),
+     "unrecognized arguments: --poly 1,0,1,1"),
+    (("census", "code", "--family", "grs", "--q", "5", "--d", "4"),
+     "argument --family: invalid choice: 'grs'"),
+    (("covering", "classify", "--family", "grs", "--q", "5", "--d", "4"),
+     "argument --family: invalid choice: 'grs'"),
+], ids=["census-code-poly", "census-geometry-poly", "covering-poly",
+        "census-code-grs", "covering-grs"])
+def test_no_modulus_option_and_no_grs_family(capsys, argv, text):
+    # every field takes its pinned modulus, and the singly-extended code
+    # is spelled --family gdrs --remove q: both are usage errors
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: mdscosets ") and text in err
+
+
+def test_gdrs_removal_spells_the_singly_extended_code(capsys):
+    # `census code` and `covering classify` of --family gdrs --remove q
+    # print, in table and json, the bytes --family grs printed (the digest
+    # of those outputs)
+    digest = hashlib.sha256()
+    for q, d in ((4, 3), (5, 4), (7, 3), (8, 5)):
+        for command in (("census", "code"), ("covering", "classify")):
+            for fmt in ("table", "json"):
+                code, out, err = run(capsys, *command, "--family", "gdrs", "--remove", str(q),
+                                     "--q", str(q), "--d", str(d), "--format", fmt)
+                digest.update(f"{q} {d} {' '.join(command)} {fmt} {code}\n{out}{err}".encode())
+    assert digest.hexdigest() == \
+        "4b204bc61bffd0bf182e5f0e87983cf1d04d0bc5b060da6c73da637259022230"
 
 
 def test_covering_classify_gtrs(capsys):
@@ -460,7 +508,8 @@ def test_covering_classify_gtrs(capsys):
 
 
 def test_covering_classify_grs_with_deep_hole_check(capsys):
-    code, out, _ = run(capsys, "covering", "classify", "--family", "grs",
+    # the singly-extended [5,2,4]_5 code: the gdrs code less column q
+    code, out, _ = run(capsys, "covering", "classify", "--family", "gdrs", "--remove", "5",
                        "--q", "5", "--d", "4", "--format", "json")
     assert code == 0
     payload = json.loads(out)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from mdscosets import geometry
-from mdscosets.codes import BudgetExceededError, CosetCensus, low_weight_census, syndrome_row
+from mdscosets.codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus,
+                             low_weight_census, syndrome_row)
 from mdscosets.combinat import binom
 from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
                                 conic_census_formulas, conic_points,
@@ -20,7 +21,7 @@ from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
                                 hyperoval_points, shortened_conic,
                                 shortened_conic_census_formulas)
 from mdscosets.gf import field_of_order
-from mdscosets.mds import gdrs_parity
+from mdscosets.mds import _family_code
 from oracle import (brute_bisecant_classes, det3, field_of, line_through,
                     normalize, plane_points, unisecants_through)
 
@@ -60,7 +61,7 @@ def test_conic_is_an_arc_and_matches_parity_columns():
     f5 = field_of_order(5)
     arc = conic_points(f5)
     assert arc.n == 6
-    H = gdrs_parity(f5, 4)
+    H = _family_code(f5, "gdrs", 4, None, (), DEFAULT_BUDGET)[0].H
     cols = [normalize(f5, col) for col in H.labels.T.tolist()]
     assert cols == arc.points
 

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from mdscosets import codes, mds
-from mdscosets.codes import LinearCode, Matrix, coset_census
+from mdscosets.codes import DEFAULT_BUDGET, LinearCode, Matrix, coset_census
 from mdscosets.gf import field_of_order
-from mdscosets.mds import (FAMILIES, build_code, family_length, gdrs_parity,
-                           gtrs_parity, mds_weight_distribution,
-                           remove_columns)
+from mdscosets.mds import FAMILIES, build_code, family_length, mds_weight_distribution
 from oracle import brute_codeword_weights, brute_table, field_of
+
+
+def family_code(field, family, d=None, removed=()):
+    """The family code as build_code builds it, not yet certified."""
+    return mds._family_code(field, family, d, None, removed, DEFAULT_BUDGET)[0]
 
 
 def test_gdrs_matrix_layout():
     f5 = field_of_order(5)
-    H = gdrs_parity(f5, 4)
+    H = family_code(f5, "gdrs", 4).H
     assert (H.nrows, H.ncols) == (3, 6)
     # alpha columns are (1, a, a^2); the extension columns are unit vectors
     F5 = field_of(f5)
@@ -26,31 +29,36 @@ def test_gdrs_matrix_layout():
 def test_gdrs_codes_are_mds():
     for q, d, expect in [(5, 4, (6, 3)), (5, 3, (6, 4)), (4, 3, (5, 3))]:
         f = field_of_order(q)
-        code = LinearCode(gdrs_parity(f, d))
+        code = family_code(f, "gdrs", d)
         assert (code.n, code.k) == expect
         assert code.min_distance() == d
 
 
 def test_gdrs_rejections():
     f5 = field_of_order(5)
-    with pytest.raises(ValueError):
-        gdrs_parity(f5, 2)
-    with pytest.raises(ValueError):
-        gdrs_parity(f5, 7)  # d > q + 1
+    with pytest.raises(ValueError, match="design distance required"):
+        build_code(f5, "gdrs")
+    with pytest.raises(ValueError, match="design distance must be >= 3, got 2"):
+        build_code(f5, "gdrs", 2)
+    with pytest.raises(ValueError, match="design distance 7 too large for a length-6 code"):
+        build_code(f5, "gdrs", 7)  # d > q + 1
 
 
 def test_gtrs_examples():
     f4 = field_of_order(4)
-    code = LinearCode(gtrs_parity(f4))
+    code = family_code(f4, "gtrs")
     assert (code.n, code.k) == (6, 3)
     assert code.min_distance() == 4
     assert code.covering_radius() == 2
     f8 = field_of_order(8)
-    code8 = LinearCode(gtrs_parity(f8))
+    code8 = family_code(f8, "gtrs")
     assert (code8.n, code8.k) == (10, 7)
     assert code8.min_distance() == 4
-    with pytest.raises(ValueError):
-        gtrs_parity(field_of_order(5))
+    assert code8.H.labels[:, -1].tolist() == [0, 1, 0]  # the nucleus
+    with pytest.raises(ValueError, match="triple extension requires even q, got q=5"):
+        build_code(field_of_order(5), "gtrs")
+    with pytest.raises(ValueError, match="the triply-extended family has d = 4"):
+        build_code(f8, "gtrs", 5)
 
 
 def test_binary_triple_extension_is_the_length_4_repetition_code():
@@ -68,24 +76,27 @@ def test_binary_triple_extension_is_the_length_4_repetition_code():
 
 def test_remove_columns_examples():
     f5 = field_of_order(5)
-    H = gdrs_parity(f5, 4)
-    code5 = LinearCode(remove_columns(H, [5]))
+    full = family_code(f5, "gdrs", 4)
+    code5 = family_code(f5, "gdrs", 4, removed=[5])
     assert (code5.n, code5.k) == (5, 2)
+    assert code5.H.labels.tolist() == full.H.labels[:, :5].tolist()
     assert code5.covering_radius() == 3
     f7 = field_of_order(7)
-    code67 = LinearCode(remove_columns(gdrs_parity(f7, 4), [6, 7]))
+    code67 = family_code(f7, "gdrs", 4, removed=[6, 7])
     assert (code67.n, code67.k) == (6, 3)
     assert code67.covering_radius() == 3
-    with pytest.raises(ValueError, match="too many"):
-        remove_columns(H, [2, 3, 4, 5])  # would leave fewer than d columns
-    with pytest.raises(ValueError):
-        remove_columns(H, [])
-    with pytest.raises(ValueError):
-        remove_columns(H, [9])
+    # the removal refusals, in order: an index out of range, then too few
+    # columns left for the design distance
+    with pytest.raises(ValueError, match="too many removals: 2 columns cannot carry distance 4"):
+        build_code(f5, "gdrs", 4, removed=[2, 3, 4, 5])
+    with pytest.raises(ValueError, match=r"column index out of range 0\.\.5"):
+        build_code(f5, "gdrs", 4, removed=[9])
+    with pytest.raises(ValueError, match="out of range"):
+        build_code(f5, "gdrs", 4, removed=[-1, 1, 2, 3, 4])
 
 
 @pytest.mark.parametrize("family, q, d, removed", [
-    ("gdrs", 7, 4, (0, 3)), ("grs", 5, 3, (1,)), ("gtrs", 8, None, ()),
+    ("gdrs", 7, 4, (0, 3)), ("gdrs", 5, 3, (1, 5)), ("gtrs", 8, None, ()),
     ("gtrs", 4, None, (2,))])
 def test_build_code_checks_rank_once(monkeypatch, family, q, d, removed):
     # LinearCode runs the one rank elimination; the constructions trust
@@ -143,10 +154,14 @@ def test_nucleus_gives_weight3_cosets_for_even_q():
 
 
 def test_grs_family_drops_last_column():
+    # the singly-extended code is the gdrs code less its last column; no
+    # family of its own spells it
     f5 = field_of_order(5)
-    code, cons = build_code(f5, "grs", 4)
+    code, cons = build_code(f5, "gdrs", 4, removed=(5,))
     assert (code.n, code.k) == (5, 2)
-    assert cons.removed == (5,)
+    assert (cons.family, cons.removed) == ("gdrs", (5,))
+    with pytest.raises(ValueError, match="unknown family 'grs' \\(expected gdrs or gtrs\\)"):
+        build_code(f5, "grs", 4)
 
 
 def test_column_multipliers_do_not_change_the_census():
@@ -184,7 +199,8 @@ def _family_lengths():
 
 
 def test_family_lengths():
-    assert [family_length(fam, 7) for fam in FAMILIES] == [8, 7, 9]
+    assert FAMILIES == ("gdrs", "gtrs")
+    assert [family_length(fam, 7) for fam in FAMILIES] == [8, 9]
     with pytest.raises(ValueError, match="unknown family 'rs'"):
         family_length("rs", 7)
     with pytest.raises(ValueError, match="unknown family 'rs'"):
@@ -197,7 +213,7 @@ def test_length_keeps_the_first_columns_of_the_family_matrix(monkeypatch):
     # code (tested above, and over budget for the largest d) is skipped.
     monkeypatch.setattr(LinearCode, "min_distance", lambda self: self.n - self.k + 1)
     cases = list(_family_lengths())
-    assert len(cases) == 190
+    assert len(cases) == 116
     for family, q, d, n in cases:
         f = field_of_order(q)
         code, cons = build_code(f, family, d, n=n)
