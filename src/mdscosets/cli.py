@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -183,26 +184,36 @@ def cmd_census_code(args) -> int:
     return 0
 
 
-# the size of each arc `census geometry` builds in PG(2, q), less q
-ARC_SIZES = {"conic": 1, "hyperoval": 2, "conic-minus:1": 0, "conic-minus:2": -1}
+def _arc_from_args(args):
+    """The builder, on the field, of the arc `census geometry` names: every
+    usage error, then the walk's budget, decided from the name and q alone."""
+    name, q = args.arc, args.q
+    p, _ = check_field_order(q)
+    remove = None
+    if name.startswith("conic-minus:"):
+        with contextlib.suppress(ValueError):
+            remove = int(name[len("conic-minus:"):])
+    if name == "conic":
+        size, build = q + 1, conic_points
+    elif name == "hyperoval":
+        if p != 2:
+            raise ValueError(f"hyperoval requires even q, got q={q}")
+        size, build = q + 2, hyperoval_points
+    elif remove is not None:
+        if remove not in (1, 2):
+            raise ValueError("remove one or two conic points")
+        size, build = q + 1 - remove, functools.partial(shortened_conic, remove=remove)
+    else:
+        raise ValueError(f"unknown arc {name!r} (conic, hyperoval, conic-minus:K)")
+    refusal = bisecant_walk_refusal(q, size)
+    if refusal is not None:
+        raise refusal
+    return build
 
 
 def cmd_census_geometry(args) -> int:
-    name = args.arc
-    check_field_order(args.q)
-    if name in ARC_SIZES:  # refuse a walk over the budget before any field
-        refusal = bisecant_walk_refusal(args.q, args.q + ARC_SIZES[name])
-        if refusal is not None:
-            raise refusal
-    fld = field_of_order(args.q)
-    if name == "conic":
-        arc = conic_points(fld)
-    elif name == "hyperoval":
-        arc = hyperoval_points(fld)
-    elif name.startswith("conic-minus:"):
-        arc = shortened_conic(fld, int(name.split(":", 1)[1]))
-    else:
-        raise ValueError(f"unknown arc {name!r} (conic, hyperoval, conic-minus:K)")
+    name, q = args.arc, args.q
+    arc = _arc_from_args(args)(field_of_order(q))
     census = bisecant_census(arc)
 
     def payload():
@@ -210,7 +221,7 @@ def cmd_census_geometry(args) -> int:
             "schema": SCHEMA,
             "command": "census-geometry",
             "arc": name,
-            "q": fld.q,
+            "q": q,
             "arc_size": arc.n,
             "off_arc_points": str(census.covered),
             "classes": [{"bisecants": b, "points": str(npts)}
@@ -218,7 +229,7 @@ def cmd_census_geometry(args) -> int:
         }
 
     def table():
-        return ([f"bisecant census of {name} ({arc.n} points) in PG(2,{fld.q})",
+        return ([f"bisecant census of {name} ({arc.n} points) in PG(2,{q})",
                  "  bisecants  points"]
                 + [f"{b:>10}  {npts}" for b, npts in census.classes])
 

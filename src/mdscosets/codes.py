@@ -326,20 +326,21 @@ def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
     weight rows the columns update: column j updates min(wmax, j) rows,
     at most wmax.  No count exceeds the vectors of weight <= wmax, nor
     q^k: an entry after j columns counts vectors with one syndrome, at
-    most q^(j - rank H_j), and rank H_j >= r - (n - j).  A line sum adds
-    q entries, so q^(k+1) bounds every count the kernel forms, and the
-    smaller of the two bounds is checked.  It needs only the numbers, so
-    it can fire before the code is built."""
+    most q^(j - rank H_j), and rank H_j >= r - (n - j).  Each trellis
+    step is a ring operation, so int64, which wraps mod 2^64, gives each
+    count exactly once it is below 2^63, even where a line sum wraps (von
+    zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  It needs
+    only the numbers, so it can fire before the code is built."""
     work = n * wmax * census_rows(q, r)
     if work > budget:
         return BudgetExceededError(
             f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1)), "
             f"over the budget of {budget}")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
-    lines = q ** (n - r + 1)
-    if min(vectors, lines) >= 2**63:
-        what = (f"{vectors} vectors of weight <= {wmax}" if vectors < lines
-                else f"line sums up to q^(k+1) = {lines}")
+    entries = q ** (n - r)
+    if min(vectors, entries) >= 2**63:
+        what = (f"{vectors} vectors of weight <= {wmax}" if vectors < entries
+                else f"entries up to q^k = {entries}")
         return BudgetExceededError(f"{what} overflow the int64 counts (limit 2^63)")
     return None
 
@@ -376,7 +377,10 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     Returns the tables after each of the lengths, in ascending order: the
     one after j columns is the table of the code on the first j
     coordinates at weight min(wmax, j), narrowed (see _narrowed).  Both
-    refusals (see _census_refusal) fire before any table exists.
+    refusals (see _census_refusal) fire before any table exists.  The
+    two scalar products, at the rows of 0 and H, stay below q^k, so no
+    scalar overflow warns: a column in the span of the earlier ones meets
+    entries of at most q^(k-1), and one outside it a zero entry at H.
     """
     f = code.field
     q, n = f.q, code.n

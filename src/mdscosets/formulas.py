@@ -54,8 +54,9 @@ tuples, then the 89 desk codes twice) and the double-sum rows 436
 times, and criterion 3 asks for each desk (n, d, q)'s two distributions
 at most once, so their caches neither help nor cost it.
 
-`check_mds_params` refuses, before any row is built, parameters no MDS
-code has and rows that would hold more bits than the default budget.
+`check_mds_params` refuses parameters no MDS code has before any work,
+then come the other usage errors, and then each row builder refuses rows
+over the default budget in bits, before any row or prefix is laid out.
 All formulas are total functions of the prefix; only realizability can
 fail.  A computed negative count means no actual coset has that prefix,
 reported as InconsistentPrefixError in strict mode and as a plain
@@ -73,7 +74,7 @@ from operator import add, sub
 
 from .codes import WeightDistribution, _require
 from .combinat import binom, omega
-from .mds import check_mds_params, mds_weight_distribution
+from .mds import _check_formula_rows, check_mds_params, mds_weight_distribution
 
 ROW_CACHE_SIZE = 1  # (n, d, q) row sets kept per form
 
@@ -137,8 +138,8 @@ def _single_sum_rows(n: int, d: int, q: int) -> Rows:
 
     which is exact: it is C(n-v, w-v) C(w-1-v, d-2-v) stepped once in
     each binomial.  The small factors are multiplied first and the sign
-    rides in the divisor, so an entry costs two big-integer steps."""
-    check_mds_params(n, d, q)
+    rides in the divisor, so an entry costs two big-integer steps.  The
+    row of A_w is charged first."""
     A = mds_weight_distribution(n, d, q).counts
     cols = []
     for v in range(d - 1):
@@ -163,7 +164,7 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
     C(m, i) comes from the Pascal table S(m+1, l) = S(m, l) - S(m, l-1),
     S(m, 0) = 1, and (-1)^m C(n-v, m) runs down the column, its sign
     carried in the divisor -(m+1)."""
-    check_mds_params(n, d, q)
+    _check_formula_rows(n, d, q)
     known = []
     t = 1  # T(w, w-d+1)
     c_nw = binom(n, d - 1)  # C(n, w)
@@ -205,17 +206,20 @@ def _tail(rows: Rows, counts) -> list[int]:
     return tail
 
 
-def _from_prefix(n: int, d: int, q: int, prefix, strict: bool,
+def _from_prefix(n: int, d: int, q: int, known: dict[int, int], strict: bool,
                  what: str) -> WeightDistribution:
-    """B_0..B_n of a coset from its prefix B_0..B_{d-2}: the prefix, then
-    the single-sum tail at it."""
-    B = list(prefix) + _tail(_single_sum_rows(n, d, q), prefix)
-    return _finalize(B, q, n, d, strict, what)
+    """B_0..B_n of a coset from the entries `known` (v: B_v, the others 0)
+    of its prefix B_0..B_{d-2}: the prefix, laid out after the rows are
+    charged, then the single-sum tail at it."""
+    rows = _single_sum_rows(n, d, q)
+    B = [known.get(v, 0) for v in range(d - 1)]
+    return _finalize(B + _tail(rows, B), q, n, d, strict, what)
 
 
 def bonneau_transformed(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Full coset distribution from its low-weight prefix, single-sum form."""
-    return _from_prefix(prefix.n, prefix.d, prefix.q, prefix.counts, strict, "prefix")
+    return _from_prefix(prefix.n, prefix.d, prefix.q, dict(enumerate(prefix.counts)),
+                        strict, "prefix")
 
 
 def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
@@ -230,10 +234,7 @@ def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all n(q-1) weight-1 cosets: B_1 = 1."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    check_mds_params(n, d, q)
-    B = [0] * (d - 1)
-    B[1] = 1
-    return _from_prefix(n, d, q, B, True, "weight-1 coset parameters")
+    return _from_prefix(n, d, q, {1: 1}, True, "weight-1 coset parameters")
 
 
 def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
@@ -253,11 +254,10 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
         raise ValueError(f"W={W} outside both mid-range branches for d={d}")
     if len(knowns) != W - 1:
         raise ValueError(f"need the {W - 1} values B_{d - W}..B_{d - 2}, got {len(knowns)}")
-    B = [0] * (d - 1)
+    known = dict(zip(range(d - W, d - 1), knowns))
     if low:
-        B[W] = 1
-    B[d - W:] = knowns
-    return _from_prefix(n, d, q, B, strict, "mid-weight knowns")
+        known[W] = 1
+    return _from_prefix(n, d, q, known, strict, "mid-weight knowns")
 
 
 def dist_weight_d2(n: int, d: int, q: int, b_low: int,
@@ -267,10 +267,7 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
         raise ValueError(f"need d >= 4, got {d}")
     if b_low < 1:
         raise ValueError("a weight-(d-2) coset has B_{d-2} >= 1")
-    check_mds_params(n, d, q)
-    B = [0] * (d - 1)
-    B[d - 2] = b_low
-    return _from_prefix(n, d, q, B, strict, "B_{d-2}")
+    return _from_prefix(n, d, q, {d - 2: b_low}, strict, "B_{d-2}")
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -279,8 +276,7 @@ def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
     cosets: B_0..B_{d-2} are all 0."""
     if d < 3:
         raise ValueError(f"need d >= 3, got {d}")
-    check_mds_params(n, d, q)
-    return _from_prefix(n, d, q, [0] * (d - 1), True, "farthest-off parameters")
+    return _from_prefix(n, d, q, {}, True, "farthest-off parameters")
 
 
 def dist_weight2(n: int, d: int, q: int, b_low: int,
@@ -290,11 +286,7 @@ def dist_weight2(n: int, d: int, q: int, b_low: int,
         raise ValueError(f"need d >= 5, got {d}")
     if b_low < 0:
         raise ValueError("B_{d-2} must be non-negative")
-    check_mds_params(n, d, q)
-    B = [0] * (d - 1)
-    B[2] = 1
-    B[d - 2] = b_low
-    return _from_prefix(n, d, q, B, strict, "B_{d-2}")
+    return _from_prefix(n, d, q, {2: 1, d - 2: b_low}, strict, "B_{d-2}")
 
 
 @dataclass(frozen=True)

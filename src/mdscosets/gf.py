@@ -13,10 +13,13 @@ generator of the multiplicative group.  The tables are built once per
 field from direct products (modular for prime fields, reduced by the
 modulus otherwise), in integers only.
 
-Each order has one field: an extension field always takes the pinned
-modulus default_irreducible(p, m).  The fields of one order are
-isomorphic, so no weight count depends on the modulus, and none is
-offered in its place.
+A field is named by its order alone, as the paper states every result:
+GF(q) is the one constructor, and check_field_order(q) the one check of
+an order, which returns (p, m) and builds no table.  Each order has one
+field: an extension field always takes the pinned modulus
+default_irreducible(p, m).  The fields of one order are isomorphic
+(Lidl and Niederreiter, Finite Fields, ch. 2), so no weight count
+depends on the modulus, and none is offered in its place.
 
 Construction verifies its own tables: the stored generator has exact
 multiplicative order q - 1 and every nonzero element has an inverse.
@@ -29,20 +32,6 @@ from functools import lru_cache
 import numpy as np
 
 MAX_FIELD_ORDER = 1 << 16
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; fine for the supported field sizes."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -62,33 +51,25 @@ def _factorize(n: int) -> dict[int, int]:
 # Coefficient lists are ascending: coeffs[i] multiplies x^i.
 
 def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a mod b over GF(p); b must be monic."""
+    """Remainder of a mod the monic b over GF(p), as its len(b) - 1
+    coefficients."""
     a = a[:]
     db = len(b) - 1
-    while len(a) - 1 >= db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < db:
-            break
-        c = a[-1]
-        shift = len(a) - 1 - db
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c = a[shift + db]
         for i, bc in enumerate(b):
             a[shift + i] = (a[shift + i] - c * bc) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    return a[:db]
 
 
 def _is_irreducible(coeffs: list[int], p: int) -> bool:
     """Monic polynomial of degree >= 1 irreducible over GF(p)? Trial
-    division up to half degree."""
+    division by every monic polynomial up to half degree, x included."""
     m = len(coeffs) - 1
-    if coeffs[0] == 0:
-        return m == 1
     for t in range(1, m // 2 + 1):
         for packed in range(p ** t):
             g = [(packed // p**i) % p for i in range(t)] + [1]
-            if not _poly_rem(coeffs, g, p):
+            if not any(_poly_rem(coeffs, g, p)):
                 return False
     return True
 
@@ -97,35 +78,32 @@ def _is_irreducible(coeffs: list[int], p: int) -> bool:
 def default_irreducible(p: int, m: int) -> tuple[int, ...]:
     """The pinned default modulus for GF(p^m): the monic irreducible of
     degree m whose low-coefficient encoding sum(c_i * p^i) is smallest."""
-    for packed in range(p ** m):
-        coeffs = [(packed // p**i) % p for i in range(m)] + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
-    raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
+    monic = ([(packed // p**i) % p for i in range(m)] + [1] for packed in range(p ** m))
+    return tuple(next(coeffs for coeffs in monic if _is_irreducible(coeffs, p)))
 
 
-def _modulus(p: int, m: int) -> tuple[int, ...] | None:
-    """The pinned modulus of GF(p^m), None for a prime field, after every
-    check GF makes before it builds a table."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError(f"extension degree must be >= 1, got {m}")
-    q = p ** m
+def check_field_order(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m, the one check of a field order: a q over
+    MAX_FIELD_ORDER is refused first, in constant time, not factorized,
+    then any q that is no prime power.  No table is built, so callers
+    refuse q with it before any work."""
     if q > MAX_FIELD_ORDER:
         raise ValueError(f"field order {q} exceeds the configured maximum {MAX_FIELD_ORDER}")
-    return None if m == 1 else default_irreducible(p, m)
+    fac = _factorize(q)
+    if len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    (p, m), = fac.items()
+    return p, m
 
 
 class GF:
-    """The finite field GF(p^m) operating on canonical integer labels."""
+    """The finite field GF(q), q = p^m, operating on canonical integer labels."""
 
-    def __init__(self, p: int, m: int = 1):
-        self.poly = _modulus(p, m)
-        self.p = p
-        self.m = m
-        self.q = p ** m
-        self._ppow = [p ** i for i in range(m)]
+    def __init__(self, q: int):
+        self.p, self.m = check_field_order(q)
+        self.q = q
+        self.poly = None if self.m == 1 else default_irreducible(self.p, self.m)
+        self._ppow = [self.p ** i for i in range(self.m)]
         self._build_tables()
         self._add_table: np.ndarray | None = None
 
@@ -159,19 +137,12 @@ class GF:
         return out
 
     def _build_tables(self) -> None:
+        # the least g of order q - 1: no g^((q-1)/l) is 1, l a prime
+        # factor of q - 1; at q = 2 there is none, and g = 1 qualifies
         q = self.q
-        if q == 2:
-            self.generator = 1
-        else:
-            fac = _factorize(q - 1)
-            gen = None
-            for g in range(2, q):
-                if all(self._raw_pow(g, (q - 1) // ell) != 1 for ell in fac):
-                    gen = g
-                    break
-            if gen is None:
-                raise AssertionError(f"no generator found for GF({q})")
-            self.generator = gen
+        fac = _factorize(q - 1)
+        self.generator = next(g for g in range(1, q)
+                              if all(self._raw_pow(g, (q - 1) // ell) != 1 for ell in fac))
         alog = [1] * (q - 1)
         for i in range(1, q - 1):
             alog[i] = self._raw_mul(alog[i - 1], self.generator)
@@ -221,25 +192,7 @@ class GF:
         return f"GF({self.q}={self.p}^{self.m}, poly={self.poly})"
 
 
-def _prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m, refusing any q that is no prime power; a q over
-    MAX_FIELD_ORDER is refused first, in constant time, not factorized."""
-    if q > MAX_FIELD_ORDER:
-        raise ValueError(f"field order {q} exceeds the configured maximum {MAX_FIELD_ORDER}")
-    fac = _factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    (p, m), = fac.items()
-    return p, m
-
-
-def check_field_order(q: int) -> None:
-    """Refuse, as field_of_order would, a q it refuses, without building
-    the field's tables."""
-    _modulus(*_prime_power(q))
-
-
 @lru_cache(maxsize=None)
 def field_of_order(q: int) -> GF:
     """GF(q) for a prime power q, shared per q."""
-    return GF(*_prime_power(q))
+    return GF(q)

@@ -29,8 +29,8 @@ trusting the construction.
 recurrence in O(n) big-integer steps.  The cache keeps the last row
 (WEIGHT_DIST_CACHE_SIZE = 1); the single-sum formula rows are its only
 reader in the library.  `check_mds_params` is the one place that refuses
-parameters no MDS code has, and formula rows over the default budget;
-the formula layer calls it before any work.
+parameters no MDS code has; `_check_formula_rows` adds the one charge of
+formula rows against the default budget, at the top of each row builder.
 """
 
 from __future__ import annotations
@@ -97,9 +97,7 @@ WEIGHT_DIST_CACHE_SIZE = 1
 
 def check_mds_params(n: int, d: int, q: int) -> None:
     """Refuse (n, d, q) that no [n, n-d+1, d]_q MDS code can have, naming
-    the bad parameter, before any formula does work on them; then refuse
-    formula rows over DEFAULT_BUDGET bits: (n-d+2)*d entries (K_w and
-    d-1 columns for w = d-1..n) of up to about n*bit_length(q) bits each."""
+    the bad parameter, before any formula does work on them."""
     if q < 2:
         raise ValueError(f"need a field size q >= 2, got q={q}")
     if not 3 <= d <= n:
@@ -108,6 +106,13 @@ def check_mds_params(n: int, d: int, q: int) -> None:
         raise ValueError(f"no MDS parameters with n={n} > q+2={q + 2}")
     if n >= sys.maxsize:  # a row holds B_0..B_n, and d <= n
         raise ValueError(f"n={n} is too large to index a row (limit n < {sys.maxsize})")
+
+
+def _check_formula_rows(n: int, d: int, q: int) -> None:
+    """check_mds_params, then refuse formula rows over DEFAULT_BUDGET bits:
+    (n-d+2)*d entries (K_w and d-1 columns for w = d-1..n) of up to about
+    n*bit_length(q) bits each.  Each row builder calls it first."""
+    check_mds_params(n, d, q)
     bits = (n - d + 2) * d * n * q.bit_length()
     if bits > DEFAULT_BUDGET:
         raise BudgetExceededError(
@@ -132,7 +137,7 @@ def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
     divisor, and (-1)^m C(w-1, m) is the latter's value one step back, so
     the row takes one binomial.
     """
-    check_mds_params(n, d, q)
+    _check_formula_rows(n, d, q)
     counts = [0] * (n + 1)
     counts[0] = 1
     t = 1  # T(w, w-d)

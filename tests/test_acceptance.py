@@ -509,23 +509,26 @@ def test_a_survey_parent_over_the_budget_is_reported_and_never_built(kernel_runs
 # the functions criteria 1, 3, 5, 6 and 8 map over the corpus: the
 # length-14 codes at q = 13, at q = 16 the length 15, the longest whose
 # 16^n vectors fit int64, and the full-length codes at q = 16 and 17
-# whose counts and line sums fit int64 (q^(k+1) < 2^63), though their
-# q^n vectors do not
-@pytest.mark.parametrize("q, d, n, checked", [
-    (13, 4, 14, (4, 1, 1, 0, 1)),
-    (13, 5, 14, (6, 1, 2, 1, 1)),
-    (13, 6, 14, (23, 1, 13, 1, 1)),
-    (16, 4, 15, (5, 1, 1, 0, 1)),
-    (16, 5, 15, (15, 1, 39, 1, 1)),
-    (16, 4, 17, (4, 1, 0, 0, 1)),
-    (16, 5, 17, (6, 1, 2, 1, 1)),
-    (16, 6, 17, (14, 1, 3, 1, 1)),
-    (17, 5, 18, (6, 1, 3, 1, 1)),
-    (17, 6, 18, (29, 1, 9, 1, 1)),
+# whose counts fit int64 (q^k < 2^63), though their q^n vectors do not
+@pytest.mark.parametrize("q, family, d, n, checked", [
+    (13, "gdrs", 4, 14, (4, 1, 1, 0, 1)),
+    (13, "gdrs", 5, 14, (6, 1, 2, 1, 1)),
+    (13, "gdrs", 6, 14, (23, 1, 13, 1, 1)),
+    (16, "gdrs", 4, 15, (5, 1, 1, 0, 1)),
+    (16, "gdrs", 5, 15, (15, 1, 39, 1, 1)),
+    (16, "gdrs", 3, 17, (2, 1, 0, 0, 1)),
+    (16, "gtrs", 4, 18, (3, 1, 0, 0, 1)),
+    (16, "gdrs", 4, 17, (4, 1, 0, 0, 1)),
+    (16, "gdrs", 5, 17, (6, 1, 2, 1, 1)),
+    (16, "gdrs", 6, 17, (14, 1, 3, 1, 1)),
+    (17, "gdrs", 4, 18, (4, 1, 1, 0, 1)),
+    (17, "gdrs", 5, 18, (6, 1, 3, 1, 1)),
+    (17, "gdrs", 6, 18, (29, 1, 9, 1, 1)),
 ], ids=["14-11-4_13", "14-10-5_13", "14-9-6_13", "15-12-4_16", "15-11-5_16",
-        "17-14-4_16", "17-13-5_16", "17-12-6_16", "18-14-5_17", "18-13-6_17"])
-def test_the_theorem_checks_hold_past_the_desk(q, d, n, checked):
-    code, _ = build_code(field_of_order(q), "gdrs", d, n)
+        "17-15-3_16", "18-15-4_16-gtrs", "17-14-4_16", "17-13-5_16", "17-12-6_16",
+        "18-15-4_17", "18-14-5_17", "18-13-6_17"])
+def test_the_theorem_checks_hold_past_the_desk(q, family, d, n, checked):
+    code, _ = build_code(field_of_order(q), family, d, n)
     census = codes.coset_census(code)
     results = [check(census) for check in (rebuild_failures, closed_form_failures,
                                            symmetry_failures, aggregate_failures,
@@ -534,15 +537,19 @@ def test_the_theorem_checks_hold_past_the_desk(q, d, n, checked):
 
 
 def test_a_census_past_int64_vectors_is_the_dual_census():
-    # [17,14,4]_16 has 16^17 vectors, past int64, and entries up to about
-    # 2^55: each of its 4096 cosets' rows is the MacWilliams census's
-    code, _ = build_code(field_of_order(16), "gdrs", 4)
-    census = codes.coset_census(code)
-    dual = dual_table(code)
-    assert len(dual) == census_rows(16, 3) == 274
-    for svec, row in dual.items():
-        assert census.distribution_of_syndrome(svec).counts == tuple(row), svec
-    assert max(max(row) for row in dual.values()) > 2**54
+    # full-length codes whose q^n vectors pass int64: [17,14,4]_16 with
+    # entries up to about 2^55, and three whose entries reach 2^59 or
+    # 2^60, below q^k < 2^63, though their line sums may pass 2^63 and
+    # wrap; each coset's row is the MacWilliams census's
+    for q, family, d, rows, bits in ((16, "gdrs", 4, 274, 55), (16, "gdrs", 3, 18, 59),
+                                     (16, "gtrs", 4, 274, 59), (17, "gdrs", 4, 308, 60)):
+        code, _ = build_code(field_of_order(q), family, d)
+        census = codes.coset_census(code)
+        dual = dual_table(code)
+        assert len(dual) == census_rows(q, d - 1) == rows
+        for svec, row in dual.items():
+            assert census.distribution_of_syndrome(svec).counts == tuple(row), (q, family, svec)
+        assert max(max(row) for row in dual.values()).bit_length() == bits
 
 
 def test_the_corpus_fits_the_default_budget_under_any_filter(monkeypatch):

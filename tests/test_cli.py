@@ -2,8 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -101,18 +105,49 @@ def test_dist_refuses_parameters_past_a_row_index(capsys, argv, message):
     (("--closed-form", "d1", "--n", str(sys.maxsize - 1), "--d", "3", "--q", str(2**64)),
      (sys.maxsize - 2) * 3 * (sys.maxsize - 1) * 65),
     (("--closed-form", "w1", "--n", "2000", "--d", "1000", "--q", "2003"), 22044000000),
-    (("--bonneau", "--prefix", "0", "--n", "2000", "--d", "1000", "--q", "2003"),
-     22044000000),
+    (("--bonneau", "--prefix", ",".join(["1"] + ["0"] * 998),
+      "--n", "2000", "--d", "1000", "--q", "2003"), 22044000000),
 ], ids=["d1-below-the-index-limit", "w1", "bonneau"])
 def test_dist_refuses_formula_rows_over_the_budget(capsys, argv, bits):
     # the first ended in a MemoryError traceback (exit 1) and the second
-    # took seconds; both are refused from (n, d, q) before any row is built
+    # took seconds; both are refused from (n, d, q) before any row is
+    # built, and after every usage error (the prefix has its d-1 values)
     start = time.perf_counter()
     code, out, err = run(capsys, "dist", *argv)
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (3, "")
     assert err == (f"budget refusal: formula rows need {bits} bits "
                    f"(n-d+2)*d*n*bit_length(q), over the budget of {codes.DEFAULT_BUDGET}\n")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("--bonneau", "--prefix", "1,2"), "prefix must list B_0..B_3998 (3999 values), got 2"),
+    (("--closed-form", "mid", "--W", "99", "--knowns", "1"),
+     "need the 98 values B_3901..B_3998, got 1"),
+], ids=["bonneau", "mid"])
+def test_dist_usage_errors_come_before_the_row_charge(capsys, argv, text):
+    # the rows of (5000, 4000, 5003) are over the budget, but a prefix or
+    # knowns of the wrong length is a usage error first, as at (10, 7, 9)
+    code = run(capsys, "dist", *argv, "--n", "5000", "--d", "4000", "--q", "5003")
+    assert code == (2, "", f"error: {text}\n")
+
+
+@pytest.mark.parametrize("form", [("w1",), ("d1",), ("d2", "--b", "1"), ("w2", "--b", "0"),
+                                  ("mid", "--W", "2", "--knowns", "1")],
+                         ids=lambda form: form[0])
+def test_a_closed_form_is_charged_before_its_prefix_is_laid_out(capsys, form):
+    # each closed form's d-1 prefix entries come after the row charge:
+    # at d = 2*10^7 they would take 160 MB
+    big = str(2 * 10**7)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "dist", "--closed-form", *form,
+                             "--n", big, "--d", big, "--q", big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "") and err.startswith("budget refusal: formula rows need ")
+    assert peak < 1 << 24
 
 
 # a weight-1 distribution whose largest count has 4341 digits, past
@@ -373,19 +408,18 @@ def test_budget_refusals_come_before_the_field_is_built(capsys, monkeypatch):
 
 
 def test_census_int64_overflow_refusal(capsys):
-    # the kernel's work, about 3.5*10^7, is inside the budget, but a line
-    # sum of the [33,31,3]_32 census may reach q^(k+1) = 32^32, past int64;
-    # so may one of the gtrs [18,15,4]_16 census, at 16^16 = 2^64
-    for argv, bound in ((("--family", "gdrs", "--q", "32", "--d", "3"), 32**32),
-                        (("--family", "gtrs", "--q", "16"), 16**16)):
-        assert run(capsys, "census", "code", *argv) == (
-            3, "", f"budget refusal: line sums up to q^(k+1) = {bound} overflow the int64 "
-                   "counts (limit 2^63)\n")
-    # [17,14,4]_16 holds 16^17 vectors, past int64, but no line sum of
-    # its census passes 16^15
-    code, out, err = run(capsys, "census", "code", "--family", "gdrs", "--q", "16", "--d", "4")
-    assert (code, err) == (0, "")
-    assert out.startswith("coset census of [17,14]_16 (4096 cosets)\n")
+    # the kernel's work, about 3.5*10^7, is inside the budget, but a count
+    # of the [33,31,3]_32 census may reach q^k = 32^31, past int64
+    assert run(capsys, "census", "code", "--family", "gdrs", "--q", "32", "--d", "3") == (
+        3, "", f"budget refusal: entries up to q^k = {32**31} overflow the int64 "
+               "counts (limit 2^63)\n")
+    # [17,14,4]_16 and gtrs [18,15,4]_16 hold 16^17 and 16^18 vectors,
+    # past int64, but no count of their censuses passes 16^15 = 2^60
+    for argv, head in ((("--family", "gdrs", "--q", "16", "--d", "4"), "[17,14]_16 (4096"),
+                       (("--family", "gtrs", "--q", "16"), "[18,15]_16 (4096")):
+        code, out, err = run(capsys, "census", "code", *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"coset census of {head} cosets)\n")
 
 
 def test_census_geometry(capsys):
@@ -401,6 +435,31 @@ def test_census_geometry(capsys):
     assert len(json.loads(out2)["classes"]) == 3
     code3, _, err = run(capsys, "census", "geometry", "--q", "5", "--arc", "moon")
     assert code3 == 2 and "unknown arc" in err
+
+
+def _fresh_process(*argv):
+    """Exit code, stdout, stderr and seconds of `python -m mdscosets.cli`
+    run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "mdscosets.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("q, arc, text", [
+    ("739", "hyperoval", "hyperoval requires even q, got q=739"),
+    ("65536", "conic-minus:3", "remove one or two conic points"),
+    ("5", "conic-minus:x", "unknown arc 'conic-minus:x' (conic, hyperoval, conic-minus:K)"),
+], ids=["hyperoval-739", "conic-minus-3", "conic-minus-x"])
+def test_census_geometry_usage_errors_come_before_the_budget_and_the_field(q, arc, text):
+    # the arc is decided from its name and q alone: an odd q of a
+    # hyperoval from 739 up met the walk refusal (exit 3) first, a bad
+    # removal count built GF(65536) before its error, and a K that is no
+    # integer printed Python's int() text
+    code, out, err, seconds = _fresh_process("census", "geometry", "--q", q, "--arc", arc)
+    assert (code, out, err) == (2, "", f"error: {text}\n")
+    assert seconds < 0.5
 
 
 def test_census_geometry_refuses_a_walk_over_the_budget_before_any_field(capsys, monkeypatch):

@@ -1,19 +1,32 @@
+import hashlib
+import time
+
 import numpy as np
 import pytest
 
-from mdscosets.gf import GF, default_irreducible, field_of_order, is_prime
+from mdscosets.gf import GF, check_field_order, default_irreducible, field_of_order
 from oracle import Field, field_of
 
-def _prime_powers(lo, hi):
+
+def _orders(top):
+    """(q, p, m) for every prime power q = p^m <= top, ascending in q, by
+    a sieve that shares nothing with the library's check."""
+    prime = np.ones(top + 1, dtype=bool)
+    prime[:2] = False
+    for f in range(2, int(top ** 0.5) + 1):
+        if prime[f]:
+            prime[f * f::f] = False
     out = []
-    for q in range(lo, hi + 1):
-        p = next(p for p in range(2, q + 1) if q % p == 0)
-        v = q
-        while v % p == 0:
-            v //= p
-        if v == 1:
-            out.append(q)
-    return tuple(out)
+    for p in np.flatnonzero(prime).tolist():
+        q, m = p, 1
+        while q <= top:
+            out.append((q, p, m))
+            q, m = q * p, m + 1
+    return sorted(out)
+
+
+def _prime_powers(lo, hi):
+    return tuple(q for q, _, _ in _orders(hi) if q >= lo)
 
 
 SMALL_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
@@ -50,11 +63,57 @@ def test_default_moduli_are_pinned():
 
 def test_constructor_rejections():
     with pytest.raises(ValueError):
-        GF(4, 1)                   # 4 is not prime
+        GF(6)                      # not a prime power
     with pytest.raises(ValueError):
         field_of_order(12)         # not a prime power
     with pytest.raises(ValueError):
-        GF(2, 17)                  # 2^17 over the order bound
+        GF(2**17)                  # over the order bound
+
+
+HUGE = 10**18 + 3
+
+
+@pytest.mark.parametrize("q, text", [
+    (0, "0 is not a prime power"),
+    (1, "1 is not a prime power"),
+    (6, "6 is not a prime power"),
+    (12, "12 is not a prime power"),
+    (10000, "10000 is not a prime power"),
+    (65537, "field order 65537 exceeds the configured maximum 65536"),
+    (2**17, "field order 131072 exceeds the configured maximum 65536"),
+    (HUGE, f"field order {HUGE} exceeds the configured maximum 65536"),
+])
+def test_one_check_refuses_every_field_order(q, text):
+    # the constructor, the shared field and the bare check refuse q with
+    # one text; a q over the maximum is not factorized, which at 10^18+3
+    # would take about 10^9 trial divisions
+    for refuse in (GF, field_of_order, check_field_order):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            refuse(q)
+        assert str(info.value) == text, refuse
+        assert time.perf_counter() - start < 0.1, refuse
+
+
+def test_check_field_order_returns_the_prime_and_degree():
+    assert [check_field_order(q) for q in (2, 9, 11, 128, 65536)] == \
+        [(2, 1), (3, 2), (11, 1), (2, 7), (2, 16)]
+    f = field_of_order(81)
+    assert (f.p, f.m, f.q) == (3, 4, 81)
+
+
+def test_the_field_recipe_is_pinned():
+    # every extension modulus up to 65536 and every generator up to 1024,
+    # as the fields were built when GF also took (p, m)
+    orders = _orders(1 << 16)
+    assert len(orders) == 6542 + 93 and all(check_field_order(q) == (p, m) for q, p, m in orders)
+    moduli = "".join(f"{p} {m} {default_irreducible(p, m)}\n" for _, p, m in orders if m >= 2)
+    generators = "".join(f"{q} {field_of_order(q).generator}\n"
+                         for q, _, _ in orders if q <= 1024)
+    assert hashlib.sha256(moduli.encode()).hexdigest() == \
+        "99491b3fab38dcfa5e4f983c30d5f59bce1933eb6ade7d46c0e8bc75b93743ec"
+    assert hashlib.sha256(generators.encode()).hexdigest() == \
+        "caf2261243b5cbf8316935441870db60f4b4b980a4fa48676dfbb1277ec1e725"
 
 
 def test_element_validation_and_zero_inverse():
@@ -145,7 +204,3 @@ def test_generator_has_exact_order(q):
     assert x == 1
     assert seen == set(range(1, f.q))
 
-
-def test_is_prime():
-    assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(1) and not is_prime(0)
