@@ -209,8 +209,8 @@ def _tail(rows: Rows, counts) -> list[int]:
 def _from_prefix(n: int, d: int, q: int, known: dict[int, int], strict: bool,
                  what: str) -> WeightDistribution:
     """B_0..B_n of a coset from the entries `known` (v: B_v, the others 0)
-    of its prefix B_0..B_{d-2}: the prefix, laid out after the rows are
-    charged, then the single-sum tail at it."""
+    of its prefix B_0..B_{d-2}: the prefix, laid out only after the rows
+    are charged, then the single-sum tail at it."""
     rows = _single_sum_rows(n, d, q)
     B = [known.get(v, 0) for v in range(d - 1)]
     return _finalize(B + _tail(rows, B), q, n, d, strict, what)
@@ -218,8 +218,9 @@ def _from_prefix(n: int, d: int, q: int, known: dict[int, int], strict: bool,
 
 def bonneau_transformed(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Full coset distribution from its low-weight prefix, single-sum form."""
-    return _from_prefix(prefix.n, prefix.d, prefix.q, dict(enumerate(prefix.counts)),
-                        strict, "prefix")
+    n, d, q = prefix.n, prefix.d, prefix.q
+    B = list(prefix.counts) + _tail(_single_sum_rows(n, d, q), prefix.counts)
+    return _finalize(B, q, n, d, strict, "prefix")
 
 
 def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:

@@ -51,8 +51,7 @@ def _factorize(n: int) -> dict[int, int]:
 # Coefficient lists are ascending: coeffs[i] multiplies x^i.
 
 def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a mod the monic b over GF(p), as its len(b) - 1
-    coefficients."""
+    """Remainder of a mod the monic b over GF(p): its len(b) - 1 coefficients."""
     a = a[:]
     db = len(b) - 1
     for shift in range(len(a) - 1 - db, -1, -1):
