@@ -128,8 +128,8 @@ def test_dist_refuses_formula_rows_over_the_budget(capsys, argv, bits):
 def test_dist_usage_errors_come_before_the_row_charge(capsys, argv, text):
     # the rows of (5000, 4000, 5003) are over the budget, but a prefix or
     # knowns of the wrong length is a usage error first, as at (10, 7, 9)
-    code = run(capsys, "dist", *argv, "--n", "5000", "--d", "4000", "--q", "5003")
-    assert code == (2, "", f"error: {text}\n")
+    assert run(capsys, "dist", *argv, "--n", "5000", "--d", "4000", "--q", "5003") == (
+        2, "", f"error: {text}\n")
 
 
 @pytest.mark.parametrize("form", [("w1",), ("d1",), ("d2", "--b", "1"), ("w2", "--b", "0"),
@@ -453,10 +453,9 @@ def _fresh_process(*argv):
     ("5", "conic-minus:x", "unknown arc 'conic-minus:x' (conic, hyperoval, conic-minus:K)"),
 ], ids=["hyperoval-739", "conic-minus-3", "conic-minus-x"])
 def test_census_geometry_usage_errors_come_before_the_budget_and_the_field(q, arc, text):
-    # the arc is decided from its name and q alone: an odd q of a
-    # hyperoval from 739 up met the walk refusal (exit 3) first, a bad
-    # removal count built GF(65536) before its error, and a K that is no
-    # integer printed Python's int() text
+    # the arc is decided from its name and q alone, before the walk
+    # budget (the hyperoval of PG(2, 739) would be over it) and before the
+    # field (GF(65536) takes over a second to build)
     code, out, err, seconds = _fresh_process("census", "geometry", "--q", q, "--arc", arc)
     assert (code, out, err) == (2, "", f"error: {text}\n")
     assert seconds < 0.5

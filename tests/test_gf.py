@@ -103,8 +103,8 @@ def test_check_field_order_returns_the_prime_and_degree():
 
 
 def test_the_field_recipe_is_pinned():
-    # every extension modulus up to 65536 and every generator up to 1024,
-    # as the fields were built when GF also took (p, m)
+    # every extension modulus up to 65536 and every generator up to 1024:
+    # the labels of every field, and so every census digest, rest on them
     orders = _orders(1 << 16)
     assert len(orders) == 6542 + 93 and all(check_field_order(q) == (p, m) for q, p, m in orders)
     moduli = "".join(f"{p} {m} {default_irreducible(p, m)}\n" for _, p, m in orders if m >= 2)
