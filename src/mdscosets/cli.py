@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import sys
@@ -29,8 +28,7 @@ from .formulas import (InconsistentPrefixError, LowWeightPrefix,
                        bonneau_original, bonneau_transformed, dist_weight1,
                        dist_weight2, dist_weight_d1, dist_weight_d2,
                        dist_weight_mid)
-from .geometry import (bisecant_census, bisecant_walk_refusal, conic_points,
-                       hyperoval_points, shortened_conic)
+from .geometry import _arc_layout, _named_arc, bisecant_census, bisecant_walk_refusal
 from .gf import check_field_order, field_of_order
 from .mds import FAMILIES, _certify, _family_code, _family_layout
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
@@ -184,36 +182,13 @@ def cmd_census_code(args) -> int:
     return 0
 
 
-def _arc_from_args(args):
-    """The builder, on the field, of the arc `census geometry` names: every
-    usage error, then the walk's budget, decided from the name and q alone."""
-    name, q = args.arc, args.q
-    p, _ = check_field_order(q)
-    remove = None
-    if name.startswith("conic-minus:"):
-        with contextlib.suppress(ValueError):
-            remove = int(name[len("conic-minus:"):])
-    if name == "conic":
-        size, build = q + 1, conic_points
-    elif name == "hyperoval":
-        if p != 2:
-            raise ValueError(f"hyperoval requires even q, got q={q}")
-        size, build = q + 2, hyperoval_points
-    elif remove is not None:
-        if remove not in (1, 2):
-            raise ValueError("remove one or two conic points")
-        size, build = q + 1 - remove, functools.partial(shortened_conic, remove=remove)
-    else:
-        raise ValueError(f"unknown arc {name!r} (conic, hyperoval, conic-minus:K)")
-    refusal = bisecant_walk_refusal(q, size)
-    if refusal is not None:
-        raise refusal
-    return build
-
-
 def cmd_census_geometry(args) -> int:
     name, q = args.arc, args.q
-    arc = _arc_from_args(args)(field_of_order(q))
+    _, n = _arc_layout(name, q)  # every usage error, then the walk's budget
+    refusal = bisecant_walk_refusal(q, n)
+    if refusal is not None:
+        raise refusal
+    arc = _named_arc(field_of_order(q), name)
     census = bisecant_census(arc)
 
     def payload():

@@ -18,12 +18,13 @@ an Arc runs the walk once: distinct points are an arc exactly when it
 meets none of them, and the same blocks tally the bisecants through
 every point, which the census and the bridge read.
 
-The arcs of interest trace the parity-check columns of the distance-4
-codes: the conic {(1, t, t^2)} u {(0,0,1)}, for even q the regular
-hyperoval (conic plus nucleus (0,1,0)), and the conic with its last one
-or two points removed.  A bisecant census sorts the points off an arc
-by how many of the arc's bisecants pass through them; the census on the
-code side must match it coset class by coset class, which
+The arcs of interest are the first n parity-check columns of the
+distance-4 family matrix (mds._family_rows), each named in _arc_layout:
+the conic {(1, t, t^2)} u {(0,0,1)} (gdrs), for even q the regular
+hyperoval (gtrs: the conic plus its nucleus (0,1,0)), and the conic with
+its last one or two points removed.  A bisecant census sorts the points
+off an arc by how many of the arc's bisecants pass through them; the
+census on the code side must match it coset class by coset class, which
 `geometry_code_bridge` verifies by gathering the census rows of all
 q^2+q+1 points at once (one row stands for the q-1 syndromes lam*pt of
 a point) and checking them as arrays.
@@ -31,6 +32,7 @@ a point) and checking them as arrays.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,8 @@ import numpy as np
 from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, Matrix,
                     _label_array, low_weight_census, syndrome_row)
 from .combinat import binom
-from .gf import GF
+from .gf import GF, check_field_order
+from .mds import _family_rows, has_triple_extension
 
 
 # The q^2 + q + 1 points of PG(2, q) are ranked in plane order:
@@ -147,32 +150,49 @@ class Arc:
         return len(self.points)
 
 
-def _conic(field: GF) -> np.ndarray:
-    """The points of conic_points, one per row, for the arcs built from the conic."""
-    a = np.arange(1, field.q)
-    return np.vstack([np.column_stack([np.ones_like(a), a, field.mul_array(a, a)]),
-                      [(1, 0, 0), (0, 0, 1)]])
+def _arc_layout(name: str, q: int) -> tuple[str, int]:
+    """(family, n) of the arc `name` in PG(2, q): its points are the first
+    n columns of the family's d = 4 matrix.  Every refusal of the name is
+    made here, from the name and q alone, after q itself."""
+    check_field_order(q)
+    if name == "conic":
+        return "gdrs", q + 1
+    if name == "hyperoval":
+        if not has_triple_extension(q, 4):
+            raise ValueError(f"hyperoval requires even q, got q={q}")
+        return "gtrs", q + 2
+    remove = None
+    if name.startswith("conic-minus:"):
+        with contextlib.suppress(ValueError):
+            remove = int(name[len("conic-minus:"):])
+    if remove is None:
+        raise ValueError(f"unknown arc {name!r} (conic, hyperoval, conic-minus:K)")
+    if remove not in (1, 2):
+        raise ValueError("remove one or two conic points")
+    return "gdrs", q + 1 - remove
+
+
+def _named_arc(field: GF, name: str) -> Arc:
+    """The arc `name` (conic, hyperoval or conic-minus:K) over the field."""
+    family, n = _arc_layout(name, field.q)
+    return Arc(field, _family_rows(field, family, 4)[:, :n].T)
 
 
 def conic_points(field: GF) -> Arc:
     """The (q+1)-point conic traced by the distance-4 parity-check columns:
-    (1, a, a^2) for a = 0 and each nonzero a ascending, then (0, 0, 1)."""
-    return Arc(field, _conic(field))
+    (1, a, a^2) for each nonzero a ascending, then (1, 0, 0), then (0, 0, 1)."""
+    return _named_arc(field, "conic")
 
 
 def hyperoval_points(field: GF) -> Arc:
     """For even q, the regular hyperoval: the conic plus its nucleus (0,1,0)."""
-    if field.p != 2:
-        raise ValueError(f"hyperoval requires even q, got q={field.q}")
-    return Arc(field, np.vstack([_conic(field), [(0, 1, 0)]]))
+    return _named_arc(field, "hyperoval")
 
 
 def shortened_conic(field: GF, remove: int = 1) -> Arc:
     """The conic with its last `remove` points dropped (the default column
     choice; the censuses below do not depend on which points go)."""
-    if remove not in (1, 2):
-        raise ValueError("remove one or two conic points")
-    return Arc(field, _conic(field)[:-remove])
+    return _named_arc(field, f"conic-minus:{remove}")
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,14 @@ nucleus of the conic the first q+1 columns trace out in PG(2, q)) to
 the doubly-extended one ("gdrs").  `family_length` is the one statement
 of each family's length.
 
+One function, `_family_rows`, builds every full family matrix; at d = 4
+its first n columns are the arcs of PG(2, q) that `geometry` names.
+
 Column removals yield the shorter MDS codes whose coset structure the
 rest of the library classifies: the singly-extended code, for one, is
-the gdrs code less column q.  Keeping a family code's first n columns
-is the pinned default removal.  One function, `_family_code`, builds
-every family matrix, and `_family_layout` makes every refusal of its
+the gdrs code less column q.  Keeping a family code's first n columns is
+the pinned default removal.  `_family_code` deletes the dropped columns
+from the family matrix, and `_family_layout` makes every refusal of its
 recipe, from the numbers alone.  The matrix itself is not checked: any
 d-1 columns of the doubly-extended matrix are independent (MacWilliams
 and Sloane, ch. 11), so the full matrix and every removal that keeps
@@ -89,6 +92,14 @@ def _extended_rows(field: GF, d: int) -> np.ndarray:
     for t in range(1, d - 1):
         rows[t, :-2] = field.mul_array(rows[t - 1, :-2], alphas)
     rows[0, -2] = rows[d - 2, -1] = 1
+    return rows
+
+
+def _family_rows(field: GF, family: str, d: int) -> np.ndarray:
+    """The doubly-extended rows, and for gtrs (d = 4) the nucleus column."""
+    rows = _extended_rows(field, d)
+    if family == "gtrs":
+        rows = np.column_stack([rows, (0, 1, 0)])
     return rows
 
 
@@ -200,15 +211,13 @@ def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
 
 def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
                  budget: int) -> tuple[LinearCode, MdsConstruction]:
-    """build_code's code and recipe, not yet certified: the doubly-extended
-    rows, with the nucleus column for gtrs, less the dropped columns.  At
-    q = 2 the three doubly-extended columns carry no code of distance 4 of
-    their own, but with the nucleus they give the [4,1,4]_2 code."""
+    """build_code's code and recipe, not yet certified: the family matrix
+    less the dropped columns.  At q = 2 the three doubly-extended columns
+    carry no code of distance 4 of their own, but with the nucleus they
+    give the [4,1,4]_2 code."""
     d, _, drop = _family_layout(field.q, family, d, n, removed)
-    H = _extended_rows(field, d)
-    if family == "gtrs":
-        H = np.column_stack([H, (0, 1, 0)])
-    return (LinearCode(Matrix(field, np.delete(H, drop, axis=1)), budget),
+    H = np.delete(_family_rows(field, family, d), drop, axis=1)
+    return (LinearCode(Matrix(field, H), budget),
             MdsConstruction(family, field.q, d, drop))
 
 

@@ -39,8 +39,8 @@ from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
                        symmetry_defect, weight2_aggregate,
                        weight2_identical_check)
 from .gf import field_of_order
-from .geometry import (bisecant_census, conic_census_formulas, conic_points,
-                       double_shortened_conic_census_formulas, shortened_conic,
+from .geometry import (_named_arc, bisecant_census, conic_census_formulas,
+                       double_shortened_conic_census_formulas,
                        shortened_conic_census_formulas)
 from .mds import (MdsConstruction, _certify, _family_code, _family_layout, family_length,
                   has_triple_extension)
@@ -274,15 +274,14 @@ DOUBLE_SHORTENED_QS = (7, 8, 9, 11)
 def criterion_conic_censuses(cache: DeskCache) -> CriterionResult:
     bad = []
     checked = []
-    families = (("conic", CONIC_QS, conic_points, conic_census_formulas),
-                ("shortened conic", SHORTENED_QS,
-                 lambda fld: shortened_conic(fld, 1), shortened_conic_census_formulas),
-                ("double-shortened conic", DOUBLE_SHORTENED_QS,
-                 lambda fld: shortened_conic(fld, 2),
+    families = (("conic", "conic", CONIC_QS, conic_census_formulas),
+                ("shortened conic", "conic-minus:1", SHORTENED_QS,
+                 shortened_conic_census_formulas),
+                ("double-shortened conic", "conic-minus:2", DOUBLE_SHORTENED_QS,
                  double_shortened_conic_census_formulas))
-    for label, qs, build, formulas in families:
+    for label, name, qs, formulas in families:
         for q in qs:
-            got = bisecant_census(build(field_of_order(q))).classes
+            got = bisecant_census(_named_arc(field_of_order(q), name)).classes
             want = formulas(q)
             checked.append(f"{label} q={q}: {got}")
             if got != want:
@@ -429,7 +428,7 @@ def criterion_structural(cache: DeskCache) -> CriterionResult:
     return CriterionResult(8, "structural invariants", not bad, [f"{checked} codes checked"] + bad)
 
 
-def weight2_identity_survey(cache: DeskCache) -> list[dict]:
+def criterion_remark_empirical(cache: DeskCache) -> CriterionResult:
     """Empirical survey: do all weight-2 cosets of the length-(q+1) codes
     with gcd(q-1, d-2) = 1 share one distribution?  Reported, never asserted.
     The prefixes B_0..B_{d-2} suffice, since they fix the whole
@@ -437,43 +436,25 @@ def weight2_identity_survey(cache: DeskCache) -> list[dict]:
     certifying census, its memo, hold those of its weight-2 cosets, so
     the survey runs no kernel of its own.  A code whose certification is
     over the budget is not surveyed, and never built."""
-    findings = []
-    for (q, d), refusal in cache.survey_parents.items():
-        n = family_length("gdrs", q)
-        gcd = math.gcd(q - 1, d - 2)
-        finding = {"q": q, "d": d, "n": n, "gcd": gcd}
-        findings.append(finding)
-        if gcd != 1:
-            finding["status"] = "not applicable"
-        elif refusal is not None:
-            finding["status"] = f"not surveyed: {refusal}"
-        else:
-            cond = weight2_identical_check(n, d, q)
-            finding["b_low_if_identical"] = cond.b_low_if_identical
-            prefixes = cache.code(q, d).weight2_prefixes()
-            finding["status"] = "confirmed" if len(prefixes) == 1 else "refuted"
-            finding["b_values"] = sorted({p[d - 2] for p in prefixes})
-    return findings
-
-
-def criterion_remark_empirical(cache: DeskCache) -> CriterionResult:
-    findings = weight2_identity_survey(cache)
     lines = []
-    for f in findings:
-        if f["status"] == "not applicable":
-            lines.append(f"q={f['q']} d={f['d']}: gcd(q-1,d-2)={f['gcd']} != 1; "
-                         "empirical, not asserted")
-        elif f["status"].startswith("not surveyed"):
-            lines.append(f"q={f['q']} d={f['d']}: {f['status']}; empirical, not asserted")
+    for (q, d), refusal in cache.survey_parents.items():
+        gcd = math.gcd(q - 1, d - 2)
+        if gcd != 1:
+            status = f"gcd(q-1,d-2)={gcd} != 1"
+        elif refusal is not None:
+            status = f"not surveyed: {refusal}"
         else:
-            lines.append(f"q={f['q']} d={f['d']}: {f['status']} "
-                         f"(B_(d-2) values {f['b_values']}, "
-                         f"predicted {f['b_low_if_identical']}); empirical, not asserted")
-    if not findings:
+            n = family_length("gdrs", q)
+            predicted = weight2_identical_check(n, d, q).b_low_if_identical
+            prefixes = cache.code(q, d).weight2_prefixes()
+            status = (f"{'confirmed' if len(prefixes) == 1 else 'refuted'} "
+                      f"(B_(d-2) values {sorted({p[d - 2] for p in prefixes})}, "
+                      f"predicted {predicted})")
+        lines.append(f"q={q} d={d}: {status}; empirical, not asserted")
+    if not lines:
         lines.append("no instances with d in {5, 6} under the current filters")
-    complete = all("status" in f for f in findings)
     return CriterionResult(9, "weight-2 identity survey (reported, not asserted)",
-                           complete, lines)
+                           True, lines)
 
 
 CRITERIA = {

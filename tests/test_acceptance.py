@@ -483,25 +483,24 @@ def test_desk_chains_build_one_family_matrix_each(monkeypatch):
 def test_survey_reads_the_memo_the_parent_ride_left(kernel_runs):
     # the q = 11, d = 5 chain stops at [11,7,5]_11 and its run goes on to
     # [12,8,5]_11, so the parent is certified from the memo that run left;
-    # the survey reads the same memo and runs no kernel itself
+    # criterion 9 reads the same memo and runs no kernel itself
     cache = DeskCache(qs=(11,), ds=(5,))
     kernel_runs.clear()
     assert cache.code(11, 5).min_distance() == 5
-    assert verify.weight2_identity_survey(cache) == [
-        {"q": 11, "d": 5, "n": 12, "gcd": 1, "b_low_if_identical": 12,
-         "status": "confirmed", "b_values": [12]}]
+    assert run_acceptance(cache, [9])[0].lines == [
+        "q=11 d=5: confirmed (B_(d-2) values [12], predicted 12); empirical, not asserted"]
     assert kernel_runs == []
 
 
 def test_a_survey_parent_over_the_budget_is_reported_and_never_built(kernel_runs):
     # gcd(63, 4) = 1, so [65,60,6]_64 would be surveyed, but certifying
     # it needs 65*5*(1+(64^5-1)/63) steps: the cache decides that from
-    # the numbers, and the survey reports it without building the code
+    # the numbers, and criterion 9 reports it without building the code
     cache = DeskCache(qs=(64,), ds=(6,))
-    assert verify.weight2_identity_survey(cache) == [
-        {"q": 64, "d": 6, "n": 65, "gcd": 1,
-         "status": "not surveyed: syndrome trellis needs 5539144650 steps "
-                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 200000000"}]
+    assert run_acceptance(cache, [9])[0].lines == [
+        "q=64 d=6: not surveyed: syndrome trellis needs 5539144650 steps "
+        "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 200000000; "
+        "empirical, not asserted"]
     assert kernel_runs == [] and cache.entries == []
 
 

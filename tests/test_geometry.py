@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import itertools
 import os
 import random
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdscosets import geometry
+from mdscosets import cli, geometry
 from mdscosets.codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus,
                              low_weight_census, syndrome_row)
 from mdscosets.combinat import binom
@@ -20,10 +22,11 @@ from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
                                 geometry_code_bridge, hyperoval_census_formulas,
                                 hyperoval_points, shortened_conic,
                                 shortened_conic_census_formulas)
-from mdscosets.gf import field_of_order
+from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import _family_code
 from oracle import (brute_bisecant_classes, det3, field_of, line_through,
                     normalize, plane_points, unisecants_through)
+from test_cli import _prime_powers
 
 
 def test_point_normalization():
@@ -58,12 +61,69 @@ def test_plane_has_expected_point_count():
 
 
 def test_conic_is_an_arc_and_matches_parity_columns():
-    f5 = field_of_order(5)
-    arc = conic_points(f5)
-    assert arc.n == 6
-    H = _family_code(f5, "gdrs", 4, None, (), DEFAULT_BUDGET)[0].H
-    cols = [normalize(f5, col) for col in H.labels.T.tolist()]
-    assert cols == arc.points
+    # each named arc, for each q <= 32, is its family's first n columns:
+    # (1, a, a^2) for nonzero a ascending, (1, 0, 0), (0, 0, 1), then the
+    # nucleus (0, 1, 0), computed in the oracle's field, and, where the
+    # family has a code of length n, that code's parity-check columns
+    for q in _prime_powers(32):
+        f = field_of_order(q)
+        F = field_of(f)
+        columns = [(1, a, F.mul(a, a)) for a in range(1, q)]
+        columns += [(1, 0, 0), (0, 0, 1), (0, 1, 0)]
+        names = ["conic", "conic-minus:1", "conic-minus:2"] + ["hyperoval"] * (q % 2 == 0)
+        for name in names:
+            family, n = geometry._arc_layout(name, q)
+            arc = geometry._named_arc(f, name)
+            assert arc.points == columns[:n], (q, name)
+            if n >= 4:
+                H = _family_code(f, family, 4, n, (), DEFAULT_BUDGET)[0].H
+                assert [normalize(f, col) for col in H.labels.T.tolist()] == arc.points
+
+
+def test_named_arcs_are_pinned():
+    # the points of each named arc for every q <= 64, as the conic's own
+    # builder gave them before the arcs were read from the family matrix
+    digest = hashlib.sha256()
+    for q in _prime_powers(64):
+        f = field_of_order(q)
+        arcs = [("conic", conic_points(f)), ("conic-minus:1", shortened_conic(f, 1)),
+                ("conic-minus:2", shortened_conic(f, 2))]
+        if q % 2 == 0:
+            arcs.append(("hyperoval", hyperoval_points(f)))
+        for name, arc in arcs:
+            digest.update(f"{q} {name} {arc.points}\n".encode())
+    assert digest.hexdigest() == \
+        "2a8437166cb0d4b2c9e0c9ab689e1f0adbb115ec2212b758f8f86ef28110bf9d"
+
+
+@pytest.mark.parametrize("name, q, build, text", [
+    ("hyperoval", 7, hyperoval_points, "hyperoval requires even q, got q=7"),
+    ("hyperoval", 739, hyperoval_points, "hyperoval requires even q, got q=739"),
+    ("conic-minus:3", 5, lambda f: shortened_conic(f, 3), "remove one or two conic points"),
+    ("conic-minus:x", 5, lambda f: geometry._named_arc(f, "conic-minus:x"),
+     "unknown arc 'conic-minus:x' (conic, hyperoval, conic-minus:K)"),
+    ("moon", 5, lambda f: geometry._named_arc(f, "moon"),
+     "unknown arc 'moon' (conic, hyperoval, conic-minus:K)"),
+    ("conic", 6, conic_points, "6 is not a prime power"),
+], ids=["hyperoval-7", "hyperoval-739", "conic-minus-3", "conic-minus-x", "moon", "q-6"])
+def test_a_bad_arc_is_refused_with_one_text_before_any_field(monkeypatch, capsys,
+                                                            name, q, build, text):
+    # _arc_layout decides every refusal from the name and q alone; the
+    # library builder (on a field built beforehand) and `census geometry`
+    # (before its field) refuse with its text, and no field table is built
+    with contextlib.suppress(ValueError):
+        field_of_order(q)
+
+    def no_field(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(GF, "_build_tables", no_field)
+    monkeypatch.setattr(cli, "field_of_order", no_field)
+    for call in (lambda: geometry._arc_layout(name, q), lambda: build(field_of_order(q))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == text
+    assert cli.main(["census", "geometry", "--q", str(q), "--arc", name]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
 
 
 def test_collinear_points_rejected():
