@@ -13,24 +13,22 @@ nonzero B_v, an add alone where B_v = 1.
 
 `bonneau_transformed` builds its rows from the relation above:
 K_w = A_w - omega(n,d,w,0) with A_w from `mds_weight_distribution`, and
-each coefficient column seeded with omega(n,d,d-1,v) and run down by the
-exact ratio of neighbouring omegas.  `bonneau_original` builds its rows
-from the classical double-sum form of the same relation: its prefix-free
-part is C(n,w) T(w, w-d+1), where T(w, m) = sum_{j<=m} (-1)^j C(w,j)
-q^(m-j) runs along the recurrence T(w+1, m+1) = (q-1) T(w, m) +
-(-1)^(m+1) C(w, m+1), and its prefix coefficients are the double sums,
-each factored into a signed binomial running down its column times a
-partial alternating sum read from one Pascal table, built one column
-per l.  Neither form reads the other's rows, A_w or omega, so they stay
-two independent derivations whose rows must be equal, which `verify`'s
-criterion 2 checks.  Every
-entry of either form follows from its neighbour in two big-integer
-steps: one multiplication by the product of the small factors and one
-exact floor division by the product of the others, the sign of the
-ratio carried in the divisor.  A row set costs that per entry (plus a
-multiplication by the Pascal entry in the double sums, and the n(d-2)
-C-level differences of the Pascal columns) and at most d binomials for
-the seeds, not binomials per entry.
+by trinomial revision each coefficient column is the signed binomial
+row (-1)^j C(n-d+1, j) times a factor read from omega(n,d,d-1,v),
+divided exactly by w-v.  `bonneau_original` builds its rows from the
+classical double-sum form of the same relation: its prefix-free part is
+C(n,w) T(w, w-d+1), where T(w, m) = sum_{j<=m} (-1)^j C(w,j) q^(m-j)
+runs along the recurrence T(w+1, m+1) = (q-1) T(w, m) + (-1)^(m+1)
+C(w, m+1), and each prefix coefficient is a signed binomial times a
+partial alternating sum of binomials, both on a band of n-d+2 entries
+that Pascal's rule carries from column to column, starting from the
+same signed binomial row.  Neither form reads the other's rows, A_w or
+omega, so they stay two independent derivations whose rows must be
+equal, which `verify`'s criterion 2 checks.  Each column is made in
+whole-row passes (`map`, `itertools.accumulate`), so a row set of
+(n-d+2)(d-1) coefficients costs that many entry steps and holds
+O(n-d+2) entries besides its rows; the double sum takes one binomial,
+to seed K_w, and the single sum none besides its d-1 omega seeds.
 
 Each closed form for weights 1, d-1, 2, d-2 and the mid range is the
 single-sum tail at the prefix its theorem fixes (B_1 = 1; all zero;
@@ -69,8 +67,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, sub
+from itertools import accumulate, repeat
+from operator import add, floordiv, mul, sub
 
 from .codes import WeightDistribution, _require
 from .combinat import binom, omega
@@ -129,27 +127,28 @@ def _digit_count(x: int) -> int:
     return t + (x >= 10**t)
 
 
+def _alternating_binomials(m: int) -> list[int]:
+    """(-1)^j C(m, j) for j = 0..m, each entry from the one before by the
+    exact ratio -(m-j)/(j+1), its sign carried in the divisor."""
+    return list(accumulate(range(m), lambda c, j: c * (m - j) // -(j + 1), initial=1))
+
+
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _single_sum_rows(n: int, d: int, q: int) -> Rows:
-    """K_w = A_w - omega(n,d,w,0) and the columns omega(n,d,w,v), each
-    seeded at w = d-1 and run down by the ratio of neighbouring omegas,
+    """K_w = A_w - omega(n,d,w,0) and the columns omega(n,d,w,v).  By
+    trinomial revision, C(n-v, w-v) C(w-v, d-1-v) = C(n-v, d-1-v)
+    C(n-d+1, w-d+1), so
 
-        omega(w+1) = omega(w) (n-w)(w-v) / -((w+1-v)(w-d+2)),
+        omega(n,d,w,v) = (-1)^(w-d+1) C(n-d+1, w-d+1) b_v / (w-v)
 
-    which is exact: it is C(n-v, w-v) C(w-1-v, d-2-v) stepped once in
-    each binomial.  The small factors are multiplied first and the sign
-    rides in the divisor, so an entry costs two big-integer steps.  The
-    row of A_w is charged first."""
+    with b_v = (d-1-v) omega(n,d,d-1,v): each column is the one signed
+    binomial row times b_v, divided exactly by w-v.  A_w is charged first."""
     A = mds_weight_distribution(n, d, q).counts
-    cols = []
-    for v in range(d - 1):
-        c = omega(n, d, d - 1, v)
-        col = [c]
-        for w in range(d - 1, n):
-            c = c * ((n - w) * (w - v)) // -((w + 1 - v) * (w - d + 2))
-            col.append(c)
-        cols.append(tuple(col))
-    return tuple(map(sub, A[d - 1:], cols[0])), tuple(cols)
+    row = _alternating_binomials(n - d + 1)
+    b = [(d - 1 - v) * omega(n, d, d - 1, v) for v in range(d - 1)]
+    cols = tuple(tuple(map(floordiv, map(mul, row, repeat(b[v])), range(d - 1 - v, n - v + 1)))
+                 for v in range(d - 1))
+    return tuple(map(sub, A[d - 1:], cols[0])), cols
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
@@ -160,10 +159,12 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
         sum_{j=w-d+2}^{w-v} (-1)^j C(j+n-w, j) C(n-v, w-j-v).
 
     Each term is C(n-v, m) C(m, i) with m = w-v and i = m-j, so the sum
-    is (-1)^m C(n-v, m) S(m, d-2-v), where S(m, l) = sum_{i<=l} (-1)^i
-    C(m, i) comes from the Pascal table S(m+1, l) = S(m, l) - S(m, l-1),
-    S(m, 0) = 1, and (-1)^m C(n-v, m) runs down the column, its sign
-    carried in the divisor -(m+1)."""
+    is s_m S(m, l) with s_m = (-1)^m C(n-v, m), l = d-2-v and S(m, l) =
+    sum_{i<=l} (-1)^i C(m, i), on the band m = l+1..l+n-d+2.  Both
+    factors of the band of l follow from those of l-1 by Pascal's rule:
+    s'_m = s_m - s_(m-1), and S(m+1, l) = S(m, l) - S(m, l-1) from
+    S(l+1, l) = (-1)^l.  The band of l = -1 is s_m = (-1)^m C(n-d+1, m)
+    and S(m, -1) = 0, so one band of each is live at a time."""
     _check_formula_rows(n, d, q)
     known = []
     t = 1  # T(w, w-d+1)
@@ -175,21 +176,14 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
         t = (q - 1) * t + e
         c_nw = c_nw * (n - w) // (w + 1)
         e = e * (w + 1) // -(m + 2)
-    # S[l][m] for l = 0..d-2 and m = 0..n, one column of the table per l
-    S = [[1] * (n + 1)]
-    for _ in range(d - 2):
-        S.append(list(accumulate(S[-1][:-1], sub, initial=1)))
+    s = _alternating_binomials(n - d + 1)
+    S = [0] * (n - d + 2)
     cols = []
-    for v in range(d - 1):
-        l = d - 2 - v
-        m0 = d - 1 - v
-        c = (-1) ** m0 * binom(n - v, m0)  # (-1)^m C(n-v, m)
-        col = []
-        for m in range(m0, n - v + 1):
-            col.append(c * S[l][m])
-            c = c * (n - v - m) // -(m + 1)
-        cols.append(tuple(col))
-    return tuple(known), tuple(cols)
+    for l in range(d - 1):
+        s = list(map(sub, s[1:] + [0], s))
+        S = list(accumulate(S[1:], sub, initial=(-1) ** l))
+        cols.append(tuple(map(mul, s, S)))
+    return tuple(known), tuple(reversed(cols))
 
 
 def _tail(rows: Rows, counts) -> list[int]:

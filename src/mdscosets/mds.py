@@ -119,16 +119,22 @@ def check_mds_params(n: int, d: int, q: int) -> None:
         raise ValueError(f"n={n} is too large to index a row (limit n < {sys.maxsize})")
 
 
-def _check_formula_rows(n: int, d: int, q: int) -> None:
-    """check_mds_params, then refuse formula rows over DEFAULT_BUDGET bits:
-    (n-d+2)*d entries (K_w and d-1 columns for w = d-1..n) of up to about
-    n*bit_length(q) bits each.  Each row builder calls it first."""
+def _check_formula_rows(n: int, d: int, q: int) -> int:
+    """check_mds_params, then refuse formula rows over DEFAULT_BUDGET bits;
+    return the bits charged, a bound on the bits the rows hold: N = n-d+2
+    weights of d-1 coefficients, each at most 2^(N-1) (d-1) C(n, d-1), with
+    C(n, d-1) below 2^n and at most n^min(d-1, N-1), and a K_w = C(n,w)
+    T(w, w-d+1) below 2^(n+1) q^(N-1).  Each row builder calls it first."""
     check_mds_params(n, d, q)
-    bits = (n - d + 2) * d * n * q.bit_length()
+    N = n - d + 2
+    coefficient = min(n, min(d - 1, N - 1) * n.bit_length()) + (d - 1).bit_length() + N
+    known = n + (N - 1) * q.bit_length() + 1
+    bits = N * ((d - 1) * coefficient + known)
     if bits > DEFAULT_BUDGET:
         raise BudgetExceededError(
-            f"formula rows need {bits} bits (n-d+2)*d*n*bit_length(q), "
-            f"over the budget of {DEFAULT_BUDGET}")
+            f"formula rows need {bits} bits ({N} weights of {d - 1} coefficients up to "
+            f"{coefficient} bits and a K_w up to {known}), over the budget of {DEFAULT_BUDGET}")
+    return bits
 
 
 @lru_cache(maxsize=WEIGHT_DIST_CACHE_SIZE)

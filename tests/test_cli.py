@@ -101,23 +101,45 @@ def test_dist_refuses_parameters_past_a_row_index(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("argv, bits", [
+# with M = sys.maxsize and n = M-1, d = 3, q = 2^64: N = n-d+2 = M-2
+# weights of 2 coefficients up to 2*63 + 2 + N bits and a K_w up to
+# n + (N-1)*65 + 1 bits
+MAXSIZE_CHARGE = (f"{(sys.maxsize - 2) * (68 * sys.maxsize + 57)} bits ({sys.maxsize - 2} "
+                  f"weights of 2 coefficients up to {sys.maxsize + 126} bits and a K_w up "
+                  f"to {66 * sys.maxsize - 195})")
+CHARGE_2000 = ("3028044000 bits (1002 weights of 999 coefficients up to 3012 bits and a K_w "
+               "up to 13012)")
+
+
+@pytest.mark.parametrize("argv, charge", [
     (("--closed-form", "d1", "--n", str(sys.maxsize - 1), "--d", "3", "--q", str(2**64)),
-     (sys.maxsize - 2) * 3 * (sys.maxsize - 1) * 65),
-    (("--closed-form", "w1", "--n", "2000", "--d", "1000", "--q", "2003"), 22044000000),
+     MAXSIZE_CHARGE),
+    (("--closed-form", "w1", "--n", "2000", "--d", "1000", "--q", "2003"), CHARGE_2000),
     (("--bonneau", "--prefix", ",".join(["1"] + ["0"] * 998),
-      "--n", "2000", "--d", "1000", "--q", "2003"), 22044000000),
-], ids=["d1-below-the-index-limit", "w1", "bonneau"])
-def test_dist_refuses_formula_rows_over_the_budget(capsys, argv, bits):
+      "--n", "2000", "--d", "1000", "--q", "2003"), CHARGE_2000),
+    (("--closed-form", "d1", "--n", "1400", "--d", "700", "--q", "1409"),
+     "1042750800 bits (702 weights of 699 coefficients up to 2112 bits and a K_w up to 9112)"),
+], ids=["d1-below-the-index-limit", "w1", "bonneau", "d1-1400"])
+def test_dist_refuses_formula_rows_over_the_budget(capsys, argv, charge):
     # the first ended in a MemoryError traceback (exit 1) and the second
-    # took seconds; both are refused from (n, d, q) before any row is
+    # took seconds; each is refused from (n, d, q) before any row is
     # built, and after every usage error (the prefix has its d-1 values)
     start = time.perf_counter()
     code, out, err = run(capsys, "dist", *argv)
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (3, "")
-    assert err == (f"budget refusal: formula rows need {bits} bits "
-                   f"(n-d+2)*d*n*bit_length(q), over the budget of {codes.DEFAULT_BUDGET}\n")
+    assert err == (f"budget refusal: formula rows need {charge}, "
+                   f"over the budget of {codes.DEFAULT_BUDGET}\n")
+
+
+@pytest.mark.parametrize("n, d, q", [(5000, 5000, 5003), (3000, 2990, 3001)])
+def test_dist_answers_rows_of_few_weights(capsys, n, d, q):
+    # n-d+2 = 2 and 12 weights under thousands of columns: the charge,
+    # 2.9e5 and 5.6e6 bits, counts the small entries they hold
+    code, out, err = run(capsys, "dist", "--closed-form", "d1", "--n", str(n), "--d", str(d),
+                         "--q", str(q), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["total"] == str(q ** (n - d + 1))
 
 
 @pytest.mark.parametrize("argv, text", [

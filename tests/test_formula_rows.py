@@ -1,10 +1,12 @@
 """Coefficient rows of the two Bonneau forms: every entry against the
 defining sums, both forms against each other and every closed form on
-random parameters, the q^k check of both forms, the work a row build
-does, and the bounds of the formula caches."""
+random parameters, the q^k check of both forms, the row charge against
+the bits the rows hold, the work and memory a row build takes, and the
+bounds of the formula caches."""
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -25,10 +27,10 @@ from reference_sums import (b_low_term, bw_known_part, bw_prefix_coeff,
                             omega_coeff)
 
 # the stream's extremes, then the boundaries of the MDS range: n = q+2,
-# d = n and q = 2
+# d = n and q = 2, then a narrow band (n-d+2 = 5) under many columns
 ROW_TUPLES = [(257, 10, 256), (200, 9, 199), (128, 7, 127), (66, 3, 64),
               (18, 4, 16), (5, 5, 5), (3, 3, 2), (18, 3, 16), (4, 4, 2),
-              (4, 3, 2), (33, 33, 32), (10, 10, 8)]
+              (4, 3, 2), (33, 33, 32), (10, 10, 8), (40, 37, 41)]
 
 
 def _is_prime_power(q):
@@ -62,6 +64,14 @@ def test_rows_match_defining_sums(n, d, q):
     # the two forms agree for every prefix, so their rows must be equal
     assert single_known == double_known
     assert single_cols == double_cols
+    _assert_charge_covers_the_rows(n, d, q, (single_known, single_cols))
+
+
+def _assert_charge_covers_the_rows(n, d, q, rows):
+    """The row charge is at least the bits the rows hold."""
+    known, cols = rows
+    held = sum(x.bit_length() for col in (known,) + cols for x in col)
+    assert mds._check_formula_rows(n, d, q) >= held
 
 
 @st.composite
@@ -86,6 +96,7 @@ def test_rows_and_closed_form_terms_match_reference_sums(params):
                                 for v in range(d - 1))
     assert double_cols == tuple(tuple(bw_prefix_coeff(n, d, w, v) for w in ws)
                                 for v in range(d - 1))
+    _assert_charge_covers_the_rows(n, d, q, (single_known, single_cols))
     # the paper's terms of the closed forms, each against its own sum: the
     # B_{d-2} column (-1)^(w-d) C(n-d+2, n-w) of weights 2 and d-2, and
     # B_{d-1} = C(n-1, d-1) of weight 1
@@ -205,14 +216,14 @@ def test_row_builds_take_no_per_entry_binomials(monkeypatch):
         counting(formulas, name)
     counting(mds, "binom")
     formulas._double_sum_rows.__wrapped__(n, d, q)
-    # the double sums read neither omega nor A_w; they seed K_w and each
-    # of the d-1 columns with one binomial and step every other entry
+    # the double sums read neither omega nor A_w; one binomial seeds K_w,
+    # and every column follows from one signed binomial row
     assert calls["mdscosets.formulas", "omega"] == 0
     assert calls["mdscosets.formulas", "mds_weight_distribution"] == 0
-    assert calls["mdscosets.formulas", "binom"] <= d
+    assert calls["mdscosets.formulas", "binom"] == 1
     calls.clear()
     formulas._single_sum_rows.__wrapped__(n, d, q)
-    # one omega per column, at w = d-1; the (n-d+2)(d-1) entries follow by ratios
+    # one omega per column, at w = d-1, scales the one signed binomial row
     assert calls["mdscosets.formulas", "omega"] == d - 1
     assert calls["mdscosets.formulas", "binom"] == 0
     calls.clear()
@@ -223,6 +234,21 @@ def test_row_builds_take_no_per_entry_binomials(monkeypatch):
     formulas.dist_weight_d1.__wrapped__(n, d, q)
     formulas.dist_weight2(n, d, q, 7, strict=False)
     assert calls["mdscosets.formulas", "binom"] == 0
+
+
+@pytest.mark.parametrize("rows", [_double_sum_rows, _single_sum_rows],
+                         ids=["double", "single"])
+def test_a_row_build_holds_its_rows_and_one_band(rows):
+    # 589 columns on a band of 12 weights: the rows hold about 0.3 MiB,
+    # where a (d-1) x (n+1) table of binomials would take 15 MiB
+    mds_weight_distribution.cache_clear()
+    tracemalloc.start()
+    try:
+        rows.__wrapped__(600, 590, 601)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _ask_closed_forms(n, d, q, counts):
