@@ -8,46 +8,46 @@ syndrome s, grown one coordinate (one parity-check column) at a time.
 Every nonzero multiple of a syndrome has the same counts, so the table
 runs on the quotient by scalars: one row for the zero syndrome and one
 for each point of PG(n-k-1, q), 1 + (q^(n-k)-1)/(q-1) rows in all.
-One type, CosetCensus, holds the table at any wmax: at wmax = n it is
-the full coset census, at smaller wmax the low-weight census, where a
-syndrome no vector of weight <= wmax reaches has weight -1.  At
-wmax >= n - k it reaches every syndrome, and the first such census of a
-LinearCode leaves it its coset classes as a memo: the cosets grouped by
-(W, B_0..B_wmax) from one sort of the rows, from which the minimum
-distance, the covering radius, the leader profile (how many cosets of
-each weight W have each number B_W of minimum-weight vectors) and the
-distinct prefixes B_0..B_{n-k-1} of the weight-2 cosets are read.  A
-code asked for these before any census reached n - k runs one at n - k,
-so no code runs the kernel twice for them: a census that comes first,
-from the code's own run or from a prefix of a longer code's run, fills
-the memo.  Each
-column is admitted through the sums over the lines through its point (see
-_syndrome_trellis), about three passes over each weight row it updates
-whatever q is.  A vector on j coordinates weighs at most j, so column j
-updates only the rows of weight 1 to min(wmax, j).  The budget counts
+One type, CosetCensus, holds a table at any wmax as its classes, the
+cosets grouped by (W, B_0..B_wmax) from one sort of the rows, and an
+index that gives each row its class; the table itself is dropped.  At
+wmax = n it is the full coset census, at smaller wmax the low-weight
+census, where a syndrome no vector of weight <= wmax reaches has weight
+-1.  At wmax >= n - k it reaches every syndrome, and the first such
+census of a LinearCode leaves it its coset classes as a memo, from which
+the minimum distance, the covering radius, the leader profile (how many
+cosets of each weight W have each number B_W of minimum-weight vectors)
+and the distinct prefixes B_0..B_{n-k-1} of the weight-2 cosets are
+read.  A code asked for these before any census reached n - k runs one
+at n - k, so no code runs the kernel twice for them: a census that
+comes first, from the code's own run or from a prefix of a longer
+code's run, fills the memo.  Each column is admitted through the sums
+over the lines through its point (see _syndrome_trellis), about three
+passes over each weight row it updates whatever q is.  A vector on j
+coordinates weighs at most j, so column j updates only the rows of
+weight 1 to min(wmax, j).  The budget counts
 n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, an upper bound on the
-row entries updated, not q^n vector visits, and a census that fits it
+row entries updated, not q^n vector visits, and a run that fits it
 holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  Every
 census takes one path, _prefix_censuses: one run on the longest code of
-a chain of nested codes hands back its table after each of their
+a chain of nested codes hands over its table after each of their
 lengths, the censuses of the codes on those first coordinates at the
-run's wmax.  coset_census and low_weight_census are that path on a
-chain of one code.  A prefix no longer than wmax gets its full census,
-and a longer one the low-weight census at wmax, which certifies it once
-wmax reaches its n - k.
+run's wmax, each classed before the run goes on.  coset_census and
+low_weight_census are that path on a chain of one code.  A prefix no
+longer than wmax gets its full census, and a longer one the low-weight
+census at wmax, which certifies it once wmax reaches its n - k.
 
 Every count is exact.  The work is checked against the code's budget,
 fixed when the code is built, and every count against the int64 range
 before any table is allocated; anything out of range is refused with
 the limit named, never sampled.  The kernel counts in int64, and a census
-keeps its table narrowed (see _narrowed): a reader promotes before arithmetic.
+keeps its classes' counts as Python ints, so its totals check exactly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -345,15 +345,8 @@ def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
     return None
 
 
-def _narrowed(rows: np.ndarray) -> np.ndarray:
-    """Weight-major int64 rows as a census table of the narrowest signed type."""
-    narrow = rows.T.astype(np.min_scalar_type(-1 - int(rows.max())), order="C")
-    _require(np.array_equal(narrow, rows.T), f"census counts do not fit {narrow.dtype}")
-    return narrow
-
-
 def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
-                      ) -> list[np.ndarray]:
+                      ) -> Iterator[np.ndarray]:
     """T[s, w]: how many vectors of weight w <= wmax have syndrome s, one
     census row s per point (see census_rows), after each of the prefix
     lengths.
@@ -374,10 +367,10 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     top down, so row w - 1 is still T_{j-1} when row w reads it.  A zero
     column adds (q - 1) T_{j-1}[s, w - 1].
 
-    Returns the tables after each of the lengths, in ascending order: the
-    one after j columns is the table of the code on the first j
-    coordinates at weight min(wmax, j), narrowed (see _narrowed).  Both
-    refusals (see _census_refusal) fire before any table exists.  The
+    Yields the int64 tables after each of the lengths, ascending: the one
+    after j columns is the table of the code on the first j coordinates at
+    weight min(wmax, j), a copy but for the last, the working table itself.
+    Both refusals (see _census_refusal) fire before any table exists.  The
     two scalar products, at the rows of 0 and H, stay below q^k, so no
     scalar overflow warns: a column in the span of the earlier ones meets
     entries of at most q^(k-1), and one outside it a zero entry at H.
@@ -396,8 +389,9 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
 
     table = np.zeros((wmax + 1, states), dtype=np.int64)  # weight-major while growing
     table[0, 0] = 1
-    # the table after j columns, in the census layout: row per point, narrowed
-    snapshots = [_narrowed(table[:1])] if lengths[0] == 0 else []
+    # the table after j columns, in the census layout: row per point
+    if lengths[0] == 0:
+        yield table[:1].copy().T
     # two row buffers serve every update; take's default mode="raise"
     # would buffer `out` again, and the indices are a permutation anyway
     lines, back = np.empty(states, dtype=np.int64), np.empty(states, dtype=np.int64)
@@ -423,8 +417,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
                 np.take(lines, inverse, out=back, mode="clip")
                 table[w] -= back
         if j in lengths:
-            snapshots.append(_narrowed(table[:top + 1]))
-    return snapshots
+            yield table[:top + 1].T if j == lengths[-1] else table[:top + 1].copy().T
 
 
 @dataclass(frozen=True)
@@ -437,7 +430,7 @@ class CosetClass:
 
 
 class CosetCensus:
-    """Per-point counts of the vectors of weight <= wmax, from one trellis run.
+    """Per-point counts of the vectors of weight <= wmax, from one trellis table.
 
     The table has one row per census row (see census_rows): the zero
     syndrome, then one row for the q - 1 syndromes of each point, and
@@ -445,76 +438,66 @@ class CosetCensus:
     the rows are the full coset weight distributions; at smaller wmax they
     are exact as far as they reach.  A syndrome reached by no vector of
     weight <= wmax has weight -1 here (meaning: bigger than wmax), and its
-    row is all zero.  Rows are grouped into `classes` only when `classes`
-    is first read.  The kernel's table comes narrowed (see _narrowed).
+    row is all zero.  The table is sorted once into `classes`, the rows
+    sharing one (weight, B_0..B_wmax) in that order, and dropped;
+    `index[row]` is each census row's class, in the narrowest unsigned type.
     """
 
     def __init__(self, code: LinearCode, table: np.ndarray):
         self.code = code
         q, n, k = code.field.q, code.n, code.k
         self.total_cosets = q ** code.r
-        self.table = table  # (1 + (q^r-1)/(q-1), wmax+1) exact counts
         self.wmax = table.shape[1] - 1
         first = (table > 0).argmax(axis=1)  # 0 on an all-zero row too
-        has = table[np.arange(len(table)), first] > 0
-        # -1..wmax in the smallest integer type, as the table is kept
-        self.weights = np.where(has, first, -1).astype(np.min_scalar_type(-1 - self.wmax))
-        self.fully_covered = bool(has.all())
-        if self.wmax == n:
-            # sum accumulates a narrow integer type in the platform integer,
-            # where a row's q^k vectors fit (see _census_refusal); q^n may
-            # not, so the row sums are totalled exactly in 32-bit halves
-            sums = table.sum(axis=1)
-            high, low = np.divmod(sums[1:], 1 << 32)
-            _require(int(sums[0]) + (q - 1) * ((int(high.sum()) << 32) + int(low.sum())) == q**n,
-                     "census table does not hold q^n vectors")
-            _require(bool(np.all(sums == q**k)), "a census row does not hold q^k vectors")
-        _require(self.count_of_weight(0) == 1, "census needs exactly one weight-0 coset")
-
-    @cached_property
-    def classes(self) -> list[CosetClass]:
-        """Syndromes sharing one (weight, B_0..B_wmax), sorted by that key."""
-        table, weights = self.table, self.weights
+        weights = np.where(table[np.arange(len(table)), first] > 0, first, -1)
         # sort by (weight, B_0, ..., B_wmax); lexsort's last key is the primary one
         order = np.lexsort((*table.T[::-1], weights))
-        rows = np.take(table, order, axis=0)
         # a class starts where some B_w changes: the weight is a function of the row
-        starts = np.zeros(len(rows), dtype=bool)
+        starts = np.zeros(len(order), dtype=bool)
         starts[0] = True
-        for column in rows.T:
+        for column in table.T:
+            column = np.take(column, order)
             starts[1:] |= column[1:] != column[:-1]
-        starts = np.flatnonzero(starts)
-        counts = np.add.reduceat(np.where(order == 0, 1, self.code.field.q - 1), starts)
-        classes = [CosetClass(w, WeightDistribution(tuple(row)), cnt)
-                   for w, row, cnt in zip(weights[order[starts]].tolist(),
-                                          rows[starts].tolist(), counts.tolist())]
-        _require(sum(c.count for c in classes) == self.total_cosets,
+        heads = order[starts]
+        self.index = np.empty(len(order), dtype=np.min_scalar_type(len(heads) - 1))
+        self.index[order] = np.cumsum(starts) - 1
+        counts = np.add.reduceat(np.where(order == 0, 1, q - 1), np.flatnonzero(starts))
+        self.classes = [CosetClass(w, WeightDistribution(tuple(row)), cnt)
+                        for w, row, cnt in zip(weights[heads].tolist(),
+                                               table[heads].tolist(), counts.tolist())]
+        _require(sum(c.count for c in self.classes) == self.total_cosets,
                  "census classes do not hold q^(n-k) cosets")
-        return classes
+        if self.wmax == n:
+            _require(all(c.distribution.total() == q**k for c in self.classes),
+                     "a census class does not hold q^k vectors")
+        _require(self.count_of_weight(0) == 1, "census needs exactly one weight-0 coset")
 
     def classes_of_weight(self, W: int) -> list[CosetClass]:
         return [c for c in self.classes if c.weight == W]
 
     def count_of_weight(self, W: int) -> int:
-        q = self.code.field.q
-        return int(self.weights[0] == W) + (q - 1) * int(np.count_nonzero(self.weights[1:] == W))
+        return sum(c.count for c in self.classes_of_weight(W))
 
     def code_distribution(self) -> WeightDistribution:
         return self.distribution_of_syndrome((0,) * self.code.r)
 
     def distribution_of_syndrome(self, svec) -> WeightDistribution:
-        row = syndrome_row(self.code.field, svec)
-        return WeightDistribution(tuple(self.table[row].tolist()))
+        """The distribution of the coset of svec, n-k element labels."""
+        try:
+            labels = _label_array(self.code.field, svec)
+        except ValueError as err:
+            raise ValueError(f"syndrome {svec!r}: {err}") from None
+        if labels.shape != (self.code.r,):
+            raise ValueError(f"syndrome {svec!r} is not a row of n-k = {self.code.r} labels")
+        return self.classes[self.index[syndrome_row(self.code.field, labels)]].distribution
 
 
 def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
     """The census of a trellis table of the code.  The first census of the
-    code that reaches weight n-k leaves the code its classes as the memo;
-    only they are kept, not the table, so a corpus of codes does not hold
-    every table alive."""
+    code that reaches weight n-k leaves the code its classes as the memo."""
     census = CosetCensus(code, table)
     if code._classes is None and census.wmax >= code.r:
-        _require(census.fully_covered, "a syndrome is unreached at weight n-k")
+        _require(census.classes[0].weight >= 0, "a syndrome is unreached at weight n-k")
         code._classes = census.classes
     return census
 
@@ -530,8 +513,9 @@ def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:
     for code in chain:
         _require(np.array_equal(code.H.labels, longest.H.labels[:, :code.n]),
                  f"{code} is not a prefix of {longest}")
-    tables = _syndrome_trellis(longest, wmax, [code.n for code in chain])
-    return [_census_from_table(code, table) for code, table in zip(chain, tables)]
+    # map drops each table as its census is made, before the kernel goes on
+    return list(map(_census_from_table, chain,
+                    _syndrome_trellis(longest, wmax, [code.n for code in chain])))
 
 
 def coset_census(code: LinearCode) -> CosetCensus:

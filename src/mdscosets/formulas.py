@@ -249,6 +249,8 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
         raise ValueError(f"W={W} outside both mid-range branches for d={d}")
     if len(knowns) != W - 1:
         raise ValueError(f"need the {W - 1} values B_{d - W}..B_{d - 2}, got {len(knowns)}")
+    if min(knowns, default=0) < 0:
+        raise ValueError("mid-weight knowns must be non-negative")
     known = dict(zip(range(d - W, d - 1), knowns))
     if low:
         known[W] = 1

@@ -284,10 +284,11 @@ def geometry_code_bridge(arc: Arc) -> BridgeReport:
     code = LinearCode(H)
     census = low_weight_census(code, 3)
     counts = arc._counts
-    # rows[p] is the census row of the q-1 syndromes lam*pt, pt the point
-    # of plane rank p
+    # rows[p] is B_0..B_3 of the q-1 syndromes lam*pt, pt the point of
+    # plane rank p, gathered through the class index
     coords = _plane_coords(q, np.arange(counts.size))
-    rows = census.table[syndrome_row(f, coords)]
+    rows = np.array([c.distribution.counts for c in census.classes])[
+        census.index[syndrome_row(f, coords)]]
     on_arc = np.zeros(counts.size, dtype=bool)
     on_arc[arc._ranks] = True
     B1, B2, B3 = rows[:, 1], rows[:, 2], rows[:, 3]

@@ -121,19 +121,25 @@ def check_mds_params(n: int, d: int, q: int) -> None:
 
 def _check_formula_rows(n: int, d: int, q: int) -> int:
     """check_mds_params, then refuse formula rows over DEFAULT_BUDGET bits;
-    return the bits charged, a bound on the bits the rows hold: N = n-d+2
-    weights of d-1 coefficients, each at most 2^(N-1) (d-1) C(n, d-1), with
-    C(n, d-1) below 2^n and at most n^min(d-1, N-1), and a K_w = C(n,w)
-    T(w, w-d+1) below 2^(n+1) q^(N-1).  Each row builder calls it first."""
+    return the bits charged, a bound on 8 times the bytes a row build takes:
+    N = n-d+2 weights of d-1 coefficients, each at most 2^(N-1) (d-1)
+    C(n, d-1), with C(n, d-1) below 2^n and at most n^min(d-1, N-1), and a
+    K_w = C(n,w) T(w, w-d+1) below 2^(n+1) q^(N-1); and for each of the N*d
+    entries 3 times 36 bytes, 864 bits: an int and its slot (sys.getsizeof
+    of a small int, 28, and a list slot, 8) for the entry kept and twice
+    for what the build holds beside it (short columns' tuples, the double
+    sum's bands, the single sum's A_w and omega seeds).  Each row builder
+    calls it first."""
     check_mds_params(n, d, q)
     N = n - d + 2
     coefficient = min(n, min(d - 1, N - 1) * n.bit_length()) + (d - 1).bit_length() + N
     known = n + (N - 1) * q.bit_length() + 1
-    bits = N * ((d - 1) * coefficient + known)
+    bits = N * ((d - 1) * coefficient + known + 864 * d)
     if bits > DEFAULT_BUDGET:
         raise BudgetExceededError(
             f"formula rows need {bits} bits ({N} weights of {d - 1} coefficients up to "
-            f"{coefficient} bits and a K_w up to {known}), over the budget of {DEFAULT_BUDGET}")
+            f"{coefficient} bits and a K_w up to {known}, and 864 bits for each of the "
+            f"{N * d} entries), over the budget of {DEFAULT_BUDGET}")
     return bits
 
 

@@ -32,6 +32,7 @@ from mdscosets.verify import (CRITERIA, DESK_DS, CorpusEntry, DeskCache, aggrega
                               closed_form_failures, covering_certificates, deep_hole_equality,
                               rebuild_failures, run_acceptance, structural_failures,
                               symmetry_failures)
+from class_rows import rows_of
 from dual_census import dual_table
 
 
@@ -60,7 +61,7 @@ def _doctor_censuses(monkeypatch, changes):
         if not isinstance(code, CorpusEntry) or code.label not in changes:
             return real
         edited = copy.copy(real)
-        edited.classes = list(real.classes)  # over the cached property
+        edited.classes = list(real.classes)  # a list of its own to edit
         changes[code.label](edited)
         return edited
     monkeypatch.setattr(DeskCache, "census", doctored)
@@ -328,21 +329,19 @@ def test_criterion_8_structural(desk):
 
 
 def test_criterion_8_names_each_broken_invariant(desk, monkeypatch):
-    # [5,2,4]_5's zero coset counts two weight-0 vectors, its code one
-    # fewer weight-5 codeword, and one weight-1 row is read as weight 2
+    # [5,2,4]_5's zero coset counts two weight-0 vectors and no weight-5
+    # codeword, and its weight-1 class loses the q - 1 = 4 cosets of a point
     def broken(census):
-        zero = census.classes[0]
-        census.classes[0] = dataclasses.replace(zero, distribution=_raised(zero.distribution, 0))
-        census.table = census.table.astype(np.int64)
-        census.table[0, 5] = 0
-        census.weights = census.weights.copy()
-        census.weights[1] = 2
+        zero, one = census.classes[:2]
+        census.classes[0] = dataclasses.replace(
+            zero, distribution=_raised(_raised(zero.distribution, 0), 5, -zero.distribution.counts[5]))
+        census.classes[1] = dataclasses.replace(one, count=one.count - 4)
     _doctor_censuses(monkeypatch, {"[5,2,4]_5 gdrs": broken})
     result = CRITERIA[8][1](desk)
     assert not result.passed
     assert result.lines == [
         "89 codes checked",
-        "[5,2,4]_5 gdrs: class total 26 != q^k",
+        "[5,2,4]_5 gdrs: class total 22 != q^k",
         "[5,2,4]_5 gdrs: s(C) = 1 != k = 2",
         "[5,2,4]_5 gdrs: weight-0 coset leader not unique",
         "[5,2,4]_5 gdrs: 16 weight-1 cosets, expected 20"]
@@ -599,8 +598,8 @@ def test_each_chain_snapshot_is_its_prefix_codes_own_run(desk):
     # each corpus code's census is a snapshot of its chain's one run; it
     # is the table a run of the code alone gives, entry for entry
     for entry in desk.entries:
-        alone = codes._syndrome_trellis(codes.LinearCode(entry.code.H), entry.n, [entry.n])[0]
-        table = desk.census(entry).table
+        alone = next(codes._syndrome_trellis(codes.LinearCode(entry.code.H), entry.n, [entry.n]))
+        table = rows_of(desk.census(entry)).table
         assert table.shape == alone.shape and np.array_equal(table, alone), entry.label
 
 

@@ -103,12 +103,13 @@ def test_dist_refuses_parameters_past_a_row_index(capsys, argv, message):
 
 # with M = sys.maxsize and n = M-1, d = 3, q = 2^64: N = n-d+2 = M-2
 # weights of 2 coefficients up to 2*63 + 2 + N bits and a K_w up to
-# n + (N-1)*65 + 1 bits
-MAXSIZE_CHARGE = (f"{(sys.maxsize - 2) * (68 * sys.maxsize + 57)} bits ({sys.maxsize - 2} "
+# n + (N-1)*65 + 1 bits, and 864 bits for each of the 3N entries
+MAXSIZE_CHARGE = (f"{(sys.maxsize - 2) * (68 * sys.maxsize + 2649)} bits ({sys.maxsize - 2} "
                   f"weights of 2 coefficients up to {sys.maxsize + 126} bits and a K_w up "
-                  f"to {66 * sys.maxsize - 195})")
-CHARGE_2000 = ("3028044000 bits (1002 weights of 999 coefficients up to 3012 bits and a K_w "
-               "up to 13012)")
+                  f"to {66 * sys.maxsize - 195}, and 864 bits for each of the "
+                  f"{3 * (sys.maxsize - 2)} entries)")
+CHARGE_2000 = ("3893772000 bits (1002 weights of 999 coefficients up to 3012 bits and a K_w "
+               "up to 13012, and 864 bits for each of the 1002000 entries)")
 
 
 @pytest.mark.parametrize("argv, charge", [
@@ -118,12 +119,17 @@ CHARGE_2000 = ("3028044000 bits (1002 weights of 999 coefficients up to 3012 bit
     (("--bonneau", "--prefix", ",".join(["1"] + ["0"] * 998),
       "--n", "2000", "--d", "1000", "--q", "2003"), CHARGE_2000),
     (("--closed-form", "d1", "--n", "1400", "--d", "700", "--q", "1409"),
-     "1042750800 bits (702 weights of 699 coefficients up to 2112 bits and a K_w up to 9112)"),
-], ids=["d1-below-the-index-limit", "w1", "bonneau", "d1-1400"])
+     "1467320400 bits (702 weights of 699 coefficients up to 2112 bits and a K_w up to 9112, "
+     "and 864 bits for each of the 491400 entries)"),
+    (("--closed-form", "d1", "--n", "1000000", "--d", "1000000", "--q", "1000003"),
+     "1813999958 bits (2 weights of 999999 coefficients up to 42 bits and a K_w up to "
+     "1000021, and 864 bits for each of the 2000000 entries)"),
+], ids=["d1-below-the-index-limit", "w1", "bonneau", "d1-1400", "d1-at-d-equal-n"])
 def test_dist_refuses_formula_rows_over_the_budget(capsys, argv, charge):
-    # the first ended in a MemoryError traceback (exit 1) and the second
-    # took seconds; each is refused from (n, d, q) before any row is
-    # built, and after every usage error (the prefix has its d-1 values)
+    # the first ended in a MemoryError traceback (exit 1), the second
+    # took seconds and the last answered in seconds at 268 MiB; each is
+    # refused from (n, d, q) before any row is built, and after every
+    # usage error (the prefix has its d-1 values)
     start = time.perf_counter()
     code, out, err = run(capsys, "dist", *argv)
     assert time.perf_counter() - start < 0.5
@@ -135,7 +141,7 @@ def test_dist_refuses_formula_rows_over_the_budget(capsys, argv, charge):
 @pytest.mark.parametrize("n, d, q", [(5000, 5000, 5003), (3000, 2990, 3001)])
 def test_dist_answers_rows_of_few_weights(capsys, n, d, q):
     # n-d+2 = 2 and 12 weights under thousands of columns: the charge,
-    # 2.9e5 and 5.6e6 bits, counts the small entries they hold
+    # 8.9e6 and 3.7e7 bits, counts the small entries they hold
     code, out, err = run(capsys, "dist", "--closed-form", "d1", "--n", str(n), "--d", str(d),
                          "--q", str(q), "--format", "json")
     assert (code, err) == (0, "")
@@ -318,6 +324,13 @@ def test_dist_inconsistent_prefix_loose(capsys):
                               "--prefix", "0,0,50", "--n", "5", "--d", "4", "--q", "5")
     assert strict_code == 2
     assert "inconsistent" in err
+
+
+@pytest.mark.parametrize("loose", [(), ("--loose",)], ids=["strict", "loose"])
+def test_dist_mid_refuses_a_negative_known(capsys, loose):
+    assert run(capsys, "dist", "--closed-form", "mid", "--n", "10", "--d", "7", "--q", "9",
+               "--W", "2", "--knowns=-5", *loose, "--format", "csv") == (
+        2, "", "error: mid-weight knowns must be non-negative\n")
 
 
 def test_dist_mid_honors_loose(capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import groupby, product
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
                              coset_census, low_weight_census, syndrome_row)
 from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import _family_code, build_code
+from class_rows import rows_of
 from dual_census import dual_table
 from oracle import (brute_codeword_weights, brute_prefix_tables, brute_table,
                     field_of, generator_matrix, syndrome)
@@ -156,13 +158,29 @@ def test_census_has_one_row_per_point():
     # syndromes of [6,3,4]_5 are counted q-1 = 4 to a row
     code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
     for census in (coset_census(code), low_weight_census(code, 2)):
-        assert census.table.shape[0] == 1 + (5**3 - 1) // 4 == 32
+        assert len(census.index) == 1 + (5**3 - 1) // 4 == 32
         assert census.total_cosets == 125
         assert sum(c.count for c in census.classes) == 125
     for q, d, r in [(4, 3, 2), (7, 5, 4), (8, 4, 3)]:
         code, _ = build_code(field_of_order(q), "gdrs", d, n=d + 1)
         assert code.r == r
-        assert len(low_weight_census(code, 1).table) == 1 + (q**r - 1) // (q - 1)
+        assert len(low_weight_census(code, 1).index) == 1 + (q**r - 1) // (q - 1)
+
+
+def test_a_census_keeps_its_classes_and_index_not_its_table():
+    # [17,12,6]_16 has 69,906 census rows in 14 classes: a table of them
+    # at wmax = n would keep 10 MB of int64 counts, the index keeps 70 kB
+    code, _ = build_code(field_of_order(16), "gdrs", 6, n=17)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        census = coset_census(code)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (len(census.index), len(census.classes)) == (69906, 14)
+    assert census.index.dtype == np.uint8
+    assert kept < 1 << 20
 
 
 def test_census_classes_of_conic_code():
@@ -176,6 +194,22 @@ def test_census_classes_of_conic_code():
     assert by_b2 == {3: 40, 2: 60}
     zero = census.classes_of_weight(0)
     assert len(zero) == 1 and zero[0].count == 1
+
+
+@pytest.mark.parametrize("svec, text", [
+    ((0, 0, 0, 0), "syndrome (0, 0, 0, 0) is not a row of n-k = 3 labels"),
+    ((0, 0), "syndrome (0, 0) is not a row of n-k = 3 labels"),
+    ((-1, 0, 0), "syndrome (-1, 0, 0): -1 is not an element label of GF(5)"),
+    ((7, 0, 0), "syndrome (7, 0, 0): 7 is not an element label of GF(5)"),
+], ids=["long", "short", "negative", "past-q"])
+def test_distribution_of_syndrome_refuses_what_is_no_syndrome(svec, text):
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
+    census = coset_census(code)
+    with pytest.raises(ValueError) as err:
+        census.distribution_of_syndrome(svec)
+    assert str(err.value) == text
+    # a syndrome of the code reads its coset's class through the index
+    assert census.distribution_of_syndrome((1, 0, 0)) == census.classes_of_weight(1)[0].distribution
 
 
 def test_census_weight3_class_of_shortened_code():
@@ -236,14 +270,14 @@ def test_kernel_matches_brute_oracle_on_small_desk_codes(desk):
         assert len(brute) == q ** code.r, entry.label
         at, want = _brute_rows(code, brute)
         census = desk.census(entry)
-        assert len(census.table) == census_rows(q, code.r), entry.label
-        assert np.array_equal(census.table[at], want), entry.label
+        assert len(census.index) == census_rows(q, code.r), entry.label
+        assert np.array_equal(rows_of(census).table[at], want), entry.label
         rows = sorted((next(w for w, c in enumerate(row) if c), tuple(row))
                       for row in brute.values())
         assert [((c.weight, c.distribution.counts), c.count) for c in census.classes] \
             == [(key, len(list(group))) for key, group in groupby(rows)], entry.label
         for wmax in range(n + 1):
-            assert np.array_equal(low_weight_census(code, wmax).table[at],
+            assert np.array_equal(rows_of(low_weight_census(code, wmax)).table[at],
                                   want[:, :wmax + 1]), (entry.label, wmax)
         zero = brute[(0,) * code.r]
         assert code.min_distance() == next(w for w in range(1, n + 1) if zero[w])
@@ -263,41 +297,37 @@ def test_kernel_matches_dual_census_on_desk_codes(desk):
         at = syndrome_row(code.field, np.array(list(dual)).T)
         assert sorted(at.tolist()) == list(range(census_rows(entry.q, code.r))), entry.label
         want = np.array(list(dual.values()), dtype=np.int64)
-        assert np.array_equal(desk.census(entry).table[at], want), entry.label
+        assert np.array_equal(rows_of(desk.census(entry)).table[at], want), entry.label
         for wmax in range(code.n):
-            assert np.array_equal(low_weight_census(code, wmax).table[at],
+            assert np.array_equal(rows_of(low_weight_census(code, wmax)).table[at],
                                   want[:, :wmax + 1]), (entry.label, wmax)
 
 
-def _narrowest_signed(top):
-    """The narrowest signed integer type that holds 0..top."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if top <= np.iinfo(t).max)
-
-
-def _check_narrow_table_reads_as_int64(census):
-    """The census keeps its table in the narrowest signed type of its
-    largest count, and reads as the census of the table's int64 copy:
-    the same classes, code distribution and cosets of each weight, the
-    latter also tallied row by row, the zero syndrome once and each
-    point q - 1 times."""
-    table, q = census.table, census.code.field.q
-    assert table.dtype == _narrowest_signed(int(table.max()))
-    wide = CosetCensus(census.code, table.astype(np.int64))
-    assert census.classes == wide.classes
-    assert census.code_distribution() == wide.code_distribution()
+def _check_class_index(census):
+    """The census keeps one index entry per census row, in the narrowest
+    unsigned type that names every class; each class holds a row, and
+    the rows rebuilt through the index give the census back: the same
+    classes and index, and cosets of each weight tallied row by row, the
+    zero syndrome once and each point q - 1 times."""
+    q, rows = census.code.field.q, rows_of(census)
+    assert census.index.dtype == np.min_scalar_type(len(census.classes) - 1)
+    assert census.index.dtype.kind == "u"
+    assert sorted(set(census.index.tolist())) == list(range(len(census.classes)))
+    again = CosetCensus(census.code, rows.table)
+    assert again.classes == census.classes
+    assert np.array_equal(again.index, census.index)
     for W in range(-1, census.wmax + 1):
         tally = sum(1 if row == 0 else q - 1
-                    for row, w in enumerate(census.weights.tolist()) if w == W)
-        assert census.count_of_weight(W) == wide.count_of_weight(W) == tally, W
+                    for row, w in enumerate(rows.weights.tolist()) if w == W)
+        assert census.count_of_weight(W) == tally, W
 
 
-def test_each_desk_table_is_narrowed_and_reads_as_its_int64_copy(desk):
-    # most desk counts fit in 8 or 16 bits; the 6 int32 tables are the
-    # censuses with a count past 32767
+def test_each_desk_census_indexes_its_classes_in_uint8(desk):
+    # no desk census has more than 23 classes
     for entry in desk.entries:
-        _check_narrow_table_reads_as_int64(desk.census(entry))
-    dtypes = Counter(desk.census(entry).table.dtype.name for entry in desk.entries)
-    assert dtypes == {"int8": 48, "int16": 35, "int32": 6}
+        _check_class_index(desk.census(entry))
+    dtypes = Counter(desk.census(entry).index.dtype.name for entry in desk.entries)
+    assert dtypes == {"uint8": 89}
 
 
 @st.composite
@@ -335,9 +365,9 @@ def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
         assert brute[svec] == row, svec
     for wmax in range(code.n + 1):
         census = low_weight_census(code, wmax)
-        assert len(census.table) == census_rows(code.field.q, code.r)
-        assert np.array_equal(census.table[at], want[:, :wmax + 1]), wmax
-        _check_narrow_table_reads_as_int64(census)
+        assert len(census.index) == census_rows(code.field.q, code.r)
+        assert np.array_equal(rows_of(census).table[at], want[:, :wmax + 1]), wmax
+        _check_class_index(census)
 
 
 def _prefix(code, j):
@@ -358,12 +388,12 @@ def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
     brute = [_brute_rows(code, table) for table in brute_prefix_tables(code)]
     alone = {}  # (j, top): the run on the first j columns alone at top
     for wmax in range(n + 1):
-        tables = codes._syndrome_trellis(code, wmax, range(n + 1))
+        tables = list(codes._syndrome_trellis(code, wmax, range(n + 1)))
         assert len(tables) == n + 1
         for j, table in enumerate(tables):
             top = min(wmax, j)
             if (j, top) not in alone:
-                alone[j, top] = codes._syndrome_trellis(_prefix(code, j), top, [j])[0]
+                alone[j, top] = next(codes._syndrome_trellis(_prefix(code, j), top, [j]))
             assert table.shape == (census_rows(q, code.r), top + 1), (wmax, j)
             assert np.array_equal(table, alone[j, top]), (wmax, j)
             at, want = brute[j]
@@ -371,14 +401,14 @@ def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
             unreached = np.ones(len(table), dtype=bool)
             unreached[at] = False
             assert not table[unreached].any(), (wmax, j)
-        assert np.array_equal(tables[-1], codes._syndrome_trellis(code, wmax, [n])[0]), wmax
+        assert np.array_equal(tables[-1], next(codes._syndrome_trellis(code, wmax, [n]))), wmax
 
 
 def test_kernel_refuses_prefix_lengths_outside_the_code():
     code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
     for lengths in ([], [7], [-1, 3]):
         with pytest.raises(ValueError, match="prefix lengths"):
-            codes._syndrome_trellis(code, 3, lengths)
+            list(codes._syndrome_trellis(code, 3, lengths))
 
 
 def test_a_census_at_two_parity_checks_builds_no_field_table(monkeypatch):
@@ -393,7 +423,7 @@ def test_a_census_at_two_parity_checks_builds_no_field_table(monkeypatch):
         code, _ = build_code(field_of_order(q), "gdrs", 3, removed=range(2, q - 1))
         assert sorted(map(tuple, code.H.labels.T)) == [(0, 1), (1, 0), (1, 1), (1, 2)]
         at, want = _brute_rows(code, brute_table(code))
-        assert np.array_equal(coset_census(code).table[at], want), q
+        assert np.array_equal(rows_of(coset_census(code)).table[at], want), q
     with pytest.raises(AssertionError, match="table was built"):  # r = 3 keeps its tables
         build_code(field_of_order(5), "gdrs", 4)
 
@@ -429,7 +459,8 @@ def _tallies(census):
     row by row: the zero syndrome once, each point q-1 times."""
     q = census.code.field.q
     tally = {}
-    for row, (w, counts) in enumerate(zip(census.weights.tolist(), census.table.tolist())):
+    rows = rows_of(census)
+    for row, (w, counts) in enumerate(zip(rows.weights.tolist(), rows.table.tolist())):
         if w >= 0:
             tally.setdefault(w, Counter())[counts[w]] += 1 if row == 0 else q - 1
     return {w: dict(tally[w]) for w in sorted(tally)}
@@ -444,7 +475,8 @@ def _check_memo_against_tallies(H, table):
     for wmax in range(r, H.ncols + 1):
         code = LinearCode(H)
         census = codes._census_from_table(code, table[:, :wmax + 1])
-        rows = zip(census.weights.tolist(), census.table.tolist())
+        rows = rows_of(census)
+        rows = zip(rows.weights.tolist(), rows.table.tolist())
         prefixes = tuple(sorted({tuple(row[:r]) for w, row in rows if w == 2}))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codes, "_syndrome_trellis", _no_kernel)
@@ -480,13 +512,13 @@ def test_each_census_from_n_minus_k_up_certifies_desk_codes(desk):
 
 def test_one_sort_memo_matches_tallies_on_desk_censuses(desk):
     for entry in desk.entries:
-        _check_memo_against_tallies(entry.code.H, desk.census(entry).table)
+        _check_memo_against_tallies(entry.code.H, rows_of(desk.census(entry)).table)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(parity_checks())
 def test_one_sort_memo_matches_tallies_on_random_parity_checks(H):
-    _check_memo_against_tallies(H, codes._syndrome_trellis(LinearCode(H), H.ncols, [H.ncols])[0])
+    _check_memo_against_tallies(H, next(codes._syndrome_trellis(LinearCode(H), H.ncols, [H.ncols])))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -498,9 +530,9 @@ def test_each_census_from_n_minus_k_up_certifies_random_parity_checks(H):
 def test_corrupted_census_table_raises_invariant_error():
     f5 = field_of_order(5)
     code, _ = build_code(f5, "gdrs", 4, n=6)
-    table = coset_census(code).table.astype(np.int64)
+    table = rows_of(coset_census(code)).table
     table[7, 3] += 1
-    with pytest.raises(InvariantError, match="q\\^n"):
+    with pytest.raises(InvariantError, match="q\\^k"):
         CosetCensus(code, table)
 
 
@@ -509,29 +541,30 @@ def test_low_weight_census_matches_full_census():
     code, _ = build_code(f5, "gdrs", 4, n=6)
     full = coset_census(code)
     lw = low_weight_census(code, 3)
-    assert "classes" not in vars(lw)  # rows are grouped only when read
-    assert lw.fully_covered  # R = 2 < 3
-    assert (lw.table == full.table[:, :4]).all()
+    assert lw.count_of_weight(-1) == 0  # R = 2 < 3
+    assert (rows_of(lw).table == rows_of(full).table[:, :4]).all()
     assert _tallies(lw)[2] == {2: 60, 3: 40}
-    assert np.array_equal(lw.weights, full.weights)
+    assert np.array_equal(rows_of(lw).weights, rows_of(full).weights)
 
     # below the covering radius R = 3 of [5,2,4]_5 some syndromes go unreached
     code, _ = build_code(f5, "gdrs", 4, n=5)
     full = coset_census(code)
+    whole = rows_of(full)
     every = syndrome_row(f5, np.array(list(product(range(5), repeat=3))).T)
     R = code.covering_radius()
     assert R == 3
     for wmax in range(R):
         cut = low_weight_census(code, wmax)
-        assert not cut.fully_covered
+        assert cut.count_of_weight(-1) > 0
         assert cut.wmax == wmax
-        assert np.array_equal(cut.weights, np.where(full.weights <= wmax, full.weights, -1))
+        assert np.array_equal(rows_of(cut).weights,
+                              np.where(whole.weights <= wmax, whole.weights, -1))
         assert cut.count_of_weight(-1) == full.total_cosets - sum(
             full.count_of_weight(W) for W in range(wmax + 1))
         # every syndrome's full row cut at wmax and regrouped, unreached
         # rows as one weight -1 class
         rows = sorted((w if w <= wmax else -1, tuple(int(x) for x in row[:wmax + 1]))
-                      for w, row in ((full.weights[i], full.table[i]) for i in every))
+                      for w, row in ((whole.weights[i], whole.table[i]) for i in every))
         assert [((c.weight, c.distribution.counts), c.count) for c in cut.classes] \
             == [(key, len(list(group))) for key, group in groupby(rows)], wmax
         for W in range(wmax + 1):
@@ -580,5 +613,5 @@ def test_the_kernel_refuses_a_wmax_outside_the_length():
     code, _ = build_code(field_of_order(5), "gdrs", 4, n=5)
     for wmax in (-1, 6):
         with pytest.raises(ValueError) as err:
-            codes._syndrome_trellis(code, wmax, [5])
+            next(codes._syndrome_trellis(code, wmax, [5]))
         assert str(err.value) == f"wmax={wmax} outside [0, 5]"

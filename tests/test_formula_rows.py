@@ -1,7 +1,7 @@
 """Coefficient rows of the two Bonneau forms: every entry against the
 defining sums, both forms against each other and every closed form on
 random parameters, the q^k check of both forms, the row charge against
-the bits the rows hold, the work and memory a row build takes, and the
+the bits the rows hold and the bytes a build takes, the work and memory a row build takes, and the
 bounds of the formula caches."""
 
 import math
@@ -249,6 +249,25 @@ def test_a_row_build_holds_its_rows_and_one_band(rows):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n,d,q", ROW_TUPLES + [(1000, 1000, 1009)])
+def test_the_row_charge_bounds_the_bytes_each_row_build_takes(n, d, q):
+    # the charge counts 108 bytes an entry besides the value bits, and at
+    # d = n its 2000 entries take most of it; a build of any size also
+    # takes up to 2 KiB of interpreter objects (frames, iterators, the
+    # seeds' cache entries)
+    charge = mds._check_formula_rows(n, d, q) // 8
+    for rows in (_double_sum_rows, _single_sum_rows):
+        mds_weight_distribution.cache_clear()
+        omega.cache_clear()
+        tracemalloc.start()
+        try:
+            rows.__wrapped__(n, d, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge + 2048, (rows.__name__, peak, charge)
 
 
 def _ask_closed_forms(n, d, q, counts):

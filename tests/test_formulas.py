@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mdscosets import formulas
 from mdscosets.codes import coset_census
 from mdscosets.combinat import binom, omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
@@ -171,6 +172,19 @@ def test_dist_weight_mid_range_errors():
         dist_weight_mid(6, 4, 5, 2, (1,))     # d = 4 has no mid range
     with pytest.raises(ValueError):
         dist_weight_mid(6, 5, 5, 2, (1, 2))   # wrong number of knowns
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_dist_weight_mid_refuses_a_negative_known_before_any_row(monkeypatch, strict):
+    # B_5 = -5 is an input, not a computed count: a usage error in either
+    # mode, raised before the rows are charged or built
+    def no_rows(n, d, q):
+        raise AssertionError("rows were built")
+    monkeypatch.setattr(formulas, "_single_sum_rows", no_rows)
+    with pytest.raises(ValueError) as err:
+        dist_weight_mid(10, 7, 9, 2, [-5], strict=strict)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "mid-weight knowns must be non-negative"
 
 
 def test_symmetry_defect_instance():

@@ -24,6 +24,7 @@ from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
                                 shortened_conic_census_formulas)
 from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import _family_code
+from class_rows import rows_of
 from oracle import (brute_bisecant_classes, det3, field_of, line_through,
                     normalize, plane_points, unisecants_through)
 from test_cli import _prime_powers
@@ -296,7 +297,7 @@ def _bridge_with_altered_rows(monkeypatch, arc, alter):
         return syndrome_row(f, [field_of(f).mul(lam, c) for c in pt])
 
     def altered(code, wmax):
-        table = low_weight_census(code, wmax).table.astype(np.int64)
+        table = rows_of(low_weight_census(code, wmax)).table
         alter(table, index)
         return CosetCensus(code, table)
     monkeypatch.setattr(geometry, "low_weight_census", altered)
@@ -335,10 +336,11 @@ def test_bridge_names_the_first_failing_point(monkeypatch):
         "bisecant-free class: point (1, 0, 0) gives coset counts (0, 0, 0, 0)"
 
 
-def test_bridge_reads_a_narrowed_table_as_its_int64_copy(monkeypatch):
-    # the bridge compares the census rows of the plane's points with the
-    # arc's int64 bisecant counts: on each narrowed table and on its int64
-    # copy every comparison holds and the reports agree
+def test_bridge_reads_the_rows_through_a_uint8_class_index(monkeypatch):
+    # the bridge compares the census rows of the plane's points, read
+    # through the class index, with the arc's int64 bisecant counts: on
+    # each census and on the census of its rebuilt int64 table every
+    # comparison holds and the reports agree
     arcs = [conic_points(field_of_order(q)) for q in (4, 5, 7, 8, 9, 11, 13)]
     arcs += [hyperoval_points(field_of_order(8)), shortened_conic(field_of_order(11), 2)]
     censuses = []
@@ -347,15 +349,15 @@ def test_bridge_reads_a_narrowed_table_as_its_int64_copy(monkeypatch):
         censuses.append(low_weight_census(code, wmax))
         return censuses[-1]
 
-    def widened(code, wmax):
-        return CosetCensus(code, low_weight_census(code, wmax).table.astype(np.int64))
+    def from_rows(code, wmax):
+        return CosetCensus(code, rows_of(low_weight_census(code, wmax)).table)
     for arc in arcs:
         monkeypatch.setattr(geometry, "low_weight_census", kept)
-        narrow = geometry_code_bridge(arc)
-        monkeypatch.setattr(geometry, "low_weight_census", widened)
-        wide = geometry_code_bridge(arc)
-        assert (narrow.census, narrow.entries) == (wide.census, wide.entries), arc.n
-    assert {c.table.dtype.name for c in censuses} == {"int8", "int16"}
+        indexed = geometry_code_bridge(arc)
+        monkeypatch.setattr(geometry, "low_weight_census", from_rows)
+        rebuilt = geometry_code_bridge(arc)
+        assert (indexed.census, indexed.entries) == (rebuilt.census, rebuilt.entries), arc.n
+    assert {c.index.dtype.name for c in censuses} == {"uint8"}
 
 
 def test_censuses_hold_python_ints():
