@@ -497,7 +497,7 @@ def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
     code that reaches weight n-k leaves the code its classes as the memo."""
     census = CosetCensus(code, table)
     if code._classes is None and census.wmax >= code.r:
-        _require(census.classes[0].weight >= 0, "a syndrome is unreached at weight n-k")
+        _require(census.count_of_weight(-1) == 0, "a syndrome is unreached at weight n-k")
         code._classes = census.classes
     return census
 
