@@ -448,8 +448,9 @@ class CosetCensus:
         q, n, k = code.field.q, code.n, code.k
         self.total_cosets = q ** code.r
         self.wmax = table.shape[1] - 1
-        first = (table > 0).argmax(axis=1)  # 0 on an all-zero row too
-        weights = np.where(table[np.arange(len(table)), first] > 0, first, -1)
+        weights = np.full(len(table), -1)  # each row's lowest w with B_w > 0
+        for w in range(self.wmax, -1, -1):
+            weights[table[:, w] > 0] = w
         # sort by (weight, B_0, ..., B_wmax); lexsort's last key is the primary one
         order = np.lexsort((*table.T[::-1], weights))
         # a class starts where some B_w changes: the weight is a function of the row
