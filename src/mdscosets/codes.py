@@ -106,14 +106,15 @@ class WeightDistribution:
 
 def _label_array(field: GF, values) -> np.ndarray:
     """values as an int64 array of element labels of the field, refusing
-    the first entry that is not an integer in [0, q)."""
-    labels = np.asarray(values)
-    if labels.dtype.kind in "iu":
+    the first entry that is not an integer in [0, q).  A bool is no label,
+    though Python counts it an int and numpy reads True among ints as 1."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        labels = values
         ok = (labels >= 0) & (labels < field.q)
     else:  # the entries as given, to name the first one that is no label
         labels = np.array(values, dtype=object)
-        ok = np.vectorize(lambda a: isinstance(a, (int, np.integer)) and 0 <= a < field.q,
-                          otypes=[bool])(labels)
+        ok = np.vectorize(lambda a: (isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+                                     and 0 <= a < field.q), otypes=[bool])(labels)
     if not ok.all():
         bad = labels.ravel().tolist()[int(np.argmin(ok))]
         raise ValueError(f"{bad!r} is not an element label of GF({field.q})")
@@ -247,17 +248,23 @@ def census_rows(q: int, r: int) -> int:
 
 def syndrome_row(f: GF, svec):
     """The census row of the syndrome svec: an int for int entries, and for
-    label-array entries the array of rows, entry by entry."""
+    label-array entries the array of rows, entry by entry.  Each digit,
+    least significant first, picks in place the lead and the row offset
+    where it is nonzero; then the digits below the top one, scaled by the
+    lead's inverse, are added, the offset taking the lead's own q^t off."""
     q = f.q
-    digits = np.asarray(svec, dtype=np.int64)
-    nonzero = digits != 0
-    top = len(digits) - 1 - np.argmax(nonzero[::-1], axis=0)  # most significant nonzero digit
-    lead = np.take_along_axis(digits, top[None], axis=0)[0]
-    powers = q ** np.arange(len(digits), dtype=np.int64)
-    value = np.tensordot(powers, f.mul_array(digits, f.inv_array(lead)), axes=1)
-    qt = powers[top]
-    row = np.where(nonzero.any(axis=0), 1 + (qt - 1) // (q - 1) + value % qt, 0)
-    return int(row) if digits.ndim == 1 else row
+    digits = [np.asarray(d) for d in svec]
+    top = len(digits) - 1
+    lead = np.zeros(digits[0].shape, dtype=np.result_type(*digits))
+    row = np.zeros(digits[0].shape, dtype=np.int64)
+    for t, digit in enumerate(digits):
+        nonzero = digit != 0
+        np.copyto(lead, digit, where=nonzero)
+        np.copyto(row, census_rows(q, t) - (q**t if t < top else 0), where=nonzero)
+    scale = f.inv_array(lead)
+    for t in range(top):  # summed in place, the q = 256 walk took 4x the page faults
+        row = row + f.mul_array(digits[t], scale) * q**t
+    return int(row) if row.ndim == 0 else row
 
 
 def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,

@@ -1,16 +1,17 @@
 """Incidence computations in the projective plane PG(2, q).
 
-Points are homogeneous coordinate triples normalized so the first
-nonzero coordinate is 1, making equality a plain tuple comparison; the
-array code ranks them in plane order (see _plane_ranks), and an Arc
-reads its normalized points back from their ranks.  Bisecants are
+An Arc keeps its points as homogeneous coordinate triples normalized so
+the first nonzero coordinate is 1, making equality a plain tuple
+comparison.  Elsewhere a point is its census row (codes.syndrome_row),
+the triple read as a syndrome, so the arc's tallies line up entry for
+entry with a census of its code.  Bisecants are
 counted by walking them, not by testing points against lines: on an
 arc, the bisecant through a and b holds, besides a and b, exactly the
 q-1 points a + t*b (t != 0), none of them on the arc (Hirschfeld,
 Projective Geometries over Finite Fields).  The walk runs on the field's
 array tables over the pairs i < j in order, in blocks of consecutive
 pairs holding at most WALK_BLOCK_POINTS points: each block's points
-a_i + t*a_j are formed, normalized and ranked as arrays and tallied in
+a_i + t*a_j are formed and ranked as arrays and tallied in
 place by one np.add.at, so a walk's temporaries stay a few MiB at any q
 the budget admits.  The walk refuses, before its first block, any arc
 whose C(n,2)*(q-1) normalizations exceed the default budget.  Building
@@ -25,9 +26,9 @@ hyperoval (gtrs: the conic plus its nucleus (0,1,0)), and the conic with
 its last one or two points removed.  A bisecant census sorts the points
 off an arc by how many of the arc's bisecants pass through them; the
 census on the code side must match it coset class by coset class, which
-`geometry_code_bridge` verifies by gathering the census rows of all
-q^2+q+1 points at once (one row stands for the q-1 syndromes lam*pt of
-a point) and checking them as arrays.
+`geometry_code_bridge` verifies by reading the class of every census
+row through the census's index (one row stands for the q-1 syndromes
+lam*pt of a point) and checking them against the tallies as arrays.
 """
 
 from __future__ import annotations
@@ -38,40 +39,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, Matrix,
-                    _label_array, low_weight_census, syndrome_row)
+                    _label_array, census_rows, low_weight_census, syndrome_row)
 from .combinat import binom
 from .gf import GF, check_field_order
 from .mds import _family_rows, has_triple_extension
-
-
-# The q^2 + q + 1 points of PG(2, q) are ranked in plane order:
-# (1, y, z) -> y*q + z, then (0, 1, z) -> q^2 + z, then (0, 0, 1) -> q^2 + q.
-
-def _plane_ranks(field: GF, x, y, z) -> np.ndarray:
-    """Plane rank of each point (x, y, z), scaled so its leading nonzero
-    coordinate is 1."""
-    q = field.q
-    scale = field.inv_array(np.where(x != 0, x, np.where(y != 0, y, z)))
-    y1, z1 = field.mul_array(scale, y), field.mul_array(scale, z)
-    return np.where(x != 0, y1 * q + z1, np.where(y != 0, q * q + z1, q * q + q))
-
-
-def _plane_coords(q: int, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The normalized coordinates (x, y, z) of the points of plane rank `rank`."""
-    affine, line = rank < q * q, rank < q * q + q
-    x = affine.astype(np.int64)
-    y = np.where(affine, rank // q, line.astype(np.int64))
-    z = np.where(affine, rank % q, np.where(line, rank - q * q, 1))
-    return x, y, z
 
 
 WALK_BLOCK_POINTS = 1 << 16  # points a_i + t*a_j per block of the walk
 
 
 def _bisecant_walk(field: GF, coords: np.ndarray):
-    """Yield (i, j, ranks) for blocks of consecutive arc point pairs i < j,
-    in order: i and j index the block's pairs, and ranks[m, t - 1] is the
-    plane rank of a_i + t*a_j for pair m and t != 0.  On an arc these are
+    """Yield (i, j, rows) for blocks of consecutive arc point pairs i < j,
+    in order: i and j index the block's pairs, and rows[m, t - 1] is the
+    census row of a_i + t*a_j for pair m and t != 0.  On an arc these are
     the q-1 off-arc points of the bisecant a_i a_j.  A block holds at most
     WALK_BLOCK_POINTS points, or one pair when q - 1 exceeds the cap.  Its
     budget (bisecant_walk_refusal) is Arc's to check, before the walk."""
@@ -86,8 +66,8 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
         i = np.searchsorted(first, pairs, side="right") - 1
         j = pairs - first[i] + i + 1
         a, b = coords[i][:, :, None], coords[j][:, :, None]
-        yield i, j, _plane_ranks(field, *(add[a[:, c] * q + field.mul_array(t, b[:, c])]
-                                          for c in range(3)))
+        yield i, j, syndrome_row(field, [add[a[:, c] * q + field.mul_array(t, b[:, c])]
+                                         for c in range(3)])
 
 
 def bisecant_walk_refusal(q: int, n: int) -> BudgetExceededError | None:
@@ -103,13 +83,22 @@ def bisecant_walk_refusal(q: int, n: int) -> BudgetExceededError | None:
     return None
 
 
+def _leading_one(field: GF, points: np.ndarray) -> np.ndarray:
+    """The nonzero points, rows of three labels, each scaled so its first
+    nonzero coordinate is 1."""
+    lead = points[np.arange(len(points)), np.argmax(points != 0, axis=1)]
+    return field.mul_array(points, field.inv_array(lead)[:, None])
+
+
 class Arc:
     """An ordered n-arc in PG(2, q): no three points collinear.
 
     Distinct points form an arc exactly when the bisecant walk meets none
     of them: the walk from a_i to a_j reaches every other point of their
     line.  The one walk also tallies the bisecants through each point of
-    the plane, indexed by plane rank, for the census and the bridge."""
+    the plane by census row, one entry per row of a census of the arc's
+    code, for the census and the bridge; row 0, the zero syndrome, is no
+    point and stays 0."""
 
     def __init__(self, field: GF, points):
         self.field = field
@@ -123,14 +112,14 @@ class Arc:
         refusal = bisecant_walk_refusal(field.q, len(given))  # before any plane-sized array
         if refusal is not None:
             raise refusal
-        self._ranks = _plane_ranks(field, *given.T)
-        size = field.q ** 2 + field.q + 1
+        coords = _leading_one(field, given)
+        self.points = [tuple(c) for c in coords.tolist()]
+        self._ranks = syndrome_row(field, coords.T)
+        size = census_rows(field.q, 3)
         index = np.full(size, -1, dtype=np.int64)
         index[self._ranks] = np.arange(len(self._ranks))
         if (index[self._ranks] != np.arange(len(self._ranks))).any():
-            raise ValueError("repeated arc point")  # a later point took its rank
-        coords = np.column_stack(_plane_coords(field.q, self._ranks))
-        self.points = [tuple(c) for c in coords.tolist()]
+            raise ValueError("repeated arc point")  # a later point took its row
         self._counts = np.zeros(size, dtype=np.int64)
         for i, j, walked in _bisecant_walk(field, coords):
             hit = index[walked]
@@ -206,7 +195,7 @@ class PointCensus:
 def bisecant_census(arc: Arc) -> PointCensus:
     """Class the off-arc points by the bisecant counts the arc's walk
     tallied; those the walk never reached lie on none."""
-    counts = arc._counts
+    counts = arc._counts[1:]  # row 0, the zero syndrome, is no point
     off_arc = counts.size - arc.n
     values, npts = np.unique(counts[counts > 0], return_counts=True)
     tally = {int(b): int(c) for b, c in zip(values, npts)}
@@ -283,20 +272,22 @@ def geometry_code_bridge(arc: Arc) -> BridgeReport:
     H = Matrix(f, np.transpose(arc.points))
     code = LinearCode(H)
     census = low_weight_census(code, 3)
-    counts = arc._counts
-    # rows[p] is B_0..B_3 of the q-1 syndromes lam*pt, pt the point of
-    # plane rank p, gathered through the class index
-    coords = _plane_coords(q, np.arange(counts.size))
-    rows = np.array([c.distribution.counts for c in census.classes])[
-        census.index[syndrome_row(f, coords)]]
+    # the census rows of the code are the arc's: rows[p - 1] is B_0..B_3
+    # of the q-1 syndromes lam*pt of the point pt of row p >= 1
+    rows = np.array([c.distribution.counts for c in census.classes])[census.index[1:]]
+    counts = arc._counts[1:]
     on_arc = np.zeros(counts.size, dtype=bool)
-    on_arc[arc._ranks] = True
+    on_arc[arc._ranks - 1] = True
     B1, B2, B3 = rows[:, 1], rows[:, 2], rows[:, 3]
     ok = np.where(on_arc, B1 == 1,
                   (B1 == 0) & np.where(counts >= 1, B2 == counts, (B2 == 0) & (B3 != 0)))
     if not ok.all():
-        p = int(np.argmin(ok))  # first failure in plane order
-        pt = tuple(int(c[p]) for c in coords)
+        p = int(np.argmin(ok))  # first failure in census-row order
+        # row p + 1 is the point whose digit t leads, the digits below it
+        # p + 1 - census_rows(q, t) in base q
+        t = sum(p + 1 >= census_rows(q, s) for s in (1, 2))
+        syndrome = np.unravel_index(p + 1 - census_rows(q, t) + q**t, (q, q, q))[::-1]
+        pt = tuple(_leading_one(f, np.array([syndrome]))[0].tolist())
         row = tuple(rows[p].tolist())
         if on_arc[p]:
             raise ValueError(f"arc point {pt}: expected a weight-1 coset, got {row}")

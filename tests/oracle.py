@@ -153,8 +153,8 @@ def generator_matrix(code):
 
 
 def plane_points(field):
-    """All q^2 + q + 1 points of PG(2, q), canonically normalized, in the
-    library's plane order."""
+    """All q^2 + q + 1 points of PG(2, q), each scaled so its first
+    nonzero coordinate is 1: (1, y, z), then (0, 1, z), then (0, 0, 1)."""
     q = field_of(field).q
     pts = [(1, y, z) for y in range(q) for z in range(q)]
     pts += [(0, 1, z) for z in range(q)]

@@ -49,7 +49,9 @@ def test_matrix_needs_rows_of_one_length():
     (5, "5 is not an element label of GF(5)"),
     (-1, "-1 is not an element label of GF(5)"),
     (2.0, "2.0 is not an element label of GF(5)"),
-], ids=["out-of-range", "negative", "float"])
+    (True, "True is not an element label of GF(5)"),  # numpy reads it as 1 among ints
+    (False, "False is not an element label of GF(5)"),
+], ids=["out-of-range", "negative", "float", "true", "false"])
 def test_matrix_refuses_a_non_label(entry, text):
     # the first bad entry is named as given, after good ones
     with pytest.raises(ValueError) as err:
@@ -70,10 +72,12 @@ def test_syndrome_row_on_ints_and_label_arrays():
     assert rows.tolist() == [row, row, 2, 0]
 
 
-@pytest.mark.parametrize("q, r", [(2, 3), (3, 1), (4, 3), (5, 2), (7, 2), (9, 2)])
+@pytest.mark.parametrize("q, r", [(2, 3), (3, 1), (4, 3), (5, 2), (7, 2), (9, 2),
+                                  (3, 4), (8, 3), (2, 5)])
 def test_each_census_row_is_one_point(q, r):
     # the rows of all q^r syndromes: 0 for the zero syndrome alone, and
-    # every other row 1..(q^r-1)/(q-1) for exactly the q-1 multiples of one
+    # every other row 1..(q^r-1)/(q-1) for exactly the q-1 multiples of one;
+    # the lead digit takes every position up to r = 5, in scalars and arrays
     f = field_of_order(q)
     svecs = list(product(range(q), repeat=r))
     rows = syndrome_row(f, np.array(svecs).T)
@@ -201,7 +205,8 @@ def test_census_classes_of_conic_code():
     ((0, 0), "syndrome (0, 0) is not a row of n-k = 3 labels"),
     ((-1, 0, 0), "syndrome (-1, 0, 0): -1 is not an element label of GF(5)"),
     ((7, 0, 0), "syndrome (7, 0, 0): 7 is not an element label of GF(5)"),
-], ids=["long", "short", "negative", "past-q"])
+    ((True, False, False), "syndrome (True, False, False): True is not an element label of GF(5)"),
+], ids=["long", "short", "negative", "past-q", "bool"])
 def test_distribution_of_syndrome_refuses_what_is_no_syndrome(svec, text):
     code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
     census = coset_census(code)

@@ -14,7 +14,7 @@ import pytest
 
 from mdscosets import cli, geometry
 from mdscosets.codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus,
-                             low_weight_census, syndrome_row)
+                             census_rows, low_weight_census, syndrome_row)
 from mdscosets.combinat import binom
 from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
                                 conic_census_formulas, conic_points,
@@ -42,11 +42,14 @@ def test_point_normalization():
     ([(1, 0, 0), (1, 5, 0)], "5 is not an element label of GF(5)"),
     ([(1, 0, 0), (1, -1, 0)], "-1 is not an element label of GF(5)"),
     ([(1, 0, 0), (1, 2.0, 0)], "2.0 is not an element label of GF(5)"),
+    ([(True, 0, 0), (0, True, 0), (0, 0, 1)], "True is not an element label of GF(5)"),
+    ([(1, 0, 0), (0, 1, 0), (False, 0, 1)], "False is not an element label of GF(5)"),
     ([(1, 0, 0), (0, 0, 0)], "not a projective point: (0, 0, 0)"),
     ([(1, 0, 0), (1, 2)], "not a projective point: (1, 2)"),
     ([(1, 0, 0), (1, 2, 3, 4)], "not a projective point: (1, 2, 3, 4)"),
     ([(1, 2, 3), (0, 1, 0), (2, 4, 1)], "repeated arc point"),
-], ids=["out-of-range", "negative", "float", "zero", "short", "long", "repeated"])
+], ids=["out-of-range", "negative", "float", "true", "false", "zero", "short", "long",
+        "repeated"])
 def test_arc_refuses_a_bad_point(points, text):
     with pytest.raises(ValueError) as err:
         Arc(field_of_order(5), points)
@@ -308,8 +311,8 @@ def _bridge_with_altered_rows(monkeypatch, arc, alter):
 
 def test_bridge_names_the_first_failing_point(monkeypatch):
     # each failure is planted at two points, each through a multiple
-    # lam*pt of the point (the later one in plane order at a smaller lam),
-    # and the earlier one is named; on the q = 4 conic
+    # lam*pt of the point (the later one in census-row order at a smaller
+    # lam), and the earlier one is named; on the q = 4 conic
     # 15 points lie on 2 bisecants, and the two points dropped from the
     # q = 7 conic lie on none
     arc = conic_points(field_of_order(4))
@@ -322,9 +325,17 @@ def test_bridge_names_the_first_failing_point(monkeypatch):
         "arc point (1, 0, 0): expected a weight-1 coset, got (0, 0, 0, 4)"
 
     def bisecant_point(table, index):
-        table[index((1, 2, 0), 1), 2] += 1
-        table[index((1, 0, 2), 2), 2] += 1
+        table[index((1, 0, 2), 1), 2] += 1
+        table[index((1, 2, 0), 2), 2] += 1
     assert _bridge_with_altered_rows(monkeypatch, arc, bisecant_point) == \
+        "class with 2 bisecants: point (1, 2, 0) gives coset counts (0, 0, 3, 4)"
+
+    def last_digit_leads(table, index):
+        # both lead at the last digit: (1, 0, 2) scales to (3, 0, 1), row
+        # 6 + 3, and (1, 1, 2) to (3, 3, 1), row 6 + 3 + 3*4
+        table[index((1, 1, 2), 1), 2] += 1
+        table[index((1, 0, 2), 3), 2] += 1
+    assert _bridge_with_altered_rows(monkeypatch, arc, last_digit_leads) == \
         "class with 2 bisecants: point (1, 0, 2) gives coset counts (0, 0, 3, 4)"
 
     def bisecant_free(table, index):
@@ -419,19 +430,19 @@ def test_an_arc_over_the_walk_budget_is_refused_before_any_plane_array():
 
 
 def _per_step_walk(f, points):
-    """The bisecant tally of the plane, walked one arc point a_i at a time
-    over all later a_j, or the text naming the first collinear triple."""
+    """The bisecant tally of the plane by census row, walked one arc point
+    a_i at a time over all later a_j, or the text naming the first
+    collinear triple."""
     q = f.q
-    ranks = np.array([geometry._plane_ranks(f, *map(np.int64, normalize(f, p))) for p in points])
-    coords = np.column_stack(geometry._plane_coords(q, ranks))
-    index = np.full(q * q + q + 1, -1)
-    index[ranks] = np.arange(len(points))
-    counts = np.zeros(q * q + q + 1, dtype=np.int64)
+    coords = np.array([normalize(f, p) for p in points])
+    rows = syndrome_row(f, coords.T)
+    index = np.full(census_rows(q, 3), -1)
+    index[rows] = np.arange(len(points))
+    counts = np.zeros(census_rows(q, 3), dtype=np.int64)
     add, t = f.add_table(), np.arange(1, q)
     for i in range(len(points) - 1):
         a, later = coords[i], coords[i + 1:, :, None]
-        walked = geometry._plane_ranks(f, *(add[a[c], f.mul_array(t, later[:, c])]
-                                            for c in range(3)))
+        walked = syndrome_row(f, [add[a[c], f.mul_array(t, later[:, c])] for c in range(3)])
         hit = index[walked]
         js, ts = np.nonzero(hit >= 0)
         if js.size:

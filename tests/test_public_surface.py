@@ -1,6 +1,8 @@
 """Every public name the library defines is read by the library, the
 demos or the benchmark: a method, property or function that only the
-tests read belongs in the tests (see oracle.py), not in `src/`."""
+tests read belongs in the tests (see oracle.py), not in `src/`.  Every
+module-level private function, class and constant is read by the
+library itself."""
 import ast
 from pathlib import Path
 
@@ -41,6 +43,24 @@ def _definitions(trees):
                         names = [t.id for t in item.targets if isinstance(t, ast.Name)]
                     found += [(f"{path.stem}.{node.name}.{name}", name, item, True)
                               for name in names if not name.startswith("_")]
+    return found
+
+
+def _private_definitions(trees):
+    """(label, name, node) for each module-level private function, class
+    and constant of src/mdscosets; dunder names such as `__all__` are
+    Python's to read."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            names = []
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            found += [(f"{path.stem}.{name}", name, node) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
     return found
 
 
@@ -91,7 +111,7 @@ def _reads(trees):
             reads.setdefault((node.attr, True), []).append(enclosing)
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             reads.setdefault((node.id, False), []).append(enclosing)
-        if isinstance(node, (ast.FunctionDef, ast.Assign)):
+        if isinstance(node, (ast.FunctionDef, ast.Assign, ast.ClassDef)):
             enclosing = enclosing | {id(node)}
         if isinstance(node, ast.FunctionDef):
             bound = _builtin_locals(node)
@@ -114,3 +134,14 @@ def test_every_public_name_has_a_reader_outside_the_tests():
                    for key in keys for enclosing in reads.get(key, [])):
             unread.append(label)
     assert not unread, f"public names only the tests read: {unread}"
+
+
+def test_every_private_name_has_a_reader_in_the_library():
+    # a private helper left behind for the tests alone is dead library code
+    trees = {path: tree for path, tree in _parse_readers().items() if path.parent == SRC}
+    reads = _reads(trees)
+    unread = [label for label, name, node in _private_definitions(trees)
+              if not any(id(node) not in enclosing
+                         for key in ((name, True), (name, False))
+                         for enclosing in reads.get(key, []))]
+    assert not unread, f"private names the library never reads: {unread}"
