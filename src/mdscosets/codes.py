@@ -32,7 +32,11 @@ holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  Every
 census takes one path, _prefix_censuses: one run on the longest code of
 a chain of nested codes hands over its table after each of their
 lengths, the censuses of the codes on those first coordinates at the
-run's wmax, each classed before the run goes on.  coset_census and
+run's wmax, each classed before the run goes on.  It hands over the
+working table itself, valid until the run resumes, with its own row
+buffers freed, so a census holds its table of wmax + 1 weight rows and
+at most five weight rows more, each 1 + (q^(n-k)-1)/(q-1) int64
+entries.  coset_census and
 low_weight_census are that path on a chain of one code.  A prefix no
 longer than wmax gets its full census, and a longer one the low-weight
 census at wmax, which certifies it once wmax reaches its n - k.
@@ -80,7 +84,7 @@ class WeightDistribution:
         if not self.counts:
             raise ValueError("a weight distribution needs at least B_0")
         for c in self.counts:
-            if not isinstance(c, int):
+            if type(c) is not int:  # a bool is no count, though Python's int
                 raise ValueError("weight distribution counts must be ints")
 
     @property
@@ -268,11 +272,10 @@ def syndrome_row(f: GF, svec):
 
 
 def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,
-                 mul: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The census rows in line order for the nonzero column h, and its
-    inverse; add and mul are the field's (q, q) tables as int64, or None
-    at r = 2, where the few sums and products come from add_array and
-    mul_array.
+                 mul: np.ndarray | None) -> np.ndarray:
+    """The census rows in line order for the nonzero column h; add and mul
+    are the field's (q, q) tables as int64, or None at r = 2, where the
+    few sums and products come from add_array and mul_array.
 
     With h scaled so that its most significant nonzero digit p is 1, let H
     be its point.  The L = (q^(r-1) - 1)/(q - 1) lines through H split the
@@ -283,8 +286,9 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,
     equal to 0.  When u's leading digit s lies below p, the line is u and
     the points a*u + h, a != 0, whose digit p is 1.  When it lies above
     p, the points u + c*h, c in F_q, are already scaled, with digit c at
-    p.  Both kinds are built digit by digit, in integers: no point is
-    scaled.
+    p.  Both kinds are built digit by digit, in integers, into the order
+    itself: no point is scaled, and the one temporary near a row long is
+    the second kind's part up to digit p, when p = r - 2.
     """
     q, r = f.q, len(col)
     p = int(np.flatnonzero(col)[-1])
@@ -297,31 +301,35 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,
     order[-2:] = 0, point
 
     # u leading at s < p, in row order 1, 2, ...: a*u + h has digit
-    # add(a, h_s) at s and h_t above s; ahead[a - 1, z] is the part below
-    # s for u's digits z there
+    # add(a, h_s) at s, h_t above s and add(a*z_t, h_t) below s for u's
+    # digits z there.  So block s is block s-1, its part from digit s-1 up
+    # swapped for head[a - 1] at s and up plus digit s-1
     lines[0, :first[p] - 1] = np.arange(1, first[p])
-    rest, ahead = point, np.zeros((q - 1, 1), dtype=np.int64)
+    rest = point
     for s in range(p):
         rest -= h[s] * q**s
         digit = add[1:, h[s]] if add is not None else f.add_array(np.arange(1, q), h[s])
-        lines[1:, first[s] - 1:first[s + 1] - 1] = rest + (digit * q**s)[:, None] + ahead
-        if s + 1 < p:
-            ahead = ((add[mul[1:], h[s]] * q**s)[:, :, None] + ahead[:, None, :]).reshape(q - 1, -1)
+        head = rest + digit * q**s
+        block = lines[1:, first[s] - 1:first[s + 1] - 1]  # (q - 1, q^s)
+        if s == 0:
+            block[:, 0] = head
+        else:
+            step = (head - last_head)[:, None] + add[mul[1:], h[s - 1]] * q**(s - 1)
+            np.add(step[:, :, None], last_block[:, None, :], out=block.reshape(q - 1, q, -1))
+        last_head, last_block = head, block
 
     # u leading at t > p: row first[t] + (digits p+1..t-1) + c*q^p + low[c, z],
-    # low[c, z] the digits below p of u + c*h for u's digits z there
+    # low[c, z] the digits up to p of u + c*h for u's digits z below p
     if p < r - 1:
-        low = np.zeros((q, 1), dtype=np.int64)
+        low = (np.arange(q, dtype=np.int64) * q**p)[:, None]
         for t in reversed(range(p)):
             low = (low[:, :, None] + (add[:, mul[:, h[t]]].T * q**t)[:, None, :]).reshape(q, -1)
-        low += (np.arange(q, dtype=np.int64) * q**p)[:, None]
         high = np.concatenate([first[t] + q**(p + 1) * np.arange(q**(t - p - 1), dtype=np.int64)
                                for t in range(p + 1, r)])
-        lines[:, first[p] - 1:] = (high[None, :, None] + low[:, None, :]).reshape(q, -1)
-
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size, dtype=np.int64)
-    return order, inverse
+        # a view: each line's tail is contiguous, so the split needs no copy
+        block = lines[:, first[p] - 1:].reshape(q, high.size, low.shape[1])
+        np.add(high[:, None], low[:, None, :], out=block)
+    return order
 
 
 def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
@@ -368,19 +376,28 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     sum of T_{j-1}[., w - 1] over the q points of that line but H.  For H
     it is T_{j-1}[0, w - 1] + (q - 2) T_{j-1}[H, w - 1], and for the zero
     syndrome (q - 1) T_{j-1}[H, w - 1].  So each weight row takes one
-    gather into line order (_point_lines), one sum per line and one gather
+    gather into line order (_point_lines), one sum per line and one scatter
     back.  A vector on the first j coordinates weighs at most j, so column
     j updates only the rows w <= min(wmax, j).  It updates them from the
     top down, so row w - 1 is still T_{j-1} when row w reads it.  A zero
     column adds (q - 1) T_{j-1}[s, w - 1].
 
-    Yields the int64 tables after each of the lengths, ascending: the one
-    after j columns is the table of the code on the first j coordinates at
-    weight min(wmax, j), a copy but for the last, the working table itself.
-    Both refusals (see _census_refusal) fire before any table exists.  The
-    two scalar products, at the rows of 0 and H, stay below q^k, so no
-    scalar overflow warns: a column in the span of the earlier ones meets
-    entries of at most q^(k-1), and one outside it a zero entry at H.
+    Yields the working int64 table itself after each of the lengths,
+    ascending, in the census layout (a row per point): the one after j
+    columns is the table of the code on the first j coordinates at weight
+    min(wmax, j).  A snapshot is valid until the generator resumes, which
+    admits the next columns into the same memory; _prefix_censuses
+    classes each one before it asks for the next.  Its working rows, a
+    row buffer and the line order of the column being admitted (see
+    _admit_columns), are freed before each yield.  So a run holds its
+    table, wmax + 1 weight rows of census_rows(q, r) int64 entries, and
+    about two rows more while it admits columns, and the classing of a
+    snapshot about three more: every census stays within its table and
+    five rows.  Both refusals (see _census_refusal) fire before any table
+    exists.  The two scalar products, at the rows of 0 and H, stay below
+    q^k, so no scalar overflow warns: a column in the span of the earlier
+    ones meets entries of at most q^(k-1), and one outside it a zero
+    entry at H.
     """
     f = code.field
     q, n = f.q, code.n
@@ -392,39 +409,47 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     refusal = _census_refusal(q, n, code.r, wmax, code.budget)
     if refusal is not None:
         raise refusal
-    states = census_rows(q, code.r)
 
-    table = np.zeros((wmax + 1, states), dtype=np.int64)  # weight-major while growing
+    table = np.zeros((wmax + 1, census_rows(q, code.r)), dtype=np.int64)  # weight-major
     table[0, 0] = 1
-    # the table after j columns, in the census layout: row per point
-    if lengths[0] == 0:
-        yield table[:1].copy().T
-    # two row buffers serve every update; take's default mode="raise"
-    # would buffer `out` again, and the indices are a permutation anyway
-    lines, back = np.empty(states, dtype=np.int64), np.empty(states, dtype=np.int64)
-    grouped = lines[:-2].reshape(q, (states - 2) // q)  # [c, i]: point c of line i
     # (q, q) tables only at r >= 3, where a line order is about q^2 long
     # anyway; at r = 2 _point_lines reads none
     add = mul = None
     if code.r >= 3:
         add = f.add_table().astype(np.int64)
         mul = f.mul_array(np.arange(q)[:, None], np.arange(q))
-    for j, col in enumerate(code.H.labels.T[:lengths[-1]], 1):
-        top = min(wmax, j)
+    done = 0
+    for length in lengths:
+        _admit_columns(f, table, code.H.labels.T[done:length], done, add, mul)
+        done = length
+        yield table[:min(wmax, length) + 1].T
+
+
+def _admit_columns(f: GF, table: np.ndarray, columns: np.ndarray, done: int,
+                   add: np.ndarray | None, mul: np.ndarray | None) -> None:
+    """Admit the columns after the first `done` ones into the weight-major
+    table, in place (see _syndrome_trellis).  One row buffer serves every
+    column, and each nonzero column builds its line order, freed before
+    the next column builds its own; the buffer is freed on return."""
+    q, states = f.q, table.shape[1]
+    lines = np.empty(states, dtype=np.int64)
+    grouped = lines[:-2].reshape(q, (states - 2) // q)  # [c, i]: point c of line i
+    for j, col in enumerate(columns, done + 1):
+        top = min(len(table) - 1, j)
         if not col.any():
             for w in range(top, 0, -1):
                 table[w] += (q - 1) * table[w - 1]
-        else:
-            order, inverse = _point_lines(f, col, add, mul)
-            for w in range(top, 0, -1):
-                np.take(table[w - 1], order, out=lines, mode="clip")
-                zero, point = lines[-2:]
-                grouped -= grouped.sum(axis=0)  # T[P] - (sum of T over P's line less H)
-                lines[-2:] = -(q - 1) * point, -zero - (q - 2) * point
-                np.take(lines, inverse, out=back, mode="clip")
-                table[w] -= back
-        if j in lengths:
-            yield table[:top + 1].T if j == lengths[-1] else table[:top + 1].copy().T
+            continue
+        order = _point_lines(f, col, add, mul)
+        for w in range(top, 0, -1):
+            # take's default mode="raise" would buffer `out` again, and the
+            # order is a permutation anyway
+            np.take(table[w - 1], order, out=lines, mode="clip")
+            zero, point = lines[-2:]
+            grouped -= grouped.sum(axis=0)  # T[P] - (sum of T over P's line less H)
+            lines[-2:] = -(q - 1) * point, -zero - (q - 2) * point
+            np.subtract.at(table[w], order, lines)  # scattered back: no inverse order
+        del order
 
 
 @dataclass(frozen=True)
@@ -460,16 +485,25 @@ class CosetCensus:
             weights[table[:, w] > 0] = w
         # sort by (weight, B_0, ..., B_wmax); lexsort's last key is the primary one
         order = np.lexsort((*table.T[::-1], weights))
-        # a class starts where some B_w changes: the weight is a function of the row
+        # a class starts where some B_w changes: the weight is a function of
+        # the row.  One buffer holds each column in sort order, then each
+        # sorted row's class
         starts = np.zeros(len(order), dtype=bool)
         starts[0] = True
+        ranked = np.empty_like(order)
         for column in table.T:
-            column = np.take(column, order)
-            starts[1:] |= column[1:] != column[:-1]
-        heads = order[starts]
+            np.take(column, order, out=ranked, mode="clip")
+            starts[1:] |= ranked[1:] != ranked[:-1]
+        np.copyto(ranked, starts)
+        np.cumsum(ranked, out=ranked)  # in place: from the bools it would cast a copy
+        ranked -= 1
+        firsts = np.flatnonzero(starts)
+        heads = order[firsts]
         self.index = np.empty(len(order), dtype=np.min_scalar_type(len(heads) - 1))
-        self.index[order] = np.cumsum(starts) - 1
-        counts = np.add.reduceat(np.where(order == 0, 1, q - 1), np.flatnonzero(starts))
+        self.index[order] = ranked
+        # a class counts q - 1 cosets per row, but 1 for the zero syndrome's row
+        counts = np.diff(firsts, append=len(order)) * (q - 1)
+        counts[self.index[0]] -= q - 2
         self.classes = [CosetClass(w, WeightDistribution(tuple(row)), cnt)
                         for w, row, cnt in zip(weights[heads].tolist(),
                                                table[heads].tolist(), counts.tolist())]
@@ -521,7 +555,9 @@ def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:
     for code in chain:
         _require(np.array_equal(code.H.labels, longest.H.labels[:, :code.n]),
                  f"{code} is not a prefix of {longest}")
-    # map drops each table as its census is made, before the kernel goes on
+    # map classes each snapshot before it resumes the kernel, which then
+    # writes the next columns over it: a snapshot is the working table, and
+    # a census keeps nothing of it
     return list(map(_census_from_table, chain,
                     _syndrome_trellis(longest, wmax, [code.n for code in chain])))
 

@@ -64,6 +64,7 @@ reported as InconsistentPrefixError in strict mode and as a plain
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +86,26 @@ class InconsistentPrefixError(ValueError):
     """The given low-weight counts cannot belong to any real coset."""
 
 
+def _count(value, name: str) -> int:
+    """A given count as a Python int, refused with its name unless it is
+    an integer: a bool is none, though Python counts it an int, nor is a
+    float or a string, which int() would read."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _counts(values, name: str, first: int):
+    """The given counts B_first, B_first+1, ...: `values` itself when each
+    is an exact int, else a tuple of each through _count as `name B_v`."""
+    for value in values:
+        if type(value) is not int:
+            return tuple(_count(c, f"{name} B_{v}") for v, c in enumerate(values, first))
+    return values
+
+
 @dataclass(frozen=True)
 class LowWeightPrefix:
     """Known counts B_0..B_{d-2} of a coset of an [n, n-d+1, d]_q MDS code."""
@@ -96,6 +117,7 @@ class LowWeightPrefix:
 
     def __post_init__(self):
         check_mds_params(self.n, self.d, self.q)
+        object.__setattr__(self, "counts", _counts(self.counts, "prefix count", 0))
         if len(self.counts) != self.d - 1:
             raise ValueError(f"prefix must list B_0..B_{self.d - 2} ({self.d - 1} values), "
                              f"got {len(self.counts)}")
@@ -242,7 +264,7 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
     `knowns` lists B_{d-W}..B_{d-2}, so W-1 values.
     """
     check_mds_params(n, d, q)
-    knowns = tuple(int(b) for b in knowns)
+    knowns = _counts(tuple(knowns), "mid-weight known", d - W)
     low = 2 <= W <= (d - 1) // 2
     high = (d + 1) // 2 <= W <= d - 3
     if not (low or high):
@@ -262,6 +284,7 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
     """Coset distribution of a weight-(d-2) coset from its B_{d-2} alone."""
     if d < 4:
         raise ValueError(f"need d >= 4, got {d}")
+    b_low = _count(b_low, "B_{d-2}")
     if b_low < 1:
         raise ValueError("a weight-(d-2) coset has B_{d-2} >= 1")
     return _from_prefix(n, d, q, {d - 2: b_low}, strict, "B_{d-2}")
@@ -281,6 +304,7 @@ def dist_weight2(n: int, d: int, q: int, b_low: int,
     """Coset distribution of a weight-2 coset (d >= 5) from its B_{d-2}."""
     if d < 5:
         raise ValueError(f"need d >= 5, got {d}")
+    b_low = _count(b_low, "B_{d-2}")
     if b_low < 0:
         raise ValueError("B_{d-2} must be non-negative")
     return _from_prefix(n, d, q, {2: 1, d - 2: b_low}, strict, "B_{d-2}")

@@ -187,6 +187,29 @@ def test_a_census_keeps_its_classes_and_index_not_its_table():
     assert kept < 1 << 20
 
 
+@pytest.mark.parametrize("q,d,lengths,wmax", [(19, 6, [20], 5), (11, 6, [6, 7, 12], 7)],
+                         ids=["[20,15,6]_19-at-5", "desk-q11-d6-chain"])
+def test_a_census_peaks_within_its_table_and_five_rows(q, d, lengths, wmax):
+    # the kernel hands each snapshot over in place, with its row buffers
+    # freed, so a run and the classing of its snapshots hold the table of
+    # wmax + 1 weight rows and at most five rows more, each census_rows(q,
+    # r) int64 entries: 6.30 MiB and 1.05 MiB a row for [20,15,6]_19 at
+    # wmax = 5.  The desk's q = 11, d = 6 chain runs on to its length-12
+    # parent, as DeskCache runs it
+    full, _ = _family_code(field_of_order(q), "gdrs", d, None, (), codes.DEFAULT_BUDGET)
+    chain = [LinearCode(Matrix(full.field, full.H.labels[:, :n])) for n in lengths[:-1]]
+    row = census_rows(q, full.r) * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        censuses = codes._prefix_censuses(chain + [full], wmax)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [c.code.n for c in censuses] == lengths
+    assert peak <= (wmax + 1 + 5) * row, peak / row
+
+
 def test_census_classes_of_conic_code():
     f5 = field_of_order(5)
     code, _ = build_code(f5, "gdrs", 4, n=6)
@@ -387,15 +410,16 @@ def _prefix(code, j):
 def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
     # at every wmax, the table after each prefix of j columns is a run on
     # those j columns alone at min(wmax, j), and the brute count of them
-    # (every drawn code has q^n <= 2*10^4)
+    # (every drawn code has q^n <= 2*10^4).  A snapshot is the working
+    # table, valid until the run resumes, so each is checked before that
     code = LinearCode(H)
     q, n = code.field.q, code.n
     brute = [_brute_rows(code, table) for table in brute_prefix_tables(code)]
     alone = {}  # (j, top): the run on the first j columns alone at top
     for wmax in range(n + 1):
-        tables = list(codes._syndrome_trellis(code, wmax, range(n + 1)))
-        assert len(tables) == n + 1
-        for j, table in enumerate(tables):
+        snapshots = 0
+        for j, table in enumerate(codes._syndrome_trellis(code, wmax, range(n + 1))):
+            snapshots += 1
             top = min(wmax, j)
             if (j, top) not in alone:
                 alone[j, top] = next(codes._syndrome_trellis(_prefix(code, j), top, [j]))
@@ -406,7 +430,9 @@ def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
             unreached = np.ones(len(table), dtype=bool)
             unreached[at] = False
             assert not table[unreached].any(), (wmax, j)
-        assert np.array_equal(tables[-1], next(codes._syndrome_trellis(code, wmax, [n]))), wmax
+            if j == n:
+                assert np.array_equal(table, next(codes._syndrome_trellis(code, wmax, [n]))), wmax
+        assert snapshots == n + 1, wmax
 
 
 def test_kernel_refuses_prefix_lengths_outside_the_code():
@@ -604,6 +630,9 @@ def test_weight_distribution_type():
     assert wd.min_positive_weight() == 3
     with pytest.raises(ValueError):
         WeightDistribution(())
+    for counts in [(True, 0, 0, 4), (1, 0, 0, 4.0)]:  # a bool is no count, though Python's int
+        with pytest.raises(ValueError, match="^weight distribution counts must be ints$"):
+            WeightDistribution(counts)
 
 
 def test_the_zero_code_has_no_minimum_distance():

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mdscosets import formulas
@@ -33,7 +34,10 @@ def test_prefix_validation():
     (6, (0, -1, 0), "prefix counts must be non-negative"),
     (6, (2, 0, 0), "B_0 must be 0 or 1"),
     (8, (0, 0, 1), "no MDS parameters with n=8 > q+2=7"),
-], ids=["short", "long", "negative", "b0", "n-over-q+2"])
+    (6, (True, 0, 0), "prefix count B_0 must be an integer, got True"),
+    (6, (0, 1.0, 0), "prefix count B_1 must be an integer, got 1.0"),
+    (6, (0, 0, "1"), "prefix count B_2 must be an integer, got '1'"),
+], ids=["short", "long", "negative", "b0", "n-over-q+2", "bool", "float", "string"])
 def test_prefix_refuses_each_rule(n, counts, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         LowWeightPrefix(n, 4, 5, counts)
@@ -47,6 +51,13 @@ def test_bonneau_transformed_examples():
         mds_weight_distribution(6, 4, 5).counts
     assert bonneau_transformed(LowWeightPrefix(5, 4, 5, (0, 0, 2))).counts == \
         (0, 0, 2, 4, 11, 8)
+    # numpy integers are counts too, read as Python ints: as int64 they
+    # would overflow against the rows' big coefficients
+    counts = (0, 0, 0, 5, 0, 0, 0, 0, 3)
+    prefix = LowWeightPrefix(60, 10, 59, tuple(np.int64(c) for c in counts))
+    assert all(type(c) is int for c in prefix.counts)
+    assert bonneau_transformed(prefix, strict=False) == \
+        bonneau_transformed(LowWeightPrefix(60, 10, 59, counts), strict=False)
 
 
 def test_bonneau_totals_are_qk_even_for_unreal_prefixes():
@@ -177,14 +188,19 @@ def test_dist_weight_mid_range_errors():
 @pytest.mark.parametrize("strict", [True, False])
 def test_dist_weight_mid_refuses_a_negative_known_before_any_row(monkeypatch, strict):
     # B_5 = -5 is an input, not a computed count: a usage error in either
-    # mode, raised before the rows are charged or built
+    # mode, raised before the rows are charged or built; so is a B_5 that
+    # is no integer, which int() would have read as 2 or 3
     def no_rows(n, d, q):
         raise AssertionError("rows were built")
     monkeypatch.setattr(formulas, "_single_sum_rows", no_rows)
-    with pytest.raises(ValueError) as err:
-        dist_weight_mid(10, 7, 9, 2, [-5], strict=strict)
-    assert type(err.value) is ValueError
-    assert str(err.value) == "mid-weight knowns must be non-negative"
+    for known, message in [(-5, "mid-weight knowns must be non-negative"),
+                           (2.7, "mid-weight known B_5 must be an integer, got 2.7"),
+                           ("3", "mid-weight known B_5 must be an integer, got '3'"),
+                           (True, "mid-weight known B_5 must be an integer, got True")]:
+        with pytest.raises(ValueError) as err:
+            dist_weight_mid(10, 7, 9, 2, [known], strict=strict)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
 
 def test_symmetry_defect_instance():
@@ -202,7 +218,7 @@ def test_symmetry_defect_instance():
     assert not rep3.comparable and not rep3.matched
 
 
-def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range():
+def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range(monkeypatch):
     refusals = [
         (lambda: dist_weight_d2(6, 3, 5, 1), "need d >= 4, got 3"),
         (lambda: dist_weight_d2(6, 4, 5, 0), "a weight-(d-2) coset has B_{d-2} >= 1"),
@@ -217,6 +233,15 @@ def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range():
         with pytest.raises(ValueError) as err:
             call()
         assert str(err.value) == message
+    # a B_{d-2} that is no integer is refused before any row is built
+    def no_rows(n, d, q):
+        raise AssertionError("rows were built")
+    monkeypatch.setattr(formulas, "_single_sum_rows", no_rows)
+    for call, value in [(dist_weight_d2, 2.0), (dist_weight_d2, True), (dist_weight2, 2.5),
+                        (dist_weight2, "1")]:
+        with pytest.raises(ValueError) as err:
+            call(9, 7, 8, value)
+        assert str(err.value) == f"B_{{d-2}} must be an integer, got {value!r}"
 
 
 def test_weight2_aggregate_values():
