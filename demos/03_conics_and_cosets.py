@@ -7,8 +7,8 @@ through the point is exactly the number of weight-2 vectors in each of
 those cosets.  Points on no bisecant name the weight-3 cosets.
 """
 
-from mdscosets import (bisecant_census, conic_points, field_of_order,
-                       geometry_code_bridge, hyperoval_points,
+from mdscosets import (bisecant_census, conic_points, coset_census,
+                       field_of_order, geometry_code_bridge, hyperoval_points,
                        shortened_conic)
 
 for q in (5, 7):
@@ -36,3 +36,8 @@ for arc, name in [(conic_points(f5), "conic q=5"),
         kind = f"B_2 = {e.bisecants}" if e.coset_weight == 2 else "weight 3"
         print(f"     {e.points} points on {e.bisecants} bisecants "
               f"<-> {e.cosets} cosets ({kind})")
+
+# a point read as a syndrome: the nucleus of the conic in PG(2, 4) lies on
+# no bisecant, so its cosets have no weight-2 vector
+census = coset_census(geometry_code_bridge(conic_points(field_of_order(4))).code)
+print(f"\nnucleus (0, 1, 0), q=4: B = {census.distribution_of_syndrome((0, 1, 0)).counts}")

@@ -7,7 +7,7 @@ hyperovals in PG(2, q), and covering classification of deep holes.
 """
 
 from .codes import (BudgetExceededError, CosetCensus, CosetClass,
-                    InvariantError, LinearCode, Matrix, WeightDistribution,
+                    InvariantError, LinearCode, WeightDistribution,
                     coset_census, low_weight_census)
 from .combinat import binom, omega
 from .covering import (DeepHoleMismatchError, DeepHoleReport, McfReport,
@@ -28,7 +28,7 @@ __all__ = [
     "Arc", "BudgetExceededError", "CosetCensus", "CosetClass",
     "DeepHoleMismatchError", "DeepHoleReport", "GF",
     "InconsistentPrefixError", "InvariantError", "LinearCode",
-    "LowWeightPrefix", "Matrix", "McfReport", "MdsConstruction",
+    "LowWeightPrefix", "McfReport", "MdsConstruction",
     "PointCensus", "SymmetryReport", "WeightDistribution", "binom",
     "bisecant_census", "bonneau_original", "bonneau_transformed",
     "build_code", "conic_points", "coset_census", "count_deep_hole_cosets",

@@ -1,6 +1,8 @@
 """Linear codes over GF(q) given by parity-check matrices, and the one
 exact counting kernel every census, distance and covering radius comes
-from.
+from.  A LinearCode holds its own parity-check matrix, H, as an int64
+array of element labels, and checks the labels and its rank when it is
+built.
 
 The kernel is Wolf's syndrome trellis (J. K. Wolf, IEEE Trans. IT 24(1),
 1978): a dense table T[s, w] of how many vectors of weight w <= wmax have
@@ -125,32 +127,11 @@ def _label_array(field: GF, values) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-class Matrix:
-    """Dense matrix over GF(q): an (nrows, ncols) array of element labels."""
-
-    def __init__(self, field: GF, rows):
-        self.field = field
-        if not len(rows):
-            raise ValueError("a matrix needs at least one row")
-        if len({len(r) for r in rows}) != 1:
-            raise ValueError("ragged rows")
-        self.labels = _label_array(field, rows)
-        self.nrows, self.ncols = self.labels.shape
-
-    def rank(self) -> int:
-        reduced, pivots = _rref(self.field, self.labels)
-        return len(pivots)
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.nrows}x{self.ncols} over GF({self.field.q}))"
-
-
-def _rref(field: GF, labels: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(q); returns (nonzero rows, pivot columns)."""
+def _rank(field: GF, labels: np.ndarray) -> int:
+    """Rank over GF(q), by Gauss-Jordan elimination of a copy of the labels."""
     work = np.array(labels, dtype=np.int64)
     nrows, ncols = work.shape
     minus_one = field.p - 1  # the label of -1: constant digit p - 1
-    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         nonzero = np.flatnonzero(work[r:, c])
@@ -162,33 +143,37 @@ def _rref(field: GF, labels: np.ndarray) -> tuple[np.ndarray, list[int]]:
         factors = field.mul_array(minus_one, work[:, c])
         factors[r] = 0
         work = field.add_array(work, field.mul_array(factors[:, None], work[r]))
-        pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return work[:r], pivots
+    return r
 
 
 class LinearCode:
     """A length-n linear code over GF(q) defined by a full-rank parity-check matrix.
 
-    `budget` caps the work of every census run on the code.  The first
-    census of the code at weight n-k or more leaves it its coset classes,
-    which min_distance, covering_radius, leader_profile and
-    weight2_prefixes read; asked before any such census, they run one at
-    n-k.
+    `rows` are the matrix's rows of element labels of `field`; H keeps
+    them as an (n-k, n) int64 array.  `budget` caps the work of every
+    census run on the code.  The first census of the code at weight n-k
+    or more leaves it its coset classes, which min_distance,
+    covering_radius, leader_profile and weight2_prefixes read; asked
+    before any such census, they run one at n-k.
     """
 
-    def __init__(self, H: Matrix, budget: int = DEFAULT_BUDGET):
-        rank = H.rank()
-        if rank != H.nrows:
+    def __init__(self, field: GF, rows, budget: int = DEFAULT_BUDGET):
+        if not len(rows):
+            raise ValueError("a matrix needs at least one row")
+        if len({len(r) for r in rows}) != 1:
+            raise ValueError("ragged rows")
+        self.H = _label_array(field, rows)
+        nrows, self.n = self.H.shape
+        rank = _rank(field, self.H)
+        if rank != nrows:
             raise ValueError(
-                f"parity-check matrix is rank-deficient: rank {rank} < {H.nrows} rows")
-        self.H = H
+                f"parity-check matrix is rank-deficient: rank {rank} < {nrows} rows")
         self.budget = budget
-        self.field = H.field
-        self.n = H.ncols
-        self.k = H.ncols - H.nrows
+        self.field = field
+        self.k = self.n - nrows
         self._classes: list[CosetClass] | None = None  # see _census_from_table
 
     @property
@@ -420,7 +405,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
         mul = f.mul_array(np.arange(q)[:, None], np.arange(q))
     done = 0
     for length in lengths:
-        _admit_columns(f, table, code.H.labels.T[done:length], done, add, mul)
+        _admit_columns(f, table, code.H.T[done:length], done, add, mul)
         done = length
         yield table[:min(wmax, length) + 1].T
 
@@ -521,7 +506,8 @@ class CosetCensus:
         return sum(c.count for c in self.classes_of_weight(W))
 
     def code_distribution(self) -> WeightDistribution:
-        return self.distribution_of_syndrome((0,) * self.code.r)
+        """The code's own distribution: row 0, the zero syndrome's."""
+        return self.classes[self.index[0]].distribution
 
     def distribution_of_syndrome(self, svec) -> WeightDistribution:
         """The distribution of the coset of svec, n-k element labels."""
@@ -553,7 +539,7 @@ def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:
     chain that is not nested is refused before the kernel runs."""
     longest = chain[-1]
     for code in chain:
-        _require(np.array_equal(code.H.labels, longest.H.labels[:, :code.n]),
+        _require(np.array_equal(code.H, longest.H[:, :code.n]),
                  f"{code} is not a prefix of {longest}")
     # map classes each snapshot before it resumes the kernel, which then
     # writes the next columns over it: a snapshot is the working table, and

@@ -117,7 +117,8 @@ class LowWeightPrefix:
 
     def __post_init__(self):
         check_mds_params(self.n, self.d, self.q)
-        object.__setattr__(self, "counts", _counts(self.counts, "prefix count", 0))
+        # a tuple prefix is kept as it is: tuple() of a tuple is that tuple
+        object.__setattr__(self, "counts", _counts(tuple(self.counts), "prefix count", 0))
         if len(self.counts) != self.d - 1:
             raise ValueError(f"prefix must list B_0..B_{self.d - 2} ({self.d - 1} values), "
                              f"got {len(self.counts)}")

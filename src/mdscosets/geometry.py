@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, Matrix,
-                    _label_array, census_rows, low_weight_census, syndrome_row)
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, _label_array,
+                    census_rows, low_weight_census, syndrome_row)
 from .combinat import binom
 from .gf import GF, check_field_order
 from .mds import _family_rows, has_triple_extension
@@ -269,8 +269,7 @@ def geometry_code_bridge(arc: Arc) -> BridgeReport:
     Arc points themselves must yield the weight-1 cosets."""
     f = arc.field
     q = f.q
-    H = Matrix(f, np.transpose(arc.points))
-    code = LinearCode(H)
+    code = LinearCode(f, np.transpose(arc.points))
     census = low_weight_census(code, 3)
     # the census rows of the code are the arc's: rows[p - 1] is B_0..B_3
     # of the q-1 syndromes lam*pt of the point pt of row p >= 1

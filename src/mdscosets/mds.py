@@ -44,8 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, Matrix,
-                    WeightDistribution, _require)
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, WeightDistribution,
+                    _require)
 from .combinat import binom
 from .gf import GF
 
@@ -229,7 +229,7 @@ def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
     give the [4,1,4]_2 code."""
     d, _, drop = _family_layout(field.q, family, d, n, removed)
     H = np.delete(_family_rows(field, family, d), drop, axis=1)
-    return (LinearCode(Matrix(field, H), budget),
+    return (LinearCode(field, H, budget),
             MdsConstruction(family, field.q, d, drop))
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode, Matrix,
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode,
                     _census_refusal, _prefix_censuses, coset_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
@@ -119,7 +119,7 @@ class DeskCache:
         parent, then each code is certified in turn."""
         full, recipe = _family_code(fld, family, d, None, (), DEFAULT_BUDGET)
         built = [(full, recipe) if n == full.n else
-                 (LinearCode(Matrix(fld, full.H.labels[:, :n])),
+                 (LinearCode(fld, full.H[:, :n]),
                   MdsConstruction(recipe.family, fld.q, d,
                                   _family_layout(fld.q, family, d, n, ())[2]))
                  for n in lengths]

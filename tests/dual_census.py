@@ -59,8 +59,7 @@ def dual_table(code):
     F, n, r = field_of(code.field), code.n, code.r
     q = F.q
     pts = np.array(points(q, r), dtype=np.int64).reshape(-1, r)
-    H = np.array(code.H.labels, dtype=np.int64)
-    weights = np.count_nonzero(_products(F, pts, H), axis=1)  # wt(PH)
+    weights = np.count_nonzero(_products(F, pts, code.H), axis=1)  # wt(PH)
     syndromes = np.vstack([np.zeros((1, r), dtype=np.int64), pts])
     coef = np.where(_products(F, syndromes, pts.T) == 0, q - 1, -1)
     # by_weight[s, j]: sum of the coefficients of the points P with wt(PH) = j

@@ -125,7 +125,7 @@ def rref(field, rows):
 
 def _rows(code):
     """The rows of the code's H as lists of ints."""
-    return [[int(h) for h in row] for row in code.H.labels]
+    return [[int(h) for h in row] for row in code.H]
 
 
 def syndrome(code, x):

@@ -361,7 +361,7 @@ def test_run_acceptance_reuses_corpus_codes(kernel_runs):
     # [6,2,5]_5's memo, and the 4 criterion-7 codes outside the corpus
     # run once each
     results = run_acceptance(DeskCache(qs=(5,)))
-    runs = [(code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax)
+    runs = [(code.field.q, tuple(map(tuple, code.H.tolist())), wmax)
             for code, wmax, _ in kernel_runs]
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
     assert len(runs) == 8
@@ -404,7 +404,7 @@ def test_desk_cache_runs_the_kernel_once_per_chain(kernel_runs, monkeypatch):
         (code, c[-1].n, [e.n for e in c] + ([code.n] if c[-1].n < code.n else []))
         for code, c in zip(ridden, chains)]
     assert orders == [col.tolist() for code in ridden
-                      for col in code.H.labels.T if col.any()]
+                      for col in code.H.T if col.any()]
     assert all(e.code.min_distance() == e.d for e in cache.entries)
     assert [code.n for code in ridden if code.n > 9] == [10] * 4 + [12] * 4
     assert all(code.min_distance() == code.r + 1 for code in ridden)
@@ -418,7 +418,7 @@ def test_full_verify_runs_the_kernel_once_per_chain(kernel_runs):
     # times, where certifying the parents apart took 8 more runs and the
     # survey 5 more
     results = run_acceptance()
-    runs = [(code.field.q, tuple(map(tuple, code.H.labels.tolist())), wmax)
+    runs = [(code.field.q, tuple(map(tuple, code.H.tolist())), wmax)
             for code, wmax, _ in kernel_runs]
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
     assert len(runs) == len(set(runs)) == 24
@@ -469,14 +469,14 @@ def test_desk_chains_build_one_family_matrix_each(monkeypatch):
     # building each code apart took 97; each of the 97 codes still checks
     # its rank
     calls = Counter()
-    for module, name in ((verify, "_family_code"), (mds, "_extended_rows"), (codes, "_rref")):
+    for module, name in ((verify, "_family_code"), (mds, "_extended_rows"), (codes, "_rank")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     cache = DeskCache()
     assert len(cache.entries) == 89
-    assert calls == {"_family_code": 24, "_extended_rows": 24, "_rref": 97}
+    assert calls == {"_family_code": 24, "_extended_rows": 24, "_rank": 97}
 
 
 def test_survey_reads_the_memo_the_parent_ride_left(kernel_runs):
@@ -598,7 +598,8 @@ def test_each_chain_snapshot_is_its_prefix_codes_own_run(desk):
     # each corpus code's census is a snapshot of its chain's one run; it
     # is the table a run of the code alone gives, entry for entry
     for entry in desk.entries:
-        alone = next(codes._syndrome_trellis(codes.LinearCode(entry.code.H), entry.n, [entry.n]))
+        code = codes.LinearCode(entry.code.field, entry.code.H)
+        alone = next(codes._syndrome_trellis(code, entry.n, [entry.n]))
         table = rows_of(desk.census(entry)).table
         assert table.shape == alone.shape and np.array_equal(table, alone), entry.label
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from mdscosets import codes
 from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
-                             LinearCode, Matrix, WeightDistribution, census_rows,
+                             LinearCode, WeightDistribution, census_rows,
                              coset_census, low_weight_census, syndrome_row)
 from mdscosets.gf import GF, field_of_order
-from mdscosets.mds import _family_code, build_code
+from mdscosets.mds import _family_code, build_code, mds_weight_distribution
 from class_rows import rows_of
 from dual_census import dual_table
 from oracle import (brute_codeword_weights, brute_prefix_tables, brute_table,
@@ -25,24 +25,36 @@ def test_code_from_parity_shapes():
     code = _family_code(f5, "gdrs", 4, None, (), codes.DEFAULT_BUDGET)[0]
     assert (code.n, code.k) == (6, 3)
     f2 = field_of_order(2)
-    parity = LinearCode(Matrix(f2, [[1] * 7]))
+    parity = LinearCode(f2, [[1] * 7])
     assert (parity.n, parity.k) == (7, 6)
 
 
 def test_rank_deficient_parity_rejected():
     f5 = field_of_order(5)
-    with pytest.raises(ValueError, match="rank"):
-        LinearCode(Matrix(f5, [[1, 2, 3], [0, 0, 0]]))
-    with pytest.raises(ValueError, match="rank"):
-        LinearCode(Matrix(f5, [[1, 2, 3], [2, 4, 1]]))
+    for rows, rank in (([[1, 2, 3], [0, 0, 0]], 1), ([[1, 2, 3], [2, 4, 1]], 1),
+                       ([[1, 2], [2, 4], [0, 1]], 2)):
+        with pytest.raises(ValueError) as err:
+            LinearCode(f5, rows)
+        assert str(err.value) == \
+            f"parity-check matrix is rank-deficient: rank {rank} < {len(rows)} rows"
 
 
 def test_matrix_needs_rows_of_one_length():
     f5 = field_of_order(5)
     with pytest.raises(ValueError, match="at least one row"):
-        Matrix(f5, [])
+        LinearCode(f5, [])
     with pytest.raises(ValueError, match="ragged"):
-        Matrix(f5, [[1, 2], [3]])
+        LinearCode(f5, [[1, 2], [3]])
+
+
+def test_code_checks_rows_then_labels_then_rank():
+    # each pair of adjacent checks, met at once, is refused by the first
+    f5 = field_of_order(5)
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        LinearCode(f5, [[1, 2, 7], [3]])
+    # read as 0, the False would leave the rows rank-deficient
+    with pytest.raises(ValueError, match="^False is not an element label of GF\\(5\\)$"):
+        LinearCode(f5, [[1, 2, 3], [0, 0, False]])
 
 
 @pytest.mark.parametrize("entry, text", [
@@ -55,7 +67,7 @@ def test_matrix_needs_rows_of_one_length():
 def test_matrix_refuses_a_non_label(entry, text):
     # the first bad entry is named as given, after good ones
     with pytest.raises(ValueError) as err:
-        Matrix(field_of_order(5), [[1, 2, 3], [4, entry, entry]])
+        LinearCode(field_of_order(5), [[1, 2, 3], [4, entry, entry]])
     assert str(err.value) == text
 
 
@@ -99,7 +111,7 @@ def test_syndrome_linearity():
     for i in range(code.n):
         e = [0] * code.n
         e[i] = 1
-        assert list(syndrome(code, e)) == code.H.labels[:, i].tolist()
+        assert list(syndrome(code, e)) == code.H[:, i].tolist()
     x = [1, 2, 0, 4, 0, 3]
     y = [0, 1, 1, 0, 2, 0]
     F5 = field_of(f5)
@@ -118,9 +130,17 @@ def test_brute_weight_distribution_examples():
         assert coset_census(code).code_distribution().counts == want
 
 
+def test_code_distribution_is_the_zero_syndromes_row(desk):
+    for entry in desk.entries:
+        census = desk.census(entry)
+        dist = census.code_distribution()
+        assert dist == census.distribution_of_syndrome((0,) * entry.code.r), entry.label
+        assert dist == mds_weight_distribution(entry.n, entry.d, entry.q), entry.label
+
+
 def test_brute_weight_distribution_zero_code():
     f3 = field_of_order(3)
-    code = LinearCode(Matrix(f3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    code = LinearCode(f3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert code.k == 0
     assert brute_codeword_weights(code) == (1, 0, 0, 0)
     assert coset_census(code).code_distribution().counts == (1, 0, 0, 0)
@@ -130,11 +150,11 @@ def test_budget_refusals_name_the_budget():
     f5 = field_of_order(5)
     code, _ = build_code(f5, "gdrs", 4, n=6)
     with pytest.raises(BudgetExceededError, match="budget of 100"):
-        coset_census(LinearCode(code.H, budget=100))
+        coset_census(LinearCode(code.field, code.H, budget=100))
     with pytest.raises(BudgetExceededError, match="budget of 10"):
-        LinearCode(code.H, budget=10).min_distance()
+        LinearCode(code.field, code.H, budget=10).min_distance()
     with pytest.raises(BudgetExceededError):
-        low_weight_census(LinearCode(code.H, budget=10), 3)
+        low_weight_census(LinearCode(code.field, code.H, budget=10), 3)
 
 
 def test_a_code_keeps_the_budget_it_was_built_with():
@@ -197,7 +217,7 @@ def test_a_census_peaks_within_its_table_and_five_rows(q, d, lengths, wmax):
     # wmax = 5.  The desk's q = 11, d = 6 chain runs on to its length-12
     # parent, as DeskCache runs it
     full, _ = _family_code(field_of_order(q), "gdrs", d, None, (), codes.DEFAULT_BUDGET)
-    chain = [LinearCode(Matrix(full.field, full.H.labels[:, :n])) for n in lengths[:-1]]
+    chain = [LinearCode(full.field, full.H[:, :n]) for n in lengths[:-1]]
     row = census_rows(q, full.r) * 8
     tracemalloc.start()
     try:
@@ -276,7 +296,7 @@ def test_min_distance_agrees_with_brute():
     code, _ = build_code(f7, "gdrs", 5, n=7)
     weights = brute_codeword_weights(code)
     brute_d = next(w for w in range(1, code.n + 1) if weights[w])
-    assert LinearCode(code.H).min_distance() == brute_d == 5
+    assert LinearCode(code.field, code.H).min_distance() == brute_d == 5
 
 
 def _brute_rows(code, brute):
@@ -292,7 +312,7 @@ def test_kernel_matches_brute_oracle_on_small_desk_codes(desk):
     small = [e for e in desk.entries if e.q ** e.n <= 10**5]
     assert len(small) == 38
     for entry in small:
-        code = LinearCode(entry.code.H)  # nothing cached from the corpus build
+        code = LinearCode(entry.code.field, entry.code.H)  # nothing cached from the corpus build
         q, n = code.field.q, code.n
         brute = brute_table(code)
         assert len(brute) == q ** code.r, entry.label
@@ -360,8 +380,9 @@ def test_each_desk_census_indexes_its_classes_in_uint8(desk):
 
 @st.composite
 def parity_checks(draw):
-    """A full-rank H over a small field whose columns may be zero, repeated
-    or parallel, small enough (q^n <= 2*10^4) for the pure-Python oracle."""
+    """A code of full-rank H over a small field whose columns may be zero,
+    repeated or parallel, small enough (q^n <= 2*10^4) for the pure-Python
+    oracle."""
     q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
     f = field_of_order(q)
     nmax = max(n for n in range(1, 15) if q ** n <= 2 * 10**4)
@@ -378,15 +399,14 @@ def parity_checks(draw):
         else:
             c = draw(st.integers(1, q - 1))
             cols.append([field_of(f).mul(c, x) for x in draw(st.sampled_from(cols))])
-    H = Matrix(f, [[col[t] for col in cols] for t in range(r)])
-    assume(H.rank() == r)
-    return H
+    H = np.array([[col[t] for col in cols] for t in range(r)], dtype=np.int64)
+    assume(codes._rank(f, H) == r)
+    return LinearCode(f, H)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(parity_checks())
-def test_kernel_matches_brute_oracle_on_random_parity_checks(H):
-    code = LinearCode(H)
+def test_kernel_matches_brute_oracle_on_random_parity_checks(code):
     brute = brute_table(code)
     at, want = _brute_rows(code, brute)
     for svec, row in dual_table(code).items():  # the second oracle, zero and parallel columns too
@@ -402,17 +422,16 @@ def _prefix(code, j):
     """The code's first j coordinates, as the kernel reads a code: its H
     may be rank-deficient, so it is no LinearCode."""
     return SimpleNamespace(field=code.field, n=j, r=code.r, budget=code.budget,
-                           H=SimpleNamespace(labels=code.H.labels[:, :j]))
+                           H=code.H[:, :j])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(parity_checks())
-def test_each_prefix_snapshot_is_a_run_of_the_prefix(H):
+def test_each_prefix_snapshot_is_a_run_of_the_prefix(code):
     # at every wmax, the table after each prefix of j columns is a run on
     # those j columns alone at min(wmax, j), and the brute count of them
     # (every drawn code has q^n <= 2*10^4).  A snapshot is the working
     # table, valid until the run resumes, so each is checked before that
-    code = LinearCode(H)
     q, n = code.field.q, code.n
     brute = [_brute_rows(code, table) for table in brute_prefix_tables(code)]
     alone = {}  # (j, top): the run on the first j columns alone at top
@@ -452,7 +471,7 @@ def test_a_census_at_two_parity_checks_builds_no_field_table(monkeypatch):
         # two Vandermonde columns and both extension columns, so points
         # with their leading digit at 0 and at 1
         code, _ = build_code(field_of_order(q), "gdrs", 3, removed=range(2, q - 1))
-        assert sorted(map(tuple, code.H.labels.T)) == [(0, 1), (1, 0), (1, 1), (1, 2)]
+        assert sorted(map(tuple, code.H.T)) == [(0, 1), (1, 0), (1, 1), (1, 2)]
         at, want = _brute_rows(code, brute_table(code))
         assert np.array_equal(rows_of(coset_census(code)).table[at], want), q
     with pytest.raises(AssertionError, match="table was built"):  # r = 3 keeps its tables
@@ -497,65 +516,65 @@ def _tallies(census):
     return {w: dict(tally[w]) for w in sorted(tally)}
 
 
-def _check_memo_against_tallies(H, table):
+def _check_memo_against_tallies(code, table):
     """For each wmax >= n-k, a fresh code's memo from the trellis table
     cut at wmax holds per-W tallies of that census, and the distinct
     B_0..B_{n-k-1} of its weight-2 rows: from n-k = 3 on, the weight-2
     classes of the census cut at n-k-1."""
-    r = H.nrows
-    for wmax in range(r, H.ncols + 1):
-        code = LinearCode(H)
-        census = codes._census_from_table(code, table[:, :wmax + 1])
+    r = code.r
+    for wmax in range(r, code.n + 1):
+        fresh = LinearCode(code.field, code.H)
+        census = codes._census_from_table(fresh, table[:, :wmax + 1])
         rows = rows_of(census)
         rows = zip(rows.weights.tolist(), rows.table.tolist())
         prefixes = tuple(sorted({tuple(row[:r]) for w, row in rows if w == 2}))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codes, "_syndrome_trellis", _no_kernel)
-            assert code.leader_profile() == _tallies(census)
-            assert code.weight2_prefixes() == prefixes, wmax
+            assert fresh.leader_profile() == _tallies(census)
+            assert fresh.weight2_prefixes() == prefixes, wmax
             if r >= 3:
-                below = CosetCensus(code, table[:, :r])  # the census at n-k-1
+                below = CosetCensus(fresh, table[:, :r])  # the census at n-k-1
                 assert prefixes == tuple(
                     cls.distribution.counts for cls in below.classes_of_weight(2)), wmax
 
 
-def _check_memo_from_each_census(H):
+def _check_memo_from_each_census(code):
     """A census of a fresh code at any wmax in [n-k, n] leaves the memo a
     fresh code's run at n-k leaves, read with the kernel switched off; a
     census below n-k leaves none."""
-    want = _memo(LinearCode(H))
-    for wmax in range(H.ncols + 1):
-        code = LinearCode(H)
-        low_weight_census(code, wmax)
+    want = _memo(LinearCode(code.field, code.H))
+    for wmax in range(code.n + 1):
+        fresh = LinearCode(code.field, code.H)
+        low_weight_census(fresh, wmax)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(codes, "_syndrome_trellis", _no_kernel)
-            if wmax >= H.nrows:
-                assert _memo(code) == want, wmax
+            if wmax >= code.r:
+                assert _memo(fresh) == want, wmax
             else:
                 with pytest.raises(_KernelRan):
-                    _memo(code)
+                    _memo(fresh)
 
 
 def test_each_census_from_n_minus_k_up_certifies_desk_codes(desk):
     for entry in desk.entries:
-        _check_memo_from_each_census(entry.code.H)
+        _check_memo_from_each_census(entry.code)
 
 
 def test_one_sort_memo_matches_tallies_on_desk_censuses(desk):
     for entry in desk.entries:
-        _check_memo_against_tallies(entry.code.H, rows_of(desk.census(entry)).table)
+        _check_memo_against_tallies(entry.code, rows_of(desk.census(entry)).table)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(parity_checks())
-def test_one_sort_memo_matches_tallies_on_random_parity_checks(H):
-    _check_memo_against_tallies(H, next(codes._syndrome_trellis(LinearCode(H), H.ncols, [H.ncols])))
+def test_one_sort_memo_matches_tallies_on_random_parity_checks(code):
+    _check_memo_against_tallies(code, next(codes._syndrome_trellis(code, code.n, [code.n])))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(parity_checks())
-def test_each_census_from_n_minus_k_up_certifies_random_parity_checks(H):
-    _check_memo_from_each_census(H)
+def test_each_census_from_n_minus_k_up_certifies_random_parity_checks(code):
+    _check_memo_from_each_census(code)
 
 
 def test_corrupted_census_table_raises_invariant_error():
@@ -636,7 +655,7 @@ def test_weight_distribution_type():
 
 
 def test_the_zero_code_has_no_minimum_distance():
-    zero = LinearCode(Matrix(field_of_order(3), np.eye(2, dtype=np.int64)))
+    zero = LinearCode(field_of_order(3), np.eye(2, dtype=np.int64))
     assert zero.k == 0
     with pytest.raises(ValueError) as err:
         zero.min_distance()

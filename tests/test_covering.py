@@ -166,14 +166,14 @@ def test_covering_radius_matches_census():
         assert code.covering_radius() == want
         assert coset_census(code).classes_of_weight(want)
     code, _ = build_code(f5, "gdrs", 4, n=6)
-    assert LinearCode(code.H, budget=10_000).covering_radius() == 2
+    assert LinearCode(code.field, code.H, budget=10_000).covering_radius() == 2
 
 
 def test_even_q_conic_code_has_radius_3():
     # the nucleus keeps the even-q length-(q+1) code at R = d-1 = 3
     f8 = field_of_order(8)
     code, _ = build_code(f8, "gdrs", 4)
-    assert LinearCode(code.H, budget=10**6).covering_radius() == 3
+    assert LinearCode(code.field, code.H, budget=10**6).covering_radius() == 3
     f4 = field_of_order(4)
     code4, _ = build_code(f4, "gdrs", 4)
     assert code4.covering_radius() == 3

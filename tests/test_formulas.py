@@ -43,6 +43,17 @@ def test_prefix_refuses_each_rule(n, counts, message):
         LowWeightPrefix(n, 4, 5, counts)
 
 
+def test_prefix_is_a_value_whatever_sequence_gives_it():
+    # a list prefix is stored as a tuple, so it hashes and equals the
+    # tuple prefix; a tuple prefix keeps its own counts, no copy made
+    counts = (0, 1, 0)
+    as_tuple = LowWeightPrefix(6, 4, 5, counts)
+    as_list = LowWeightPrefix(6, 4, 5, list(counts))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert type(as_list.counts) is tuple
+    assert as_tuple.counts is counts
+
+
 def test_bonneau_transformed_examples():
     assert bonneau_transformed(LowWeightPrefix(6, 4, 5, (0, 1, 0))).counts == \
         (0, 1, 0, 10, 35, 45, 34)

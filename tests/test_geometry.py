@@ -81,7 +81,7 @@ def test_conic_is_an_arc_and_matches_parity_columns():
             assert arc.points == columns[:n], (q, name)
             if n >= 4:
                 H = _family_code(f, family, 4, n, (), DEFAULT_BUDGET)[0].H
-                assert [normalize(f, col) for col in H.labels.T.tolist()] == arc.points
+                assert [normalize(f, col) for col in H.T.tolist()] == arc.points
 
 
 def test_named_arcs_are_pinned():

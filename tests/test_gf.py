@@ -117,7 +117,7 @@ def test_the_field_recipe_is_pinned():
 
 
 def test_element_validation_and_zero_inverse():
-    # the library checks labels where they enter, as arrays (Matrix and
+    # the library checks labels where they enter, as arrays (LinearCode and
     # Arc), and its array inverse maps zero to zero
     f5 = field_of_order(5)
     assert f5.inv_array(0) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mdscosets import codes, mds
-from mdscosets.codes import DEFAULT_BUDGET, LinearCode, Matrix, coset_census
+from mdscosets.codes import DEFAULT_BUDGET, LinearCode, coset_census
 from mdscosets.gf import field_of_order
 from mdscosets.mds import FAMILIES, build_code, family_length, mds_weight_distribution
 from oracle import brute_codeword_weights, brute_table, field_of
@@ -16,10 +16,10 @@ def family_code(field, family, d=None, removed=()):
 def test_gdrs_matrix_layout():
     f5 = field_of_order(5)
     H = family_code(f5, "gdrs", 4).H
-    assert (H.nrows, H.ncols) == (3, 6)
+    assert H.shape == (3, 6)
     # alpha columns are (1, a, a^2); the extension columns are unit vectors
     F5 = field_of(f5)
-    cols = H.labels.T.tolist()
+    cols = H.T.tolist()
     for i, a in enumerate(range(1, 5)):
         assert cols[i] == [1, a, F5.mul(a, a)]
     assert cols[4] == [1, 0, 0]
@@ -54,7 +54,7 @@ def test_gtrs_examples():
     code8 = family_code(f8, "gtrs")
     assert (code8.n, code8.k) == (10, 7)
     assert code8.min_distance() == 4
-    assert code8.H.labels[:, -1].tolist() == [0, 1, 0]  # the nucleus
+    assert code8.H[:, -1].tolist() == [0, 1, 0]  # the nucleus
     with pytest.raises(ValueError, match="triple extension requires even q, got q=5"):
         build_code(field_of_order(5), "gtrs")
     with pytest.raises(ValueError, match="the triply-extended family has d = 4"):
@@ -79,7 +79,7 @@ def test_remove_columns_examples():
     full = family_code(f5, "gdrs", 4)
     code5 = family_code(f5, "gdrs", 4, removed=[5])
     assert (code5.n, code5.k) == (5, 2)
-    assert code5.H.labels.tolist() == full.H.labels[:, :5].tolist()
+    assert code5.H.tolist() == full.H[:, :5].tolist()
     assert code5.covering_radius() == 3
     f7 = field_of_order(7)
     code67 = family_code(f7, "gdrs", 4, removed=[6, 7])
@@ -102,13 +102,13 @@ def test_build_code_checks_rank_once(monkeypatch, family, q, d, removed):
     # LinearCode runs the one rank elimination; the constructions trust
     # the MDS matrix, and the census certifies the distance
     calls = 0
-    rref = codes._rref
+    rank = codes._rank
 
     def counting(field, labels):
         nonlocal calls
         calls += 1
-        return rref(field, labels)
-    monkeypatch.setattr(codes, "_rref", counting)
+        return rank(field, labels)
+    monkeypatch.setattr(codes, "_rank", counting)
     code, _ = build_code(field_of_order(q), family, d, removed=removed)
     assert calls == 1
     assert code.min_distance() == code.n - code.k + 1
@@ -170,8 +170,8 @@ def test_column_multipliers_do_not_change_the_census():
     unit, _ = build_code(f5, "gdrs", 4)
     vs = (1, 2, 3, 4, 2, 3)
     F5 = field_of(f5)
-    scaled = LinearCode(Matrix(f5, [[F5.mul(v, h) for v, h in zip(vs, row)]
-                                    for row in unit.H.labels.tolist()]))
+    scaled = LinearCode(f5, [[F5.mul(v, h) for v, h in zip(vs, row)]
+                             for row in unit.H.tolist()])
     a = [(c.weight, c.distribution.counts, c.count) for c in coset_census(unit).classes]
     b = [(c.weight, c.distribution.counts, c.count) for c in coset_census(scaled).classes]
     assert a == b
@@ -219,7 +219,7 @@ def test_length_keeps_the_first_columns_of_the_family_matrix(monkeypatch):
         code, cons = build_code(f, family, d, n=n)
         want, want_cons = build_code(f, family, d,
                                      removed=range(n, family_length(family, q)))
-        assert code.H.labels.tolist() == want.H.labels.tolist(), (family, q, d, n)
+        assert code.H.tolist() == want.H.tolist(), (family, q, d, n)
         assert cons == want_cons, (family, q, d, n)
         assert code.n == n
 
@@ -234,7 +234,7 @@ def test_length_outside_the_family_is_refused(family):
 
 def test_certification_refuses_a_code_that_is_not_mds():
     # a repeated column gives a weight-2 codeword where n-k+1 = 3
-    code = LinearCode(Matrix(field_of_order(5), np.array([[1, 1, 0, 1], [0, 0, 1, 1]])))
+    code = LinearCode(field_of_order(5), np.array([[1, 1, 0, 1], [0, 0, 1, 1]]))
     with pytest.raises(ValueError) as err:
         mds._certify(code)
     assert str(err.value) == "construction is not MDS: distance 2 != 3"
