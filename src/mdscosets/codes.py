@@ -31,15 +31,17 @@ weight 1 to min(wmax, j).  The budget counts
 n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, an upper bound on the
 row entries updated, not q^n vector visits, and a run that fits it
 holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  Every
-census takes one path, _prefix_censuses: one run on the longest code of
-a chain of nested codes hands over its table after each of their
-lengths, the censuses of the codes on those first coordinates at the
-run's wmax, each classed before the run goes on.  It hands over the
-working table itself, valid until the run resumes, with its own row
-buffers freed, so a census holds its table of wmax + 1 weight rows and
-at most five weight rows more, each 1 + (q^(n-k)-1)/(q-1) int64
-entries.  coset_census and
-low_weight_census are that path on a chain of one code.  A prefix no
+census takes one path, _prefix_censuses: one run on a code hands over
+its table after each prefix length asked for, the census at the run's
+wmax of the code on those first coordinates, each classed before the
+run goes on.  The code on the first n columns of H is built only when
+the run reaches n, so the refusals come before any such code exists;
+it must keep H's rank, as every prefix of at least d - 1 columns of an
+MDS code's H does.  The run hands over the working table itself, valid
+until it resumes, with its own row buffers freed, so a census holds its
+table of wmax + 1 weight rows and at most five weight rows more, each
+1 + (q^(n-k)-1)/(q-1) int64 entries.  coset_census and
+low_weight_census are that path at the code's own length.  A prefix no
 longer than wmax gets its full census, and a longer one the low-weight
 census at wmax, which certifies it once wmax reaches its n - k.
 
@@ -530,29 +532,28 @@ def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
     return census
 
 
-def _prefix_censuses(chain: list[LinearCode], wmax: int) -> list[CosetCensus]:
-    """The census at weight min(wmax, n) of each code of `chain`,
-    ascending in n, where each code's H is the first n columns of the last
-    one's: one trellis run on the last code at wmax, its table taken after
-    each of their lengths.  A code longer than wmax gets the low-weight
-    census at wmax, which fills its memo once wmax reaches its n-k.  A
-    chain that is not nested is refused before the kernel runs."""
-    longest = chain[-1]
-    for code in chain:
-        _require(np.array_equal(code.H, longest.H[:, :code.n]),
-                 f"{code} is not a prefix of {longest}")
-    # map classes each snapshot before it resumes the kernel, which then
-    # writes the next columns over it: a snapshot is the working table, and
-    # a census keeps nothing of it
-    return list(map(_census_from_table, chain,
-                    _syndrome_trellis(longest, wmax, [code.n for code in chain])))
+def _prefix_censuses(code: LinearCode, lengths: list[int], wmax: int) -> list[CosetCensus]:
+    """The census at weight min(wmax, n) of the code on the first n
+    columns of `code`'s H, for each n of `lengths`, ascending: one trellis
+    run on `code` at wmax, its table taken after each length.  Each
+    prefix shorter than `code` is built when the run reaches it, so both
+    refusals come before any prefix code exists, and a prefix longer than
+    wmax gets the low-weight census at wmax, which fills its memo once
+    wmax reaches its n-k."""
+    lengths = sorted(set(lengths))
+    # each snapshot is classed before the kernel resumes and writes the
+    # next columns over it: a snapshot is the working table, and a census
+    # keeps nothing of it
+    return [_census_from_table(code if n == code.n else
+                               LinearCode(code.field, code.H[:, :n], code.budget), table)
+            for n, table in zip(lengths, _syndrome_trellis(code, wmax, lengths))]
 
 
 def coset_census(code: LinearCode) -> CosetCensus:
     """Exact weight distribution of every coset: the trellis at wmax = n."""
-    return _prefix_censuses([code], code.n)[0]
+    return _prefix_censuses(code, [code.n], code.n)[0]
 
 
 def low_weight_census(code: LinearCode, wmax: int) -> CosetCensus:
     """Syndrome census of every vector of weight <= wmax: the trellis at wmax."""
-    return _prefix_censuses([code], wmax)[0]
+    return _prefix_censuses(code, [code.n], wmax)[0]

@@ -7,10 +7,11 @@ triply-extended length q+2 for even q at d = 4), subject to the fixed
 size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached.
 The codes of one (q, d) are prefixes of one another, so one kernel run
 per such chain counts the full census of every code in it, and each of
-these codes is certified from its census.  Where the limit cuts a gdrs
-chain short of length q+1 (q = 9 and 11), the run goes on to q+1, and
-its table there, a low-weight census at the chain's wmax, certifies the
-length-(q+1) parent that criteria 7 and 9 read.  Every chain and every
+these codes is certified from its census as the chain is added.  Where
+the limit cuts a gdrs chain short of length q+1 (q = 9 and 11), the run
+goes on to q+1, and its table there, a low-weight census at the chain's
+wmax, certifies the length-(q+1) parent that criteria 7 and 9 read, as
+the chain is added too.  Every chain and every
 such run fits the default budget, under any q and d filter, so the
 corpus is built at that budget.  The criteria take these codes from
 the cache and read them through the memos their censuses left, so a
@@ -30,8 +31,8 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode,
-                    _census_refusal, _prefix_censuses, coset_census)
+from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, _census_refusal,
+                    _prefix_censuses, coset_census)
 from .combinat import binom
 from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
@@ -42,7 +43,7 @@ from .gf import field_of_order
 from .geometry import (_named_arc, bisecant_census, conic_census_formulas,
                        double_shortened_conic_census_formulas,
                        shortened_conic_census_formulas)
-from .mds import (MdsConstruction, _certify, _family_code, _family_layout, family_length,
+from .mds import (MdsConstruction, _certify, _family_code, build_code, family_length,
                   has_triple_extension)
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
@@ -72,20 +73,17 @@ class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
     The gdrs codes of one (q, d) form a chain: each keeps the first n
-    columns of the full-length code's matrix, built once per chain, so
-    each is a prefix of the longest.  One kernel run at the longest
-    corpus length counts the full census of each of them, handing back
-    its table after each of their lengths, and each code is certified
-    from the memo its census leaves (see codes._prefix_censuses).  A
-    chain cut short of its family length runs on to the full-length
-    parent; the parent's low-weight census leaves its memo, and only that
-    is kept.  The triply-extended code is a chain of its own.  `code`
-    hands out the cache's own codes and builds (once) only the others,
-    certifying each when first asked for: a parent from the memo its ride
-    left.  `census` is keyed by code, so each code's kernel runs happen
-    once per cache.  `survey_parents` holds the length-(q+1) gdrs parents
-    at d = 5 and 6 that criterion 9 reads, each with the refusal its
-    certification would meet, or None, decided from the numbers alone.
+    columns of the full-length code's matrix, built once per chain.  One
+    kernel run on that code, at the longest corpus length, counts the
+    full census of each of them, building each code as the run reaches
+    its length (see codes._prefix_censuses).  A chain cut short of its
+    family length runs on to the full-length parent, whose low-weight
+    census leaves its memo and is dropped.  Every code of the run, the
+    parent included, is certified from its memo when the chain is added.
+    The triply-extended code is a chain of its own.  `code` hands out the
+    cache's own codes and builds (once, by build_code) only the others.
+    `census` is keyed by code, so each code's kernel runs happen once per
+    cache.
     """
 
     def __init__(self, qs=DESK_QS, ds=DESK_DS):
@@ -94,13 +92,9 @@ class DeskCache:
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
         self._codes: dict[tuple[int, int, int, str], LinearCode] = {}
-        self.survey_parents: dict[tuple[int, int], BudgetExceededError | None] = {}
         for q in self.qs:
             fld = field_of_order(q)
             length = family_length("gdrs", q)
-            self.survey_parents.update(
-                ((q, d), _census_refusal(q, length, d - 1, d - 1, DEFAULT_BUDGET))
-                for d in self.ds if d in (5, 6) and d <= length)
             longest = 0  # the longest n with q^n <= DESK_AMBIENT_LIMIT
             while q ** (longest + 1) <= DESK_AMBIENT_LIMIT:
                 longest += 1
@@ -116,22 +110,16 @@ class DeskCache:
         """Add the family's codes of the given lengths, ascending, each the
         first n columns of the full-length code's matrix: one kernel run
         censuses them and, when the chain stops short, the full-length
-        parent, then each code is certified in turn."""
-        full, recipe = _family_code(fld, family, d, None, (), DEFAULT_BUDGET)
-        built = [(full, recipe) if n == full.n else
-                 (LinearCode(fld, full.H[:, :n]),
-                  MdsConstruction(recipe.family, fld.q, d,
-                                  _family_layout(fld.q, family, d, n, ())[2]))
-                 for n in lengths]
-        chain = [code for code, _ in built]
-        riders = chain if chain[-1] is full else chain + [full]
-        # zip stops at the corpus codes: a parent's table is dropped
-        self._census.update(zip(chain, _prefix_censuses(riders, chain[-1].n)))
-        for code, construction in built:
+        parent, and each code of the run is certified from its memo."""
+        full, _ = _family_code(fld, family, d, None, (), DEFAULT_BUDGET)
+        for census in _prefix_censuses(full, lengths + [full.n], lengths[-1]):
+            code = census.code
             _certify(code)
-            self.entries.append(CorpusEntry(code, construction))
-            self._codes[fld.q, d, code.n, construction.family] = code
-        self._codes[fld.q, d, full.n, family] = full  # certified by `code`
+            self._codes[fld.q, d, code.n, family] = code
+            if code.n <= lengths[-1]:  # a parent's census is dropped
+                self._census[code] = census
+                self.entries.append(CorpusEntry(code, MdsConstruction(
+                    family, fld.q, d, tuple(range(code.n, full.n)))))
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""
@@ -144,14 +132,12 @@ class DeskCache:
     def code(self, q: int, d: int, n: int | None = None,
              family: str = "gdrs") -> LinearCode:
         """The [n, n-d+1, d]_q family code, full length by default: the
-        cache's own when it holds it, else built once, certified either way."""
+        cache's own when it holds it, else built and certified once."""
         if n is None:
             n = family_length(family, q)
         key = (q, d, n, family)
         if key not in self._codes:
-            self._codes[key], _ = _family_code(field_of_order(q), family, d, n, (),
-                                               DEFAULT_BUDGET)
-        _certify(self._codes[key])
+            self._codes[key], _ = build_code(field_of_order(q), family, d, n)
         return self._codes[key]
 
 
@@ -437,20 +423,22 @@ def criterion_remark_empirical(cache: DeskCache) -> CriterionResult:
     the survey runs no kernel of its own.  A code whose certification is
     over the budget is not surveyed, and never built."""
     lines = []
-    for (q, d), refusal in cache.survey_parents.items():
-        gcd = math.gcd(q - 1, d - 2)
-        if gcd != 1:
-            status = f"gcd(q-1,d-2)={gcd} != 1"
-        elif refusal is not None:
-            status = f"not surveyed: {refusal}"
-        else:
-            n = family_length("gdrs", q)
-            predicted = weight2_identical_check(n, d, q).b_low_if_identical
-            prefixes = cache.code(q, d).weight2_prefixes()
-            status = (f"{'confirmed' if len(prefixes) == 1 else 'refuted'} "
-                      f"(B_(d-2) values {sorted({p[d - 2] for p in prefixes})}, "
-                      f"predicted {predicted})")
-        lines.append(f"q={q} d={d}: {status}; empirical, not asserted")
+    for q in cache.qs:
+        n = family_length("gdrs", q)
+        for d in (d for d in cache.ds if d in (5, 6) and d <= n):
+            gcd = math.gcd(q - 1, d - 2)
+            refusal = _census_refusal(q, n, d - 1, d - 1, DEFAULT_BUDGET)
+            if gcd != 1:
+                status = f"gcd(q-1,d-2)={gcd} != 1"
+            elif refusal is not None:
+                status = f"not surveyed: {refusal}"
+            else:
+                predicted = weight2_identical_check(n, d, q).b_low_if_identical
+                prefixes = cache.code(q, d).weight2_prefixes()
+                status = (f"{'confirmed' if len(prefixes) == 1 else 'refuted'} "
+                          f"(B_(d-2) values {sorted({p[d - 2] for p in prefixes})}, "
+                          f"predicted {predicted})")
+            lines.append(f"q={q} d={d}: {status}; empirical, not asserted")
     if not lines:
         lines.append("no instances with d in {5, 6} under the current filters")
     return CriterionResult(9, "weight-2 identity survey (reported, not asserted)",

@@ -467,16 +467,36 @@ def test_desk_chains_build_one_family_matrix_each(monkeypatch):
     # code's matrix as its first n columns: 24 family codes, each from one
     # set of doubly-extended rows (the gtrs code adds its nucleus), where
     # building each code apart took 97; each of the 97 codes still checks
-    # its rank
+    # its rank, and is certified once, the 8 ridden parents included
     calls = Counter()
-    for module, name in ((verify, "_family_code"), (mds, "_extended_rows"), (codes, "_rank")):
+    for module, name in ((verify, "_family_code"), (mds, "_extended_rows"), (codes, "_rank"),
+                         (verify, "_certify")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     cache = DeskCache()
     assert len(cache.entries) == 89
-    assert calls == {"_family_code": 24, "_extended_rows": 24, "_rank": 97}
+    assert calls == {"_family_code": 24, "_extended_rows": 24, "_rank": 97, "_certify": 97}
+
+
+def test_desk_cache_certifies_each_code_as_it_builds_it(desk, monkeypatch):
+    # each corpus code and each ridden q = 9 and 11 parent is certified
+    # from its census as the chain run builds it, so handing one out
+    # builds, certifies and counts nothing, and its memo is already there
+    def too_late(*args, **kwargs):
+        raise AssertionError("built, certified or counted after the cache was built")
+
+    for module, name in ((verify, "build_code"), (verify, "_certify"),
+                         (codes, "_syndrome_trellis")):
+        monkeypatch.setattr(module, name, too_late)
+    for entry in desk.entries:
+        assert desk.code(entry.q, entry.d, entry.n, entry.family) is entry.code
+        assert entry.code.min_distance() == entry.d
+    for q in (9, 11):
+        for d in DESK_DS:
+            parent = desk.code(q, d)
+            assert (parent.n, parent.min_distance()) == (q + 1, d)
 
 
 def test_survey_reads_the_memo_the_parent_ride_left(kernel_runs):

@@ -2,12 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import subprocess
 import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -472,28 +469,23 @@ def test_census_geometry(capsys):
     assert code3 == 2 and "unknown arc" in err
 
 
-def _fresh_process(*argv):
-    """Exit code, stdout, stderr and seconds of `python -m mdscosets.cli`
-    run in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "mdscosets.cli", *argv],
-                          capture_output=True, text=True, env=env)
-    return done.returncode, done.stdout, done.stderr, time.perf_counter() - start
-
-
 @pytest.mark.parametrize("q, arc, text", [
     ("739", "hyperoval", "hyperoval requires even q, got q=739"),
     ("65536", "conic-minus:3", "remove one or two conic points"),
     ("5", "conic-minus:x", "unknown arc 'conic-minus:x' (conic, hyperoval, conic-minus:K)"),
 ], ids=["hyperoval-739", "conic-minus-3", "conic-minus-x"])
-def test_census_geometry_usage_errors_come_before_the_budget_and_the_field(q, arc, text):
+def test_census_geometry_usage_errors_come_before_the_budget_and_the_field(
+        capsys, monkeypatch, q, arc, text):
     # the arc is decided from its name and q alone, before the walk
     # budget (the hyperoval of PG(2, 739) would be over it) and before the
     # field (GF(65536) takes over a second to build)
-    code, out, err, seconds = _fresh_process("census", "geometry", "--q", q, "--arc", arc)
-    assert (code, out, err) == (2, "", f"error: {text}\n")
-    assert seconds < 0.5
+    def too_early(*args):
+        raise AssertionError("the walk budget or the field came before the usage error")
+
+    monkeypatch.setattr(cli, "bisecant_walk_refusal", too_early)
+    monkeypatch.setattr(cli, "field_of_order", too_early)
+    assert run(capsys, "census", "geometry", "--q", q, "--arc", arc) == (
+        2, "", f"error: {text}\n")
 
 
 def test_census_geometry_refuses_a_walk_over_the_budget_before_any_field(capsys, monkeypatch):

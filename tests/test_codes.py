@@ -166,6 +166,25 @@ def test_a_code_keeps_the_budget_it_was_built_with():
     assert code.budget == 576
 
 
+def test_a_refused_run_builds_no_prefix_code(monkeypatch):
+    # [8,5,4]_7 is certified in 8*3*58 = 1392 steps, but its full census
+    # needs 8*8*58 = 3712: the run is refused before it reaches any
+    # length, so no prefix code is built and no rank is checked
+    full, _ = build_code(field_of_order(7), "gdrs", 4, budget=3711)
+    ranks = []
+    rank = codes._rank
+
+    def counted(field, labels):
+        ranks.append(labels.shape)
+        return rank(field, labels)
+    monkeypatch.setattr(codes, "_rank", counted)
+    with pytest.raises(BudgetExceededError) as refusal:
+        codes._prefix_censuses(full, [4, 5, full.n], full.n)
+    assert str(refusal.value) == ("syndrome trellis needs 3712 steps "
+                                  "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 3711")
+    assert ranks == []
+
+
 def test_budget_unit_is_pinned():
     # the unit is n*wmax*(1 + (q^(n-k)-1)/(q-1)), one step per entry of
     # each updated weight row: 6*3*32 = 576 steps to certify [6,3,4]_5
@@ -215,14 +234,13 @@ def test_a_census_peaks_within_its_table_and_five_rows(q, d, lengths, wmax):
     # wmax + 1 weight rows and at most five rows more, each census_rows(q,
     # r) int64 entries: 6.30 MiB and 1.05 MiB a row for [20,15,6]_19 at
     # wmax = 5.  The desk's q = 11, d = 6 chain runs on to its length-12
-    # parent, as DeskCache runs it
+    # parent, as DeskCache runs it, building its prefix codes as it goes
     full, _ = _family_code(field_of_order(q), "gdrs", d, None, (), codes.DEFAULT_BUDGET)
-    chain = [LinearCode(full.field, full.H[:, :n]) for n in lengths[:-1]]
     row = census_rows(q, full.r) * 8
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        censuses = codes._prefix_censuses(chain + [full], wmax)
+        censuses = codes._prefix_censuses(full, lengths, wmax)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -476,17 +494,6 @@ def test_a_census_at_two_parity_checks_builds_no_field_table(monkeypatch):
         assert np.array_equal(rows_of(coset_census(code)).table[at], want), q
     with pytest.raises(AssertionError, match="table was built"):  # r = 3 keeps its tables
         build_code(field_of_order(5), "gdrs", 4)
-
-
-def test_a_chain_that_is_not_nested_is_refused_before_the_kernel(kernel_runs):
-    f = field_of_order(7)
-    short, _ = build_code(f, "gdrs", 4, n=5)
-    shifted, _ = build_code(f, "gdrs", 4, n=8, removed=[0])  # [7,4]_7 without column 0
-    kernel_runs.clear()  # the certifications of the two codes
-    with pytest.raises(InvariantError) as refused:
-        codes._prefix_censuses([short, shifted], 5)
-    assert str(refused.value) == f"{short} is not a prefix of {shifted}"
-    assert kernel_runs == []
 
 
 class _KernelRan(Exception):
