@@ -33,8 +33,7 @@ for q in (5, 7, 9, 11):
     print(f"  [{q + 1},{q - 2},4]_{q}: mu={r.mu}, gamma_mu = {r.mu_density}")
 
 print("\nwhere the (q-1)*Delta deep-hole count breaks (exhaustively refuted):")
-code55, cons55 = build_code(f5, "gdrs", 5, n=5)
-try:
-    count_deep_hole_cosets(code55, cons55)
-except Exception as exc:
-    print(f"  [5,1,5]_5: {exc}")
+for d, n in ((4, 4), (5, 5)):
+    c, cons = build_code(f5, "gdrs", d, n=n)
+    dh = count_deep_hole_cosets(c, cons)
+    print(f"  [{n},1,{d}]_5{dh.refutation}")

@@ -9,9 +9,11 @@ and `census code` and `covering classify` name a code by its family,
 gdrs or gtrs, and the columns removed from it (the singly-extended code
 is `--family gdrs --remove q`).
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 budget refusal (work over --budget, or counts that could pass 2^63; a
-`census geometry` walk or `dist` formula rows over the default budget).
+Exit codes: 0 success, 1 a refuted claim (a `verify` criterion, or the
+(q-1)*Delta deep-hole check of `covering classify`; either prints its
+full output first), 2 usage error, 3 budget refusal (work over
+--budget, or counts that could pass 2^63; a `census geometry` walk or
+`dist` formula rows over the default budget).
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import json
 import sys
 
 from .codes import DEFAULT_BUDGET, BudgetExceededError, _census_refusal, coset_census
-from .covering import (DeepHoleMismatchError, count_deep_hole_cosets,
-                       mcf_classify, saturating_set_report)
+from .covering import count_deep_hole_cosets, mcf_classify, saturating_set_report
 from .formulas import (InconsistentPrefixError, LowWeightPrefix,
                        bonneau_original, bonneau_transformed, dist_weight1,
                        dist_weight2, dist_weight_d1, dist_weight_d2,
@@ -242,17 +243,19 @@ def cmd_covering(args) -> int:
         f"weight-R cosets: {report.deep_hole_coset_count}",
         sat.get("statement", sat.get("reason", "")),
     ]
+    holds = True
     if construction.delta >= 1:
         dh = count_deep_hole_cosets(code, construction)
+        holds = dh.holds
         payload["deep_hole_check"] = {
             "count": str(dh.count), "bound": str(dh.bound),
             "delta": dh.delta, "parent_R": dh.parent_R,
-            "equality_required": dh.equality_required,
+            "equality_required": dh.equality_required, "holds": holds,
         }
         table.append(f"deep-hole count {dh.count} vs (q-1)*Delta = {dh.bound} "
-                     f"(parent R = {dh.parent_R})")
+                     f"(parent R = {dh.parent_R})" + ("" if holds else ": refuted"))
     _emit(args, lambda: payload, lambda: table)
-    return 0
+    return 0 if holds else 1
 
 
 def cmd_verify(args) -> int:
@@ -361,10 +364,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
-    except DeepHoleMismatchError as exc:
-        print(f"verification mismatch: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, InconsistentPrefixError, ZeroDivisionError) as exc:
+    except (ValueError, InconsistentPrefixError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,7 @@ from itertools import combinations
 from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, _census_refusal,
                     _prefix_censuses, coset_census)
 from .combinat import binom
-from .covering import deep_hole_report, mcf_classify, mu_density_closed_form
+from .covering import count_deep_hole_cosets, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
                        bonneau_transformed, dist_weight1, dist_weight_d1,
                        symmetry_defect, weight2_aggregate,
@@ -354,26 +354,18 @@ def deep_hole_equality(cache: DeskCache) -> tuple[list[str], list[str]]:
 
     The equality is demanded whenever the parent reaches only d-2, yet the
     exhaustive censuses refute it for deep removals (smallest counterexample
-    [5,1,5]_5: 24 cosets, not 4), so expect failures here; they are genuine.
+    [4,1,4]_5: 24 weight-3 cosets, not 8; next [5,1,5]_5: 24 weight-4
+    cosets, not 4), so expect failures here; they are genuine.  Each count
+    is read from the memo its chain's run left.
     """
     bad = []
-    removals = 0
-    for entry in cache.entries:
-        if entry.delta < 1:
-            continue
-        removals += 1
-        count = cache.census(entry).count_of_weight(entry.d - 1)
+    removals = [entry for entry in cache.entries if entry.delta >= 1]
+    for entry in removals:
         parent_R = cache.code(entry.q, entry.d).covering_radius()
-        rep = deep_hole_report(entry.construction, count, parent_R)
-        if rep.holds:
-            continue
-        if rep.equality_required:
-            bad.append(f"{entry.label} (Delta={rep.delta}, parent R={rep.parent_R}): "
-                       f"census counts {count} weight-{entry.d - 1} cosets, "
-                       f"formula says {rep.bound}")
-        else:
-            bad.append(f"{entry.label}: deep-hole count {count} below bound {rep.bound}")
-    lines = [f"{removals} column-removal codes checked against (q-1)*Delta"]
+        rep = count_deep_hole_cosets(entry.code, entry.construction, parent_R)
+        if not rep.holds:
+            bad.append(entry.label + rep.refutation)
+    lines = [f"{len(removals)} column-removal codes checked against (q-1)*Delta"]
     return lines, bad
 
 

@@ -14,7 +14,7 @@ from mdscosets import cli, codes
 from mdscosets.cli import main
 from mdscosets.gf import GF
 from mdscosets.mds import FAMILIES
-from mdscosets.verify import THEOREM_NAMES
+from mdscosets.verify import THEOREM_NAMES, DeskCache, deep_hole_equality
 
 
 def run(capsys, *argv):
@@ -278,8 +278,8 @@ def test_every_call_ends_in_a_documented_exit_code(argv):
         assert code == 0
     if code == 1:  # a refuted claim: verify, or the deep-hole check of a removal code
         assert argv[0] == "verify" or (
-            argv[:2] == ["covering", "classify"]
-            and err.getvalue().startswith("verification mismatch: "))
+            argv[:2] == ["covering", "classify"] and err.getvalue() == ""
+            and any(mark in out.getvalue() for mark in (": refuted\n", '"holds": false')))
     assert sys.get_int_max_str_digits() == limit
 
 
@@ -567,16 +567,23 @@ def test_no_modulus_option_and_no_grs_family(capsys, argv, text):
     assert err.startswith("usage: mdscosets ") and text in err
 
 
+HOLDS = ',\n    "holds": true'
+
+
 def test_gdrs_removal_spells_the_singly_extended_code(capsys):
     # `census code` and `covering classify` of --family gdrs --remove q
     # print, in table and json, the bytes --family grs printed (the digest
-    # of those outputs)
+    # of those outputs), with the deep-hole check's "holds" key added
     digest = hashlib.sha256()
     for q, d in ((4, 3), (5, 4), (7, 3), (8, 5)):
         for command in (("census", "code"), ("covering", "classify")):
             for fmt in ("table", "json"):
                 code, out, err = run(capsys, *command, "--family", "gdrs", "--remove", str(q),
                                      "--q", str(q), "--d", str(d), "--format", fmt)
+                if command[0] == "covering" and fmt == "json":
+                    # the one key added since: each of these deep-hole checks holds
+                    assert out.count(HOLDS) == 1
+                    out = out.replace(HOLDS, "")
                 digest.update(f"{q} {d} {' '.join(command)} {fmt} {code}\n{out}{err}".encode())
     assert digest.hexdigest() == \
         "4b204bc61bffd0bf182e5f0e87983cf1d04d0bc5b060da6c73da637259022230"
@@ -605,11 +612,29 @@ def test_covering_classify_grs_with_deep_hole_check(capsys):
 
 
 def test_covering_classify_counterexample_exits_1(capsys):
-    # the [5,1,5]_5 removal refutes the deep-hole formula: verification mismatch
-    code, _, err = run(capsys, "covering", "classify", "--family", "gdrs",
-                       "--q", "5", "--d", "5", "--remove", "5")
-    assert code == 1
-    assert "mismatch" in err
+    # the [5,1,5]_5 removal refutes the deep-hole formula: the whole
+    # classification is printed, the deep-hole line marked refuted
+    code, out, err = run(capsys, "covering", "classify", "--family", "gdrs",
+                         "--q", "5", "--d", "5", "--remove", "5")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert "R = 4, mu = 5" in lines
+    assert "the 5 parity-check columns form a (3,5)-OS set in PG(3,5)" in lines
+    assert lines[-1] == "deep-hole count 24 vs (q-1)*Delta = 4 (parent R = 3): refuted"
+
+
+def test_covering_classify_reports_what_criterion_7_reports(capsys):
+    # [4,1,4]_5, the smallest refuted removal: its JSON deep-hole check
+    # is the report criterion 7 prints
+    code, out, err = run(capsys, "covering", "classify", "--family", "gdrs", "--q", "5",
+                         "--d", "4", "--remove", "4,5", "--format", "json")
+    assert (code, err) == (1, "")
+    check = json.loads(out)["deep_hole_check"]
+    assert check == {"count": "24", "bound": "8", "delta": 2, "parent_R": 2,
+                     "equality_required": True, "holds": False}
+    line = (f"[4,1,4]_5 gdrs (Delta={check['delta']}, parent R={check['parent_R']}): "
+            f"census counts {check['count']} weight-3 cosets, formula says {check['bound']}")
+    assert line in deep_hole_equality(DeskCache(qs=(5,), ds=(4,)))[1]
 
 
 def test_verify_theorem_subsets(capsys):

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mdscosets.codes import BudgetExceededError, LinearCode, coset_census
-from mdscosets.covering import (DeepHoleMismatchError, count_deep_hole_cosets,
-                                deep_hole_report, mcf_classify,
+from mdscosets.covering import (count_deep_hole_cosets, mcf_classify,
                                 mu_density_closed_form, saturating_set_report)
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
@@ -141,22 +140,25 @@ def test_deep_hole_requires_a_removal_construction():
         count_deep_hole_cosets(code, cons)
 
 
-def test_deep_hole_formula_counterexample_is_a_hard_failure():
+def test_deep_hole_formula_counterexample_is_reported():
     # exhaustive enumeration refutes the claimed equality for [5,1,5]_5:
     # the census finds 24 weight-4 cosets, the formula predicts (q-1)*Delta = 4
     f5 = field_of_order(5)
     code, cons = build_code(f5, "gdrs", 5, n=5)
-    with pytest.raises(DeepHoleMismatchError, match="census 24, formula 4"):
-        count_deep_hole_cosets(code, cons)
+    rep = count_deep_hole_cosets(code, cons)
+    assert (rep.count, rep.bound, rep.parent_R, rep.equality_required) == (24, 4, 3, True)
+    assert not rep.holds
+    assert rep.refutation == (" (Delta=1, parent R=3): census counts 24 weight-4 cosets, "
+                              "formula says 4")
 
 
-def test_deep_hole_count_below_the_lower_bound_is_a_hard_failure():
+def test_deep_hole_count_below_the_lower_bound_is_reported():
     # [5,2,4]_5 has 4 weight-3 cosets; read as a three-column removal
     # under a parent of R = 3 != d-2, the bound (q-1)*Delta = 12 is missed
     code, cons = build_code(field_of_order(5), "gdrs", 4, n=5)
-    with pytest.raises(DeepHoleMismatchError) as err:
-        count_deep_hole_cosets(code, replace(cons, removed=(0, 1, 2)), parent_R=3)
-    assert str(err.value) == "deep-hole census below the lower bound: census 4 < 12"
+    rep = count_deep_hole_cosets(code, replace(cons, removed=(0, 1, 2)), parent_R=3)
+    assert (rep.count, rep.bound, rep.equality_required, rep.holds) == (4, 12, False, False)
+    assert rep.refutation == ": deep-hole count 4 below bound 12"
 
 
 def test_covering_radius_matches_census():
@@ -202,13 +204,15 @@ def test_deep_hole_parent_is_built_within_the_budget():
 def test_deep_hole_rule():
     # (q-1)*Delta = 4 for [5,2,4]_5: equality when the parent's R is d-2,
     # a lower bound otherwise
-    _, cons = build_code(field_of_order(5), "gdrs", 4, n=5)
-    assert deep_hole_report(cons, 4, parent_R=2).holds
-    assert not deep_hole_report(cons, 5, parent_R=2).holds
-    assert deep_hole_report(cons, 5, parent_R=3).holds
-    assert not deep_hole_report(cons, 3, parent_R=3).holds
-    rep = deep_hole_report(cons, 5, parent_R=2)
-    assert (rep.bound, rep.delta, rep.equality_required) == (4, 1, True)
+    code, cons = build_code(field_of_order(5), "gdrs", 4, n=5)
+    rep = count_deep_hole_cosets(code, cons, parent_R=2)
+    assert (rep.count, rep.weight, rep.bound, rep.delta, rep.equality_required) == (4, 3, 4, 1, True)
+    assert rep.holds and rep.refutation == ""
+    assert not replace(rep, count=5).holds
+    bound = count_deep_hole_cosets(code, cons, parent_R=3)
+    assert not bound.equality_required
+    assert bound.holds and replace(bound, count=5).holds
+    assert not replace(bound, count=3).holds
 
 
 def test_saturating_set_statements():

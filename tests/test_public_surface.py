@@ -27,13 +27,16 @@ def _parse_readers() -> dict[Path, ast.Module]:
 def _definitions(trees):
     """(label, name, node, is_member) for each public method or property
     of a class defined in src/mdscosets, and each public module-level
-    function."""
+    function and class.  A class is read by its name or as an attribute
+    (`mdscosets.GF`) outside its own class statement; an import or an
+    `__all__` entry is no read."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         for node in trees[path].body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
                 found.append((f"{path.stem}.{node.name}", node.name, node, False))
-            elif isinstance(node, ast.ClassDef):
+            if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     names = []
                     if isinstance(item, ast.FunctionDef):
