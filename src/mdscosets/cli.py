@@ -7,7 +7,9 @@ consumer, and they print in full past Python's int-to-str digit limit.
 Rationals print as "a/b".  Each field is built on its pinned modulus,
 and `census code` and `covering classify` name a code by its family,
 gdrs or gtrs, and the columns removed from it (the singly-extended code
-is `--family gdrs --remove q`).
+is `--family gdrs --remove q`).  Each checks --budget, before building
+the field, on the one census that bounds all it runs: its full census,
+or the certification of the parent, whose columns hold the code's.
 
 Exit codes: 0 success, 1 a refuted claim (a `verify` criterion, or the
 (q-1)*Delta deep-hole check of `covering classify`; either prints its
@@ -25,9 +27,8 @@ import sys
 
 from .codes import DEFAULT_BUDGET, BudgetExceededError, _census_refusal, coset_census
 from .covering import count_deep_hole_cosets, mcf_classify, saturating_set_report
-from .formulas import (InconsistentPrefixError, LowWeightPrefix,
-                       bonneau_original, bonneau_transformed, dist_weight1,
-                       dist_weight2, dist_weight_d1, dist_weight_d2,
+from .formulas import (LowWeightPrefix, bonneau_original, bonneau_transformed,
+                       dist_weight1, dist_weight2, dist_weight_d1, dist_weight_d2,
                        dist_weight_mid)
 from .geometry import _arc_layout, _named_arc, bisecant_census, bisecant_walk_refusal
 from .gf import check_field_order, field_of_order
@@ -37,31 +38,33 @@ from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
 SCHEMA = "mdscosets.v1"
 
 
-def _csv_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+def _csv_ints(text: str, option: str) -> list[int]:
+    ints = []
+    for tok in filter(None, text.split(",")):
+        try:
+            ints.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{option} takes comma-separated integers, got {tok!r}") from None
+    return ints
 
 
 def _code_from_args(args, full: bool):
     """The family code `census code` (full) and `covering classify` name,
     and its recipe; each command certifies it MDS itself.  Before the field
-    is built, every argument is checked as building would check it, and
-    the censuses the command runs are checked against the budget from
-    (q, n, n-k, wmax) alone: the certification at n-k, then the full
-    census (full) or the parent's certification (a removal code, whose
-    deep-hole check builds the parent)."""
+    is built, every argument is checked as building would check it, then,
+    from (q, length, n-k, wmax) alone, the one census that bounds the
+    command: the full census (full), which also certifies the code, or the
+    certification of the full-length parent (the code without --remove).
+    A removal code's own certification has fewer columns at the same n-k
+    and wmax, so no more steps, vectors of weight <= wmax or q^k."""
     check_field_order(args.q)
-    removed = _csv_ints(args.remove or "")
+    removed = _csv_ints(args.remove or "", "--remove")
     d, width, drop = _family_layout(args.q, args.family, args.d, None, removed)
-    n, r = width - len(drop), d - 1
-    runs = [(n, r)]  # the certification at n-k
-    if full:
-        runs.append((n, n))
-    elif drop:
-        runs.append((width, r))  # the parent the deep-hole check builds
-    for length, wmax in runs:
-        refusal = _census_refusal(args.q, length, r, wmax, args.budget)
-        if refusal is not None:
-            raise refusal
+    n = width - len(drop)
+    length, wmax = (n, n) if full else (width, d - 1)
+    refusal = _census_refusal(args.q, length, d - 1, wmax, args.budget)
+    if refusal is not None:
+        raise refusal
     return _family_code(field_of_order(args.q), args.family, args.d, None,
                         removed, args.budget)
 
@@ -96,14 +99,12 @@ def _strs(counts) -> list[str]:
 
 def cmd_dist(args) -> int:
     n, d, q = args.n, args.d, args.q
-    consistent = True
     if args.bonneau:
         if args.prefix is None:
             raise ValueError("--bonneau needs --prefix B_0,...,B_(d-2)")
-        prefix = LowWeightPrefix(n, d, q, tuple(_csv_ints(args.prefix)))
+        prefix = LowWeightPrefix(n, d, q, tuple(_csv_ints(args.prefix, "--prefix")))
         fn = bonneau_original if args.original else bonneau_transformed
         dist = fn(prefix, strict=not args.loose)
-        consistent = dist.is_nonnegative()
         form = "bonneau-original" if args.original else "bonneau-transformed"
     else:
         form = args.closed_form
@@ -119,9 +120,9 @@ def cmd_dist(args) -> int:
         else:  # "mid", the last of the parser's choices
             if args.W is None or args.knowns is None:
                 raise ValueError("--closed-form mid needs --W and --knowns")
-            dist = dist_weight_mid(n, d, q, args.W, _csv_ints(args.knowns),
+            dist = dist_weight_mid(n, d, q, args.W, _csv_ints(args.knowns, "--knowns"),
                                    strict=not args.loose)
-        consistent = dist.is_nonnegative()
+    consistent = dist.is_nonnegative()
 
     def payload():
         return {
@@ -259,12 +260,7 @@ def cmd_covering(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    numbers = None
-    if args.theorem:
-        if args.theorem not in THEOREM_NAMES:
-            raise ValueError(f"unknown theorem {args.theorem!r}; "
-                             f"choices: {sorted(THEOREM_NAMES)}")
-        numbers = [THEOREM_NAMES[args.theorem]]
+    numbers = [THEOREM_NAMES[args.theorem]] if args.theorem else None
     cache = DeskCache(qs=DESK_QS if args.q is None else (args.q,),
                       ds=DESK_DS if args.d is None else (args.d,))
     results = run_acceptance(cache, numbers)
@@ -345,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[without_csv],
                             help="run the desk-corpus verification")
-    verify.add_argument("--theorem", help=f"one of {sorted(THEOREM_NAMES)}")
+    verify.add_argument("--theorem", choices=sorted(THEOREM_NAMES), help="one criterion only")
     verify.add_argument("--q", type=int, help="restrict the corpus to one q")
     verify.add_argument("--d", type=int, help="restrict the corpus to one d")
     verify.set_defaults(func=cmd_verify)
@@ -364,7 +360,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, InconsistentPrefixError) as exc:
+    except ValueError as exc:  # InconsistentPrefixError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

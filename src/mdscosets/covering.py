@@ -77,9 +77,13 @@ def mcf_classify(code: LinearCode) -> McfReport:
 
 def mu_density_closed_form(n: int, k: int, q: int, mu: int) -> Fraction:
     """gamma_mu for covering radius 2 and d > 3:
-    C(n,2)(q-1)^2 / (mu (q^(n-k) - 1 - n(q-1)))."""
-    return Fraction(binom(n, 2) * (q - 1) ** 2,
-                    mu * (q ** (n - k) - 1 - n * (q - 1)))
+    C(n,2)(q-1)^2 / (mu (q^(n-k) - 1 - n(q-1))), whose last factor counts
+    the weight-2 cosets there; refused unless mu and that count are positive."""
+    cosets = q ** (n - k) - 1 - n * (q - 1)
+    if mu < 1 or cosets < 1:
+        raise ValueError(f"need mu >= 1 and q^(n-k)-1-n(q-1) >= 1 weight-2 cosets, "
+                         f"got mu={mu} and {cosets}")
+    return Fraction(binom(n, 2) * (q - 1) ** 2, mu * cosets)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ tuples, then the 89 desk codes twice) and the double-sum rows 436
 times, and criterion 3 asks for each desk (n, d, q)'s two distributions
 at most once, so their caches neither help nor cost it.
 
-`check_mds_params` refuses parameters no MDS code has before any work,
+Every entry first refuses parameters no MDS code has by `check_mds_params`
+(dist_weight1 and dist_weight_d1 in the row charge, their first work),
 then come the other usage errors, and then each row builder refuses rows
 over the default budget in bits, before any row or prefix is laid out.
 All formulas are total functions of the prefix; only realizability can
@@ -250,8 +251,6 @@ def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDist
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all n(q-1) weight-1 cosets: B_1 = 1."""
-    if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")
     return _from_prefix(n, d, q, {1: 1}, True, "weight-1 coset parameters")
 
 
@@ -283,6 +282,7 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
 def dist_weight_d2(n: int, d: int, q: int, b_low: int,
                    strict: bool = True) -> WeightDistribution:
     """Coset distribution of a weight-(d-2) coset from its B_{d-2} alone."""
+    check_mds_params(n, d, q)
     if d < 4:
         raise ValueError(f"need d >= 4, got {d}")
     b_low = _count(b_low, "B_{d-2}")
@@ -295,14 +295,13 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
 def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all weight-(d-1) (farthest-off)
     cosets: B_0..B_{d-2} are all 0."""
-    if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")
     return _from_prefix(n, d, q, {}, True, "farthest-off parameters")
 
 
 def dist_weight2(n: int, d: int, q: int, b_low: int,
                  strict: bool = True) -> WeightDistribution:
     """Coset distribution of a weight-2 coset (d >= 5) from its B_{d-2}."""
+    check_mds_params(n, d, q)
     if d < 5:
         raise ValueError(f"need d >= 5, got {d}")
     b_low = _count(b_low, "B_{d-2}")
@@ -348,10 +347,9 @@ def symmetry_defect(dist_a: WeightDistribution, dist_b: WeightDistribution,
 def weight2_aggregate(n: int, d: int, q: int) -> int:
     """Total number of weight-(d-2) vectors over all weight-2 cosets:
     (q-1) C(n,2) C(n-2,d-2), valid for d >= 5."""
+    check_mds_params(n, d, q)
     if d < 5:
         raise ValueError(f"need d >= 5, got {d}")
-    if d > n:
-        raise ValueError(f"need d <= n, got d={d}, n={n}")
     return (q - 1) * binom(n, 2) * binom(n - 2, d - 2)
 
 
@@ -368,6 +366,7 @@ def weight2_identical_check(n: int, d: int, q: int) -> Weight2IdentityCondition:
     """Integrality of C(n-2,d-2)/(q-1): necessary for all weight-2 cosets
     to have identical distributions.  For n = q+1 with gcd(q-1, d-2) = 1
     the condition always holds."""
+    check_mds_params(n, d, q)
     if d < 5:
         raise ValueError(f"need d >= 5, got {d}")
     value = Fraction(binom(n - 2, d - 2), q - 1)

@@ -42,7 +42,7 @@ from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, _label_arra
                     census_rows, low_weight_census, syndrome_row)
 from .combinat import binom
 from .gf import GF, check_field_order
-from .mds import _family_rows, has_triple_extension
+from .mds import _family_rows, family_length, has_triple_extension
 
 
 WALK_BLOCK_POINTS = 1 << 16  # points a_i + t*a_j per block of the walk
@@ -145,11 +145,11 @@ def _arc_layout(name: str, q: int) -> tuple[str, int]:
     made here, from the name and q alone, after q itself."""
     check_field_order(q)
     if name == "conic":
-        return "gdrs", q + 1
+        return "gdrs", family_length("gdrs", q)
     if name == "hyperoval":
         if not has_triple_extension(q, 4):
             raise ValueError(f"hyperoval requires even q, got q={q}")
-        return "gtrs", q + 2
+        return "gtrs", family_length("gtrs", q)
     remove = None
     if name.startswith("conic-minus:"):
         with contextlib.suppress(ValueError):
@@ -158,7 +158,7 @@ def _arc_layout(name: str, q: int) -> tuple[str, int]:
         raise ValueError(f"unknown arc {name!r} (conic, hyperoval, conic-minus:K)")
     if remove not in (1, 2):
         raise ValueError("remove one or two conic points")
-    return "gdrs", q + 1 - remove
+    return "gdrs", family_length("gdrs", q) - remove
 
 
 def _named_arc(field: GF, name: str) -> Arc:

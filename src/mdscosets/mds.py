@@ -87,7 +87,7 @@ def has_triple_extension(q: int, d: int) -> bool:
 def _extended_rows(field: GF, d: int) -> np.ndarray:
     """The d-1 rows of the doubly-extended matrix, for any d >= 2."""
     alphas = np.arange(1, field.q)
-    rows = np.zeros((d - 1, field.q + 1), dtype=np.int64)
+    rows = np.zeros((d - 1, family_length("gdrs", field.q)), dtype=np.int64)
     rows[0, :-2] = 1
     for t in range(1, d - 1):
         rows[t, :-2] = field.mul_array(rows[t - 1, :-2], alphas)

@@ -295,8 +295,7 @@ def test_verify_json_payload(capsys):
 def test_dist_usage_error_for_small_d(capsys):
     code, _, err = run(capsys, "dist", "--closed-form", "w1",
                        "--n", "6", "--d", "2", "--q", "5")
-    assert code == 2
-    assert "d >= 3" in err
+    assert (code, err) == (2, "error: need 3 <= d <= n, got d=2, n=6\n")
 
 
 @pytest.mark.parametrize("q", ["-3", "0", "1"])
@@ -386,16 +385,16 @@ def test_census_budget_refusal(capsys):
 
 
 def test_census_code_refuses_before_any_kernel_run(capsys, kernel_runs):
-    # certifying [6,3,4]_5 takes 576 steps and its full census 1152: under
-    # 1151 the full census is refused before the certification runs, and
-    # at 1152 the one full census also certifies the code
+    # certifying [6,3,4]_5 takes 576 steps and its full census 1152: the
+    # command runs only the full census, which also certifies the code, so
+    # every budget under 1152 names its 1152 steps before any kernel run
     argv = ("census", "code", "--family", "gdrs", "--q", "5", "--d", "4")
     code, out, err = run(capsys, *argv, "--budget", "1151")
     assert (code, out, kernel_runs) == (3, "", [])
     assert err == ("budget refusal: syndrome trellis needs 1152 steps "
                    "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 1151\n")
     code, _, err = run(capsys, *argv, "--budget", "575")
-    assert code == 3 and "needs 576 steps" in err and kernel_runs == []
+    assert code == 3 and "needs 1152 steps" in err and kernel_runs == []
     code, out, _ = run(capsys, *argv, "--budget", "1152", "--format", "json")
     assert code == 0 and [wmax for _, wmax, _ in kernel_runs] == [6]
     assert json.loads(out)["code"]["d"] == 4
@@ -419,16 +418,20 @@ def test_budget_refusals_come_before_the_field_is_built(capsys, monkeypatch):
     monkeypatch.setattr(codes, "_syndrome_trellis", no_work)
     gdrs = ("--family", "gdrs", "--d", "3")
     cases = [
-        # the certification at n-k = 2 of [65537,65535,3]_65536
-        (("census", "code", "--q", "65536", *gdrs), _refusal(65537 * 2 * 65538)),
+        # the full census of [65537,65535,3]_65536, and its certification
+        # at n-k = 2
+        (("census", "code", "--q", "65536", *gdrs), _refusal(65537 * 65537 * 65538)),
         (("covering", "classify", "--q", "65536", *gdrs), _refusal(65537 * 2 * 65538)),
         # the full census of [4097,4095,3]_4096, whose certification fits
         (("census", "code", "--q", "4096", *gdrs), _refusal(4097 * 4097 * 4098)),
         (("covering", "classify", "--q", "4096", *gdrs, "--budget", "1000"),
          _refusal(4097 * 2 * 4098, 1000)),
-        # [13,10,4]_13 certifies in 7176 steps, its parent [14,11,4]_13 in 7728
+        # [13,10,4]_13 certifies in 7176 steps, its parent [14,11,4]_13 in
+        # 7728: under either, the refusal names the 7728 the command needs
         (("covering", "classify", "--family", "gdrs", "--q", "13", "--d", "4",
           "--remove", "1", "--budget", "7500"), _refusal(7728, 7500)),
+        (("covering", "classify", "--family", "gdrs", "--q", "13", "--d", "4",
+          "--remove", "1", "--budget", "7000"), _refusal(7728, 7000)),
     ]
     for argv, refusal in cases:
         assert run(capsys, *argv) == (3, "", refusal), argv
@@ -437,6 +440,21 @@ def test_budget_refusals_come_before_the_field_is_built(capsys, monkeypatch):
                     ("131072", "field order 131072 exceeds the configured maximum 65536")]:
         argv = ("census", "code", "--q", q, *gdrs)
         assert run(capsys, *argv) == (2, "", f"error: {text}\n"), argv
+
+
+@pytest.mark.parametrize("argv, option, token", [
+    (("census", "code", "--family", "gdrs", "--q", "5", "--d", "4", "--remove", "1,x"),
+     "--remove", "x"),
+    (("covering", "classify", "--family", "gdrs", "--q", "5", "--d", "4", "--remove", "2.0"),
+     "--remove", "2.0"),
+    (("dist", "--bonneau", "--prefix", "0,y,1", "--n", "5", "--d", "4", "--q", "5"),
+     "--prefix", "y"),
+    (("dist", "--closed-form", "mid", "--W", "2", "--knowns", "1,,z",
+      "--n", "6", "--d", "5", "--q", "5"), "--knowns", "z"),
+])
+def test_a_list_option_names_the_token_it_cannot_read(capsys, argv, option, token):
+    assert run(capsys, *argv) == (
+        2, "", f"error: {option} takes comma-separated integers, got {token!r}\n")
 
 
 def test_census_int64_overflow_refusal(capsys):
@@ -697,7 +715,7 @@ def test_verify_reports_a_survey_parent_over_the_budget(capsys, kernel_runs):
 
 def test_verify_unknown_theorem(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "nonsense")
-    assert code == 2 and "unknown theorem" in err
+    assert code == 2 and "invalid choice: 'nonsense'" in err
 
 
 @pytest.mark.parametrize("argv, message", [

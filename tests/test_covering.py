@@ -44,6 +44,17 @@ def test_mu_density_of_odd_conic_codes():
         assert mu_density_closed_form(rep.n, rep.k, q, rep.mu) == rep.mu_density
 
 
+@pytest.mark.parametrize("args, got", [
+    ((4, 2, 3, 1), "mu=1 and 0"),  # the perfect [4,2,3]_3 code: no weight-2 coset
+    ((6, 4, 4, 1), "mu=1 and -3"),
+    ((6, 3, 5, 0), "mu=0 and 100"),
+], ids=["perfect-code", "negative-count", "mu-0"])
+def test_mu_density_closed_form_refuses_outside_its_domain(args, got):
+    with pytest.raises(ValueError) as err:
+        mu_density_closed_form(*args)
+    assert str(err.value) == f"need mu >= 1 and q^(n-k)-1-n(q-1) >= 1 weight-2 cosets, got {got}"
+
+
 def test_mu_density_over_budget_codes_use_low_weight_path():
     # 9^10 and 11^12 ambient spaces are both far over the default budget
     for q in (9, 11):

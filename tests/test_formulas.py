@@ -15,7 +15,7 @@ from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 dist_weight_mid, symmetry_defect,
                                 weight2_aggregate, weight2_identical_check)
 from mdscosets.gf import field_of_order
-from mdscosets.mds import build_code, mds_weight_distribution
+from mdscosets.mds import build_code, check_mds_params, mds_weight_distribution
 from reference_sums import bw_known_part
 
 
@@ -233,7 +233,7 @@ def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range(monkeypatch
     refusals = [
         (lambda: dist_weight_d2(6, 3, 5, 1), "need d >= 4, got 3"),
         (lambda: dist_weight_d2(6, 4, 5, 0), "a weight-(d-2) coset has B_{d-2} >= 1"),
-        (lambda: dist_weight_d1(6, 2, 5), "need d >= 3, got 2"),
+        (lambda: dist_weight_d1(6, 2, 5), "need 3 <= d <= n, got d=2, n=6"),
         (lambda: dist_weight2(6, 4, 5, 1), "need d >= 5, got 4"),
         (lambda: dist_weight2(6, 5, 5, -1), "B_{d-2} must be non-negative"),
         (lambda: weight2_identical_check(6, 4, 5), "need d >= 5, got 4"),
@@ -255,6 +255,30 @@ def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range(monkeypatch
         assert str(err.value) == f"B_{{d-2}} must be an integer, got {value!r}"
 
 
+# every formula entry, each other argument made invalid too
+FORMULA_ENTRIES = {
+    "LowWeightPrefix": lambda n, d, q: LowWeightPrefix(n, d, q, (5,)),
+    "dist_weight1": dist_weight1,
+    "dist_weight_d1": dist_weight_d1,
+    "dist_weight_d2": lambda n, d, q: dist_weight_d2(n, d, q, 0),
+    "dist_weight2": lambda n, d, q: dist_weight2(n, d, q, -1),
+    "dist_weight_mid": lambda n, d, q: dist_weight_mid(n, d, q, 99, (5,)),
+    "mds_weight_distribution": mds_weight_distribution,
+    "weight2_aggregate": weight2_aggregate,
+    "weight2_identical_check": weight2_identical_check,
+}
+
+
+@pytest.mark.parametrize("entry", FORMULA_ENTRIES)
+@pytest.mark.parametrize("n, d, q", [(3, 4, 5), (9, 5, 5), (6, 5, 1)])
+def test_every_formula_entry_refuses_non_mds_parameters_first(entry, n, d, q):
+    with pytest.raises(ValueError) as want:
+        check_mds_params(n, d, q)
+    with pytest.raises(ValueError) as got:
+        FORMULA_ENTRIES[entry](n, d, q)
+    assert str(got.value) == str(want.value)
+
+
 def test_weight2_aggregate_values():
     assert weight2_aggregate(6, 5, 5) == 240
     assert weight2_aggregate(7, 5, 7) == 1260
@@ -262,6 +286,10 @@ def test_weight2_aggregate_values():
         weight2_aggregate(4, 5, 5)
     with pytest.raises(ValueError):
         weight2_aggregate(7, 4, 7)
+    # parameters no MDS code has: 10 > q+2 = 5
+    with pytest.raises(ValueError) as err:
+        weight2_aggregate(10, 5, 3)
+    assert str(err.value) == "no MDS parameters with n=10 > q+2=5"
 
 
 def test_weight2_identical_check():
@@ -273,6 +301,9 @@ def test_weight2_identical_check():
     # n = q+1 with gcd(q-1, d-2) = 1 always satisfies the condition
     for (q, d) in [(8, 5), (9, 5), (11, 5), (8, 6)]:
         assert weight2_identical_check(q + 1, d, q).condition_holds
+    with pytest.raises(ValueError) as err:
+        weight2_identical_check(4, 6, 5)
+    assert str(err.value) == "need 3 <= d <= n, got d=6, n=4"
 
 
 def test_failed_integrality_forces_multiple_census_classes():
