@@ -25,12 +25,12 @@ import functools
 import json
 import sys
 
-from .codes import DEFAULT_BUDGET, BudgetExceededError, _census_refusal, coset_census
+from .codes import DEFAULT_BUDGET, BudgetExceededError, _check_census, coset_census
 from .covering import count_deep_hole_cosets, mcf_classify, saturating_set_report
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_transformed,
                        dist_weight1, dist_weight2, dist_weight_d1, dist_weight_d2,
                        dist_weight_mid)
-from .geometry import _arc_layout, _named_arc, bisecant_census, bisecant_walk_refusal
+from .geometry import _arc_layout, _check_walk, _named_arc, bisecant_census
 from .gf import check_field_order, field_of_order
 from .mds import FAMILIES, _certify, _family_code, _family_layout
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
@@ -62,9 +62,7 @@ def _code_from_args(args, full: bool):
     d, width, drop = _family_layout(args.q, args.family, args.d, None, removed)
     n = width - len(drop)
     length, wmax = (n, n) if full else (width, d - 1)
-    refusal = _census_refusal(args.q, length, d - 1, wmax, args.budget)
-    if refusal is not None:
-        raise refusal
+    _check_census(args.q, length, d - 1, wmax, args.budget)
     return _family_code(field_of_order(args.q), args.family, args.d, None,
                         removed, args.budget)
 
@@ -87,8 +85,11 @@ def _emit(args, payload, table_lines, csv_lines=None):
     finally:
         sys.set_int_max_str_digits(limit)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as err:  # a usage error: exit 1 is a refuted claim's
+            raise ValueError(f"cannot write --out {args.out}: {err.strerror}") from None
     else:
         print(text)
 
@@ -186,10 +187,7 @@ def cmd_census_code(args) -> int:
 
 def cmd_census_geometry(args) -> int:
     name, q = args.arc, args.q
-    _, n = _arc_layout(name, q)  # every usage error, then the walk's budget
-    refusal = bisecant_walk_refusal(q, n)
-    if refusal is not None:
-        raise refusal
+    _check_walk(q, _arc_layout(name, q)[1])  # every usage error, then the walk's budget
     arc = _named_arc(field_of_order(q), name)
     census = bisecant_census(arc)
 

@@ -45,11 +45,14 @@ low_weight_census are that path at the code's own length.  A prefix no
 longer than wmax gets its full census, and a longer one the low-weight
 census at wmax, which certifies it once wmax reaches its n - k.
 
-Every count is exact.  The work is checked against the code's budget,
-fixed when the code is built, and every count against the int64 range
-before any table is allocated; anything out of range is refused with
-the limit named, never sampled.  The kernel counts in int64, and a census
-keeps its classes' counts as Python ints, so its totals check exactly.
+Every count is exact.  `_charge` is the one budget rule: it refuses work
+over a budget, both numbers named, never sampled.  It charges three
+units: the kernel's steps against the code's budget, fixed when the code
+is built, and a bisecant walk's point normalizations (geometry) and
+formula rows' bits (mds) against DEFAULT_BUDGET.  Beside the kernel's
+charge a guard refuses counts that could pass the int64 range, before
+any table is allocated.  The kernel counts in int64, and a census keeps
+its classes' counts as Python ints, so its totals check exactly.
 """
 
 from __future__ import annotations
@@ -319,32 +322,33 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,
     return order
 
 
-def _census_refusal(q: int, n: int, r: int, wmax: int, budget: int
-                    ) -> BudgetExceededError | None:
-    """The refusal a census at wmax of a length-n code over GF(q) with r
-    parity checks meets, or None when it may run: its work over the
-    budget, counted in n*wmax*(1 + (q^r - 1)/(q - 1)) steps, or counts
-    that could pass the int64 range.  The steps bound the entries of the
-    weight rows the columns update: column j updates min(wmax, j) rows,
-    at most wmax.  No count exceeds the vectors of weight <= wmax, nor
-    q^k: an entry after j columns counts vectors with one syndrome, at
-    most q^(j - rank H_j), and rank H_j >= r - (n - j).  Each trellis
-    step is a ring operation, so int64, which wraps mod 2^64, gives each
-    count exactly once it is below 2^63, even where a line sum wraps (von
-    zur Gathen and Gerhard, Modern Computer Algebra, ch. 5).  It needs
-    only the numbers, so it can fire before the code is built."""
-    work = n * wmax * census_rows(q, r)
+def _charge(work: int, budget: int, needs: str) -> None:
+    """The one budget rule: refuse work over the budget, naming both.  `needs`
+    names the work in its unit: kernel steps, walk normalizations or row bits."""
     if work > budget:
-        return BudgetExceededError(
-            f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1)), "
-            f"over the budget of {budget}")
+        raise BudgetExceededError(f"{needs}, over the budget of {budget}")
+
+
+def _check_census(q: int, n: int, r: int, wmax: int, budget: int) -> None:
+    """Charge a census at wmax of a length-n code over GF(q) with r parity
+    checks n*wmax*(1 + (q^r - 1)/(q - 1)) steps, and refuse counts that
+    could pass the int64 range.  The steps bound the entries of the weight
+    rows the columns update: column j updates min(wmax, j) rows, at most
+    wmax.  No count exceeds the vectors of weight <= wmax, nor q^k: an
+    entry after j columns counts vectors with one syndrome, at most
+    q^(j - rank H_j), and rank H_j >= r - (n - j).  Each trellis step is a
+    ring operation, so int64, which wraps mod 2^64, gives each count
+    exactly once it is below 2^63, even where a line sum wraps (von zur
+    Gathen and Gerhard, Modern Computer Algebra, ch. 5).  It needs only
+    the numbers, so it can fire before the code is built."""
+    work = n * wmax * census_rows(q, r)
+    _charge(work, budget, f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1))")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
     entries = q ** (n - r)
     if min(vectors, entries) >= 2**63:
         what = (f"{vectors} vectors of weight <= {wmax}" if vectors < entries
                 else f"entries up to q^k = {entries}")
-        return BudgetExceededError(f"{what} overflow the int64 counts (limit 2^63)")
-    return None
+        raise BudgetExceededError(f"{what} overflow the int64 counts (limit 2^63)")
 
 
 def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
@@ -380,7 +384,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     table, wmax + 1 weight rows of census_rows(q, r) int64 entries, and
     about two rows more while it admits columns, and the classing of a
     snapshot about three more: every census stays within its table and
-    five rows.  Both refusals (see _census_refusal) fire before any table
+    five rows.  Both refusals (see _check_census) fire before any table
     exists.  The two scalar products, at the rows of 0 and H, stay below
     q^k, so no scalar overflow warns: a column in the span of the earlier
     ones meets entries of at most q^(k-1), and one outside it a zero
@@ -393,9 +397,7 @@ def _syndrome_trellis(code: LinearCode, wmax: int, lengths: Iterable[int]
     lengths = sorted(set(lengths))
     if not lengths or not 0 <= lengths[0] <= lengths[-1] <= n:
         raise ValueError(f"prefix lengths {lengths} not a nonempty set in [0, {n}]")
-    refusal = _census_refusal(q, n, code.r, wmax, code.budget)
-    if refusal is not None:
-        raise refusal
+    _check_census(q, n, code.r, wmax, code.budget)
 
     table = np.zeros((wmax + 1, census_rows(q, code.r)), dtype=np.int64)  # weight-major
     table[0, 0] = 1

@@ -74,7 +74,8 @@ from operator import add, floordiv, mul, sub
 
 from .codes import WeightDistribution, _require
 from .combinat import binom, omega
-from .mds import _check_formula_rows, check_mds_params, mds_weight_distribution
+from .mds import (_check_design_distance, _check_formula_rows, check_mds_params,
+                  mds_weight_distribution)
 
 ROW_CACHE_SIZE = 1  # (n, d, q) row sets kept per form
 
@@ -326,6 +327,7 @@ class SymmetryReport:
 
 def symmetry_defect(dist_a: WeightDistribution, dist_b: WeightDistribution,
                     n: int, d: int) -> SymmetryReport:
+    _check_design_distance(n, d)
     if dist_a.n != n or dist_b.n != n:
         raise ValueError("distribution lengths disagree with n")
     wa, wb = dist_a.min_positive_weight(), dist_b.min_positive_weight()
@@ -334,8 +336,7 @@ def symmetry_defect(dist_a: WeightDistribution, dist_b: WeightDistribution,
     pairs = []
     matched = comparable
     for w in range(d - 1, n + 1):
-        mirror = n + d - 2 - w
-        _require(0 <= mirror <= n, f"mirror weight {mirror} outside 0..{n}")
+        mirror = n + d - 2 - w  # in d-2..n-1, as 3 <= d <= n
         da = sign * dist_a.counts[w] - dist_a.counts[mirror]
         db = sign * dist_b.counts[w] - dist_b.counts[mirror]
         pairs.append((w, da, db))

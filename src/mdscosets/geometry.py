@@ -13,8 +13,8 @@ array tables over the pairs i < j in order, in blocks of consecutive
 pairs holding at most WALK_BLOCK_POINTS points: each block's points
 a_i + t*a_j are formed and ranked as arrays and tallied in
 place by one np.add.at, so a walk's temporaries stay a few MiB at any q
-the budget admits.  The walk refuses, before its first block, any arc
-whose C(n,2)*(q-1) normalizations exceed the default budget.  Building
+the budget admits.  Before its first block, the walk charges its
+C(n,2)*(q-1) point normalizations to codes._charge.  Building
 an Arc runs the walk once: distinct points are an arc exactly when it
 meets none of them, and the same blocks tally the bisecants through
 every point, which the census and the bridge read.
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, _label_array,
-                    census_rows, low_weight_census, syndrome_row)
+from .codes import (DEFAULT_BUDGET, LinearCode, _charge, _label_array, census_rows,
+                    low_weight_census, syndrome_row)
 from .combinat import binom
 from .gf import GF, check_field_order
 from .mds import _family_rows, family_length, has_triple_extension
@@ -54,7 +54,7 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
     census row of a_i + t*a_j for pair m and t != 0.  On an arc these are
     the q-1 off-arc points of the bisecant a_i a_j.  A block holds at most
     WALK_BLOCK_POINTS points, or one pair when q - 1 exceeds the cap.  Its
-    budget (bisecant_walk_refusal) is Arc's to check, before the walk."""
+    budget (_check_walk) is Arc's to check, before the walk."""
     q, n = field.q, len(coords)
     add = field.add_table().ravel()  # add(x, y) at x*q + y: one flat gather per block
     t = np.arange(1, q)
@@ -70,17 +70,12 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
                                          for c in range(3)])
 
 
-def bisecant_walk_refusal(q: int, n: int) -> BudgetExceededError | None:
-    """The refusal the bisecant walk of an n-arc in PG(2, q) meets, or None
-    when it may run: its C(n,2)*(q-1) point normalizations over
-    DEFAULT_BUDGET.  It needs only q and n, so it can fire before the
+def _check_walk(q: int, n: int) -> None:
+    """Charge the bisecant walk of an n-arc in PG(2, q) its C(n,2)*(q-1)
+    point normalizations.  It needs only q and n, so it fires before the
     field or any plane-sized array is built."""
     work = binom(n, 2) * (q - 1)
-    if work > DEFAULT_BUDGET:
-        return BudgetExceededError(
-            f"bisecant walk needs {work} point normalizations C(n,2)*(q-1), "
-            f"over the budget of {DEFAULT_BUDGET}")
-    return None
+    _charge(work, DEFAULT_BUDGET, f"bisecant walk needs {work} point normalizations C(n,2)*(q-1)")
 
 
 def _leading_one(field: GF, points: np.ndarray) -> np.ndarray:
@@ -109,9 +104,7 @@ class Arc:
         zero = ~given.any(axis=1)
         if zero.any():
             raise ValueError(f"not a projective point: {tuple(given[np.argmax(zero)].tolist())}")
-        refusal = bisecant_walk_refusal(field.q, len(given))  # before any plane-sized array
-        if refusal is not None:
-            raise refusal
+        _check_walk(field.q, len(given))  # before any plane-sized array
         coords = _leading_one(field, given)
         self.points = [tuple(c) for c in coords.tolist()]
         self._ranks = syndrome_row(field, coords.T)

@@ -32,8 +32,8 @@ trusting the construction.
 recurrence in O(n) big-integer steps.  The cache keeps the last row
 (WEIGHT_DIST_CACHE_SIZE = 1); the single-sum formula rows are its only
 reader in the library.  `check_mds_params` is the one place that refuses
-parameters no MDS code has; `_check_formula_rows` adds the one charge of
-formula rows against the default budget, at the top of each row builder.
+parameters no MDS code has; `_check_formula_rows` adds the rows' bits,
+charged to codes._charge, at the top of each row builder.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, LinearCode, WeightDistribution,
-                    _require)
+from .codes import DEFAULT_BUDGET, LinearCode, WeightDistribution, _charge, _require
 from .combinat import binom
 from .gf import GF
 
@@ -106,13 +105,21 @@ def _family_rows(field: GF, family: str, d: int) -> np.ndarray:
 WEIGHT_DIST_CACHE_SIZE = 1
 
 
-def check_mds_params(n: int, d: int, q: int) -> None:
-    """Refuse (n, d, q) that no [n, n-d+1, d]_q MDS code can have, naming
-    the bad parameter, before any formula does work on them."""
-    if q < 2:
-        raise ValueError(f"need a field size q >= 2, got q={q}")
+def _check_design_distance(n: int, d: int) -> None:
+    """The one statement of 3 <= d <= n, for check_mds_params and symmetry_defect."""
     if not 3 <= d <= n:
         raise ValueError(f"need 3 <= d <= n, got d={d}, n={n}")
+
+
+def check_mds_params(n: int, d: int, q: int) -> None:
+    """Refuse (n, d, q) that no [n, n-d+1, d]_q MDS code can have, naming the
+    bad parameter (any that is no int first, then q, d, n) before any work."""
+    for name, value in (("n", n), ("d", d), ("q", q)):
+        if type(value) is not int:  # a bool is no parameter, nor a numpy integer
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    if q < 2:
+        raise ValueError(f"need a field size q >= 2, got q={q}")
+    _check_design_distance(n, d)
     if n > q + 2:
         raise ValueError(f"no MDS parameters with n={n} > q+2={q + 2}")
     if n >= sys.maxsize:  # a row holds B_0..B_n, and d <= n
@@ -135,11 +142,10 @@ def _check_formula_rows(n: int, d: int, q: int) -> int:
     coefficient = min(n, min(d - 1, N - 1) * n.bit_length()) + (d - 1).bit_length() + N
     known = n + (N - 1) * q.bit_length() + 1
     bits = N * ((d - 1) * coefficient + known + 864 * d)
-    if bits > DEFAULT_BUDGET:
-        raise BudgetExceededError(
+    _charge(bits, DEFAULT_BUDGET,
             f"formula rows need {bits} bits ({N} weights of {d - 1} coefficients up to "
             f"{coefficient} bits and a K_w up to {known}, and 864 bits for each of the "
-            f"{N * d} entries), over the budget of {DEFAULT_BUDGET}")
+            f"{N * d} entries)")
     return bits
 
 
@@ -203,10 +209,7 @@ def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
             raise ValueError(f"triple extension requires even q, got q={q}")
     elif d is None:
         raise ValueError("design distance required")
-    elif d < 3:
-        raise ValueError(f"design distance must be >= 3, got {d}")
-    elif d > width:
-        raise ValueError(f"design distance {d} too large for a length-{width} code over GF({q})")
+    check_mds_params(width, d, q)
     if n is None:
         n = width
     elif not d <= n <= width:

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 
-from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, _census_refusal,
-                    _prefix_censuses, coset_census)
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode,
+                    _check_census, _prefix_censuses, coset_census)
 from .combinat import binom
 from .covering import count_deep_hole_cosets, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
@@ -419,17 +419,19 @@ def criterion_remark_empirical(cache: DeskCache) -> CriterionResult:
         n = family_length("gdrs", q)
         for d in (d for d in cache.ds if d in (5, 6) and d <= n):
             gcd = math.gcd(q - 1, d - 2)
-            refusal = _census_refusal(q, n, d - 1, d - 1, DEFAULT_BUDGET)
             if gcd != 1:
                 status = f"gcd(q-1,d-2)={gcd} != 1"
-            elif refusal is not None:
-                status = f"not surveyed: {refusal}"
             else:
-                predicted = weight2_identical_check(n, d, q).b_low_if_identical
-                prefixes = cache.code(q, d).weight2_prefixes()
-                status = (f"{'confirmed' if len(prefixes) == 1 else 'refuted'} "
-                          f"(B_(d-2) values {sorted({p[d - 2] for p in prefixes})}, "
-                          f"predicted {predicted})")
+                try:
+                    _check_census(q, n, d - 1, d - 1, DEFAULT_BUDGET)
+                except BudgetExceededError as refusal:
+                    status = f"not surveyed: {refusal}"
+                else:
+                    predicted = weight2_identical_check(n, d, q).b_low_if_identical
+                    prefixes = cache.code(q, d).weight2_prefixes()
+                    status = (f"{'confirmed' if len(prefixes) == 1 else 'refuted'} "
+                              f"(B_(d-2) values {sorted({p[d - 2] for p in prefixes})}, "
+                              f"predicted {predicted})")
             lines.append(f"q={q} d={d}: {status}; empirical, not asserted")
     if not lines:
         lines.append("no instances with d in {5, 6} under the current filters")

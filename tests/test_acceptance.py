@@ -585,12 +585,11 @@ def test_the_corpus_fits_the_default_budget_under_any_filter(monkeypatch):
     rides = 0
     for q, family, d, lengths in chains:
         for n in lengths:
-            assert codes._census_refusal(q, n, d - 1, n, codes.DEFAULT_BUDGET) is None
+            codes._check_census(q, n, d - 1, n, codes.DEFAULT_BUDGET)
         full = mds.family_length(family, q)
         if lengths[-1] < full:
             rides += 1
-            assert codes._census_refusal(q, full, d - 1, lengths[-1],
-                                         codes.DEFAULT_BUDGET) is None
+            codes._check_census(q, full, d - 1, lengths[-1], codes.DEFAULT_BUDGET)
     assert (len(chains), rides, max(q for q, *_ in chains)) == (205, 181, 577)
 
 
@@ -611,7 +610,7 @@ def test_a_design_distance_below_3_is_refused_where_no_d_has_a_corpus_code(monke
     assert DeskCache(qs=(5,), ds=(3,)).entries == []
     with pytest.raises(ValueError) as err:
         DeskCache(qs=(5,), ds=(2,))
-    assert str(err.value) == "design distance must be >= 3, got 2"
+    assert str(err.value) == "need 3 <= d <= n, got d=2, n=6"
 
 
 def test_each_chain_snapshot_is_its_prefix_codes_own_run(desk):

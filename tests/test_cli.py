@@ -500,7 +500,7 @@ def test_census_geometry_usage_errors_come_before_the_budget_and_the_field(
     def too_early(*args):
         raise AssertionError("the walk budget or the field came before the usage error")
 
-    monkeypatch.setattr(cli, "bisecant_walk_refusal", too_early)
+    monkeypatch.setattr(cli, "_check_walk", too_early)
     monkeypatch.setattr(cli, "field_of_order", too_early)
     assert run(capsys, "census", "geometry", "--q", q, "--arc", arc) == (
         2, "", f"error: {text}\n")
@@ -720,7 +720,7 @@ def test_verify_unknown_theorem(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("--q", "0"), "error: 0 is not a prime power\n"),
-    (("--d", "0"), "error: design distance must be >= 3, got 0\n"),
+    (("--d", "0"), "error: need 3 <= d <= n, got d=0, n=5\n"),
 ], ids=["q0", "d0"])
 def test_verify_refuses_a_zero_filter(capsys, argv, message):
     # a zero --q or --d is a filter like any other, not an absent one
@@ -734,6 +734,17 @@ def test_out_file(tmp_path, capsys):
                        "--format", "json", "--out", str(target))
     assert code == 0
     assert json.loads(target.read_text())["counts"] == ["0", "0", "0", "10", "5", "10"]
+
+
+def test_out_to_a_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # exit 1 is a refuted claim's; a path that cannot be written is the
+    # caller's error, named on stderr with no traceback
+    argv = ("dist", "--closed-form", "d1", "--n", "5", "--d", "4", "--q", "5", "--out")
+    missing = tmp_path / "missing" / "dist.json"
+    assert run(capsys, *argv, str(missing)) == (
+        2, "", f"error: cannot write --out {missing}: No such file or directory\n")
+    assert run(capsys, *argv, str(tmp_path)) == (
+        2, "", f"error: cannot write --out {tmp_path}: Is a directory\n")
 
 
 def test_usage_error_exit_code(capsys):

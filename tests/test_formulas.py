@@ -240,6 +240,12 @@ def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range(monkeypatch
         (lambda: symmetry_defect(dist_weight_d2(5, 4, 5, 1), dist_weight_d2(5, 4, 5, 2), 6, 4),
          "distribution lengths disagree with n"),
     ]
+    # the two weight-2 cosets of [6,3,4]_5 under a d outside 3..6: the
+    # caller's error, not a report (d = 2 read as comparable, d = 7 > n)
+    # nor a broken invariant (d <= 1 put a mirror weight below 0)
+    a, b = dist_weight_d2(6, 4, 5, 2), dist_weight_d2(6, 4, 5, 3)
+    refusals += [(lambda d=d: symmetry_defect(a, b, 6, d), f"need 3 <= d <= n, got d={d}, n=6")
+                 for d in (-1, 0, 1, 2, 7)]
     for call, message in refusals:
         with pytest.raises(ValueError) as err:
             call()
@@ -277,6 +283,22 @@ def test_every_formula_entry_refuses_non_mds_parameters_first(entry, n, d, q):
     with pytest.raises(ValueError) as got:
         FORMULA_ENTRIES[entry](n, d, q)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dist_weight1(np.int64(5), 3, 4), f"n must be an int, got {np.int64(5)!r}"),
+    (lambda: LowWeightPrefix(5.0, 3, 4, (1, 0)), "n must be an int, got 5.0"),
+    (lambda: weight2_aggregate(6.0, 5, 5), "n must be an int, got 6.0"),
+    (lambda: dist_weight_d1(5, True, 4), "d must be an int, got True"),
+    (lambda: check_mds_params(5, 3, 4.0), "q must be an int, got 4.0"),
+    (lambda: check_mds_params(5, 3.0, 1), "d must be an int, got 3.0"),  # before q's range
+], ids=["numpy-n", "float-n-prefix", "float-n-aggregate", "bool-d", "float-q", "type-first"])
+def test_mds_parameters_must_be_ints(call, message):
+    # a numpy integer, a float or a bool is refused by name before any
+    # range check or row charge reads it
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_weight2_aggregate_values():

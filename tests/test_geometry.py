@@ -16,8 +16,7 @@ from mdscosets import cli, geometry
 from mdscosets.codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus,
                              census_rows, low_weight_census, syndrome_row)
 from mdscosets.combinat import binom
-from mdscosets.geometry import (Arc, bisecant_census, bisecant_walk_refusal,
-                                conic_census_formulas, conic_points,
+from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas, conic_points,
                                 double_shortened_conic_census_formulas,
                                 geometry_code_bridge, hyperoval_census_formulas,
                                 hyperoval_points, shortened_conic,
@@ -396,8 +395,10 @@ def test_census_formulas_refuse_a_q_without_the_arc():
 
 def test_bisecant_walk_budget_boundary():
     # the conic walk fits up to q = 733 (196842852 steps) and not at 739
-    assert bisecant_walk_refusal(733, 734) is None
-    assert "201791340 point normalizations" in str(bisecant_walk_refusal(739, 740))
+    geometry._check_walk(733, 734)
+    with pytest.raises(BudgetExceededError) as err:
+        geometry._check_walk(739, 740)
+    assert "201791340 point normalizations" in str(err.value)
 
 
 def test_the_library_refuses_a_walk_over_the_budget_before_any_block(monkeypatch):
@@ -408,7 +409,9 @@ def test_the_library_refuses_a_walk_over_the_budget_before_any_block(monkeypatch
     with pytest.raises(BudgetExceededError) as err:
         conic_points(f)
     assert time.perf_counter() - start < 0.5
-    assert str(err.value) == str(bisecant_walk_refusal(739, 740))
+    with pytest.raises(BudgetExceededError) as walk:
+        geometry._check_walk(739, 740)
+    assert str(err.value) == str(walk.value)
     monkeypatch.setattr(f, "add_table", lambda: pytest.fail("the walk read the field's tables"))
     for build in (conic_points, lambda f: shortened_conic(f, 1)):
         with pytest.raises(BudgetExceededError, match="bisecant walk needs"):

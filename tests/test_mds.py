@@ -38,9 +38,9 @@ def test_gdrs_rejections():
     f5 = field_of_order(5)
     with pytest.raises(ValueError, match="design distance required"):
         build_code(f5, "gdrs")
-    with pytest.raises(ValueError, match="design distance must be >= 3, got 2"):
+    with pytest.raises(ValueError, match=r"need 3 <= d <= n, got d=2, n=6"):
         build_code(f5, "gdrs", 2)
-    with pytest.raises(ValueError, match="design distance 7 too large for a length-6 code"):
+    with pytest.raises(ValueError, match=r"need 3 <= d <= n, got d=7, n=6"):
         build_code(f5, "gdrs", 7)  # d > q + 1
 
 
