@@ -15,24 +15,29 @@ Exit codes: 0 success, 1 a refuted claim (a `verify` criterion, or the
 (q-1)*Delta deep-hole check of `covering classify`; either prints its
 full output first), 2 usage error, 3 budget refusal (work over
 --budget, or counts that could pass 2^63; a `census geometry` walk or
-`dist` formula rows over the default budget).
+`dist` formula rows over the default budget).  An --out path that cannot
+be written is a usage error, refused before any other work and without
+creating or truncating the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 
-from .codes import DEFAULT_BUDGET, BudgetExceededError, _check_census, coset_census
+from .codes import (DEFAULT_BUDGET, BudgetExceededError, _check_budget, _check_census,
+                    coset_census)
 from .covering import count_deep_hole_cosets, mcf_classify, saturating_set_report
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_transformed,
                        dist_weight1, dist_weight2, dist_weight_d1, dist_weight_d2,
                        dist_weight_mid)
 from .geometry import _arc_layout, _check_walk, _named_arc, bisecant_census
 from .gf import check_field_order, field_of_order
-from .mds import FAMILIES, _certify, _family_code, _family_layout
+from .mds import FAMILIES, _certify, _family_code, _family_layout, family_length
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
 
 SCHEMA = "mdscosets.v1"
@@ -51,20 +56,38 @@ def _csv_ints(text: str, option: str) -> list[int]:
 def _code_from_args(args, full: bool):
     """The family code `census code` (full) and `covering classify` name,
     and its recipe; each command certifies it MDS itself.  Before the field
-    is built, every argument is checked as building would check it, then,
-    from (q, length, n-k, wmax) alone, the one census that bounds the
-    command: the full census (full), which also certifies the code, or the
-    certification of the full-length parent (the code without --remove).
-    A removal code's own certification has fewer columns at the same n-k
-    and wmax, so no more steps, vectors of weight <= wmax or q^k."""
+    is built, the recipe and the budget are checked as building would
+    check them, then, from (q, length, n-k, wmax) alone, the one census
+    that bounds the command: the full census (full), which also certifies
+    the code, or the certification of the full-length parent (the code
+    without --remove).  A removal code's own certification has fewer
+    columns at the same n-k and wmax, so no more steps, vectors of weight
+    <= wmax or q^k."""
     check_field_order(args.q)
-    removed = _csv_ints(args.remove or "", "--remove")
-    d, width, drop = _family_layout(args.q, args.family, args.d, None, removed)
-    n = width - len(drop)
-    length, wmax = (n, n) if full else (width, d - 1)
-    _check_census(args.q, length, d - 1, wmax, args.budget)
-    return _family_code(field_of_order(args.q), args.family, args.d, None,
-                        removed, args.budget)
+    recipe = _family_layout(args.q, args.family, args.d, None,
+                            _csv_ints(args.remove or "", "--remove"))
+    _check_budget(args.budget)
+    width = family_length(recipe.family, args.q)
+    n = width - recipe.delta
+    length, wmax = (n, n) if full else (width, recipe.d - 1)
+    _check_census(args.q, length, recipe.d - 1, wmax, args.budget)
+    return _family_code(field_of_order(args.q), recipe, args.budget), recipe
+
+
+def _check_out(path: str) -> None:
+    """Refuse, as writing would but neither creating nor truncating it, an
+    --out path that is a directory, whose folder is missing or no folder,
+    or that is not open to writing."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        why = errno.EISDIR
+    elif not os.path.isdir(folder):
+        why = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        why = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {path}: {os.strerror(why)}")
 
 
 def _emit(args, payload, table_lines, csv_lines=None):
@@ -88,7 +111,7 @@ def _emit(args, payload, table_lines, csv_lines=None):
         try:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
-        except OSError as err:  # a usage error: exit 1 is a refuted claim's
+        except OSError as err:  # as _check_out would have refused it
             raise ValueError(f"cannot write --out {args.out}: {err.strerror}") from None
     else:
         print(text)
@@ -354,6 +377,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out:  # a usage error, refused before any other work
+            _check_out(args.out)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)

@@ -57,6 +57,7 @@ its classes' counts as Python ints, so its totals check exactly.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -79,6 +80,32 @@ class InvariantError(RuntimeError):
 def _require(ok: bool, what: str) -> None:
     if not ok:
         raise InvariantError(what)
+
+
+def _check_ints(**params) -> None:
+    """The one rule for int parameters: refuse, naming the first, any that
+    is not an int (a bool is none, nor a numpy integer)."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_budget(budget) -> None:
+    """Refuse a work budget that is not a positive int, naming it."""
+    _check_ints(budget=budget)
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+
+
+def _as_int(value, name: str) -> int:
+    """A given integer (a count, a column index) as a Python int, refused
+    with its name unless it is an integer: a bool is none, though Python
+    counts it an int, nor is a float or a string, which int() would read."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -158,14 +185,15 @@ class LinearCode:
     """A length-n linear code over GF(q) defined by a full-rank parity-check matrix.
 
     `rows` are the matrix's rows of element labels of `field`; H keeps
-    them as an (n-k, n) int64 array.  `budget` caps the work of every
-    census run on the code.  The first census of the code at weight n-k
-    or more leaves it its coset classes, which min_distance,
-    covering_radius, leader_profile and weight2_prefixes read; asked
-    before any such census, they run one at n-k.
+    them as an (n-k, n) int64 array.  `budget`, a positive int, caps the
+    work of every census run on the code.  The first census of the code
+    at weight n-k or more leaves it its coset classes, which
+    min_distance, covering_radius, leader_profile and weight2_prefixes
+    read; asked before any such census, they run one at n-k.
     """
 
     def __init__(self, field: GF, rows, budget: int = DEFAULT_BUDGET):
+        _check_budget(budget)
         if not len(rows):
             raise ValueError("a matrix needs at least one row")
         if len({len(r) for r in rows}) != 1:
@@ -259,6 +287,21 @@ def syndrome_row(f: GF, svec):
     for t in range(top):  # summed in place, the q = 256 walk took 4x the page faults
         row = row + f.mul_array(digits[t], scale) * q**t
     return int(row) if row.ndim == 0 else row
+
+
+def _row_syndrome(q: int, r: int, row: int) -> tuple[int, ...]:
+    """The syndrome of r labels, least significant first, that syndrome_row
+    puts in census row `row`: zero for row 0, else the point whose top
+    nonzero digit t is 1, its digits below t row - census_rows(q, t) in
+    base q."""
+    digits = [0] * r
+    if row:
+        t = max(t for t in range(r) if census_rows(q, t) <= row)
+        offset = row - census_rows(q, t)
+        for i in range(t):
+            offset, digits[i] = divmod(offset, q)
+        digits[t] = 1
+    return tuple(digits)
 
 
 def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,

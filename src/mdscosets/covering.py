@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import LinearCode, _require
+from .codes import LinearCode, _check_ints, _require
 from .combinat import binom
 from .mds import MdsConstruction, build_code
 
@@ -78,7 +78,9 @@ def mcf_classify(code: LinearCode) -> McfReport:
 def mu_density_closed_form(n: int, k: int, q: int, mu: int) -> Fraction:
     """gamma_mu for covering radius 2 and d > 3:
     C(n,2)(q-1)^2 / (mu (q^(n-k) - 1 - n(q-1))), whose last factor counts
-    the weight-2 cosets there; refused unless mu and that count are positive."""
+    the weight-2 cosets there; refused unless each is an int and mu and that
+    count are positive."""
+    _check_ints(n=n, k=k, q=q, mu=mu)
     cosets = q ** (n - k) - 1 - n * (q - 1)
     if mu < 1 or cosets < 1:
         raise ValueError(f"need mu >= 1 and q^(n-k)-1-n(q-1) >= 1 weight-2 cosets, "

@@ -65,14 +65,13 @@ reported as InconsistentPrefixError in strict mode and as a plain
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, sub
 
-from .codes import WeightDistribution, _require
+from .codes import WeightDistribution, _as_int, _check_ints, _require
 from .combinat import binom, omega
 from .mds import (_check_design_distance, _check_formula_rows, check_mds_params,
                   mds_weight_distribution)
@@ -88,23 +87,12 @@ class InconsistentPrefixError(ValueError):
     """The given low-weight counts cannot belong to any real coset."""
 
 
-def _count(value, name: str) -> int:
-    """A given count as a Python int, refused with its name unless it is
-    an integer: a bool is none, though Python counts it an int, nor is a
-    float or a string, which int() would read."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _counts(values, name: str, first: int):
     """The given counts B_first, B_first+1, ...: `values` itself when each
-    is an exact int, else a tuple of each through _count as `name B_v`."""
+    is an exact int, else a tuple of each through _as_int as `name B_v`."""
     for value in values:
         if type(value) is not int:
-            return tuple(_count(c, f"{name} B_{v}") for v, c in enumerate(values, first))
+            return tuple(_as_int(c, f"{name} B_{v}") for v, c in enumerate(values, first))
     return values
 
 
@@ -286,7 +274,7 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
     check_mds_params(n, d, q)
     if d < 4:
         raise ValueError(f"need d >= 4, got {d}")
-    b_low = _count(b_low, "B_{d-2}")
+    b_low = _as_int(b_low, "B_{d-2}")
     if b_low < 1:
         raise ValueError("a weight-(d-2) coset has B_{d-2} >= 1")
     return _from_prefix(n, d, q, {d - 2: b_low}, strict, "B_{d-2}")
@@ -305,7 +293,7 @@ def dist_weight2(n: int, d: int, q: int, b_low: int,
     check_mds_params(n, d, q)
     if d < 5:
         raise ValueError(f"need d >= 5, got {d}")
-    b_low = _count(b_low, "B_{d-2}")
+    b_low = _as_int(b_low, "B_{d-2}")
     if b_low < 0:
         raise ValueError("B_{d-2} must be non-negative")
     return _from_prefix(n, d, q, {2: 1, d - 2: b_low}, strict, "B_{d-2}")
@@ -327,6 +315,7 @@ class SymmetryReport:
 
 def symmetry_defect(dist_a: WeightDistribution, dist_b: WeightDistribution,
                     n: int, d: int) -> SymmetryReport:
+    _check_ints(n=n, d=d)
     _check_design_distance(n, d)
     if dist_a.n != n or dist_b.n != n:
         raise ValueError("distribution lengths disagree with n")

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, LinearCode, _charge, _label_array, census_rows,
-                    low_weight_census, syndrome_row)
+from .codes import (DEFAULT_BUDGET, LinearCode, _charge, _label_array, _row_syndrome,
+                    census_rows, low_weight_census, syndrome_row)
 from .combinat import binom
 from .gf import GF, check_field_order
 from .mds import _family_rows, family_length, has_triple_extension
@@ -275,10 +275,7 @@ def geometry_code_bridge(arc: Arc) -> BridgeReport:
                   (B1 == 0) & np.where(counts >= 1, B2 == counts, (B2 == 0) & (B3 != 0)))
     if not ok.all():
         p = int(np.argmin(ok))  # first failure in census-row order
-        # row p + 1 is the point whose digit t leads, the digits below it
-        # p + 1 - census_rows(q, t) in base q
-        t = sum(p + 1 >= census_rows(q, s) for s in (1, 2))
-        syndrome = np.unravel_index(p + 1 - census_rows(q, t) + q**t, (q, q, q))[::-1]
+        syndrome = _row_syndrome(q, code.r, p + 1)
         pt = tuple(_leading_one(f, np.array([syndrome]))[0].tolist())
         row = tuple(rows[p].tolist())
         if on_arc[p]:

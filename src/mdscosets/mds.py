@@ -18,14 +18,16 @@ its first n columns are the arcs of PG(2, q) that `geometry` names.
 Column removals yield the shorter MDS codes whose coset structure the
 rest of the library classifies: the singly-extended code, for one, is
 the gdrs code less column q.  Keeping a family code's first n columns is
-the pinned default removal.  `_family_code` deletes the dropped columns
-from the family matrix, and `_family_layout` makes every refusal of its
-recipe, from the numbers alone.  The matrix itself is not checked: any
-d-1 columns of the doubly-extended matrix are independent (MacWilliams
-and Sloane, ch. 11), so the full matrix and every removal that keeps
-d-1 columns have full rank.  `LinearCode` checks the rank once, and
-`build_code` certifies MDS-ness from the code's census instead of
-trusting the construction.
+the pinned default removal.  A code's recipe, an MdsConstruction, is
+laid out once, by `_family_layout`, which makes every refusal from the
+numbers alone; `_family_code` builds the code from the recipe and
+nothing else, the family matrix less the dropped columns, and
+`build_code` lays out, builds and certifies.  The matrix itself is not
+checked: any d-1 columns of the doubly-extended matrix are independent
+(MacWilliams and Sloane, ch. 11), so the full matrix and every removal
+that keeps d-1 columns have full rank.  `LinearCode` checks the rank
+once, and `build_code` certifies MDS-ness from the code's census
+instead of trusting the construction.
 
 `mds_weight_distribution` gives the codeword counts A_w of any
 [n, n-d+1, d]_q MDS code as one row per (n, d, q), built by a running
@@ -44,7 +46,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, LinearCode, WeightDistribution, _charge, _require
+from .codes import (DEFAULT_BUDGET, LinearCode, WeightDistribution, _as_int, _charge,
+                    _check_ints, _require)
 from .combinat import binom
 from .gf import GF
 
@@ -114,9 +117,7 @@ def _check_design_distance(n: int, d: int) -> None:
 def check_mds_params(n: int, d: int, q: int) -> None:
     """Refuse (n, d, q) that no [n, n-d+1, d]_q MDS code can have, naming the
     bad parameter (any that is no int first, then q, d, n) before any work."""
-    for name, value in (("n", n), ("d", d), ("q", q)):
-        if type(value) is not int:  # a bool is no parameter, nor a numpy integer
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    _check_ints(n=n, d=d, q=q)
     if q < 2:
         raise ValueError(f"need a field size q >= 2, got q={q}")
     _check_design_distance(n, d)
@@ -190,16 +191,16 @@ def build_code(field: GF, family: str, d: int | None = None, n: int | None = Non
     of them by default), less the columns `removed` indexes (0-based).
     The code's certification and every later census run under `budget`.
     """
-    code, construction = _family_code(field, family, d, n, removed, budget)
+    recipe = _family_layout(field.q, family, d, n, removed)
+    code = _family_code(field, recipe, budget)
     _certify(code)
-    return code, construction
+    return code, recipe
 
 
 def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
-                   ) -> tuple[int, int, tuple[int, ...]]:
-    """(d, columns of the full family matrix, dropped columns) of the code
-    _family_code builds, with each of its refusals, in its order, from the
-    numbers alone: no field is needed."""
+                   ) -> MdsConstruction:
+    """The recipe, d resolved and every dropped column listed, of build_code's
+    code; each refusal is made in its order from the numbers alone."""
     width = family_length(family, q)
     if family == "gtrs":
         if d not in (None, 4):
@@ -210,30 +211,26 @@ def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
     elif d is None:
         raise ValueError("design distance required")
     check_mds_params(width, d, q)
-    if n is None:
-        n = width
-    elif not d <= n <= width:
+    n = width if n is None else _as_int(n, "n")
+    if not d <= n <= width:
         raise ValueError(
             f"the {family} family over GF({q}) needs {d} <= n <= {width}, got n={n}")
-    drop = sorted({int(i) for i in removed} | set(range(n, width)))
+    drop = sorted({_as_int(i, "a removed column") for i in removed} | set(range(n, width)))
     if drop and not 0 <= drop[0] <= drop[-1] < width:
         raise ValueError(f"column index out of range 0..{width - 1}")
     if width - len(drop) < d:
         raise ValueError(
             f"too many removals: {width - len(drop)} columns cannot carry distance {d}")
-    return d, width, tuple(drop)
+    return MdsConstruction(family, q, d, tuple(drop))
 
 
-def _family_code(field: GF, family: str, d: int | None, n: int | None, removed,
-                 budget: int) -> tuple[LinearCode, MdsConstruction]:
-    """build_code's code and recipe, not yet certified: the family matrix
-    less the dropped columns.  At q = 2 the three doubly-extended columns
-    carry no code of distance 4 of their own, but with the nucleus they
-    give the [4,1,4]_2 code."""
-    d, _, drop = _family_layout(field.q, family, d, n, removed)
-    H = np.delete(_family_rows(field, family, d), drop, axis=1)
-    return (LinearCode(field, H, budget),
-            MdsConstruction(family, field.q, d, drop))
+def _family_code(field: GF, recipe: MdsConstruction, budget: int) -> LinearCode:
+    """The recipe's code, not yet certified: the family matrix less the
+    dropped columns.  At q = 2 the three doubly-extended columns carry no
+    code of distance 4 of their own, but with the nucleus they give the
+    [4,1,4]_2 code."""
+    H = np.delete(_family_rows(field, recipe.family, recipe.d), recipe.removed, axis=1)
+    return LinearCode(field, H, budget)
 
 
 def _certify(code: LinearCode) -> None:

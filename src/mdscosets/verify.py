@@ -15,7 +15,8 @@ the chain is added too.  Every chain and every
 such run fits the default budget, under any q and d filter, so the
 corpus is built at that budget.  The criteria take these codes from
 the cache and read them through the memos their censuses left, so a
-full run counts each chain once: 24 kernel runs.
+full run counts each chain once: 24 kernel runs.  A code's recipe, the
+one mds._family_layout lays out, keys it in the cache.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -43,7 +44,7 @@ from .gf import field_of_order
 from .geometry import (_named_arc, bisecant_census, conic_census_formulas,
                        double_shortened_conic_census_formulas,
                        shortened_conic_census_formulas)
-from .mds import (MdsConstruction, _certify, _family_code, build_code, family_length,
+from .mds import (_certify, _family_code, _family_layout, build_code, family_length,
                   has_triple_extension)
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
@@ -57,7 +58,7 @@ class CorpusEntry:
     Delta are the recipe's, n is the code's."""
 
     code: LinearCode
-    construction: MdsConstruction
+    construction: "mds.MdsConstruction"  # as mds._family_layout lays it out
     q = property(lambda self: self.construction.q)
     d = property(lambda self: self.construction.d)
     n = property(lambda self: self.code.n)
@@ -81,7 +82,8 @@ class DeskCache:
     census leaves its memo and is dropped.  Every code of the run, the
     parent included, is certified from its memo when the chain is added.
     The triply-extended code is a chain of its own.  `code` hands out the
-    cache's own codes and builds (once, by build_code) only the others.
+    cache's own codes, keyed by recipe, and builds (once, by build_code)
+    only the others.
     `census` is keyed by code, so each code's kernel runs happen once per
     cache.
     """
@@ -91,7 +93,7 @@ class DeskCache:
         self.ds = tuple(ds)
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
-        self._codes: dict[tuple[int, int, int, str], LinearCode] = {}
+        self._codes: dict = {}  # recipe -> code
         for q in self.qs:
             fld = field_of_order(q)
             length = family_length("gdrs", q)
@@ -111,15 +113,15 @@ class DeskCache:
         first n columns of the full-length code's matrix: one kernel run
         censuses them and, when the chain stops short, the full-length
         parent, and each code of the run is certified from its memo."""
-        full, _ = _family_code(fld, family, d, None, (), DEFAULT_BUDGET)
+        full = _family_code(fld, _family_layout(fld.q, family, d, None, ()), DEFAULT_BUDGET)
         for census in _prefix_censuses(full, lengths + [full.n], lengths[-1]):
             code = census.code
             _certify(code)
-            self._codes[fld.q, d, code.n, family] = code
+            recipe = _family_layout(fld.q, family, d, code.n, ())
+            self._codes[recipe] = code
             if code.n <= lengths[-1]:  # a parent's census is dropped
                 self._census[code] = census
-                self.entries.append(CorpusEntry(code, MdsConstruction(
-                    family, fld.q, d, tuple(range(code.n, full.n)))))
+                self.entries.append(CorpusEntry(code, recipe))
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""
@@ -133,12 +135,10 @@ class DeskCache:
              family: str = "gdrs") -> LinearCode:
         """The [n, n-d+1, d]_q family code, full length by default: the
         cache's own when it holds it, else built and certified once."""
-        if n is None:
-            n = family_length(family, q)
-        key = (q, d, n, family)
-        if key not in self._codes:
-            self._codes[key], _ = build_code(field_of_order(q), family, d, n)
-        return self._codes[key]
+        recipe = _family_layout(q, family, d, n, ())
+        if recipe not in self._codes:
+            self._codes[recipe], _ = build_code(field_of_order(q), family, d, n)
+        return self._codes[recipe]
 
 
 @dataclass

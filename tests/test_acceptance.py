@@ -593,6 +593,15 @@ def test_the_corpus_fits_the_default_budget_under_any_filter(monkeypatch):
     assert (len(chains), rides, max(q for q, *_ in chains)) == (205, 181, 577)
 
 
+def test_each_desk_entry_is_its_recipes_code():
+    # every entry's recipe is the one _family_layout lays out, and it keys
+    # the cache's own code
+    cache = DeskCache()
+    for e in cache.entries:
+        assert e.construction == mds._family_layout(e.q, e.family, e.d, e.n, ())
+        assert cache.code(e.q, e.d, e.n, e.family) is e.code
+
+
 def test_a_corpus_filter_past_the_size_limit_builds_nothing(monkeypatch):
     # 4096^3 > 2*10^8: the corpus at q = 4096 is empty, and the cache
     # sees that from the powers of q up to the limit, building no code

@@ -5,12 +5,13 @@ import json
 import sys
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdscosets import cli, codes
+from mdscosets import cli, codes, mds
 from mdscosets.cli import main
 from mdscosets.gf import GF
 from mdscosets.mds import FAMILIES
@@ -745,6 +746,58 @@ def test_out_to_a_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys)
         2, "", f"error: cannot write --out {missing}: No such file or directory\n")
     assert run(capsys, *argv, str(tmp_path)) == (
         2, "", f"error: cannot write --out {tmp_path}: Is a directory\n")
+
+
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # --out is a usage error like the others: it comes before a budget
+    # refusal (exit 2, not 3) and before the corpus is built, and the
+    # file is neither created nor truncated
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+    monkeypatch.setattr(codes, "_syndrome_trellis", no_work)
+    monkeypatch.setattr(cli, "DeskCache", no_work)
+    missing = tmp_path / "missing" / "x"
+    refusal = f"error: cannot write --out {missing}: No such file or directory\n"
+    assert run(capsys, "census", "code", "--family", "gdrs", "--q", "64", "--d", "40",
+               "--out", str(missing)) == (2, "", refusal)
+    assert run(capsys, "verify", "--q", "5", "--out", str(missing)) == (2, "", refusal)
+    assert not (tmp_path / "missing").exists()
+    kept = tmp_path / "kept"
+    kept.write_text("kept\n")
+    code, _, _ = run(capsys, "census", "code", "--family", "gdrs", "--q", "6", "--d", "4",
+                     "--out", str(kept))
+    assert code == 2 and kept.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
+    # "over the budget of -5" (exit 3) read a usage error as a refusal
+    monkeypatch.setattr(codes, "_syndrome_trellis", lambda *args: pytest.fail("ran"))
+    for command in (("census", "code"), ("covering", "classify")):
+        assert run(capsys, *command, "--family", "gdrs", "--q", "5", "--d", "4",
+                   "--budget", budget) == (2, "", f"error: budget must be positive, got {budget}\n")
+
+
+def test_each_family_command_lays_its_code_out_once(capsys, monkeypatch):
+    # the CLI's pre-flight and build read one recipe; a removal code's
+    # deep-hole check lays out its parent once more, in build_code
+    calls = Counter()
+    for module in (cli, mds):
+        def counted(*args, _fn=getattr(module, "_family_layout"), _name=module.__name__):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, "_family_layout", counted)
+    for argv, expect in [(("census", "code", "--family", "gdrs", "--q", "5", "--d", "4"),
+                          {"mdscosets.cli": 1}),
+                         (("census", "code", "--family", "gtrs", "--q", "4", "--remove", "1"),
+                          {"mdscosets.cli": 1}),
+                         (("covering", "classify", "--family", "gdrs", "--q", "5", "--d", "4"),
+                          {"mdscosets.cli": 1}),
+                         (("covering", "classify", "--family", "gdrs", "--q", "5", "--d", "4",
+                           "--remove", "5"), {"mdscosets.cli": 1, "mdscosets.mds": 1})]:
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == expect, argv
 
 
 def test_usage_error_exit_code(capsys):

@@ -13,7 +13,7 @@ from mdscosets.codes import (BudgetExceededError, CosetCensus, InvariantError,
                              LinearCode, WeightDistribution, census_rows,
                              coset_census, low_weight_census, syndrome_row)
 from mdscosets.gf import GF, field_of_order
-from mdscosets.mds import _family_code, build_code, mds_weight_distribution
+from mdscosets.mds import _family_code, _family_layout, build_code, mds_weight_distribution
 from class_rows import rows_of
 from dual_census import dual_table
 from oracle import (brute_codeword_weights, brute_prefix_tables, brute_table,
@@ -22,7 +22,7 @@ from oracle import (brute_codeword_weights, brute_prefix_tables, brute_table,
 
 def test_code_from_parity_shapes():
     f5 = field_of_order(5)
-    code = _family_code(f5, "gdrs", 4, None, (), codes.DEFAULT_BUDGET)[0]
+    code = _family_code(f5, _family_layout(5, "gdrs", 4, None, ()), codes.DEFAULT_BUDGET)
     assert (code.n, code.k) == (6, 3)
     f2 = field_of_order(2)
     parity = LinearCode(f2, [[1] * 7])
@@ -102,9 +102,19 @@ def test_each_census_row_is_one_point(q, r):
             assert syndrome_row(f, [F.mul(c, x) for x in s]) == row
 
 
+@pytest.mark.parametrize("q, r", [(2, 2), (4, 3), (5, 3), (3, 4)])
+def test_row_syndrome_inverts_syndrome_row(q, r):
+    # every census row's syndrome, its top nonzero digit 1, maps back to it
+    f = field_of_order(q)
+    syndromes = [codes._row_syndrome(q, r, row) for row in range(census_rows(q, r))]
+    assert [syndrome_row(f, s) for s in syndromes] == list(range(census_rows(q, r)))
+    assert syndromes[0] == (0,) * r
+    assert all(next(x for x in reversed(s) if x) == 1 for s in syndromes[1:])
+
+
 def test_syndrome_linearity():
     f5 = field_of_order(5)
-    code = _family_code(f5, "gdrs", 4, None, (), codes.DEFAULT_BUDGET)[0]
+    code = _family_code(f5, _family_layout(5, "gdrs", 4, None, ()), codes.DEFAULT_BUDGET)
     G = generator_matrix(code)
     assert len(G) == code.k
     assert all(syndrome(code, g) == (0,) * 3 for g in G)  # H G^T = 0
@@ -155,6 +165,20 @@ def test_budget_refusals_name_the_budget():
         LinearCode(code.field, code.H, budget=10).min_distance()
     with pytest.raises(BudgetExceededError):
         low_weight_census(LinearCode(code.field, code.H, budget=10), 3)
+
+
+def test_a_budget_must_be_a_positive_int():
+    # a negative budget was accepted and refused every census as over it
+    f5 = field_of_order(5)
+    H = [[1, 1, 1, 1]]
+    for budget, message in [(0, "budget must be positive, got 0"),
+                            (-1, "budget must be positive, got -1"),
+                            (True, "budget must be an int, got True"),
+                            (1e6, "budget must be an int, got 1000000.0")]:
+        with pytest.raises(ValueError) as err:
+            LinearCode(f5, H, budget=budget)
+        assert str(err.value) == message
+    assert LinearCode(f5, H, budget=1).budget == 1
 
 
 def test_a_code_keeps_the_budget_it_was_built_with():
@@ -235,7 +259,8 @@ def test_a_census_peaks_within_its_table_and_five_rows(q, d, lengths, wmax):
     # r) int64 entries: 6.30 MiB and 1.05 MiB a row for [20,15,6]_19 at
     # wmax = 5.  The desk's q = 11, d = 6 chain runs on to its length-12
     # parent, as DeskCache runs it, building its prefix codes as it goes
-    full, _ = _family_code(field_of_order(q), "gdrs", d, None, (), codes.DEFAULT_BUDGET)
+    full = _family_code(field_of_order(q), _family_layout(q, "gdrs", d, None, ()),
+                        codes.DEFAULT_BUDGET)
     row = census_rows(q, full.r) * 8
     tracemalloc.start()
     try:

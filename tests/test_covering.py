@@ -55,6 +55,16 @@ def test_mu_density_closed_form_refuses_outside_its_domain(args, got):
     assert str(err.value) == f"need mu >= 1 and q^(n-k)-1-n(q-1) >= 1 weight-2 cosets, got {got}"
 
 
+def test_mu_density_closed_form_refuses_a_parameter_that_is_no_int():
+    # a bool or a float read as a number gave 20/13 or a TypeError
+    for args, message in [((5, 2, 5, True), "mu must be an int, got True"),
+                          ((5.0, 2, 5, 10), "n must be an int, got 5.0"),
+                          ((5, 2, "5", 10), "q must be an int, got '5'")]:
+        with pytest.raises(ValueError) as err:
+            mu_density_closed_form(*args)
+        assert str(err.value) == message
+
+
 def test_mu_density_over_budget_codes_use_low_weight_path():
     # 9^10 and 11^12 ambient spaces are both far over the default budget
     for q in (9, 11):

@@ -246,6 +246,11 @@ def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range(monkeypatch
     a, b = dist_weight_d2(6, 4, 5, 2), dist_weight_d2(6, 4, 5, 3)
     refusals += [(lambda d=d: symmetry_defect(a, b, 6, d), f"need 3 <= d <= n, got d={d}, n=6")
                  for d in (-1, 0, 1, 2, 7)]
+    # an n or d that is no int is named by the int rule of check_mds_params
+    refusals += [(lambda: symmetry_defect(a, b, 6, 4.0), "d must be an int, got 4.0"),
+                 (lambda: symmetry_defect(a, b, True, 4), "n must be an int, got True"),
+                 (lambda: symmetry_defect(a, b, np.int64(6), 4),
+                  f"n must be an int, got {np.int64(6)!r}")]
     for call, message in refusals:
         with pytest.raises(ValueError) as err:
             call()

@@ -22,7 +22,7 @@ from mdscosets.geometry import (Arc, bisecant_census, conic_census_formulas, con
                                 hyperoval_points, shortened_conic,
                                 shortened_conic_census_formulas)
 from mdscosets.gf import GF, field_of_order
-from mdscosets.mds import _family_code
+from mdscosets.mds import _family_code, _family_layout
 from class_rows import rows_of
 from oracle import (brute_bisecant_classes, det3, field_of, line_through,
                     normalize, plane_points, unisecants_through)
@@ -79,7 +79,7 @@ def test_conic_is_an_arc_and_matches_parity_columns():
             arc = geometry._named_arc(f, name)
             assert arc.points == columns[:n], (q, name)
             if n >= 4:
-                H = _family_code(f, family, 4, n, (), DEFAULT_BUDGET)[0].H
+                H = _family_code(f, _family_layout(q, family, 4, n, ()), DEFAULT_BUDGET).H
                 assert [normalize(f, col) for col in H.T.tolist()] == arc.points
 
 

@@ -10,7 +10,8 @@ from oracle import brute_codeword_weights, brute_table, field_of
 
 def family_code(field, family, d=None, removed=()):
     """The family code as build_code builds it, not yet certified."""
-    return mds._family_code(field, family, d, None, removed, DEFAULT_BUDGET)[0]
+    return mds._family_code(field, mds._family_layout(field.q, family, d, None, removed),
+                            DEFAULT_BUDGET)
 
 
 def test_gdrs_matrix_layout():
@@ -42,6 +43,33 @@ def test_gdrs_rejections():
         build_code(f5, "gdrs", 2)
     with pytest.raises(ValueError, match=r"need 3 <= d <= n, got d=7, n=6"):
         build_code(f5, "gdrs", 7)  # d > q + 1
+
+
+def test_family_layout_is_the_recipe():
+    # d resolved and every dropped column listed, from the numbers alone
+    assert mds._family_layout(5, "gdrs", 4, 5, (1,)) == mds.MdsConstruction("gdrs", 5, 4, (1, 5))
+    assert mds._family_layout(4, "gtrs", None, None, ()) == mds.MdsConstruction("gtrs", 4, 4, ())
+    code, recipe = build_code(field_of_order(5), "gdrs", 4, removed=[2])
+    assert recipe == mds._family_layout(5, "gdrs", 4, None, [2])
+    assert code.H.tolist() == family_code(field_of_order(5), "gdrs", 4, [2]).H.tolist()
+
+
+def test_removed_columns_and_n_must_be_integers():
+    # int() read 2.7 and True as column 2 and 1, and '1' as 1; range()
+    # refused n = 5.0 with a TypeError
+    f5 = field_of_order(5)
+    for removed in ([2.7], [True], ["1"]):
+        with pytest.raises(ValueError) as err:
+            build_code(f5, "gdrs", 4, removed=removed)
+        assert str(err.value) == f"a removed column must be an integer, got {removed[0]!r}"
+    for n in (5.0, False, "5"):
+        with pytest.raises(ValueError) as err:
+            build_code(f5, "gdrs", 4, n=n)
+        assert str(err.value) == f"n must be an integer, got {n!r}"
+    # integer types are read as ints
+    code, recipe = build_code(f5, "gdrs", 4, n=np.int64(5), removed=[np.int16(2)])
+    assert recipe == mds.MdsConstruction("gdrs", 5, 4, (2, 5))
+    assert type(recipe.removed[0]) is int and code.n == 4
 
 
 def test_gtrs_examples():
