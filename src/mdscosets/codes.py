@@ -16,18 +16,19 @@ index that gives each row its class; the table itself is dropped.  At
 wmax = n it is the full coset census, at smaller wmax the low-weight
 census, where a syndrome no vector of weight <= wmax reaches has weight
 -1.  At wmax >= n - k it reaches every syndrome, and the first such
-census of a LinearCode leaves it its coset classes as a memo, from which
-the minimum distance, the covering radius, the leader profile (how many
-cosets of each weight W have each number B_W of minimum-weight vectors)
-and the distinct prefixes B_0..B_{n-k-1} of the weight-2 cosets are
-read.  A code asked for these before any census reached n - k runs one
-at n - k, so no code runs the kernel twice for them: a census that
-comes first, from the code's own run or from a prefix of a longer
-code's run, fills the memo.  Each column is admitted through the sums
-over the lines through its point (see _syndrome_trellis), about three
-passes over each weight row it updates whatever q is.  A vector on j
-coordinates weighs at most j, so column j updates only the rows of
-weight 1 to min(wmax, j).  The budget counts
+census of a LinearCode, as it is built, checks that and leaves the code
+its coset classes as a memo, from which the minimum distance, the
+covering radius, the leader profile (how many cosets of each weight W
+have each number B_W of minimum-weight vectors) and the distinct
+prefixes B_0..B_{n-k-1} of the weight-2 cosets are read.  A code asked
+for these before any census reached n - k runs one at n - k, so no code
+runs the kernel twice for them: a census that comes first, from the
+code's own run or from a prefix of a longer code's run, fills the memo.
+Each column is admitted through the sums over the lines through its
+point (see _syndrome_trellis), about three passes over each weight row
+it updates whatever q is.  A vector on j coordinates weighs at most j,
+so column j updates only the rows of weight 1 to min(wmax, j).  The
+budget counts
 n*wmax*(1 + (q^(n-k)-1)/(q-1)) steps per census, an upper bound on the
 row entries updated, not q^n vector visits, and a run that fits it
 holds at most budget/n + 1 + (q^(n-k)-1)/(q-1) table entries.  Every
@@ -207,7 +208,7 @@ class LinearCode:
         self.budget = budget
         self.field = field
         self.k = self.n - nrows
-        self._classes: list[CosetClass] | None = None  # see _census_from_table
+        self._classes: list[CosetClass] | None = None  # see CosetCensus
 
     @property
     def r(self) -> int:
@@ -505,6 +506,8 @@ class CosetCensus:
     row is all zero.  The table is sorted once into `classes`, the rows
     sharing one (weight, B_0..B_wmax) in that order, and dropped;
     `index[row]` is each census row's class, in the narrowest unsigned type.
+    The first census of a code that reaches weight n - k must reach every
+    syndrome, and leaves the code its classes as the memo.
     """
 
     def __init__(self, code: LinearCode, table: np.ndarray):
@@ -545,6 +548,9 @@ class CosetCensus:
             _require(all(c.distribution.total() == q**k for c in self.classes),
                      "a census class does not hold q^k vectors")
         _require(self.count_of_weight(0) == 1, "census needs exactly one weight-0 coset")
+        if code._classes is None and self.wmax >= code.r:
+            _require(self.count_of_weight(-1) == 0, "a syndrome is unreached at weight n-k")
+            code._classes = self.classes
 
     def classes_of_weight(self, W: int) -> list[CosetClass]:
         return [c for c in self.classes if c.weight == W]
@@ -567,16 +573,6 @@ class CosetCensus:
         return self.classes[self.index[syndrome_row(self.code.field, labels)]].distribution
 
 
-def _census_from_table(code: LinearCode, table: np.ndarray) -> CosetCensus:
-    """The census of a trellis table of the code.  The first census of the
-    code that reaches weight n-k leaves the code its classes as the memo."""
-    census = CosetCensus(code, table)
-    if code._classes is None and census.wmax >= code.r:
-        _require(census.count_of_weight(-1) == 0, "a syndrome is unreached at weight n-k")
-        code._classes = census.classes
-    return census
-
-
 def _prefix_censuses(code: LinearCode, lengths: list[int], wmax: int) -> list[CosetCensus]:
     """The census at weight min(wmax, n) of the code on the first n
     columns of `code`'s H, for each n of `lengths`, ascending: one trellis
@@ -589,8 +585,8 @@ def _prefix_censuses(code: LinearCode, lengths: list[int], wmax: int) -> list[Co
     # each snapshot is classed before the kernel resumes and writes the
     # next columns over it: a snapshot is the working table, and a census
     # keeps nothing of it
-    return [_census_from_table(code if n == code.n else
-                               LinearCode(code.field, code.H[:, :n], code.budget), table)
+    return [CosetCensus(code if n == code.n else
+                        LinearCode(code.field, code.H[:, :n], code.budget), table)
             for n, table in zip(lengths, _syndrome_trellis(code, wmax, lengths))]
 
 

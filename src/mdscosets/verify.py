@@ -81,7 +81,8 @@ class DeskCache:
     family length runs on to the full-length parent, whose low-weight
     census leaves its memo and is dropped.  Every code of the run, the
     parent included, is certified from its memo when the chain is added.
-    The triply-extended code is a chain of its own.  `code` hands out the
+    The triply-extended code is a chain of its own, added wherever its
+    length fits, with or without a gdrs code of its d.  `code` hands out the
     cache's own codes, keyed by recipe, and builds (once, by build_code)
     only the others.
     `census` is keyed by code, so each code's kernel runs happen once per
@@ -102,9 +103,8 @@ class DeskCache:
                 longest += 1
             top = min(length, longest)  # the longest gdrs corpus code
             for d in self.ds:
-                if d > top and d >= 3:
-                    continue  # no corpus code; a d below 3 goes on to its refusal
-                self._add_chain(fld, "gdrs", d, list(range(d, top + 1)))
+                if d <= top or d < 3:  # a d below 3 goes on to its refusal
+                    self._add_chain(fld, "gdrs", d, list(range(d, top + 1)))
                 if has_triple_extension(q, d) and family_length("gtrs", q) <= longest:
                     self._add_chain(fld, "gtrs", d, [family_length("gtrs", q)])
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -676,18 +677,18 @@ def test_criterion_2_counts_the_tuples_it_compares(capsys):
                                        "double-sum rows equal single-sum rows")
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (("--q", "2"), "162e44611342674d26e10c548ab57c3bc9047b4765f2cb205a12b9e0a375b526"),
+@pytest.mark.parametrize("argv, digest, checked", [
+    (("--q", "2"), "781b258d26891f8b2365d67763f40144129c5f6a316396d84bd047c97f71483e", 2),
     (("--q", "3", "--d", "4"),
-     "8c4d0e36fa7c18e0f1a242d37b4c9e31f1a776baa695b357b21515191b006e79"),
+     "8c4d0e36fa7c18e0f1a242d37b4c9e31f1a776baa695b357b21515191b006e79", 1),
 ], ids=["q2", "q3-d4"])
-def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest):
-    # at q = 2 the corpus skips every d > q+1, the triply-extended d = 4
-    # included (the corpus adds it only next to a gdrs code of its d);
-    # d = q+1 keeps one code
+def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
+    # at q = 2 the corpus skips every gdrs d > q+1 but keeps the
+    # triply-extended [4,1,4]_2 beside the d = 3 code; at q = 3, d = q+1
+    # keeps one code
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 0
-    assert "    1 codes checked" in out.splitlines()
+    assert f"    {checked} codes checked" in out.splitlines()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -737,15 +738,57 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["counts"] == ["0", "0", "0", "10", "5", "10"]
 
 
+_DIST_OUT = ("dist", "--closed-form", "d1", "--n", "5", "--d", "4", "--q", "5", "--out")
+
+
 def test_out_to_a_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
     # exit 1 is a refuted claim's; a path that cannot be written is the
     # caller's error, named on stderr with no traceback
-    argv = ("dist", "--closed-form", "d1", "--n", "5", "--d", "4", "--q", "5", "--out")
     missing = tmp_path / "missing" / "dist.json"
-    assert run(capsys, *argv, str(missing)) == (
+    assert run(capsys, *_DIST_OUT, str(missing)) == (
         2, "", f"error: cannot write --out {missing}: No such file or directory\n")
-    assert run(capsys, *argv, str(tmp_path)) == (
+    assert run(capsys, *_DIST_OUT, str(tmp_path)) == (
         2, "", f"error: cannot write --out {tmp_path}: Is a directory\n")
+
+
+def test_out_not_open_to_writing_is_refused(tmp_path, capsys, monkeypatch):
+    # a root user may write anywhere, so a stand-in os.access denies it:
+    # an existing file is asked about itself, a new one its folder, and
+    # neither is created nor truncated
+    asked = []
+
+    def denied(path, mode):
+        asked.append((path, mode))
+        return False
+    monkeypatch.setattr(os, "access", denied)
+    kept, new = tmp_path / "kept", tmp_path / "new"
+    kept.write_text("kept\n")
+    for path, checked in ((kept, kept), (new, tmp_path)):
+        assert run(capsys, *_DIST_OUT, str(path)) == (
+            2, "", f"error: cannot write --out {path}: Permission denied\n")
+        assert asked == [(str(checked), os.W_OK)]
+        asked.clear()
+    assert kept.read_text() == "kept\n" and not new.exists()
+
+
+def test_out_that_fails_at_write_time_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a path that passes the up-front check but cannot be opened, here a
+    # directory with the check switched off, is refused when it is written
+    monkeypatch.setattr(cli, "_check_out", lambda path: None)
+    assert run(capsys, *_DIST_OUT, str(tmp_path)) == (
+        2, "", f"error: cannot write --out {tmp_path}: Is a directory\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("dist", "--closed-form", "d1", "--n", "5", "--d", "4", "--q", "5"), 0),
+    (("covering", "classify", "--family", "gdrs", "--q", "5", "--d", "4", "--remove", "4,5"), 1),
+    (("dist", "--closed-form", "d1", "--n", "5", "--d", "2", "--q", "5"), 2),
+], ids=["ok", "refuted", "usage"])
+def test_entry_exits_with_the_code_main_returns(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "argv", ["mdscosets", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        cli.entry()
+    assert exit_.value.code == code == main(list(argv))
 
 
 def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):

@@ -556,7 +556,7 @@ def _check_memo_against_tallies(code, table):
     r = code.r
     for wmax in range(r, code.n + 1):
         fresh = LinearCode(code.field, code.H)
-        census = codes._census_from_table(fresh, table[:, :wmax + 1])
+        census = CosetCensus(fresh, table[:, :wmax + 1])
         rows = rows_of(census)
         rows = zip(rows.weights.tolist(), rows.table.tolist())
         prefixes = tuple(sorted({tuple(row[:r]) for w, row in rows if w == 2}))
@@ -616,6 +616,31 @@ def test_corrupted_census_table_raises_invariant_error():
     table[7, 3] += 1
     with pytest.raises(InvariantError, match="q\\^k"):
         CosetCensus(code, table)
+
+
+def test_the_first_census_at_n_minus_k_leaves_the_memo():
+    # a census below n-k, or one whose table fails a census check, leaves
+    # a fresh code no memo; the first at n-k sets it, and no later one
+    # replaces it
+    code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
+    table = next(codes._syndrome_trellis(code, code.n, [code.n])).copy()
+    fresh = LinearCode(code.field, code.H)
+    CosetCensus(fresh, table[:, :code.r])
+    assert fresh._classes is None
+    corrupted = table.copy()
+    corrupted[7, 3] += 1
+    with pytest.raises(InvariantError, match="q\\^k"):
+        CosetCensus(fresh, corrupted)
+    unreached = table[:, :code.r + 1].copy()
+    unreached[7] = 0
+    with pytest.raises(InvariantError, match="a syndrome is unreached at weight n-k"):
+        CosetCensus(fresh, unreached)
+    assert fresh._classes is None
+    first = CosetCensus(fresh, table[:, :code.r + 1])
+    assert fresh._classes == first.classes
+    for wmax in range(code.r, code.n + 1):
+        CosetCensus(fresh, table[:, :wmax + 1])
+        assert fresh._classes is first.classes, wmax
 
 
 def test_low_weight_census_matches_full_census():

@@ -8,6 +8,7 @@ import pytest
 from mdscosets.codes import BudgetExceededError, LinearCode, coset_census
 from mdscosets.covering import (count_deep_hole_cosets, mcf_classify,
                                 mu_density_closed_form, saturating_set_report)
+from mdscosets.geometry import Arc, bisecant_census
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
 from oracle import field_of, generator_matrix, syndrome
@@ -142,6 +143,31 @@ def test_deep_hole_count_holds_below_half_the_odd_conic(q):
     for delta in range(1, (q - 1) // 2):
         code, cons = build_code(f, "gdrs", 4, removed=rng.sample(range(q + 1), delta))
         assert count_deep_hole_cosets(code, cons, parent_R).count == (q - 1) * delta
+
+
+def test_d4_deep_hole_count_is_q_minus_1_times_the_bisecant_free_points(desk):
+    # at r = 3 a code's columns are an arc, and a point on no bisecant
+    # spans q-1 weight-3 cosets, so a d = 4 code has (q-1)*N_0 of them;
+    # (q-1)*Delta is only a lower bound, met on 5 of the 21 d = 4
+    # removals, and no desk removal code falls below it
+    d4 = [e for e in desk.entries if e.d == 4]
+    assert (len(d4), sum(e.family == "gtrs" for e in d4)) == (26, 1)
+    no_bisecant = {}
+    for entry in d4:
+        code = entry.code
+        N_0 = dict(bisecant_census(Arc(code.field, code.H.T)).classes).get(0, 0)
+        assert desk.census(entry).count_of_weight(3) == (entry.q - 1) * N_0, entry.label
+        no_bisecant[entry.label] = N_0
+    assert no_bisecant["[4,1,4]_5 gdrs"] == 6  # 24 weight-3 cosets, not (q-1)*Delta = 8
+    removals = [e for e in desk.entries if e.delta >= 1]
+    deep = {e.label: sum(e.code.leader_profile().get(e.d - 1, {}).values()) for e in removals}
+    bound = {e.label: (e.q - 1) * e.delta for e in removals}
+    assert len(removals) == 73
+    assert all(deep[label] >= bound[label] for label in deep)
+    d4_removals = [e.label for e in removals if e.d == 4]
+    assert len(d4_removals) == 21
+    assert [label for label in d4_removals if deep[label] == bound[label]] == [
+        "[5,2,4]_5 gdrs", "[6,3,4]_7 gdrs", "[7,4,4]_7 gdrs", "[7,4,4]_9 gdrs", "[8,5,4]_9 gdrs"]
 
 
 def test_deep_hole_inequality_branch_for_even_parent():

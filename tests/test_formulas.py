@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -17,6 +18,7 @@ from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, check_mds_params, mds_weight_distribution
 from reference_sums import bw_known_part
+from test_cli import _prime_powers
 
 
 def test_prefix_validation():
@@ -331,6 +333,38 @@ def test_weight2_identical_check():
     with pytest.raises(ValueError) as err:
         weight2_identical_check(4, 6, 5)
     assert str(err.value) == "need 3 <= d <= n, got d=6, n=4"
+
+
+def _divisor_count(m):
+    return sum(1 for i in range(1, m + 1) if m % i == 0)
+
+
+# the full-length gdrs codes of Remark 6.6's survey ladder, as (d, q)
+SURVEY_LADDER = [(d, q) for d, top in ((5, 32), (6, 16), (7, 11))
+                 for q in _prime_powers(top) if d <= q + 1]
+
+
+def test_weight2_classes_of_full_length_codes_on_the_survey_ladder():
+    # empirical, as criterion 9 reports it: with gcd(q-1, d-2) = 1 all
+    # weight-2 cosets share the B_{d-2} that weight2_identical_check
+    # predicts, and with k >= 2 the weight-2 classes are as many as the
+    # divisors of the gcd; the two k = 1 codes are pinned as they are
+    assert len(SURVEY_LADDER) == 27
+    b_low, k1 = {}, {}
+    for d, q in SURVEY_LADDER:
+        code, _ = build_code(field_of_order(q), "gdrs", d)
+        prefixes = code.weight2_prefixes()
+        b_low[d, q] = sorted(p[d - 2] for p in prefixes)
+        gcd = math.gcd(q - 1, d - 2)
+        if gcd == 1:
+            assert b_low[d, q] == [weight2_identical_check(q + 1, d, q).b_low_if_identical], (d, q)
+        if code.k == 1:
+            k1[d, q] = (len(prefixes), _divisor_count(gcd))
+        else:
+            assert len(prefixes) == _divisor_count(gcd), (d, q)
+    assert sum(math.gcd(q - 1, d - 2) == 1 for d, q in SURVEY_LADDER) == 14
+    assert (b_low[5, 32], b_low[6, 9]) == ([145], [8, 9, 10])
+    assert k1 == {(5, 4): (2, 2), (6, 5): (2, 3)}
 
 
 def test_failed_integrality_forces_multiple_census_classes():
