@@ -65,17 +65,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import binom
-from .gf import GF
+from .gf import GF, InvariantError
 
 DEFAULT_BUDGET = 200_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """A count would exceed its work budget or the int64 range."""
-
-
-class InvariantError(RuntimeError):
-    """A computed result breaks an identity that every correct result satisfies."""
 
 
 def _require(ok: bool, what: str) -> None:

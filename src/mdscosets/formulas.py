@@ -30,10 +30,10 @@ whole-row passes (`map`, `itertools.accumulate`), so a row set of
 O(n-d+2) entries besides its rows; the double sum takes one binomial,
 to seed K_w, and the single sum none besides its d-1 omega seeds.
 
-Each closed form for weights 1, d-1, 2, d-2 and the mid range is the
-single-sum tail at the prefix its theorem fixes (B_1 = 1; all zero;
-B_2 = 1 and B_{d-2}; B_{d-2}; the unique leader's B_W = 1 and the
-knowns), so it is `bonneau_transformed` at that prefix by construction.
+Each closed form for weights 1, d-1, 2, d-2 and the mid range calls
+`bonneau_transformed` at the prefix its theorem fixes (B_1 = 1; all
+zero; B_2 = 1 and B_{d-2}; B_{d-2}; the unique leader's B_W = 1 and the
+knowns), so both forms and the closed forms share one evaluation path.
 The tests check each one against the paper's terms, evaluated as
 independent sums, and criterion 3 checks the weight-1 and weight-(d-1)
 forms against exact censuses.
@@ -118,20 +118,6 @@ class LowWeightPrefix:
             raise ValueError("B_0 must be 0 or 1")
 
 
-def _finalize(counts: list[int], q: int, n: int, d: int, strict: bool,
-              what: str) -> WeightDistribution:
-    dist = WeightDistribution(tuple(counts))
-    _require(dist.total() == q ** (n - d + 1), f"distribution from {what} does not total q^k")
-    if strict and not dist.is_nonnegative():
-        w = next(w for w, c in enumerate(counts) if c < 0)
-        try:
-            value = f"{counts[w]}"
-        except ValueError:  # past Python's int-to-str digit limit: its size instead
-            value = f"-(a {_digit_count(counts[w])}-digit number)"
-        raise InconsistentPrefixError(f"inconsistent {what}: computed B_{w} = {value} < 0")
-    return dist
-
-
 def _digit_count(x: int) -> int:
     """Decimal digits of x != 0, without converting it to a string: with
     t = floor(log10(2) * bit_length), |x| has t digits or t + 1."""
@@ -213,34 +199,46 @@ def _tail(rows: Rows, counts) -> list[int]:
     return tail
 
 
-def _from_prefix(n: int, d: int, q: int, known: dict[int, int], strict: bool,
-                 what: str) -> WeightDistribution:
-    """B_0..B_n of a coset from the entries `known` (v: B_v, the others 0)
-    of its prefix B_0..B_{d-2}: the prefix, laid out only after the rows
-    are charged, then the single-sum tail at it."""
-    rows = _single_sum_rows(n, d, q)
-    B = [known.get(v, 0) for v in range(d - 1)]
-    return _finalize(B + _tail(rows, B), q, n, d, strict, what)
+def _distribution(prefix: LowWeightPrefix, rows: Rows, strict: bool) -> WeightDistribution:
+    """B_0..B_n of a coset: its prefix, then the tail of `rows` at it."""
+    n, d, q = prefix.n, prefix.d, prefix.q
+    counts = list(prefix.counts) + _tail(rows, prefix.counts)
+    dist = WeightDistribution(tuple(counts))
+    _require(dist.total() == q ** (n - d + 1), "distribution from prefix does not total q^k")
+    if strict and not dist.is_nonnegative():
+        w = next(w for w, c in enumerate(counts) if c < 0)
+        try:
+            value = f"{counts[w]}"
+        except ValueError:  # past Python's int-to-str digit limit: its size instead
+            value = f"-(a {_digit_count(counts[w])}-digit number)"
+        raise InconsistentPrefixError(f"inconsistent prefix: computed B_{w} = {value} < 0")
+    return dist
 
 
 def bonneau_transformed(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Full coset distribution from its low-weight prefix, single-sum form."""
-    n, d, q = prefix.n, prefix.d, prefix.q
-    B = list(prefix.counts) + _tail(_single_sum_rows(n, d, q), prefix.counts)
-    return _finalize(B, q, n, d, strict, "prefix")
+    return _distribution(prefix, _single_sum_rows(prefix.n, prefix.d, prefix.q), strict)
 
 
 def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Same distribution through the classical double-sum form."""
-    n, d, q = prefix.n, prefix.d, prefix.q
-    B = list(prefix.counts) + _tail(_double_sum_rows(n, d, q), prefix.counts)
-    return _finalize(B, q, n, d, strict, "prefix")
+    return _distribution(prefix, _double_sum_rows(prefix.n, prefix.d, prefix.q), strict)
+
+
+def _at_prefix(n: int, d: int, q: int, known: dict[int, int],
+               strict: bool = True) -> WeightDistribution:
+    """bonneau_transformed at the prefix B_0..B_{d-2} whose entries are
+    `known` (v: B_v, the others 0), laid out only after the rows are
+    charged."""
+    _single_sum_rows(n, d, q)
+    counts = [known.get(v, 0) for v in range(d - 1)]
+    return bonneau_transformed(LowWeightPrefix(n, d, q, counts), strict)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def dist_weight1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all n(q-1) weight-1 cosets: B_1 = 1."""
-    return _from_prefix(n, d, q, {1: 1}, True, "weight-1 coset parameters")
+    return _at_prefix(n, d, q, {1: 1})
 
 
 def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
@@ -265,7 +263,7 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
     known = dict(zip(range(d - W, d - 1), knowns))
     if low:
         known[W] = 1
-    return _from_prefix(n, d, q, known, strict, "mid-weight knowns")
+    return _at_prefix(n, d, q, known, strict)
 
 
 def dist_weight_d2(n: int, d: int, q: int, b_low: int,
@@ -277,14 +275,14 @@ def dist_weight_d2(n: int, d: int, q: int, b_low: int,
     b_low = _as_int(b_low, "B_{d-2}")
     if b_low < 1:
         raise ValueError("a weight-(d-2) coset has B_{d-2} >= 1")
-    return _from_prefix(n, d, q, {d - 2: b_low}, strict, "B_{d-2}")
+    return _at_prefix(n, d, q, {d - 2: b_low}, strict)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
     """The one distribution shared by all weight-(d-1) (farthest-off)
     cosets: B_0..B_{d-2} are all 0."""
-    return _from_prefix(n, d, q, {}, True, "farthest-off parameters")
+    return _at_prefix(n, d, q, {})
 
 
 def dist_weight2(n: int, d: int, q: int, b_low: int,
@@ -296,7 +294,7 @@ def dist_weight2(n: int, d: int, q: int, b_low: int,
     b_low = _as_int(b_low, "B_{d-2}")
     if b_low < 0:
         raise ValueError("B_{d-2} must be non-negative")
-    return _from_prefix(n, d, q, {2: 1, d - 2: b_low}, strict, "B_{d-2}")
+    return _at_prefix(n, d, q, {2: 1, d - 2: b_low}, strict)
 
 
 @dataclass(frozen=True)

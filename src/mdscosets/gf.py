@@ -22,7 +22,9 @@ default_irreducible(p, m).  The fields of one order are isomorphic
 depends on the modulus, and none is offered in its place.
 
 Construction verifies its own tables: the stored generator has exact
-multiplicative order q - 1 and every nonzero element has an inverse.
+multiplicative order q - 1 and every nonzero element has an inverse,
+or InvariantError is raised.  gf imports no other module of the
+package, so the package's one InvariantError is defined here.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ from functools import lru_cache
 import numpy as np
 
 MAX_FIELD_ORDER = 1 << 16
+
+
+class InvariantError(RuntimeError):
+    """A computed result breaks an identity that every correct result satisfies."""
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -146,7 +152,7 @@ class GF:
         for i in range(1, q - 1):
             alog[i] = self._raw_mul(alog[i - 1], self.generator)
         if sorted(alog) != list(range(1, q)):
-            raise AssertionError(f"generator {self.generator} does not have order {q - 1}")
+            raise InvariantError(f"generator {self.generator} does not have order {q - 1}")
         # log[0] is 2(q-1) and the antilog runs over two cycles of q-1 and
         # then zeros, so log[a] + log[b] indexes the product of any a, b, a
         # zero factor landing past the cycles, on 0.  inverse[0] is 0.
@@ -160,7 +166,7 @@ class GF:
         units = np.arange(1, q)
         lacking = units[self.mul_array(units, self.inv_array(units)) != 1]
         if lacking.size:
-            raise AssertionError(f"element {lacking[0]} of GF({q}) lacks an inverse")
+            raise InvariantError(f"element {lacking[0]} of GF({q}) lacks an inverse")
 
     def add_array(self, a, b) -> np.ndarray:
         """Elementwise sums of two label arrays (broadcast), digit by digit

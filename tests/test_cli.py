@@ -336,7 +336,7 @@ def test_dist_mid_honors_loose(capsys):
     argv = ("dist", "--closed-form", "mid", "--n", "10", "--d", "7", "--q", "9",
             "--W", "2", "--knowns", "99999")
     assert run(capsys, *argv) == (
-        2, "", "error: inconsistent mid-weight knowns: computed B_6 = -499855 < 0\n")
+        2, "", "error: inconsistent prefix: computed B_6 = -499855 < 0\n")
     code, out, err = run(capsys, *argv, "--loose")
     assert (code, err) == (0, "")
     assert " -499855" in out and out.endswith("  (inconsistent)\n")
@@ -352,7 +352,7 @@ def test_an_inconsistent_count_past_the_digit_limit_is_named_by_its_size(capsys)
     code, out, err = run(capsys, "dist", "--closed-form", "d2", "--n", "1500", "--d", "5",
                          "--q", "1499", "--b", "9" * 4299)
     assert (code, out) == (2, "")
-    assert err == "error: inconsistent B_{d-2}: computed B_4 = -(a 4303-digit number) < 0\n"
+    assert err == "error: inconsistent prefix: computed B_4 = -(a 4303-digit number) < 0\n"
     assert run(capsys, "dist", "--bonneau", "--prefix", "0,0,50", "--n", "5", "--d", "4",
                "--q", "5") == (2, "", "error: inconsistent prefix: computed B_3 = -140 < 0\n")
 

@@ -56,6 +56,13 @@ def test_mu_density_closed_form_refuses_outside_its_domain(args, got):
     assert str(err.value) == f"need mu >= 1 and q^(n-k)-1-n(q-1) >= 1 weight-2 cosets, got {got}"
 
 
+def test_mu_density_closed_form_at_the_edges_of_its_domain():
+    # mu = 1, and a code with exactly one weight-2 coset (27-1-14 = 12 and
+    # 8-1-6 = 1 weight-2 cosets): each bound admits its least value
+    assert mu_density_closed_form(7, 4, 3, 1) == 7
+    assert mu_density_closed_form(6, 3, 2, 2) == Fraction(15, 2)
+
+
 def test_mu_density_closed_form_refuses_a_parameter_that_is_no_int():
     # a bool or a float read as a number gave 20/13 or a TypeError
     for args, message in [((5, 2, 5, True), "mu must be an int, got True"),

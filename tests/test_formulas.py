@@ -330,9 +330,59 @@ def test_weight2_identical_check():
     # n = q+1 with gcd(q-1, d-2) = 1 always satisfies the condition
     for (q, d) in [(8, 5), (9, 5), (11, 5), (8, 6)]:
         assert weight2_identical_check(q + 1, d, q).condition_holds
+    # with only one of the two, C(n-2,d-2)/(q-1) = 1/4 may fail it, and
+    # nothing is raised
+    for n, d, q in [(6, 6, 5), (5, 5, 5)]:
+        assert (n == q + 1) != (math.gcd(q - 1, d - 2) == 1)
+        assert weight2_identical_check(n, d, q) == (
+            formulas.Weight2IdentityCondition(False, Fraction(1, 4)))
     with pytest.raises(ValueError) as err:
         weight2_identical_check(4, 6, 5)
     assert str(err.value) == "need 3 <= d <= n, got d=6, n=4"
+
+
+def test_digit_count_at_powers_of_ten():
+    # 10^k has k+1 digits and 10^k - 1 has k, past the 4300-digit str limit too
+    for k in [*range(80), 4299, 4300, 4301, 4400]:
+        for sign in (1, -1):
+            assert formulas._digit_count(sign * 10**k) == k + 1, (sign, k)
+            if k:
+                assert formulas._digit_count(sign * (10**k - 1)) == k, (sign, k)
+
+
+def test_each_closed_form_is_the_transformed_form_after_its_row_charge(monkeypatch):
+    # every closed form charges its rows, then lays out its theorem's prefix,
+    # then returns bonneau_transformed at it
+    events = []
+    rows, prefix, transformed = (formulas._single_sum_rows, formulas.LowWeightPrefix,
+                                 formulas.bonneau_transformed)
+
+    def charged(n, d, q):
+        events.append("rows")
+        return rows(n, d, q)
+
+    def laid_out(n, d, q, counts):
+        events.append("prefix")
+        return prefix(n, d, q, counts)
+
+    def at(p, strict=True):
+        events.append(("transformed", p.counts, strict))
+        return transformed(p, strict)
+    monkeypatch.setattr(formulas, "_single_sum_rows", charged)
+    monkeypatch.setattr(formulas, "LowWeightPrefix", laid_out)
+    monkeypatch.setattr(formulas, "bonneau_transformed", at)
+    n, d, q = 9, 7, 8
+    for call, counts, strict in [
+            (lambda: dist_weight1.__wrapped__(n, d, q), (0, 1, 0, 0, 0, 0), True),
+            (lambda: dist_weight_d1.__wrapped__(n, d, q), (0,) * 6, True),
+            (lambda: dist_weight2(n, d, q, 3, strict=False), (0, 0, 1, 0, 0, 3), False),
+            (lambda: dist_weight_d2(n, d, q, 4), (0, 0, 0, 0, 0, 4), True),
+            (lambda: dist_weight_mid(n, d, q, 2, [5]), (0, 0, 1, 0, 0, 5), True),
+            (lambda: dist_weight_mid(n, d, q, 4, [1, 2, 3]), (0, 0, 0, 1, 2, 3), True)]:
+        events.clear()
+        got = call()
+        assert events == ["rows", "prefix", ("transformed", counts, strict), "rows"]
+        assert got == transformed(prefix(n, d, q, counts), strict)
 
 
 def _divisor_count(m):

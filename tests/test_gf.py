@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from mdscosets import InvariantError
 from mdscosets.gf import GF, check_field_order, default_irreducible, field_of_order
 from oracle import Field, field_of
 
@@ -204,3 +205,26 @@ def test_generator_has_exact_order(q):
     assert x == 1
     assert seen == set(range(1, f.q))
 
+
+class _NoElementOfFullOrder(GF):
+    """GF(q) whose powers never read as 1, so the least candidate, 1, is
+    taken as the generator."""
+
+    def _raw_pow(self, a, e):
+        return 0
+
+
+class _NoInverses(GF):
+    """GF(q) whose inverse lookup maps every element to 1."""
+
+    def inv_array(self, a):
+        return np.ones_like(a)
+
+
+def test_field_construction_checks_its_own_tables():
+    with pytest.raises(InvariantError) as err:
+        _NoElementOfFullOrder(5)
+    assert str(err.value) == "generator 1 does not have order 4"
+    with pytest.raises(InvariantError) as err:
+        _NoInverses(9)
+    assert str(err.value) == "element 2 of GF(9) lacks an inverse"

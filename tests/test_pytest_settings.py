@@ -1,11 +1,16 @@
 """The suite's own pytest settings, run on a throwaway test file in a
 fresh pytest process."""
 
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import conftest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING_PROPERTY = '''
 from hypothesis import given, settings, strategies as st
@@ -35,3 +40,37 @@ def test_a_failing_property_test_is_a_plain_failure(tmp_path):
     assert done.returncode == 1, report
     assert "INTERNALERROR" not in report
     assert "1 failed, 1 passed" in done.stdout, report
+
+
+ENDLESS_LOOP = '''
+def test_loops_forever():
+    while True:
+        pass
+
+
+def test_after():
+    pass
+'''
+
+
+def test_a_test_past_the_time_limit_fails_and_the_run_goes_on(tmp_path):
+    # the suite's conftest, its limit cut from TIME_LIMIT_S to 1 s, runs a
+    # Python-level endless loop: that test fails and the next one runs
+    limit = f"TIME_LIMIT_S = {conftest.TIME_LIMIT_S}\n"
+    source = Path(conftest.__file__).read_text()
+    assert source.count(limit) == 1
+    (tmp_path / "conftest.py").write_text(source.replace(limit, "TIME_LIMIT_S = 1\n"))
+    (tmp_path / "test_loop.py").write_text(ENDLESS_LOOP)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_loop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120, env=env)
+    elapsed = time.perf_counter() - start
+    report = done.stdout + done.stderr
+    assert done.returncode == 1, report
+    assert "TimeoutError: test phase ran past TIME_LIMIT_S = 1 s" in done.stdout, report
+    assert "1 failed, 1 passed" in done.stdout, report
+    assert elapsed < 30, report
