@@ -45,12 +45,10 @@ the rows of either form and the two distributions, keeps the entry of
 the last (n, d, q) asked for (ROW_CACHE_SIZE = 1).  A stream of `dist`
 queries asks for one (n, d, q) at a time, every prefix and closed form
 of it in a row: with four prefixes per (n, d, q), 3 of 4 weight-1 and
-weight-(d-1) calls hit.  `verify` does not: criteria 1 and 3 each walk
-the corpus and criterion 2 builds both forms once for each of its 436
-tuples, so one full run misses the single-sum rows 614 times (the 436
-tuples, then the 89 desk codes twice) and the double-sum rows 436
-times, and criterion 3 asks for each desk (n, d, q)'s two distributions
-at most once, so their caches neither help nor cost it.
+weight-(d-1) calls hit.  `verify` does not: each criterion misses the
+rows once for each code or tuple it reads, and criterion 3 asks for
+each desk (n, d, q)'s two distributions at most once, so their caches
+neither help nor cost it.
 
 Every entry first refuses parameters no MDS code has by `check_mds_params`
 (dist_weight1 and dist_weight_d1 in the row charge, their first work),
@@ -73,8 +71,8 @@ from operator import add, floordiv, mul, sub
 
 from .codes import WeightDistribution, _as_int, _check_ints, _require
 from .combinat import binom, omega
-from .mds import (_check_design_distance, _check_formula_rows, check_mds_params,
-                  mds_weight_distribution)
+from .mds import (_check_design_distance, _check_formula_rows, _check_least_d,
+                  check_mds_params, mds_weight_distribution)
 
 ROW_CACHE_SIZE = 1  # (n, d, q) row sets kept per form
 
@@ -269,9 +267,7 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
 def dist_weight_d2(n: int, d: int, q: int, b_low: int,
                    strict: bool = True) -> WeightDistribution:
     """Coset distribution of a weight-(d-2) coset from its B_{d-2} alone."""
-    check_mds_params(n, d, q)
-    if d < 4:
-        raise ValueError(f"need d >= 4, got {d}")
+    _check_least_d(n, d, q, 4)
     b_low = _as_int(b_low, "B_{d-2}")
     if b_low < 1:
         raise ValueError("a weight-(d-2) coset has B_{d-2} >= 1")
@@ -288,9 +284,7 @@ def dist_weight_d1(n: int, d: int, q: int) -> WeightDistribution:
 def dist_weight2(n: int, d: int, q: int, b_low: int,
                  strict: bool = True) -> WeightDistribution:
     """Coset distribution of a weight-2 coset (d >= 5) from its B_{d-2}."""
-    check_mds_params(n, d, q)
-    if d < 5:
-        raise ValueError(f"need d >= 5, got {d}")
+    _check_least_d(n, d, q, 5)
     b_low = _as_int(b_low, "B_{d-2}")
     if b_low < 0:
         raise ValueError("B_{d-2} must be non-negative")
@@ -335,9 +329,7 @@ def symmetry_defect(dist_a: WeightDistribution, dist_b: WeightDistribution,
 def weight2_aggregate(n: int, d: int, q: int) -> int:
     """Total number of weight-(d-2) vectors over all weight-2 cosets:
     (q-1) C(n,2) C(n-2,d-2), valid for d >= 5."""
-    check_mds_params(n, d, q)
-    if d < 5:
-        raise ValueError(f"need d >= 5, got {d}")
+    _check_least_d(n, d, q, 5)
     return (q - 1) * binom(n, 2) * binom(n - 2, d - 2)
 
 
@@ -354,9 +346,7 @@ def weight2_identical_check(n: int, d: int, q: int) -> Weight2IdentityCondition:
     """Integrality of C(n-2,d-2)/(q-1): necessary for all weight-2 cosets
     to have identical distributions.  For n = q+1 with gcd(q-1, d-2) = 1
     the condition always holds."""
-    check_mds_params(n, d, q)
-    if d < 5:
-        raise ValueError(f"need d >= 5, got {d}")
+    _check_least_d(n, d, q, 5)
     value = Fraction(binom(n - 2, d - 2), q - 1)
     holds = value.denominator == 1
     if n == q + 1 and math.gcd(q - 1, d - 2) == 1:

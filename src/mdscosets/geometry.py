@@ -233,7 +233,7 @@ def double_shortened_conic_census_formulas(q: int) -> tuple[tuple[int, int], ...
 
 
 def hyperoval_census_formulas(q: int) -> tuple[tuple[int, int], ...]:
-    if q % 2:
+    if not has_triple_extension(q, 4):
         raise ValueError("hyperovals need even q")
     return (((q + 2) // 2, q * q - 1),)
 

@@ -34,8 +34,10 @@ instead of trusting the construction.
 recurrence in O(n) big-integer steps.  The cache keeps the last row
 (WEIGHT_DIST_CACHE_SIZE = 1); the single-sum formula rows are its only
 reader in the library.  `check_mds_params` is the one place that refuses
-parameters no MDS code has; `_check_formula_rows` adds the rows' bits,
-charged to codes._charge, at the top of each row builder.
+parameters no MDS code has: any outside 3 <= d <= n <= q+2, and d = 3 and
+d = q+1 at n = q+2 (MacWilliams and Sloane, ch. 11).  `_check_least_d`
+adds a closed form's floor on d, and `_check_formula_rows` the rows'
+bits, charged to codes._charge, at the top of each row builder.
 """
 
 from __future__ import annotations
@@ -86,20 +88,14 @@ def has_triple_extension(q: int, d: int) -> bool:
     return d == 4 and q % 2 == 0
 
 
-def _extended_rows(field: GF, d: int) -> np.ndarray:
-    """The d-1 rows of the doubly-extended matrix, for any d >= 2."""
+def _family_rows(field: GF, family: str, d: int) -> np.ndarray:
+    """The d-1 doubly-extended rows, and for gtrs (d = 4) the nucleus column."""
     alphas = np.arange(1, field.q)
     rows = np.zeros((d - 1, family_length("gdrs", field.q)), dtype=np.int64)
     rows[0, :-2] = 1
     for t in range(1, d - 1):
         rows[t, :-2] = field.mul_array(rows[t - 1, :-2], alphas)
     rows[0, -2] = rows[d - 2, -1] = 1
-    return rows
-
-
-def _family_rows(field: GF, family: str, d: int) -> np.ndarray:
-    """The doubly-extended rows, and for gtrs (d = 4) the nucleus column."""
-    rows = _extended_rows(field, d)
     if family == "gtrs":
         rows = np.column_stack([rows, (0, 1, 0)])
     return rows
@@ -123,8 +119,17 @@ def check_mds_params(n: int, d: int, q: int) -> None:
     _check_design_distance(n, d)
     if n > q + 2:
         raise ValueError(f"no MDS parameters with n={n} > q+2={q + 2}")
+    if n == q + 2 and d in (3, q + 1):  # d <= q by A_{d+1} >= 0 at k >= 2, k <= q-1 by the dual
+        raise ValueError(f"no MDS parameters with n=q+2={n} and d={d}")
     if n >= sys.maxsize:  # a row holds B_0..B_n, and d <= n
         raise ValueError(f"n={n} is too large to index a row (limit n < {sys.maxsize})")
+
+
+def _check_least_d(n: int, d: int, q: int, least: int) -> None:
+    """check_mds_params, then refuse a d below the `least` its caller serves."""
+    check_mds_params(n, d, q)
+    if d < least:
+        raise ValueError(f"need d >= {least}, got {d}")
 
 
 def _check_formula_rows(n: int, d: int, q: int) -> int:

@@ -27,6 +27,7 @@ many things it checked and a failure text for each that fails.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -44,8 +45,8 @@ from .gf import field_of_order
 from .geometry import (_named_arc, bisecant_census, conic_census_formulas,
                        double_shortened_conic_census_formulas,
                        shortened_conic_census_formulas)
-from .mds import (_certify, _family_code, _family_layout, build_code, family_length,
-                  has_triple_extension)
+from .mds import (MdsConstruction, _certify, _family_code, _family_layout, build_code,
+                  check_mds_params, family_length, has_triple_extension)
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
 DESK_DS = (3, 4, 5, 6)
@@ -58,7 +59,7 @@ class CorpusEntry:
     Delta are the recipe's, n is the code's."""
 
     code: LinearCode
-    construction: "mds.MdsConstruction"  # as mds._family_layout lays it out
+    construction: MdsConstruction  # as mds._family_layout lays it out
     q = property(lambda self: self.construction.q)
     d = property(lambda self: self.construction.d)
     n = property(lambda self: self.code.n)
@@ -211,9 +212,13 @@ def criterion_bonneau_equality(cache: DeskCache) -> CriterionResult:
     exactly when their rows K and C agree entry for entry.  That identity
     is decided outright for every MDS (n, d, q) with q in IDENTITY_QS and
     for each corpus code's own (n, d, q); no census is read."""
-    tuples = dict.fromkeys([(n, d, q) for q in IDENTITY_QS
-                            for n in range(3, q + 3) for d in range(3, n + 1)]
-                           + [(entry.n, entry.d, entry.q) for entry in cache.entries])
+    grid = []
+    for q in IDENTITY_QS:
+        for n, d in ((n, d) for n in range(3, q + 3) for d in range(3, n + 1)):
+            with contextlib.suppress(ValueError):  # the tuples check_mds_params admits
+                check_mds_params(n, d, q)
+                grid.append((n, d, q))
+    tuples = dict.fromkeys(grid + [(entry.n, entry.d, entry.q) for entry in cache.entries])
     bad = []
     for n, d, q in tuples:
         double, single = _double_sum_rows(n, d, q), _single_sum_rows(n, d, q)

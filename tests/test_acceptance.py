@@ -127,7 +127,7 @@ def test_criterion_2_names_the_first_differing_row_entry(desk, monkeypatch):
     result = CRITERIA[2][1](desk)
     assert not result.passed
     assert result.lines == [
-        "436 (n, d, q) tuples: rows differ on 1",
+        "417 (n, d, q) tuples: rows differ on 1",
         "(n,d,q)=(12,6,13): coefficient of B_1 at w=5: double sum -329, single sum -330"]
 
 
@@ -147,7 +147,7 @@ def test_criterion_2_reads_no_census(desk, monkeypatch):
     monkeypatch.setattr(DeskCache, "census", refused)
     result = CRITERIA[2][1](desk)
     assert result.passed
-    assert result.lines == ["436 (n, d, q) tuples: double-sum rows equal single-sum rows"]
+    assert result.lines == ["417 (n, d, q) tuples: double-sum rows equal single-sum rows"]
 
 
 def test_criterion_3_closed_forms(desk):
@@ -469,7 +469,7 @@ def test_desk_chains_build_one_family_matrix_each(monkeypatch):
     # building each code apart took 97; each of the 97 codes still checks
     # its rank, and is certified once, the 8 ridden parents included
     calls = Counter()
-    for module, name in ((verify, "_family_code"), (mds, "_extended_rows"), (codes, "_rank"),
+    for module, name in ((verify, "_family_code"), (mds, "_family_rows"), (codes, "_rank"),
                          (verify, "_certify")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -477,7 +477,7 @@ def test_desk_chains_build_one_family_matrix_each(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     cache = DeskCache()
     assert len(cache.entries) == 89
-    assert calls == {"_family_code": 24, "_extended_rows": 24, "_rank": 97, "_certify": 97}
+    assert calls == {"_family_code": 24, "_family_rows": 24, "_rank": 97, "_certify": 97}
 
 
 def test_desk_cache_certifies_each_code_as_it_builds_it(desk, monkeypatch):

@@ -21,26 +21,44 @@ from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
                                 bonneau_original, bonneau_transformed,
                                 dist_weight1, dist_weight2, dist_weight_d1,
                                 dist_weight_d2, dist_weight_mid)
-from mdscosets.mds import mds_weight_distribution
+from mdscosets.mds import check_mds_params, mds_weight_distribution
 from reference_sums import (b_low_term, bw_known_part, bw_prefix_coeff,
                             farthest_off_term, mds_weight_distribution_sum,
                             omega_coeff)
+from sieve import prime_powers
 
 # the stream's extremes, then the boundaries of the MDS range: n = q+2,
 # d = n and q = 2, then a narrow band (n-d+2 = 5) under many columns
-ROW_TUPLES = [(257, 10, 256), (200, 9, 199), (128, 7, 127), (66, 3, 64),
-              (18, 4, 16), (5, 5, 5), (3, 3, 2), (18, 3, 16), (4, 4, 2),
-              (4, 3, 2), (33, 33, 32), (10, 10, 8), (40, 37, 41)]
+ROW_TUPLES = [(257, 10, 256), (200, 9, 199), (128, 7, 127), (66, 4, 64),
+              (18, 4, 16), (5, 5, 5), (3, 3, 2), (18, 16, 16), (4, 4, 2),
+              (5, 5, 3), (33, 33, 32), (10, 10, 8), (40, 37, 41)]
 
 
-def _is_prime_power(q):
-    p = next(f for f in range(2, q + 1) if q % f == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
+PRIME_POWERS = prime_powers(256)
 
 
-PRIME_POWERS = tuple(q for q in range(2, 257) if _is_prime_power(q))
+def _admitted(n, d, q):
+    try:
+        check_mds_params(n, d, q)
+    except ValueError:
+        return False
+    return True
+
+
+def test_refused_n_q_plus_2_tuples_are_those_with_a_negative_count():
+    # an [n, n-d+1, d]_q MDS code and its dual, MDS with distance n-d+2,
+    # need every codeword count A_w >= 0; in 3 <= d <= n <= q+2 that
+    # fails exactly where check_mds_params refuses (n = q+2, d = 3 or q+1)
+    refused = set()
+    for q in prime_powers(16):
+        for n in range(3, q + 3):
+            for d in range(3, n + 1):
+                negative = min(mds_weight_distribution_sum(n, d, q)) < 0 or \
+                    min(mds_weight_distribution_sum(n, n - d + 2, q)) < 0
+                assert _admitted(n, d, q) != negative, (n, d, q)
+                if negative:
+                    refused.add((n, d, q))
+    assert len(refused) == 19
 
 
 @pytest.mark.parametrize("n,d,q", ROW_TUPLES)
@@ -78,7 +96,7 @@ def _assert_charge_covers_the_rows(n, d, q, rows):
 def mds_params(draw):
     q = draw(st.sampled_from(tuple(q for q in PRIME_POWERS if q <= 64)))
     n = draw(st.integers(3, q + 2))
-    d = draw(st.integers(3, min(n, 16)))
+    d = draw(st.integers(3, min(n, 16)).filter(lambda d: _admitted(n, d, q)))
     return n, d, q
 
 
@@ -316,7 +334,7 @@ def test_formula_caches_are_bounded():
 # distinct (n, d) back to back, each with consistent weight-1 and
 # weight-(d-1) forms, which a refusal would leave uncached
 MEMO_TUPLES = [(257, 10, 256), (18, 5, 16), (200, 9, 199), (33, 6, 32),
-               (128, 7, 127), (18, 4, 16), (66, 3, 64)]
+               (128, 7, 127), (18, 4, 16), (66, 4, 64)]
 
 
 def test_stream_builds_rows_and_closed_forms_once_per_tuple():

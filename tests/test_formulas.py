@@ -18,7 +18,7 @@ from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code, check_mds_params, mds_weight_distribution
 from reference_sums import bw_known_part
-from test_cli import _prime_powers
+from sieve import prime_powers
 
 
 def test_prefix_validation():
@@ -391,7 +391,7 @@ def _divisor_count(m):
 
 # the full-length gdrs codes of Remark 6.6's survey ladder, as (d, q)
 SURVEY_LADDER = [(d, q) for d, top in ((5, 32), (6, 16), (7, 11))
-                 for q in _prime_powers(top) if d <= q + 1]
+                 for q in prime_powers(top) if d <= q + 1]
 
 
 def test_weight2_classes_of_full_length_codes_on_the_survey_ladder():

@@ -26,7 +26,7 @@ from mdscosets.mds import _family_code, _family_layout
 from class_rows import rows_of
 from oracle import (brute_bisecant_classes, det3, field_of, line_through,
                     normalize, plane_points, unisecants_through)
-from test_cli import _prime_powers
+from sieve import prime_powers
 
 
 def test_point_normalization():
@@ -68,7 +68,7 @@ def test_conic_is_an_arc_and_matches_parity_columns():
     # (1, a, a^2) for nonzero a ascending, (1, 0, 0), (0, 0, 1), then the
     # nucleus (0, 1, 0), computed in the oracle's field, and, where the
     # family has a code of length n, that code's parity-check columns
-    for q in _prime_powers(32):
+    for q in prime_powers(32):
         f = field_of_order(q)
         F = field_of(f)
         columns = [(1, a, F.mul(a, a)) for a in range(1, q)]
@@ -87,7 +87,7 @@ def test_named_arcs_are_pinned():
     # the points of each named arc for every q <= 64, as the conic's own
     # builder gave them before the arcs were read from the family matrix
     digest = hashlib.sha256()
-    for q in _prime_powers(64):
+    for q in prime_powers(64):
         f = field_of_order(q)
         arcs = [("conic", conic_points(f)), ("conic-minus:1", shortened_conic(f, 1)),
                 ("conic-minus:2", shortened_conic(f, 2))]

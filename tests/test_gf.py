@@ -6,32 +6,12 @@ import pytest
 
 from mdscosets import InvariantError
 from mdscosets.gf import GF, check_field_order, default_irreducible, field_of_order
+import sieve
 from oracle import Field, field_of
 
 
-def _orders(top):
-    """(q, p, m) for every prime power q = p^m <= top, ascending in q, by
-    a sieve that shares nothing with the library's check."""
-    prime = np.ones(top + 1, dtype=bool)
-    prime[:2] = False
-    for f in range(2, int(top ** 0.5) + 1):
-        if prime[f]:
-            prime[f * f::f] = False
-    out = []
-    for p in np.flatnonzero(prime).tolist():
-        q, m = p, 1
-        while q <= top:
-            out.append((q, p, m))
-            q, m = q * p, m + 1
-    return sorted(out)
-
-
-def _prime_powers(lo, hi):
-    return tuple(q for q, _, _ in _orders(hi) if q >= lo)
-
-
 SMALL_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
-LARGE_ORDERS = _prime_powers(17, 256)
+LARGE_ORDERS = tuple(q for q in sieve.prime_powers(256) if q >= 17)
 
 
 def test_prime_field_basics():
@@ -106,7 +86,7 @@ def test_check_field_order_returns_the_prime_and_degree():
 def test_the_field_recipe_is_pinned():
     # every extension modulus up to 65536 and every generator up to 1024:
     # the labels of every field, and so every census digest, rest on them
-    orders = _orders(1 << 16)
+    orders = sieve.orders(1 << 16)
     assert len(orders) == 6542 + 93 and all(check_field_order(q) == (p, m) for q, p, m in orders)
     moduli = "".join(f"{p} {m} {default_irreducible(p, m)}\n" for _, p, m in orders if m >= 2)
     generators = "".join(f"{q} {field_of_order(q).generator}\n"
@@ -157,7 +137,7 @@ def test_field_axioms_exhaustive(q):
                     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
 
 
-@pytest.mark.parametrize("q", _prime_powers(2, 64))
+@pytest.mark.parametrize("q", sieve.prime_powers(64))
 def test_array_ops_match_scalar_ops_and_field_axioms(q):
     # every pair and triple, zero included, under the pinned default
     # modulus; the scalar ops are the oracle's own field, which shares no

@@ -4,6 +4,9 @@ tests read belongs in the tests (see oracle.py), not in `src/`.  Every
 module-level private function, class and constant is read by the
 library itself."""
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import mdscosets
@@ -148,3 +151,26 @@ def test_every_private_name_has_a_reader_in_the_library():
                          for key in ((name, True), (name, False))
                          for enclosing in reads.get(key, []))]
     assert not unread, f"private names the library never reads: {unread}"
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints evaluates each string annotation in its
+    # module: a name the module never imports raises NameError there
+    unresolved = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"mdscosets.{path.stem}")
+        for obj in vars(module).values():
+            if not callable(obj) or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [m.fget if isinstance(m, property) else getattr(m, "__func__", m)
+                            for m in vars(obj).values()
+                            if isinstance(m, (property, staticmethod, classmethod))
+                            or inspect.isfunction(m)]
+            for member in members:
+                try:
+                    typing.get_type_hints(member)
+                except NameError as error:
+                    unresolved.append(f"{member.__qualname__}: {error}")
+    assert not unresolved
