@@ -22,13 +22,14 @@ every point, which the census and the bridge read.
 The arcs of interest are the first n parity-check columns of the
 distance-4 family matrix (mds._family_rows), each named in _arc_layout:
 the conic {(1, t, t^2)} u {(0,0,1)} (gdrs), for even q the regular
-hyperoval (gtrs: the conic plus its nucleus (0,1,0)), and the conic with
-its last one or two points removed.  A bisecant census sorts the points
-off an arc by how many of the arc's bisecants pass through them; the
-census on the code side must match it coset class by coset class, which
-`geometry_code_bridge` verifies by reading the class of every census
-row through the census's index (one row stands for the q-1 syndromes
-lam*pt of a point) and checking them against the tallies as arrays.
+hyperoval (gtrs: the conic plus its nucleus (0,1,0); mds.family_length
+refuses odd q), and the conic with its last one or two points removed.
+A bisecant census sorts the points off an arc by how many of the arc's
+bisecants pass through them; the census on the code side must match it
+coset class by coset class, which `geometry_code_bridge` verifies by
+reading the class of every census row through the census's index (one
+row stands for the q-1 syndromes lam*pt of a point) and checking them
+against the tallies as arrays.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .codes import (DEFAULT_BUDGET, LinearCode, _charge, _label_array, _row_synd
                     census_rows, low_weight_census, syndrome_row)
 from .combinat import binom
 from .gf import GF, check_field_order
-from .mds import _family_rows, family_length, has_triple_extension
+from .mds import _family_rows, family_length
 
 
 WALK_BLOCK_POINTS = 1 << 16  # points a_i + t*a_j per block of the walk
@@ -133,15 +134,13 @@ class Arc:
 
 
 def _arc_layout(name: str, q: int) -> tuple[str, int]:
-    """(family, n) of the arc `name` in PG(2, q): its points are the first
-    n columns of the family's d = 4 matrix.  Every refusal of the name is
-    made here, from the name and q alone, after q itself."""
+    """(family, n) of the arc `name` in PG(2, q), the first n columns of the
+    family's d = 4 matrix.  Each refusal comes from the name and q alone,
+    after q itself; family_length makes the hyperoval's at odd q."""
     check_field_order(q)
     if name == "conic":
         return "gdrs", family_length("gdrs", q)
     if name == "hyperoval":
-        if not has_triple_extension(q, 4):
-            raise ValueError(f"hyperoval requires even q, got q={q}")
         return "gtrs", family_length("gtrs", q)
     remove = None
     if name.startswith("conic-minus:"):
@@ -233,9 +232,8 @@ def double_shortened_conic_census_formulas(q: int) -> tuple[tuple[int, int], ...
 
 
 def hyperoval_census_formulas(q: int) -> tuple[tuple[int, int], ...]:
-    if not has_triple_extension(q, 4):
-        raise ValueError("hyperovals need even q")
-    return (((q + 2) // 2, q * q - 1),)
+    n = family_length("gtrs", q)
+    return ((n // 2, q * q + q + 1 - n),)
 
 
 @dataclass(frozen=True)

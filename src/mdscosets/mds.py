@@ -10,7 +10,7 @@ column multipliers or evaluation orders are offered.  For even q the
 triply-extended d = 4 family ("gtrs") adds the column (0, 1, 0) (the
 nucleus of the conic the first q+1 columns trace out in PG(2, q)) to
 the doubly-extended one ("gdrs").  `family_length` is the one statement
-of each family's length.
+of each family's length, and refuses gtrs at odd q (no hyperoval).
 
 One function, `_family_rows`, builds every full family matrix; at d = 4
 its first n columns are the arcs of PG(2, q) that `geometry` names.
@@ -76,9 +76,11 @@ FAMILIES = tuple(_EXTENSIONS)
 
 def family_length(family: str, q: int) -> int:
     """Length of the family's full code over GF(q): q+1 doubly extended,
-    q+2 triply extended."""
+    q+2 triply extended, which needs even q."""
     if family not in _EXTENSIONS:
         raise ValueError(f"unknown family {family!r} (expected gdrs or gtrs)")
+    if family == "gtrs" and not has_triple_extension(q, 4):
+        raise ValueError(f"hyperoval requires even q, got q={q}")
     return q - 1 + _EXTENSIONS[family]
 
 
@@ -211,8 +213,6 @@ def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
         if d not in (None, 4):
             raise ValueError("the triply-extended family has d = 4")
         d = 4
-        if not has_triple_extension(q, d):
-            raise ValueError(f"triple extension requires even q, got q={q}")
     elif d is None:
         raise ValueError("design distance required")
     check_mds_params(width, d, q)

@@ -99,9 +99,9 @@ class DeskCache:
         for q in self.qs:
             fld = field_of_order(q)
             length = family_length("gdrs", q)
-            longest = 0  # the longest n with q^n <= DESK_AMBIENT_LIMIT
-            while q ** (longest + 1) <= DESK_AMBIENT_LIMIT:
-                longest += 1
+            # the longest n with q^n <= DESK_AMBIENT_LIMIT; q >= 2 keeps n within its bits
+            longest = max(n for n in range(DESK_AMBIENT_LIMIT.bit_length() + 1)
+                          if q ** n <= DESK_AMBIENT_LIMIT)
             top = min(length, longest)  # the longest gdrs corpus code
             for d in self.ds:
                 if d <= top or d < 3:  # a d below 3 goes on to its refusal

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdscosets import cli, codes, mds
+from mdscosets import cli, codes, geometry, mds
 from mdscosets.cli import main
-from mdscosets.gf import GF
+from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import FAMILIES
 from mdscosets.verify import THEOREM_NAMES, DeskCache, deep_hole_equality
 from sieve import prime_powers
@@ -509,6 +509,34 @@ def test_census_geometry_usage_errors_come_before_the_budget_and_the_field(
         2, "", f"error: {text}\n")
 
 
+_LIBRARY_GTRS = {
+    "family_length": lambda q: mds.family_length("gtrs", q),
+    "build_code": lambda q: mds.build_code(field_of_order(q), "gtrs"),
+    "hyperoval_points": lambda q: geometry.hyperoval_points(field_of_order(q)),
+    "hyperoval_census_formulas": geometry.hyperoval_census_formulas,
+}
+_CLI_GTRS = {
+    "census-code": ("census", "code", "--family", "gtrs"),
+    "census-code-d5": ("census", "code", "--family", "gtrs", "--d", "5"),
+    "covering-classify": ("covering", "classify", "--family", "gtrs"),
+    "census-geometry": ("census", "geometry", "--arc", "hyperoval"),
+}
+
+
+@pytest.mark.parametrize("q", [3, 9])
+@pytest.mark.parametrize("entry", [*_LIBRARY_GTRS, *_CLI_GTRS])
+def test_the_triply_extended_family_is_refused_at_odd_q_with_one_text(capsys, entry, q):
+    # mds.family_length makes the one refusal; every library and CLI entry
+    # that reaches the family or its arc, the hyperoval, passes it on
+    text = f"hyperoval requires even q, got q={q}"
+    if entry in _LIBRARY_GTRS:
+        with pytest.raises(ValueError) as err:
+            _LIBRARY_GTRS[entry](q)
+        assert str(err.value) == text
+    else:
+        assert run(capsys, *_CLI_GTRS[entry], "--q", str(q)) == (2, "", f"error: {text}\n")
+
+
 def test_census_geometry_refuses_a_walk_over_the_budget_before_any_field(capsys, monkeypatch):
     # the conic of PG(2, 4096) has C(4097, 2)*4095 walk steps; no field
     # table, plane array or walk step comes before the refusal
@@ -691,7 +719,7 @@ def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
 @pytest.mark.parametrize("fmt, digest", [
     ("table", "f8193725040b046d31b10cfa66dc9fb8604599bf29f6828a3e793b89cd9eb1a1"),
     ("json", "23c3370d09d1d025e42a1b2ef42a75d09881716c106f85f3909a7a24c237c60c"),
-])
+], ids=["table", "json"])
 def test_default_verify_output_is_pinned(capsys, fmt, digest):
     # the whole desk run, byte for byte; criterion 7's refutations make it exit 1
     code, out, _ = run(capsys, "verify", "--format", fmt)

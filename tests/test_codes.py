@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mdscosets import codes
@@ -497,6 +497,42 @@ def test_each_prefix_snapshot_is_a_run_of_the_prefix(code):
         assert snapshots == n + 1, wmax
 
 
+def _takes(code, wmax):
+    """np.take calls of one kernel run on the code, and the count the
+    row skip allows: min(wmax, j) rows for the j-th column if nonzero, as
+    rows above j hold no vector yet, and none for a zero column."""
+    calls = []
+    take = np.take
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return take(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "take", counted)
+        list(codes._syndrome_trellis(code, wmax, [code.n]))
+    return len(calls), sum(min(wmax, j) for j, col in enumerate(code.H.T, 1) if col.any())
+
+
+def test_the_kernel_skips_the_rows_no_column_reaches_on_the_desk(desk):
+    # [7,4,4]_7 takes 1+2+3+3+3+3+3 = 18 rows at wmax = n-k and 28 at n
+    for entry in desk.entries:
+        for wmax in (entry.code.r, entry.n):
+            ran, allowed = _takes(entry.code, wmax)
+            assert ran == allowed, (entry.label, wmax)
+    seven = next(e for e in desk.entries if e.label == "[7,4,4]_7 gdrs")
+    assert [_takes(seven.code, w)[0] for w in (3, 7)] == [18, 28]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(parity_checks())
+@example(LinearCode(field_of_order(3), [[1, 0, 0, 1], [0, 0, 1, 1]]))  # column 2 is zero
+def test_the_kernel_skips_the_rows_no_column_reaches(code):
+    for wmax in range(code.n + 1):
+        ran, allowed = _takes(code, wmax)
+        assert ran == allowed, wmax
+
+
 def test_kernel_refuses_prefix_lengths_outside_the_code():
     code, _ = build_code(field_of_order(5), "gdrs", 4, n=6)
     for lengths in ([], [7], [-1, 3]):
@@ -709,6 +745,14 @@ def test_weight_distribution_type():
     for counts in [(True, 0, 0, 4), (1, 0, 0, 4.0)]:  # a bool is no count, though Python's int
         with pytest.raises(ValueError, match="^weight distribution counts must be ints$"):
             WeightDistribution(counts)
+
+
+def test_a_code_prints_its_length_and_dimension():
+    assert repr(build_code(field_of_order(5), "gdrs", 4)[0]) == "LinearCode([6,3] over GF(5))"
+
+
+def test_the_zero_vector_alone_has_no_positive_weight():
+    assert WeightDistribution((1, 0, 0)).min_positive_weight() is None
 
 
 def test_the_zero_code_has_no_minimum_distance():

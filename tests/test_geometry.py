@@ -385,7 +385,7 @@ def test_census_formulas_refuse_a_q_without_the_arc():
         (lambda: shortened_conic_census_formulas(4), "shortened-conic census formulas need q >= 5"),
         (lambda: double_shortened_conic_census_formulas(5),
          "double-shortened-conic census formulas need q >= 7"),
-        (lambda: hyperoval_census_formulas(5), "hyperovals need even q"),
+        (lambda: hyperoval_census_formulas(5), "hyperoval requires even q, got q=5"),
     ]
     for call, message in refusals:
         with pytest.raises(ValueError) as err:

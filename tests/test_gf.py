@@ -42,6 +42,11 @@ def test_default_moduli_are_pinned():
     assert default_irreducible(2, 4) == (1, 1, 0, 0, 1)
 
 
+def test_a_field_prints_its_order_and_modulus():
+    assert repr(field_of_order(7)) == "GF(7)"
+    assert repr(field_of_order(8)) == "GF(8=2^3, poly=(1, 1, 0, 1))"
+
+
 def test_constructor_rejections():
     with pytest.raises(ValueError):
         GF(6)                      # not a prime power

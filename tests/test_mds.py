@@ -83,7 +83,7 @@ def test_gtrs_examples():
     assert (code8.n, code8.k) == (10, 7)
     assert code8.min_distance() == 4
     assert code8.H[:, -1].tolist() == [0, 1, 0]  # the nucleus
-    with pytest.raises(ValueError, match="triple extension requires even q, got q=5"):
+    with pytest.raises(ValueError, match="hyperoval requires even q, got q=5"):
         build_code(field_of_order(5), "gtrs")
     with pytest.raises(ValueError, match="the triply-extended family has d = 4"):
         build_code(f8, "gtrs", 5)
@@ -228,7 +228,10 @@ def _family_lengths():
 
 def test_family_lengths():
     assert FAMILIES == ("gdrs", "gtrs")
-    assert [family_length(fam, 7) for fam in FAMILIES] == [8, 9]
+    assert [family_length(fam, 8) for fam in FAMILIES] == [9, 10]
+    assert family_length("gdrs", 7) == 8
+    with pytest.raises(ValueError, match="hyperoval requires even q, got q=7"):
+        family_length("gtrs", 7)
     with pytest.raises(ValueError, match="unknown family 'rs'"):
         family_length("rs", 7)
     with pytest.raises(ValueError, match="unknown family 'rs'"):
