@@ -20,21 +20,24 @@ meets none of them, and the same blocks tally the bisecants through
 every point, which the census and the bridge read.
 
 The arcs of interest are the first n parity-check columns of the
-distance-4 family matrix (mds._family_rows), each named in _arc_layout:
-the conic {(1, t, t^2)} u {(0,0,1)} (gdrs), for even q the regular
-hyperoval (gtrs: the conic plus its nucleus (0,1,0); mds.family_length
-refuses odd q), and the conic with its last one or two points removed.
-A bisecant census sorts the points off an arc by how many of the arc's
-bisecants pass through them; the census on the code side must match it
-coset class by coset class, which `geometry_code_bridge` verifies by
-reading the class of every census row through the census's index (one
-row stands for the q-1 syndromes lam*pt of a point) and checking them
-against the tallies as arrays.
+distance-4 family matrix (mds._family_rows): the conic {(1, t, t^2)} u
+{(0,0,1)} (gdrs), for even q the regular hyperoval (gtrs: the conic plus
+its nucleus (0,1,0)), and the conic less its last one or two points.
+_arc_layout is the one rule for where each arc, and so its census
+formula, exists: every *_census_formulas asks it first and refuses what
+`census geometry` refuses.  A bisecant census classes the off-arc points
+by how many of the arc's bisecants pass through them; it and the
+formulas share one class layout, _point_classes (no empty class, equal
+counts merged, largest first).  `geometry_code_bridge` checks the code's
+census against it class by class, reading each census row's class through
+the census's index (one row stands for the q-1 syndromes lam*pt of a
+point) and comparing them with the tallies as arrays.
 """
 
 from __future__ import annotations
 
 import contextlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,56 +187,55 @@ class PointCensus:
     covered: int
 
 
+def _point_classes(pairs) -> tuple[tuple[int, int], ...]:
+    """(bisecant count, points) pairs laid out as census classes: counts
+    with no points dropped, equal counts' points added, largest first."""
+    tally = Counter()
+    for b, npts in pairs:
+        tally[int(b)] += int(npts)
+    return tuple(sorted(((b, c) for b, c in tally.items() if c), reverse=True))
+
+
 def bisecant_census(arc: Arc) -> PointCensus:
     """Class the off-arc points by the bisecant counts the arc's walk
     tallied; those the walk never reached lie on none."""
     counts = arc._counts[1:]  # row 0, the zero syndrome, is no point
     off_arc = counts.size - arc.n
     values, npts = np.unique(counts[counts > 0], return_counts=True)
-    tally = {int(b): int(c) for b, c in zip(values, npts)}
-    reached = int(npts.sum())
-    if off_arc > reached:
-        tally[0] = off_arc - reached
-    return PointCensus(tuple(sorted(tally.items(), reverse=True)), off_arc)
+    return PointCensus(_point_classes([*zip(values, npts), (0, off_arc - npts.sum())]), off_arc)
 
-
-# Predicted censuses for the conic family, per parity of q.
 
 def conic_census_formulas(q: int) -> tuple[tuple[int, int], ...]:
+    _arc_layout("conic", q)
     if q % 2:
-        return (((q + 1) // 2, (q * q - q) // 2),
-                ((q - 1) // 2, (q * q + q) // 2))
-    return ((q // 2, q * q - 1), (0, 1))
+        return _point_classes((((q + 1) // 2, (q * q - q) // 2),
+                               ((q - 1) // 2, (q * q + q) // 2)))
+    return _point_classes(((q // 2, q * q - 1), (0, 1)))
 
 
 def shortened_conic_census_formulas(q: int) -> tuple[tuple[int, int], ...]:
-    if q < 5:
-        raise ValueError("shortened-conic census formulas need q >= 5")
+    _arc_layout("conic-minus:1", q)
     if q % 2:
-        return (((q - 1) // 2, (q * q + q) // 2),
-                ((q - 3) // 2, (q * q - q) // 2),
-                (0, 1))
-    return ((q // 2, q - 1),
-            ((q - 2) // 2, q * q - q),
-            (0, 2))
+        return _point_classes((((q - 1) // 2, (q * q + q) // 2),
+                               ((q - 3) // 2, (q * q - q) // 2), (0, 1)))
+    return _point_classes(((q // 2, q - 1), ((q - 2) // 2, q * q - q), (0, 2)))
 
 
 def double_shortened_conic_census_formulas(q: int) -> tuple[tuple[int, int], ...]:
-    if q < 7:
-        raise ValueError("double-shortened-conic census formulas need q >= 7")
+    _arc_layout("conic-minus:2", q)
     if q % 2:
-        return (((q - 1) // 2, (q + 1) // 2),
-                ((q - 3) // 2, (q - 1) * (q + 4) // 2),
-                ((q - 5) // 2, (q - 1) * (q - 3) // 2),
-                (0, 2))
-    return (((q - 2) // 2, 3 * (q - 1)),
-            ((q - 4) // 2, (q - 1) * (q - 2)),
-            (0, 3))
+        return _point_classes((((q - 1) // 2, (q + 1) // 2),
+                               ((q - 3) // 2, (q - 1) * (q + 4) // 2),
+                               ((q - 5) // 2, (q - 1) * (q - 3) // 2),
+                               (0, 2)))
+    return _point_classes((((q - 2) // 2, 3 * (q - 1)),
+                           ((q - 4) // 2, (q - 1) * (q - 2)),
+                           (0, 3)))
 
 
 def hyperoval_census_formulas(q: int) -> tuple[tuple[int, int], ...]:
-    n = family_length("gtrs", q)
-    return ((n // 2, q * q + q + 1 - n),)
+    _, n = _arc_layout("hyperoval", q)
+    return _point_classes(((n // 2, q * q + q + 1 - n),))
 
 
 @dataclass(frozen=True)
@@ -258,6 +260,8 @@ def geometry_code_bridge(arc: Arc) -> BridgeReport:
     class, that an off-arc point on b >= 1 bisecants yields q-1 cosets of
     weight 2 with B_2 = b, and a point on none yields q-1 weight-3 cosets.
     Arc points themselves must yield the weight-1 cosets."""
+    if arc.n < 3:  # fewer columns than the 3 parity checks of a point
+        raise ValueError(f"the bridge needs at least 3 arc points, got {arc.n}")
     f = arc.field
     q = f.q
     code = LinearCode(f, np.transpose(arc.points))

@@ -257,21 +257,16 @@ def criterion_closed_forms(cache: DeskCache) -> CriterionResult:
                            [f"{checked} codes checked"] + bad)
 
 
-CONIC_QS = (5, 7, 8)
-SHORTENED_QS = (5, 7, 8, 9, 11)
-DOUBLE_SHORTENED_QS = (7, 8, 9, 11)
-
-
 def criterion_conic_censuses(cache: DeskCache) -> CriterionResult:
-    bad = []
-    checked = []
-    families = (("conic", "conic", CONIC_QS, conic_census_formulas),
-                ("shortened conic", "conic-minus:1", SHORTENED_QS,
-                 shortened_conic_census_formulas),
-                ("double-shortened conic", "conic-minus:2", DOUBLE_SHORTENED_QS,
+    """The bisecant census of the conic, and of the conic less one and
+    less two points, at every desk q equals its arc's census formulas."""
+    bad, checked = [], []
+    families = (("conic", "conic", conic_census_formulas),
+                ("shortened conic", "conic-minus:1", shortened_conic_census_formulas),
+                ("double-shortened conic", "conic-minus:2",
                  double_shortened_conic_census_formulas))
-    for label, name, qs, formulas in families:
-        for q in qs:
+    for label, name, formulas in families:
+        for q in DESK_QS:
             got = bisecant_census(_named_arc(field_of_order(q), name)).classes
             want = formulas(q)
             checked.append(f"{label} q={q}: {got}")

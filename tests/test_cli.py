@@ -702,9 +702,9 @@ def test_criterion_2_counts_the_tuples_it_compares(capsys):
 
 
 @pytest.mark.parametrize("argv, digest, checked", [
-    (("--q", "2"), "8ecbf98592c0edd42ea1d9b1553f8edcb9c1dc6cbd0307ada4a6e33ff03e0349", 2),
+    (("--q", "2"), "6da73a338200c84f3b809f10fa6d7017d25ee632e6a3468bf75e8f4eacacfb6a", 2),
     (("--q", "3", "--d", "4"),
-     "ba4100121bfdba1310603a221f8cc0032b676ea92f2b880338a96a592c0e08da", 1),
+     "d095dce1cd5cc8855dbaaf8b5a55a5e8f743a866860ce0e1ce45caa2ece2735b", 1),
 ], ids=["q2", "q3-d4"])
 def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
     # at q = 2 the corpus skips every gdrs d > q+1 but keeps the
@@ -717,8 +717,8 @@ def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("table", "f8193725040b046d31b10cfa66dc9fb8604599bf29f6828a3e793b89cd9eb1a1"),
-    ("json", "23c3370d09d1d025e42a1b2ef42a75d09881716c106f85f3909a7a24c237c60c"),
+    ("table", "01d24767e9affcb119abb5e417e9c7ad64a9cf3bac7dd5ec947ab5525aa23553"),
+    ("json", "8dd612adf169d987cbfceca35e3c56f1f22959e1277ec64504ab3a2b2b25b1c9"),
 ], ids=["table", "json"])
 def test_default_verify_output_is_pinned(capsys, fmt, digest):
     # the whole desk run, byte for byte; criterion 7's refutations make it exit 1

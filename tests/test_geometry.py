@@ -173,18 +173,26 @@ def test_bisecant_census_shortened_examples():
         ((3, 4), (2, 33), (1, 12), (0, 2))
 
 
-@pytest.mark.parametrize("q", (5, 7, 8, 9, 11))
+_FORMULAS = {"conic": conic_census_formulas,
+             "conic-minus:1": shortened_conic_census_formulas,
+             "conic-minus:2": double_shortened_conic_census_formulas,
+             "hyperoval": hyperoval_census_formulas}
+
+
+@pytest.mark.parametrize("q", prime_powers(32))
 def test_census_formula_predictions(q):
+    # each formula holds wherever its arc exists, the hyperoval at every
+    # even q; on its own it totals the off-arc points and the C(n,2)
+    # bisecants' q-1 off-arc points each
     f = field_of_order(q)
-    assert bisecant_census(conic_points(f)).classes == conic_census_formulas(q)
-    assert bisecant_census(shortened_conic(f, 1)).classes == \
-        shortened_conic_census_formulas(q)
-    if q >= 7:
-        assert bisecant_census(shortened_conic(f, 2)).classes == \
-            double_shortened_conic_census_formulas(q)
-    if q % 2 == 0:
-        assert bisecant_census(hyperoval_points(f)).classes == \
-            hyperoval_census_formulas(q)
+    for name, formulas in _FORMULAS.items():
+        if name == "hyperoval" and q % 2:
+            continue
+        want = formulas(q)
+        _, n = geometry._arc_layout(name, q)
+        assert sum(npts for _, npts in want) == q * q + q + 1 - n
+        assert sum(b * npts for b, npts in want) == binom(n, 2) * (q - 1)
+        assert bisecant_census(geometry._named_arc(f, name)).classes == want, name
 
 
 def test_census_totals():
@@ -290,6 +298,31 @@ def test_geometry_code_bridge_nucleus():
     assert (0, 1, 3, 3) in got  # the nucleus: q-1 weight-3 cosets
 
 
+def test_the_bridge_refuses_an_arc_of_fewer_than_3_points(monkeypatch):
+    # the conic less two points at q = 3 and q = 2 has 2 and 1 points,
+    # too few columns for the code's 3 parity checks; no code is built
+    def no_code(*args):
+        raise AssertionError("a code was built")
+    monkeypatch.setattr(geometry, "LinearCode", no_code)
+    for q, n in ((3, 2), (2, 1)):
+        with pytest.raises(ValueError) as err:
+            geometry_code_bridge(shortened_conic(field_of_order(q), 2))
+        assert str(err.value) == f"the bridge needs at least 3 arc points, got {n}"
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+def test_the_bridge_matches_the_formulas_at_the_smallest_fields(q):
+    # every named arc of at least 3 points: its code's census meets the
+    # bisecant classes its formula predicts
+    f = field_of_order(q)
+    for name, formulas in _FORMULAS.items():
+        if name == "hyperoval" and q % 2 or geometry._arc_layout(name, q)[1] < 3:
+            continue
+        report = geometry_code_bridge(geometry._named_arc(f, name))
+        assert report.census.classes == formulas(q), name
+        assert sum(e.cosets for e in report.entries) == (q - 1) * report.census.covered
+
+
 def _bridge_with_altered_rows(monkeypatch, arc, alter):
     """Run the bridge on a census whose rows `alter(table, index)` edits;
     index(pt, lam) is the row of the syndrome lam*pt, the row of pt's point."""
@@ -380,17 +413,20 @@ def test_censuses_hold_python_ints():
     assert all(type(v) is int for v in values)
 
 
-def test_census_formulas_refuse_a_q_without_the_arc():
-    refusals = [
-        (lambda: shortened_conic_census_formulas(4), "shortened-conic census formulas need q >= 5"),
-        (lambda: double_shortened_conic_census_formulas(5),
-         "double-shortened-conic census formulas need q >= 7"),
-        (lambda: hyperoval_census_formulas(5), "hyperoval requires even q, got q=5"),
-    ]
-    for call, message in refusals:
+def test_census_formulas_refuse_a_q_without_the_arc(capsys):
+    # each formula refuses exactly what `census geometry` refuses for its
+    # arc (_arc_layout's refusal), with the same text
+    refusals = [(name, q, f"{q} is not a prime power")
+                for name in _FORMULAS for q in (0, 1, 6, -3)]
+    refusals += [(name, 65537, "field order 65537 exceeds the configured maximum 65536")
+                 for name in _FORMULAS]
+    refusals += [("hyperoval", 5, "hyperoval requires even q, got q=5")]
+    for name, q, message in refusals:
         with pytest.raises(ValueError) as err:
-            call()
+            _FORMULAS[name](q)
         assert str(err.value) == message
+        assert cli.main(["census", "geometry", "--q", str(q), "--arc", name]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_bisecant_walk_budget_boundary():
