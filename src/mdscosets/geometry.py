@@ -62,13 +62,10 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
     q, n = field.q, len(coords)
     add = field.add_table().ravel()  # add(x, y) at x*q + y: one flat gather per block
     t = np.arange(1, q)
-    # the pairs (i, j) in order, numbered from 0: those of i from first[i]
-    first = np.cumsum([0] + list(range(n - 1, 0, -1)))
-    total, per_block = int(first[-1]), max(1, WALK_BLOCK_POINTS // (q - 1))
-    for start in range(0, total, per_block):
-        pairs = np.arange(start, min(start + per_block, total))
-        i = np.searchsorted(first, pairs, side="right") - 1
-        j = pairs - first[i] + i + 1
+    pairs_i, pairs_j = np.triu_indices(n, 1)  # the pairs i < j in order
+    per_block = max(1, WALK_BLOCK_POINTS // (q - 1))
+    for start in range(0, len(pairs_i), per_block):
+        i, j = pairs_i[start:start + per_block], pairs_j[start:start + per_block]
         a, b = coords[i][:, :, None], coords[j][:, :, None]
         yield i, j, syndrome_row(field, [add[a[:, c] * q + field.mul_array(t, b[:, c])]
                                          for c in range(3)])

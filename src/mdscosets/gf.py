@@ -9,9 +9,10 @@ the additive and multiplicative identities of every field, and p - 1 is
 There is one arithmetic path, on arrays of labels: add_array adds digit
 by digit mod p (add_table caches it for all pairs), and mul_array and
 inv_array look products and inverses up in log/antilog tables over a
-generator of the multiplicative group.  The tables are built once per
-field from direct products (modular for prime fields, reduced by the
-modulus otherwise), in integers only.
+generator of the multiplicative group, the least label whose powers reach
+every unit before they return to 1.  Those powers are the antilog table,
+built once per field from direct products (modular for prime fields,
+reduced by the modulus otherwise), in integers only.
 
 A field is named by its order alone, as the paper states every result:
 GF(q) is the one constructor, and check_field_order(q) the one check of
@@ -29,6 +30,7 @@ package, so the package's one InvariantError is defined here.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -53,17 +55,18 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-# Polynomials over GF(p) appear only while picking a field modulus.
-# Coefficient lists are ascending: coeffs[i] multiplies x^i.
+# Polynomials over GF(p) pick a field modulus and, reduced by it, build
+# the tables.  Coefficient lists are ascending: coeffs[i] multiplies x^i.
 
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+def _poly_rem(a: list[int], b: Sequence[int], p: int) -> list[int]:
     """Remainder of a mod the monic b over GF(p): its len(b) - 1 coefficients."""
     a = a[:]
     db = len(b) - 1
     for shift in range(len(a) - 1 - db, -1, -1):
         c = a[shift + db]
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bc) % p
+        if c:
+            for i, bc in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * bc) % p
     return a[:db]
 
 
@@ -125,32 +128,18 @@ class GF:
             if ai:
                 for j, bj in enumerate(db):
                     prod[i + j] = (prod[i + j] + ai * bj) % p
-        for deg in range(2 * m - 2, m - 1, -1):
-            c = prod[deg]
-            if c:
-                for t in range(m + 1):
-                    prod[deg - m + t] = (prod[deg - m + t] - c * self.poly[t]) % p
-        return sum(prod[i] * self._ppow[i] for i in range(m))
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._raw_mul(out, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return out
+        return sum(c * pp for c, pp in zip(_poly_rem(prod, self.poly, p), self._ppow))
 
     def _build_tables(self) -> None:
-        # the least g of order q - 1: no g^((q-1)/l) is 1, l a prime
-        # factor of q - 1; at q = 2 there is none, and g = 1 qualifies
+        # at most q - 1 powers of each g, so a faulty product still ends; at q = 2, g = 1
         q = self.q
-        fac = _factorize(q - 1)
-        self.generator = next(g for g in range(1, q)
-                              if all(self._raw_pow(g, (q - 1) // ell) != 1 for ell in fac))
-        alog = [1] * (q - 1)
-        for i in range(1, q - 1):
-            alog[i] = self._raw_mul(alog[i - 1], self.generator)
+        for g in range(1, q):
+            alog = [1]
+            while len(alog) < q - 1 and (power := self._raw_mul(alog[-1], g)) != 1:
+                alog.append(power)
+            if len(alog) == q - 1:
+                break
+        self.generator = g
         if sorted(alog) != list(range(1, q)):
             raise InvariantError(f"generator {self.generator} does not have order {q - 1}")
         # log[0] is 2(q-1) and the antilog runs over two cycles of q-1 and

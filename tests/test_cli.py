@@ -702,9 +702,9 @@ def test_criterion_2_counts_the_tuples_it_compares(capsys):
 
 
 @pytest.mark.parametrize("argv, digest, checked", [
-    (("--q", "2"), "6da73a338200c84f3b809f10fa6d7017d25ee632e6a3468bf75e8f4eacacfb6a", 2),
+    (("--q", "2"), "9e23a87118a02358ba9ac26f17490fffbd1322b657fceaa04ef7b202cfb19833", 2),
     (("--q", "3", "--d", "4"),
-     "d095dce1cd5cc8855dbaaf8b5a55a5e8f743a866860ce0e1ce45caa2ece2735b", 1),
+     "422b20ad16d0a64aa3c7f829f11a39c0f4e40a4795d1dd3073c25eafa1fdd614", 1),
 ], ids=["q2", "q3-d4"])
 def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
     # at q = 2 the corpus skips every gdrs d > q+1 but keeps the
@@ -737,6 +737,21 @@ def test_verify_reports_a_survey_parent_over_the_budget(capsys, kernel_runs):
         "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 200000000; "
         "empirical, not asserted")
     assert kernel_runs and all(ran.r < 5 for ran, _, _ in kernel_runs)  # no d = 6 code
+
+
+def test_criterion_4_walks_the_arcs_of_the_filtered_q(capsys):
+    # the arcs at q = 2 only, the run's one field; at q = 739 every arc's
+    # walk is over the budget, reported as criterion 9 reports its own
+    code, out, err = run(capsys, "verify", "--q", "2", "--theorem", "conic-census")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["criterion 4 [conic bisecant censuses]: PASS",
+                                "    conic q=2: ((1, 3), (0, 1))",
+                                "    shortened conic q=2: ((1, 1), (0, 4))",
+                                "    double-shortened conic q=2: ((0, 6),)"]
+    code, out, err = run(capsys, "verify", "--q", "739")
+    assert (code, err) == (0, "")
+    assert ("    conic q=739: not surveyed: bisecant walk needs 201791340 point "
+            "normalizations C(n,2)*(q-1), over the budget of 200000000") in out.splitlines()
 
 
 def test_verify_unknown_theorem(capsys):

@@ -192,10 +192,10 @@ def test_generator_has_exact_order(q):
 
 
 class _NoElementOfFullOrder(GF):
-    """GF(q) whose powers never read as 1, so the least candidate, 1, is
-    taken as the generator."""
+    """GF(q) whose products are all 0, so the powers of the least
+    candidate, 1, never return to 1 and it is taken as the generator."""
 
-    def _raw_pow(self, a, e):
+    def _raw_mul(self, a, b):
         return 0
 
 
