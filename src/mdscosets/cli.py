@@ -7,9 +7,9 @@ consumer, and they print in full past Python's int-to-str digit limit.
 Rationals print as "a/b".  Each field is built on its pinned modulus,
 and `census code` and `covering classify` name a code by its family,
 gdrs or gtrs, and the columns removed from it (the singly-extended code
-is `--family gdrs --remove q`).  Each checks --budget, before building
-the field, on the one census that bounds all it runs: its full census,
-or the certification of the parent, whose columns hold the code's.
+is `--family gdrs --remove q`).  Every command lays out its kernel runs
+(mds._Run) and walks, charges them from their numbers alone after every
+usage error, and only then builds a field.
 
 Exit codes: 0 success, 1 a refuted claim (a `verify` criterion, or the
 (q-1)*Delta deep-hole check of `covering classify`; either prints its
@@ -29,15 +29,14 @@ import json
 import os
 import sys
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, _check_budget, _check_census,
-                    coset_census)
+from .codes import DEFAULT_BUDGET, BudgetExceededError
 from .covering import count_deep_hole_cosets, mcf_classify, saturating_set_report
 from .formulas import (LowWeightPrefix, bonneau_original, bonneau_transformed,
                        dist_weight1, dist_weight2, dist_weight_d1, dist_weight_d2,
                        dist_weight_mid)
-from .geometry import _arc_layout, _check_walk, _named_arc, bisecant_census
-from .gf import check_field_order, field_of_order
-from .mds import FAMILIES, _certify, _family_code, _family_layout, family_length
+from .geometry import _named_arc, bisecant_census
+from .gf import check_field_order
+from .mds import FAMILIES, _family_layout, _Run, _run_plan
 from .verify import DESK_DS, DESK_QS, THEOREM_NAMES, DeskCache, run_acceptance
 
 SCHEMA = "mdscosets.v1"
@@ -53,25 +52,18 @@ def _csv_ints(text: str, option: str) -> list[int]:
     return ints
 
 
-def _code_from_args(args, full: bool):
-    """The family code `census code` (full) and `covering classify` name,
-    and its recipe; each command certifies it MDS itself.  Before the field
-    is built, the recipe and the budget are checked as building would
-    check them, then, from (q, length, n-k, wmax) alone, the one census
-    that bounds the command: the full census (full), which also certifies
-    the code, or the certification of the full-length parent (the code
-    without --remove).  A removal code's own certification has fewer
-    columns at the same n-k and wmax, so no more steps, vectors of weight
-    <= wmax or q^k."""
+def _family_plan(args, full: bool) -> list[_Run]:
+    """The kernel runs `census code` (full) and `covering classify` make on
+    the code they name, laid out after every usage error: its full census,
+    or its certification behind that of a removal code's parent, whose
+    covering radius the deep-hole check reads and whose run bounds it."""
     check_field_order(args.q)
     recipe = _family_layout(args.q, args.family, args.d, None,
                             _csv_ints(args.remove or "", "--remove"))
-    _check_budget(args.budget)
-    width = family_length(recipe.family, args.q)
-    n = width - recipe.delta
-    length, wmax = (n, n) if full else (width, recipe.d - 1)
-    _check_census(args.q, length, recipe.d - 1, wmax, args.budget)
-    return _family_code(field_of_order(args.q), recipe, args.budget), recipe
+    if full:
+        return [_Run(recipe, recipe.n)]
+    parent = [_family_layout(args.q, recipe.family, recipe.d, None, ())] if recipe.delta else []
+    return [_Run(r, recipe.d - 1) for r in parent + [recipe]]
 
 
 def _check_out(path: str) -> None:
@@ -171,9 +163,9 @@ def cmd_dist(args) -> int:
 
 
 def cmd_census_code(args) -> int:
-    code, construction = _code_from_args(args, full=True)
-    census = coset_census(code)  # which also certifies the code
-    _certify(code)
+    [run] = _family_plan(args, full=True)
+    [[census]] = _run_plan([run], args.budget)
+    code, construction = census.code, run.recipe
     q = code.field.q
 
     def payload():
@@ -210,8 +202,7 @@ def cmd_census_code(args) -> int:
 
 def cmd_census_geometry(args) -> int:
     name, q = args.arc, args.q
-    _check_walk(q, _arc_layout(name, q)[1])  # every usage error, then the walk's budget
-    arc = _named_arc(field_of_order(q), name)
+    arc = _named_arc(name, q)
     census = bisecant_census(arc)
 
     def payload():
@@ -238,8 +229,9 @@ def cmd_census_geometry(args) -> int:
 
 
 def cmd_covering(args) -> int:
-    code, construction = _code_from_args(args, full=False)
-    _certify(code)
+    plan = _family_plan(args, full=False)
+    *parent, code = [censuses[-1].code for censuses in _run_plan(plan, args.budget)]
+    construction = plan[-1].recipe
     report = mcf_classify(code)
     sat = saturating_set_report(code, report)
     payload = {
@@ -267,7 +259,7 @@ def cmd_covering(args) -> int:
     ]
     holds = True
     if construction.delta >= 1:
-        dh = count_deep_hole_cosets(code, construction)
+        dh = count_deep_hole_cosets(code, construction, parent[0].covering_radius())
         holds = dh.holds
         payload["deep_hole_check"] = {
             "count": str(dh.count), "bound": str(dh.bound),

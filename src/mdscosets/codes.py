@@ -380,7 +380,8 @@ def _check_census(q: int, n: int, r: int, wmax: int, budget: int) -> None:
     ring operation, so int64, which wraps mod 2^64, gives each count
     exactly once it is below 2^63, even where a line sum wraps (von zur
     Gathen and Gerhard, Modern Computer Algebra, ch. 5).  It needs only
-    the numbers, so it can fire before the code is built."""
+    the numbers, so it can fire before the field is built."""
+    _check_budget(budget)
     work = n * wmax * census_rows(q, r)
     _charge(work, budget, f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1))")
     vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))

@@ -45,7 +45,7 @@ import numpy as np
 from .codes import (DEFAULT_BUDGET, LinearCode, _charge, _label_array, _row_syndrome,
                     census_rows, low_weight_census, syndrome_row)
 from .combinat import binom
-from .gf import GF, check_field_order
+from .gf import GF, check_field_order, field_of_order
 from .mds import _family_rows, family_length
 
 
@@ -56,8 +56,10 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
     """Yield (i, j, rows) for blocks of consecutive arc point pairs i < j,
     in order: i and j index the block's pairs, and rows[m, t - 1] is the
     census row of a_i + t*a_j for pair m and t != 0.  On an arc these are
-    the q-1 off-arc points of the bisecant a_i a_j.  A block holds at most
-    WALK_BLOCK_POINTS points, or one pair when q - 1 exceeds the cap.  Its
+    the q-1 off-arc points of the bisecant a_i a_j.  Every block but the
+    last holds max(1, WALK_BLOCK_POINTS // (q - 1)) pairs, so at most
+    WALK_BLOCK_POINTS points: the floor of one pair binds only for a cap
+    below q - 1, which MAX_FIELD_ORDER = WALK_BLOCK_POINTS rules out.  Its
     budget (_check_walk) is Arc's to check, before the walk."""
     q, n = field.q, len(coords)
     add = field.add_table().ravel()  # add(x, y) at x*q + y: one flat gather per block
@@ -153,27 +155,30 @@ def _arc_layout(name: str, q: int) -> tuple[str, int]:
     return "gdrs", family_length("gdrs", q) - remove
 
 
-def _named_arc(field: GF, name: str) -> Arc:
-    """The arc `name` (conic, hyperoval or conic-minus:K) over the field."""
-    family, n = _arc_layout(name, field.q)
+def _named_arc(name: str, q: int) -> Arc:
+    """The arc `name` (conic, hyperoval or conic-minus:K) in PG(2, q): every
+    usage error, then the walk's budget, then GF(q) and the arc."""
+    family, n = _arc_layout(name, q)
+    _check_walk(q, n)
+    field = field_of_order(q)
     return Arc(field, _family_rows(field, family, 4)[:, :n].T)
 
 
 def conic_points(field: GF) -> Arc:
     """The (q+1)-point conic traced by the distance-4 parity-check columns:
     (1, a, a^2) for each nonzero a ascending, then (1, 0, 0), then (0, 0, 1)."""
-    return _named_arc(field, "conic")
+    return _named_arc("conic", field.q)
 
 
 def hyperoval_points(field: GF) -> Arc:
     """For even q, the regular hyperoval: the conic plus its nucleus (0,1,0)."""
-    return _named_arc(field, "hyperoval")
+    return _named_arc("hyperoval", field.q)
 
 
 def shortened_conic(field: GF, remove: int = 1) -> Arc:
     """The conic with its last `remove` points dropped (the default column
     choice; the censuses below do not depend on which points go)."""
-    return _named_arc(field, f"conic-minus:{remove}")
+    return _named_arc(f"conic-minus:{remove}", field.q)
 
 
 @dataclass(frozen=True)

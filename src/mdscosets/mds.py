@@ -21,13 +21,15 @@ the gdrs code less column q.  Keeping a family code's first n columns is
 the pinned default removal.  A code's recipe, an MdsConstruction, is
 laid out once, by `_family_layout`, which makes every refusal from the
 numbers alone; `_family_code` builds the code from the recipe and
-nothing else, the family matrix less the dropped columns, and
-`build_code` lays out, builds and certifies.  The matrix itself is not
-checked: any d-1 columns of the doubly-extended matrix are independent
-(MacWilliams and Sloane, ch. 11), so the full matrix and every removal
-that keeps d-1 columns have full rank.  `LinearCode` checks the rank
-once, and `build_code` certifies MDS-ness from the code's census
-instead of trusting the construction.
+nothing else, the family matrix less the dropped columns.  A kernel run
+on a recipe's code is a _Run, laid out from the numbers too, and
+`_run_plan` charges every run of a plan before it builds any field, then
+runs them; `build_code` lays out one code and runs its certification so.
+The matrix itself is not checked: any d-1 columns of the doubly-extended
+matrix are independent (MacWilliams and Sloane, ch. 11), so the full
+matrix and every removal that keeps d-1 columns have full rank.
+`LinearCode` checks the rank once, and each code is certified MDS from
+its census instead of trusting the construction.
 
 `mds_weight_distribution` gives the codeword counts A_w of any
 [n, n-d+1, d]_q MDS code as one row per (n, d, q), built by a running
@@ -45,13 +47,14 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, LinearCode, WeightDistribution, _as_int, _charge,
-                    _check_ints, _require)
+from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, WeightDistribution, _as_int,
+                    _charge, _check_census, _check_ints, _prefix_censuses, _require)
 from .combinat import binom
-from .gf import GF
+from .gf import GF, field_of_order
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,10 @@ class MdsConstruction:
     @property
     def delta(self) -> int:
         return len(self.removed)
+
+    @property
+    def n(self) -> int:
+        return family_length(self.family, self.q) - self.delta
 
 
 # extension columns next to the q-1 Vandermonde ones, per family
@@ -196,12 +203,12 @@ def build_code(field: GF, family: str, d: int | None = None, n: int | None = Non
 
     The code keeps the first `n` columns of the full family matrix (all
     of them by default), less the columns `removed` indexes (0-based).
-    The code's certification and every later census run under `budget`.
+    Its certification, charged before it is built, and every later census
+    run under `budget`.
     """
     recipe = _family_layout(field.q, family, d, n, removed)
-    code = _family_code(field, recipe, budget)
-    _certify(code)
-    return code, recipe
+    [[census]] = _run_plan([_Run(recipe, recipe.d - 1)], budget)
+    return census.code, recipe
 
 
 def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
@@ -236,6 +243,33 @@ def _family_code(field: GF, recipe: MdsConstruction, budget: int) -> LinearCode:
     [4,1,4]_2 code."""
     H = np.delete(_family_rows(field, recipe.family, recipe.d), recipe.removed, axis=1)
     return LinearCode(field, H, budget)
+
+
+class _Run(NamedTuple):
+    """The kernel run on the recipe's code at wmax (d-1 certifies it), its
+    table taken after each prefix length and its own."""
+
+    recipe: MdsConstruction
+    wmax: int
+    lengths: tuple[int, ...] = ()
+
+    def charge(self, budget: int) -> None:
+        """codes._check_census of the run, from (q, n, n-k, wmax) alone."""
+        _check_census(self.recipe.q, self.recipe.n, self.recipe.d - 1, self.wmax, budget)
+
+
+def _run_plan(runs: list[_Run], budget: int) -> list[list[CosetCensus]]:
+    """Charge every run in order, then build, run and certify each: the
+    censuses of each run, every code they reach certified MDS."""
+    for run in runs:
+        run.charge(budget)
+    done = []
+    for recipe, wmax, lengths in runs:
+        code = _family_code(field_of_order(recipe.q), recipe, budget)
+        done.append(_prefix_censuses(code, [*lengths, code.n], wmax))
+        for census in done[-1]:
+            _certify(census.code)
+    return done
 
 
 def _certify(code: LinearCode) -> None:

@@ -4,19 +4,12 @@ checked against exact censuses of a fixed family of constructed codes.
 The corpus holds every code the constructors produce for
 q in {4, 5, 7, 8, 9, 11}, d in {3, 4, 5, 6}, d <= n <= q+1 (plus the
 triply-extended length q+2 for even q at d = 4), subject to the fixed
-size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  Censuses are cached.
-The codes of one (q, d) are prefixes of one another, so one kernel run
-per such chain counts the full census of every code in it, and each of
-these codes is certified from its census as the chain is added.  Where
-the limit cuts a gdrs chain short of length q+1 (q = 9 and 11), the run
-goes on to q+1, and its table there, a low-weight census at the chain's
-wmax, certifies the length-(q+1) parent that criteria 7 and 9 read, as
-the chain is added too.  Every chain and every
-such run fits the default budget, under any q and d filter, so the
-corpus is built at that budget.  The criteria take these codes from
-the cache and read them through the memos their censuses left, so a
-full run counts each chain once: 24 kernel runs.  A code's recipe, the
-one mds._family_layout lays out, keys it in the cache.
+size limit q^n <= DESK_AMBIENT_LIMIT = 2*10^8.  DeskCache counts and
+certifies it in one kernel run per chain of prefix codes, each within
+the default budget under any q and d filter and charged before any
+field is built.  The criteria read these codes through the memos their
+censuses left, so a full run counts each chain once: 24 kernel runs.  A
+code's recipe, the one mds._family_layout lays out, keys it in the cache.
 
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
@@ -33,20 +26,19 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 
-from .codes import (DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode,
-                    _check_census, _prefix_censuses, coset_census)
+from .codes import DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode, coset_census
 from .combinat import binom
 from .covering import count_deep_hole_cosets, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
                        bonneau_transformed, dist_weight1, dist_weight_d1,
                        symmetry_defect, weight2_aggregate,
                        weight2_identical_check)
-from .gf import field_of_order
+from .gf import check_field_order
 from .geometry import (_named_arc, bisecant_census, conic_census_formulas,
                        double_shortened_conic_census_formulas,
                        shortened_conic_census_formulas)
-from .mds import (MdsConstruction, _certify, _family_code, _family_layout, build_code,
-                  check_mds_params, family_length, has_triple_extension)
+from .mds import (MdsConstruction, _family_layout, _Run, _run_plan, check_mds_params,
+                  family_length, has_triple_extension)
 
 DESK_QS = (4, 5, 7, 8, 9, 11)
 DESK_DS = (3, 4, 5, 6)
@@ -79,15 +71,15 @@ class DeskCache:
     kernel run on that code, at the longest corpus length, counts the
     full census of each of them, building each code as the run reaches
     its length (see codes._prefix_censuses).  A chain cut short of its
-    family length runs on to the full-length parent, whose low-weight
-    census leaves its memo and is dropped.  Every code of the run, the
-    parent included, is certified from its memo when the chain is added.
+    family length (q = 9 and 11) runs on to the full-length parent that
+    criteria 7 and 9 read, whose low-weight census leaves its memo and
+    is dropped.  Every code of the run, the
+    parent included, is certified from its memo (see mds._run_plan).
     The triply-extended code is a chain of its own, added wherever its
-    length fits, with or without a gdrs code of its d.  `code` hands out the
-    cache's own codes, keyed by recipe, and builds (once, by build_code)
-    only the others.
-    `census` is keyed by code, so each code's kernel runs happen once per
-    cache.
+    length fits, with or without a gdrs code of its d.  `code` hands out
+    the cache's own codes, keyed by recipe, and builds (once, by
+    _run_plan) only the others.  `census` is keyed by code, so each
+    code's kernel runs happen once per cache.
     """
 
     def __init__(self, qs=DESK_QS, ds=DESK_DS):
@@ -96,33 +88,28 @@ class DeskCache:
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
         self._codes: dict = {}  # recipe -> code
+        chains = []  # one kernel run per chain, on the family's full-length code
         for q in self.qs:
-            fld = field_of_order(q)
-            length = family_length("gdrs", q)
+            check_field_order(q)
             # the longest n with q^n <= DESK_AMBIENT_LIMIT; q >= 2 keeps n within its bits
             longest = max(n for n in range(DESK_AMBIENT_LIMIT.bit_length() + 1)
                           if q ** n <= DESK_AMBIENT_LIMIT)
-            top = min(length, longest)  # the longest gdrs corpus code
+            top = min(family_length("gdrs", q), longest)  # the longest gdrs corpus code
             for d in self.ds:
                 if d <= top or d < 3:  # a d below 3 goes on to its refusal
-                    self._add_chain(fld, "gdrs", d, list(range(d, top + 1)))
+                    chains.append(_Run(_family_layout(q, "gdrs", d, None, ()), top,
+                                       tuple(range(d, top + 1))))
                 if has_triple_extension(q, d) and family_length("gtrs", q) <= longest:
-                    self._add_chain(fld, "gtrs", d, [family_length("gtrs", q)])
-
-    def _add_chain(self, fld, family: str, d: int, lengths: list[int]) -> None:
-        """Add the family's codes of the given lengths, ascending, each the
-        first n columns of the full-length code's matrix: one kernel run
-        censuses them and, when the chain stops short, the full-length
-        parent, and each code of the run is certified from its memo."""
-        full = _family_code(fld, _family_layout(fld.q, family, d, None, ()), DEFAULT_BUDGET)
-        for census in _prefix_censuses(full, lengths + [full.n], lengths[-1]):
-            code = census.code
-            _certify(code)
-            recipe = _family_layout(fld.q, family, d, code.n, ())
-            self._codes[recipe] = code
-            if code.n <= lengths[-1]:  # a parent's census is dropped
-                self._census[code] = census
-                self.entries.append(CorpusEntry(code, recipe))
+                    gtrs = _family_layout(q, "gtrs", d, None, ())
+                    chains.append(_Run(gtrs, gtrs.n))
+        for (full, wmax, _), censuses in zip(chains, _run_plan(chains, DEFAULT_BUDGET)):
+            for census in censuses:
+                code = census.code
+                recipe = _family_layout(full.q, full.family, full.d, code.n, ())
+                self._codes[recipe] = code
+                if code.n <= wmax:  # a parent's census is dropped
+                    self._census[code] = census
+                    self.entries.append(CorpusEntry(code, recipe))
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
         """Coset census of a code (or of a corpus entry's code), counted once."""
@@ -138,7 +125,7 @@ class DeskCache:
         cache's own when it holds it, else built and certified once."""
         recipe = _family_layout(q, family, d, n, ())
         if recipe not in self._codes:
-            self._codes[recipe], _ = build_code(field_of_order(q), family, d, n)
+            self._codes[recipe] = _run_plan([_Run(recipe, d - 1)], DEFAULT_BUDGET)[0][0].code
         return self._codes[recipe]
 
 
@@ -269,7 +256,7 @@ def criterion_conic_censuses(cache: DeskCache) -> CriterionResult:
     for label, name, formulas in families:
         for q in cache.qs:
             try:
-                got = bisecant_census(_named_arc(field_of_order(q), name)).classes
+                got = bisecant_census(_named_arc(name, q)).classes
             except BudgetExceededError as refusal:
                 checked.append(f"{label} q={q}: not surveyed: {refusal}")
                 continue
@@ -428,12 +415,11 @@ def criterion_remark_empirical(cache: DeskCache) -> CriterionResult:
                 status = f"gcd(q-1,d-2)={gcd} != 1"
             else:
                 try:
-                    _check_census(q, n, d - 1, d - 1, DEFAULT_BUDGET)
+                    prefixes = cache.code(q, d).weight2_prefixes()
                 except BudgetExceededError as refusal:
                     status = f"not surveyed: {refusal}"
                 else:
                     predicted = weight2_identical_check(n, d, q).b_low_if_identical
-                    prefixes = cache.code(q, d).weight2_prefixes()
                     status = (f"{'confirmed' if len(prefixes) == 1 else 'refuted'} "
                               f"(B_(d-2) values {sorted({p[d - 2] for p in prefixes})}, "
                               f"predicted {predicted})")

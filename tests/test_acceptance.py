@@ -469,8 +469,8 @@ def test_desk_chains_build_one_family_matrix_each(monkeypatch):
     # building each code apart took 97; each of the 97 codes still checks
     # its rank, and is certified once, the 8 ridden parents included
     calls = Counter()
-    for module, name in ((verify, "_family_code"), (mds, "_family_rows"), (codes, "_rank"),
-                         (verify, "_certify")):
+    for module, name in ((mds, "_family_code"), (mds, "_family_rows"), (codes, "_rank"),
+                         (mds, "_certify")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -487,7 +487,7 @@ def test_desk_cache_certifies_each_code_as_it_builds_it(desk, monkeypatch):
     def too_late(*args, **kwargs):
         raise AssertionError("built, certified or counted after the cache was built")
 
-    for module, name in ((verify, "build_code"), (verify, "_certify"),
+    for module, name in ((verify, "_run_plan"), (mds, "_certify"),
                          (codes, "_syndrome_trellis")):
         monkeypatch.setattr(module, name, too_late)
     for entry in desk.entries:
@@ -571,26 +571,22 @@ def test_a_census_past_int64_vectors_is_the_dual_census():
 
 
 def test_the_corpus_fits_the_default_budget_under_any_filter(monkeypatch):
-    # the chains the corpus forms for every prime power q < 600 and every
-    # d: each corpus code's full census fits the default budget, and so
-    # does the run on to the full-length parent where the size limit cuts
-    # a chain short, so no --q or --d filter meets a refusal; past
-    # q = 584, q^3 > 2*10^8 and the corpus is empty
+    # the chain runs the corpus lays out for every prime power q < 600 and
+    # every d: each run, at wmax = n of the chain's longest corpus code
+    # and on to the full-length parent where the size limit cuts the
+    # chain short, fits the default budget, so no --q or --d filter meets
+    # a refusal; past q = 584, q^3 > 2*10^8 and the corpus is empty
     chains = []
-    monkeypatch.setattr(DeskCache, "_add_chain", lambda self, fld, family, d, lengths:
-                        chains.append((fld.q, family, d, lengths)))
+    monkeypatch.setattr(verify, "_run_plan", lambda runs, budget: chains.extend(runs) or [])
     for q in range(2, 600):
         if len(gf._factorize(q)) == 1:
             DeskCache(qs=(q,), ds=range(3, q + 2))
-    rides = 0
-    for q, family, d, lengths in chains:
-        for n in lengths:
-            codes._check_census(q, n, d - 1, n, codes.DEFAULT_BUDGET)
-        full = mds.family_length(family, q)
-        if lengths[-1] < full:
-            rides += 1
-            codes._check_census(q, full, d - 1, lengths[-1], codes.DEFAULT_BUDGET)
-    assert (len(chains), rides, max(q for q, *_ in chains)) == (205, 181, 577)
+    for run in chains:
+        run.charge(codes.DEFAULT_BUDGET)
+        # the full census of each corpus code
+        assert run.wmax == max(run.lengths, default=run.recipe.n)
+    rides = sum(run.wmax < run.recipe.n for run in chains)
+    assert (len(chains), rides, max(run.recipe.q for run in chains)) == (205, 181, 577)
 
 
 def test_each_desk_entry_is_its_recipes_code():
@@ -605,7 +601,7 @@ def test_each_desk_entry_is_its_recipes_code():
 def test_a_corpus_filter_past_the_size_limit_builds_nothing(monkeypatch):
     # 4096^3 > 2*10^8: the corpus at q = 4096 is empty, and the cache
     # sees that from the powers of q up to the limit, building no code
-    monkeypatch.setattr(verify, "_family_code", lambda *args: pytest.fail("built a code"))
+    monkeypatch.setattr(mds, "_family_code", lambda *args: pytest.fail("built a code"))
     start = time.perf_counter()
     cache = DeskCache(qs=(4096,))
     assert time.perf_counter() - start < 1

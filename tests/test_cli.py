@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdscosets import cli, codes, geometry, mds
+from mdscosets import cli, codes, geometry, mds, verify
 from mdscosets.cli import main
 from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import FAMILIES
@@ -445,6 +446,64 @@ def test_budget_refusals_come_before_the_field_is_built(capsys, monkeypatch):
         assert run(capsys, *argv) == (2, "", f"error: {text}\n"), argv
 
 
+@pytest.fixture
+def charges(monkeypatch):
+    """Every work codes._charge is asked to charge, and every field a
+    plan's run asks for, in order."""
+    events = []
+    charge, fields = codes._charge, mds.field_of_order
+
+    def charged(work, budget, needs):
+        events.append(("charge", work))
+        charge(work, budget, needs)
+
+    def field(q):
+        events.append(("field", q))
+        return fields(q)
+    monkeypatch.setattr(codes, "_charge", charged)
+    monkeypatch.setattr(mds, "field_of_order", field)
+    return events
+
+
+def _plan_and_kernel(events):
+    """The works charged before the first field is asked for, and after it."""
+    first = next((i for i, (kind, _) in enumerate(events) if kind == "field"), len(events))
+    return ([work for _, work in events[:first]],
+            [work for kind, work in events[first:] if kind == "charge"])
+
+
+def test_the_plan_charge_bounds_every_kernel_charge(capsys, charges):
+    # each command charges the runs it lays out before it asks for any
+    # field, the one that bounds the rest first, and the kernel then
+    # charges the same runs as it makes them; one step less refuses the
+    # command before any field.  The desk charges its 24 chain runs so
+    # too
+    cases = [(*command, "--family", family, "--q", str(q), "--d", str(d), *removed)
+             for q in prime_powers(16)
+             for family, d in [("gdrs", d) for d in range(3, 7)] + [("gtrs", 4)] * (q % 2 == 0)
+             for removed in ((), ("--remove", "0"), ("--remove", "0,1"))
+             for command in (("census", "code"), ("covering", "classify"))]
+    ran = 0
+    for argv in cases:
+        charges.clear()
+        code, _, _ = run(capsys, *argv)
+        if code == 2:  # no such family code: refused before any charge
+            assert charges == [], argv
+            continue
+        plan, kernel = _plan_and_kernel(charges)
+        assert code in (0, 1) and plan == kernel and plan[0] == max(kernel), argv
+        charges.clear()
+        code, out, err = run(capsys, *argv, "--budget", str(plan[0] - 1))
+        assert (code, out, _plan_and_kernel(charges)) == (3, "", ([plan[0]], [])), argv
+        assert err == _refusal(plan[0], plan[0] - 1)
+        ran += 1
+    assert ran == 202
+    charges.clear()
+    DeskCache()
+    plan, kernel = _plan_and_kernel(charges)
+    assert len(plan) == 24 and plan == kernel
+
+
 @pytest.mark.parametrize("argv, option, token", [
     (("census", "code", "--family", "gdrs", "--q", "5", "--d", "4", "--remove", "1,x"),
      "--remove", "x"),
@@ -503,8 +562,8 @@ def test_census_geometry_usage_errors_come_before_the_budget_and_the_field(
     def too_early(*args):
         raise AssertionError("the walk budget or the field came before the usage error")
 
-    monkeypatch.setattr(cli, "_check_walk", too_early)
-    monkeypatch.setattr(cli, "field_of_order", too_early)
+    monkeypatch.setattr(geometry, "_check_walk", too_early)
+    monkeypatch.setattr(geometry, "field_of_order", too_early)
     assert run(capsys, "census", "geometry", "--q", q, "--arc", arc) == (
         2, "", f"error: {text}\n")
 
@@ -543,7 +602,7 @@ def test_census_geometry_refuses_a_walk_over_the_budget_before_any_field(capsys,
     def no_field(*args):
         raise AssertionError("a field was built")
 
-    monkeypatch.setattr(cli, "field_of_order", no_field)
+    monkeypatch.setattr(geometry, "field_of_order", no_field)
     start = time.perf_counter()
     code, out, err = run(capsys, "census", "geometry", "--q", "4096", "--arc", "conic")
     assert time.perf_counter() - start < 1
@@ -754,6 +813,34 @@ def test_criterion_4_walks_the_arcs_of_the_filtered_q(capsys):
             "normalizations C(n,2)*(q-1), over the budget of 200000000") in out.splitlines()
 
 
+def test_verify_refuses_before_it_builds(capsys, monkeypatch):
+    # verify lays out its corpus chains, its arcs' walks and the survey's
+    # certifications, and charges each before it builds a field: at
+    # q = 65536 and 4096 the corpus is empty and every walk and
+    # certification is over the budget, so no field of that order is
+    # built, only the fields of criterion 7's fixed certificates (building
+    # GF(2^16) first took most of the 1.5 s such a run once took)
+    built = []
+    build = GF._build_tables
+
+    def recorded(self):
+        built.append(self.q)
+        build(self)
+    monkeypatch.setattr(GF, "_build_tables", recorded)
+    fresh = functools.lru_cache(maxsize=None)(field_of_order.__wrapped__)
+    for module in (mds, geometry):  # every field of the run is built anew
+        monkeypatch.setattr(module, "field_of_order", fresh)
+    for q, digest in ((65536, "cf4230a0333d238c6d317653a770779e8d5e7b9ba069a6abb74fa3b4a60649e4"),
+                      (4096, "5a5de259c0d5882ae92be2161eeb98970c3ef17ba4cf4cffd55cf97eaae58075")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--q", str(q))
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert q not in built
+    assert built and set(built) <= {4, 5, 7, 8, 9, 11}
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "nonsense")
     assert code == 2 and "invalid choice: 'nonsense'" in err
@@ -861,8 +948,8 @@ def test_a_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
 
 
 def test_each_family_command_lays_its_code_out_once(capsys, monkeypatch):
-    # the CLI's pre-flight and build read one recipe; a removal code's
-    # deep-hole check lays out its parent once more, in build_code
+    # the CLI's plan and build read one recipe; a removal code's plan
+    # lays out its parent once more, for the deep-hole check
     calls = Counter()
     for module in (cli, mds):
         def counted(*args, _fn=getattr(module, "_family_layout"), _name=module.__name__):
@@ -876,7 +963,7 @@ def test_each_family_command_lays_its_code_out_once(capsys, monkeypatch):
                          (("covering", "classify", "--family", "gdrs", "--q", "5", "--d", "4"),
                           {"mdscosets.cli": 1}),
                          (("covering", "classify", "--family", "gdrs", "--q", "5", "--d", "4",
-                           "--remove", "5"), {"mdscosets.cli": 1, "mdscosets.mds": 1})]:
+                           "--remove", "5"), {"mdscosets.cli": 2})]:
         calls.clear()
         assert run(capsys, *argv)[0] == 0
         assert calls == expect, argv

@@ -76,7 +76,7 @@ def test_conic_is_an_arc_and_matches_parity_columns():
         names = ["conic", "conic-minus:1", "conic-minus:2"] + ["hyperoval"] * (q % 2 == 0)
         for name in names:
             family, n = geometry._arc_layout(name, q)
-            arc = geometry._named_arc(f, name)
+            arc = geometry._named_arc(name, q)
             assert arc.points == columns[:n], (q, name)
             if n >= 4:
                 H = _family_code(f, _family_layout(q, family, 4, n, ()), DEFAULT_BUDGET).H
@@ -103,9 +103,9 @@ def test_named_arcs_are_pinned():
     ("hyperoval", 7, hyperoval_points, "hyperoval requires even q, got q=7"),
     ("hyperoval", 739, hyperoval_points, "hyperoval requires even q, got q=739"),
     ("conic-minus:3", 5, lambda f: shortened_conic(f, 3), "remove one or two conic points"),
-    ("conic-minus:x", 5, lambda f: geometry._named_arc(f, "conic-minus:x"),
+    ("conic-minus:x", 5, lambda f: geometry._named_arc("conic-minus:x", f.q),
      "unknown arc 'conic-minus:x' (conic, hyperoval, conic-minus:K)"),
-    ("moon", 5, lambda f: geometry._named_arc(f, "moon"),
+    ("moon", 5, lambda f: geometry._named_arc("moon", f.q),
      "unknown arc 'moon' (conic, hyperoval, conic-minus:K)"),
     ("conic", 6, conic_points, "6 is not a prime power"),
 ], ids=["hyperoval-7", "hyperoval-739", "conic-minus-3", "conic-minus-x", "moon", "q-6"])
@@ -120,7 +120,7 @@ def test_a_bad_arc_is_refused_with_one_text_before_any_field(monkeypatch, capsys
     def no_field(*args):
         raise AssertionError("a field was built")
     monkeypatch.setattr(GF, "_build_tables", no_field)
-    monkeypatch.setattr(cli, "field_of_order", no_field)
+    monkeypatch.setattr(geometry, "field_of_order", no_field)
     for call in (lambda: geometry._arc_layout(name, q), lambda: build(field_of_order(q))):
         with pytest.raises(ValueError) as err:
             call()
@@ -184,7 +184,6 @@ def test_census_formula_predictions(q):
     # each formula holds wherever its arc exists, the hyperoval at every
     # even q; on its own it totals the off-arc points and the C(n,2)
     # bisecants' q-1 off-arc points each
-    f = field_of_order(q)
     for name, formulas in _FORMULAS.items():
         if name == "hyperoval" and q % 2:
             continue
@@ -192,7 +191,7 @@ def test_census_formula_predictions(q):
         _, n = geometry._arc_layout(name, q)
         assert sum(npts for _, npts in want) == q * q + q + 1 - n
         assert sum(b * npts for b, npts in want) == binom(n, 2) * (q - 1)
-        assert bisecant_census(geometry._named_arc(f, name)).classes == want, name
+        assert bisecant_census(geometry._named_arc(name, q)).classes == want, name
 
 
 def test_census_totals():
@@ -314,11 +313,10 @@ def test_the_bridge_refuses_an_arc_of_fewer_than_3_points(monkeypatch):
 def test_the_bridge_matches_the_formulas_at_the_smallest_fields(q):
     # every named arc of at least 3 points: its code's census meets the
     # bisecant classes its formula predicts
-    f = field_of_order(q)
     for name, formulas in _FORMULAS.items():
         if name == "hyperoval" and q % 2 or geometry._arc_layout(name, q)[1] < 3:
             continue
-        report = geometry_code_bridge(geometry._named_arc(f, name))
+        report = geometry_code_bridge(geometry._named_arc(name, q))
         assert report.census.classes == formulas(q), name
         assert sum(e.cosets for e in report.entries) == (q - 1) * report.census.covered
 
@@ -435,6 +433,21 @@ def test_bisecant_walk_budget_boundary():
     with pytest.raises(BudgetExceededError) as err:
         geometry._check_walk(739, 740)
     assert "201791340 point normalizations" in str(err.value)
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_each_walk_block_holds_the_pairs_its_cap_allows(monkeypatch, q):
+    # every block but the last holds max(1, cap // (q - 1)) pairs, at
+    # most cap points; the floor of one pair binds at a cap below q - 1
+    f = field_of_order(q)
+    coords = np.array(conic_points(f).points)
+    pairs = binom(len(coords), 2)
+    for cap in (1, q - 1, 2 * q - 1, geometry.WALK_BLOCK_POINTS):
+        monkeypatch.setattr(geometry, "WALK_BLOCK_POINTS", cap)
+        per_block = max(1, cap // (q - 1))
+        full, last = divmod(pairs, per_block)
+        sizes = [len(i) for i, _, _ in geometry._bisecant_walk(f, coords)]
+        assert sizes == [per_block] * full + [last] * (last > 0), cap
 
 
 def test_the_library_refuses_a_walk_over_the_budget_before_any_block(monkeypatch):

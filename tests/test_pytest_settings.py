@@ -1,7 +1,8 @@
-"""The suite's own pytest settings, run on a throwaway test file in a
-fresh pytest process."""
+"""The suite's own pytest settings, each run in a fresh pytest process,
+on a throwaway test file or on a fixed subset of the suite."""
 
 import os
+import re
 import subprocess
 import sys
 import time
@@ -74,3 +75,26 @@ def test_a_test_past_the_time_limit_fails_and_the_run_goes_on(tmp_path):
     assert "TimeoutError: test phase ran past TIME_LIMIT_S = 1 s" in done.stdout, report
     assert "1 failed, 1 passed" in done.stdout, report
     assert elapsed < 30, report
+
+
+OPTIMIZED_SUBSET = ["tests/test_budget_rule.py", "tests/test_budget_signatures.py",
+                    "tests/test_cli.py", "-k", "budget or refus or before"]
+
+
+def test_the_budget_and_refusal_tests_pass_under_python_O():
+    # the guards that keep results exact must not be asserts, which
+    # python -O drops.  pytest warns at configuration time that asserts
+    # outside test modules are ignored under -O, and the suite's
+    # warnings-as-errors would abort on that warning before collecting
+    # anything, so this run ignores that one warning category
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-W", "ignore::pytest.PytestConfigWarning", *OPTIMIZED_SUBSET],
+        cwd=ROOT, capture_output=True, text=True, timeout=120, env=env)
+    report = done.stdout + done.stderr
+    assert done.returncode == 0, report
+    passed = re.search(r"(\d+) passed", done.stdout)
+    assert passed and int(passed.group(1)) >= 60, report
+    assert "failed" not in done.stdout and "error" not in done.stdout, report
