@@ -58,8 +58,9 @@ its classes' counts as Python ints, so its totals check exactly.
 
 from __future__ import annotations
 
+import math
 import numbers
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,11 +363,30 @@ def _point_lines(f: GF, col: np.ndarray, add: np.ndarray | None,
     return order
 
 
-def _charge(work: int, budget: int, needs: str) -> None:
-    """The one budget rule: refuse work over the budget, naming both.  `needs`
-    names the work in its unit: kernel steps, walk normalizations or row bits."""
+def _digit_count(x: int) -> int:
+    """Decimal digits of x != 0, without converting it to a string: with
+    t = floor(log10(2) * bit_length), |x| has t digits or t + 1."""
+    x = abs(x)
+    t = int(x.bit_length() * math.log10(2))
+    return t + (x >= 10**t)
+
+
+def _decimal(x: int) -> str:
+    """x in decimal, or past Python's int-to-str digit limit its size, as
+    "(a 5000-digit number)", signed: the one way a refusal names a count."""
+    try:
+        return f"{x}"
+    except ValueError:  # past the limit, sys.get_int_max_str_digits()
+        return ("-" if x < 0 else "") + f"(a {_digit_count(x)}-digit number)"
+
+
+def _charge(work: int, budget: int, needs: Callable[[], str]) -> None:
+    """The one budget rule: refuse work over the budget, naming both.
+    `needs()` names the work in its unit (kernel steps, walk normalizations
+    or row bits); it runs only for a refusal, so a charge that passes
+    formats no text."""
     if work > budget:
-        raise BudgetExceededError(f"{needs}, over the budget of {budget}")
+        raise BudgetExceededError(f"{needs()}, over the budget of {budget}")
 
 
 def _check_census(q: int, n: int, r: int, wmax: int, budget: int) -> None:
@@ -380,15 +400,27 @@ def _check_census(q: int, n: int, r: int, wmax: int, budget: int) -> None:
     ring operation, so int64, which wraps mod 2^64, gives each count
     exactly once it is below 2^63, even where a line sum wraps (von zur
     Gathen and Gerhard, Modern Computer Algebra, ch. 5).  It needs only
-    the numbers, so it can fire before the field is built."""
+    the numbers, so it can fire before the field is built.  Where
+    q^k < 2^63 no count can pass 2^63, and it sums no vectors; else it
+    adds the terms C(n, w) (q-1)^w from w = wmax down only until their
+    sum passes q^k, since the full sum for a long code takes seconds to
+    minutes."""
     _check_budget(budget)
     work = n * wmax * census_rows(q, r)
-    _charge(work, budget, f"syndrome trellis needs {work} steps n*wmax*(1+(q^(n-k)-1)/(q-1))")
-    vectors = sum(binom(n, w) * (q - 1) ** w for w in range(wmax + 1))
+    _charge(work, budget,
+            lambda: f"syndrome trellis needs {_decimal(work)} steps n*wmax*(1+(q^(n-k)-1)/(q-1))")
     entries = q ** (n - r)
-    if min(vectors, entries) >= 2**63:
-        what = (f"{vectors} vectors of weight <= {wmax}" if vectors < entries
-                else f"entries up to q^k = {entries}")
+    if entries < 2**63:
+        return
+    vectors, term = 0, binom(n, wmax) * (q - 1) ** wmax
+    for w in range(wmax, -1, -1):
+        vectors += term
+        if vectors >= entries:
+            break
+        term = term * w // ((n - w + 1) * (q - 1))  # C(n, w-1) (q-1)^(w-1)
+    if vectors >= 2**63:
+        what = (f"{_decimal(vectors)} vectors of weight <= {wmax}" if vectors < entries
+                else f"entries up to q^k = {_decimal(entries)}")
         raise BudgetExceededError(f"{what} overflow the int64 counts (limit 2^63)")
 
 

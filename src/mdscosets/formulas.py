@@ -8,7 +8,9 @@ the Bonneau relation gives, for w >= d-1,
 
 Both forms are served from coefficient rows built once per (n, d, q):
 for w = d-1..n a prefix-free part K_w and, for each v in 0..d-2, the
-coefficient of B_v.  A query is then one multiply-add per weight and
+coefficient of B_v.  Only K_w reads q: each form's coefficient columns
+are a function of (n, d) alone (`_single_sum_columns`,
+`_double_sum_columns`).  A query is then one multiply-add per weight and
 nonzero B_v, an add alone where B_v = 1.
 
 `bonneau_transformed` builds its rows from the relation above:
@@ -24,9 +26,13 @@ partial alternating sum of binomials, both on a band of n-d+2 entries
 that Pascal's rule carries from column to column, starting from the
 same signed binomial row.  Neither form reads the other's rows, A_w or
 omega, so they stay two independent derivations whose rows must be
-equal, which `verify`'s criterion 2 checks.  Each column is made in
-whole-row passes (`map`, `itertools.accumulate`), so a row set of
-(n-d+2)(d-1) coefficients costs that many entry steps and holds
+equal.  `verify`'s criterion 2 proves they are, at every q, for each
+3 <= d <= n <= 18: the columns take no q, and each K_w is a polynomial
+in q of degree at most w-d+1 <= n-d+1 (A_w is, MacWilliams and Sloane,
+ch. 11, Thm. 6, and omega takes no q; T(w, m) has degree m), so rows
+equal at n-d+2 distinct q are equal as polynomials in q.  Each column
+is made in whole-row passes (`map`, `itertools.accumulate`), so a row
+set of (n-d+2)(d-1) coefficients costs that many entry steps and holds
 O(n-d+2) entries besides its rows; the double sum takes one binomial,
 to seed K_w, and the single sum none besides its d-1 omega seeds.
 
@@ -40,15 +46,17 @@ forms against exact censuses.
 
 Every coset of weight 1, and every one of weight d-1, has one
 distribution, a function of (n, d, q) alone, so `dist_weight1` and
-`dist_weight_d1` are memoized like the rows.  Each of the four caches,
-the rows of either form and the two distributions, keeps the entry of
-the last (n, d, q) asked for (ROW_CACHE_SIZE = 1).  A stream of `dist`
-queries asks for one (n, d, q) at a time, every prefix and closed form
-of it in a row: with four prefixes per (n, d, q), 3 of 4 weight-1 and
-weight-(d-1) calls hit.  `verify` does not: each criterion misses the
-rows once for each code or tuple it reads, and criterion 3 asks for
-each desk (n, d, q)'s two distributions at most once, so their caches
-neither help nor cost it.
+`dist_weight_d1` are memoized like the rows.  Each of the six caches,
+the rows and the columns of either form and the two distributions,
+keeps the entry of the last (n, d, q), or (n, d), asked for
+(ROW_CACHE_SIZE = 1).  A stream of `dist` queries asks for one
+(n, d, q) at a time, every prefix and closed form of it in a row: with
+four prefixes per (n, d, q), 3 of 4 weight-1 and weight-(d-1) calls
+hit.  `verify` does not: each criterion misses the
+rows once for each code or tuple it reads (criterion 2 reads the q of
+one (n, d) in a row, so it builds each (n, d)'s columns once), and
+criterion 3 asks for each desk (n, d, q)'s two distributions at most
+once, so their caches neither help nor cost it.
 
 Every entry first refuses parameters no MDS code has by `check_mds_params`
 (dist_weight1 and dist_weight_d1 in the row charge, their first work),
@@ -69,16 +77,17 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, sub
 
-from .codes import WeightDistribution, _as_int, _check_ints, _require
+from .codes import WeightDistribution, _as_int, _check_ints, _decimal, _require
 from .combinat import binom, omega
 from .mds import (_check_design_distance, _check_formula_rows, _check_least_d,
                   check_mds_params, mds_weight_distribution)
 
 ROW_CACHE_SIZE = 1  # (n, d, q) row sets kept per form
 
-# (K_w for w = d-1..n, and for each v in 0..d-2 the column of B_v's
-# coefficients in B_{d-1}..B_n)
-Rows = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
+# for each v in 0..d-2 the column of B_v's coefficients in B_{d-1}..B_n
+Columns = tuple[tuple[int, ...], ...]
+# (K_w for w = d-1..n, and the columns)
+Rows = tuple[tuple[int, ...], Columns]
 
 
 class InconsistentPrefixError(ValueError):
@@ -116,14 +125,6 @@ class LowWeightPrefix:
             raise ValueError("B_0 must be 0 or 1")
 
 
-def _digit_count(x: int) -> int:
-    """Decimal digits of x != 0, without converting it to a string: with
-    t = floor(log10(2) * bit_length), |x| has t digits or t + 1."""
-    x = abs(x)
-    t = int(x.bit_length() * math.log10(2))
-    return t + (x >= 10**t)
-
-
 def _alternating_binomials(m: int) -> list[int]:
     """(-1)^j C(m, j) for j = 0..m, each entry from the one before by the
     exact ratio -(m-j)/(j+1), its sign carried in the divisor."""
@@ -131,27 +132,32 @@ def _alternating_binomials(m: int) -> list[int]:
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _single_sum_rows(n: int, d: int, q: int) -> Rows:
-    """K_w = A_w - omega(n,d,w,0) and the columns omega(n,d,w,v).  By
-    trinomial revision, C(n-v, w-v) C(w-v, d-1-v) = C(n-v, d-1-v)
-    C(n-d+1, w-d+1), so
+def _single_sum_columns(n: int, d: int) -> Columns:
+    """The columns omega(n,d,w,v), free of q.  By trinomial revision,
+    C(n-v, w-v) C(w-v, d-1-v) = C(n-v, d-1-v) C(n-d+1, w-d+1), so
 
         omega(n,d,w,v) = (-1)^(w-d+1) C(n-d+1, w-d+1) b_v / (w-v)
 
     with b_v = (d-1-v) omega(n,d,d-1,v): each column is the one signed
-    binomial row times b_v, divided exactly by w-v.  A_w is charged first."""
-    A = mds_weight_distribution(n, d, q).counts
+    binomial row times b_v, divided exactly by w-v."""
     row = _alternating_binomials(n - d + 1)
     b = [(d - 1 - v) * omega(n, d, d - 1, v) for v in range(d - 1)]
-    cols = tuple(tuple(map(floordiv, map(mul, row, repeat(b[v])), range(d - 1 - v, n - v + 1)))
+    return tuple(tuple(map(floordiv, map(mul, row, repeat(b[v])), range(d - 1 - v, n - v + 1)))
                  for v in range(d - 1))
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _single_sum_rows(n: int, d: int, q: int) -> Rows:
+    """K_w = A_w - omega(n,d,w,0) and the columns of _single_sum_columns.
+    A_w is charged first."""
+    A = mds_weight_distribution(n, d, q).counts
+    cols = _single_sum_columns(n, d)
     return tuple(map(sub, A[d - 1:], cols[0])), cols
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
-def _double_sum_rows(n: int, d: int, q: int) -> Rows:
-    """K_w = C(n,w) T(w, w-d+1) by the T recurrence, T(d-1, 0) = 1, and
-    the columns of the double sums
+def _double_sum_columns(n: int, d: int) -> Columns:
+    """The columns of the double sums, free of q:
 
         sum_{j=w-d+2}^{w-v} (-1)^j C(j+n-w, j) C(n-v, w-j-v).
 
@@ -162,17 +168,6 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
     s'_m = s_m - s_(m-1), and S(m+1, l) = S(m, l) - S(m, l-1) from
     S(l+1, l) = (-1)^l.  The band of l = -1 is s_m = (-1)^m C(n-d+1, m)
     and S(m, -1) = 0, so one band of each is live at a time."""
-    _check_formula_rows(n, d, q)
-    known = []
-    t = 1  # T(w, w-d+1)
-    c_nw = binom(n, d - 1)  # C(n, w)
-    e = 1 - d  # (-1)^(m+1) C(w, m+1)
-    for w in range(d - 1, n + 1):
-        m = w - d + 1
-        known.append(c_nw * t)
-        t = (q - 1) * t + e
-        c_nw = c_nw * (n - w) // (w + 1)
-        e = e * (w + 1) // -(m + 2)
     s = _alternating_binomials(n - d + 1)
     S = [0] * (n - d + 2)
     cols = []
@@ -180,7 +175,24 @@ def _double_sum_rows(n: int, d: int, q: int) -> Rows:
         s = list(map(sub, s[1:] + [0], s))
         S = list(accumulate(S[1:], sub, initial=(-1) ** l))
         cols.append(tuple(map(mul, s, S)))
-    return tuple(known), tuple(reversed(cols))
+    return tuple(reversed(cols))
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _double_sum_rows(n: int, d: int, q: int) -> Rows:
+    """K_w = C(n,w) T(w, w-d+1) by the T recurrence, T(d-1, 0) = 1, and
+    the columns of _double_sum_columns.  The rows are charged first."""
+    _check_formula_rows(n, d, q)
+    known = []
+    t = 1  # T(w, w-d+1)
+    c_nw = binom(n, d - 1)  # C(n, w)
+    e = 1 - d  # (-1)^(w-d) C(w, w-d+2), the sign carried in the divisor
+    for w in range(d - 1, n + 1):
+        known.append(c_nw * t)
+        t = (q - 1) * t + e
+        c_nw = c_nw * (n - w) // (w + 1)
+        e = e * (w + 1) // (d - w - 3)
+    return tuple(known), _double_sum_columns(n, d)
 
 
 def _tail(rows: Rows, counts) -> list[int]:
@@ -205,11 +217,8 @@ def _distribution(prefix: LowWeightPrefix, rows: Rows, strict: bool) -> WeightDi
     _require(dist.total() == q ** (n - d + 1), "distribution from prefix does not total q^k")
     if strict and not dist.is_nonnegative():
         w = next(w for w, c in enumerate(counts) if c < 0)
-        try:
-            value = f"{counts[w]}"
-        except ValueError:  # past Python's int-to-str digit limit: its size instead
-            value = f"-(a {_digit_count(counts[w])}-digit number)"
-        raise InconsistentPrefixError(f"inconsistent prefix: computed B_{w} = {value} < 0")
+        raise InconsistentPrefixError(
+            f"inconsistent prefix: computed B_{w} = {_decimal(counts[w])} < 0")
     return dist
 
 

@@ -78,7 +78,8 @@ def _check_walk(q: int, n: int) -> None:
     point normalizations.  It needs only q and n, so it fires before the
     field or any plane-sized array is built."""
     work = binom(n, 2) * (q - 1)
-    _charge(work, DEFAULT_BUDGET, f"bisecant walk needs {work} point normalizations C(n,2)*(q-1)")
+    _charge(work, DEFAULT_BUDGET,
+            lambda: f"bisecant walk needs {work} point normalizations C(n,2)*(q-1)")
 
 
 def _leading_one(field: GF, points: np.ndarray) -> np.ndarray:

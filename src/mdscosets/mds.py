@@ -141,6 +141,7 @@ def _check_least_d(n: int, d: int, q: int, least: int) -> None:
         raise ValueError(f"need d >= {least}, got {d}")
 
 
+@lru_cache(maxsize=WEIGHT_DIST_CACHE_SIZE)
 def _check_formula_rows(n: int, d: int, q: int) -> int:
     """check_mds_params, then refuse formula rows over DEFAULT_BUDGET bits;
     return the bits charged, a bound on 8 times the bytes a row build takes:
@@ -151,16 +152,18 @@ def _check_formula_rows(n: int, d: int, q: int) -> int:
     of a small int, 28, and a list slot, 8) for the entry kept and twice
     for what the build holds beside it (short columns' tuples, the double
     sum's bands, the single sum's A_w and omega seeds).  Each row builder
-    calls it first."""
+    calls it first.  Both forms charge the same rows of an (n, d, q), and
+    are often asked for together, so the last charge is kept and the
+    second form's is a lookup; a refusal is raised again each time."""
     check_mds_params(n, d, q)
     N = n - d + 2
     coefficient = min(n, min(d - 1, N - 1) * n.bit_length()) + (d - 1).bit_length() + N
     known = n + (N - 1) * q.bit_length() + 1
     bits = N * ((d - 1) * coefficient + known + 864 * d)
     _charge(bits, DEFAULT_BUDGET,
-            f"formula rows need {bits} bits ({N} weights of {d - 1} coefficients up to "
-            f"{coefficient} bits and a K_w up to {known}, and 864 bits for each of the "
-            f"{N * d} entries)")
+            lambda: f"formula rows need {bits} bits ({N} weights of {d - 1} coefficients up to "
+                    f"{coefficient} bits and a K_w up to {known}, and 864 bits for each of "
+                    f"the {N * d} entries)")
     return bits
 
 

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -534,6 +535,47 @@ def test_census_int64_overflow_refusal(capsys):
         assert out.startswith(f"coset census of {head} cosets)\n")
 
 
+def _digits(x):
+    """Decimal digits of |x|, past Python's int-to-str limit too."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return len(str(abs(x)))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command, q, d, n, wmax", [
+    ("census code", 4096, 4000, 4097, 4097),
+    ("covering classify", 4096, 4000, 4097, 3999),
+    ("census code", 2048, 1400, 2049, 2049),
+], ids=["census-4096", "covering-4096", "census-2048"])
+def test_a_refusal_names_a_count_past_the_digit_limit_by_its_size(capsys, command, q, d, n, wmax):
+    # each run's steps have more digits than Python converts to a string
+    # (4300 by default): the refusal names how many, and exits 3
+    digits = _digits(n * wmax * codes.census_rows(q, d - 1))
+    assert digits > sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    assert run(capsys, *command.split(), "--family", "gdrs", "--q", str(q), "--d", str(d)) == (
+        3, "", _refusal(f"(a {digits}-digit number)"))
+    assert time.perf_counter() - start < 1
+
+
+def test_the_int64_refusal_of_a_long_code_comes_at_once(capsys):
+    # the steps of [4097,4095,3]_4096 and [65537,65535,3]_65536 fit a
+    # budget of 10^30, but a count may reach q^k: the guard stops adding
+    # up the vectors of weight <= wmax once they pass q^k (summing them
+    # all took 1.9 s at q = 4096, and over 5 minutes at q = 65536)
+    for q, digits in ((4096, 14793), (65536, 315649)):
+        assert int(math.log10(q ** (q - 1))) + 1 == digits  # no str() of q^k: it is slow
+        start = time.perf_counter()
+        assert run(capsys, "census", "code", "--family", "gdrs", "--q", str(q), "--d", "3",
+                   "--budget", str(10**30)) == (
+            3, "", f"budget refusal: entries up to q^k = (a {digits}-digit number) "
+                   "overflow the int64 counts (limit 2^63)\n")
+        assert time.perf_counter() - start < 1, q
+
+
 def test_census_geometry(capsys):
     code, out, _ = run(capsys, "census", "geometry", "--q", "5",
                        "--arc", "conic", "--format", "json")
@@ -752,18 +794,19 @@ def test_verify_theorem_subsets(capsys):
 
 
 def test_criterion_2_counts_the_tuples_it_compares(capsys):
-    # the 417 MDS tuples with q <= 16 hold every tuple of the default and
-    # the q = 7 corpus; the q = 17 corpus adds its 10 own tuples
-    for argv, tuples in (((), 417), (("--q", "7"), 417), (("--q", "17"), 427)):
+    # n-d+2 values of q for each 3 <= d <= n <= 18, whatever the filters:
+    # the criterion reads no corpus
+    for argv in ((), ("--q", "7"), ("--q", "17"), ("--q", "2", "--d", "4"), ("--q", "65536")):
         _, out, _ = run(capsys, "verify", "--theorem", "bonneau-equality", *argv)
-        assert out.splitlines()[1] == (f"    {tuples} (n, d, q) tuples: "
-                                       "double-sum rows equal single-sum rows")
+        assert out.splitlines()[1] == ("    952 (n, d, q) tuples, n-d+2 q for each "
+                                       "3 <= d <= n <= 18: double-sum rows equal "
+                                       "single-sum rows at every q"), argv
 
 
 @pytest.mark.parametrize("argv, digest, checked", [
-    (("--q", "2"), "9e23a87118a02358ba9ac26f17490fffbd1322b657fceaa04ef7b202cfb19833", 2),
+    (("--q", "2"), "4074cc5c6da175d24dafb9693be8d6aafe1e026035e4c688a47ddcf4cea516d7", 2),
     (("--q", "3", "--d", "4"),
-     "422b20ad16d0a64aa3c7f829f11a39c0f4e40a4795d1dd3073c25eafa1fdd614", 1),
+     "a89c61fadc64b61a8817a773488e13cdc0d7b3b2863069d8dac5b250afe65088", 1),
 ], ids=["q2", "q3-d4"])
 def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
     # at q = 2 the corpus skips every gdrs d > q+1 but keeps the
@@ -776,8 +819,8 @@ def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
 
 
 @pytest.mark.parametrize("fmt, digest", [
-    ("table", "01d24767e9affcb119abb5e417e9c7ad64a9cf3bac7dd5ec947ab5525aa23553"),
-    ("json", "8dd612adf169d987cbfceca35e3c56f1f22959e1277ec64504ab3a2b2b25b1c9"),
+    ("table", "f5ac6977cccc2a70d6b4d528abccb9762f9daad08517ee36177449f0117ae0a0"),
+    ("json", "7e35b15d3229285045bddaee6428f2d19ba0ce69c8a38403d7eeb4936d2bd1e8"),
 ], ids=["table", "json"])
 def test_default_verify_output_is_pinned(capsys, fmt, digest):
     # the whole desk run, byte for byte; criterion 7's refutations make it exit 1
@@ -830,8 +873,8 @@ def test_verify_refuses_before_it_builds(capsys, monkeypatch):
     fresh = functools.lru_cache(maxsize=None)(field_of_order.__wrapped__)
     for module in (mds, geometry):  # every field of the run is built anew
         monkeypatch.setattr(module, "field_of_order", fresh)
-    for q, digest in ((65536, "cf4230a0333d238c6d317653a770779e8d5e7b9ba069a6abb74fa3b4a60649e4"),
-                      (4096, "5a5de259c0d5882ae92be2161eeb98970c3ef17ba4cf4cffd55cf97eaae58075")):
+    for q, digest in ((65536, "f8722103ea9896b4fd4738eabb80a1dd09fb1c292c104f18f70b764c3086be88"),
+                      (4096, "f332547d48ad3373fd9779ab7df82638d59bc538808a21c25f4c9c1ae52d8283")):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--q", str(q))
         assert time.perf_counter() - start < 1

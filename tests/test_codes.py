@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from itertools import groupby, product
@@ -218,6 +219,40 @@ def test_budget_unit_is_pinned():
         build_code(field_of_order(5), "gdrs", 4, n=6, budget=575)
     assert str(refusal.value) == ("syndrome trellis needs 576 steps "
                                   "n*wmax*(1+(q^(n-k)-1)/(q-1)), over the budget of 575")
+
+
+def _summed_int64_refusal(q, n, r, wmax):
+    """The int64 guard's refusal text with every C(n,w)(q-1)^w term
+    summed, or None where no count can pass 2^63."""
+    vectors = sum(math.comb(n, w) * (q - 1) ** w for w in range(wmax + 1))
+    entries = q ** (n - r)
+    if min(vectors, entries) < 2**63:
+        return None
+    what = (f"{vectors} vectors of weight <= {wmax}" if vectors < entries
+            else f"entries up to q^k = {entries}")
+    return f"{what} overflow the int64 counts (limit 2^63)"
+
+
+def test_the_int64_guard_refuses_as_the_full_sum_would():
+    # the guard stops adding terms once their sum passes q^k; it refuses,
+    # and names, exactly what the sum of every term would
+    grid = [(q, n, r, wmax) for q in (2, 3, 16, 256, 65536) for n in range(1, 41, 3)
+            for r in range(0, min(n, 6) + 1) for wmax in range(0, n + 1, 2)]
+    # q^k = 2^63 exactly, and one below, and q^n = 2^63 vectors: a count
+    # of 2^63 does not fit int64
+    grid += [(2, n, 3, wmax) for n in (65, 66) for wmax in range(0, n + 1, 5)]
+    grid += [(2, 63, 0, 63), (8, 21, 0, 21), (8, 21, 0, 20)]
+    texts = Counter()
+    for q, n, r, wmax in grid:
+        want = _summed_int64_refusal(q, n, r, wmax)
+        try:
+            codes._check_census(q, n, r, wmax, 10**60)
+            got = None
+        except BudgetExceededError as refusal:
+            got = str(refusal)
+        assert got == want, (q, n, r, wmax)
+        texts[None if want is None else want.split()[1]] += 1
+    assert texts[None] and texts["vectors"] and texts["up"]  # every outcome occurs
 
 
 def test_census_has_one_row_per_point():

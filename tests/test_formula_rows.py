@@ -1,19 +1,22 @@
 """Coefficient rows of the two Bonneau forms: every entry against the
 defining sums, both forms against each other and every closed form on
-random parameters, the q^k check of both forms, the row charge against
-the bits the rows hold and the bytes a build takes, the work and memory a row build takes, and the
-bounds of the formula caches."""
+random parameters, each entry's degree in q, the q^k check of both
+forms, the row charge against the bits the rows hold and the bytes a
+build takes, the work and memory a row build takes, and the bounds of
+the formula caches."""
 
 import math
 import random
 import tracemalloc
 from collections import Counter
+from itertools import chain, repeat
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdscosets import combinat, formulas, mds
+from mdscosets import combinat, formulas, mds, verify
 from mdscosets.codes import InvariantError
 from mdscosets.combinat import omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
@@ -203,6 +206,49 @@ def test_forms_and_closed_forms_agree_on_random_parameters(query):
                 form()
 
 
+def _degree_failures():
+    """(builder, n, d, entry) of each row entry, K_w or a coefficient,
+    whose (n-d+2)-th forward difference over the n-d+3 values q =
+    n-1..2n-d+1 is not 0, for each 3 <= d <= n <= verify.IDENTITY_N: an
+    entry that is a polynomial in q of degree at most n-d+1 has 0 there."""
+    bad = []
+    for name in ("_double_sum_rows", "_single_sum_rows"):
+        build = getattr(formulas, name)
+        for n in range(3, verify.IDENTITY_N + 1):
+            for d in range(3, n + 1):
+                values = [(*known, *chain.from_iterable(cols))
+                          for known, cols in map(build, repeat(n), repeat(d),
+                                                 range(n - 1, 2 * n - d + 2))]
+                for _ in range(n - d + 2):
+                    values = [tuple(map(sub, b, a)) for a, b in zip(values, values[1:])]
+                bad += [(name, n, d, i) for i, x in enumerate(values[0]) if x]
+    return bad
+
+
+def test_every_row_entry_is_a_polynomial_in_q_of_degree_at_most_n_minus_d_plus_1():
+    # the premise of criterion 2: rows equal at n-d+2 values of q are then
+    # equal at every q
+    assert _degree_failures() == []
+
+
+def test_a_term_that_vanishes_on_the_compared_q_fails_only_the_degree_test(monkeypatch):
+    # a double-sum K_w doctored with prod (q - p) over criterion 2's q:
+    # the criterion compares nothing that differs, but each doctored
+    # entry now has degree n-d+2 in q
+    build = formulas._double_sum_rows
+
+    def doctored(n, d, q):
+        known, cols = build(n, d, q)
+        vanishing = math.prod(q - p for p in range(n - 1, 2 * n - d + 1))
+        return tuple(k + vanishing for k in known), cols
+    monkeypatch.setattr(formulas, "_double_sum_rows", doctored)
+    monkeypatch.setattr(verify, "_double_sum_rows", doctored)
+    assert verify.criterion_bonneau_equality(None).passed
+    assert _degree_failures() == [
+        ("_double_sum_rows", n, d, i) for n in range(3, verify.IDENTITY_N + 1)
+        for d in range(3, n + 1) for i in range(n - d + 2)]
+
+
 @pytest.mark.parametrize("form,rows", [(bonneau_original, "_double_sum_rows"),
                                        (bonneau_transformed, "_single_sum_rows")],
                          ids=["original", "transformed"])
@@ -233,6 +279,8 @@ def test_row_builds_take_no_per_entry_binomials(monkeypatch):
     for name in ("omega", "binom", "mds_weight_distribution"):
         counting(formulas, name)
     counting(mds, "binom")
+    formulas._double_sum_columns.cache_clear()  # each build makes its columns
+    formulas._single_sum_columns.cache_clear()
     formulas._double_sum_rows.__wrapped__(n, d, q)
     # the double sums read neither omega nor A_w; one binomial seeds K_w,
     # and every column follows from one signed binomial row
@@ -307,8 +355,9 @@ def _module_caches():
 def test_formula_caches_are_bounded():
     caches = _module_caches()
     names = {fn.__qualname__ for fn in caches}
-    assert {"omega", "mds_weight_distribution", "_single_sum_rows",
-            "_double_sum_rows", "dist_weight1", "dist_weight_d1"} <= names
+    assert {"omega", "mds_weight_distribution", "_single_sum_rows", "_double_sum_rows",
+            "_single_sum_columns", "_double_sum_columns", "dist_weight1",
+            "dist_weight_d1"} <= names
     for fn in caches:
         assert fn.cache_parameters()["maxsize"] is not None, fn.__qualname__
     # the benchmark harness reads these two

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mdscosets import formulas
+from mdscosets import codes, formulas
 from mdscosets.codes import coset_census
 from mdscosets.combinat import binom, omega
 from mdscosets.formulas import (InconsistentPrefixError, LowWeightPrefix,
@@ -345,9 +345,9 @@ def test_digit_count_at_powers_of_ten():
     # 10^k has k+1 digits and 10^k - 1 has k, past the 4300-digit str limit too
     for k in [*range(80), 4299, 4300, 4301, 4400]:
         for sign in (1, -1):
-            assert formulas._digit_count(sign * 10**k) == k + 1, (sign, k)
+            assert codes._digit_count(sign * 10**k) == k + 1, (sign, k)
             if k:
-                assert formulas._digit_count(sign * (10**k - 1)) == k, (sign, k)
+                assert codes._digit_count(sign * (10**k - 1)) == k, (sign, k)
 
 
 def test_each_closed_form_is_the_transformed_form_after_its_row_charge(monkeypatch):

@@ -84,14 +84,14 @@ OPTIMIZED_SUBSET = ["tests/test_budget_rule.py", "tests/test_budget_signatures.p
 def test_the_budget_and_refusal_tests_pass_under_python_O():
     # the guards that keep results exact must not be asserts, which
     # python -O drops.  pytest warns at configuration time that asserts
-    # outside test modules are ignored under -O, and the suite's
-    # warnings-as-errors would abort on that warning before collecting
-    # anything, so this run ignores that one warning category
+    # outside test modules are ignored under -O; the suite's settings
+    # ignore that one warning, which warnings-as-errors would otherwise
+    # turn into an abort before anything is collected
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-W", "ignore::pytest.PytestConfigWarning", *OPTIMIZED_SUBSET],
+         *OPTIMIZED_SUBSET],
         cwd=ROOT, capture_output=True, text=True, timeout=120, env=env)
     report = done.stdout + done.stderr
     assert done.returncode == 0, report
