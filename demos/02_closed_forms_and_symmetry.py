@@ -27,7 +27,7 @@ for cls in two:
     print(f"  {cls.count} cosets with B = {cls.distribution.counts}"
           f"  (closed form agrees: {again == cls.distribution})")
 
-rep = symmetry_defect(two[0].distribution, two[1].distribution, 5, 4)
+rep = symmetry_defect(two[0].distribution, two[1].distribution, 4)
 print("\ntheir reflection defects coincide even though the distributions differ:")
 for w, da, db in rep.pairs:
     print(f"  w={w}: {da} vs {db}")

@@ -11,19 +11,25 @@ large, by counting only the low-weight vectors.
 from mdscosets import (build_code, count_deep_hole_cosets, field_of_order,
                        mcf_classify, saturating_set_report)
 
+
+def parent_R(field, d):
+    """Covering radius of the full-length code a removal code is cut from."""
+    return build_code(field, "gdrs", d)[0].covering_radius()
+
+
 f5 = field_of_order(5)
 code, cons = build_code(f5, "gdrs", 4, n=5)
 rep = mcf_classify(code)
 print(f"[5,2,4]_5: R={rep.R}, mu={rep.mu}, APMCF={rep.is_apmcf}, PMCF={rep.is_pmcf}")
-print(" ", saturating_set_report(code, rep)["statement"])
-dh = count_deep_hole_cosets(code, cons)
+print(" ", saturating_set_report(rep)["statement"])
+dh = count_deep_hole_cosets(code, cons, parent_R(f5, 4))
 print(f"  deep-hole cosets: {dh.count} = (q-1)*Delta = {dh.bound} "
       f"(parent covering radius {dh.parent_R})")
 
 gtrs, _ = build_code(field_of_order(4), "gtrs")
 rep4 = mcf_classify(gtrs)
 print(f"\n[6,3,4]_4 (hyperoval code): R={rep4.R}, mu={rep4.mu}, PMCF={rep4.is_pmcf}")
-print(" ", saturating_set_report(gtrs, rep4)["statement"])
+print(" ", saturating_set_report(rep4)["statement"])
 
 print("\nmu-density 1 + 1/q across the odd conic codes "
       "(9^10 and 11^12 ambient spaces never enumerated):")
@@ -35,5 +41,5 @@ for q in (5, 7, 9, 11):
 print("\nwhere the (q-1)*Delta deep-hole count breaks (exhaustively refuted):")
 for d, n in ((4, 4), (5, 5)):
     c, cons = build_code(f5, "gdrs", d, n=n)
-    dh = count_deep_hole_cosets(c, cons)
+    dh = count_deep_hole_cosets(c, cons, parent_R(f5, d))
     print(f"  [{n},1,{d}]_5{dh.refutation}")

@@ -233,7 +233,7 @@ def cmd_covering(args) -> int:
     *parent, code = [censuses[-1].code for censuses in _run_plan(plan, args.budget)]
     construction = plan[-1].recipe
     report = mcf_classify(code)
-    sat = saturating_set_report(code, report)
+    sat = saturating_set_report(report)
     payload = {
         "schema": SCHEMA,
         "command": "covering-classify",

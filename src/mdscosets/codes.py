@@ -47,13 +47,14 @@ longer than wmax gets its full census, and a longer one the low-weight
 census at wmax, which certifies it once wmax reaches its n - k.
 
 Every count is exact.  `_charge` is the one budget rule: it refuses work
-over a budget, both numbers named, never sampled.  It charges three
+over a budget, both numbers named, never sampled.  It charges four
 units: the kernel's steps against the code's budget, fixed when the code
-is built, and a bisecant walk's point normalizations (geometry) and
-formula rows' bits (mds) against DEFAULT_BUDGET.  Beside the kernel's
-charge a guard refuses counts that could pass the int64 range, before
-any table is allocated.  The kernel counts in int64, and a census keeps
-its classes' counts as Python ints, so its totals check exactly.
+is built, and a bisecant walk's point normalizations and plane entries
+(geometry) and formula rows' bits (mds) against DEFAULT_BUDGET.  Beside
+the kernel's charge a guard refuses counts that could pass the int64
+range, before any table is allocated.  The kernel counts in int64, and
+a census keeps its classes' counts as Python ints, so its totals check
+exactly.
 """
 
 from __future__ import annotations
@@ -626,4 +627,5 @@ def coset_census(code: LinearCode) -> CosetCensus:
 
 def low_weight_census(code: LinearCode, wmax: int) -> CosetCensus:
     """Syndrome census of every vector of weight <= wmax: the trellis at wmax."""
+    _check_ints(wmax=wmax)
     return _prefix_censuses(code, [code.n], wmax)[0]

@@ -16,8 +16,10 @@ a tally of the classes of the census at weight n-k or more that also
 certifies d: it reaches every syndrome, and the deep holes of an MDS
 code, whose covering radius never exceeds d - 1, are its weight-(d-1)
 cosets.  Their number for a column-removal code is checked against
-the (q-1)*Delta rule by count_deep_hole_cosets, whose report says
-whether the rule holds: a refutation is reported, never raised.
+the (q-1)*Delta rule by count_deep_hole_cosets, given the covering
+radius of the full-length parent, which the caller has already counted;
+its report says whether the rule holds: a refutation is reported, never
+raised.  Nothing here builds a code.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from .codes import LinearCode, _check_ints, _require
 from .combinat import binom
-from .mds import MdsConstruction, build_code
+from .mds import MdsConstruction
 
 
 class DeepHoleMismatchError(RuntimeError):
@@ -120,17 +122,13 @@ class DeepHoleReport:
 
 
 def count_deep_hole_cosets(code: LinearCode, construction: MdsConstruction,
-                           parent_R: int | None = None) -> DeepHoleReport:
+                           parent_R: int) -> DeepHoleReport:
     """Count the code's weight-(d-1) cosets, read from its leader
     profile, against the (q-1)*Delta rule for a parent of covering
-    radius `parent_R`; the parent, when `parent_R` is not given, is built
-    under the code's own budget."""
+    radius `parent_R`, an int."""
+    _check_ints(parent_R=parent_R)
     if construction.delta < 1:
         raise ValueError("the deep-hole count applies to column-removal codes")
-    if parent_R is None:
-        parent, _ = build_code(code.field, construction.family, construction.d,
-                               budget=code.budget)
-        parent_R = parent.covering_radius()
     d = construction.d
     return DeepHoleReport(
         count=sum(code.leader_profile().get(d - 1, {}).values()), weight=d - 1,
@@ -138,22 +136,23 @@ def count_deep_hole_cosets(code: LinearCode, construction: MdsConstruction,
         parent_R=parent_R, equality_required=parent_R == d - 2)
 
 
-def saturating_set_report(code: LinearCode, report: McfReport) -> dict:
-    """Translate an MCF certificate into the statement about the
-    parity-check columns as a multiple saturating set in PG(n-k-1, q)."""
+def saturating_set_report(report: McfReport) -> dict:
+    """Translate an MCF certificate into the statement about the n
+    parity-check columns of its code as a multiple saturating set in
+    PG(n-k-1, q)."""
     if not report.is_mcf or report.R < 1:
         return {"certified": False,
                 "reason": "input certificate does not cover the farthest-off points"}
     kind = "OS" if report.is_apmcf else "saturating"
     rho = report.R - 1
-    space = f"PG({code.n - code.k - 1},{code.field.q})"
+    space = f"PG({report.n - report.k - 1},{report.q})"
     return {
         "certified": True,
         "space": space,
-        "set_size": code.n,
+        "set_size": report.n,
         "rho": rho,
         "mu": report.mu,
         "kind": kind,
-        "statement": (f"the {code.n} parity-check columns form a "
+        "statement": (f"the {report.n} parity-check columns form a "
                       f"({rho},{report.mu})-{kind} set in {space}"),
     }

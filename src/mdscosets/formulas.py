@@ -49,14 +49,16 @@ distribution, a function of (n, d, q) alone, so `dist_weight1` and
 `dist_weight_d1` are memoized like the rows.  Each of the six caches,
 the rows and the columns of either form and the two distributions,
 keeps the entry of the last (n, d, q), or (n, d), asked for
-(ROW_CACHE_SIZE = 1).  A stream of `dist` queries asks for one
-(n, d, q) at a time, every prefix and closed form of it in a row: with
-four prefixes per (n, d, q), 3 of 4 weight-1 and weight-(d-1) calls
-hit.  `verify` does not: each criterion misses the
-rows once for each code or tuple it reads (criterion 2 reads the q of
-one (n, d) in a row, so it builds each (n, d)'s columns once), and
-criterion 3 asks for each desk (n, d, q)'s two distributions at most
-once, so their caches neither help nor cost it.
+(ROW_CACHE_SIZE = 1).  Their traffic, as hits/misses over the seed-1
+benchmark runs: `prefix-stream` asks for one (n, d, q) at a time, four
+prefixes and every closed form of each in a row, and the single-sum
+rows take 89,497/2,100, `dist_weight1` 6,300/2,100 and each column
+cache 20/2,080; on `desk` (`verify`'s criteria) each column cache hits
+816 times, as criterion 2 reads the q of one (n, d) in a row, and the
+two distributions never hit.  `mds_weight_distribution`, which only
+the single-sum rows read, and `combinat.omega` hit on neither
+(0/2,100 and 0/11,052 on `prefix-stream`), so their one-entry caches
+are kept only for the benchmark's hit and miss counters.
 
 Every entry first refuses parameters no MDS code has by `check_mds_params`
 (dist_weight1 and dist_weight_d1 in the row charge, their first work),
@@ -71,6 +73,7 @@ reported as InconsistentPrefixError in strict mode and as a plain
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -95,8 +98,12 @@ class InconsistentPrefixError(ValueError):
 
 
 def _counts(values, name: str, first: int):
-    """The given counts B_first, B_first+1, ...: `values` itself when each
-    is an exact int, else a tuple of each through _as_int as `name B_v`."""
+    """The given counts B_first, B_first+1, ... as a tuple: `values` itself
+    when it is a tuple of exact ints, else each through _as_int as
+    `name B_v`; refused, naming them, when they are no sequence."""
+    if not isinstance(values, Iterable):
+        raise ValueError(f"{name}s must be a sequence of integers, got {values!r}")
+    values = tuple(values)  # tuple() of a tuple is that tuple
     for value in values:
         if type(value) is not int:
             return tuple(_as_int(c, f"{name} B_{v}") for v, c in enumerate(values, first))
@@ -114,8 +121,7 @@ class LowWeightPrefix:
 
     def __post_init__(self):
         check_mds_params(self.n, self.d, self.q)
-        # a tuple prefix is kept as it is: tuple() of a tuple is that tuple
-        object.__setattr__(self, "counts", _counts(tuple(self.counts), "prefix count", 0))
+        object.__setattr__(self, "counts", _counts(self.counts, "prefix count", 0))
         if len(self.counts) != self.d - 1:
             raise ValueError(f"prefix must list B_0..B_{self.d - 2} ({self.d - 1} values), "
                              f"got {len(self.counts)}")
@@ -258,7 +264,8 @@ def dist_weight_mid(n: int, d: int, q: int, W: int, knowns,
     `knowns` lists B_{d-W}..B_{d-2}, so W-1 values.
     """
     check_mds_params(n, d, q)
-    knowns = _counts(tuple(knowns), "mid-weight known", d - W)
+    _check_ints(W=W)
+    knowns = _counts(knowns, "mid-weight known", d - W)
     low = 2 <= W <= (d - 1) // 2
     high = (d + 1) // 2 <= W <= d - 3
     if not (low or high):
@@ -315,11 +322,14 @@ class SymmetryReport:
 
 
 def symmetry_defect(dist_a: WeightDistribution, dist_b: WeightDistribution,
-                    n: int, d: int) -> SymmetryReport:
-    _check_ints(n=n, d=d)
+                    d: int) -> SymmetryReport:
+    """The reflection defects of two coset distributions of a code of
+    minimum distance d; n is their common length."""
+    _check_ints(d=d)
+    n = dist_a.n
+    if dist_b.n != n:
+        raise ValueError(f"distribution lengths differ: {n} and {dist_b.n}")
     _check_design_distance(n, d)
-    if dist_a.n != n or dist_b.n != n:
-        raise ValueError("distribution lengths disagree with n")
     wa, wb = dist_a.min_positive_weight(), dist_b.min_positive_weight()
     comparable = wa == wb and wa in (2, d - 2)
     sign = 1 if (n + d) % 2 == 0 else -1

@@ -14,7 +14,8 @@ pairs holding at most WALK_BLOCK_POINTS points: each block's points
 a_i + t*a_j are formed and ranked as arrays and tallied in
 place by one np.add.at, so a walk's temporaries stay a few MiB at any q
 the budget admits.  Before its first block, the walk charges its
-C(n,2)*(q-1) point normalizations to codes._charge.  Building
+C(n,2)*(q-1) point normalizations to codes._charge, and then the plane
+entries the arc's tallies and the field's addition table hold.  Building
 an Arc runs the walk once: distinct points are an arc exactly when it
 meets none of them, and the same blocks tally the bisecants through
 every point, which the census and the bridge read.
@@ -75,11 +76,18 @@ def _bisecant_walk(field: GF, coords: np.ndarray):
 
 def _check_walk(q: int, n: int) -> None:
     """Charge the bisecant walk of an n-arc in PG(2, q) its C(n,2)*(q-1)
-    point normalizations.  It needs only q and n, so it fires before the
-    field or any plane-sized array is built."""
+    point normalizations, then the plane entries the arc and its walk
+    hold: the arc's two census_rows(q, 3) tallies (point index and
+    bisecant counts) and the field's (q, q) addition table.  It needs only
+    q and n, so it fires before the field or any plane-sized array is
+    built.  Every named arc the walk admits has q <= 733, and its plane
+    fits, so only a short arc at a large q meets the second charge."""
     work = binom(n, 2) * (q - 1)
     _charge(work, DEFAULT_BUDGET,
             lambda: f"bisecant walk needs {work} point normalizations C(n,2)*(q-1)")
+    entries = 2 * census_rows(q, 3) + q * q
+    _charge(entries, DEFAULT_BUDGET,
+            lambda: f"arc plane needs {entries} entries 2*(q^2+q+1)+q^2")
 
 
 def _leading_one(field: GF, points: np.ndarray) -> np.ndarray:
@@ -167,18 +175,21 @@ def _named_arc(name: str, q: int) -> Arc:
 
 def conic_points(field: GF) -> Arc:
     """The (q+1)-point conic traced by the distance-4 parity-check columns:
-    (1, a, a^2) for each nonzero a ascending, then (1, 0, 0), then (0, 0, 1)."""
+    (1, a, a^2) for each nonzero a ascending, then (1, 0, 0), then (0, 0, 1).
+    Like each named arc, it is built on field_of_order(field.q)."""
     return _named_arc("conic", field.q)
 
 
 def hyperoval_points(field: GF) -> Arc:
-    """For even q, the regular hyperoval: the conic plus its nucleus (0,1,0)."""
+    """For even q, the regular hyperoval: the conic plus its nucleus (0,1,0),
+    built on field_of_order(field.q)."""
     return _named_arc("hyperoval", field.q)
 
 
 def shortened_conic(field: GF, remove: int = 1) -> Arc:
     """The conic with its last `remove` points dropped (the default column
-    choice; the censuses below do not depend on which points go)."""
+    choice; the censuses below do not depend on which points go), built on
+    field_of_order(field.q)."""
     return _named_arc(f"conic-minus:{remove}", field.q)
 
 

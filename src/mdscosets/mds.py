@@ -206,6 +206,7 @@ def build_code(field: GF, family: str, d: int | None = None, n: int | None = Non
 
     The code keeps the first `n` columns of the full family matrix (all
     of them by default), less the columns `removed` indexes (0-based).
+    Only `field.q` is read: the code is built on field_of_order(field.q).
     Its certification, charged before it is built, and every later census
     run under `budget`.
     """

@@ -269,12 +269,12 @@ def criterion_conic_censuses(cache: DeskCache) -> CriterionResult:
 def symmetry_failures(census: CosetCensus) -> tuple[int, list[str]]:
     """Reflection defects agree across every pair of weight-(d-2) classes,
     and of weight-2 classes when d >= 5."""
-    n, d, _, _ = _ndqk(census)
+    _, d, _, _ = _ndqk(census)
     pairs = [pair for W in ((d - 2, 2) if d >= 5 else (d - 2,))
              for pair in combinations(census.classes_of_weight(W), 2)]
     return len(pairs), [f": defect mismatch between B={a.distribution.counts} and "
                         f"B={b.distribution.counts}" for a, b in pairs
-                        if not symmetry_defect(a.distribution, b.distribution, n, d).matched]
+                        if not symmetry_defect(a.distribution, b.distribution, d).matched]
 
 
 def criterion_symmetry(cache: DeskCache) -> CriterionResult:
@@ -283,7 +283,7 @@ def criterion_symmetry(cache: DeskCache) -> CriterionResult:
     two = cache.census(cache.code(5, 4, 5)).classes_of_weight(2)
     inst_ok = len(two) == 2
     if inst_ok:
-        rep = symmetry_defect(two[0].distribution, two[1].distribution, 5, 4)
+        rep = symmetry_defect(two[0].distribution, two[1].distribution, 4)
         w5 = next(p for p in rep.pairs if p[0] == 5)
         inst_ok = rep.matched and w5[1] == -10 and w5[2] == -10
     if not inst_ok:
@@ -444,12 +444,9 @@ CRITERIA = {
 THEOREM_NAMES = {name: num for num, (name, _) in CRITERIA.items()}
 
 
-def run_acceptance(cache: DeskCache | None = None,
-                   numbers=None) -> list[CriterionResult]:
+def run_acceptance(cache: DeskCache, numbers=None) -> list[CriterionResult]:
     """Run the criteria `numbers` (all by default) on the corpus `cache`
     holds; the q and d filters are the cache's own."""
-    if cache is None:
-        cache = DeskCache()
     if numbers is None:
         numbers = sorted(CRITERIA)
     return [CRITERIA[num][1](cache) for num in numbers]

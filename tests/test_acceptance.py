@@ -206,9 +206,9 @@ def test_criterion_5_names_each_pair_whose_defects_differ(desk, monkeypatch):
     # q = 5 code of length 5 and the frozen instance, reported unmatched
     fn = verify.symmetry_defect
 
-    def unmatched(dist_a, dist_b, n, d):
-        rep = fn(dist_a, dist_b, n, d)
-        if (n, d, dist_a.total()) == (5, 4, 25):
+    def unmatched(dist_a, dist_b, d):
+        rep = fn(dist_a, dist_b, d)
+        if (dist_a.n, d, dist_a.total()) == (5, 4, 25):
             rep = dataclasses.replace(rep, matched=False)
         return rep
     monkeypatch.setattr(verify, "symmetry_defect", unmatched)
@@ -300,6 +300,23 @@ def test_criterion_2_names_row_sets_that_differ_only_in_shape():
     assert verify._first_difference(3, double, ([1, 2, 3], [[0, 1]])) == "row shapes differ"
     assert verify._first_difference(3, double, ([1, 5], [[0, 1]])) == (
         "K at w=3: double sum 2, single sum 5")
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_criterion_5_reads_the_defects_of_both_frozen_classes(desk, monkeypatch, which):
+    # the frozen instance compares [5,2,4]_5's two weight-2 classes, not
+    # one class with itself: a w = 5 defect doctored on either is reported
+    fn = verify.symmetry_defect
+    doctored = desk.census(desk.code(5, 4, 5)).classes_of_weight(2)[which].distribution
+
+    def shifted(dist_a, dist_b, d):
+        rep = fn(dist_a, dist_b, d)
+        return dataclasses.replace(rep, pairs=tuple(
+            (w, da + (w == 5 and dist_a == doctored), db + (w == 5 and dist_b == doctored))
+            for w, da, db in rep.pairs))
+    monkeypatch.setattr(verify, "symmetry_defect", shifted)
+    assert CRITERIA[5][1](desk).lines == [
+        "285 class pairs compared", "[5,2,4]_5 weight-2 pair: expected matched defect -10 at w=5"]
 
 
 # the desk outcome the benchmark is checked against: a digest of each
@@ -417,7 +434,7 @@ def test_full_verify_runs_the_kernel_once_per_chain(kernel_runs):
     # from its memo: a full verify runs the kernel 24
     # times, where certifying the parents apart took 8 more runs and the
     # survey 5 more
-    results = run_acceptance()
+    results = run_acceptance(DeskCache())
     runs = [(code.field.q, tuple(map(tuple, code.H.tolist())), wmax)
             for code, wmax, _ in kernel_runs]
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]

@@ -1,11 +1,12 @@
 """A census keeps every coset's class under the doubly-extended code's
-scale and Frobenius maps (tests/automorphisms.py)."""
+scale, shift, invert and Frobenius maps, on each length that keeps the
+map (tests/automorphisms.py)."""
 import copy
 
 import numpy as np
 import pytest
 
-from automorphisms import census_syndromes, maps_of, mismatched_rows
+from automorphisms import census_syndromes, maps_keeping, maps_of, mismatched_rows
 from mdscosets.codes import census_rows, syndrome_row
 from mdscosets.gf import field_of_order
 from mdscosets.mds import _family_rows
@@ -19,7 +20,8 @@ def _rows_of_columns(f, columns):
 
 @pytest.mark.parametrize("q", prime_powers(16))
 def test_each_map_sends_every_column_to_a_multiple_of_a_column(q):
-    # at lengths q+1, q and q-1 of every d, and with the nucleus at even q
+    # at lengths q+1, q and q-1 of every d, and with the nucleus at even
+    # q, for each map that keeps the length
     f = field_of_order(q)
     for d in range(3, min(q + 1, 6) + 1):
         full = _family_rows(f, "gdrs", d)
@@ -28,7 +30,7 @@ def test_each_map_sends_every_column_to_a_multiple_of_a_column(q):
             matrices.append(_family_rows(f, "gtrs", 4))
         for H in matrices:
             columns = _rows_of_columns(f, H)
-            for name, mapping in maps_of(f).items():
+            for name, mapping in maps_keeping(f, H.shape[1]).items():
                 assert _rows_of_columns(f, mapping(list(H))) == columns, (q, d, H.shape, name)
 
 
@@ -48,13 +50,32 @@ def _mapped_codes(desk):
     return gdrs + [desk.code(q, 4, family="gtrs") for q in (4, 8)]
 
 
-def test_every_census_keeps_its_classes_under_both_maps(desk):
+def test_every_census_keeps_its_classes_under_each_map_of_its_length(desk):
     codes = _mapped_codes(desk)
     assert len(codes) == 45  # 43 gdrs codes at q <= 9, then two gtrs
+    checked = {}
     for code in codes:
         census = desk.census(code)
-        for name, mapping in maps_of(code.field).items():
+        for name, mapping in maps_keeping(code.field, code.n).items():
             assert not mismatched_rows(census, mapping).size, (code, name)
+            checked[name] = checked.get(name, 0) + 1
+    # shift on the 28 gdrs codes of length q+1 or q, invert on the 30 of
+    # length q+1 or q-1, and each on both gtrs codes
+    assert checked == {"scale": 45, "frobenius": 45, "shift": 30, "invert": 32}
+
+
+def test_a_map_that_does_not_keep_the_length_moves_rows(desk):
+    # invert sends the column of a = 0 to infinity, which a length-q code
+    # lacks, and shift sends a = -1 to 0, which a length-(q-1) code lacks:
+    # each moves rows to other classes on every such desk code
+    moved = {}
+    for code in _mapped_codes(desk)[:-2]:  # the gdrs codes
+        census, maps = desk.census(code), maps_of(code.field)
+        for name in maps.keys() - maps_keeping(code.field, code.n).keys():
+            moved[code.n - code.field.q, name, code] = mismatched_rows(census, maps[name]).size
+    assert {(offset, name) for offset, name, _ in moved} == {(0, "invert"), (-1, "shift")}
+    assert all(moved.values())
+    assert moved[0, "invert", desk.code(7, 4, 7)] == 14
 
 
 @pytest.mark.parametrize("q, n, frobenius", [(7, 8, 0), (8, 9, 2), (9, 8, 2)])

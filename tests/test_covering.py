@@ -1,16 +1,22 @@
+import ast
+import inspect
 import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mdscosets.codes import BudgetExceededError, LinearCode, coset_census
+import mdscosets
+from mdscosets.codes import LinearCode, coset_census
 from mdscosets.covering import (count_deep_hole_cosets, mcf_classify,
                                 mu_density_closed_form, saturating_set_report)
+from mdscosets.formulas import symmetry_defect
 from mdscosets.geometry import Arc, bisecant_census
 from mdscosets.gf import field_of_order
 from mdscosets.mds import build_code
+from mdscosets.verify import run_acceptance
 from oracle import field_of, generator_matrix, syndrome
 
 
@@ -122,15 +128,20 @@ def test_distance_and_multiplicity_spot_check():
             assert dists.count(dmin) == dist.counts[dmin]
 
 
+def parent_radius(field, d):
+    """Covering radius of the full-length gdrs code that removals cut."""
+    return build_code(field, "gdrs", d)[0].covering_radius()
+
+
 def test_deep_hole_counts_where_the_formula_holds():
     f5 = field_of_order(5)
     code, cons = build_code(f5, "gdrs", 4, n=5)
-    rep = count_deep_hole_cosets(code, cons)
+    rep = count_deep_hole_cosets(code, cons, parent_radius(f5, 4))
     assert rep.count == rep.bound == 4
     assert rep.equality_required and rep.parent_R == 2
     f7 = field_of_order(7)
     code7, cons7 = build_code(f7, "gdrs", 4, n=6)
-    assert count_deep_hole_cosets(code7, cons7).count == 12
+    assert count_deep_hole_cosets(code7, cons7, parent_radius(f7, 4)).count == 12
 
 
 ODD_QS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31)
@@ -181,7 +192,7 @@ def test_deep_hole_inequality_branch_for_even_parent():
     # the even-q conic parent has R = 3 != d-2, so only the bound applies
     f4 = field_of_order(4)
     code, cons = build_code(f4, "gdrs", 4, n=4)
-    rep = count_deep_hole_cosets(code, cons)
+    rep = count_deep_hole_cosets(code, cons, parent_radius(f4, 4))
     assert not rep.equality_required
     assert rep.parent_R == 3
     assert rep.count == 6 >= rep.bound == 3
@@ -191,7 +202,7 @@ def test_deep_hole_requires_a_removal_construction():
     f5 = field_of_order(5)
     code, cons = build_code(f5, "gdrs", 4)
     with pytest.raises(ValueError, match="column-removal"):
-        count_deep_hole_cosets(code, cons)
+        count_deep_hole_cosets(code, cons, code.covering_radius())
 
 
 def test_deep_hole_formula_counterexample_is_reported():
@@ -199,7 +210,7 @@ def test_deep_hole_formula_counterexample_is_reported():
     # the census finds 24 weight-4 cosets, the formula predicts (q-1)*Delta = 4
     f5 = field_of_order(5)
     code, cons = build_code(f5, "gdrs", 5, n=5)
-    rep = count_deep_hole_cosets(code, cons)
+    rep = count_deep_hole_cosets(code, cons, parent_radius(f5, 5))
     assert (rep.count, rep.bound, rep.parent_R, rep.equality_required) == (24, 4, 3, True)
     assert not rep.holds
     assert rep.refutation == (" (Delta=1, parent R=3): census counts 24 weight-4 cosets, "
@@ -244,15 +255,15 @@ def test_one_trellis_pass_per_code(kernel_runs):
     assert code.leader_profile()[rep.R] == dict(rep.farthest_profile)
 
 
-def test_deep_hole_parent_is_built_within_the_budget():
-    # the [6,3,4]_5 parent needs 6*3*32 = 576 kernel steps, the
-    # [5,2,4]_5 code itself 5*3*32 = 480
-    f5 = field_of_order(5)
-    code, cons = build_code(f5, "gdrs", 4, n=5, budget=500)
-    with pytest.raises(BudgetExceededError, match="budget of 500"):
-        count_deep_hole_cosets(code, cons)
-    code, cons = build_code(f5, "gdrs", 4, n=5, budget=576)
-    assert count_deep_hole_cosets(code, cons).parent_R == 2
+@pytest.mark.parametrize("parent_R", ["3", 3.0, None, True])
+def test_deep_hole_count_refuses_a_parent_radius_that_is_no_int(parent_R):
+    # on [5,1,5]_5, whose parent has R = 3, a radius that is no int would
+    # hide the refutation ("3" != d-2) or print as 3.0; it is refused
+    # first, before the construction (here no removal) is read
+    code, cons = build_code(field_of_order(5), "gdrs", 5, n=5)
+    with pytest.raises(ValueError) as err:
+        count_deep_hole_cosets(code, replace(cons, removed=()), parent_R)
+    assert str(err.value) == f"parent_R must be an int, got {parent_R!r}"
 
 
 def test_deep_hole_rule():
@@ -273,7 +284,7 @@ def test_saturating_set_statements():
     f5 = field_of_order(5)
     code, _ = build_code(f5, "gdrs", 4, n=5)
     rep = mcf_classify(code)
-    sat = saturating_set_report(code, rep)
+    sat = saturating_set_report(rep)
     assert sat["certified"]
     assert sat["kind"] == "OS"
     assert sat["rho"] == 2 and sat["mu"] == 10
@@ -281,13 +292,42 @@ def test_saturating_set_statements():
 
     f4 = field_of_order(4)
     gtrs, _ = build_code(f4, "gtrs")
-    sat4 = saturating_set_report(gtrs, mcf_classify(gtrs))
+    sat4 = saturating_set_report(mcf_classify(gtrs))
     assert sat4["rho"] == 1 and sat4["mu"] == 3 and sat4["kind"] == "OS"
 
     conic5, _ = build_code(f5, "gdrs", 4)
     rep5 = mcf_classify(conic5)
-    sat5 = saturating_set_report(conic5, rep5)
+    sat5 = saturating_set_report(rep5)
     assert sat5["kind"] == "saturating"  # MCF but not almost perfect
 
     fake = replace(rep, mu=0)
-    assert not saturating_set_report(code, fake)["certified"]
+    assert not saturating_set_report(fake)["certified"]
+
+
+def test_reports_take_only_what_their_inputs_do_not_carry():
+    # n, k and q come from the report or the distributions, the parent's
+    # radius from the caller, the corpus from the cache: no report takes a
+    # size its inputs carry, nor defaults to building what it reads
+    def parameters(fn):
+        return [(p.name, p.default is inspect.Parameter.empty)
+                for p in inspect.signature(fn).parameters.values()]
+    assert parameters(count_deep_hole_cosets) == [
+        ("code", True), ("construction", True), ("parent_R", True)]
+    assert parameters(saturating_set_report) == [("report", True)]
+    assert parameters(symmetry_defect) == [("dist_a", True), ("dist_b", True), ("d", True)]
+    assert parameters(run_acceptance) == [("cache", True), ("numbers", False)]
+
+
+def test_no_library_function_calls_build_code():
+    # so no report builds a parent code, and covering reads only the
+    # recipe type from mds
+    src = Path(mdscosets.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    callers = sorted(stem for stem, tree in trees.items() for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_code")
+    assert callers == []
+    imported = [alias.name for node in ast.walk(trees["covering"])
+                if isinstance(node, ast.ImportFrom) and node.module == "mds"
+                for alias in node.names]
+    assert imported == ["MdsConstruction"]

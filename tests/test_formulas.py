@@ -216,18 +216,52 @@ def test_dist_weight_mid_refuses_a_negative_known_before_any_row(monkeypatch, st
         assert str(err.value) == message
 
 
+def _code(budget=codes.DEFAULT_BUDGET):
+    """[5,2,4]_5 under `budget`."""
+    return codes.LinearCode(field_of_order(5), build_code(field_of_order(5), "gdrs", 4,
+                                                          n=5)[0].H, budget)
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: codes.low_weight_census(_code(), True), "wmax must be an int, got True"),
+    (lambda: codes.low_weight_census(_code(), "2"), "wmax must be an int, got '2'"),
+    (lambda: codes.low_weight_census(_code(), 2.0), "wmax must be an int, got 2.0"),
+    (lambda: codes.low_weight_census(_code(budget=1), "2"), "wmax must be an int, got '2'"),
+    (lambda: dist_weight_mid(7, 5, 7, 2.0, [1]), "W must be an int, got 2.0"),
+    (lambda: dist_weight_mid(7, 5, 7, "2", [1]), "W must be an int, got '2'"),
+    (lambda: dist_weight_mid(7, 5, 7, 2, 5), "mid-weight knowns must be a sequence of "
+     "integers, got 5"),
+    (lambda: dist_weight_mid(7, 5, 7, 2.0, 5), "W must be an int, got 2.0"),
+    (lambda: dist_weight_mid(7, 8, 7, "2", 5), "need 3 <= d <= n, got d=8, n=7"),
+    (lambda: dist_weight_mid(10**6, 5, 10**6, "2", [1]), "W must be an int, got '2'"),
+    (lambda: LowWeightPrefix(5, 4, 5, 5), "prefix counts must be a sequence of integers, "
+     "got 5"),
+    (lambda: LowWeightPrefix(5, 6, 5, 5), "need 3 <= d <= n, got d=6, n=5"),
+], ids=["wmax-bool", "wmax-str", "wmax-float", "wmax-before-charge", "W-float", "W-str",
+        "knowns-int", "W-before-knowns", "params-before-W", "W-before-charge",
+        "prefix-int", "params-before-prefix"])
+def test_a_public_input_of_the_wrong_kind_is_refused_by_name_in_order(call, text):
+    # through the one int rule, or as no sequence of counts: the
+    # parameters first, then the form's own arguments, then the charge
+    # (the rows at n = q = 10^6 and the census at budget 1 would be refused)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == text
+
+
 def test_symmetry_defect_instance():
     a = dist_weight_d2(5, 4, 5, 2)
     b = dist_weight_d2(5, 4, 5, 1)
-    rep = symmetry_defect(a, b, 5, 4)
+    rep = symmetry_defect(a, b, 4)
     assert rep.comparable and rep.matched
     w5 = next(p for p in rep.pairs if p[0] == 5)
     assert w5 == (5, -10, -10)
     # identical distributions are trivially matched
-    rep2 = symmetry_defect(a, a, 5, 4)
+    rep2 = symmetry_defect(a, a, 4)
     assert rep2.matched
     # a weight-1 class is not comparable to a weight-2 class
-    rep3 = symmetry_defect(dist_weight1(5, 4, 5), a, 5, 4)
+    rep3 = symmetry_defect(dist_weight1(5, 4, 5), a, 4)
     assert not rep3.comparable and not rep3.matched
 
 
@@ -239,20 +273,22 @@ def test_closed_forms_refuse_a_design_distance_or_b_low_out_of_range(monkeypatch
         (lambda: dist_weight2(6, 4, 5, 1), "need d >= 5, got 4"),
         (lambda: dist_weight2(6, 5, 5, -1), "B_{d-2} must be non-negative"),
         (lambda: weight2_identical_check(6, 4, 5), "need d >= 5, got 4"),
-        (lambda: symmetry_defect(dist_weight_d2(5, 4, 5, 1), dist_weight_d2(5, 4, 5, 2), 6, 4),
-         "distribution lengths disagree with n"),
+        (lambda: symmetry_defect(dist_weight_d2(5, 4, 5, 1), dist_weight_d2(6, 4, 5, 2), 4),
+         "distribution lengths differ: 5 and 6"),
     ]
     # the two weight-2 cosets of [6,3,4]_5 under a d outside 3..6: the
     # caller's error, not a report (d = 2 read as comparable, d = 7 > n)
     # nor a broken invariant (d <= 1 put a mirror weight below 0)
     a, b = dist_weight_d2(6, 4, 5, 2), dist_weight_d2(6, 4, 5, 3)
-    refusals += [(lambda d=d: symmetry_defect(a, b, 6, d), f"need 3 <= d <= n, got d={d}, n=6")
+    refusals += [(lambda d=d: symmetry_defect(a, b, d), f"need 3 <= d <= n, got d={d}, n=6")
                  for d in (-1, 0, 1, 2, 7)]
-    # an n or d that is no int is named by the int rule of check_mds_params
-    refusals += [(lambda: symmetry_defect(a, b, 6, 4.0), "d must be an int, got 4.0"),
-                 (lambda: symmetry_defect(a, b, True, 4), "n must be an int, got True"),
-                 (lambda: symmetry_defect(a, b, np.int64(6), 4),
-                  f"n must be an int, got {np.int64(6)!r}")]
+    # a d that is no int is named by the int rule of check_mds_params,
+    # before the lengths are compared; n is read from the distributions
+    refusals += [(lambda: symmetry_defect(a, dist_weight1(5, 4, 5), 4.0),
+                  "d must be an int, got 4.0"),
+                 (lambda: symmetry_defect(a, b, True), "d must be an int, got True"),
+                 (lambda: symmetry_defect(a, b, np.int64(4)),
+                  f"d must be an int, got {np.int64(4)!r}")]
     for call, message in refusals:
         with pytest.raises(ValueError) as err:
             call()

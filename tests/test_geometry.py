@@ -481,6 +481,24 @@ def test_an_arc_over_the_walk_budget_is_refused_before_any_plane_array():
     assert peak < 4 * 2**20
 
 
+def test_a_short_arc_whose_plane_is_over_the_budget_is_refused_before_any_plane_array():
+    # three points walk only 3*(q-1) normalizations, but at q = 16384 the
+    # arc's two tallies and the field's addition table would hold
+    # 2*(q^2+q+1) + q^2 = 805339140 entries (over 8 GB as the arc builds)
+    f = field_of_order(16384)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            Arc(f, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == ("arc plane needs 805339140 entries 2*(q^2+q+1)+q^2, "
+                              "over the budget of 200000000")
+    assert peak < 2**20 and f._add_table is None
+    geometry._check_walk(4096, 3)  # 50,348,034 entries fit
+
+
 def _per_step_walk(f, points):
     """The bisecant tally of the plane by census row, walked one arc point
     a_i at a time over all later a_j, or the text naming the first
@@ -544,8 +562,8 @@ def test_verify_and_a_conic_census_leave_numpy_ma_unimported():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     script = ("import sys\n"
               "from mdscosets import bisecant_census, conic_points, field_of_order\n"
-              "from mdscosets.verify import run_acceptance\n"
-              "run_acceptance()\n"
+              "from mdscosets.verify import DeskCache, run_acceptance\n"
+              "run_acceptance(DeskCache())\n"
               "bisecant_census(conic_points(field_of_order(31)))\n"
               "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,

@@ -3,7 +3,8 @@ import pytest
 
 from mdscosets import codes, mds
 from mdscosets.codes import DEFAULT_BUDGET, LinearCode, coset_census
-from mdscosets.gf import field_of_order
+from mdscosets.geometry import conic_points
+from mdscosets.gf import GF, field_of_order
 from mdscosets.mds import FAMILIES, build_code, family_length, mds_weight_distribution
 from oracle import brute_codeword_weights, brute_table, field_of
 
@@ -269,3 +270,9 @@ def test_certification_refuses_a_code_that_is_not_mds():
     with pytest.raises(ValueError) as err:
         mds._certify(code)
     assert str(err.value) == "construction is not MDS: distance 2 != 3"
+
+
+def test_a_built_code_and_a_named_arc_live_on_the_shared_field_of_their_order():
+    # only field.q is read: a fresh GF(5) yields objects on field_of_order(5)
+    assert build_code(GF(5), "gdrs", 4)[0].field is field_of_order(5)
+    assert conic_points(GF(5)).field is field_of_order(5)
