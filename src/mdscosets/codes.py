@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import binom
-from .gf import GF, InvariantError
+from .gf import GF, InvariantError, _check_ints
 
 DEFAULT_BUDGET = 200_000_000
 
@@ -79,14 +79,6 @@ class BudgetExceededError(RuntimeError):
 def _require(ok: bool, what: str) -> None:
     if not ok:
         raise InvariantError(what)
-
-
-def _check_ints(**params) -> None:
-    """The one rule for int parameters: refuse, naming the first, any that
-    is not an int (a bool is none, nor a numpy integer)."""
-    for name, value in params.items():
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _check_budget(budget) -> None:

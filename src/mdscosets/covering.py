@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import LinearCode, _check_ints, _require
+from .codes import LinearCode, _require
 from .combinat import binom
+from .gf import _check_ints
 from .mds import MdsConstruction
 
 
@@ -125,8 +126,12 @@ def count_deep_hole_cosets(code: LinearCode, construction: MdsConstruction,
                            parent_R: int) -> DeepHoleReport:
     """Count the code's weight-(d-1) cosets, read from its leader
     profile, against the (q-1)*Delta rule for a parent of covering
-    radius `parent_R`, an int."""
+    radius `parent_R`, an int.  The construction must be the code's own:
+    one whose (q, n, d) is not the code's is refused, naming both."""
     _check_ints(parent_R=parent_R)
+    made, own = (construction.q, construction.n, construction.d), (code.field.q, code.n, code.r + 1)
+    if made != own:
+        raise ValueError(f"the construction's (q, n, d) = {made} is not the code's {own}")
     if construction.delta < 1:
         raise ValueError("the deep-hole count applies to column-removal codes")
     d = construction.d

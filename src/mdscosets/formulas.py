@@ -36,10 +36,13 @@ set of (n-d+2)(d-1) coefficients costs that many entry steps and holds
 O(n-d+2) entries besides its rows; the double sum takes one binomial,
 to seed K_w, and the single sum none besides its d-1 omega seeds.
 
-Each closed form for weights 1, d-1, 2, d-2 and the mid range calls
-`bonneau_transformed` at the prefix its theorem fixes (B_1 = 1; all
+Each closed form for weights 1, d-1, 2, d-2 and the mid range evaluates
+the single-sum rows at the prefix its theorem fixes (B_1 = 1; all
 zero; B_2 = 1 and B_{d-2}; B_{d-2}; the unique leader's B_W = 1 and the
-knowns), so both forms and the closed forms share one evaluation path.
+knowns) through `_distribution`, the body both Bonneau forms share, so
+both forms and the closed forms share one evaluation path.  A closed
+form checks its own counts, so it builds no LowWeightPrefix and looks
+its rows up once.
 The tests check each one against the paper's terms, evaluated as
 independent sums, and criterion 3 checks the weight-1 and weight-(d-1)
 forms against exact censuses.
@@ -80,8 +83,9 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, sub
 
-from .codes import WeightDistribution, _as_int, _check_ints, _decimal, _require
+from .codes import WeightDistribution, _as_int, _decimal, _require
 from .combinat import binom, omega
+from .gf import _check_ints
 from .mds import (_check_design_distance, _check_formula_rows, _check_least_d,
                   check_mds_params, mds_weight_distribution)
 
@@ -215,10 +219,11 @@ def _tail(rows: Rows, counts) -> list[int]:
     return tail
 
 
-def _distribution(prefix: LowWeightPrefix, rows: Rows, strict: bool) -> WeightDistribution:
-    """B_0..B_n of a coset: its prefix, then the tail of `rows` at it."""
-    n, d, q = prefix.n, prefix.d, prefix.q
-    counts = list(prefix.counts) + _tail(rows, prefix.counts)
+def _distribution(n: int, d: int, q: int, counts, rows: Rows,
+                  strict: bool) -> WeightDistribution:
+    """B_0..B_n of a coset of an [n, n-d+1, d]_q MDS code: its prefix
+    `counts`, B_0..B_{d-2}, then the tail of `rows` at it."""
+    counts = list(counts) + _tail(rows, counts)
     dist = WeightDistribution(tuple(counts))
     _require(dist.total() == q ** (n - d + 1), "distribution from prefix does not total q^k")
     if strict and not dist.is_nonnegative():
@@ -230,22 +235,24 @@ def _distribution(prefix: LowWeightPrefix, rows: Rows, strict: bool) -> WeightDi
 
 def bonneau_transformed(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Full coset distribution from its low-weight prefix, single-sum form."""
-    return _distribution(prefix, _single_sum_rows(prefix.n, prefix.d, prefix.q), strict)
+    n, d, q = prefix.n, prefix.d, prefix.q
+    return _distribution(n, d, q, prefix.counts, _single_sum_rows(n, d, q), strict)
 
 
 def bonneau_original(prefix: LowWeightPrefix, strict: bool = True) -> WeightDistribution:
     """Same distribution through the classical double-sum form."""
-    return _distribution(prefix, _double_sum_rows(prefix.n, prefix.d, prefix.q), strict)
+    n, d, q = prefix.n, prefix.d, prefix.q
+    return _distribution(n, d, q, prefix.counts, _double_sum_rows(n, d, q), strict)
 
 
 def _at_prefix(n: int, d: int, q: int, known: dict[int, int],
                strict: bool = True) -> WeightDistribution:
-    """bonneau_transformed at the prefix B_0..B_{d-2} whose entries are
+    """The single-sum form at the prefix B_0..B_{d-2} whose entries are
     `known` (v: B_v, the others 0), laid out only after the rows are
-    charged."""
-    _single_sum_rows(n, d, q)
-    counts = [known.get(v, 0) for v in range(d - 1)]
-    return bonneau_transformed(LowWeightPrefix(n, d, q, counts), strict)
+    charged.  Each closed form has checked its own counts, so no
+    LowWeightPrefix checks them again."""
+    rows = _single_sum_rows(n, d, q)
+    return _distribution(n, d, q, [known.get(v, 0) for v in range(d - 1)], rows, strict)
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)

@@ -25,7 +25,9 @@ depends on the modulus, and none is offered in its place.
 Construction verifies its own tables: the stored generator has exact
 multiplicative order q - 1 and every nonzero element has an inverse,
 or InvariantError is raised.  gf imports no other module of the
-package, so the package's one InvariantError is defined here.
+package, so the package's one InvariantError, and _check_ints, the one
+rule for int parameters, which check_field_order applies to q first,
+are defined here.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ MAX_FIELD_ORDER = 1 << 16
 
 class InvariantError(RuntimeError):
     """A computed result breaks an identity that every correct result satisfies."""
+
+
+def _check_ints(**params) -> None:
+    """The one rule for int parameters: refuse, naming the first, any that
+    is not an int (a bool is none, nor a numpy integer)."""
+    for name, value in params.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -91,10 +101,11 @@ def default_irreducible(p: int, m: int) -> tuple[int, ...]:
 
 
 def check_field_order(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m, the one check of a field order: a q over
-    MAX_FIELD_ORDER is refused first, in constant time, not factorized,
-    then any q that is no prime power.  No table is built, so callers
-    refuse q with it before any work."""
+    """(p, m) with q = p^m, the one check of a field order: a q that is no
+    int is refused first, then a q over MAX_FIELD_ORDER, in constant time,
+    not factorized, then any q that is no prime power.  No table is
+    built, so callers refuse q with it before any work."""
+    _check_ints(q=q)
     if q > MAX_FIELD_ORDER:
         raise ValueError(f"field order {q} exceeds the configured maximum {MAX_FIELD_ORDER}")
     fac = _factorize(q)
@@ -186,7 +197,7 @@ class GF:
         return f"GF({self.q}={self.p}^{self.m}, poly={self.poly})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a 4.0 or np.int64(4) is no cached GF(4)
 def field_of_order(q: int) -> GF:
     """GF(q) for a prime power q, shared per q."""
     return GF(q)

@@ -52,9 +52,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, WeightDistribution, _as_int,
-                    _charge, _check_census, _check_ints, _prefix_censuses, _require)
+                    _charge, _check_census, _prefix_censuses, _require)
 from .combinat import binom
-from .gf import GF, field_of_order
+from .gf import GF, _check_ints, field_of_order
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ field is built.  The criteria read these codes through the memos their
 censuses left, so a full run counts each chain once: 24 kernel runs.  A
 code's recipe, the one mds._family_layout lays out, keys it in the cache.
 
+One rule decides what a run reads: the codes of its own q and d.  A
+q or d outside the filters builds no field and runs no kernel; a
+criterion whose fixed code (criterion 5's frozen pair, criterion 7's
+certificates) lies outside them checks nothing for it and prints no line
+about it.
+
 Each criterion returns a CriterionResult; `run_acceptance` executes the
 requested subset and is shared by the test suite and the CLI `verify`
 command.  Criteria 1, 3, 5, 6 and 8 each map one theorem's check over
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
 
-from .codes import DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode, coset_census
+from .codes import DEFAULT_BUDGET, BudgetExceededError, CosetCensus, LinearCode
 from .combinat import binom
 from .covering import count_deep_hole_cosets, mcf_classify, mu_density_closed_form
 from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
@@ -65,7 +71,9 @@ class CorpusEntry:
 class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
-    The gdrs codes of one (q, d) form a chain: each keeps the first n
+    The run's q and d are the filters `qs` and `ds`, each kept once, and
+    the cache reads only codes of those q and d.  The gdrs codes of one
+    (q, d) form a chain: each keeps the first n
     columns of the full-length code's matrix, built once per chain.  One
     kernel run on that code, at the longest corpus length, counts the
     full census of each of them, building each code as the run reaches
@@ -75,15 +83,17 @@ class DeskCache:
     is dropped.  Every code of the run, the
     parent included, is certified from its memo (see mds._run_plan).
     The triply-extended code is a chain of its own, added wherever its
-    length fits, with or without a gdrs code of its d.  `code` hands out
-    the cache's own codes, keyed by recipe, and builds (once, by
-    _run_plan) only the others.  `census` is keyed by code, so each
-    code's kernel runs happen once per cache.
+    length fits, with or without a gdrs code of its d.  `census` looks
+    up the census of a corpus code, counted by its chain's run.  `code`
+    hands out the cache's own codes, keyed by recipe, and builds (once,
+    by _run_plan, charged first) only a code of the run's q and d that
+    no chain reached, as criterion 9's survey codes past a chain; for a
+    code of any other q or d it returns None.
     """
 
     def __init__(self, qs=DESK_QS, ds=DESK_DS):
-        self.qs = tuple(qs)
-        self.ds = tuple(ds)
+        self.qs = tuple(dict.fromkeys(qs))
+        self.ds = tuple(dict.fromkeys(ds))
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
         self._codes: dict = {}  # recipe -> code
@@ -111,17 +121,18 @@ class DeskCache:
                     self.entries.append(CorpusEntry(code, recipe))
 
     def census(self, code: LinearCode | CorpusEntry) -> CosetCensus:
-        """Coset census of a code (or of a corpus entry's code), counted once."""
+        """Coset census of a corpus code (or of a corpus entry's code)."""
         if isinstance(code, CorpusEntry):
             code = code.code
-        if code not in self._census:
-            self._census[code] = coset_census(code)
         return self._census[code]
 
     def code(self, q: int, d: int, n: int | None = None,
-             family: str = "gdrs") -> LinearCode:
-        """The [n, n-d+1, d]_q family code, full length by default: the
-        cache's own when it holds it, else built and certified once."""
+             family: str = "gdrs") -> LinearCode | None:
+        """The [n, n-d+1, d]_q family code, full length by default, when q
+        and d are the run's: the cache's own when it holds it, else built
+        and certified once; None when q or d is not the run's."""
+        if q not in self.qs or d not in self.ds:
+            return None
         recipe = _family_layout(q, family, d, n, ())
         if recipe not in self._codes:
             self._codes[recipe] = _run_plan([_Run(recipe, d - 1)], DEFAULT_BUDGET)[0][0].code
@@ -279,15 +290,14 @@ def symmetry_failures(census: CosetCensus) -> tuple[int, list[str]]:
 
 def criterion_symmetry(cache: DeskCache) -> CriterionResult:
     pairs, bad = _over_corpus(cache, symmetry_failures)
-    # frozen instance: the two weight-2 classes of [5,2,4]_5 defect to -10 at w=5
-    two = cache.census(cache.code(5, 4, 5)).classes_of_weight(2)
-    inst_ok = len(two) == 2
-    if inst_ok:
-        rep = symmetry_defect(two[0].distribution, two[1].distribution, 4)
-        w5 = next(p for p in rep.pairs if p[0] == 5)
-        inst_ok = rep.matched and w5[1] == -10 and w5[2] == -10
-    if not inst_ok:
-        bad.append("[5,2,4]_5 weight-2 pair: expected matched defect -10 at w=5")
+    # frozen instance, when the run holds it: the two weight-2 classes of
+    # [5,2,4]_5 defect to -10 at w=5
+    frozen = cache.code(5, 4, 5)
+    if frozen is not None:
+        two = cache.census(frozen).classes_of_weight(2)
+        rep = len(two) == 2 and symmetry_defect(two[0].distribution, two[1].distribution, 4)
+        if not (rep and rep.matched and (5, -10, -10) in rep.pairs):
+            bad.append("[5,2,4]_5 weight-2 pair: expected matched defect -10 at w=5")
     return CriterionResult(5, "symmetry of non-identical distributions", not bad,
                            [f"{pairs} class pairs compared"] + bad)
 
@@ -314,29 +324,33 @@ def criterion_aggregate(cache: DeskCache) -> CriterionResult:
 
 
 def covering_certificates(cache: DeskCache) -> tuple[list[str], list[str]]:
-    bad = []
-    lines = []
-
-    rep = mcf_classify(cache.code(5, 4, 5))
-    lines.append(f"[5,2,4]_5: R={rep.R} mu={rep.mu} APMCF={rep.is_apmcf}")
-    if not (rep.R == 3 and rep.mu == 10 and rep.is_apmcf and not rep.is_pmcf):
-        bad.append(f"[5,2,4]_5: expected a (3,10)-APMCF certificate, got {rep}")
-
-    rep = mcf_classify(cache.code(4, 4, family="gtrs"))
-    lines.append(f"[6,3,4]_4 gtrs: R={rep.R} mu={rep.mu} PMCF={rep.is_pmcf}")
-    if not (rep.R == 2 and rep.mu == 3 and rep.is_pmcf):
-        bad.append(f"[6,3,4]_4 gtrs: expected a (2,3)-PMCF certificate, got {rep}")
-
+    """The fixed MCF certificates, each read only when the run holds its
+    code: [5,2,4]_5 is a (3,10)-APMCF, the gtrs [6,3,4]_4 a (2,3)-PMCF,
+    and the full-length d = 4 codes at q = 5, 7, 9, 11 have
+    gamma_mu = 1+1/q."""
+    bad, lines = [], []
+    for code, label, kind, want in (
+            (cache.code(5, 4, 5), "[5,2,4]_5", "APMCF", (3, 10, True, False)),
+            (cache.code(4, 4, family="gtrs"), "[6,3,4]_4 gtrs", "PMCF", (2, 3, True, True))):
+        if code is not None:
+            rep = mcf_classify(code)
+            lines.append(f"{label}: R={rep.R} mu={rep.mu} "
+                         f"{kind}={rep.is_pmcf if kind == 'PMCF' else rep.is_apmcf}")
+            if (rep.R, rep.mu, rep.is_apmcf, rep.is_pmcf) != want:
+                bad.append(f"{label}: expected a ({want[0]},{want[1]})-{kind} certificate, "
+                           f"got {rep}")
     for q in (5, 7, 9, 11):
-        rep = mcf_classify(cache.code(q, 4))
-        label = f"[{rep.n},{rep.k},4]_{q}"
-        lines.append(f"{label}: gamma_mu = {rep.mu_density}")
-        if rep.mu_density != 1 + Fraction(1, q):
-            bad.append(f"{label}: gamma_mu {rep.mu_density} != 1+1/{q}")
-        if rep.R == 2 and rep.d > 3:
-            closed = mu_density_closed_form(rep.n, rep.k, q, rep.mu)
-            if closed != rep.mu_density:
-                bad.append(f"{label}: closed form {closed} != census {rep.mu_density}")
+        code = cache.code(q, 4)
+        if code is not None:
+            rep = mcf_classify(code)
+            label = f"[{rep.n},{rep.k},4]_{q}"
+            lines.append(f"{label}: gamma_mu = {rep.mu_density}")
+            if rep.mu_density != 1 + Fraction(1, q):
+                bad.append(f"{label}: gamma_mu {rep.mu_density} != 1+1/{q}")
+            if rep.R == 2 and rep.d > 3:
+                closed = mu_density_closed_form(rep.n, rep.k, q, rep.mu)
+                if closed != rep.mu_density:
+                    bad.append(f"{label}: closed form {closed} != census {rep.mu_density}")
     return lines, bad
 
 

@@ -283,16 +283,15 @@ def test_criterion_7_deep_hole_counts(desk):
         + "\n".join(bad))
 
 
-def test_criterion_7_reports_a_count_below_the_lower_bound():
+def test_criterion_7_reports_a_count_below_the_lower_bound(monkeypatch):
     # the even-q conic parent [5,2,4]_4 has R = 3 != d-2, so [4,1,4]_4's
-    # 6 weight-3 cosets need only reach (q-1)*Delta; read as a
-    # three-column removal, they miss its bound of 9
+    # 6 weight-3 cosets need only reach (q-1)*Delta = 3; its report,
+    # doctored to count 2, misses that bound, and the criterion says so
     cache = DeskCache(qs=(4,), ds=(4,))
-    i = next(i for i, e in enumerate(cache.entries) if e.delta == 1)
-    entry = cache.entries[i]
-    cache.entries[i] = dataclasses.replace(
-        entry, construction=dataclasses.replace(entry.construction, removed=(0, 1, 2)))
-    assert deep_hole_equality(cache)[1] == ["[4,1,4]_4 gdrs: deep-hole count 6 below bound 9"]
+    entry = next(e for e in cache.entries if e.delta == 1)
+    _changed_for(monkeypatch, "count_deep_hole_cosets", (entry.code, entry.construction, 3),
+                 lambda rep: dataclasses.replace(rep, count=2))
+    assert deep_hole_equality(cache)[1] == ["[4,1,4]_4 gdrs: deep-hole count 2 below bound 3"]
 
 
 def test_criterion_2_names_row_sets_that_differ_only_in_shape():
@@ -374,15 +373,17 @@ def test_run_acceptance_reuses_corpus_codes(kernel_runs):
     # rebuilding them; on the q = 5 corpus rebuilding took 33 kernel runs,
     # 8 of them repeats, certifying each corpus code apart from its full
     # census took 25, one run per corpus code 15, and one per chain 9.
-    # The 10 corpus codes form 4 chains, one run each, the survey reads
-    # [6,2,5]_5's memo, and the 4 criterion-7 codes outside the corpus
-    # run once each
+    # The 10 corpus codes form 4 chains, one run each; the survey reads
+    # [6,2,5]_5's memo, criterion 7's certificates read [5,2,4]_5 and
+    # [6,3,4]_5 from theirs, and the certificates at other q, once 4 runs
+    # more, are not read
     results = run_acceptance(DeskCache(qs=(5,)))
     runs = [(code.field.q, tuple(map(tuple, code.H.tolist())), wmax)
             for code, wmax, _ in kernel_runs]
     assert [r.passed for r in results] == [True] * 6 + [False, True, True]
-    assert len(runs) == 8
+    assert len(runs) == 4
     assert len(set(runs)) == len(runs)  # no (code, wmax) pair runs twice
+    assert {q for q, _, _ in runs} == {5}
 
 
 def _chains(entries):
@@ -530,8 +531,9 @@ def test_survey_reads_the_memo_the_parent_ride_left(kernel_runs):
 
 def test_a_survey_parent_over_the_budget_is_reported_and_never_built(kernel_runs):
     # gcd(63, 4) = 1, so [65,60,6]_64 would be surveyed, but certifying
-    # it needs 65*5*(1+(64^5-1)/63) steps: the cache decides that from
-    # the numbers, and criterion 9 reports it without building the code
+    # it needs 65*5*(1+(64^5-1)/63) steps; no chain reaches it, so
+    # cache.code charges it when criterion 9 asks for it, from the
+    # numbers, before any build, and criterion 9 reports the refusal
     cache = DeskCache(qs=(64,), ds=(6,))
     assert run_acceptance(cache, [9])[0].lines == [
         "q=64 d=6: not surveyed: syndrome trellis needs 5539144650 steps "
@@ -646,14 +648,43 @@ def test_each_chain_snapshot_is_its_prefix_codes_own_run(desk):
 
 
 def test_desk_cache_builds_the_code_it_is_asked_for():
-    cache = DeskCache(qs=(4,), ds=(4,))
+    # a code of the run's q and d is the cache's own or built once; a
+    # code of any other q or d is None, whatever its family or length
+    cache = DeskCache(qs=(4,), ds=(3, 4, 5))
     with pytest.raises(ValueError, match="the triply-extended family has d = 4"):
         cache.code(4, 5, family="gtrs")
     short = cache.code(4, 4, n=5, family="gtrs")
     assert (short.n, short.k, short.min_distance()) == (5, 2, 4)
-    assert cache.code(4, 4, family="gtrs") is cache.entries[-1].code
+    assert cache.code(4, 4, n=5, family="gtrs") is short
+    assert cache.code(4, 4, family="gtrs") is next(
+        e.code for e in cache.entries if e.family == "gtrs")
     with pytest.raises(ValueError, match="n=7"):
         cache.code(4, 4, n=7, family="gtrs")
     assert cache.code(4, 3, n=4).n == 4
     with pytest.raises(ValueError, match="unknown family 'grs'"):
         cache.code(4, 3, family="grs")
+    for q, d, family in ((5, 4, "gdrs"), (8, 4, "gtrs"), (4, 6, "gdrs"), (4, 6, "grs")):
+        assert cache.code(q, d, family=family) is None, (q, d, family)
+
+
+def test_desk_cache_keeps_each_q_and_d_once():
+    # a repeated filter lays out each chain once, three entries for
+    # three codes where six were laid out, and criterion 4 walks each
+    # arc once
+    cache = DeskCache(qs=(5, 5), ds=(4, 4))
+    assert (cache.qs, cache.ds) == ((5,), (4,))
+    assert [e.label for e in cache.entries] == ["[4,1,4]_5 gdrs", "[5,2,4]_5 gdrs",
+                                                "[6,3,4]_5 gdrs"]
+    assert run_acceptance(cache, [4])[0].lines == [
+        "conic q=5: ((3, 10), (2, 15))",
+        "shortened conic q=5: ((2, 15), (1, 10), (0, 1))",
+        "double-shortened conic q=5: ((2, 3), (1, 18), (0, 6))"]
+
+
+def test_desk_cache_hands_out_only_corpus_censuses(desk):
+    # census looks a corpus census up and counts nothing: a code outside
+    # the corpus, as criterion 7's [10,7,4]_8 gtrs, has none
+    outside = desk.code(8, 4, family="gtrs")
+    assert outside.n == 10 and all(e.code is not outside for e in desk.entries)
+    with pytest.raises(KeyError):
+        desk.census(outside)

@@ -804,9 +804,9 @@ def test_criterion_2_counts_the_tuples_it_compares(capsys):
 
 
 @pytest.mark.parametrize("argv, digest, checked", [
-    (("--q", "2"), "4074cc5c6da175d24dafb9693be8d6aafe1e026035e4c688a47ddcf4cea516d7", 2),
+    (("--q", "2"), "be8be38cfd467a9fd074bbf73f5001c24b3c4f8f8a3da181d8033a5ade59af56", 2),
     (("--q", "3", "--d", "4"),
-     "a89c61fadc64b61a8817a773488e13cdc0d7b3b2863069d8dac5b250afe65088", 1),
+     "362238712f45b5b7e175ab6bc3952d126fa8cc6b71fc83c82733bea6020a8810", 1),
 ], ids=["q2", "q3-d4"])
 def test_verify_corpus_at_d_up_to_q_plus_1(capsys, argv, digest, checked):
     # at q = 2 the corpus skips every gdrs d > q+1 but keeps the
@@ -856,13 +856,8 @@ def test_criterion_4_walks_the_arcs_of_the_filtered_q(capsys):
             "normalizations C(n,2)*(q-1), over the budget of 200000000") in out.splitlines()
 
 
-def test_verify_refuses_before_it_builds(capsys, monkeypatch):
-    # verify lays out its corpus chains, its arcs' walks and the survey's
-    # certifications, and charges each before it builds a field: at
-    # q = 65536 and 4096 the corpus is empty and every walk and
-    # certification is over the budget, so no field of that order is
-    # built, only the fields of criterion 7's fixed certificates (building
-    # GF(2^16) first took most of the 1.5 s such a run once took)
+def _record_fields(monkeypatch):
+    """The order of each field built from here on, every field built anew."""
     built = []
     build = GF._build_tables
 
@@ -873,15 +868,51 @@ def test_verify_refuses_before_it_builds(capsys, monkeypatch):
     fresh = functools.lru_cache(maxsize=None)(field_of_order.__wrapped__)
     for module in (mds, geometry):  # every field of the run is built anew
         monkeypatch.setattr(module, "field_of_order", fresh)
-    for q, digest in ((65536, "f8722103ea9896b4fd4738eabb80a1dd09fb1c292c104f18f70b764c3086be88"),
-                      (4096, "f332547d48ad3373fd9779ab7df82638d59bc538808a21c25f4c9c1ae52d8283")):
+    return built
+
+
+def test_verify_refuses_before_it_builds(capsys, monkeypatch):
+    # verify lays out its corpus chains, its arcs' walks and the survey's
+    # certifications, and charges each before it builds a field: at
+    # q = 65536 and 4096 the corpus is empty, every walk and
+    # certification is over the budget, and criterion 7's fixed
+    # certificates lie outside the filter, so no field is built at all
+    # (building GF(2^16) first took most of the 1.5 s such a run once took)
+    built = _record_fields(monkeypatch)
+    for q, digest in ((65536, "a6c98412a1a0c30a4414487d06ff93b47ca359c4bd05c5482c807dda7d11c0fb"),
+                      (4096, "d3758330d2376be55d01ab005ce596529efdf95f32ff430bd7d9d8ad39061058")):
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--q", str(q))
         assert time.perf_counter() - start < 1
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert q not in built
-    assert built and set(built) <= {4, 5, 7, 8, 9, 11}
+    assert built == []
+
+
+DESK_FIELDS = {4, 5, 7, 8, 9, 11}
+
+
+@pytest.mark.parametrize("argv, fields, ds, runs", [
+    (("--q", "65536"), set(), set(), 0),
+    (("--q", "4096"), set(), set(), 0),
+    (("--q", "2"), {2}, {3, 4}, 2),
+    (("--q", "13"), {13}, {3, 4, 5, 6}, 4),
+    (("--d", "5"), DESK_FIELDS, {5}, 6),
+    ((), DESK_FIELDS, {3, 4, 5, 6}, 24),
+], ids=["q65536", "q4096", "q2", "q13", "d5", "default"])
+def test_verify_reads_only_its_own_q_and_d(capsys, monkeypatch, kernel_runs, argv, fields,
+                                           ds, runs):
+    # a run builds the fields and makes the kernel runs of its own q and
+    # d only: criterion 5's frozen [5,2,4]_5 pair and criterion 7's
+    # certificates are read where the run holds their codes; outside
+    # them they once took 7 runs and built GF(4), 5, 7, 9 and 11 in every
+    # filtered run
+    built = _record_fields(monkeypatch)
+    run(capsys, "verify", *argv)
+    assert (set(built), len(built)) == (fields, len(fields))
+    assert len(kernel_runs) == runs
+    assert {code.field.q for code, _, _ in kernel_runs} == fields
+    assert {code.r + 1 for code, _, _ in kernel_runs} == ds
 
 
 def test_verify_unknown_theorem(capsys):

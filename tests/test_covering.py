@@ -218,12 +218,27 @@ def test_deep_hole_formula_counterexample_is_reported():
 
 
 def test_deep_hole_count_below_the_lower_bound_is_reported():
-    # [5,2,4]_5 has 4 weight-3 cosets; read as a three-column removal
-    # under a parent of R = 3 != d-2, the bound (q-1)*Delta = 12 is missed
+    # [5,2,4]_5 has 4 weight-3 cosets; under a parent of R = 3 != d-2
+    # only the bound (q-1)*Delta = 4 applies, and a report whose count is
+    # below it says so
     code, cons = build_code(field_of_order(5), "gdrs", 4, n=5)
-    rep = count_deep_hole_cosets(code, replace(cons, removed=(0, 1, 2)), parent_R=3)
-    assert (rep.count, rep.bound, rep.equality_required, rep.holds) == (4, 12, False, False)
-    assert rep.refutation == ": deep-hole count 4 below bound 12"
+    rep = replace(count_deep_hole_cosets(code, cons, parent_R=3), count=3)
+    assert (rep.count, rep.bound, rep.equality_required, rep.holds) == (3, 4, False, False)
+    assert rep.refutation == ": deep-hole count 3 below bound 4"
+
+
+def test_deep_hole_count_refuses_the_construction_of_another_code():
+    # [4,1,4]_5 read with the recipe of [7,2,5]_7 (Delta = 1) once gave
+    # count 0 against bound 6, a refutation no census made; a recipe
+    # whose q, n or d is not the code's is refused, naming both
+    code, cons = build_code(field_of_order(5), "gdrs", 4, n=4)
+    _, other = build_code(field_of_order(7), "gdrs", 5, n=7)
+    for wrong, made in ((other, (7, 7, 5)), (replace(cons, removed=(0, 1, 2)), (5, 3, 4)),
+                        (replace(cons, d=3), (5, 4, 3))):
+        with pytest.raises(ValueError) as err:
+            count_deep_hole_cosets(code, wrong, parent_R=2)
+        assert str(err.value) == f"the construction's (q, n, d) = {made} is not the code's (5, 4, 4)"
+    assert count_deep_hole_cosets(code, cons, parent_R=2).count == 24
 
 
 def test_covering_radius_matches_census():

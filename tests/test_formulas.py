@@ -387,26 +387,27 @@ def test_digit_count_at_powers_of_ten():
 
 
 def test_each_closed_form_is_the_transformed_form_after_its_row_charge(monkeypatch):
-    # every closed form charges its rows, then lays out its theorem's prefix,
-    # then returns bonneau_transformed at it
+    # every closed form charges its rows, then evaluates them once at its
+    # theorem's prefix, through the body both Bonneau forms share; it
+    # builds no LowWeightPrefix, and equals bonneau_transformed there
     events = []
-    rows, prefix, transformed = (formulas._single_sum_rows, formulas.LowWeightPrefix,
-                                 formulas.bonneau_transformed)
+    rows, distribution, prefix = (formulas._single_sum_rows, formulas._distribution,
+                                  formulas.LowWeightPrefix)
 
     def charged(n, d, q):
         events.append("rows")
         return rows(n, d, q)
 
-    def laid_out(n, d, q, counts):
-        events.append("prefix")
-        return prefix(n, d, q, counts)
+    def at(n, d, q, counts, got_rows, strict):
+        events.append(("distribution", (n, d, q), tuple(counts), got_rows is rows(n, d, q),
+                       strict))
+        return distribution(n, d, q, counts, got_rows, strict)
 
-    def at(p, strict=True):
-        events.append(("transformed", p.counts, strict))
-        return transformed(p, strict)
+    def laid_out(*args):
+        raise AssertionError("a closed form built a LowWeightPrefix")
     monkeypatch.setattr(formulas, "_single_sum_rows", charged)
+    monkeypatch.setattr(formulas, "_distribution", at)
     monkeypatch.setattr(formulas, "LowWeightPrefix", laid_out)
-    monkeypatch.setattr(formulas, "bonneau_transformed", at)
     n, d, q = 9, 7, 8
     for call, counts, strict in [
             (lambda: dist_weight1.__wrapped__(n, d, q), (0, 1, 0, 0, 0, 0), True),
@@ -417,8 +418,8 @@ def test_each_closed_form_is_the_transformed_form_after_its_row_charge(monkeypat
             (lambda: dist_weight_mid(n, d, q, 4, [1, 2, 3]), (0, 0, 0, 1, 2, 3), True)]:
         events.clear()
         got = call()
-        assert events == ["rows", "prefix", ("transformed", counts, strict), "rows"]
-        assert got == transformed(prefix(n, d, q, counts), strict)
+        assert events == ["rows", ("distribution", (n, d, q), counts, True, strict)]
+        assert got == bonneau_transformed(prefix(n, d, q, counts), strict)
 
 
 def _divisor_count(m):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import time
 
@@ -5,7 +6,12 @@ import numpy as np
 import pytest
 
 from mdscosets import InvariantError
+from mdscosets.codes import BudgetExceededError, LinearCode, low_weight_census
+from mdscosets.geometry import (_arc_layout, conic_census_formulas,
+                                double_shortened_conic_census_formulas,
+                                hyperoval_census_formulas, shortened_conic_census_formulas)
 from mdscosets.gf import GF, check_field_order, default_irreducible, field_of_order
+from mdscosets.verify import DeskCache
 import sieve
 from oracle import Field, field_of
 
@@ -79,6 +85,40 @@ def test_one_check_refuses_every_field_order(q, text):
             refuse(q)
         assert str(info.value) == text, refuse
         assert time.perf_counter() - start < 0.1, refuse
+
+
+@pytest.mark.parametrize("q", [4.0, np.int64(5), "4", True],
+                         ids=["float", "numpy-int", "str", "bool"])
+def test_a_field_order_that_is_no_int_is_refused_first(q):
+    # the int rule comes before the bound and the factorization: 4.0 once
+    # passed as (2, 2), "4" raised TypeError and np.int64(5) built a field
+    # whose q**k wraps.  The check, the constructor, the shared field (a
+    # GF(4) and a GF(5) already shared), every arc layout and formula, and
+    # the desk corpus refuse each with one text
+    field_of_order(4), field_of_order(5)
+    arcs = ("conic", "conic-minus:1", "conic-minus:2", "hyperoval")
+    for refuse in (check_field_order, GF, field_of_order, lambda q: DeskCache(qs=(q,)),
+                   *(functools.partial(_arc_layout, name)
+                     for name in arcs),
+                   conic_census_formulas, shortened_conic_census_formulas,
+                   double_shortened_conic_census_formulas, hyperoval_census_formulas):
+        with pytest.raises(ValueError) as info:
+            refuse(q)
+        assert str(info.value) == f"q must be an int, got {q!r}", refuse
+
+
+def test_the_int64_guard_reads_a_field_of_an_int_order():
+    # over GF(5), counting the vectors of weight <= 40 of a rank-2 [60,58]
+    # code would pass int64, and the census is refused before it runs;
+    # over GF(np.int64(5)), q**k wrapped inside the guard, and the census
+    # ran to negative counts (the code's own B_40 = -4856309102542669404)
+    code = LinearCode(field_of_order(5), [[1] * 60, [0, 1, 2, 3, 4] * 12])
+    assert (code.n, code.k) == (60, 58)
+    with pytest.raises(BudgetExceededError, match="vectors of weight <= 40 overflow the "
+                                                  "int64 counts"):
+        low_weight_census(code, 40)
+    with pytest.raises(ValueError, match="q must be an int, got np.int64"):
+        GF(np.int64(5))
 
 
 def test_check_field_order_returns_the_prime_and_degree():
