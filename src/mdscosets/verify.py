@@ -68,6 +68,13 @@ class CorpusEntry:
         return f"[{self.n},{self.code.k},{self.d}]_{self.q} {self.family}"
 
 
+def _once(values) -> tuple:
+    """Each filter value once, in order, compared by type and value as
+    field_of_order's cache compares them: 5.0 is no repeat of 5, but a
+    value to refuse."""
+    return tuple({(type(v), v): v for v in values}.values())
+
+
 class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
@@ -92,8 +99,7 @@ class DeskCache:
     """
 
     def __init__(self, qs=DESK_QS, ds=DESK_DS):
-        self.qs = tuple(dict.fromkeys(qs))
-        self.ds = tuple(dict.fromkeys(ds))
+        self.qs, self.ds = _once(qs), _once(ds)
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
         self._codes: dict = {}  # recipe -> code

@@ -679,6 +679,11 @@ def test_desk_cache_keeps_each_q_and_d_once():
         "conic q=5: ((3, 10), (2, 15))",
         "shortened conic q=5: ((2, 15), (1, 10), (0, 1))",
         "double-shortened conic q=5: ((2, 3), (1, 18), (0, 6))"]
+    # a value equal to another of another type is no repeat, but refused
+    for qs, ds, text in (((5, 5.0), (4,), "q must be an int, got 5.0"),
+                         ((5,), (4, 4.0), "d must be an int, got 4.0")):
+        with pytest.raises(ValueError, match=text):
+            DeskCache(qs=qs, ds=ds)
 
 
 def test_desk_cache_hands_out_only_corpus_censuses(desk):
