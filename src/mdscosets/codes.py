@@ -46,6 +46,11 @@ low_weight_census are that path at the code's own length.  A prefix no
 longer than wmax gets its full census, and a longer one the low-weight
 census at wmax, which certifies it once wmax reaches its n - k.
 
+A WeightDistribution reads its counts by gf._counts, the one rule for a
+row of counts, so it equals, hashes and prints the same whatever
+sequence built it (a list, a range, a numpy row), and a LinearCode
+refuses rows that are no sequence, naming them, before it reads any.
+
 Every count is exact.  `_charge` is the one budget rule: it refuses work
 over a budget, both numbers named, never sampled.  It charges four
 units: the kernel's steps against the code's budget, fixed when the code
@@ -60,14 +65,13 @@ exactly.
 from __future__ import annotations
 
 import math
-import numbers
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sized
 from dataclasses import dataclass
 
 import numpy as np
 
 from .combinat import binom
-from .gf import GF, InvariantError, _check_ints
+from .gf import GF, InvariantError, _check_ints, _counts
 
 DEFAULT_BUDGET = 200_000_000
 
@@ -88,17 +92,6 @@ def _check_budget(budget) -> None:
         raise ValueError(f"budget must be positive, got {budget}")
 
 
-def _as_int(value, name: str) -> int:
-    """A given integer (a count, a column index) as a Python int, refused
-    with its name unless it is an integer: a bool is none, though Python
-    counts it an int, nor is a float or a string, which int() would read."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class WeightDistribution:
     """Exact vector counts per Hamming weight, B_0..B_n."""
@@ -106,11 +99,9 @@ class WeightDistribution:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", _counts(self.counts, "weight distribution count", 0))
         if not self.counts:
             raise ValueError("a weight distribution needs at least B_0")
-        for c in self.counts:
-            if type(c) is not int:  # a bool is no count, though Python's int
-                raise ValueError("weight distribution counts must be ints")
 
     @property
     def n(self) -> int:
@@ -185,6 +176,8 @@ class LinearCode:
 
     def __init__(self, field: GF, rows, budget: int = DEFAULT_BUDGET):
         _check_budget(budget)
+        if not isinstance(rows, Sized):
+            raise ValueError(f"rows must be a sequence of rows of labels, got {rows!r}")
         if not len(rows):
             raise ValueError("a matrix needs at least one row")
         if len({len(r) for r in rows}) != 1:
@@ -561,7 +554,7 @@ class CosetCensus:
         # a class counts q - 1 cosets per row, but 1 for the zero syndrome's row
         counts = np.diff(firsts, append=len(order)) * (q - 1)
         counts[self.index[0]] -= q - 2
-        self.classes = [CosetClass(w, WeightDistribution(tuple(row)), cnt)
+        self.classes = [CosetClass(w, WeightDistribution(row), cnt)
                         for w, row, cnt in zip(weights[heads].tolist(),
                                                table[heads].tolist(), counts.tolist())]
         _require(sum(c.count for c in self.classes) == self.total_cosets,

@@ -7,14 +7,17 @@ the numeric core.
 import math
 from functools import lru_cache
 
+from .gf import _check_ints
+
 
 def binom(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) with the zero convention.
 
     Returns 0 whenever k < 0 or k > n.  The alternating sums in the
     coset-distribution formulas rely on that convention, so out-of-range
-    k is not an error.  n must be non-negative.
+    k is not an error.  n must be non-negative.  Both must be ints.
     """
+    _check_ints(n=n, k=k)
     if n < 0:
         raise ValueError(f"binom requires n >= 0, got n={n}")
     if k < 0 or k > n:
@@ -29,7 +32,7 @@ def binom(n: int, k: int) -> int:
 OMEGA_CACHE_SIZE = 1
 
 
-@lru_cache(maxsize=OMEGA_CACHE_SIZE)
+@lru_cache(maxsize=OMEGA_CACHE_SIZE, typed=True)  # typed: a True is no cached 1, but refused
 def omega(n: int, d: int, w: int, v: int) -> int:
     """Signed coefficient of a known low-weight count B_v in the tail formula.
 
@@ -38,8 +41,9 @@ def omega(n: int, d: int, w: int, v: int) -> int:
         omega(n, d, w, v) = (-1)^(w-d) * C(n-v, w-v) * C(w-1-v, d-2-v)
 
     and the coefficient vanishes for every w <= d-2.  Requires
-    0 <= w <= n and 0 <= v <= d-2.
+    four ints with 0 <= w <= n and 0 <= v <= d-2.
     """
+    _check_ints(n=n, d=d, w=w, v=v)
     if not 0 <= w <= n:
         raise ValueError(f"weight index w={w} outside [0, {n}]")
     if not 0 <= v <= d - 2:

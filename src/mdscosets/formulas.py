@@ -76,16 +76,15 @@ reported as InconsistentPrefixError in strict mode and as a plain
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, floordiv, mul, sub
 
-from .codes import WeightDistribution, _as_int, _decimal, _require
+from .codes import WeightDistribution, _decimal, _require
 from .combinat import binom, omega
-from .gf import _check_ints
+from .gf import _as_int, _check_ints, _counts
 from .mds import (_check_design_distance, _check_formula_rows, _check_least_d,
                   check_mds_params, mds_weight_distribution)
 
@@ -99,19 +98,6 @@ Rows = tuple[tuple[int, ...], Columns]
 
 class InconsistentPrefixError(ValueError):
     """The given low-weight counts cannot belong to any real coset."""
-
-
-def _counts(values, name: str, first: int):
-    """The given counts B_first, B_first+1, ... as a tuple: `values` itself
-    when it is a tuple of exact ints, else each through _as_int as
-    `name B_v`; refused, naming them, when they are no sequence."""
-    if not isinstance(values, Iterable):
-        raise ValueError(f"{name}s must be a sequence of integers, got {values!r}")
-    values = tuple(values)  # tuple() of a tuple is that tuple
-    for value in values:
-        if type(value) is not int:
-            return tuple(_as_int(c, f"{name} B_{v}") for v, c in enumerate(values, first))
-    return values
 
 
 @dataclass(frozen=True)
@@ -224,7 +210,7 @@ def _distribution(n: int, d: int, q: int, counts, rows: Rows,
     """B_0..B_n of a coset of an [n, n-d+1, d]_q MDS code: its prefix
     `counts`, B_0..B_{d-2}, then the tail of `rows` at it."""
     counts = list(counts) + _tail(rows, counts)
-    dist = WeightDistribution(tuple(counts))
+    dist = WeightDistribution(counts)
     _require(dist.total() == q ** (n - d + 1), "distribution from prefix does not total q^k")
     if strict and not dist.is_nonnegative():
         w = next(w for w, c in enumerate(counts) if c < 0)

@@ -25,14 +25,27 @@ depends on the modulus, and none is offered in its place.
 Construction verifies its own tables: the stored generator has exact
 multiplicative order q - 1 and every nonzero element has an inverse,
 or InvariantError is raised.  gf imports no other module of the
-package, so the package's one InvariantError, and _check_ints, the one
-rule for int parameters, which check_field_order applies to q first,
-are defined here.
+package, so the package's one InvariantError is defined here, and so
+are its three rules for reading a caller's integers:
+
+- _check_ints, a parameter: exactly an int, so a bool, a float and a
+  numpy integer are refused.  check_field_order applies it to q first;
+  it also reads (n, d, q) in check_mds_params, a budget, a wmax, a
+  mid-range W, a covering's (n, k, q, mu) and parent_R, the arguments
+  of binom and omega, and a verify run's d filters and criterion
+  numbers.
+- _as_int, one count or column index (B_{d-2}, n and the removed
+  columns of a family code): any integer but a bool, read as a Python
+  int, so a numpy integer is taken.
+- _counts, a row of counts (a WeightDistribution's B_0..B_n, a
+  LowWeightPrefix, the mid-weight knowns): any sequence, but no set or
+  mapping, kept as a tuple, each entry read by _as_int and named B_v.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import numbers
+from collections.abc import Iterable, Mapping, Sequence, Set
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +63,34 @@ def _check_ints(**params) -> None:
     for name, value in params.items():
         if type(value) is not int:
             raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _as_int(value, name: str) -> int:
+    """A given integer (a count, a column index) as a Python int, refused
+    with its name unless it is an integer: a bool is none, though Python
+    counts it an int, nor is a float or a string, which int() would read."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _counts(values, name: str, first: int) -> tuple[int, ...]:
+    """The given counts B_first, B_first+1, ... as a tuple: `values` itself
+    when it is a tuple of exact ints, else each through _as_int as
+    `name B_v`; refused, naming them, when they are no sequence: a set
+    or a mapping, iterable but with no order of its own, is none."""
+    # a tuple or a list, as every distribution the library builds, skips
+    # the checks against abstract classes, each a few tenths of a microsecond
+    if not isinstance(values, (tuple, list)) and (
+            not isinstance(values, Iterable) or isinstance(values, Set | Mapping)):
+        raise ValueError(f"{name}s must be a sequence of integers, got {values!r}")
+    values = tuple(values)  # tuple() of a tuple is that tuple
+    for value in values:
+        if type(value) is not int:
+            return tuple(_as_int(c, f"{name} B_{v}") for v, c in enumerate(values, first))
+    return values
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -45,16 +45,17 @@ bits, charged to codes._charge, at the top of each row builder.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, WeightDistribution, _as_int,
-                    _charge, _check_census, _prefix_censuses, _require)
+from .codes import (DEFAULT_BUDGET, CosetCensus, LinearCode, WeightDistribution, _charge,
+                    _check_census, _prefix_censuses, _require)
 from .combinat import binom
-from .gf import GF, _check_ints, field_of_order
+from .gf import GF, _as_int, _check_ints, field_of_order
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def mds_weight_distribution(n: int, d: int, q: int) -> WeightDistribution:
         t = (q - 1) * t + e
         c_nw = c_nw * (n - w) // (w + 1)
         prev, e = e, e * (w + 1) // (d - w - 2)
-    dist = WeightDistribution(tuple(counts))
+    dist = WeightDistribution(counts)
     _require(dist.total() == q ** (n - d + 1), "MDS weight distribution does not total q^k")
     return dist
 
@@ -231,6 +232,8 @@ def _family_layout(q: int, family: str, d: int | None, n: int | None, removed
     if not d <= n <= width:
         raise ValueError(
             f"the {family} family over GF({q}) needs {d} <= n <= {width}, got n={n}")
+    if not isinstance(removed, Iterable):
+        raise ValueError(f"removed must be a sequence of column indices, got {removed!r}")
     drop = sorted({_as_int(i, "a removed column") for i in removed} | set(range(n, width)))
     if drop and not 0 <= drop[0] <= drop[-1] < width:
         raise ValueError(f"column index out of range 0..{width - 1}")

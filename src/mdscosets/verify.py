@@ -27,6 +27,7 @@ many things it checked and a failure text for each that fails.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
@@ -38,7 +39,7 @@ from .formulas import (LowWeightPrefix, _double_sum_rows, _single_sum_rows,
                        bonneau_transformed, dist_weight1, dist_weight_d1,
                        symmetry_defect, weight2_aggregate,
                        weight2_identical_check)
-from .gf import check_field_order
+from .gf import _check_ints, check_field_order
 from .geometry import (_named_arc, bisecant_census, conic_census_formulas,
                        double_shortened_conic_census_formulas,
                        shortened_conic_census_formulas)
@@ -79,7 +80,8 @@ class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
     The run's q and d are the filters `qs` and `ds`, each kept once, and
-    the cache reads only codes of those q and d.  The gdrs codes of one
+    the cache reads only codes of those q and d; a d that is no int is
+    refused before any chain is laid out.  The gdrs codes of one
     (q, d) form a chain: each keeps the first n
     columns of the full-length code's matrix, built once per chain.  One
     kernel run on that code, at the longest corpus length, counts the
@@ -100,6 +102,8 @@ class DeskCache:
 
     def __init__(self, qs=DESK_QS, ds=DESK_DS):
         self.qs, self.ds = _once(qs), _once(ds)
+        for d in self.ds:  # before any layout: a q with no chain reads no d
+            _check_ints(d=d)
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
         self._codes: dict = {}  # recipe -> code
@@ -466,7 +470,14 @@ THEOREM_NAMES = {name: num for num, (name, _) in CRITERIA.items()}
 
 def run_acceptance(cache: DeskCache, numbers=None) -> list[CriterionResult]:
     """Run the criteria `numbers` (all by default) on the corpus `cache`
-    holds; the q and d filters are the cache's own."""
-    if numbers is None:
-        numbers = sorted(CRITERIA)
+    holds; the q and d filters are the cache's own.  A `numbers` that is
+    no sequence, and each number that is no int or names no criterion,
+    is refused, naming it, before any criterion runs."""
+    if not isinstance(numbers, Iterable | None):
+        raise ValueError(f"numbers must be a sequence of criterion numbers, got {numbers!r}")
+    numbers = tuple(CRITERIA if numbers is None else numbers)
+    for i, num in enumerate(numbers):
+        _check_ints(**{f"numbers[{i}]": num})
+        if num not in CRITERIA:
+            raise ValueError(f"numbers[{i}] = {num} names no criterion 1..{len(CRITERIA)}")
     return [CRITERIA[num][1](cache) for num in numbers]

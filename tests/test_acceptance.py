@@ -7,8 +7,7 @@ Criterion 7 is split: the covering certificates hold, but the deep-hole
 count equality is refuted by the exhaustive censuses themselves on deep
 column removals (smallest counterexample [5,1,5]_5: 24 weight-4 cosets
 where the formula predicts 4).  That test fails by design rather than
-weakening the claimed equality; see the failure message for the list of
-counterexamples.
+weakening the claimed equality; its failure message lists the counterexamples.
 """
 
 import copy
@@ -32,6 +31,7 @@ from mdscosets.verify import (CRITERIA, DESK_DS, CorpusEntry, DeskCache, aggrega
                               closed_form_failures, covering_certificates, deep_hole_equality,
                               rebuild_failures, run_acceptance, structural_failures,
                               symmetry_failures)
+from automorphisms import maps_keeping, mismatched_rows
 from class_rows import rows_of
 from dual_census import dual_table
 
@@ -571,6 +571,12 @@ def test_the_theorem_checks_hold_past_the_desk(q, family, d, n, checked):
                                            symmetry_failures, aggregate_failures,
                                            structural_failures)]
     assert results == [(count, []) for count in checked]
+    # and keeps every coset's class under each automorphism of its length
+    # (tests/automorphisms.py): shift is no map of the length-15 codes at q = 16
+    maps = maps_keeping(code.field, n)
+    assert len(maps) == (3 if n == q - 1 else 4)
+    for name, mapping in maps.items():
+        assert not mismatched_rows(census, mapping).size, name
 
 
 def test_a_census_past_int64_vectors_is_the_dual_census():
@@ -684,6 +690,37 @@ def test_desk_cache_keeps_each_q_and_d_once():
                          ((5,), (4, 4.0), "d must be an int, got 4.0")):
         with pytest.raises(ValueError, match=text):
             DeskCache(qs=qs, ds=ds)
+
+
+@pytest.mark.parametrize("qs, ds, text", [
+    ((65536,), (4.0,), "d must be an int, got 4.0"),  # no chain fits: once refused nothing
+    ((4096,), ("x",), "d must be an int, got 'x'"),   # once a TypeError from d <= top
+    ((5,), (4, 4.0), "d must be an int, got 4.0"),
+], ids=["no-chain", "str", "after-an-int"])
+def test_desk_cache_refuses_a_d_that_is_no_int_before_any_layout(monkeypatch, qs, ds, text):
+    monkeypatch.setattr(verify, "_family_layout", lambda *args: pytest.fail("laid out"))
+    monkeypatch.setattr(gf.GF, "_build_tables", lambda self: pytest.fail("built a field"))
+    with pytest.raises(ValueError) as err:
+        DeskCache(qs=qs, ds=ds)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("numbers, text", [
+    ([10], "numbers[0] = 10 names no criterion 1..9"),  # once a KeyError
+    ([0], "numbers[0] = 0 names no criterion 1..9"),
+    ([1, 10], "numbers[1] = 10 names no criterion 1..9"),  # criterion 1 does not run first
+    (5, "numbers must be a sequence of criterion numbers, got 5"),  # once a TypeError
+    ([2.0], "numbers[0] must be an int, got 2.0"),  # once ran criterion 2
+    ([True], "numbers[0] must be an int, got True"),  # once ran criterion 1
+], ids=["10", "0", "1-then-10", "no-sequence", "float", "bool"])
+def test_run_acceptance_refuses_a_number_before_any_criterion_runs(monkeypatch, numbers,
+                                                                   text):
+    cache = DeskCache(qs=(65536,))
+    monkeypatch.setattr(verify, "CRITERIA", {num: (name, lambda cache: pytest.fail("ran"))
+                                             for num, (name, _) in CRITERIA.items()})
+    with pytest.raises(ValueError) as err:
+        run_acceptance(cache, numbers)
+    assert str(err.value) == text
 
 
 def test_desk_cache_hands_out_only_corpus_censuses(desk):

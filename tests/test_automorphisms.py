@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from automorphisms import census_syndromes, maps_keeping, maps_of, mismatched_rows
-from mdscosets.codes import census_rows, coset_census, syndrome_row
+from mdscosets.codes import census_rows, coset_census, low_weight_census, syndrome_row
 from mdscosets.gf import field_of_order
-from mdscosets.mds import _family_rows
+from mdscosets.mds import _family_rows, build_code
 from sieve import prime_powers
 
 
@@ -53,16 +53,21 @@ def _mapped_codes(desk):
 def test_every_census_keeps_its_classes_under_each_map_of_its_length(desk):
     codes = _mapped_codes(desk)
     assert len(codes) == 45  # 43 gdrs codes at q <= 9, then two gtrs
-    # the corpus censuses, and the one of [10,7,4]_8, past the size limit
+    # the corpus censuses, the full one of [10,7,4]_8, past the size
+    # limit, and the census at wmax = n-k of [34,31,4]_32, which reaches
+    # every syndrome, so its classes split the cosets by (W, B_0..B_3)
     censuses = [desk.census(code) for code in codes[:-1]] + [coset_census(codes[-1])]
+    gtrs32, _ = build_code(field_of_order(32), "gtrs")
+    codes.append(gtrs32)
+    censuses.append(low_weight_census(gtrs32, gtrs32.r))
     checked = {}
     for code, census in zip(codes, censuses):
         for name, mapping in maps_keeping(code.field, code.n).items():
             assert not mismatched_rows(census, mapping).size, (code, name)
             checked[name] = checked.get(name, 0) + 1
     # shift on the 28 gdrs codes of length q+1 or q, invert on the 30 of
-    # length q+1 or q-1, and each on both gtrs codes
-    assert checked == {"scale": 45, "frobenius": 45, "shift": 30, "invert": 32}
+    # length q+1 or q-1, and each on the three gtrs codes
+    assert checked == {"scale": 46, "frobenius": 46, "shift": 31, "invert": 33}
 
 
 def test_a_map_that_does_not_keep_the_length_moves_rows(desk):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 from itertools import groupby, product
@@ -777,8 +778,24 @@ def test_weight_distribution_type():
     assert wd.min_positive_weight() == 3
     with pytest.raises(ValueError):
         WeightDistribution(())
-    for counts in [(True, 0, 0, 4), (1, 0, 0, 4.0)]:  # a bool is no count, though Python's int
-        with pytest.raises(ValueError, match="^weight distribution counts must be ints$"):
+    # a bool is no count, though Python's int
+    for counts, bad in [((True, 0, 0, 4), "B_0 must be an integer, got True"),
+                        ((1, 0, 0, 4.0), "B_3 must be an integer, got 4.0")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(f'weight distribution count {bad}')}$"):
+            WeightDistribution(counts)
+
+
+def test_a_distribution_is_the_same_whatever_sequence_built_it():
+    wd = WeightDistribution((1, 0, 0, 4))
+    for counts in ([1, 0, 0, 4], np.array([1, 0, 0, 4]), (x for x in (1, 0, 0, 4))):
+        built = WeightDistribution(counts)
+        assert built == wd and hash(built) == hash(wd) and repr(built) == repr(wd)
+        assert type(built.counts) is tuple and all(type(c) is int for c in built.counts)
+    assert WeightDistribution(range(3)).counts == (0, 1, 2)
+    # a dict once gave its keys as the counts, and a set its hash order
+    for counts in (5, {1: 2, 3: 4}, {0, 1}):
+        with pytest.raises(ValueError, match="^weight distribution counts must be a sequence "
+                                             f"of integers, got {re.escape(repr(counts))}$"):
             WeightDistribution(counts)
 
 

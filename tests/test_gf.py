@@ -7,10 +7,12 @@ import pytest
 
 from mdscosets import InvariantError
 from mdscosets.codes import BudgetExceededError, LinearCode, low_weight_census
+from mdscosets.combinat import binom, omega
 from mdscosets.geometry import (_arc_layout, conic_census_formulas,
                                 double_shortened_conic_census_formulas,
                                 hyperoval_census_formulas, shortened_conic_census_formulas)
 from mdscosets.gf import GF, check_field_order, default_irreducible, field_of_order
+from mdscosets.mds import build_code
 from mdscosets.verify import DeskCache
 import sieve
 from oracle import Field, field_of
@@ -105,6 +107,22 @@ def test_a_field_order_that_is_no_int_is_refused_first(q):
         with pytest.raises(ValueError) as info:
             refuse(q)
         assert str(info.value) == f"q must be an int, got {q!r}", refuse
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: binom(5, 2.0), "k must be an int, got 2.0"),  # once a TypeError from math.comb
+    (lambda: omega(6, 4, 3.0, 1), "w must be an int, got 3.0"),  # the same
+    (lambda: omega(6, 4, 5, True), "v must be an int, got True"),  # once -15, omega(6, 4, 5, 1)
+    (lambda: LinearCode(field_of_order(5), 5),  # once a TypeError from len
+     "rows must be a sequence of rows of labels, got 5"),
+    (lambda: build_code(field_of_order(5), "gdrs", 4, removed=5),  # once not iterable
+     "removed must be a sequence of column indices, got 5"),
+], ids=["binom-k", "omega-w", "omega-v-bool", "LinearCode-rows", "build_code-removed"])
+def test_an_entry_refuses_an_argument_of_the_wrong_kind_by_its_name(call, text):
+    assert omega(6, 4, 5, 1) == -15  # cached: True must not read it
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == text
 
 
 def test_the_int64_guard_reads_a_field_of_an_int_order():
