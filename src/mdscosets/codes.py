@@ -1,7 +1,8 @@
 """Linear codes over GF(q) given by parity-check matrices, and the one
 exact counting kernel every census, distance and covering radius comes
 from.  A LinearCode holds its own parity-check matrix, H, as an int64
-array of element labels, and checks the labels and its rank when it is
+array of element labels read by gf._label_array, the one reader of a
+matrix of labels, and checks that it has a row and full rank when it is
 built.
 
 The kernel is Wolf's syndrome trellis (J. K. Wolf, IEEE Trans. IT 24(1),
@@ -48,8 +49,7 @@ census at wmax, which certifies it once wmax reaches its n - k.
 
 A WeightDistribution reads its counts by gf._counts, the one rule for a
 row of counts, so it equals, hashes and prints the same whatever
-sequence built it (a list, a range, a numpy row), and a LinearCode
-refuses rows that are no sequence, naming them, before it reads any.
+sequence built it (a list, a range, a numpy row).
 
 Every count is exact.  `_charge` is the one budget rule: it refuses work
 over a budget, both numbers named, never sampled.  It charges four
@@ -65,13 +65,13 @@ exactly.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sized
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .combinat import binom
-from .gf import GF, InvariantError, _check_ints, _counts
+from .gf import GF, InvariantError, _check_ints, _counts, _label_array
 
 DEFAULT_BUDGET = 200_000_000
 
@@ -124,23 +124,6 @@ class WeightDistribution:
         return min(self.counts) >= 0
 
 
-def _label_array(field: GF, values) -> np.ndarray:
-    """values as an int64 array of element labels of the field, refusing
-    the first entry that is not an integer in [0, q).  A bool is no label,
-    though Python counts it an int and numpy reads True among ints as 1."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        labels = values
-        ok = (labels >= 0) & (labels < field.q)
-    else:  # the entries as given, to name the first one that is no label
-        labels = np.array(values, dtype=object)
-        ok = np.vectorize(lambda a: (isinstance(a, (int, np.integer)) and not isinstance(a, bool)
-                                     and 0 <= a < field.q), otypes=[bool])(labels)
-    if not ok.all():
-        bad = labels.ravel().tolist()[int(np.argmin(ok))]
-        raise ValueError(f"{bad!r} is not an element label of GF({field.q})")
-    return labels.astype(np.int64)
-
-
 def _rank(field: GF, labels: np.ndarray) -> int:
     """Rank over GF(q), by Gauss-Jordan elimination of a copy of the labels."""
     work = np.array(labels, dtype=np.int64)
@@ -176,14 +159,10 @@ class LinearCode:
 
     def __init__(self, field: GF, rows, budget: int = DEFAULT_BUDGET):
         _check_budget(budget)
-        if not isinstance(rows, Sized):
-            raise ValueError(f"rows must be a sequence of rows of labels, got {rows!r}")
-        if not len(rows):
-            raise ValueError("a matrix needs at least one row")
-        if len({len(r) for r in rows}) != 1:
-            raise ValueError("ragged rows")
-        self.H = _label_array(field, rows)
+        self.H = _label_array(field, rows, "row")
         nrows, self.n = self.H.shape
+        if not nrows:
+            raise ValueError("a matrix needs at least one row")
         rank = _rank(field, self.H)
         if rank != nrows:
             raise ValueError(
@@ -578,13 +557,9 @@ class CosetCensus:
         return self.classes[self.index[0]].distribution
 
     def distribution_of_syndrome(self, svec) -> WeightDistribution:
-        """The distribution of the coset of svec, n-k element labels."""
-        try:
-            labels = _label_array(self.code.field, svec)
-        except ValueError as err:
-            raise ValueError(f"syndrome {svec!r}: {err}") from None
-        if labels.shape != (self.code.r,):
-            raise ValueError(f"syndrome {svec!r} is not a row of n-k = {self.code.r} labels")
+        """The distribution of the coset of svec, one row of n-k element
+        labels, read by gf._label_array."""
+        [labels] = _label_array(self.code.field, [svec], "syndrome", self.code.r)
         return self.classes[self.index[syndrome_row(self.code.field, labels)]].distribution
 
 

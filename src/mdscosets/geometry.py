@@ -1,8 +1,9 @@
 """Incidence computations in the projective plane PG(2, q).
 
-An Arc keeps its points as homogeneous coordinate triples normalized so
-the first nonzero coordinate is 1, making equality a plain tuple
-comparison.  Elsewhere a point is its census row (codes.syndrome_row),
+An Arc reads its points as rows of three labels by gf._label_array, the
+one reader of a matrix of labels, and keeps them as homogeneous
+coordinate triples normalized so the first nonzero coordinate is 1,
+making equality a plain tuple comparison.  Elsewhere a point is its census row (codes.syndrome_row),
 the triple read as a syndrome, so the arc's tallies line up entry for
 entry with a census of its code.  Bisecants are
 counted by walking them, not by testing points against lines: on an
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (DEFAULT_BUDGET, LinearCode, _charge, _label_array, _row_syndrome,
+from .codes import (DEFAULT_BUDGET, LinearCode, _charge, _row_syndrome,
                     census_rows, low_weight_census, syndrome_row)
 from .combinat import binom
-from .gf import GF, check_field_order, field_of_order
+from .gf import GF, _label_array, check_field_order, field_of_order
 from .mds import _family_rows, family_length
 
 
@@ -109,10 +110,7 @@ class Arc:
 
     def __init__(self, field: GF, points):
         self.field = field
-        for p in points:
-            if len(p) != 3:
-                raise ValueError(f"not a projective point: {tuple(np.asarray(p).tolist())}")
-        given = _label_array(field, points).reshape(-1, 3)
+        given = _label_array(field, points, "point", 3)
         zero = ~given.any(axis=1)
         if zero.any():
             raise ValueError(f"not a projective point: {tuple(given[np.argmax(zero)].tolist())}")

@@ -26,7 +26,7 @@ Construction verifies its own tables: the stored generator has exact
 multiplicative order q - 1 and every nonzero element has an inverse,
 or InvariantError is raised.  gf imports no other module of the
 package, so the package's one InvariantError is defined here, and so
-are its three rules for reading a caller's integers:
+are its four rules for reading a caller's values:
 
 - _check_ints, a parameter: exactly an int, so a bool, a float and a
   numpy integer are refused.  check_field_order applies it to q first;
@@ -40,6 +40,12 @@ are its three rules for reading a caller's integers:
 - _counts, a row of counts (a WeightDistribution's B_0..B_n, a
   LowWeightPrefix, the mid-weight knowns): any sequence, but no set or
   mapping, kept as a tuple, each entry read by _as_int and named B_v.
+- _label_array, a matrix of labels, read by its three readers: a
+  LinearCode's rows, an Arc's points (rows of 3) and a census's
+  syndrome (one row of n-k).  It returns a (rows, width) int64 array,
+  and is the one check of the matrix's shape: the rows must be a
+  sequence, each row a sequence of one width, each entry an integer in
+  [0, q) but a bool, and the first that is not is refused by name.
 """
 
 from __future__ import annotations
@@ -76,21 +82,55 @@ def _as_int(value, name: str) -> int:
     return int(value)
 
 
+def _is_sequence(values) -> bool:
+    """Whether values are a sequence: any iterable but a set or a mapping,
+    which have no order of their own."""
+    # a tuple or a list, as every distribution the library builds, skips
+    # the checks against abstract classes, each a few tenths of a microsecond
+    return isinstance(values, (tuple, list)) or (
+        isinstance(values, Iterable) and not isinstance(values, Set | Mapping))
+
+
 def _counts(values, name: str, first: int) -> tuple[int, ...]:
     """The given counts B_first, B_first+1, ... as a tuple: `values` itself
     when it is a tuple of exact ints, else each through _as_int as
-    `name B_v`; refused, naming them, when they are no sequence: a set
-    or a mapping, iterable but with no order of its own, is none."""
-    # a tuple or a list, as every distribution the library builds, skips
-    # the checks against abstract classes, each a few tenths of a microsecond
-    if not isinstance(values, (tuple, list)) and (
-            not isinstance(values, Iterable) or isinstance(values, Set | Mapping)):
+    `name B_v`; refused, naming them, when they are no sequence."""
+    if not _is_sequence(values):
         raise ValueError(f"{name}s must be a sequence of integers, got {values!r}")
     values = tuple(values)  # tuple() of a tuple is that tuple
     for value in values:
         if type(value) is not int:
             return tuple(_as_int(c, f"{name} B_{v}") for v, c in enumerate(values, first))
     return values
+
+
+def _label_array(field: GF, values, noun: str, width: int | None = None) -> np.ndarray:
+    """The rows of `values` as a (rows, width) int64 array of element labels
+    of `field`, the one reader of a matrix of labels.  A 2-D numpy integer
+    array of `width` columns (any, when None) and entries in [0, q), as
+    every matrix the library builds, is read as it is.  Any other input is
+    read as Python values and refused, naming what it refuses, at the
+    first of: `values` that are no sequence; a row that is no sequence,
+    or whose length is not `width` (the first row's, when None); an entry
+    that is no integer in [0, q), with its row.  A bool is no label,
+    though Python counts it an int and numpy reads True among ints as 1."""
+    if (isinstance(values, np.ndarray) and values.dtype.kind in "iu" and values.ndim == 2
+            and width in (None, values.shape[1]) and ((values >= 0) & (values < field.q)).all()):
+        return values.astype(np.int64)
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    if not _is_sequence(values):
+        raise ValueError(f"{noun}s must be a sequence of rows of labels, got {values!r}")
+    rows = [tuple(row) if _is_sequence(row) else row for row in values]
+    for row in rows:
+        if not isinstance(row, tuple):
+            raise ValueError(f"{noun} {row!r} is not a sequence of labels")
+        if len(row) != (width := len(row) if width is None else width):
+            raise ValueError(f"{noun} {row} is not a row of {width} labels")
+    bad = next(((row, a) for row in rows for a in row if isinstance(a, bool)
+                or not isinstance(a, int | np.integer) or not 0 <= a < field.q), None)
+    if bad:
+        raise ValueError(f"{noun} {bad[0]}: {bad[1]!r} is not an element label of GF({field.q})")
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width or 0)
 
 
 def _factorize(n: int) -> dict[int, int]:

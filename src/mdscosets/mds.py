@@ -85,7 +85,7 @@ FAMILIES = tuple(_EXTENSIONS)
 def family_length(family: str, q: int) -> int:
     """Length of the family's full code over GF(q): q+1 doubly extended,
     q+2 triply extended, which needs even q."""
-    if family not in _EXTENSIONS:
+    if family not in FAMILIES:  # a tuple: an unhashable family is compared, not hashed
         raise ValueError(f"unknown family {family!r} (expected gdrs or gtrs)")
     if family == "gtrs" and not has_triple_extension(q, 4):
         raise ValueError(f"hyperoval requires even q, got q={q}")

@@ -27,7 +27,7 @@ many things it checked and a failure text for each that fails.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import combinations
@@ -69,19 +69,14 @@ class CorpusEntry:
         return f"[{self.n},{self.code.k},{self.d}]_{self.q} {self.family}"
 
 
-def _once(values) -> tuple:
-    """Each filter value once, in order, compared by type and value as
-    field_of_order's cache compares them: 5.0 is no repeat of 5, but a
-    value to refuse."""
-    return tuple({(type(v), v): v for v in values}.values())
-
-
 class DeskCache:
     """Corpus plus memoized censuses and the codes the criteria read.
 
-    The run's q and d are the filters `qs` and `ds`, each kept once, and
-    the cache reads only codes of those q and d; a d that is no int is
-    refused before any chain is laid out.  The gdrs codes of one
+    The run's q and d are the filters `qs` and `ds`, sequences, and the
+    cache reads only codes of those q and d.  Each d meets the int rule
+    and each q check_field_order before any is kept once or any chain
+    is laid out, so a value of another kind (5.0, [5]) is refused, not
+    taken for a repeat or hashed.  The gdrs codes of one
     (q, d) form a chain: each keeps the first n
     columns of the full-length code's matrix, built once per chain.  One
     kernel run on that code, at the longest corpus length, counts the
@@ -101,15 +96,19 @@ class DeskCache:
     """
 
     def __init__(self, qs=DESK_QS, ds=DESK_DS):
-        self.qs, self.ds = _once(qs), _once(ds)
-        for d in self.ds:  # before any layout: a q with no chain reads no d
+        for name, values in (("qs", qs), ("ds", ds)):
+            if not isinstance(values, Sequence):
+                raise ValueError(f"{name} must be a sequence of integers, got {values!r}")
+        for d in ds:  # before any layout: a q with no chain reads no d
             _check_ints(d=d)
+        for q in qs:
+            check_field_order(q)
+        self.qs, self.ds = tuple(dict.fromkeys(qs)), tuple(dict.fromkeys(ds))
         self.entries: list[CorpusEntry] = []
         self._census: dict[LinearCode, CosetCensus] = {}
         self._codes: dict = {}  # recipe -> code
         chains = []  # one kernel run per chain, on the family's full-length code
         for q in self.qs:
-            check_field_order(q)
             # the longest n with q^n <= DESK_AMBIENT_LIMIT; q >= 2 keeps n within its bits
             longest = max(n for n in range(DESK_AMBIENT_LIMIT.bit_length() + 1)
                           if q ** n <= DESK_AMBIENT_LIMIT)

@@ -5,7 +5,10 @@
 Takes the src/ lines that `git diff -U0 REV~1 REV` adds or changes, and
 makes one mutant per token on them: `+` and `-` swapped, `*` and `//`
 swapped, a comparison turned into its neighbour (`<` and `<=`, `>` and
-`>=`, `==` and `!=`), `and` and `or` swapped, an integer literal plus 1.
+`>=`, `==` and `!=`), `and` and `or` swapped, an integer literal plus 1,
+a `not` dropped (so `not x` reads `x`, `not in` reads `in` and `is not`
+reads `is`), and an `is` that no `not` follows turned into `is not`:
+with the dropped `not`, `is` and `is not` are swapped both ways.
 Strings and comments are not mutated.  Each mutant is written into a
 `git archive` copy of REV, one at a time, and tier-1 runs on it with
 `-x` and criterion 7 (which fails by design) deselected: a failing run,
@@ -58,12 +61,17 @@ def changed_lines(rev: str) -> dict[str, set[int]]:
 def mutants(source: str, rows: set[int]):
     """(row, col, old, new) for each token mutation on the given rows that
     still compiles (a `*` that unpacks would not)."""
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+    tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    for tok, after in zip(tokens, tokens[1:]):
         row, col = tok.start
         if row not in rows:
             continue
         if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in SWAPS:
             new = SWAPS[tok.string]
+        elif tok.type == tokenize.NAME and tok.string == "not":
+            new = ""
+        elif tok.type == tokenize.NAME and tok.string == "is" and after.string != "not":
+            new = "is not"
         elif tok.type == tokenize.NUMBER and re.fullmatch(r"\d+", tok.string):
             new = str(int(tok.string) + 1)
         else:

@@ -38,17 +38,21 @@ def test_point_normalization():
 
 
 @pytest.mark.parametrize("points, text", [
-    ([(1, 0, 0), (1, 5, 0)], "5 is not an element label of GF(5)"),
-    ([(1, 0, 0), (1, -1, 0)], "-1 is not an element label of GF(5)"),
-    ([(1, 0, 0), (1, 2.0, 0)], "2.0 is not an element label of GF(5)"),
-    ([(True, 0, 0), (0, True, 0), (0, 0, 1)], "True is not an element label of GF(5)"),
-    ([(1, 0, 0), (0, 1, 0), (False, 0, 1)], "False is not an element label of GF(5)"),
+    ([(1, 0, 0), (1, 5, 0)], "point (1, 5, 0): 5 is not an element label of GF(5)"),
+    ([(1, 0, 0), (1, -1, 0)], "point (1, -1, 0): -1 is not an element label of GF(5)"),
+    ([(1, 0, 0), (1, 2.0, 0)], "point (1, 2.0, 0): 2.0 is not an element label of GF(5)"),
+    ([(True, 0, 0), (0, True, 0), (0, 0, 1)],
+     "point (True, 0, 0): True is not an element label of GF(5)"),
+    ([(1, 0, 0), (0, 1, 0), (False, 0, 1)],
+     "point (False, 0, 1): False is not an element label of GF(5)"),
     ([(1, 0, 0), (0, 0, 0)], "not a projective point: (0, 0, 0)"),
-    ([(1, 0, 0), (1, 2)], "not a projective point: (1, 2)"),
-    ([(1, 0, 0), (1, 2, 3, 4)], "not a projective point: (1, 2, 3, 4)"),
+    ([(1, 0, 0), (1, 2)], "point (1, 2) is not a row of 3 labels"),
+    ([(1, 0, 0), (1, 2, 3, 4)], "point (1, 2, 3, 4) is not a row of 3 labels"),
     ([(1, 2, 3), (0, 1, 0), (2, 4, 1)], "repeated arc point"),
+    # read as is, the six labels would be the two points (1, 0, 0) and (0, 1, 0)
+    (np.array([[1, 0, 0, 0, 1, 0]]), "point (1, 0, 0, 0, 1, 0) is not a row of 3 labels"),
 ], ids=["out-of-range", "negative", "float", "true", "false", "zero", "short", "long",
-        "repeated"])
+        "repeated", "numpy-wide"])
 def test_arc_refuses_a_bad_point(points, text):
     with pytest.raises(ValueError) as err:
         Arc(field_of_order(5), points)

@@ -8,7 +8,7 @@ import pytest
 from mdscosets import InvariantError
 from mdscosets.codes import BudgetExceededError, LinearCode, low_weight_census
 from mdscosets.combinat import binom, omega
-from mdscosets.geometry import (_arc_layout, conic_census_formulas,
+from mdscosets.geometry import (Arc, _arc_layout, conic_census_formulas,
                                 double_shortened_conic_census_formulas,
                                 hyperoval_census_formulas, shortened_conic_census_formulas)
 from mdscosets.gf import GF, check_field_order, default_irreducible, field_of_order
@@ -117,7 +117,25 @@ def test_a_field_order_that_is_no_int_is_refused_first(q):
      "rows must be a sequence of rows of labels, got 5"),
     (lambda: build_code(field_of_order(5), "gdrs", 4, removed=5),  # once not iterable
      "removed must be a sequence of column indices, got 5"),
-], ids=["binom-k", "omega-w", "omega-v-bool", "LinearCode-rows", "build_code-removed"])
+    (lambda: LinearCode(field_of_order(5), [5, 6]),  # once a TypeError from len
+     "row 5 is not a sequence of labels"),
+    (lambda: LinearCode(field_of_order(5), [[1, 2], 5]),  # the same
+     "row 5 is not a sequence of labels"),
+    (lambda: LinearCode(field_of_order(5), [[1, [2], 3]]),
+     "row (1, [2], 3): [2] is not an element label of GF(5)"),
+    (lambda: Arc(field_of_order(5), 5),  # once not iterable
+     "points must be a sequence of rows of labels, got 5"),
+    (lambda: Arc(field_of_order(5), [5]),  # once a TypeError from len
+     "point 5 is not a sequence of labels"),
+    (lambda: DeskCache(ds=([4],)), "d must be an int, got [4]"),  # once unhashable
+    (lambda: DeskCache(qs=([5],)), "q must be an int, got [5]"),  # the same
+    (lambda: DeskCache(qs=5), "qs must be a sequence of integers, got 5"),  # once not iterable
+    (lambda: build_code(field_of_order(5), ["gdrs"], 4),  # once unhashable
+     "unknown family ['gdrs'] (expected gdrs or gtrs)"),
+], ids=["binom-k", "omega-w", "omega-v-bool", "LinearCode-rows", "build_code-removed",
+        "LinearCode-int-rows", "LinearCode-int-row", "LinearCode-nested-row", "Arc-points",
+        "Arc-int-point", "DeskCache-ds-list", "DeskCache-qs-list", "DeskCache-qs-int",
+        "build_code-family-list"])
 def test_an_entry_refuses_an_argument_of_the_wrong_kind_by_its_name(call, text):
     assert omega(6, 4, 5, 1) == -15  # cached: True must not read it
     with pytest.raises(ValueError) as err:
