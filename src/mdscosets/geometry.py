@@ -3,9 +3,9 @@
 An Arc reads its points as rows of three labels by gf._label_array, the
 one reader of a matrix of labels, and keeps them as homogeneous
 coordinate triples normalized so the first nonzero coordinate is 1,
-making equality a plain tuple comparison.  Elsewhere a point is its census row (codes.syndrome_row),
-the triple read as a syndrome, so the arc's tallies line up entry for
-entry with a census of its code.  Bisecants are
+making equality a plain tuple comparison.  Elsewhere a point is its
+census row (codes.syndrome_row), the triple read as a syndrome, so the
+arc's tallies line up entry for entry with a census of its code.  Bisecants are
 counted by walking them, not by testing points against lines: on an
 arc, the bisecant through a and b holds, besides a and b, exactly the
 q-1 points a + t*b (t != 0), none of them on the arc (Hirschfeld,

@@ -51,8 +51,9 @@ def test_point_normalization():
     ([(1, 2, 3), (0, 1, 0), (2, 4, 1)], "repeated arc point"),
     # read as is, the six labels would be the two points (1, 0, 0) and (0, 1, 0)
     (np.array([[1, 0, 0, 0, 1, 0]]), "point (1, 0, 0, 0, 1, 0) is not a row of 3 labels"),
+    (np.array([[1, 0, 0], [1, 5, 0]]), "point (1, 5, 0): 5 is not an element label of GF(5)"),
 ], ids=["out-of-range", "negative", "float", "true", "false", "zero", "short", "long",
-        "repeated", "numpy-wide"])
+        "repeated", "numpy-wide", "numpy-out-of-range"])
 def test_arc_refuses_a_bad_point(points, text):
     with pytest.raises(ValueError) as err:
         Arc(field_of_order(5), points)

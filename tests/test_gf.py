@@ -123,6 +123,10 @@ def test_a_field_order_that_is_no_int_is_refused_first(q):
      "row 5 is not a sequence of labels"),
     (lambda: LinearCode(field_of_order(5), [[1, [2], 3]]),
      "row (1, [2], 3): [2] is not an element label of GF(5)"),
+    (lambda: LinearCode(field_of_order(5), np.array([1, 2, 3])),  # no matrix: once a TypeError
+     "row 1 is not a sequence of labels"),
+    (lambda: LinearCode(field_of_order(5), np.zeros((1, 2, 3), dtype=int)),  # nor this
+     "row ([0, 0, 0], [0, 0, 0]): [0, 0, 0] is not an element label of GF(5)"),
     (lambda: Arc(field_of_order(5), 5),  # once not iterable
      "points must be a sequence of rows of labels, got 5"),
     (lambda: Arc(field_of_order(5), [5]),  # once a TypeError from len
@@ -133,7 +137,8 @@ def test_a_field_order_that_is_no_int_is_refused_first(q):
     (lambda: build_code(field_of_order(5), ["gdrs"], 4),  # once unhashable
      "unknown family ['gdrs'] (expected gdrs or gtrs)"),
 ], ids=["binom-k", "omega-w", "omega-v-bool", "LinearCode-rows", "build_code-removed",
-        "LinearCode-int-rows", "LinearCode-int-row", "LinearCode-nested-row", "Arc-points",
+        "LinearCode-int-rows", "LinearCode-int-row", "LinearCode-nested-row",
+        "LinearCode-1d-array", "LinearCode-3d-array", "Arc-points",
         "Arc-int-point", "DeskCache-ds-list", "DeskCache-qs-list", "DeskCache-qs-int",
         "build_code-family-list"])
 def test_an_entry_refuses_an_argument_of_the_wrong_kind_by_its_name(call, text):
