@@ -84,11 +84,12 @@ def _as_int(value, name: str) -> int:
 
 def _is_sequence(values) -> bool:
     """Whether values are a sequence: any iterable but a set or a mapping,
-    which have no order of their own."""
+    which have no order of their own, or a 0-d array, which has no entries."""
     # a tuple or a list, as every distribution the library builds, skips
     # the checks against abstract classes, each a few tenths of a microsecond
     return isinstance(values, (tuple, list)) or (
-        isinstance(values, Iterable) and not isinstance(values, Set | Mapping))
+        isinstance(values, Iterable) and not isinstance(values, Set | Mapping)
+        and getattr(values, "ndim", 1) != 0)
 
 
 def _counts(values, name: str, first: int) -> tuple[int, ...]:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mdscosets import InvariantError
-from mdscosets.codes import BudgetExceededError, LinearCode, low_weight_census
+from mdscosets.codes import (BudgetExceededError, LinearCode, WeightDistribution,
+                             low_weight_census)
 from mdscosets.combinat import binom, omega
 from mdscosets.geometry import (Arc, _arc_layout, conic_census_formulas,
                                 double_shortened_conic_census_formulas,
@@ -127,6 +128,10 @@ def test_a_field_order_that_is_no_int_is_refused_first(q):
      "row 1 is not a sequence of labels"),
     (lambda: LinearCode(field_of_order(5), np.zeros((1, 2, 3), dtype=int)),  # nor this
      "row ([0, 0, 0], [0, 0, 0]): [0, 0, 0] is not an element label of GF(5)"),
+    (lambda: Arc(field_of_order(5), [np.array(1)] * 3),  # once a TypeError from len
+     "point array(1) is not a sequence of labels"),
+    (lambda: WeightDistribution(np.array(5)),  # once a TypeError from tuple()
+     "weight distribution counts must be a sequence of integers, got array(5)"),
     (lambda: Arc(field_of_order(5), 5),  # once not iterable
      "points must be a sequence of rows of labels, got 5"),
     (lambda: Arc(field_of_order(5), [5]),  # once a TypeError from len
@@ -138,7 +143,8 @@ def test_a_field_order_that_is_no_int_is_refused_first(q):
      "unknown family ['gdrs'] (expected gdrs or gtrs)"),
 ], ids=["binom-k", "omega-w", "omega-v-bool", "LinearCode-rows", "build_code-removed",
         "LinearCode-int-rows", "LinearCode-int-row", "LinearCode-nested-row",
-        "LinearCode-1d-array", "LinearCode-3d-array", "Arc-points",
+        "LinearCode-1d-array", "LinearCode-3d-array", "Arc-0d-point",
+        "WeightDistribution-0d-array", "Arc-points",
         "Arc-int-point", "DeskCache-ds-list", "DeskCache-qs-list", "DeskCache-qs-int",
         "build_code-family-list"])
 def test_an_entry_refuses_an_argument_of_the_wrong_kind_by_its_name(call, text):
